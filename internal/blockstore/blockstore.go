@@ -228,9 +228,15 @@ func (b *Block) NextReplSeq(fn func() ([][]byte, error)) (res [][]byte, chain co
 // mutation once the block is sealed — returns ErrStaleEpoch
 // immediately (or as soon as a repair bumps the generation mid-wait):
 // its sender is propagating along a chain that no longer exists, and
-// must refresh.
-func (b *Block) ApplyInOrder(seq, gen uint64, fn func() ([][]byte, error)) ([][]byte, error) {
+// must refresh. The returned chain is this replica's chain for gen,
+// read under the lock SetChain writes it — exactly as NextReplSeq does
+// for the head — so the mutation continues along the layout it was
+// admitted under even if a repair splice lands right after. Every
+// member of a generation is installed with the same chain, which is
+// why the hop does not carry one.
+func (b *Block) ApplyInOrder(seq, gen uint64, fn func() ([][]byte, error)) (res [][]byte, chain core.ReplicaChain, err error) {
 	b.replMu.Lock()
+	defer b.replMu.Unlock()
 	if b.applyCond == nil {
 		b.applyCond = sync.NewCond(&b.replMu)
 	}
@@ -238,15 +244,21 @@ func (b *Block) ApplyInOrder(seq, gen uint64, fn func() ([][]byte, error)) ([][]
 		b.applyCond.Wait()
 	}
 	if b.replGen != gen || b.sealed.Load() {
-		b.replMu.Unlock()
-		return nil, fmt.Errorf("blockstore: block %v: chain generation %d superseded by %d: %w",
+		return nil, nil, fmt.Errorf("blockstore: block %v: chain generation %d superseded by %d: %w",
 			b.ID, gen, b.replGen, core.ErrStaleEpoch)
 	}
-	res, err := fn()
+	res, err = fn()
 	b.applySeq++
 	b.applyCond.Broadcast()
-	b.replMu.Unlock()
-	return res, err
+	return res, b.Chain(), err
+}
+
+// ChainGen returns the block's chain together with the replication
+// generation it was installed under, as one consistent pair.
+func (b *Block) ChainGen() (core.ReplicaChain, uint64) {
+	b.replMu.Lock()
+	defer b.replMu.Unlock()
+	return b.Chain(), b.replGen
 }
 
 // blockMap is the value type behind the store's copy-on-write pointer.
@@ -431,7 +443,9 @@ func (s *Store) ApplyOn(b *Block, op core.OpType, args [][]byte, checkNow bool) 
 // after their mutations land.
 func (s *Store) CheckThresholds(b *Block) { s.checkThresholds(b) }
 
-// checkThresholds emits at most one signal per threshold crossing.
+// checkThresholds emits at most one signal per threshold crossing: a
+// block that stays past a threshold after its signal was answered
+// (a full file chunk overwritten in place) does not signal again.
 func (s *Store) checkThresholds(b *Block) {
 	if s.onSignal == nil {
 		return
@@ -468,8 +482,11 @@ func drainedQueue(b *Block) bool {
 	return ok && q.Drained()
 }
 
-// ResetSignal clears the de-duplication state after the controller
-// finishes (or declines) a scaling action, re-arming future signals.
+// ResetSignal clears the de-duplication state of a block whose signal
+// was never answered — dropped on a full queue, or the controller call
+// failed — re-arming it. An answered signal is not reset: the latch
+// then clears by itself once usage leaves the threshold band (the
+// default arm of checkThresholds).
 func (s *Store) ResetSignal(id core.BlockID) {
 	if b, err := s.Get(id); err == nil {
 		b.signaled.Store(0)

@@ -295,24 +295,34 @@ func (c *Controller) spliceEntry(t repairTarget, addr string, gen uint64, alive 
 	replacements := c.allocReplacements(t, survivors, len(doomedAlive)+len(doomedDead))
 	newChain := append(append(core.ReplicaChain(nil), survivors...), replacements...)
 
-	// Fence the old chain (see the package comment): every survivor
-	// except the old head switches to the new generation now, tail
-	// first, so old-generation propagation rejects and no write can be
-	// acknowledged after the snapshot below. A survivor that cannot be
-	// switched would stay wedged on the old generation and reject every
-	// new-generation mutation forever — so the splice restarts instead,
-	// with the member evicted when the failure was connectivity-class.
-	for i := len(survivors) - 1; i >= 0; i-- {
-		m := survivors[i]
-		if m == oldHead {
-			continue // switched last, once the replacements are ready
+	// switchSurvivors installs newChain on every survivor except the
+	// old head (switched last, once the replacements are ready), tail
+	// first. It reports false when a member could not be switched.
+	switchSurvivors := func() bool {
+		for i := len(survivors) - 1; i >= 0; i-- {
+			m := survivors[i]
+			if m == oldHead {
+				continue
+			}
+			if err := c.switchMember(m, chainField(newChain), gen); err != nil {
+				c.log.Warn("controller: chain switch failed on survivor; restarting splice",
+					"block", m.ID, "on", m.Server, "err", err)
+				return false
+			}
 		}
-		if err := c.switchMember(m, chainField(newChain), gen); err != nil {
-			c.log.Warn("controller: chain fence failed on survivor; restarting splice",
-				"block", m.ID, "on", m.Server, "err", err)
-			c.releaseReplacements(replacements)
-			return spliceResult{}, true
-		}
+		return true
+	}
+
+	// Fence the old chain (see the package comment): the survivors
+	// switch to the new generation now, so old-generation propagation
+	// rejects and no write can be acknowledged after the snapshot
+	// below. A survivor that cannot be switched would stay wedged on
+	// the old generation and reject every new-generation mutation
+	// forever — so the splice restarts instead, with the member evicted
+	// when the failure was connectivity-class.
+	if !switchSurvivors() {
+		c.releaseReplacements(replacements)
+		return spliceResult{}, true
 	}
 	// Still-answering drained members are sealed: required when one of
 	// them is the old tail (the last unfenced ack point), and it makes
@@ -327,6 +337,19 @@ func (c *Controller) spliceEntry(t repairTarget, addr string, gen uint64, alive 
 		}
 	}
 
+	// degrade gives up on the replacements and narrows the layout to
+	// the survivors. The fence pass installed the wide layout on them,
+	// and replication hops do not carry the chain — each member forwards
+	// along its own copy — so every survivor is re-switched to the
+	// narrow one before the head starts the generation's stream. No
+	// write of this generation exists yet, so resetting their sequence
+	// state again is harmless.
+	degrade := func() bool {
+		c.releaseReplacements(replacements)
+		replacements = nil
+		newChain = append(core.ReplicaChain(nil), survivors...)
+		return switchSurvivors()
+	}
 	if len(replacements) > 0 {
 		// Every old-chain member holds every acknowledged write, and
 		// the fence froze the survivors' old-generation stream, so the
@@ -336,18 +359,18 @@ func (c *Controller) spliceEntry(t repairTarget, addr string, gen uint64, alive 
 		if err := c.resyncMembers(src, replacements); err != nil {
 			c.log.Warn("controller: chain replacement resync failed; degrading chain width",
 				"block", t.entry.Info.ID, "err", err)
-			c.releaseReplacements(replacements)
-			replacements = nil
-			newChain = append(core.ReplicaChain(nil), survivors...)
+			if !degrade() {
+				return spliceResult{}, true
+			}
 		}
 	}
 	for i := len(replacements) - 1; i >= 0; i-- {
 		if err := c.switchMember(replacements[i], chainField(newChain), gen); err != nil {
 			c.log.Warn("controller: chain switch failed on replacement; degrading chain width",
 				"block", replacements[i].ID, "on", replacements[i].Server, "err", err)
-			c.releaseReplacements(replacements)
-			replacements = nil
-			newChain = append(core.ReplicaChain(nil), survivors...)
+			if !degrade() {
+				return spliceResult{}, true
+			}
 			break
 		}
 	}

@@ -26,6 +26,9 @@ type Partition interface {
 	Type() core.DSType
 	// Apply executes one operation; args and results are op-specific
 	// byte-slice vectors (see the op documentation in internal/core).
+	// args alias the request frame, which the server recycles once the
+	// response is written: a partition copies what it keeps, and its
+	// results never alias args.
 	Apply(op core.OpType, args [][]byte) ([][]byte, error)
 	// Bytes reports the current payload usage, driving the high/low
 	// repartition thresholds.
@@ -247,6 +250,11 @@ func decodeRequestPrefix(data []byte) (op core.OpType, block core.BlockID, args 
 	block = core.BlockID(binary.BigEndian.Uint64(data[1:9]))
 	nargs := int(binary.BigEndian.Uint16(data[9:11]))
 	off := 11
+	if nargs > (len(data)-off)/4 {
+		// Every arg needs at least its length prefix; checking up front
+		// keeps a forged count from sizing the allocation below.
+		return 0, 0, nil, nil, fmt.Errorf("ds: truncated arg header")
+	}
 	args = make([][]byte, 0, nargs)
 	for i := 0; i < nargs; i++ {
 		if off+4 > len(data) {
@@ -254,7 +262,7 @@ func decodeRequestPrefix(data []byte) (op core.OpType, block core.BlockID, args 
 		}
 		l := int(binary.BigEndian.Uint32(data[off : off+4]))
 		off += 4
-		if l < 0 || off+l > len(data) {
+		if l < 0 || l > len(data)-off {
 			return 0, 0, nil, nil, fmt.Errorf("ds: truncated arg body")
 		}
 		args = append(args, data[off:off+l])

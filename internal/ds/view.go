@@ -83,24 +83,32 @@ func AppendValsVec(buf []byte, vals [][]byte) (payload []byte, vec [][]byte) {
 // zero-copy form for large writes. buf is head's final backing buffer;
 // release it (wire.PutBuf) once the segments have been written.
 func AppendRequestVec(head []byte, op core.OpType, block core.BlockID, args [][]byte) (vec [][]byte, buf []byte) {
-	need := 11 + 4*len(args)
+	return appendRequestVec(head, 0, op, block, args)
+}
+
+// appendRequestVec is AppendRequestVec with the first skip bytes of
+// head left for the caller to fill; they travel at the front of the
+// first segment (the replication hop's seq|gen prefix).
+func appendRequestVec(head []byte, skip int, op core.OpType, block core.BlockID, args [][]byte) (vec [][]byte, buf []byte) {
+	need := skip + 11 + 4*len(args)
 	if cap(head) < need {
 		head = make([]byte, 0, need)
 	}
 	head = head[:need]
-	head[0] = byte(op)
-	binary.BigEndian.PutUint64(head[1:9], uint64(block))
-	binary.BigEndian.PutUint16(head[9:11], uint16(len(args)))
+	req := head[skip:]
+	req[0] = byte(op)
+	binary.BigEndian.PutUint64(req[1:9], uint64(block))
+	binary.BigEndian.PutUint16(req[9:11], uint16(len(args)))
 	for i, a := range args {
-		binary.BigEndian.PutUint32(head[11+4*i:15+4*i], uint32(len(a)))
+		binary.BigEndian.PutUint32(req[11+4*i:15+4*i], uint32(len(a)))
 	}
 	if len(args) == 0 {
-		return [][]byte{head[:11]}, head
+		return [][]byte{head}, head
 	}
 	vec = make([][]byte, 0, 2*len(args))
-	vec = append(vec, head[:15], args[0])
+	vec = append(vec, head[:skip+15], args[0])
 	for i := 1; i < len(args); i++ {
-		vec = append(vec, head[11+4*i:15+4*i], args[i])
+		vec = append(vec, req[11+4*i:15+4*i], args[i])
 	}
 	return vec, head
 }

@@ -120,7 +120,9 @@ const (
 	// (merge commits).
 	MethodSetOwnedSlots uint16 = 0x010c
 	// MethodReplicate applies a replicated mutation at a chain
-	// successor.
+	// successor. Its body is not gob: a seq|gen prefix followed by the
+	// data-plane request encoding (see ds.AppendReplicateVec), answered
+	// with an empty response.
 	MethodReplicate uint16 = 0x010d
 	// MethodSnapshotBlock returns a block's serialized partition state
 	// (chain resynchronization after slot moves).
@@ -644,29 +646,12 @@ type RestoreBlockReq struct {
 // RestoreBlockResp acknowledges the restore.
 type RestoreBlockResp struct{}
 
-// ReplicateReq applies a mutation at a replication-chain successor and
-// forwards it down the chain.
-type ReplicateReq struct {
-	Block core.BlockID
-	Op    core.OpType
-	Args  [][]byte
-	// Chain is the block's full replication chain.
-	Chain core.ReplicaChain
-	// Seq orders the chain's mutation stream; replicas apply strictly
-	// in sequence order.
-	Seq uint64
-	// Gen is the chain generation Seq belongs to; a repair splice
-	// starts a new generation, and replicas reject mutations stamped
-	// with another generation (see blockstore.ApplyInOrder).
-	Gen uint64
-}
-
-// ReplicateResp acknowledges chain application.
-type ReplicateResp struct{}
-
 // UpdateChainReq replaces Block's replication chain (repair splice).
 // Gen is the new chain generation — the controller's membership epoch
 // at repair time, so every member of the spliced chain agrees on it.
+// Every member of a generation must be handed the same Chain:
+// replication hops do not carry the layout, each member forwards along
+// its own copy.
 // Seal instead fences the block against all further writes (reads keep
 // serving, Chain/Gen are ignored): the drain-time barrier taken before
 // a migration snapshot, so no acknowledged write can postdate it.

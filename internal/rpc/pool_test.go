@@ -14,7 +14,7 @@ func newEchoServer(t *testing.T, addr string) *Server {
 	t.Helper()
 	srv := NewServer(BytesHandler(func(_ context.Context, conn *ServerConn, method uint16, payload []byte) ([]byte, error) {
 		if method == methodEcho {
-			return payload, nil
+			return append([]byte(nil), payload...), nil // a response may not alias the request
 		}
 		return nil, fmt.Errorf("unknown method %d", method)
 	}), nil)
@@ -122,6 +122,12 @@ func TestPoolPipelinedCallsShareOneSession(t *testing.T) {
 		return Dial(a)
 	})
 	defer pool.Close()
+	// Get resolves racing first dials by closing the losers, so "one
+	// dial" only holds once the session is cached: dial it before the
+	// callers start.
+	if _, err := pool.Get(addr); err != nil {
+		t.Fatal(err)
+	}
 
 	const callers, perCaller = 32, 16
 	var wg sync.WaitGroup

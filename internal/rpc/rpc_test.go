@@ -27,7 +27,7 @@ func newTestServer(t *testing.T) (addr string, srv *Server) {
 	handler := func(_ context.Context, conn *ServerConn, method uint16, payload []byte) ([]byte, error) {
 		switch method {
 		case methodEcho:
-			return payload, nil
+			return append([]byte(nil), payload...), nil // a response may not alias the request
 		case methodFail:
 			return nil, errors.New("custom failure")
 		case methodNotFound:

@@ -45,10 +45,14 @@ func BytesResponse(b []byte) Response { return Response{Payload: b} }
 // frame (handlers thread it into any onward RPCs so traces span
 // hops); conn identifies the client connection (used by the
 // notification machinery to push frames back); method is the method
-// identifier; payload the request body. The returned Response becomes
-// the response body (see its ownership contract); a returned error
-// maps onto a wire error code (sentinels from internal/core travel
-// losslessly).
+// identifier; payload the request body. payload is only valid until the
+// handler returns and must not be aliased by the Response: small
+// requests sit in connection-owned storage the next read overwrites,
+// large ones in a pooled buffer recycled once the response is written.
+// A handler keeps what it needs by copying. The returned Response
+// becomes the response body (see its ownership contract); a returned
+// error maps onto a wire error code (sentinels from internal/core
+// travel losslessly).
 type Handler func(ctx context.Context, conn *ServerConn, method uint16, payload []byte) (Response, error)
 
 // BytesHandler adapts a contiguous-payload handler function to the
@@ -274,7 +278,9 @@ func (sc *ServerConn) readLoop() {
 	var pending traceCache
 	inlineH, inlineFast := sc.srv.inlineHandler, sc.srv.inlineFast
 	for {
-		f, reused, err := sc.conn.ReadFrameReused()
+		// Large requests arrive in pooled buffers that finish recycles
+		// once the response is written.
+		f, reused, err := sc.conn.ReadFramePooled()
 		if err != nil {
 			sc.reqWG.Wait()
 			return
@@ -441,6 +447,10 @@ func (sc *ServerConn) finish(f *wire.Frame, trace obs.SpanContext, st dispatchSt
 	// ownership contract); recycle it for the next response. Vec
 	// segments are the handler's memory — never pooled here.
 	wire.PutBuf(resp.Payload)
+	// The request is over too: the handler has returned and its response
+	// has left, so nothing may reference the request payload any more
+	// (see Handler) and a large frame's buffer goes back to its pool.
+	wire.RecycleFrame(f)
 }
 
 func (sc *ServerConn) callHandler(ctx context.Context, f *wire.Frame) (resp Response, err error) {

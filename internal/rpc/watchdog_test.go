@@ -44,7 +44,7 @@ func TestWatchdogHedgeCancellationChurn(t *testing.T) {
 	handler := func(_ context.Context, _ *ServerConn, method uint16, payload []byte) ([]byte, error) {
 		switch method {
 		case churnEcho:
-			return payload, nil
+			return append([]byte(nil), payload...), nil // a response may not alias the request
 		case churnStall:
 			time.Sleep(churnStallSleep)
 			return []byte("late"), nil

@@ -15,7 +15,8 @@ import (
 
 // handle is the memory server's RPC dispatch. Data-plane ops build
 // their responses as scatter-gather views into block memory (see
-// handleDataOp); the control-plane methods reply with freshly
+// handleDataOp) and replication hops use the same binary codec (see
+// applyReplicated); the control-plane methods reply with freshly
 // gob-encoded bodies.
 func (s *Server) handle(ctx context.Context, conn *rpc.ServerConn, method uint16, payload []byte) (rpc.Response, error) {
 	switch method {
@@ -24,6 +25,9 @@ func (s *Server) handle(ctx context.Context, conn *rpc.ServerConn, method uint16
 	case proto.MethodDataOpBatch:
 		b, err := s.handleDataOpBatch(ctx, payload)
 		return rpc.BytesResponse(b), err
+	case proto.MethodReplicate:
+		// Chain-internal: the acknowledgement is the empty response.
+		return rpc.Response{}, s.applyReplicated(ctx, payload)
 	default:
 		b, err := s.handleControl(ctx, conn, method, payload)
 		return rpc.BytesResponse(b), err
@@ -234,16 +238,6 @@ func (s *Server) handleControl(ctx context.Context, conn *rpc.ServerConn, method
 			return nil, err
 		}
 		return rpc.Marshal(proto.RestoreBlockResp{})
-
-	case proto.MethodReplicate:
-		var req proto.ReplicateReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := s.applyReplicated(ctx, req); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.ReplicateResp{})
 
 	case proto.MethodSetTenantQuota:
 		var req proto.SetTenantQuotaReq

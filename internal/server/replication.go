@@ -7,7 +7,9 @@ import (
 
 	"jiffy/internal/blockstore"
 	"jiffy/internal/core"
+	"jiffy/internal/ds"
 	"jiffy/internal/proto"
+	"jiffy/internal/wire"
 )
 
 // Chain replication (§4.2.2): Jiffy supports chain replication at
@@ -56,60 +58,71 @@ func (e *ReplicaApplyError) Error() string {
 
 func (e *ReplicaApplyError) Unwrap() error { return e.Err }
 
-// propagate forwards a sequenced mutation from the chain head to its
-// first successor. chain is the head's chain snapshot taken when the
-// sequence number was assigned, so a concurrent repair splice cannot
-// mix configurations within one mutation.
+// The hop's wire form is the data plane's own codec behind a 16-byte
+// seq|gen prefix (see ds.AppendReplicateVec): one pooled header plus a
+// vectored write of the argument slices. At the head those slices alias
+// the client's request frame and at a mid-chain member the predecessor's
+// hop frame, so a payload is copied once per member — out of the frame,
+// into block memory — and never re-encoded. The chain itself does not
+// travel: every member of a generation was installed with the same
+// chain, and finds its own successor in it.
+
+// propagate continues a sequenced mutation from b, which has applied
+// it, to b's successor in chain. chain is b's chain snapshot taken
+// under the sequence lock (NextReplSeq at the head, ApplyInOrder at a
+// replica), so a concurrent repair splice cannot mix configurations
+// within one mutation.
 func (s *Server) propagate(ctx context.Context, b *blockstore.Block, chain core.ReplicaChain,
 	seq, gen uint64, op core.OpType, args [][]byte) error {
 	pos := chainPos(chain, b.ID)
 	if pos < 0 || pos+1 >= len(chain) {
 		return nil // sole replica or tail: nothing to forward
 	}
-	return s.forward(ctx, chain[pos+1], seq, gen, op, args, chain)
+	return s.forward(ctx, chain[pos+1], seq, gen, op, args)
 }
 
 // applyReplicated applies a forwarded mutation in sequence order and
-// continues the chain.
-func (s *Server) applyReplicated(ctx context.Context, req proto.ReplicateReq) error {
-	b, err := s.resolve(req.Block)
+// continues the chain. args alias payload — the inbound frame, which
+// the rpc layer recycles after the response is written — through the
+// local apply (partitions copy what they keep) and the onward hop.
+// Only the head evaluates the repartition thresholds: replicas hold the
+// same bytes, and their signals would name blocks the controller does
+// not know as heads.
+func (s *Server) applyReplicated(ctx context.Context, payload []byte) error {
+	seq, gen, op, blockID, args, err := ds.DecodeReplicate(payload)
+	if err != nil {
+		return err
+	}
+	b, err := s.resolve(blockID)
 	if err != nil {
 		return err
 	}
 	defer b.EndOp()
-	if _, err := b.ApplyInOrder(req.Seq, req.Gen, func() ([][]byte, error) {
-		return s.store.ApplyOn(b, req.Op, req.Args, true)
-	}); err != nil {
+	_, chain, err := b.ApplyInOrder(seq, gen, func() ([][]byte, error) {
+		return s.store.ApplyOn(b, op, args, false)
+	})
+	if err != nil {
 		return fmt.Errorf("server: replica apply: %w", err)
 	}
-	pos := chainPos(req.Chain, req.Block)
-	if pos < 0 || pos+1 >= len(req.Chain) {
-		return nil
-	}
-	return s.forward(ctx, req.Chain[pos+1], req.Seq, req.Gen, req.Op, req.Args, req.Chain)
+	return s.propagate(ctx, b, chain, seq, gen, op, args)
 }
 
 // forward ships a mutation to the next chain hop, classifying failures:
 // transport-level failures become ChainHopError (and are reported to
 // the controller as death evidence), everything else becomes
 // ReplicaApplyError.
-func (s *Server) forward(ctx context.Context, next core.BlockInfo, seq, gen uint64, op core.OpType, args [][]byte,
-	chain core.ReplicaChain) error {
+func (s *Server) forward(ctx context.Context, next core.BlockInfo, seq, gen uint64, op core.OpType, args [][]byte) error {
 	peer, err := s.peers.Get(next.Server)
 	if err != nil {
 		s.reportFailedHop(next)
 		return &ChainHopError{Hop: next, Err: err}
 	}
-	var resp proto.ReplicateResp
 	start := s.clk.Now()
-	err = peer.CallGobCtx(ctx, proto.MethodReplicate, proto.ReplicateReq{
-		Block: next.ID,
-		Op:    op,
-		Args:  args,
-		Chain: chain,
-		Seq:   seq,
-		Gen:   gen,
-	}, &resp)
+	// The call returns once the successor has answered, so the segments
+	// (and the frame they alias) are long consumed by then.
+	vec, head := ds.AppendReplicateVec(wire.GetBuf(), seq, gen, op, next.ID, args)
+	_, err = peer.CallVecContext(ctx, proto.MethodReplicate, vec)
+	wire.PutBuf(head)
 	if err == nil {
 		// The successor applies in sequence order before replying, so the
 		// forward round trip is a direct proxy for its ApplyInOrder stall:

@@ -103,6 +103,10 @@ type Server struct {
 	tierDemotions      *obs.Counter
 	tierPromotions     *obs.Counter
 	tierRehydrateBytes *obs.Counter
+
+	// scale-signal outcomes (see onSignal, deliverSignal)
+	signalsSent    obs.Counter
+	signalsDropped obs.Counter
 }
 
 type signal struct {
@@ -166,6 +170,12 @@ func New(opts Options) (*Server, error) {
 		s.store.ResidentBytes)
 	s.reg.GaugeFunc("jiffy_server_subscriptions", "live notification subscriptions",
 		func() int64 { return s.subs.count() })
+	s.reg.RegisterCollector(func(w io.Writer) {
+		const name = "jiffy_server_scale_signals_total"
+		obs.WriteHeader(w, name, "threshold-crossing signals by outcome: sent to the controller, or dropped on a full signal queue", "counter")
+		obs.WriteSample(w, name, `{result="sent"}`, s.signalsSent.Value())
+		obs.WriteSample(w, name, `{result="dropped"}`, s.signalsDropped.Value())
+	})
 	s.reg.RegisterCollector(func(w io.Writer) {
 		stats := s.gate.Stats()
 		if len(stats) == 0 {
@@ -430,13 +440,16 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// onSignal enqueues a threshold crossing for the signal worker; a full
-// queue drops the signal (it will re-fire after ResetSignal or on the
-// client-triggered fallback path).
+// onSignal enqueues a threshold crossing for the signal worker. A full
+// queue drops the signal and clears the block's de-duplication latch
+// with it: nobody will answer a dropped signal, so the block must be
+// free to signal again on its next mutation past the threshold.
 func (s *Server) onSignal(path core.Path, block core.BlockID, over bool) {
 	select {
 	case s.signals <- signal{path: path, block: block, over: over}:
 	default:
+		s.store.ResetSignal(block)
+		s.signalsDropped.Inc()
 		s.log.Debug("server: signal queue full; dropping", "block", block)
 	}
 }
@@ -456,6 +469,17 @@ func (s *Server) signalWorker() {
 	}
 }
 
+// deliverSignal sends one scale signal and re-arms the block only when
+// the call failed. An answered signal — grown, "already grown", or
+// refused because the structure is at its bound — leaves the latch set
+// until usage leaves the threshold band (checkThresholds' default arm):
+// a full file chunk that is overwritten in place, or a KV shard still
+// above the threshold after its split, would otherwise send a stale
+// signal with every mutation. The one case where an answered signal
+// did not grow the structure and growth becomes possible later
+// (AtMaxBlocks refusal followed by a drain) is re-triggered by the
+// client: a writer that meets the full block calls ScaleUp itself (see
+// client requestScale).
 func (s *Server) deliverSignal(sig signal) {
 	if len(s.ctrlAddrs) == 0 {
 		return
@@ -470,12 +494,13 @@ func (s *Server) deliverSignal(sig signal) {
 		err = s.callCtrl(proto.MethodScaleDown,
 			proto.ScaleDownReq{Path: sig.path, Block: sig.block}, &resp)
 	}
+	s.signalsSent.Inc()
 	if err != nil {
 		s.log.Debug("server: scale signal failed", "block", sig.block, "err", err)
+		// The block may have been deleted meanwhile; ResetSignal
+		// tolerates that.
+		s.store.ResetSignal(sig.block)
 	}
-	// Re-arm threshold detection for the block (it may have been
-	// deleted by a scale-down; ResetSignal tolerates that).
-	s.store.ResetSignal(sig.block)
 }
 
 // Store exposes the blockstore for tests and the experiment harness.

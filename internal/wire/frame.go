@@ -104,6 +104,10 @@ type Frame struct {
 	// socket, on success and error paths alike. Handlers use it to
 	// unpin block memory aliased by Payload/PayloadVec.
 	Release func()
+
+	// buf is the large-class receive buffer Payload aliases, set only on
+	// frames from ReadFramePooled; RecycleFrame hands it back.
+	buf []byte
 }
 
 // PayloadLen is the total payload size across Payload and PayloadVec.
@@ -147,6 +151,12 @@ type Conn struct {
 	wmu sync.Mutex
 	w   *bufio.Writer
 	hdr [4 + headerLen]byte
+	// wscratch keeps the segment array of large vectored frames across
+	// writes, and wvec is the header over it that net.Buffers.WriteTo
+	// consumes — a field, so taking its address allocates nothing. Both
+	// guarded by wmu.
+	wscratch [][]byte
+	wvec     net.Buffers
 
 	closeOnce sync.Once
 	closeErr  error
@@ -251,10 +261,14 @@ func (c *Conn) writeFrameLocked(f *Frame) error {
 		if err := c.w.Flush(); err != nil {
 			return err
 		}
-		// net.Buffers.WriteTo consumes its slice, so hand it a copy.
-		bufs := make(net.Buffers, len(f.PayloadVec))
-		copy(bufs, f.PayloadVec)
-		_, err := bufs.WriteTo(c.nc)
+		// net.Buffers.WriteTo consumes the slice it is called on, so it
+		// gets wvec; wscratch keeps the array for the next frame and
+		// drops the segment references once the write is over.
+		c.wscratch = append(c.wscratch[:0], f.PayloadVec...)
+		c.wvec = c.wscratch
+		_, err := c.wvec.WriteTo(c.nc)
+		clear(c.wscratch)
+		c.wvec = nil
 		return err
 	}
 	for _, p := range f.PayloadVec {
@@ -416,6 +430,22 @@ func (c *Conn) ReadFrame() (*Frame, error) {
 // inline small-frame fast path: the steady-state cost of a small frame
 // is one buffered read, zero allocations.
 func (c *Conn) ReadFrameReused() (f *Frame, reused bool, err error) {
+	return c.readFrame(false)
+}
+
+// ReadFramePooled is ReadFrameReused for readers that can say when they
+// are done with a large frame: frames above the inline threshold come
+// back (reused false) in a buffer from the large class, which the
+// caller returns with RecycleFrame once nothing references the payload
+// any more. A frame that is never recycled is simply collected. Servers
+// read requests this way — a handler may not retain its payload past
+// the response — while clients keep ReadFrameReused, because a large
+// response's payload becomes the caller's result.
+func (c *Conn) ReadFramePooled() (f *Frame, reused bool, err error) {
+	return c.readFrame(true)
+}
+
+func (c *Conn) readFrame(pooled bool) (f *Frame, reused bool, err error) {
 	n, err := c.readLen()
 	if err != nil {
 		return nil, false, err
@@ -433,12 +463,38 @@ func (c *Conn) ReadFrameReused() (f *Frame, reused bool, err error) {
 		}
 		return &c.rframe, true, nil
 	}
-	buf, err := c.readBody(n)
-	if err != nil {
+	if !pooled || n > readAllocChunk {
+		buf, err := c.readBody(n)
+		if err != nil {
+			return nil, false, err
+		}
+		f, err = parseFrame(buf)
+		return f, false, err
+	}
+	buf := getLarge(n)
+	if _, err := io.ReadFull(c.r, buf); err != nil {
+		putLarge(buf)
 		return nil, false, err
 	}
-	f, err = parseFrame(buf)
-	return f, false, err
+	if f, err = parseFrame(buf); err != nil {
+		putLarge(buf)
+		return nil, false, err
+	}
+	f.buf = buf
+	return f, false, nil
+}
+
+// RecycleFrame returns the receive buffer of a frame from
+// ReadFramePooled to the large class; on any other frame it does
+// nothing. The frame's Payload — and everything decoded as an alias of
+// it — must not be touched afterwards.
+func RecycleFrame(f *Frame) {
+	if f.buf == nil {
+		return
+	}
+	buf := f.buf
+	f.buf, f.Payload = nil, nil
+	putLarge(buf)
 }
 
 // readBody reads the n-byte remainder of a frame into a fresh buffer.

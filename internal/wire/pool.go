@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"math/bits"
 	"sync"
 
 	"jiffy/internal/core"
@@ -31,13 +32,26 @@ var hdrPool = sync.Pool{
 	New: func() interface{} { return new([]byte) },
 }
 
+// unbox takes a buffer out of the *[]byte box a pool handed back and
+// recycles the box.
+func unbox(p *[]byte) []byte {
+	b := *p
+	*p = nil
+	hdrPool.Put(p)
+	return b
+}
+
+// box wraps a buffer for a pool's interface{} slot, emptied.
+func box(b []byte) *[]byte {
+	p := hdrPool.Get().(*[]byte)
+	*p = b[:0]
+	return p
+}
+
 // GetBuf returns an empty buffer from the pool. Append into it, use the
 // result, then release it with PutBuf.
 func GetBuf() []byte {
-	p := payloadPool.Get().(*[]byte)
-	b := (*p)[:0]
-	*p = nil
-	hdrPool.Put(p)
+	b := unbox(payloadPool.Get().(*[]byte))
 	debugTrackGet(b)
 	return b
 }
@@ -52,7 +66,61 @@ func PutBuf(b []byte) {
 		return
 	}
 	debugTrackPut(b)
-	p := hdrPool.Get().(*[]byte)
-	*p = b[:0]
-	payloadPool.Put(p)
+	payloadPool.Put(box(b))
+}
+
+// Large-buffer class: receive buffers for request frames above
+// InlineFrameThreshold. A server reads such a frame into one of these
+// (ReadFramePooled), the handler works on the payload in place, and
+// the rpc layer hands the buffer back (RecycleFrame) once the response
+// is written — so a stream of 1 MiB writes reuses one buffer per
+// connection instead of allocating a megabyte per request. Buffers
+// come in power-of-two sizes from 8 KiB, except the top class, which is
+// readAllocChunk: it exists for the 1 MiB write plus its framing, and
+// rounding that up to 2 MiB would double the memory the pool holds.
+// Frames above readAllocChunk are never pooled (see readBody).
+const (
+	minLargeShift = 13 // 8 KiB: the first size above InlineFrameThreshold + header
+	largeClasses  = 9  // 8 KiB … 1 MiB, then readAllocChunk
+)
+
+var largePools [largeClasses]sync.Pool
+
+// largeClass maps a frame length to its size class and buffer size;
+// ok is false for lengths the class does not serve.
+func largeClass(n int) (class, size int, ok bool) {
+	if n <= 0 || n > readAllocChunk {
+		return 0, 0, false
+	}
+	if n > core.MB {
+		return largeClasses - 1, readAllocChunk, true
+	}
+	shift := bits.Len(uint(n - 1))
+	if shift < minLargeShift {
+		shift = minLargeShift
+	}
+	return shift - minLargeShift, 1 << shift, true
+}
+
+// getLarge returns an n-byte buffer from the large class; n must be in
+// (0, readAllocChunk].
+func getLarge(n int) []byte {
+	class, size, _ := largeClass(n)
+	if p, _ := largePools[class].Get().(*[]byte); p != nil {
+		b := unbox(p)
+		debugTrackGet(b)
+		return b[:n]
+	}
+	return make([]byte, n, size)
+}
+
+// putLarge returns a getLarge buffer to its class; a buffer whose
+// capacity is not a class size is left to the collector.
+func putLarge(b []byte) {
+	class, size, ok := largeClass(cap(b))
+	if !ok || size != cap(b) {
+		return
+	}
+	debugTrackPut(b)
+	largePools[class].Put(box(b))
 }

@@ -56,3 +56,22 @@ func TestPoolUntrackedPutAllowed(t *testing.T) {
 	PutBuf(make([]byte, 16))
 	GetBuf()
 }
+
+// TestLargePoolUseAfterRecyclePanics covers the large-buffer class: a
+// handler that keeps writing through a request frame after
+// RecycleFrame is caught when the buffer is next handed out.
+func TestLargePoolUseAfterRecyclePanics(t *testing.T) {
+	buf := getLarge(64 * 1024)
+	f := &Frame{Kind: KindRequest, Payload: buf[headerLen:], buf: buf}
+	held := f.Payload
+	RecycleFrame(f)
+	if held[0] != poisonByte {
+		t.Fatalf("recycled frame not poisoned: %#x", held[0])
+	}
+	held[0] = 42 // the bug: a retained alias of the request payload
+	mustPanic(t, "wire: buffer written after PutBuf (use after put)", func() {
+		for i := 0; i < 64; i++ { // the pool may hold other buffers of this class
+			getLarge(64 * 1024)
+		}
+	})
+}

@@ -13,8 +13,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +25,8 @@ import (
 	"jiffy/internal/core"
 	"jiffy/internal/faultinject"
 	"jiffy/internal/obs"
+	"jiffy/internal/proto"
+	"jiffy/internal/rpc"
 )
 
 // recoveryConfig is the shared shape of the repair scenarios: 3-member
@@ -203,6 +207,207 @@ func TestChaosChainRepairAfterHeadKill(t *testing.T) {
 	}
 	t.Logf("acked=%d epoch %d→%d", len(acked), epochBefore,
 		cluster.Controller.MembershipEpoch())
+}
+
+// assertChainMembersAgree checks the assumption that lets a replication
+// hop travel without the chain: for every partition entry of path, each
+// member's block holds exactly the chain the controller committed,
+// under one generation shared by all of them. Returns the generations
+// seen, one per entry.
+func assertChainMembersAgree(t *testing.T, cluster *Cluster, path core.Path) []uint64 {
+	t.Helper()
+	open, err := cluster.Controller.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byAddr := make(map[string]int, len(cluster.Servers))
+	for i, srv := range cluster.Servers {
+		byAddr[srv.Addr()] = i
+	}
+	var gens []uint64
+	for _, e := range open.Map.Blocks {
+		var entryGen uint64
+		for i, member := range e.Chain {
+			idx, ok := byAddr[member.Server]
+			if !ok {
+				t.Fatalf("chunk %d: member %v is on no cluster server", e.Chunk, member)
+			}
+			b, err := cluster.Servers[idx].Store().Get(member.ID)
+			if err != nil {
+				t.Fatalf("chunk %d: member %v: %v", e.Chunk, member, err)
+			}
+			chain, gen := b.ChainGen()
+			if !slices.Equal(chain, e.Chain) {
+				t.Fatalf("chunk %d: member %v holds chain %v, committed %v", e.Chunk, member, chain, e.Chain)
+			}
+			if i == 0 {
+				entryGen = gen
+			} else if gen != entryGen {
+				t.Fatalf("chunk %d: member %v is at generation %d, the head at %d", e.Chunk, member, gen, entryGen)
+			}
+		}
+		gens = append(gens, entryGen)
+	}
+	return gens
+}
+
+// TestChainMembersAgreeOnLayout: replication hops carry no chain — each
+// member forwards along the one it was installed with — so every
+// member of a generation must hold the same chain. Checked on freshly
+// provisioned chains (generation 0) and again after a repair splice
+// replaced a killed mid-chain member: survivors and the replacement
+// alike hold the committed layout under the new generation, and a
+// write propagates through it to the new tail.
+func TestChainMembersAgreeOnLayout(t *testing.T) {
+	inj := faultinject.New(909, nil)
+	vclock := clock.NewVirtual(time.Unix(0, 0))
+	cfg := recoveryConfig()
+	cluster := chaosCluster(t, inj, cfg, ClusterOptions{
+		Servers: 4, BlocksPerServer: 16, Clock: vclock, DisableExpiry: true,
+	})
+	ctx := context.Background()
+	c, err := cluster.Connect(ctx, client.WithRetryPolicy(client.RetryPolicy{Limit: 6}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.RegisterJob(ctx, "layout")
+	m, _, err := c.CreatePrefix(ctx, "layout/t", nil, DSKV, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gen := range assertChainMembersAgree(t, cluster, "layout/t") {
+		if gen != 0 {
+			t.Fatalf("fresh chain at generation %d, want 0", gen)
+		}
+	}
+	kv, err := c.OpenKV(ctx, "layout/t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if err := kv.Put(ctx, fmt.Sprintf("k%02d", i), []byte("before")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Kill the middle member of the first chain: its survivors on both
+	// sides must end up on the same spliced layout.
+	mid := m.Blocks[0].Chain[1].Server
+	midIdx := killServer(t, cluster, inj, mid)
+	detectAndRepair(t, cluster, vclock, cfg, midIdx, mid)
+	assertChainHealthy(t, cluster, "layout/t", 3, mid)
+	repaired := 0
+	for _, gen := range assertChainMembersAgree(t, cluster, "layout/t") {
+		if gen > 0 {
+			repaired++
+		}
+	}
+	if repaired == 0 {
+		t.Fatal("no chain moved to a new generation after the splice")
+	}
+
+	// The repaired chains replicate: every put reads back at the tail.
+	for i := 0; i < 40; i++ {
+		key := fmt.Sprintf("k%02d", i)
+		if err := kv.Put(ctx, key, []byte("after")); err != nil {
+			t.Fatalf("put %s through the repaired chain: %v", key, err)
+		}
+		if v, err := kv.Get(ctx, key); err != nil || string(v) != "after" {
+			t.Fatalf("get %s at the repaired tail = %q, %v", key, v, err)
+		}
+	}
+}
+
+// restoreFailingDial returns a cluster dial function that reaches every
+// memory server through a forwarding proxy, which refuses
+// MethodRestoreBlock while fail is set — the one step of a repair
+// splice a connection-level injector cannot single out.
+func restoreFailingDial(t *testing.T, inj *faultinject.Injector, fail *atomic.Bool) func(string) (*rpc.Client, error) {
+	upstream := rpc.NewPool(inj.Dial)
+	t.Cleanup(upstream.Close)
+	var mu sync.Mutex
+	proxies := make(map[string]string) // server address → its proxy's
+	return func(addr string) (*rpc.Client, error) {
+		if !strings.Contains(addr, "-server-") {
+			return inj.Dial(addr)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if proxies[addr] == "" {
+			proxy := rpc.NewServer(rpc.BytesHandler(func(ctx context.Context, _ *rpc.ServerConn, method uint16, payload []byte) ([]byte, error) {
+				if method == proto.MethodRestoreBlock && fail.Load() {
+					return nil, errors.New("injected restore failure")
+				}
+				up, err := upstream.Get(addr)
+				if err != nil {
+					return nil, err
+				}
+				return up.CallContext(ctx, method, payload)
+			}), nil)
+			bound, err := proxy.Listen("mem://proxy-of-" + strings.TrimPrefix(addr, "mem://"))
+			if err != nil {
+				return nil, err
+			}
+			t.Cleanup(func() { proxy.Close() })
+			proxies[addr] = bound
+		}
+		return rpc.Dial(proxies[addr])
+	}
+}
+
+// TestRepairNarrowsEverySurvivorWhenResyncFails: a splice fences the
+// survivors onto the widened layout before the replacement is resynced.
+// When the resync then fails the chain is committed at reduced width —
+// and because hops carry no chain, the survivors must be re-switched to
+// the narrow layout too, or the tail would keep forwarding to a
+// replacement that no longer exists.
+func TestRepairNarrowsEverySurvivorWhenResyncFails(t *testing.T) {
+	inj := faultinject.New(910, nil)
+	vclock := clock.NewVirtual(time.Unix(0, 0))
+	cfg := recoveryConfig()
+	var failRestore atomic.Bool
+	opts := ClusterOptions{
+		Config: cfg, Servers: 4, BlocksPerServer: 16, Clock: vclock, DisableExpiry: true,
+		Dial: restoreFailingDial(t, inj, &failRestore),
+	}
+	cluster, err := StartCluster(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cluster.Close() })
+	ctx := context.Background()
+	c, err := cluster.Connect(ctx, client.WithRetryPolicy(client.RetryPolicy{Limit: 6}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.RegisterJob(ctx, "narrow")
+	m, _, err := c.CreatePrefix(ctx, "narrow/t", nil, DSKV, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv, err := c.OpenKV(ctx, "narrow/t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Put(ctx, "k", []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+
+	failRestore.Store(true)
+	mid := m.Blocks[0].Chain[1].Server
+	midIdx := killServer(t, cluster, inj, mid)
+	detectAndRepair(t, cluster, vclock, cfg, midIdx, mid)
+	assertChainHealthy(t, cluster, "narrow/t", 2, mid)
+	assertChainMembersAgree(t, cluster, "narrow/t")
+
+	if err := kv.Put(ctx, "k", []byte("after")); err != nil {
+		t.Fatalf("put through the narrowed chain: %v", err)
+	}
+	if v, err := kv.Get(ctx, "k"); err != nil || string(v) != "after" {
+		t.Fatalf("get at the narrowed chain's tail = %q, %v", v, err)
+	}
 }
 
 // TestChaosChainRepairAfterTailKillMidRead kills the TAIL of a

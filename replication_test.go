@@ -8,16 +8,22 @@ import (
 	"time"
 
 	"jiffy/internal/core"
-	"jiffy/internal/proto"
 )
 
 // replicatedCluster boots a cluster with chain length 2 across three
 // servers.
 func replicatedCluster(t *testing.T) (*Cluster, *Client) {
 	t.Helper()
+	return replicatedClusterN(t, 2)
+}
+
+// replicatedClusterN boots a three-server cluster with the given chain
+// length.
+func replicatedClusterN(t *testing.T, chainLength int) (*Cluster, *Client) {
+	t.Helper()
 	cfg := core.TestConfig()
 	cfg.LeaseDuration = time.Minute
-	cfg.ChainLength = 2
+	cfg.ChainLength = chainLength
 	cluster, err := StartCluster(ClusterOptions{
 		Config: cfg, Servers: 3, BlocksPerServer: 64,
 	})
@@ -203,19 +209,64 @@ func TestChainSpreadAcrossServers(t *testing.T) {
 	}
 }
 
-// TestReplicaSignalsAreHarmless: replicas crossing thresholds send
-// scale signals with replica block IDs the controller does not know as
-// heads; those must be ignored without error.
-func TestReplicaSignalsAreHarmless(t *testing.T) {
-	cluster, c := replicatedCluster(t)
-	c.RegisterJob(context.Background(), "rj")
-	m, _, _ := c.CreatePrefix(context.Background(), "rj/t", nil, DSKV, 1, 0)
-	replica := m.Blocks[0].Chain[1]
-	resp, err := cluster.Controller.ScaleUp(proto.ScaleUpReq{Path: "rj/t", Block: replica.ID})
+// scaleSignalsSent sums jiffy_server_scale_signals_total{result="sent"}
+// over the cluster's servers.
+func scaleSignalsSent(cluster *Cluster) float64 {
+	var n float64
+	for _, srv := range cluster.Servers {
+		n += scrapeObs(srv.Obs())[`jiffy_server_scale_signals_total{result="sent"}`]
+	}
+	return n
+}
+
+// TestOnlyHeadSignals: a file chunk on a chain of 3 that fills past the
+// high threshold costs the control plane exactly one ScaleUp — the
+// head's. The replicas hold the same bytes but do not evaluate the
+// thresholds, and overwriting the full chunk in place does not signal
+// again: the answered signal leaves the latch set while usage stays
+// past the threshold.
+func TestOnlyHeadSignals(t *testing.T) {
+	cluster, c := replicatedClusterN(t, 3)
+	ctx := context.Background()
+	c.RegisterJob(ctx, "rj")
+	if _, _, err := c.CreatePrefix(ctx, "rj/f", nil, DSFile, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.OpenFile(ctx, "rj/f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Map.Blocks) != 1 {
-		t.Errorf("replica signal scaled the structure: %d blocks", len(resp.Map.Blocks))
+	const ctrlScaleUps = "jiffy_ctrl_scale_ups_total"
+	base := scrapeObs(cluster.Controller.Obs())[ctrlScaleUps]
+
+	chunk := bytes.Repeat([]byte("h"), 64*core.KB) // the whole first chunk
+	if err := f.WriteAt(ctx, 0, chunk); err != nil {
+		t.Fatal(err)
+	}
+	// The signal travels on the head's worker; wait for the growth.
+	deadline := time.Now().Add(5 * time.Second)
+	for scrapeObs(cluster.Controller.Obs())[ctrlScaleUps] < base+1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the head never signalled the full chunk")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if open, err := cluster.Controller.Open("rj/f"); err != nil || len(open.Map.Blocks) != 2 {
+		t.Fatalf("file did not grow by one chunk: %d blocks, %v", len(open.Map.Blocks), err)
+	}
+
+	for i := 0; i < 100; i++ {
+		if err := f.WriteAt(ctx, 0, chunk); err != nil {
+			t.Fatalf("overwrite %d: %v", i, err)
+		}
+	}
+	// Signals are queued before a write is acknowledged, so a stale one
+	// would be on its way by now; give the workers time to deliver it.
+	time.Sleep(100 * time.Millisecond)
+	if got := scrapeObs(cluster.Controller.Obs())[ctrlScaleUps] - base; got != 1 {
+		t.Errorf("%s advanced by %g over one growth and 100 overwrites, want 1", ctrlScaleUps, got)
+	}
+	if got := scaleSignalsSent(cluster); got != 1 {
+		t.Errorf("servers sent %g scale signals, want 1 (the head's)", got)
 	}
 }
