@@ -57,7 +57,7 @@ func TestChaosServerCrashMidRepartition(t *testing.T) {
 	cfg.LeaseDuration = time.Minute
 	cfg.RPCTimeout = 2 * time.Second
 	cluster := chaosCluster(t, inj, cfg, ClusterOptions{Servers: 3, BlocksPerServer: 16})
-	c, err := client.ConnectMulti(context.Background(), cluster.ControllerAddrs,
+	c, err := client.Dial(context.Background(), client.WithControllers(cluster.ControllerAddrs...),
 		client.WithDial(inj.Dial), client.WithRPCTimeout(cfg.RPCTimeout),
 		client.WithRetryPolicy(client.RetryPolicy{Limit: 6}))
 	if err != nil {
@@ -332,7 +332,7 @@ func TestChaosControllerFailoverUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := client.Connect(context.Background(), addr2,
+	c2, err := client.Dial(context.Background(), client.WithControllers(addr2),
 		client.WithDial(inj.Dial), client.WithRPCTimeout(cfg.RPCTimeout))
 	if err != nil {
 		t.Fatal(err)
@@ -474,7 +474,7 @@ func TestChaosServerDiesMidBatch(t *testing.T) {
 	cfg.LeaseDuration = time.Minute
 	cfg.RPCTimeout = time.Second
 	cluster := chaosCluster(t, inj, cfg, ClusterOptions{Servers: 2, BlocksPerServer: 16})
-	c, err := client.ConnectMulti(context.Background(), cluster.ControllerAddrs,
+	c, err := client.Dial(context.Background(), client.WithControllers(cluster.ControllerAddrs...),
 		client.WithDial(inj.Dial), client.WithRPCTimeout(cfg.RPCTimeout),
 		client.WithRetryPolicy(client.RetryPolicy{Limit: 3}))
 	if err != nil {

@@ -62,7 +62,7 @@ func TestControllerFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := client.Connect(context.Background(), addr2)
+	c2, err := client.Dial(context.Background(), client.WithControllers(addr2))
 	if err != nil {
 		t.Fatal(err)
 	}

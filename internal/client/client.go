@@ -19,7 +19,6 @@
 // context.Context whose deadline bounds the call (taking precedence
 // over the session-level RPC timeout) and whose cancellation fails
 // pending calls with context.Canceled wrapped in the typed errors.
-// Pre-context signatures survive as deprecated NoCtx views (compat.go).
 package client
 
 import (
@@ -38,7 +37,7 @@ import (
 	"jiffy/internal/rpc"
 )
 
-// RetryPolicy bounds the data-plane recovery loops.
+// RetryPolicy bounds the data-plane op pipeline's recovery.
 type RetryPolicy struct {
 	// Limit bounds retries after map refreshes (default 32); controller
 	// re-homing after a leadership change spends the same budget.
@@ -226,10 +225,10 @@ type Client struct {
 	closed   bool
 }
 
-// Dial connects to a Jiffy cluster. WithControllers names the
-// controller group; at least one member must be reachable. ctx bounds
-// the dial and leader discovery only; per-call contexts bound the
-// individual operations that follow.
+// Dial connects to a Jiffy cluster (connect(jiffyAddress) in Table 1).
+// WithControllers names the controller group; at least one member must
+// be reachable. ctx bounds the dial and leader discovery only; per-call
+// contexts bound the individual operations that follow.
 func Dial(ctx context.Context, opts ...Option) (*Client, error) {
 	cfg := config{policy: DefaultRetryPolicy(), timeout: core.DefaultRPCTimeout}
 	for _, o := range opts {
@@ -327,22 +326,6 @@ func Dial(ctx context.Context, opts ...Option) (*Client, error) {
 		return nil, fmt.Errorf("client: connect: no controller reachable: %w", lastErr)
 	}
 	return c, nil
-}
-
-// Connect dials a single-controller cluster (connect(jiffyAddress) in
-// Table 1).
-//
-// Deprecated: use Dial with WithControllers, which also accepts a
-// replicated controller group.
-func Connect(ctx context.Context, controllerAddr string, opts ...Option) (*Client, error) {
-	return Dial(ctx, append(opts, WithControllers(controllerAddr))...)
-}
-
-// ConnectMulti dials a controller group.
-//
-// Deprecated: use Dial with WithControllers.
-func ConnectMulti(ctx context.Context, controllerAddrs []string, opts ...Option) (*Client, error) {
-	return Dial(ctx, append(opts, WithControllers(controllerAddrs...))...)
 }
 
 // Obs exposes the client-side metric registry (per-method RPC stats,
@@ -712,7 +695,9 @@ func (c *Client) OpenKV(ctx context.Context, path core.Path) (*KV, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &KV{h: h}, nil
+	k := &KV{h: h}
+	h.s = k
+	return k, nil
 }
 
 // OpenFile opens a handle to the file at path.
@@ -721,7 +706,9 @@ func (c *Client) OpenFile(ctx context.Context, path core.Path) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &File{h: h}, nil
+	f := &File{h: h}
+	h.s = f
+	return f, nil
 }
 
 // OpenQueue opens a handle to the FIFO queue at path.
@@ -730,5 +717,7 @@ func (c *Client) OpenQueue(ctx context.Context, path core.Path) (*Queue, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &Queue{h: h}, nil
+	q := &Queue{h: h}
+	h.s = q
+	return q, nil
 }

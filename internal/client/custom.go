@@ -2,10 +2,10 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"jiffy/internal/core"
+	"jiffy/internal/ds"
 )
 
 // Custom is the raw handle for application-defined data structures
@@ -14,6 +14,7 @@ import (
 // usually wrap it in their own typed API, the way §5's built-ins wrap
 // the internal block interface.
 type Custom struct {
+	mapRouted
 	h *handle
 }
 
@@ -24,7 +25,9 @@ func (c *Client) OpenCustom(ctx context.Context, path core.Path, t core.DSType) 
 	if err != nil {
 		return nil, err
 	}
-	return &Custom{h: h}, nil
+	cu := &Custom{h: h}
+	h.s = cu
+	return cu, nil
 }
 
 // Path returns the handle's address prefix.
@@ -38,51 +41,24 @@ func (cu *Custom) Blocks(ctx context.Context) (int, error) {
 	return len(cu.h.snapshot().Blocks), nil
 }
 
-// Exec runs one operation against chunk index ci, retrying through
-// map refreshes. Reads route to the chunk's chain tail, mutations to
-// its head.
-func (cu *Custom) Exec(ctx context.Context, ci int, op core.OpType, args ...[]byte) ([][]byte, error) {
-	var lastErr error
-	for attempt := 0; attempt < cu.h.retryLimit(); attempt++ {
-		m := cu.h.snapshot()
-		e, ok := m.BlockForChunk(ci)
-		if !ok {
-			return nil, fmt.Errorf("client: custom chunk %d: %w", ci, core.ErrNotFound)
-		}
-		if e.Lost {
-			return nil, lostErr(e)
-		}
-		target := e.ReadTarget()
-		if op.IsMutation() {
-			target = e.WriteTarget()
-		}
-		res, err := cu.h.do(ctx, target, op, args)
-		switch {
-		case err == nil:
-			return res, nil
-		case ctxErr(err) != nil:
-			return nil, err
-		case errors.Is(err, core.ErrStaleEpoch):
-			lastErr = err
-			if rerr := cu.h.refresh(ctx); rerr != nil {
-				return nil, rerr
-			}
-			if berr := cu.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case isConnErr(err):
-			lastErr = err
-			if rerr := cu.h.refresh(ctx); rerr != nil && !isConnErr(rerr) {
-				return nil, rerr
-			}
-			if berr := cu.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		default:
-			return nil, err
-		}
+// route finds the block holding chunk; custom structures grow only
+// through Grow, so a chunk the map lacks does not exist.
+func (cu *Custom) route(_ core.OpType, _ string, chunk int) (ds.PartitionEntry, error) {
+	m := cu.h.snapshot()
+	e, ok := m.BlockForChunk(chunk)
+	if !ok {
+		return e, fmt.Errorf("client: custom chunk %d: %w", chunk, core.ErrNotFound)
 	}
-	return nil, errRetriesExhausted("custom exec", lastErr)
+	return e, nil
+}
+
+// Exec runs one operation against chunk index ci with the recovery of
+// the typed handles. Mutations route to the chunk's chain head; what
+// is not a mutation is taken to be an idempotent read, routed to the
+// tail, and may be hedged or served by another chain member.
+func (cu *Custom) Exec(ctx context.Context, ci int, op core.OpType, args ...[]byte) ([][]byte, error) {
+	res, _, err := cu.h.run(ctx, op, "", ci, args)
+	return res, err
 }
 
 // Grow asks the controller to append one more block to the structure

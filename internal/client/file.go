@@ -16,6 +16,7 @@ import (
 // grows the file by requesting new blocks from the controller. Each
 // handle tracks an append cursor for Append/Read streaming.
 type File struct {
+	mapRouted
 	h *handle
 
 	mu     sync.Mutex
@@ -32,42 +33,32 @@ func (f *File) chunkSize() int {
 	return f.h.snapshot().ChunkSize
 }
 
-// blockFor resolves the block holding chunk index ci, growing the file
-// if the chunk does not exist yet (for writes). Writes target the
-// chain head, reads the tail.
-func (f *File) blockFor(ctx context.Context, ci int, grow bool) (core.BlockInfo, error) {
-	for attempt := 0; attempt < f.h.retryLimit(); attempt++ {
-		m := f.h.snapshot()
-		if e, ok := m.BlockForChunk(ci); ok {
-			if e.Lost {
-				return core.BlockInfo{}, lostErr(e)
-			}
-			if grow {
-				return e.WriteTarget(), nil
-			}
-			return e.ReadTarget(), nil
+// tailChunk addresses whichever chunk is the file's last when the op
+// is routed: where records are appended.
+const tailChunk = -1
+
+// route finds the block holding chunk. A write to a chunk that does
+// not exist yet asks the pipeline to grow the file from its tail (the
+// server's proactive signal usually got there first); a read of one is
+// past the end of the file.
+func (f *File) route(op core.OpType, _ string, chunk int) (ds.PartitionEntry, error) {
+	m := f.h.snapshot()
+	if chunk != tailChunk {
+		if e, ok := m.BlockForChunk(chunk); ok {
+			return e, nil
 		}
-		if !grow {
-			return core.BlockInfo{}, fmt.Errorf("client: file chunk %d: %w", ci, core.ErrNotFound)
-		}
-		// Ask the controller to extend the file by one chunk (the
-		// proactive server-side signal usually beats us here).
-		last, ok := m.Tail()
-		if !ok {
-			if err := f.h.refresh(ctx); err != nil {
-				return core.BlockInfo{}, err
-			}
-			continue
-		}
-		if err := f.h.requestScale(ctx, last.Info.ID); err != nil &&
-			!errors.Is(err, core.ErrNoCapacity) {
-			return core.BlockInfo{}, err
-		}
-		if err := f.h.backoff(ctx, attempt); err != nil {
-			return core.BlockInfo{}, err
+		if !op.IsMutation() {
+			return ds.PartitionEntry{}, fmt.Errorf("client: file chunk %d: %w", chunk, core.ErrNotFound)
 		}
 	}
-	return core.BlockInfo{}, errRetriesExhausted(fmt.Sprintf("file grow to chunk %d", ci), core.ErrBlockFull)
+	tail, ok := m.Tail()
+	switch {
+	case !ok:
+		return tail, fmt.Errorf("client: file has no chunks: %w", core.ErrNotFound)
+	case chunk != tailChunk:
+		return tail, fmt.Errorf("client: file grow to chunk %d: %w", chunk, core.ErrBlockFull)
+	}
+	return tail, nil
 }
 
 // WriteAt writes data at an absolute file offset, spanning chunks as
@@ -84,7 +75,7 @@ func (f *File) WriteAt(ctx context.Context, off int, data []byte) error {
 		if n > len(data) {
 			n = len(data)
 		}
-		if err := f.writeChunk(ctx, ci, in, data[:n]); err != nil {
+		if _, _, err := f.h.run(ctx, core.OpFileWrite, "", ci, [][]byte{ds.U64(uint64(in)), data[:n]}); err != nil {
 			return err
 		}
 		off += n
@@ -96,64 +87,6 @@ func (f *File) WriteAt(ctx context.Context, off int, data []byte) error {
 	}
 	f.mu.Unlock()
 	return nil
-}
-
-// writeChunk writes within one chunk with staleness recovery.
-func (f *File) writeChunk(ctx context.Context, ci, in int, data []byte) error {
-	var lastErr error
-	throttles, degraded := 0, 0
-	for attempt := 0; attempt < f.h.retryLimit(); attempt++ {
-		info, err := f.blockFor(ctx, ci, true)
-		if err != nil {
-			return err
-		}
-		_, err = f.h.do(ctx, info, core.OpFileWrite, [][]byte{ds.U64(uint64(in)), data})
-		switch {
-		case err == nil:
-			return nil
-		case ctxErr(err) != nil:
-			return err
-		case errors.Is(err, core.ErrServerDegraded):
-			degraded++
-			if degraded > 1 {
-				return err
-			}
-			lastErr = err
-			if rerr := f.h.refresh(ctx); rerr != nil && !isConnErr(rerr) {
-				return rerr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return berr
-			}
-		case errors.Is(err, core.ErrStaleEpoch):
-			lastErr = err
-			if rerr := f.h.refresh(ctx); rerr != nil {
-				return rerr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return berr
-			}
-		case errors.Is(err, core.ErrQuotaExceeded):
-			throttles++
-			if throttles > f.h.throttleLimit() {
-				return err
-			}
-			if werr := f.h.waitThrottle(ctx, attempt, err); werr != nil {
-				return werr
-			}
-		case isConnErr(err):
-			lastErr = err
-			if rerr := f.h.refresh(ctx); rerr != nil && !isConnErr(rerr) {
-				return rerr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return berr
-			}
-		default:
-			return err
-		}
-	}
-	return errRetriesExhausted("file write", lastErr)
 }
 
 // Append writes data at this handle's append cursor and advances it.
@@ -214,66 +147,9 @@ func (f *File) ReadAt(ctx context.Context, off, n int) ([]byte, error) {
 	return out, nil
 }
 
-// readChunk reads within one chunk with staleness recovery.
+// readChunk reads within one chunk.
 func (f *File) readChunk(ctx context.Context, ci, in, n int) ([]byte, error) {
-	var lastErr error
-	throttles, degraded := 0, 0
-	for attempt := 0; attempt < f.h.retryLimit(); attempt++ {
-		info, err := f.blockFor(ctx, ci, false)
-		if err != nil {
-			return nil, err
-		}
-		// File reads are idempotent: they may hedge against another
-		// chain member when the tail is slow.
-		res, err := f.h.doRead(ctx, info, core.OpFileRead, [][]byte{ds.U64(uint64(in)), ds.U64(uint64(n))})
-		switch {
-		case err == nil:
-			return res[0], nil
-		case ctxErr(err) != nil:
-			return nil, err
-		case errors.Is(err, core.ErrServerDegraded):
-			// Open breaker: refresh once (the controller may have
-			// re-chained the block), then surface the typed error.
-			degraded++
-			if degraded > 1 {
-				return nil, err
-			}
-			lastErr = err
-			if rerr := f.h.refresh(ctx); rerr != nil && !isConnErr(rerr) {
-				return nil, rerr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case errors.Is(err, core.ErrStaleEpoch):
-			lastErr = err
-			if rerr := f.h.refresh(ctx); rerr != nil {
-				return nil, rerr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case errors.Is(err, core.ErrQuotaExceeded):
-			throttles++
-			if throttles > f.h.throttleLimit() {
-				return nil, err
-			}
-			if werr := f.h.waitThrottle(ctx, attempt, err); werr != nil {
-				return nil, werr
-			}
-		case isConnErr(err):
-			lastErr = err
-			if rerr := f.h.refresh(ctx); rerr != nil && !isConnErr(rerr) {
-				return nil, rerr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		default:
-			return nil, err
-		}
-	}
-	return nil, errRetriesExhausted("file read", lastErr)
+	return one(f.h.run(ctx, core.OpFileRead, "", ci, [][]byte{ds.U64(uint64(in)), ds.U64(uint64(n))}))
 }
 
 // Seek positions the sequential-read cursor (seek in §5.1).
@@ -306,74 +182,15 @@ func (f *File) AppendRecord(ctx context.Context, data []byte) (int, error) {
 	if cs <= 0 {
 		return 0, fmt.Errorf("client: file has no chunk size")
 	}
-	var lastErr error
-	throttles, degraded := 0, 0
-	for attempt := 0; attempt < f.h.retryLimit(); attempt++ {
-		m := f.h.snapshot()
-		tail, ok := m.Tail()
-		if !ok {
-			return 0, fmt.Errorf("client: file has no chunks: %w", core.ErrNotFound)
-		}
-		res, err := f.h.do(ctx, tail.Info, core.OpFileAppend, [][]byte{data})
-		switch {
-		case errors.Is(err, core.ErrServerDegraded):
-			degraded++
-			if degraded > 1 {
-				return 0, err
-			}
-			lastErr = err
-			if rerr := f.h.refresh(ctx); rerr != nil && !isConnErr(rerr) {
-				return 0, rerr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return 0, berr
-			}
-		case err == nil:
-			off, perr := ds.ParseU64(res[0])
-			if perr != nil {
-				return 0, perr
-			}
-			return tail.Chunk*cs + int(off), nil
-		case ctxErr(err) != nil:
-			return 0, err
-		case errors.Is(err, core.ErrBlockFull):
-			lastErr = err
-			if serr := f.h.requestScale(ctx, tail.Info.ID); serr != nil &&
-				!errors.Is(serr, core.ErrNoCapacity) {
-				return 0, serr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return 0, berr
-			}
-		case errors.Is(err, core.ErrStaleEpoch):
-			lastErr = err
-			if rerr := f.h.refresh(ctx); rerr != nil {
-				return 0, rerr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return 0, berr
-			}
-		case errors.Is(err, core.ErrQuotaExceeded):
-			throttles++
-			if throttles > f.h.throttleLimit() {
-				return 0, err
-			}
-			if werr := f.h.waitThrottle(ctx, attempt, err); werr != nil {
-				return 0, werr
-			}
-		case isConnErr(err):
-			lastErr = err
-			if rerr := f.h.refresh(ctx); rerr != nil && !isConnErr(rerr) {
-				return 0, rerr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return 0, berr
-			}
-		default:
-			return 0, err
-		}
+	res, chunk, err := f.h.run(ctx, core.OpFileAppend, "", tailChunk, [][]byte{data})
+	if err != nil {
+		return 0, err
 	}
-	return 0, errRetriesExhausted("file append record", lastErr)
+	off, err := ds.ParseU64(res[0])
+	if err != nil {
+		return 0, err
+	}
+	return chunk*cs + int(off), nil
 }
 
 // Chunks returns the current number of chunks (after a refresh), so

@@ -20,6 +20,9 @@ import (
 type handle struct {
 	c    *Client
 	path core.Path
+	// s is the typed handle built on this one: the pipeline's routing
+	// hooks (pipeline.go). Set once, before the handle is returned.
+	s structure
 
 	mu   sync.RWMutex
 	pmap ds.PartitionMap
@@ -80,19 +83,12 @@ func (h *handle) requestScale(ctx context.Context, block core.BlockID) error {
 	return nil
 }
 
-// do executes one data-plane op against a block. Connection-level
-// failures evict the pooled session so the next attempt re-dials.
-// Every call feeds the per-server health tracker (latency EWMA +
-// windowed quantile — allocation-free, so the PR 9 small-op hot path
-// keeps its ceilings), and when a breaker policy is installed an open
-// breaker fails the call fast with a typed degraded error instead of
-// queueing behind a gray-failed server.
+// do executes one data-plane op against a block: the pipeline's
+// dispatch stage. Connection-level failures evict the pooled session so
+// the next attempt re-dials. Every call feeds the per-server health
+// tracker (latency EWMA + windowed quantile — allocation-free, so the
+// PR 9 small-op hot path keeps its ceilings).
 func (h *handle) do(ctx context.Context, info core.BlockInfo, op core.OpType, args [][]byte) ([][]byte, error) {
-	if h.c.breakerOn {
-		if retryAfter, ok := h.c.health.allow(info.Server); !ok {
-			return nil, degradedErr(info.Server, retryAfter)
-		}
-	}
 	conn, err := h.c.dataConn(info.Server)
 	if err != nil {
 		// An unreachable server is a connection failure like any other:
@@ -125,30 +121,18 @@ func (h *handle) do(ctx context.Context, info core.BlockInfo, op core.OpType, ar
 	// Session failures strike the server's health; anything the server
 	// actually answered (including op-level errors) is a latency sample.
 	// Caller-context expiry is neither: it says nothing about the server.
-	if cerr := ctxErr(err); cerr == nil {
-		h.c.health.record(info.Server, time.Since(start), err != nil && isConnErr(err))
+	dead := err != nil && isConnErr(err)
+	if ctxErr(err) == nil {
+		h.c.health.record(info.Server, time.Since(start), dead)
+	}
+	if dead {
+		h.c.dropData(info.Server)
+		return nil, err
 	}
 	if err != nil {
-		if isConnErr(err) {
-			h.c.dropData(info.Server)
-			return nil, err
-		}
-		if errors.Is(err, core.ErrRedirect) {
-			if obs.On() {
-				h.c.rpcm.Redirects.Inc()
-			}
-			// The payload names the block to retry against. ParseRedirect
-			// copies both fields out, so the borrowed buffer can be
-			// recycled right after.
-			next, perr := ds.ParseRedirect(payload)
-			if pooled {
-				wire.PutBuf(payload)
-			}
-			if perr != nil {
-				return nil, perr
-			}
-			return nil, &redirect{next: next}
-		}
+		// withRedirect copies the named block out of the payload, so the
+		// borrowed buffer can be recycled right after.
+		err = withRedirect(err, payload)
 		if pooled {
 			wire.PutBuf(payload)
 		}
@@ -190,11 +174,6 @@ func (h *handle) doBatch(ctx context.Context, server string, ops []ds.BatchOp) (
 	if obs.On() {
 		h.c.batchSizes.Observe(int64(len(ops)))
 	}
-	if h.c.breakerOn {
-		if retryAfter, ok := h.c.health.allow(server); !ok {
-			return nil, degradedErr(server, retryAfter)
-		}
-	}
 	conn, err := h.c.dataConn(server)
 	if err != nil {
 		h.c.health.record(server, 0, true)
@@ -204,13 +183,14 @@ func (h *handle) doBatch(ctx context.Context, server string, ops []ds.BatchOp) (
 	start := time.Now()
 	payload, err := conn.CallContext(ctx, proto.MethodDataOpBatch, req)
 	wire.PutBuf(req)
-	if cerr := ctxErr(err); cerr == nil {
-		h.c.health.record(server, time.Since(start), err != nil && isConnErr(err))
+	dead := err != nil && isConnErr(err)
+	if ctxErr(err) == nil {
+		h.c.health.record(server, time.Since(start), dead)
+	}
+	if dead {
+		h.c.dropData(server)
 	}
 	if err != nil {
-		if isConnErr(err) {
-			h.c.dropData(server)
-		}
 		return nil, err
 	}
 	return ds.DecodeBatchResults(payload)
@@ -221,6 +201,19 @@ type redirect struct{ next core.BlockInfo }
 
 func (r *redirect) Error() string { return core.ErrRedirect.Error() }
 func (r *redirect) Unwrap() error { return core.ErrRedirect }
+
+// withRedirect gives a server's redirect answer its typed form, with
+// the block the payload names; any other error passes through.
+func withRedirect(err error, payload []byte) error {
+	if classify(err) != actRedirect {
+		return err
+	}
+	next, perr := ds.ParseRedirect(payload)
+	if perr != nil {
+		return perr
+	}
+	return &redirect{next: next}
+}
 
 // isConnErr reports whether err means the session (not the operation)
 // failed: the connection died mid-call or the call timed out. Both are
@@ -257,69 +250,8 @@ func backoffDelay(attempt int, limit time.Duration) time.Duration {
 	return d
 }
 
-// backoff sleeps briefly between retries (attempt is zero-based),
-// counts the retry, and aborts early when ctx ends — the loop must
-// stop retrying the moment the caller's deadline expires.
-func (h *handle) backoff(ctx context.Context, attempt int) error {
-	if obs.On() {
-		h.c.rpcm.Retries.Inc()
-	}
-	t := time.NewTimer(backoffDelay(attempt, h.c.policy.MaxBackoff))
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// backoff is the context-free variant used by code without a retry
-// context of its own.
-func backoff(attempt int) {
-	time.Sleep(backoffDelay(attempt, 0))
-}
-
-// retryLimit exposes the client's retry bound to the typed handles.
-func (h *handle) retryLimit() int { return h.c.policy.Limit }
-
-// throttleLimit exposes the quota-refusal retry bound.
-func (h *handle) throttleLimit() int { return h.c.policy.ThrottleLimit }
-
-// waitThrottle honors a quota refusal's backpressure: sleep the
-// server's retry-after hint — capped by MaxThrottleWait, falling back
-// to the normal backoff step when the refusal carries no hint — and
-// abort early when ctx ends.
-func (h *handle) waitThrottle(ctx context.Context, attempt int, err error) error {
-	if obs.On() {
-		h.c.throttleWaits.Inc()
-	}
-	d := core.RetryAfterOf(err)
-	if d <= 0 {
-		d = backoffDelay(attempt, h.c.policy.MaxBackoff)
-	}
-	if lim := h.c.policy.MaxThrottleWait; lim > 0 && d > lim {
-		d = lim
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // errRetriesExhausted wraps the final error after the retry budget is
 // spent.
 func errRetriesExhausted(op string, err error) error {
 	return fmt.Errorf("client: %s: retries exhausted: %w", op, err)
-}
-
-// lostErr is the fail-fast error for a partition entry the controller
-// marked Lost: every replica died with no flushed copy, so no amount
-// of retrying will bring the data back.
-func lostErr(e ds.PartitionEntry) error {
-	return fmt.Errorf("client: block %d: %w", e.Info.ID, core.ErrBlockLost)
 }

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"jiffy/internal/core"
 )
 
 // Per-server health tracking: every data-plane call feeds an EWMA and a
@@ -406,9 +404,4 @@ func cmpStr(a, b string) int {
 	default:
 		return 0
 	}
-}
-
-// degradedErr mints the typed fail-fast error for a breaker refusal.
-func degradedErr(server string, retryAfter time.Duration) error {
-	return &core.DegradedError{Server: server, RetryAfter: retryAfter}
 }

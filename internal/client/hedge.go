@@ -3,27 +3,29 @@ package client
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"jiffy/internal/core"
 	"jiffy/internal/obs"
 )
 
-// Hedged reads: when WithHedgedReads is set, idempotent chain reads (KV
-// gets, file reads, queue peeks) that linger past the primary server's
-// p95 launch a backup request against another member of the block's
-// replica chain; the first response wins and the loser is canceled.
-// Chain propagation is synchronous — every replica holds all
-// acknowledged writes — so any chain member answers reads correctly.
-// Mutations are never hedged: a duplicated mutation is a correctness
-// bug, not a latency optimization.
+// Hedged reads: when WithHedgedReads is set, the pipeline's idempotent
+// reads (KV gets, file reads, queue peeks, custom non-mutations) that
+// linger past the primary server's p95 launch a backup request against
+// another member of the block's replica chain; the first response wins
+// and the loser is canceled. What a non-tail member may answer, and
+// what that does not yet guarantee, is stated once, at the pipeline's
+// read-fallback stage (recovery.target). Mutations are never hedged: a
+// duplicated mutation is a correctness bug, not a latency
+// optimization.
 
-// doRead dispatches one idempotent read, hedging it when the client is
-// configured for it and the chain offers an alternate. Everything the
-// hedge path allocates (contexts, goroutines, channel) is confined to
-// this function, so clients without WithHedgedReads keep the
+// doRead dispatches one idempotent read to info, hedging it when the
+// client is configured for it and chain offers an alternate.
+// Everything the hedge path allocates (contexts, goroutines, channel)
+// is confined to doHedged, so clients without WithHedgedReads keep the
 // allocation-free hot path through do().
-func (h *handle) doRead(ctx context.Context, info core.BlockInfo, op core.OpType, args [][]byte) ([][]byte, error) {
+func (h *handle) doRead(ctx context.Context, info core.BlockInfo, chain core.ReplicaChain, op core.OpType, args [][]byte) ([][]byte, error) {
 	if !h.c.hedgeOn {
 		return h.do(ctx, info, op, args)
 	}
@@ -31,48 +33,27 @@ func (h *handle) doRead(ctx context.Context, info core.BlockInfo, op core.OpType
 	if !ok {
 		return h.do(ctx, info, op, args)
 	}
-	alt, ok := h.altFor(info)
+	alt, ok := h.altFor(info, chain)
 	if !ok {
 		return h.do(ctx, info, op, args)
 	}
 	return h.doHedged(ctx, info, alt, delay, op, args)
 }
 
-// altFor finds another member of info's replica chain to hedge against:
-// not the primary, not probated, not behind an open breaker; ties go to
-// the lowest observed EWMA latency.
-func (h *handle) altFor(info core.BlockInfo) (core.BlockInfo, bool) {
-	m := h.snapshot()
-	for bi := range m.Blocks {
-		e := &m.Blocks[bi]
-		// info is whatever replica the read targeted — usually the chain
-		// tail, which is a different physical block than e.Info (the
-		// head). Match the entry by chain membership, not head identity.
-		member := e.Info == info
-		for _, b := range e.Chain {
-			if b == info {
-				member = true
-				break
-			}
-		}
-		if !member {
+// altFor finds another member of the chain info belongs to, to hedge
+// against: not on the primary's server, not probated, not behind an
+// open breaker; ties go to the lowest observed EWMA latency.
+func (h *handle) altFor(info core.BlockInfo, chain core.ReplicaChain) (best core.BlockInfo, found bool) {
+	bestEwma := 0.0
+	for _, member := range chain {
+		if member.Server == info.Server || !h.c.health.usable(member.Server) {
 			continue
 		}
-		var best core.BlockInfo
-		bestEwma := 0.0
-		found := false
-		for _, member := range e.Chain {
-			if member.Server == info.Server || !h.c.health.usable(member.Server) {
-				continue
-			}
-			ew := h.c.health.ewmaOf(member.Server)
-			if !found || ew < bestEwma {
-				best, bestEwma, found = member, ew, true
-			}
+		if ew := h.c.health.ewmaOf(member.Server); !found || ew < bestEwma {
+			best, bestEwma, found = member, ew, true
 		}
-		return best, found
 	}
-	return core.BlockInfo{}, false
+	return best, found
 }
 
 // hedgeResult carries one arm's outcome.
@@ -84,8 +65,8 @@ type hedgeResult struct {
 
 // hedgeErr strips attempt-context expiry out of a hedge arm's error:
 // the adaptive per-attempt deadline is not the caller's deadline, so
-// its expiry must classify as a retryable timeout (the retry loops
-// abort outright on caller-context errors).
+// its expiry must classify as a retryable timeout (the pipeline stops
+// outright on caller-context errors).
 func hedgeErr(ctx context.Context, err error) error {
 	if err == nil || ctx.Err() != nil || ctxErr(err) == nil {
 		return err
@@ -102,7 +83,11 @@ func hedgeErr(ctx context.Context, err error) error {
 // pooled response buffers are recycled inside do), so abandoning the
 // loser's result leaks nothing.
 func (h *handle) doHedged(ctx context.Context, primary, alt core.BlockInfo, delay time.Duration,
-	op core.OpType, args [][]byte) ([][]byte, error) {
+	op core.OpType, callerArgs [][]byte) ([][]byte, error) {
+	// The arms outlive this frame's view of the arguments: give them a
+	// vector of their own, so the caller's stays off the heap on every
+	// unhedged path through the pipeline.
+	args := slices.Clone(callerArgs)
 	attemptCtx := func(server string) (context.Context, context.CancelFunc) {
 		if d, ok := h.c.health.adaptiveTimeout(server, h.c.hedge.MinSamples, h.c.rpcTimeout); ok {
 			return context.WithTimeout(ctx, d)
@@ -166,7 +151,7 @@ func (h *handle) doHedged(ctx context.Context, primary, alt core.BlockInfo, dela
 			}
 			if !fired {
 				// The primary failed before the hedge deadline: no backup
-				// was launched, so surface the failure to the retry loop
+				// was launched, so surface the failure to the pipeline
 				// (which will fall back along the chain itself).
 				return nil, hedgeErr(ctx, r.err)
 			}

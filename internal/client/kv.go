@@ -3,174 +3,49 @@ package client
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 )
 
 // KV is the client handle for a Jiffy KV store (§5.3). Operations hash
-// the key to a slot, route to the block owning the slot via the cached
-// partition map, and transparently recover from repartitioning:
-// ErrStaleEpoch refreshes the map; ErrBlockFull triggers a split
-// request and retries.
+// the key to a slot and route to the block owning the slot via the
+// cached partition map; the op pipeline (pipeline.go) recovers from
+// repartitioning underneath them.
 type KV struct {
+	mapRouted
 	h *handle
 }
 
 // Path returns the handle's address prefix.
 func (k *KV) Path() core.Path { return k.h.path }
 
-// route picks the block for key from the cached map: mutations go to
-// the chain head, reads to the tail (plain Info when unreplicated).
-// Servers in avoid have failed at the connection level this operation;
-// reads fall back to the closest upstream chain member still reachable
-// — safe because chain propagation is synchronous, so every replica
-// holds all acknowledged writes.
-func (k *KV) route(key string, op core.OpType, avoid map[string]bool) (core.BlockInfo, bool, error) {
+// route finds the block owning key's slot. A slot without an owner
+// means the cached map is stale (a repartition is in flight).
+func (k *KV) route(_ core.OpType, key string, _ int) (ds.PartitionEntry, error) {
 	m := k.h.snapshot()
-	if m.NumSlots == 0 {
-		return core.BlockInfo{}, false, nil
-	}
-	e, ok := m.BlockForSlot(ds.SlotOf(key, m.NumSlots))
-	if !ok {
-		return core.BlockInfo{}, false, nil
-	}
-	if e.Lost {
-		return core.BlockInfo{}, false, lostErr(e)
-	}
-	if op.IsMutation() {
-		return e.WriteTarget(), true, nil
-	}
-	rt := e.ReadTarget()
-	if avoid[rt.Server] {
-		for i := len(e.Chain) - 1; i >= 0; i-- {
-			if !avoid[e.Chain[i].Server] {
-				return e.Chain[i], true, nil
-			}
+	if m.NumSlots > 0 {
+		if e, ok := m.BlockForSlot(ds.SlotOf(key, m.NumSlots)); ok {
+			return e, nil
 		}
 	}
-	return rt, true, nil
-}
-
-// exec runs op with staleness/full/connection recovery. ctx bounds the
-// whole retry loop: once it ends, the loop stops instead of burning
-// the remaining budget against a caller that has gone away.
-func (k *KV) exec(ctx context.Context, op core.OpType, key string, args [][]byte) ([][]byte, error) {
-	var lastErr error
-	var avoid map[string]bool
-	throttles := 0
-	for attempt := 0; attempt < k.h.retryLimit(); attempt++ {
-		info, ok, err := k.route(key, op, avoid)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			if err := k.h.refresh(ctx); err != nil {
-				return nil, err
-			}
-			if err := k.h.backoff(ctx, attempt); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		var res [][]byte
-		if op.IsMutation() {
-			res, err = k.h.do(ctx, info, op, args)
-		} else {
-			// Idempotent reads may hedge against another chain member.
-			res, err = k.h.doRead(ctx, info, op, args)
-		}
-		switch {
-		case err == nil:
-			return res, nil
-		case ctxErr(err) != nil:
-			return nil, err
-		case errors.Is(err, core.ErrServerDegraded):
-			// The server's breaker is open. Reads fall back along the
-			// chain via avoid; once every candidate is degraded (or for a
-			// mutation, whose head has no substitute), surface the typed
-			// error with its retry-after hint instead of burning the
-			// whole retry budget against open breakers.
-			if avoid == nil {
-				avoid = make(map[string]bool)
-			}
-			if avoid[info.Server] || op.IsMutation() {
-				return nil, err
-			}
-			avoid[info.Server] = true
-			if berr := k.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case errors.Is(err, core.ErrStaleEpoch):
-			lastErr = err
-			if rerr := k.h.refresh(ctx); rerr != nil {
-				return nil, rerr
-			}
-			if berr := k.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case errors.Is(err, core.ErrBlockFull):
-			lastErr = err
-			if serr := k.h.requestScale(ctx, info.ID); serr != nil &&
-				!errors.Is(serr, core.ErrNoCapacity) {
-				return nil, serr
-			}
-			if berr := k.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case errors.Is(err, core.ErrQuotaExceeded):
-			// Admission refusal: honor the retry-after hint a bounded
-			// number of times, then surface the typed error as
-			// backpressure — never silently swallow a throttle.
-			throttles++
-			if throttles > k.h.throttleLimit() {
-				return nil, err
-			}
-			if werr := k.h.waitThrottle(ctx, attempt, err); werr != nil {
-				return nil, werr
-			}
-		case isConnErr(err):
-			// The session died or timed out: mark the server so reads
-			// fall back along the chain, pick up a fresh map (the
-			// controller may have repaired or moved blocks), re-dial on
-			// the next attempt.
-			lastErr = err
-			if avoid == nil {
-				avoid = make(map[string]bool)
-			}
-			avoid[info.Server] = true
-			if rerr := k.h.refresh(ctx); rerr != nil && !isConnErr(rerr) {
-				return nil, rerr
-			}
-			if berr := k.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		default:
-			return nil, err
-		}
-	}
-	return nil, errRetriesExhausted(fmt.Sprintf("kv %v %q", op, key), lastErr)
+	return ds.PartitionEntry{}, core.ErrStaleEpoch
 }
 
 // Put stores a key-value pair.
 func (k *KV) Put(ctx context.Context, key string, value []byte) error {
-	_, err := k.exec(ctx, core.OpPut, key, [][]byte{[]byte(key), value})
+	_, _, err := k.h.run(ctx, core.OpPut, key, 0, [][]byte{[]byte(key), value})
 	return err
 }
 
 // Get fetches the value for key.
 func (k *KV) Get(ctx context.Context, key string) ([]byte, error) {
-	res, err := k.exec(ctx, core.OpGet, key, [][]byte{[]byte(key)})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
+	return one(k.h.run(ctx, core.OpGet, key, 0, [][]byte{[]byte(key)}))
 }
 
 // Exists reports whether key is present.
 func (k *KV) Exists(ctx context.Context, key string) (bool, error) {
-	_, err := k.exec(ctx, core.OpExists, key, [][]byte{[]byte(key)})
+	_, _, err := k.h.run(ctx, core.OpExists, key, 0, [][]byte{[]byte(key)})
 	if errors.Is(err, core.ErrNotFound) {
 		return false, nil
 	}
@@ -179,21 +54,13 @@ func (k *KV) Exists(ctx context.Context, key string) (bool, error) {
 
 // Delete removes key and returns the previous value.
 func (k *KV) Delete(ctx context.Context, key string) ([]byte, error) {
-	res, err := k.exec(ctx, core.OpDelete, key, [][]byte{[]byte(key)})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
+	return one(k.h.run(ctx, core.OpDelete, key, 0, [][]byte{[]byte(key)}))
 }
 
 // Update overwrites an existing key and returns the previous value;
 // fails with ErrNotFound if the key is absent.
 func (k *KV) Update(ctx context.Context, key string, value []byte) ([]byte, error) {
-	res, err := k.exec(ctx, core.OpUpdate, key, [][]byte{[]byte(key), value})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
+	return one(k.h.run(ctx, core.OpUpdate, key, 0, [][]byte{[]byte(key), value}))
 }
 
 // Subscribe registers for notifications on the given op types across

@@ -1,0 +1,471 @@
+package client
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+
+	"jiffy/internal/core"
+	"jiffy/internal/ds"
+	"jiffy/internal/obs"
+)
+
+// The client op pipeline. Repartitioning, queue-segment hand-over and
+// chain repair happen inside the storage system (§3.3, §5.2, §4.2.2);
+// what the client sees of them is an op that must be re-routed and
+// sent again. Every data-plane op, single or batched, on any
+// structure, goes through the same stages in the same order:
+//
+//	route → pick chain member → breaker gate → (hedge) → dispatch →
+//	classify → note → settle (grow, relearn, throttle wait | backoff)
+//
+// classify maps an error to one action, note records what that action
+// needs, settle does it once per attempt. run drives one op through
+// the stages, runBatch a group of ops; nothing else in this package
+// retries. DESIGN.md "Client op pipeline" holds the class → action
+// table; pipeline_test.go pins it.
+
+// action is what one attempt's outcome asks of the pipeline.
+type action uint8
+
+const (
+	actDone     action = iota // the op succeeded
+	actFatal                  // the error is the op's answer
+	actRelearn                // the cached map is stale: fetch it again
+	actRedirect               // the server named the block to go to instead
+	actGrow                   // the block is full: ask the controller to scale
+	actThrottle               // admission control refused: wait the hint out
+	actAvoid                  // the server is dead or degraded: route around it
+)
+
+// classify is the only place an error's class is tested. The caller's
+// own context ending is checked first: rpc wraps a context deadline in
+// ErrTimeout, which would otherwise read as a dead server.
+func classify(err error) action {
+	switch {
+	case err == nil:
+		return actDone
+	case ctxErr(err) != nil:
+		return actFatal
+	case errors.Is(err, core.ErrStaleEpoch):
+		return actRelearn
+	case errors.Is(err, core.ErrRedirect):
+		return actRedirect
+	case errors.Is(err, core.ErrBlockFull):
+		return actGrow
+	case errors.Is(err, core.ErrQuotaExceeded):
+		return actThrottle
+	case errors.Is(err, core.ErrServerDegraded), isConnErr(err):
+		return actAvoid
+	default:
+		// ErrBlockLost, ErrNotFound, ErrEmpty, ErrTooLarge, ...: an answer.
+		return actFatal
+	}
+}
+
+// structure is what a data-structure handle supplies to the pipeline:
+// the steps of an op that differ between KV, File, Queue and Custom.
+type structure interface {
+	// route resolves what an op addresses — a key's slot, a chunk, a
+	// queue end — to a map entry. An error goes through classify like a
+	// server's: ErrStaleEpoch relearns, ErrBlockFull grows from the
+	// returned entry (a write to a chunk that does not exist yet).
+	route(op core.OpType, key string, chunk int) (ds.PartitionEntry, error)
+	// forget drops routing state derived from a map that was replaced.
+	forget()
+	// redirected records that the server handed the end op works on
+	// over to next.
+	redirected(op core.OpType, next core.BlockInfo)
+}
+
+// mapRouted is embedded by the structures that route from the cached
+// map alone: nothing to forget, and their servers never redirect.
+type mapRouted struct{}
+
+func (mapRouted) forget()                                {}
+func (mapRouted) redirected(core.OpType, core.BlockInfo) {}
+
+// errBoundedFull is backpressure from a structure at its MaxBlocks
+// bound (maxQueueLength, §5.2): the block is full and cannot grow.
+var errBoundedFull = fmt.Errorf("client: bounded structure full: %w", core.ErrBlockFull)
+
+// recovery is one call's pipeline state: what note has learned from
+// the failures so far and what settle still has to do about them.
+type recovery struct {
+	h *handle
+
+	// avoid holds the servers that failed at the connection level or
+	// were refused by their breaker during this call.
+	avoid map[string]bool
+	// atMax holds blocks found full while the structure was at its
+	// bound; an op that routes to one again has met backpressure.
+	atMax     []core.BlockID
+	throttles int
+
+	// Noted during the attempt in progress; settle acts and clears.
+	full    []core.BlockID // blocks to grow from
+	stale   bool           // the map must be fetched again
+	avoided bool           // a server joined avoid: fetch the map if the controller answers
+	pause   bool           // back off before the next attempt
+	refusal error          // the throttle refusal with the longest hint
+}
+
+// locate routes an op. retry is meaningful when err is not nil: true
+// means the failure was noted and the op goes again after settle.
+func (r *recovery) locate(op core.OpType, key string, chunk int) (e ds.PartitionEntry, retry bool, err error) {
+	e, err = r.h.s.route(op, key, chunk)
+	switch {
+	case e.Info.Server != "" && slices.Contains(r.atMax, e.Info.ID):
+		// The op lands on, or wants to grow from, a block that could not.
+		return e, false, errBoundedFull
+	case err != nil:
+		return e, r.note(op, e.Info, err), err
+	case e.Lost:
+		// Every replica died with no flushed copy: retrying brings nothing back.
+		return e, false, fmt.Errorf("client: block %d: %w", e.Info.ID, core.ErrBlockLost)
+	}
+	return e, false, nil
+}
+
+// target picks the chain member an op is sent to. Mutations enter at
+// the head. A read takes the tail, or — when the tail is in avoid —
+// the closest upstream member that is not; with every member avoided
+// it stays on the tail, which is then re-dialed.
+//
+// This is the read-fallback stage, shared with the hedged read's
+// backup arm (altFor). Reading a non-tail member is safe for
+// acknowledged writes: chain propagation is synchronous, so every
+// member holds all of them. The hole (ROADMAP item 1): a non-tail
+// member also holds writes the tail has not acknowledged, and if the
+// head then dies and repair resyncs from the tail-most survivor, the
+// client has read a value that never was committed. A clean-read rule
+// (answer only for sequence numbers known acknowledged, else defer to
+// the tail) lands here and nowhere else.
+func (r *recovery) target(e *ds.PartitionEntry, op core.OpType) core.BlockInfo {
+	if op.IsMutation() {
+		return e.WriteTarget()
+	}
+	rt := e.ReadTarget()
+	if r.avoid[rt.Server] {
+		for i := len(e.Chain) - 1; i >= 0; i-- {
+			if !r.avoid[e.Chain[i].Server] {
+				return e.Chain[i]
+			}
+		}
+	}
+	return rt
+}
+
+// admit is the breaker gate. A server whose breaker refuses the call
+// is avoided and routed around like a dead one; when re-routing had
+// nowhere else to go and it refuses again, the typed error with its
+// retry-after is the answer — the retry budget is not spent against an
+// open breaker. retry is as in locate.
+func (r *recovery) admit(op core.OpType, server string) (retry bool, err error) {
+	if !r.h.c.breakerOn {
+		return false, nil
+	}
+	wait, ok := r.h.c.health.allow(server)
+	if ok {
+		return false, nil
+	}
+	err = &core.DegradedError{Server: server, RetryAfter: wait}
+	if r.avoid[server] {
+		return false, err
+	}
+	return r.note(op, core.BlockInfo{Server: server}, err), err
+}
+
+// note classifies the failure of an op sent (or routed) to at and
+// records what recovering from it takes. It reports whether the op is
+// to be tried again after settle; false means err is its answer.
+func (r *recovery) note(op core.OpType, at core.BlockInfo, err error) bool {
+	switch classify(err) {
+	case actRelearn:
+		r.stale = true
+	case actRedirect:
+		var rd *redirect
+		if !errors.As(err, &rd) {
+			return false
+		}
+		if obs.On() {
+			r.h.c.rpcm.Redirects.Inc()
+		}
+		r.h.s.redirected(op, rd.next)
+		return true // the link is in hand: no pause
+	case actGrow:
+		// Custom structures grow when the application says so (Grow).
+		if m := r.h.snapshot(); m.Type >= ds.CustomBase {
+			return false
+		}
+		if !slices.Contains(r.full, at.ID) {
+			r.full = append(r.full, at.ID)
+		}
+	case actThrottle:
+		// Past ThrottleLimit waits the typed refusal surfaces, hint intact.
+		if r.throttles >= r.h.c.policy.ThrottleLimit {
+			return false
+		}
+		if r.refusal == nil || core.RetryAfterOf(err) > core.RetryAfterOf(r.refusal) {
+			r.refusal = err
+		}
+		return true
+	case actAvoid:
+		if r.avoid == nil {
+			r.avoid = make(map[string]bool)
+		}
+		r.avoid[at.Server] = true
+		r.avoided = true
+	default:
+		return false
+	}
+	r.pause = true
+	return true
+}
+
+// settle does what the attempt's failures asked for, once, in this
+// order: grow, relearn, then wait — a throttle's retry-after if there
+// was one, else the backoff step. It returns an error when recovery
+// itself failed or ctx ended.
+func (r *recovery) settle(ctx context.Context, attempt int) error {
+	h, p := r.h, &r.h.c.policy
+	for _, b := range r.full {
+		// The controller answers with the map it ends up with, grown or
+		// not (a stale request, no free block, a bounded structure).
+		before := h.snapshot().Epoch
+		if err := h.requestScale(ctx, b); err != nil && !errors.Is(err, core.ErrNoCapacity) {
+			return err
+		}
+		h.s.forget()
+		if m := h.snapshot(); m.AtMaxBlocks() && m.Epoch == before {
+			r.atMax = append(r.atMax, b) // nothing changed and nothing can
+		}
+	}
+	if r.stale || r.avoided {
+		// After a dead server the old map may still be right and the
+		// controller may be unreachable too: only a stale map must be
+		// replaced.
+		if err := h.refresh(ctx); err == nil {
+			h.s.forget()
+		} else if r.stale || classify(err) != actAvoid {
+			return err
+		}
+	}
+	d := backoffDelay(attempt, p.MaxBackoff)
+	switch {
+	case r.refusal != nil:
+		r.throttles++
+		if obs.On() {
+			h.c.throttleWaits.Inc()
+		}
+		if hint := core.RetryAfterOf(r.refusal); hint > 0 {
+			d = hint
+		}
+		if p.MaxThrottleWait > 0 && d > p.MaxThrottleWait {
+			d = p.MaxThrottleWait
+		}
+	case r.pause:
+		if obs.On() {
+			h.c.rpcm.Retries.Inc()
+		}
+	default:
+		d = 0
+	}
+	r.full, r.stale, r.avoided, r.pause, r.refusal = r.full[:0], false, false, false, nil
+	if d == 0 {
+		return ctx.Err()
+	}
+	return sleepCtx(ctx, d)
+}
+
+// exhausted is the error of an op whose retry budget ran out.
+func (h *handle) exhausted(op core.OpType, key string, last error) error {
+	return errRetriesExhausted(fmt.Sprintf("%s %v %q", h.path, op, key), last)
+}
+
+// run drives one op to completion. key addresses a KV slot, chunk a
+// file or custom chunk; a structure ignores the one it does not route
+// by. It returns the op's values and the chunk of the entry that
+// served it.
+func (h *handle) run(ctx context.Context, op core.OpType, key string, chunk int, args [][]byte) ([][]byte, int, error) {
+	rec := recovery{h: h}
+	var last error
+	for attempt := 0; attempt < h.c.policy.Limit; attempt++ {
+		e, retry, err := rec.locate(op, key, chunk)
+		if err == nil {
+			at := rec.target(&e, op)
+			if retry, err = rec.admit(op, at.Server); err == nil {
+				var vals [][]byte
+				if op.IsMutation() {
+					vals, err = h.do(ctx, at, op, args)
+				} else {
+					// What is not a mutation is an idempotent read: it may
+					// hedge against another member of the chain.
+					vals, err = h.doRead(ctx, at, e.Chain, op, args)
+				}
+				if err == nil {
+					return vals, e.Chunk, nil
+				}
+				retry = rec.note(op, at, err)
+			}
+		}
+		if !retry {
+			return nil, 0, err
+		}
+		last = err
+		if err := rec.settle(ctx, attempt); err != nil {
+			return nil, 0, err
+		}
+	}
+	return nil, 0, h.exhausted(op, key, last)
+}
+
+// one unwraps the result of an op that answers with exactly one value.
+func one(vals [][]byte, _ int, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return vals[0], nil
+}
+
+// batchGroup is the part of a batch bound for one server.
+type batchGroup struct {
+	server string
+	chunk  int   // of the first op's entry; keyless batches share one route
+	idxs   []int // positions in the caller's batch
+	ops    []ds.BatchOp
+}
+
+// runBatch drives a batch of same-op operations to completion, one
+// MethodDataOpBatch frame per destination server and attempt. Op i
+// addresses keys[i] and carries vals[i]; with keys nil every op
+// addresses chunk, with vals nil the key is the only argument. landed,
+// when set, receives each successful op's values and the chunk that
+// served it. The result is nil or a *MultiError indexed like the
+// batch: ops fail and are retried independently, and every pending op
+// shares each attempt's one settle.
+func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, chunk int, vals [][]byte,
+	landed func(i, chunk int, res [][]byte) error) error {
+	n := max(len(keys), len(vals))
+	if n == 0 {
+		return nil
+	}
+	errs := make([]error, n)
+	pending := make([]int, n)
+	for i := range pending {
+		pending[i] = i
+	}
+	keyOf := func(i int) string {
+		if keys == nil {
+			return ""
+		}
+		return keys[i]
+	}
+	rec := recovery{h: h}
+	var groups []batchGroup
+
+	for attempt := 0; attempt < h.c.policy.Limit; attempt++ {
+		// Route: group the pending ops by destination server under the
+		// current map.
+		var next []int
+		groups = groups[:0]
+		var e ds.PartitionEntry
+		var retry bool
+		var rerr error
+		for j, i := range pending {
+			if keys != nil || j == 0 {
+				e, retry, rerr = rec.locate(op, keyOf(i), chunk)
+			}
+			if rerr != nil {
+				errs[i] = rerr
+				if retry {
+					next = append(next, i)
+				}
+				continue
+			}
+			at := rec.target(&e, op)
+			gi := 0
+			for gi < len(groups) && groups[gi].server != at.Server {
+				gi++
+			}
+			if gi == len(groups) {
+				groups = append(groups, batchGroup{server: at.Server, chunk: e.Chunk,
+					idxs: make([]int, 0, len(pending)), ops: make([]ds.BatchOp, 0, len(pending))})
+			}
+			g := &groups[gi]
+			g.idxs = append(g.idxs, i)
+			g.ops = append(g.ops, ds.BatchOp{Op: op, Block: at.ID, Args: batchArgs(keys, vals, i)})
+		}
+
+		// Gate and dispatch each group; classify per call, then per op.
+		for gi := range groups {
+			g := &groups[gi]
+			var rs []ds.BatchResult
+			retry, cerr := rec.admit(op, g.server)
+			if cerr == nil {
+				if rs, cerr = h.doBatch(ctx, g.server, g.ops); cerr == nil && len(rs) != len(g.idxs) {
+					cerr = fmt.Errorf("client: batch: %d results for %d ops", len(rs), len(g.idxs))
+				}
+				if cerr != nil {
+					retry = rec.note(op, core.BlockInfo{Server: g.server}, cerr)
+				}
+			}
+			if cerr != nil {
+				// The whole call failed: no op in it got an answer.
+				for _, i := range g.idxs {
+					errs[i] = cerr
+				}
+				if retry {
+					next = append(next, g.idxs...)
+				}
+				continue
+			}
+			for j, r := range rs {
+				i := g.idxs[j]
+				res, oerr := r.Vals()
+				if oerr == nil && landed != nil {
+					oerr = landed(i, g.chunk, res)
+				}
+				oerr = withRedirect(oerr, r.Blob)
+				errs[i] = oerr
+				if oerr != nil && rec.note(op, core.BlockInfo{ID: g.ops[j].Block, Server: g.server}, oerr) {
+					next = append(next, i)
+				}
+			}
+		}
+
+		pending = next
+		if len(pending) == 0 {
+			return multiErr(errs)
+		}
+		// Program order within the batch survives regrouping.
+		slices.Sort(pending)
+		if (rec.stale || rec.avoided) && obs.On() {
+			h.c.staleRegroups.Inc()
+		}
+		if serr := rec.settle(ctx, attempt); serr != nil {
+			for _, i := range pending {
+				errs[i] = serr
+			}
+			return multiErr(errs)
+		}
+	}
+	for _, i := range pending {
+		errs[i] = h.exhausted(op, keyOf(i), errs[i])
+	}
+	return multiErr(errs)
+}
+
+// batchArgs builds op i's argument vector. A value-only op aliases the
+// caller's slice instead of allocating a vector per op.
+func batchArgs(keys []string, vals [][]byte, i int) [][]byte {
+	switch {
+	case keys == nil:
+		return vals[i : i+1 : i+1]
+	case vals == nil:
+		return [][]byte{[]byte(keys[i])}
+	default:
+		return [][]byte{[]byte(keys[i]), vals[i]}
+	}
+}

@@ -2,11 +2,10 @@ package client
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync"
 
 	"jiffy/internal/core"
+	"jiffy/internal/ds"
 )
 
 // Queue is the client handle for a Jiffy FIFO queue (§5.2). The client
@@ -17,211 +16,73 @@ import (
 type Queue struct {
 	h *handle
 
-	mu   sync.Mutex
-	head core.BlockInfo
-	tail core.BlockInfo
+	mu         sync.Mutex
+	head, tail ds.PartitionEntry // zero until seeded from the map
 }
 
 // Path returns the handle's address prefix.
 func (q *Queue) Path() core.Path { return q.h.path }
 
-// ends returns the cached head/tail, seeding them from the map.
-func (q *Queue) ends() (core.BlockInfo, core.BlockInfo, error) {
+// route returns the cached end op works on — enqueues the tail, the
+// rest the head — seeding both from the map first when there is no
+// cache.
+func (q *Queue) route(op core.OpType, _ string, _ int) (ds.PartitionEntry, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.head.Server == "" || q.tail.Server == "" {
+	if q.head.Info.Server == "" {
 		m := q.h.snapshot()
 		h, ok1 := m.Head()
 		t, ok2 := m.Tail()
 		if !ok1 || !ok2 {
-			return core.BlockInfo{}, core.BlockInfo{}, core.ErrNotFound
+			return ds.PartitionEntry{}, core.ErrNotFound
 		}
-		if h.Lost {
-			return core.BlockInfo{}, core.BlockInfo{}, lostErr(h)
-		}
-		if t.Lost {
-			return core.BlockInfo{}, core.BlockInfo{}, lostErr(t)
-		}
-		q.head, q.tail = h.Info, t.Info
+		q.head, q.tail = h, t
 	}
-	return q.head, q.tail, nil
+	if op == core.OpEnqueue {
+		return q.tail, nil
+	}
+	return q.head, nil
 }
 
-// reseed drops the cached ends and refreshes the map.
-func (q *Queue) reseed(ctx context.Context) error {
-	if err := q.h.refresh(ctx); err != nil {
-		return err
-	}
+// forget drops the cached ends: the next route seeds them from the map
+// that replaced the one they came from.
+func (q *Queue) forget() {
+	q.mu.Lock()
+	q.head, q.tail = ds.PartitionEntry{}, ds.PartitionEntry{}
+	q.mu.Unlock()
+}
+
+// redirected follows a link: the tail sealed, or the head segment
+// drained, and next is its successor. The map, when it already knows
+// the successor, supplies its replica chain.
+func (q *Queue) redirected(op core.OpType, next core.BlockInfo) {
+	e := ds.PartitionEntry{Info: next}
 	m := q.h.snapshot()
-	h, ok1 := m.Head()
-	t, ok2 := m.Tail()
-	if !ok1 || !ok2 {
-		return core.ErrNotFound
+	for _, known := range m.Blocks {
+		if known.Info == next {
+			e = known
+		}
 	}
 	q.mu.Lock()
-	q.head, q.tail = h.Info, t.Info
+	if op == core.OpEnqueue {
+		q.tail = e
+	} else {
+		q.head = e
+	}
 	q.mu.Unlock()
-	return nil
 }
 
-// Enqueue appends an item to the queue tail.
+// Enqueue appends an item to the queue tail. On a bounded queue at its
+// block limit it reports ErrBlockFull as backpressure to the producer.
 func (q *Queue) Enqueue(ctx context.Context, item []byte) error {
-	var lastErr error
-	throttles, degraded := 0, 0
-	for attempt := 0; attempt < q.h.retryLimit(); attempt++ {
-		_, tail, err := q.ends()
-		if err != nil {
-			return err
-		}
-		_, err = q.h.do(ctx, tail, core.OpEnqueue, [][]byte{item})
-		switch {
-		case err == nil:
-			return nil
-		case ctxErr(err) != nil:
-			return err
-		case errors.Is(err, core.ErrServerDegraded):
-			degraded++
-			if degraded > 1 {
-				return err
-			}
-			lastErr = err
-			if rerr := q.reseed(ctx); rerr != nil && !isConnErr(rerr) {
-				return rerr
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return berr
-			}
-		case errors.Is(err, core.ErrRedirect):
-			// The tail moved; follow the link.
-			var r *redirect
-			if errors.As(err, &r) {
-				q.mu.Lock()
-				q.tail = r.next
-				q.mu.Unlock()
-			} else if rerr := q.reseed(ctx); rerr != nil {
-				return rerr
-			}
-		case errors.Is(err, core.ErrBlockFull):
-			lastErr = err
-			if serr := q.h.requestScale(ctx, tail.ID); serr != nil &&
-				!errors.Is(serr, core.ErrNoCapacity) {
-				return serr
-			}
-			if rerr := q.reseed(ctx); rerr != nil {
-				return rerr
-			}
-			// A bounded queue at its block limit cannot grow: report
-			// backpressure to the producer instead of spinning.
-			if m := q.h.snapshot(); m.AtMaxBlocks() {
-				if t, ok := m.Tail(); ok && t.Info.ID == tail.ID {
-					return fmt.Errorf("client: bounded queue full: %w", core.ErrBlockFull)
-				}
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return berr
-			}
-		case errors.Is(err, core.ErrStaleEpoch):
-			lastErr = err
-			if rerr := q.reseed(ctx); rerr != nil {
-				return rerr
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return berr
-			}
-		case errors.Is(err, core.ErrQuotaExceeded):
-			throttles++
-			if throttles > q.h.throttleLimit() {
-				return err
-			}
-			if werr := q.h.waitThrottle(ctx, attempt, err); werr != nil {
-				return werr
-			}
-		case isConnErr(err):
-			// Session died or timed out: re-dial and re-learn the ends
-			// on the next attempt.
-			lastErr = err
-			if rerr := q.reseed(ctx); rerr != nil && !isConnErr(rerr) {
-				return rerr
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return berr
-			}
-		default:
-			return err
-		}
-	}
-	return errRetriesExhausted("enqueue", lastErr)
+	_, _, err := q.h.run(ctx, core.OpEnqueue, "", 0, [][]byte{item})
+	return err
 }
 
 // Dequeue removes and returns the oldest item; returns ErrEmpty when
 // the queue has no pending items.
 func (q *Queue) Dequeue(ctx context.Context) ([]byte, error) {
-	var lastErr error
-	throttles, degraded := 0, 0
-	for attempt := 0; attempt < q.h.retryLimit(); attempt++ {
-		head, _, err := q.ends()
-		if err != nil {
-			return nil, err
-		}
-		res, err := q.h.do(ctx, head, core.OpDequeue, nil)
-		switch {
-		case err == nil:
-			return res[0], nil
-		case ctxErr(err) != nil:
-			return nil, err
-		case errors.Is(err, core.ErrServerDegraded):
-			degraded++
-			if degraded > 1 {
-				return nil, err
-			}
-			lastErr = err
-			if rerr := q.reseed(ctx); rerr != nil && !isConnErr(rerr) {
-				return nil, rerr
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case errors.Is(err, core.ErrRedirect):
-			// The head segment drained; advance to its successor.
-			var r *redirect
-			if errors.As(err, &r) {
-				q.mu.Lock()
-				q.head = r.next
-				q.mu.Unlock()
-			} else if rerr := q.reseed(ctx); rerr != nil {
-				return nil, rerr
-			}
-		case errors.Is(err, core.ErrEmpty):
-			return nil, err
-		case errors.Is(err, core.ErrStaleEpoch):
-			lastErr = err
-			if rerr := q.reseed(ctx); rerr != nil {
-				return nil, rerr
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case errors.Is(err, core.ErrQuotaExceeded):
-			throttles++
-			if throttles > q.h.throttleLimit() {
-				return nil, err
-			}
-			if werr := q.h.waitThrottle(ctx, attempt, err); werr != nil {
-				return nil, werr
-			}
-		case isConnErr(err):
-			lastErr = err
-			if rerr := q.reseed(ctx); rerr != nil && !isConnErr(rerr) {
-				return nil, rerr
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		default:
-			return nil, err
-		}
-	}
-	return nil, errRetriesExhausted("dequeue", lastErr)
+	return one(q.h.run(ctx, core.OpDequeue, "", 0, nil))
 }
 
 // Peek returns the oldest pending item without consuming it; returns
@@ -230,74 +91,7 @@ func (q *Queue) Dequeue(ctx context.Context) ([]byte, error) {
 // segment's read lock, so concurrent peeks never serialize against
 // each other.
 func (q *Queue) Peek(ctx context.Context) ([]byte, error) {
-	var lastErr error
-	throttles, degraded := 0, 0
-	for attempt := 0; attempt < q.h.retryLimit(); attempt++ {
-		head, _, err := q.ends()
-		if err != nil {
-			return nil, err
-		}
-		// Peeks are idempotent reads: they may hedge against another
-		// member of the head segment's chain.
-		res, err := q.h.doRead(ctx, head, core.OpQueuePeek, nil)
-		switch {
-		case err == nil:
-			return res[0], nil
-		case ctxErr(err) != nil:
-			return nil, err
-		case errors.Is(err, core.ErrServerDegraded):
-			degraded++
-			if degraded > 1 {
-				return nil, err
-			}
-			lastErr = err
-			if rerr := q.reseed(ctx); rerr != nil && !isConnErr(rerr) {
-				return nil, rerr
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case errors.Is(err, core.ErrRedirect):
-			// The head segment drained; advance to its successor.
-			var r *redirect
-			if errors.As(err, &r) {
-				q.mu.Lock()
-				q.head = r.next
-				q.mu.Unlock()
-			} else if rerr := q.reseed(ctx); rerr != nil {
-				return nil, rerr
-			}
-		case errors.Is(err, core.ErrEmpty):
-			return nil, err
-		case errors.Is(err, core.ErrStaleEpoch):
-			lastErr = err
-			if rerr := q.reseed(ctx); rerr != nil {
-				return nil, rerr
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case errors.Is(err, core.ErrQuotaExceeded):
-			throttles++
-			if throttles > q.h.throttleLimit() {
-				return nil, err
-			}
-			if werr := q.h.waitThrottle(ctx, attempt, err); werr != nil {
-				return nil, werr
-			}
-		case isConnErr(err):
-			lastErr = err
-			if rerr := q.reseed(ctx); rerr != nil && !isConnErr(rerr) {
-				return nil, rerr
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		default:
-			return nil, err
-		}
-	}
-	return nil, errRetriesExhausted("peek", lastErr)
+	return one(q.h.run(ctx, core.OpQueuePeek, "", 0, nil))
 }
 
 // Subscribe registers for notifications on the queue's blocks —

@@ -53,9 +53,9 @@ func newRig(t *testing.T, numServers, blocksPerServer int, virtualTime bool) *ri
 	r.ctrlAddr = ctrlAddr
 	for i := 0; i < numServers; i++ {
 		srv, err := server.New(server.Options{
-			Config:         cfg,
-			ControllerAddr: ctrlAddr,
-			Persist:        r.store,
+			Config:          cfg,
+			ControllerAddrs: []string{ctrlAddr},
+			Persist:         r.store,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -53,7 +53,7 @@ func TestExpiryKeepsDataWhenFlushFails(t *testing.T) {
 	defer ctrl.Close()
 	addr, _ := ctrl.Listen("mem://flushfail-ctrl")
 	srv, err := server.New(server.Options{
-		Config: cfg, ControllerAddr: addr, Persist: fs,
+		Config: cfg, ControllerAddrs: []string{addr}, Persist: fs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestScaleUpWithDeadServer(t *testing.T) {
 	defer ctrl.Close()
 	addr, _ := ctrl.Listen("mem://deadsrv-ctrl")
 
-	live, err := server.New(server.Options{Config: cfg, ControllerAddr: addr})
+	live, err := server.New(server.Options{Config: cfg, ControllerAddrs: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestScaleUpWithDeadServer(t *testing.T) {
 	live.Listen("mem://deadsrv-live")
 	live.Register(4)
 
-	dead, err := server.New(server.Options{Config: cfg, ControllerAddr: addr})
+	dead, err := server.New(server.Options{Config: cfg, ControllerAddrs: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestClientSurvivesServerRestartWindow(t *testing.T) {
 	}
 	defer ctrl.Close()
 	addr, _ := ctrl.Listen("mem://restart-ctrl")
-	srv, err := server.New(server.Options{Config: cfg, ControllerAddr: addr})
+	srv, err := server.New(server.Options{Config: cfg, ControllerAddrs: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestExpiryFlushesBeforeReclaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := server.New(server.Options{
-		Config: cfg, ControllerAddr: addr, Persist: rs,
+		Config: cfg, ControllerAddrs: []string{addr}, Persist: rs,
 	})
 	if err != nil {
 		t.Fatal(err)

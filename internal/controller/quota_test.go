@@ -119,9 +119,9 @@ func TestTenantQuotaBroadcast(t *testing.T) {
 	// A server that registers after the quota was set must receive the
 	// replayed table.
 	late, err := server.New(server.Options{
-		Config:         core.TestConfig(),
-		ControllerAddr: r.ctrlAddr,
-		Persist:        r.store,
+		Config:          core.TestConfig(),
+		ControllerAddrs: []string{r.ctrlAddr},
+		Persist:         r.store,
 	})
 	if err != nil {
 		t.Fatal(err)

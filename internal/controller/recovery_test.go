@@ -40,7 +40,7 @@ func recoveryCtrl(t *testing.T, vclock clock.Clock, n int, blocks ...int) (
 	srvCfg.SuspicionWindow = 0
 	var srvs []*server.Server
 	for i := 0; i < n; i++ {
-		srv, err := server.New(server.Options{Config: srvCfg, ControllerAddr: addr, Persist: store})
+		srv, err := server.New(server.Options{Config: srvCfg, ControllerAddrs: []string{addr}, Persist: store})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,9 @@
-// Command ctxfirst enforces the client API rules over the given source
+// Command ctxfirst enforces the client API rule over the given source
 // directories (see internal/lint): every public method takes a leading
-// context.Context, and nothing outside the compatibility shims calls
-// the deprecated single-address constructors (Connect, ConnectMulti) —
-// new code dials the controller group with Dial + WithControllers. CI
-// runs it against the client package, the repo root, the commands and
-// the examples; a non-empty report fails the build.
+// context.Context. CI runs it against the client package and the repo
+// root; a non-empty report fails the build.
 //
-//	go run ./internal/lint/ctxfirst internal/client . cmd/jiffy-cli
+//	go run ./internal/lint/ctxfirst internal/client .
 package main
 
 import (
@@ -29,12 +26,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ctxfirst: %s: %v\n", dir, err)
 			os.Exit(2)
 		}
-		deprecatedCalls, err := lint.DeprecatedConnectCalls(dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ctxfirst: %s: %v\n", dir, err)
-			os.Exit(2)
-		}
-		for _, v := range append(violations, deprecatedCalls...) {
+		for _, v := range violations {
 			failed = true
 			fmt.Fprintln(os.Stderr, v)
 		}

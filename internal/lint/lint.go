@@ -3,9 +3,8 @@
 // The context-first check guards the client API redesign: every
 // exported method on an exported receiver type in the scanned packages
 // must take a context.Context as its first parameter, unless it is a
-// known local/lifecycle method (allowlisted), a deprecated
-// compatibility shim, or a *NoCtx view type. New public surface that
-// forgets the context fails CI rather than review.
+// known local/lifecycle method (allowlisted) or marked Deprecated. New
+// public surface that forgets the context fails CI rather than review.
 package lint
 
 import (
@@ -27,20 +26,15 @@ func DefaultAllow() map[string]bool {
 	return map[string]bool{
 		// Lifecycle and purely local accessors.
 		"Client.Close":        true,
-		"Client.NoCtx":        true,
 		"Client.Obs":          true,
 		"Client.StartRenewer": true,
 		// Purely local read of the in-memory health tracker.
 		"Client.ServerHealth": true,
 		"KV.Path":             true,
-		"KV.NoCtx":            true,
 		"File.Path":           true,
 		"File.Seek":           true,
-		"File.NoCtx":          true,
 		"Queue.Path":          true,
-		"Queue.NoCtx":         true,
 		"Custom.Path":         true,
-		"Custom.NoCtx":        true,
 		// The listener's public contract is timeout-based (Table 1
 		// listener.get(timeout)); contexts are threaded internally.
 		"Listener.Get":      true,
@@ -56,23 +50,19 @@ func DefaultAllow() map[string]bool {
 	}
 }
 
-// Violation is one flagged declaration or call site.
+// Violation is one flagged declaration.
 type Violation struct {
 	Pos  token.Position
 	Name string // "Type.Method" or function name
-	Msg  string // violation text; empty means the context-first message
 }
 
 func (v Violation) String() string {
-	if v.Msg != "" {
-		return fmt.Sprintf("%s: %s %s", v.Pos, v.Name, v.Msg)
-	}
 	return fmt.Sprintf("%s: %s must take context.Context as its first parameter", v.Pos, v.Name)
 }
 
 // CtxFirst scans the non-test Go files of one directory and reports
 // exported methods on exported receiver types — plus package-level
-// Connect* functions — whose first parameter is not a context.Context.
+// Dial* constructors — whose first parameter is not a context.Context.
 func CtxFirst(dir string, allow map[string]bool) ([]Violation, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -117,17 +107,14 @@ func CtxFirst(dir string, allow map[string]bool) ([]Violation, error) {
 }
 
 // subject names the declaration and decides whether the check applies:
-// exported methods on exported receivers (excluding *NoCtx views), and
-// package-level Connect* constructors.
+// exported methods on exported receivers, and package-level Dial*
+// constructors.
 func subject(fn *ast.FuncDecl) (label string, check bool) {
 	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		if strings.HasPrefix(fn.Name.Name, "Connect") || fn.Name.Name == "Dial" {
-			return fn.Name.Name, true
-		}
-		return fn.Name.Name, false
+		return fn.Name.Name, strings.HasPrefix(fn.Name.Name, "Dial")
 	}
 	recv := receiverType(fn.Recv.List[0].Type)
-	if recv == "" || !ast.IsExported(recv) || strings.HasSuffix(recv, "NoCtx") {
+	if recv == "" || !ast.IsExported(recv) {
 		return "", false
 	}
 	return recv + "." + fn.Name.Name, true
@@ -159,74 +146,4 @@ func firstParamIsCtx(ft *ast.FuncType) bool {
 
 func deprecated(fn *ast.FuncDecl) bool {
 	return fn.Doc != nil && strings.Contains(fn.Doc.Text(), "Deprecated:")
-}
-
-// deprecatedConnectors names the single-address client constructors
-// kept only as compatibility shims; new code dials the controller
-// group with Dial + WithControllers.
-var deprecatedConnectors = map[string]bool{
-	"Connect":           true,
-	"ConnectMulti":      true,
-	"ConnectNoCtx":      true,
-	"ConnectMultiNoCtx": true,
-}
-
-// DeprecatedConnectCalls scans the non-test Go files of one directory
-// for call sites of the deprecated client constructors
-// (client.Connect, jiffy.ConnectMulti, ...). Calls inside functions
-// that are themselves marked Deprecated are exempt — the shims forward
-// to each other; everything else must migrate to Dial.
-func DeprecatedConnectCalls(dir string) ([]Violation, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	var violations []Violation
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || deprecated(fn) {
-				continue
-			}
-			ast.Inspect(fn, func(node ast.Node) bool {
-				call, ok := node.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || !deprecatedConnectors[sel.Sel.Name] {
-					return true
-				}
-				pkg, ok := sel.X.(*ast.Ident)
-				// Only package-qualified calls: x.Connect on a receiver
-				// variable (e.g. cluster.Connect) is a different method.
-				if !ok || (pkg.Name != "client" && pkg.Name != "jiffy") {
-					return true
-				}
-				violations = append(violations, Violation{
-					Pos:  fset.Position(call.Pos()),
-					Name: pkg.Name + "." + sel.Sel.Name,
-					Msg:  "is deprecated; dial the controller group with Dial + WithControllers",
-				})
-				return true
-			})
-		}
-	}
-	sort.Slice(violations, func(i, j int) bool {
-		a, b := violations[i].Pos, violations[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
-	return violations, nil
 }

@@ -21,86 +21,10 @@ func TestRepoIsCtxFirst(t *testing.T) {
 	}
 }
 
-// TestRepoAvoidsDeprecatedConnect runs the deprecated-constructor
-// check against every package that dials clients: new code must use
-// Dial + WithControllers, not the single-address shims.
-func TestRepoAvoidsDeprecatedConnect(t *testing.T) {
-	dirs := []string{"../client", "../..", "../soak", "../bench"}
-	for _, pat := range []string{"../../cmd/*", "../../examples/*"} {
-		matches, err := filepath.Glob(pat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dirs = append(dirs, matches...)
-	}
-	for _, dir := range dirs {
-		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
-			continue
-		}
-		violations, err := DeprecatedConnectCalls(dir)
-		if err != nil {
-			t.Fatalf("%s: %v", dir, err)
-		}
-		for _, v := range violations {
-			t.Errorf("%s", v)
-		}
-	}
-}
-
-// TestDeprecatedConnectCallsCatches feeds the checker synthetic
-// source: package-qualified calls to the shims are flagged, calls
-// inside Deprecated functions and method calls on variables are not.
-func TestDeprecatedConnectCallsCatches(t *testing.T) {
-	dir := t.TempDir()
-	src := `package fake
-
-import (
-	"context"
-
-	"jiffy/internal/client"
-)
-
-func bad(ctx context.Context) {
-	client.Connect(ctx, "addr")                     // violation
-	client.ConnectMulti(ctx, []string{"a"})        // violation
-	c, _ := client.Dial(ctx)                       // fine
-	_ = c
-}
-
-// Deprecated: shim.
-func shim(ctx context.Context) {
-	client.Connect(ctx, "addr") // exempt: inside a deprecated shim
-}
-
-type clusterT struct{}
-
-func (clusterT) Connect(ctx context.Context) error { return nil }
-
-func alsoFine(ctx context.Context, cluster clusterT) {
-	cluster.Connect(ctx) // method on a variable, not the package shim
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "fake.go"), []byte(src), 0644); err != nil {
-		t.Fatal(err)
-	}
-	violations, err := DeprecatedConnectCalls(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, v := range violations {
-		got = append(got, v.Name)
-	}
-	want := []string{"client.Connect", "client.ConnectMulti"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Errorf("violations = %v, want %v", got, want)
-	}
-}
-
 // TestCtxFirstCatchesViolations feeds the checker synthetic source
-// covering each rule: missing ctx flagged; allowlisted, deprecated,
-// NoCtx-view, and unexported declarations skipped; Connect* functions
-// checked even without a receiver.
+// covering each rule: missing ctx flagged; allowlisted, deprecated and
+// unexported declarations skipped; Dial* functions checked even without
+// a receiver.
 func TestCtxFirstCatchesViolations(t *testing.T) {
 	dir := t.TempDir()
 	src := `package fake
@@ -117,16 +41,12 @@ func (c *Client) helper(key string) error { return nil }
 // Deprecated: use Fetch with a context.
 func (c *Client) FetchOld(key string) error { return nil }
 
-type ClientNoCtx struct{}
-
-func (v ClientNoCtx) Fetch(key string) error { return nil }
-
 type internalThing struct{}
 
 func (i internalThing) Do(key string) error { return nil }
 
-func Connect(addr string) (*Client, error) { return nil, nil } // violation
-func ConnectMulti(ctx context.Context, addrs []string) (*Client, error) { return nil, nil }
+func Dial(addr string) (*Client, error) { return nil, nil } // violation
+func DialGroup(ctx context.Context, addrs []string) (*Client, error) { return nil, nil }
 func Helper(x int) int { return x }
 `
 	if err := os.WriteFile(filepath.Join(dir, "fake.go"), []byte(src), 0644); err != nil {
@@ -140,7 +60,7 @@ func Helper(x int) int { return x }
 	for _, v := range violations {
 		got = append(got, v.Name)
 	}
-	want := []string{"Client.Fetch", "Connect"}
+	want := []string{"Client.Fetch", "Dial"}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("violations = %v, want %v", got, want)
 	}

@@ -29,7 +29,7 @@ type MethodStats struct {
 
 // RPCMetrics is one side's view of the RPC plane — role is "client"
 // for outbound calls and "server" for inbound dispatch. Retries and
-// Redirects are client-side only (retry loops and ErrRedirect
+// Redirects are client-side only (pipeline backoffs and ErrRedirect
 // follows); they stay zero on servers.
 type RPCMetrics struct {
 	Role      string

@@ -35,14 +35,9 @@ type Options struct {
 	// ControllerAddrs lists the controller group members. The server
 	// registers and heartbeats with whichever member currently leads,
 	// re-homing automatically on NotLeader redirects or connection
-	// failures. Empty (together with ControllerAddr) disables signaling
-	// (unit tests drive scaling manually).
+	// failures. Empty disables signaling (unit tests drive scaling
+	// manually).
 	ControllerAddrs []string
-	// ControllerAddr is the single-controller form of ControllerAddrs.
-	//
-	// Deprecated: set ControllerAddrs. Kept as a shim for existing
-	// callers; ignored when ControllerAddrs is non-empty.
-	ControllerAddr string
 	// NumBlocks is the capacity contribution announced at registration.
 	NumBlocks int
 	// Persist is the store used for block flush/load (defaults to an
@@ -129,17 +124,13 @@ func New(opts Options) (*Server, error) {
 	if opts.Clock == nil {
 		opts.Clock = clock.Real{}
 	}
-	ctrlAddrs := opts.ControllerAddrs
-	if len(ctrlAddrs) == 0 && opts.ControllerAddr != "" {
-		ctrlAddrs = []string{opts.ControllerAddr}
-	}
 	s := &Server{
 		cfg:       opts.Config,
 		log:       opts.Logger,
 		persist:   opts.Persist,
 		clk:       opts.Clock,
 		peers:     rpc.NewPool(rpc.WithTimeout(opts.Dial, opts.Config.RPCTimeout)),
-		ctrlAddrs: ctrlAddrs,
+		ctrlAddrs: opts.ControllerAddrs,
 		signals:   make(chan signal, 1024),
 		reports:   make(chan proto.ReportFailureReq, 64),
 		stop:      make(chan struct{}),
@@ -213,7 +204,7 @@ func New(opts Options) (*Server, error) {
 	go s.signalWorker()
 	s.wg.Add(1)
 	go s.reportWorker()
-	if opts.Config.HeartbeatInterval > 0 && len(ctrlAddrs) > 0 {
+	if opts.Config.HeartbeatInterval > 0 && len(s.ctrlAddrs) > 0 {
 		s.wg.Add(1)
 		go s.heartbeatWorker()
 	}

@@ -93,7 +93,7 @@ type (
 	// Option configures a connection (see WithRPCTimeout,
 	// WithRetryPolicy, WithTracing).
 	Option = client.Option
-	// RetryPolicy bounds the client's refresh-and-retry loops.
+	// RetryPolicy bounds the client op pipeline's recovery.
 	RetryPolicy = client.RetryPolicy
 
 	// SpanExporter receives completed RPC spans when tracing is on.
@@ -142,7 +142,8 @@ var (
 	// default; negative disables the session timeout — a context
 	// deadline still applies).
 	WithRPCTimeout = client.WithRPCTimeout
-	// WithRetryPolicy bounds the refresh-and-retry loops.
+	// WithRetryPolicy bounds the op pipeline's recovery (retries, backoff,
+	// throttle waits).
 	WithRetryPolicy = client.WithRetryPolicy
 	// WithTracing enables span collection on the connection, delivering
 	// completed spans to the exporter (see NewRingExporter).
@@ -173,35 +174,6 @@ func NewRingExporter(n int) *obs.RingExporter { return obs.NewRingExporter(n) }
 // outlives it.
 func Dial(ctx context.Context, opts ...Option) (*Client, error) {
 	return client.Dial(ctx, opts...)
-}
-
-// Connect dials a single running Jiffy controller.
-//
-// Deprecated: use Dial with WithControllers — a single-member group
-// behaves identically, and listing every member enables failover.
-func Connect(ctx context.Context, controllerAddr string, opts ...Option) (*Client, error) {
-	return client.Connect(ctx, controllerAddr, opts...)
-}
-
-// ConnectMulti dials a controller group given its endpoint list.
-//
-// Deprecated: use Dial with WithControllers.
-func ConnectMulti(ctx context.Context, controllerAddrs []string, opts ...Option) (*Client, error) {
-	return client.ConnectMulti(ctx, controllerAddrs, opts...)
-}
-
-// ConnectNoCtx dials a controller without a context.
-//
-// Deprecated: use Dial with a context and WithControllers.
-func ConnectNoCtx(controllerAddr string, opts ...Option) (*Client, error) {
-	return client.Connect(context.Background(), controllerAddr, opts...)
-}
-
-// ConnectMultiNoCtx dials a controller group without a context.
-//
-// Deprecated: use Dial with a context and WithControllers.
-func ConnectMultiNoCtx(controllerAddrs []string, opts ...Option) (*Client, error) {
-	return client.ConnectMulti(context.Background(), controllerAddrs, opts...)
 }
 
 // MustPath builds a Path from components, panicking on invalid input;

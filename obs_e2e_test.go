@@ -305,7 +305,7 @@ func TestAdminMetricsDuringChaos(t *testing.T) {
 
 	ctx := context.Background()
 	exp := obs.NewRingExporter(256)
-	c, err := client.ConnectMulti(ctx, cluster.ControllerAddrs,
+	c, err := client.Dial(ctx, client.WithControllers(cluster.ControllerAddrs...),
 		client.WithDial(inj.Dial), client.WithRPCTimeout(cfg.RPCTimeout),
 		client.WithRetryPolicy(client.RetryPolicy{Limit: 6}),
 		client.WithTracing(exp))
