@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -21,19 +20,13 @@ import (
 	"jiffy/internal/client"
 	"jiffy/internal/core"
 	"jiffy/internal/faultinject"
+	"jiffy/internal/metrics"
 )
 
 // grayTailLatency is the injected one-way latency toward the slow
 // server: far above any healthy in-process RTT, far below the RPC
 // timeout, so ops succeed but slowly — the definition of gray.
 const grayTailLatency = 25 * time.Millisecond
-
-// durQuantile returns the q-quantile of ds (sorts a copy).
-func durQuantile(ds []time.Duration, q float64) time.Duration {
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[int(float64(len(s)-1)*q)]
-}
 
 // metricValue extracts the first sample of name from a Prometheus
 // dump, -1 when absent.
@@ -108,9 +101,7 @@ func TestChaosGrayFailureHedgedTailLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	hedged, err := cluster.Connect(ctx, client.WithHedgedReads(client.HedgePolicy{
-		Multiplier: 3, MinDelay: 500 * time.Microsecond, MinSamples: 8,
-	}))
+	hedged, err := cluster.Connect(ctx, client.WithHedgedReads())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +137,7 @@ func TestChaosGrayFailureHedgedTailLatency(t *testing.T) {
 			t.Fatalf("healthy hedged get: %v", err)
 		}
 	}
-	base := durQuantile(healthy, 0.99)
+	base := metrics.Quantile(healthy, 0.99)
 	if base < 2*time.Millisecond {
 		base = 2 * time.Millisecond // floor: sub-ms baselines make the ratio meaningless
 	}
@@ -179,13 +170,9 @@ func TestChaosGrayFailureHedgedTailLatency(t *testing.T) {
 		hedgedLat = append(hedgedLat, time.Since(start))
 	}
 
-	unhedgedP99 := durQuantile(unhedged, 0.99)
-	hedgedP99 := durQuantile(hedgedLat, 0.99)
-	{
-		s := append([]time.Duration(nil), hedgedLat...)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		t.Logf("hedged slowest: %v", s[len(s)-8:])
-	}
+	unhedgedP99 := metrics.Quantile(unhedged, 0.99)
+	hedgedP99 := metrics.Quantile(hedgedLat, 0.99) // sorts hedgedLat
+	t.Logf("hedged slowest: %v", hedgedLat[len(hedgedLat)-8:])
 	t.Logf("healthy p99 (floored) = %v, unhedged gray p99 = %v, hedged gray p99 = %v",
 		base, unhedgedP99, hedgedP99)
 	if unhedgedP99 <= 10*base {
@@ -331,7 +318,7 @@ func TestChaosGrayFailureBreaker(t *testing.T) {
 
 // TestChaosGrayFailureProbation exercises the server→controller leg: a
 // chain head whose forward round trips stall past SlowHopThreshold for
-// SlowHopStreak writes files a Degraded report; the controller's probe
+// core.DefaultSlowHopStreak writes files a Degraded report; the controller's probe
 // finds the successor alive and places it on probation — no death, no
 // chain splice, no membership change — steering new allocations to
 // healthy servers until recovery probes lift it.
@@ -345,7 +332,6 @@ func TestChaosGrayFailureProbation(t *testing.T) {
 	cfg.ChainLength = 2
 	cfg.RPCTimeout = 2 * time.Second
 	cfg.SlowHopThreshold = 5 * time.Millisecond
-	cfg.SlowHopStreak = 3
 	cluster, tail := grayCluster(t, inj, cfg)
 	ctx := context.Background()
 
@@ -363,7 +349,7 @@ func TestChaosGrayFailureProbation(t *testing.T) {
 	inj.AddRule(faultinject.Rule{Name: "slow-tail", Match: "send:" + tail, Latency: grayTailLatency})
 
 	// Each write's chain forward stalls on the slow successor; after
-	// SlowHopStreak of them the head reports Degraded, asynchronously.
+	// core.DefaultSlowHopStreak of them the head reports Degraded, asynchronously.
 	for i := 0; i < 6; i++ {
 		if err := kv.Put(ctx, fmt.Sprintf("p%02d", i), []byte("v")); err != nil {
 			t.Fatalf("gray put %d: %v", i, err)

@@ -1,11 +1,13 @@
 package jiffy_test
 
-// Hot-path single-op vs batched micro-benchmarks. The bodies live in
-// internal/bench/hotpath so cmd/jiffy-regress can run the identical
-// code and emit BENCH_hotpath.json; these wrappers expose them to the
-// standard `go test -bench` flow:
+// Hot-path single-op vs batched micro-benchmarks and the large-transfer
+// ones. The bodies live in internal/bench/hotpath so jiffy-regress
+// -overhead can A/B the identical batched code with telemetry on and
+// off; these wrappers expose them to the standard `go test -bench`
+// flow:
 //
 //	go test -bench 'KVPut|KVGet|FileAppend|QueueEnqueue' -benchmem
+//	go test -bench Large -benchmem
 
 import (
 	"testing"
@@ -32,3 +34,9 @@ func BenchmarkFileAppendSingle(b *testing.B)   { hotpathBench(b, "FileAppendSing
 func BenchmarkFileAppendBatch(b *testing.B)    { hotpathBench(b, "FileAppendBatch") }
 func BenchmarkQueueEnqueueSingle(b *testing.B) { hotpathBench(b, "QueueEnqueueSingle") }
 func BenchmarkQueueEnqueueBatch(b *testing.B)  { hotpathBench(b, "QueueEnqueueBatch") }
+
+func BenchmarkLargeFileRead64K(b *testing.B)  { hotpathBench(b, "FileRead64K") }
+func BenchmarkLargeFileRead1M(b *testing.B)   { hotpathBench(b, "FileRead1M") }
+func BenchmarkLargeFileWrite64K(b *testing.B) { hotpathBench(b, "FileWrite64K") }
+func BenchmarkLargeFileWrite1M(b *testing.B)  { hotpathBench(b, "FileWrite1M") }
+func BenchmarkLargeKVGet64K(b *testing.B)     { hotpathBench(b, "KVGet64K") }

@@ -1,20 +1,18 @@
-// Package hotpath holds the data-path micro-benchmarks behind
-// BENCH_hotpath.json: single-op vs batched KV puts/gets, file record
-// appends and queue enqueues over the mem:// transport. The bodies
-// live here (not in a _test.go file) so both the repo-root benchmark
-// wrappers and the cmd/jiffy-regress runner can execute them.
+// Package hotpath holds the data-path micro-benchmarks: single-op vs
+// batched KV puts/gets, file record appends and queue enqueues, and
+// large file/KV transfers, over the mem:// transport. The bodies live
+// here (not in a _test.go file) so both the repo-root `go test -bench`
+// wrappers and the telemetry-overhead gate (MeasureOverhead, run by
+// cmd/jiffy-regress -overhead) execute the same code.
 package hotpath
 
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"jiffy"
-	"jiffy/internal/bench/regress"
 	"jiffy/internal/core"
 )
 
@@ -25,16 +23,27 @@ const BatchSize = 64
 // per-request overhead dominates (§6.2).
 const valSize = 128
 
-// Benches returns the hot-path benchmark set. quick shrinks the
-// cluster and working set for CI smoke runs; the measured ratios are
-// the same, each benchmark just spends less time in setup.
-func Benches(quick bool) []regress.Bench {
-	p := params{servers: 2, blocksPerServer: 128, keys: 4096}
+// Bench is one runnable benchmark.
+type Bench struct {
+	Name string
+	F    func(b *testing.B)
+}
+
+// smallParams sizes the cluster and working set of the small-op
+// benchmarks; quick shrinks both for CI smoke runs — the measured
+// ratios are the same, each benchmark just spends less time in setup.
+func smallParams(quick bool) params {
 	if quick {
-		p = params{servers: 1, blocksPerServer: 64, keys: 512}
+		return params{servers: 1, blocksPerServer: 64, keys: 512}
 	}
+	return params{servers: 2, blocksPerServer: 128, keys: 4096}
+}
+
+// Benches returns the hot-path benchmark set.
+func Benches(quick bool) []Bench {
+	p := smallParams(quick)
 	lp := largeParams(quick)
-	return []regress.Bench{
+	return []Bench{
 		{Name: "KVPutSingle", F: p.kvPutSingle},
 		{Name: "KVPutBatch", F: p.kvPutBatch},
 		{Name: "KVGetSingle", F: p.kvGetSingle},
@@ -51,35 +60,11 @@ func Benches(quick bool) []regress.Bench {
 	}
 }
 
-// ParallelBenches returns contended variants of the single-op
-// benchmarks: workers goroutines issue ops concurrently over one
-// shared client session, measuring the hot path under session
-// contention rather than in isolation. shards > 1 additionally dials
-// the session with WithSessionShards, so the two knobs together show
-// how much of the contention cost sharding recovers. The names match
-// the sequential singles on purpose — Report.Parallel records the
-// mode, and the runner refuses to compare reports across modes.
-func ParallelBenches(quick bool, workers, shards int) []regress.Bench {
-	p := params{servers: 2, blocksPerServer: 128, keys: 4096, shards: shards}
-	if quick {
-		p = params{servers: 1, blocksPerServer: 64, keys: 512, shards: shards}
-	}
-	return []regress.Bench{
-		{Name: "KVPutSingle", F: p.kvPutContended(workers)},
-		{Name: "KVGetSingle", F: p.kvGetContended(workers)},
-		{Name: "FileAppendSingle", F: p.fileAppendContended(workers)},
-		{Name: "QueueEnqueueSingle", F: p.queueEnqueueContended(workers)},
-	}
-}
-
 type params struct {
 	servers         int
 	blocksPerServer int
 	keys            int
 	blockSize       int // 0 means core.MB
-	// shards > 1 dials the benchmark client with WithSessionShards so
-	// contended runs can measure the sharded-session data path.
-	shards int
 }
 
 func (p params) client(b *testing.B) *jiffy.Client {
@@ -97,11 +82,7 @@ func (p params) client(b *testing.B) *jiffy.Client {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { cluster.Close() })
-	var opts []jiffy.Option
-	if p.shards > 1 {
-		opts = append(opts, jiffy.WithSessionShards(p.shards))
-	}
-	c, err := cluster.Connect(context.Background(), opts...)
+	c, err := cluster.Connect(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -325,104 +306,6 @@ func (p params) queueEnqueueSingle(b *testing.B) {
 		if err := s.queue.Enqueue(context.Background(), item); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// contend splits b.N iterations across workers goroutines, failing the
-// benchmark on the first error. Workers stride the index space so key
-// selection stays uniform regardless of scheduling.
-func contend(b *testing.B, workers int, fn func(i int) error) {
-	var wg sync.WaitGroup
-	var failed atomic.Bool
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < b.N; i += workers {
-				if failed.Load() {
-					return
-				}
-				if err := fn(i); err != nil {
-					failed.Store(true)
-					b.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-func (p params) kvPutContended(workers int) func(*testing.B) {
-	return func(b *testing.B) {
-		kv := p.kv(b)
-		keys := keyPool(p.keys)
-		val := make([]byte, valSize)
-		b.ReportAllocs()
-		b.ResetTimer()
-		contend(b, workers, func(i int) error {
-			return kv.Put(context.Background(), keys[i%len(keys)], val)
-		})
-	}
-}
-
-func (p params) kvGetContended(workers int) func(*testing.B) {
-	return func(b *testing.B) {
-		kv, keys := p.kvPreloaded(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		contend(b, workers, func(i int) error {
-			_, err := kv.Get(context.Background(), keys[i%len(keys)])
-			return err
-		})
-	}
-}
-
-// contendedAppend drives an append-style op from workers goroutines
-// with budget-based prefix rollover. Appends hold a read lock so the
-// roll (which removes the old prefix) never races an op in flight;
-// the timer keeps running across rolls — contended mode measures
-// sustained behavior, and the roll cost amortizes over 64K ops.
-func contendedAppend(b *testing.B, s *session, workers int, do func() error) {
-	var mu sync.RWMutex
-	var written atomic.Int64
-	b.ResetTimer()
-	contend(b, workers, func(i int) error {
-		if written.Add(valSize) > int64(s.budget) {
-			mu.Lock()
-			if written.Load() > int64(s.budget) {
-				s.roll()
-				written.Store(0)
-			}
-			mu.Unlock()
-		}
-		mu.RLock()
-		err := do()
-		mu.RUnlock()
-		return err
-	})
-}
-
-func (p params) fileAppendContended(workers int) func(*testing.B) {
-	return func(b *testing.B) {
-		s := p.session(b, jiffy.DSFile)
-		rec := make([]byte, valSize)
-		b.ReportAllocs()
-		contendedAppend(b, s, workers, func() error {
-			_, err := s.file.AppendRecord(context.Background(), rec)
-			return err
-		})
-	}
-}
-
-func (p params) queueEnqueueContended(workers int) func(*testing.B) {
-	return func(b *testing.B) {
-		s := p.session(b, jiffy.DSQueue)
-		item := make([]byte, valSize)
-		b.ReportAllocs()
-		contendedAppend(b, s, workers, func() error {
-			return s.queue.Enqueue(context.Background(), item)
-		})
 	}
 }
 

@@ -3,7 +3,6 @@ package hotpath
 import (
 	"testing"
 
-	"jiffy/internal/bench/regress"
 	"jiffy/internal/obs"
 )
 
@@ -37,11 +36,8 @@ func MeasureOverhead(quick bool, rounds int, log func(format string, args ...int
 		rounds = 1
 	}
 	defer obs.SetEnabled(true)
-	p := params{servers: 2, blocksPerServer: 128, keys: 4096}
-	if quick {
-		p = params{servers: 1, blocksPerServer: 64, keys: 512}
-	}
-	benches := []regress.Bench{
+	p := smallParams(quick)
+	benches := []Bench{
 		{Name: "KVPutBatch", F: p.kvPutBatch},
 		{Name: "KVGetBatch", F: p.kvGetBatch},
 	}
@@ -51,13 +47,13 @@ func MeasureOverhead(quick bool, rounds int, log func(format string, args ...int
 		for round := 0; round < rounds; round++ {
 			for _, enabled := range []bool{true, false} {
 				obs.SetEnabled(enabled)
-				res := regress.FromBenchmarkResult(bench.Name, testing.Benchmark(bench.F))
+				ops := opsPerSec(testing.Benchmark(bench.F))
 				if enabled {
-					if res.OpsPerSec > on {
-						on = res.OpsPerSec
+					if ops > on {
+						on = ops
 					}
-				} else if res.OpsPerSec > off {
-					off = res.OpsPerSec
+				} else if ops > off {
+					off = ops
 				}
 			}
 		}
@@ -70,4 +66,13 @@ func MeasureOverhead(quick bool, rounds int, log func(format string, args ...int
 		}
 	}
 	return out
+}
+
+// opsPerSec is a benchmark run's throughput, 0 for a run that measured
+// no time.
+func opsPerSec(r testing.BenchmarkResult) float64 {
+	if r.T <= 0 {
+		return 0
+	}
+	return float64(r.N) / r.T.Seconds()
 }

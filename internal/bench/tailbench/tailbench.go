@@ -14,13 +14,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"jiffy"
 	"jiffy/internal/client"
 	"jiffy/internal/core"
 	"jiffy/internal/faultinject"
+	"jiffy/internal/metrics"
 	"jiffy/internal/obs"
 )
 
@@ -105,9 +105,7 @@ func Measure(quick bool, logf func(format string, args ...interface{})) (Result,
 		return res, err
 	}
 	defer plain.Close()
-	hedged, err := cluster.Connect(ctx, client.WithHedgedReads(client.HedgePolicy{
-		Multiplier: 3, MinDelay: 500 * time.Microsecond, MinSamples: 8,
-	}))
+	hedged, err := cluster.Connect(ctx, client.WithHedgedReads())
 	if err != nil {
 		return res, err
 	}
@@ -155,7 +153,7 @@ func Measure(quick bool, logf func(format string, args ...interface{})) (Result,
 	if err != nil {
 		return res, err
 	}
-	res.HealthyP99 = p99(healthy)
+	res.HealthyP99 = metrics.Quantile(healthy, 0.99)
 	res.GateBaseline = max(res.HealthyP99, baselineFloor)
 	logf("tail: healthy p99 %v over %d reads (gate baseline %v)\n",
 		res.HealthyP99, p.Healthy, res.GateBaseline)
@@ -167,12 +165,12 @@ func Measure(quick bool, logf func(format string, args ...interface{})) (Result,
 	if err != nil {
 		return res, err
 	}
-	res.UnhedgedP99 = p99(unhedged)
+	res.UnhedgedP99 = metrics.Quantile(unhedged, 0.99)
 	hedgedLat, err := sample(ctx, kvHedged, key, p.Hedged)
 	if err != nil {
 		return res, err
 	}
-	res.HedgedP99 = p99(hedgedLat)
+	res.HedgedP99 = metrics.Quantile(hedgedLat, 0.99)
 	res.HedgedRatio = float64(res.HedgedP99) / float64(res.GateBaseline)
 
 	var buf bytes.Buffer
@@ -196,10 +194,4 @@ func sample(ctx context.Context, kv *client.KV, key func(int) string, n int) ([]
 		out = append(out, time.Since(start))
 	}
 	return out, nil
-}
-
-func p99(ds []time.Duration) time.Duration {
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[int(float64(len(s)-1)*0.99)]
 }

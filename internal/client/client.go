@@ -78,10 +78,8 @@ type config struct {
 	timeout     time.Duration
 	exporter    obs.SpanExporter
 	shards      int
-	busyPoll    bool
 	breaker     BreakerPolicy
 	breakerOn   bool
-	hedge       HedgePolicy
 	hedgeOn     bool
 }
 
@@ -103,11 +101,15 @@ func WithDial(dial func(addr string) (*rpc.Client, error)) Option {
 }
 
 // WithRPCTimeout bounds every control- and data-plane call so a dead
-// peer fails the call instead of hanging it. Zero means
+// peer fails the call instead of hanging it. Zero keeps
 // core.DefaultRPCTimeout; negative disables the bound. A context
 // deadline on an individual call always takes precedence.
 func WithRPCTimeout(d time.Duration) Option {
-	return func(c *config) { c.timeout = d }
+	return func(c *config) {
+		if d != 0 {
+			c.timeout = d
+		}
+	}
 }
 
 // WithRetryPolicy overrides the data-plane retry bounds. Zero fields
@@ -162,23 +164,15 @@ func WithBreaker(p BreakerPolicy) Option {
 	return func(c *config) { c.breaker, c.breakerOn = p, true }
 }
 
-// WithHedgedReads enables hedged reads (see HedgePolicy; zero fields
-// take defaults): idempotent chain reads that linger past the primary
-// server's observed p95 race a backup request against another chain
-// member, first response wins. Mutations are never hedged. Costs a few
-// allocations per hedged call; leave off for allocation-sensitive
-// workloads.
-func WithHedgedReads(p HedgePolicy) Option {
-	return func(c *config) { c.hedge, c.hedgeOn = p, true }
-}
-
-// WithBusyPoll puts data-plane sessions in busy-poll mode: callers
-// spin briefly before parking while waiting for a response, shaving
-// scheduler wakeup latency off small-op round trips at the price of
-// CPU burned spinning. Best for latency-critical workloads with cores
-// to spare; leave off when oversubscribed.
-func WithBusyPoll() Option {
-	return func(c *config) { c.busyPoll = true }
+// WithHedgedReads enables hedged reads: idempotent chain reads (KV
+// gets, file reads, queue peeks) that linger past three times the
+// primary server's observed p95 (the hedge constants in health.go) race
+// a backup request against another chain member; the first response
+// wins and the loser is canceled.
+// Mutations are never hedged. Costs a few allocations per hedged call;
+// leave off for allocation-sensitive workloads.
+func WithHedgedReads() Option {
+	return func(c *config) { c.hedgeOn = true }
 }
 
 // Client is one application's connection to a Jiffy cluster: a
@@ -193,7 +187,6 @@ type Client struct {
 	// Gray-failure defenses: always-on per-server health tracking, the
 	// opt-in circuit breaker gate, and opt-in read hedging.
 	health     *healthTracker
-	hedge      HedgePolicy
 	hedgeOn    bool
 	breakerOn  bool
 	rpcTimeout time.Duration
@@ -269,22 +262,18 @@ func Dial(ctx context.Context, opts ...Option) (*Client, error) {
 	c.hedgesCanceled = c.reg.Counter("jiffy_client_hedges_canceled_total",
 		"Hedged-read losers canceled after the other arm won")
 	c.health = newHealthTracker(cfg.breaker, cfg.breakerOn)
-	c.hedge = cfg.hedge.withDefaults()
 	c.hedgeOn = cfg.hedgeOn
 	c.breakerOn = cfg.breakerOn
 	c.rpcTimeout = cfg.timeout
 	c.reg.RegisterCollector(c.writeBreakerStates)
 
 	// Control and data planes get separate dial chains: session
-	// sharding and busy-poll are data-path latency tools, pointless for
-	// the occasional control call.
+	// sharding is a data-path tool, pointless for the occasional control
+	// call.
 	dataDial := cfg.dial
 	if dataDial == nil && cfg.shards > 1 {
 		n := cfg.shards
 		dataDial = func(addr string) (*rpc.Client, error) { return rpc.DialShards(addr, n) }
-	}
-	if cfg.busyPoll {
-		dataDial = rpc.WithBusyPoll(dataDial)
 	}
 	dataDial = rpc.WithTimeout(dataDial, cfg.timeout)
 	dataDial = rpc.WithInstrumentation(dataDial, c.rpcm, c.tracer)

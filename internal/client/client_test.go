@@ -11,6 +11,7 @@ import (
 	"jiffy"
 	"jiffy/internal/client"
 	"jiffy/internal/core"
+	"jiffy/internal/rpc"
 )
 
 func testCluster(t *testing.T) (*jiffy.Cluster, *client.Client) {
@@ -269,5 +270,39 @@ func TestListenerCoversScaledBlocks(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("notification from scaled block never arrived")
 		}
+	}
+}
+
+// TestRPCTimeoutZeroKeepsDefault pins WithRPCTimeout's documented
+// contract — zero keeps the timeout already in force, only a negative
+// value means unbounded — against a controller that accepts and never
+// answers: the call must fail with the session's own ErrTimeout well
+// before the test's safety cancel fires.
+func TestRPCTimeoutZeroKeepsDefault(t *testing.T) {
+	release := make(chan struct{})
+	srv := rpc.NewServer(func(context.Context, *rpc.ServerConn, uint16, []byte) (rpc.Response, error) {
+		<-release
+		return rpc.Response{}, nil
+	}, nil)
+	addr, err := srv.Listen("mem://client-test-blackhole")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer close(release)
+
+	// Cancelable but deadline-free, so the session timeout is what arms.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	defer time.AfterFunc(3*time.Second, cancel).Stop()
+
+	c, err := client.Dial(ctx, client.WithControllers(addr),
+		client.WithRPCTimeout(50*time.Millisecond), client.WithRPCTimeout(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.RegisterJob(ctx, "j"); !errors.Is(err, core.ErrTimeout) {
+		t.Fatalf("RegisterJob against a silent controller = %v, want ErrTimeout from the 50ms session timeout", err)
 	}
 }

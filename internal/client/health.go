@@ -61,36 +61,22 @@ func (p BreakerPolicy) withDefaults() BreakerPolicy {
 	return p
 }
 
-// HedgePolicy configures hedged reads installed with WithHedgedReads.
-// Idempotent chain reads (KV gets, file reads, queue peeks) launch a
-// backup request against another chain member when the primary has not
-// answered within the hedge delay; the first response wins and the
-// loser is canceled. Mutations are never hedged.
-type HedgePolicy struct {
-	// Multiplier scales the primary server's windowed p95 into the hedge
-	// delay (default 2): the backup fires only when the primary is
-	// already slower than Multiplier× its own tail.
-	Multiplier float64
-	// MinDelay floors the hedge delay (default 200µs), so a very fast
-	// server's noise cannot fire hedges on every call.
-	MinDelay time.Duration
-	// MinSamples is how many latency samples a server needs before its
-	// quantile is trusted for hedging (default 16).
-	MinSamples int
-}
-
-func (p HedgePolicy) withDefaults() HedgePolicy {
-	if p.Multiplier <= 0 {
-		p.Multiplier = 2
-	}
-	if p.MinDelay <= 0 {
-		p.MinDelay = 200 * time.Microsecond
-	}
-	if p.MinSamples <= 0 {
-		p.MinSamples = 16
-	}
-	return p
-}
+// Hedged-read constants (WithHedgedReads): the values with which the
+// tail gate (jiffy-regress -tail) and
+// TestChaosGrayFailureHedgedTailLatency hold the hedged p99 to 3× the
+// healthy baseline.
+const (
+	// hedgeMultiplier scales the primary server's windowed p95 into the
+	// hedge delay: the backup fires only when the primary is already
+	// slower than hedgeMultiplier× its own tail.
+	hedgeMultiplier = 3
+	// hedgeMinDelay floors the hedge delay, so a very fast server's
+	// noise cannot fire hedges on every call.
+	hedgeMinDelay = 500 * time.Microsecond
+	// hedgeMinSamples is how many latency samples a server needs before
+	// its quantile is trusted for hedging or an adaptive timeout.
+	hedgeMinSamples = 8
+)
 
 // serverHealth is one server's tracked state. All fields are atomics:
 // the record path takes no locks and allocates nothing.
@@ -307,20 +293,27 @@ func (t *healthTracker) ewmaOf(addr string) float64 {
 // hedgeDelay returns when a backup read against another chain member
 // should fire for a primary at addr, false while the primary lacks the
 // samples to trust its quantile.
-func (t *healthTracker) hedgeDelay(addr string, p HedgePolicy) (time.Duration, bool) {
-	sh := t.peek(addr)
-	if sh == nil || sh.count.Load() < uint64(p.MinSamples) {
+func (t *healthTracker) hedgeDelay(addr string) (time.Duration, bool) {
+	p95, ok := t.trustedP95(addr)
+	if !ok {
 		return 0, false
 	}
-	p95 := sh.p95.Load()
-	if p95 <= 0 {
-		return 0, false
-	}
-	d := time.Duration(float64(p95) * p.Multiplier)
-	if d < p.MinDelay {
-		d = p.MinDelay
+	d := hedgeMultiplier * p95
+	if d < hedgeMinDelay {
+		d = hedgeMinDelay
 	}
 	return d, true
+}
+
+// trustedP95 returns addr's windowed p95, false while the server lacks
+// the samples for it to mean anything.
+func (t *healthTracker) trustedP95(addr string) (time.Duration, bool) {
+	sh := t.peek(addr)
+	if sh == nil || sh.count.Load() < hedgeMinSamples {
+		return 0, false
+	}
+	p95 := time.Duration(sh.p95.Load())
+	return p95, p95 > 0
 }
 
 // adaptiveTimeout derives a per-server attempt bound from observed
@@ -329,16 +322,12 @@ func (t *healthTracker) hedgeDelay(addr string, p HedgePolicy) (time.Duration, b
 // fails the attempt long before the session-wide RPC timeout. Returns
 // false when the server lacks samples; cap bounds the result when
 // positive.
-func (t *healthTracker) adaptiveTimeout(addr string, minSamples int, cap time.Duration) (time.Duration, bool) {
-	sh := t.peek(addr)
-	if sh == nil || sh.count.Load() < uint64(minSamples) {
+func (t *healthTracker) adaptiveTimeout(addr string, cap time.Duration) (time.Duration, bool) {
+	p95, ok := t.trustedP95(addr)
+	if !ok {
 		return 0, false
 	}
-	p95 := sh.p95.Load()
-	if p95 <= 0 {
-		return 0, false
-	}
-	d := 16 * time.Duration(p95)
+	d := 16 * p95
 	if d < 2*time.Millisecond {
 		d = 2 * time.Millisecond
 	}

@@ -29,7 +29,7 @@ func (h *handle) doRead(ctx context.Context, info core.BlockInfo, chain core.Rep
 	if !h.c.hedgeOn {
 		return h.do(ctx, info, op, args)
 	}
-	delay, ok := h.c.health.hedgeDelay(info.Server, h.c.hedge)
+	delay, ok := h.c.health.hedgeDelay(info.Server)
 	if !ok {
 		return h.do(ctx, info, op, args)
 	}
@@ -89,7 +89,7 @@ func (h *handle) doHedged(ctx context.Context, primary, alt core.BlockInfo, dela
 	// unhedged path through the pipeline.
 	args := slices.Clone(callerArgs)
 	attemptCtx := func(server string) (context.Context, context.CancelFunc) {
-		if d, ok := h.c.health.adaptiveTimeout(server, h.c.hedge.MinSamples, h.c.rpcTimeout); ok {
+		if d, ok := h.c.health.adaptiveTimeout(server, h.c.rpcTimeout); ok {
 			return context.WithTimeout(ctx, d)
 		}
 		return context.WithCancel(ctx)

@@ -291,19 +291,15 @@ func (c *Controller) ProbationList() []string {
 
 // ProbeProbationNow runs one recovery scan over the probated servers:
 // each is probed with MethodServerStats and the round trip measured on
-// the controller's clock. ProbationRecoveryProbes consecutive probes
-// at or under SlowHopThreshold lift the probation (the server must
-// prove sustained recovery, not one lucky fast reply); a slow probe
+// the controller's clock. core.DefaultProbationRecoveryProbes
+// consecutive probes at or under SlowHopThreshold lift the probation
+// (the server must prove sustained recovery, not one lucky fast reply); a slow probe
 // resets the streak; an unreachable probe escalates to death — a
 // probated server that stops answering has crossed from gray to
 // fail-stop. Transitions are flushed to the standbys before
 // returning. Returns the servers whose probation was lifted.
 func (c *Controller) ProbeProbationNow() []string {
 	threshold := c.cfg.SlowHopThreshold
-	needed := c.cfg.ProbationRecoveryProbes
-	if needed <= 0 {
-		needed = core.DefaultProbationRecoveryProbes
-	}
 	var recovered []string
 	changed := false
 	for _, addr := range c.ProbationList() {
@@ -332,7 +328,7 @@ func (c *Controller) ProbeProbationNow() []string {
 		c.probationStreak[addr]++
 		streak := c.probationStreak[addr]
 		c.hbMu.Unlock()
-		if streak >= needed {
+		if streak >= core.DefaultProbationRecoveryProbes {
 			if c.setProbation(addr, false) {
 				c.log.Info("controller: gray-failure probation lifted",
 					"server", addr, "cleanProbes", streak)

@@ -52,7 +52,7 @@ func TestProbationLifecycle(t *testing.T) {
 		t.Fatalf("probation list after duplicate report = %v", got)
 	}
 
-	// Recovery takes ProbationRecoveryProbes consecutive clean probes:
+	// Recovery takes core.DefaultProbationRecoveryProbes consecutive clean probes:
 	// one is not enough.
 	if rec := ctrl.ProbeProbationNow(); len(rec) != 0 {
 		t.Fatalf("probation lifted after a single clean probe: %v", rec)

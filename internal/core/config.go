@@ -26,9 +26,11 @@ const (
 	// declared dead after five missed beats.
 	DefaultHeartbeatInterval = 1 * time.Second
 	DefaultSuspicionWindow   = 5 * time.Second
-	// DefaultQoSMaxWait is the admission-queue wait bound: long enough
-	// to ride out transient contention, short enough that throttled
-	// tenants learn about backpressure quickly.
+	// DefaultQoSMaxWait bounds (in wall time) how long an op may sit in
+	// a memory server's admission queue before it is throttled with
+	// ErrQuotaExceeded instead of served: long enough to ride out
+	// transient contention, short enough that throttled tenants learn
+	// about backpressure quickly.
 	DefaultQoSMaxWait = 2 * time.Millisecond
 	// Tiering defaults: scan once a second and refuse to re-demote a
 	// block within ten seconds of its promotion (anti-thrash
@@ -36,17 +38,22 @@ const (
 	// window is configured.
 	DefaultTierScanPeriod = 1 * time.Second
 	DefaultTierCooldown   = 10 * time.Second
-	// Gray-failure defaults: a replication forward that takes more than
-	// three consecutive stalls over the threshold is degraded evidence,
-	// and a probated server needs two clean probes to rejoin. Fail-slow
-	// detection itself stays off until SlowHopThreshold is set.
+	// Gray-failure constants: a chain successor whose replication
+	// forwards stall past SlowHopThreshold DefaultSlowHopStreak times in
+	// a row is reported as degraded, and a probated server must pass
+	// DefaultProbationRecoveryProbes consecutive healthy controller
+	// probes to rejoin. Fail-slow detection itself stays off until
+	// SlowHopThreshold is set.
 	DefaultSlowHopStreak           = 3
 	DefaultProbationRecoveryProbes = 2
 )
 
 // Config carries the tunables evaluated in the paper's sensitivity
 // analysis (§6.6) plus deployment knobs. The zero value is not usable;
-// call DefaultConfig and override fields.
+// call DefaultConfig and override fields. Every field has a row in
+// DESIGN.md's knob table saying who sets a second value and what it
+// moves (TestKnobTable enforces it); a value nobody varies is a
+// Default* constant above, not a field.
 type Config struct {
 	// BlockSize is the fixed size of every memory block in bytes
 	// (Fig. 14a sweeps 32MB–512MB; experiments in this repo scale it
@@ -90,10 +97,6 @@ type Config struct {
 	// disables capacity scheduling (token buckets still enforce
 	// per-tenant rates for tenants with registered quotas).
 	QoSConcurrency int
-	// QoSMaxWait bounds (in wall time) how long an op may sit in the
-	// admission queue before it is throttled with ErrQuotaExceeded
-	// instead of served. Zero means the DefaultQoSMaxWait.
-	QoSMaxWait time.Duration
 	// MemoryWatermarkBytes is the per-server resident-memory budget for
 	// block payloads. When resident bytes exceed it, the tiering worker
 	// demotes the coldest blocks to the persist tier until the server is
@@ -113,19 +116,11 @@ type Config struct {
 	TierScanPeriod time.Duration
 	// SlowHopThreshold is the replication-forward latency above which a
 	// chain successor counts as stalled (gray-failure evidence). A head
-	// or mid-chain member whose successor exceeds it SlowHopStreak times
-	// in a row files a Degraded failure report, and the controller uses
-	// the same bound when probing probated servers for recovery. Zero
-	// disables fail-slow detection.
+	// or mid-chain member whose successor exceeds it DefaultSlowHopStreak
+	// times in a row files a Degraded failure report, and the controller
+	// uses the same bound when probing probated servers for recovery.
+	// Zero disables fail-slow detection.
 	SlowHopThreshold time.Duration
-	// SlowHopStreak is how many consecutive stalled forwards it takes
-	// before a successor is reported as degraded. Zero means
-	// DefaultSlowHopStreak.
-	SlowHopStreak int
-	// ProbationRecoveryProbes is how many consecutive healthy controller
-	// probes a probated server must pass before it is restored to full
-	// membership. Zero means DefaultProbationRecoveryProbes.
-	ProbationRecoveryProbes int
 }
 
 // DefaultConfig returns the paper's defaults.
@@ -201,9 +196,6 @@ func (c Config) Validate() error {
 	if c.QoSConcurrency < 0 {
 		return fmt.Errorf("core: qos concurrency must be >= 0, got %d", c.QoSConcurrency)
 	}
-	if c.QoSMaxWait < 0 {
-		return fmt.Errorf("core: qos max wait must be >= 0, got %v", c.QoSMaxWait)
-	}
 	if c.MemoryWatermarkBytes < 0 {
 		return fmt.Errorf("core: memory watermark must be >= 0, got %d", c.MemoryWatermarkBytes)
 	}
@@ -218,12 +210,6 @@ func (c Config) Validate() error {
 	}
 	if c.SlowHopThreshold < 0 {
 		return fmt.Errorf("core: slow hop threshold must be >= 0, got %v", c.SlowHopThreshold)
-	}
-	if c.SlowHopStreak < 0 {
-		return fmt.Errorf("core: slow hop streak must be >= 0, got %d", c.SlowHopStreak)
-	}
-	if c.ProbationRecoveryProbes < 0 {
-		return fmt.Errorf("core: probation recovery probes must be >= 0, got %d", c.ProbationRecoveryProbes)
 	}
 	return nil
 }

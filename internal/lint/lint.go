@@ -5,6 +5,10 @@
 // must take a context.Context as its first parameter, unless it is a
 // known local/lifecycle method (allowlisted) or marked Deprecated. New
 // public surface that forgets the context fails CI rather than review.
+//
+// The knob-table check (TestKnobTable) holds every configuration value
+// to a row in DESIGN.md's knob table, and every row to a value that
+// exists.
 package lint
 
 import (
@@ -60,16 +64,14 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: %s must take context.Context as its first parameter", v.Pos, v.Name)
 }
 
-// CtxFirst scans the non-test Go files of one directory and reports
-// exported methods on exported receiver types — plus package-level
-// Dial* constructors — whose first parameter is not a context.Context.
-func CtxFirst(dir string, allow map[string]bool) ([]Violation, error) {
+// parseDir parses the non-test Go files of one directory.
+func parseDir(dir string) (*token.FileSet, []*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fset := token.NewFileSet()
-	var violations []Violation
+	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -77,8 +79,23 @@ func CtxFirst(dir string, allow map[string]bool) ([]Violation, error) {
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		files = append(files, f)
+	}
+	return fset, files, nil
+}
+
+// CtxFirst scans the non-test Go files of one directory and reports
+// exported methods on exported receiver types — plus package-level
+// Dial* constructors — whose first parameter is not a context.Context.
+func CtxFirst(dir string, allow map[string]bool) ([]Violation, error) {
+	fset, files, err := parseDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var violations []Violation
+	for _, f := range files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || !fn.Name.IsExported() || deprecated(fn) {

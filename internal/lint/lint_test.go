@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/ast"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,5 +64,78 @@ func Helper(x int) int { return x }
 	want := []string{"Client.Fetch", "Dial"}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("violations = %v, want %v", got, want)
+	}
+}
+
+// declaredKnobs lists what a deployment or caller can set: the fields
+// of core.Config ("Config.X"), the client's exported With* options
+// ("WithX") and the fields of the policy structs two of them carry
+// ("RetryPolicy.X", "BreakerPolicy.X").
+func declaredKnobs(t *testing.T) map[string]bool {
+	t.Helper()
+	knobs := make(map[string]bool)
+	structs := map[string]bool{"Config": true, "RetryPolicy": true, "BreakerPolicy": true}
+	for _, dir := range []string{"../core", "../client"} {
+		_, files, err := parseDir(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch d := n.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil && strings.HasPrefix(d.Name.Name, "With") && d.Name.IsExported() {
+						knobs[d.Name.Name] = true
+					}
+				case *ast.TypeSpec:
+					st, ok := d.Type.(*ast.StructType)
+					if !ok || !structs[d.Name.Name] {
+						break
+					}
+					for _, field := range st.Fields.List {
+						for _, name := range field.Names {
+							knobs[d.Name.Name+"."+name.Name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return knobs
+}
+
+// TestKnobTable holds the code and DESIGN.md's knob table to each
+// other: every settable value has a row stating its default, who sets a
+// second value and what moves when they do, and every row names a value
+// that exists. A new field, option or policy parameter without a stated
+// reason to exist fails here, as does a row left behind by a deletion.
+func TestKnobTable(t *testing.T) {
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, found := strings.Cut(string(design), "\n### Knob table\n")
+	if !found {
+		t.Fatal(`DESIGN.md has no "### Knob table" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	rows := make(map[string]bool)
+	for _, line := range strings.Split(section, "\n") {
+		if rest, ok := strings.CutPrefix(line, "| `"); ok {
+			name, _, _ := strings.Cut(rest, "`")
+			rows[name] = true
+		}
+	}
+	knobs := declaredKnobs(t)
+	for name := range knobs {
+		if !rows[name] {
+			t.Errorf("%s has no row in DESIGN.md's knob table: say who sets a second value and what it moves, or make it a constant", name)
+		}
+	}
+	for name := range rows {
+		if !knobs[name] {
+			t.Errorf("DESIGN.md's knob table has a row for %s, which no longer exists", name)
+		}
 	}
 }

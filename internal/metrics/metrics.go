@@ -9,11 +9,24 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 )
+
+// Quantile sorts samples in place and returns the sample at index
+// floor(q·(n-1)), 0 <= q <= 1: the one sorted-sample quantile the soak
+// report, the tail gate and the gray-failure chaos test grade latency
+// with. Returns 0 for no samples.
+func Quantile(samples []time.Duration, q float64) time.Duration {
+	if len(samples) == 0 {
+		return 0
+	}
+	slices.Sort(samples)
+	return samples[int(q*float64(len(samples)-1))]
+}
 
 // Histogram records duration samples and answers percentile queries.
 // Samples are kept exactly (the experiments here record at most a few

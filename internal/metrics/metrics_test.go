@@ -8,6 +8,25 @@ import (
 	"time"
 )
 
+// TestQuantile: floor-rank on a sorted copy of the input, which may
+// arrive in any order; no samples is zero.
+func TestQuantile(t *testing.T) {
+	if got := Quantile(nil, 0.99); got != 0 {
+		t.Errorf("Quantile(nil) = %v", got)
+	}
+	samples := make([]time.Duration, 100)
+	for i := range samples {
+		samples[i] = time.Duration(100-i) * time.Millisecond // 100ms … 1ms
+	}
+	for q, want := range map[float64]time.Duration{
+		0: time.Millisecond, 0.5: 50 * time.Millisecond, 0.99: 99 * time.Millisecond, 1: 100 * time.Millisecond,
+	} {
+		if got := Quantile(samples, q); got != want {
+			t.Errorf("Quantile(%v) = %v, want %v", q, got, want)
+		}
+	}
+}
+
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
 	if h.Count() != 0 || h.Mean() != 0 || h.Percentile(50) != 0 || h.Min() != 0 || h.Max() != 0 {

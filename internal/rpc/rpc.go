@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -135,9 +134,6 @@ type Client struct {
 	// caller that registers and then observes closed un-registers itself
 	// (or collects failAll's result), so no waiter is ever stranded.
 	closed atomic.Bool
-	// busyPoll makes callers spin briefly on response arrival before
-	// parking in select — see SetBusyPoll.
-	busyPoll atomic.Bool
 
 	// tick counts watchdog sweeps; waiters on the coarse-deadline fast
 	// path record the tick at which they expire instead of arming a
@@ -239,32 +235,6 @@ func NewClientConns(conns []*wire.Conn) *Client {
 		go c.readLoop(cn)
 	}
 	return c
-}
-
-// SetBusyPoll enables busy-poll mode: callers spin briefly (yielding
-// the processor between probes) on response arrival before parking in
-// a channel select. For latency-critical deployments this shaves the
-// park/unpark scheduling cost off single-op round trips at the price
-// of CPU burned while spinning; leave it off for throughput-oriented
-// or heavily oversubscribed workloads.
-func (c *Client) SetBusyPoll(on bool) {
-	c.busyPoll.Store(on)
-}
-
-// WithBusyPoll wraps a dial function so every client it produces has
-// busy-poll mode enabled.
-func WithBusyPoll(dial func(addr string) (*Client, error)) func(addr string) (*Client, error) {
-	if dial == nil {
-		dial = Dial
-	}
-	return func(addr string) (*Client, error) {
-		c, err := dial(addr)
-		if err != nil {
-			return nil, err
-		}
-		c.SetBusyPoll(true)
-		return c, nil
-	}
 }
 
 // SetTimeout installs the default per-call deadline; zero disables it.
@@ -543,11 +513,6 @@ func (c *Client) callInstrumented(ctx context.Context, method uint16, payload []
 	return out, pooled, err
 }
 
-// busyPollSpins bounds the pre-park spin in busy-poll mode. Each probe
-// yields the processor, so on a loaded machine the spin degrades into a
-// handful of scheduler passes rather than burned exclusive CPU.
-const busyPollSpins = 128
-
 // call is the uninstrumented request/response core. vec, when non-nil,
 // carries scatter-gather body segments written after payload. borrow
 // opts into pooled response memory (see CallBorrowedContext).
@@ -659,28 +624,12 @@ func (c *Client) call(ctx context.Context, method uint16, payload []byte, vec []
 	}
 
 	var r callResult
-	received := false
-	if c.busyPoll.Load() {
-		for i := 0; i < busyPollSpins; i++ {
-			select {
-			case r = <-w.ch:
-				received = true
-			default:
-				runtime.Gosched()
-			}
-			if received {
-				break
-			}
-		}
-	}
-	if !received && w.expiry != 0 {
+	if w.expiry != 0 {
 		// Bare receive: delivery comes from the read pump, failAll, or
 		// the watchdog (as a callResult carrying ErrTimeout) — all of
 		// which claim the pending entry first, so exactly one arrives.
 		r = <-w.ch
-		received = true
-	}
-	if !received {
+	} else {
 		select {
 		case r = <-w.ch:
 		case <-timerC:

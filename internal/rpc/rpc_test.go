@@ -446,23 +446,3 @@ func TestShardedSessionPush(t *testing.T) {
 		t.Fatal("push not delivered on sharded session")
 	}
 }
-
-// TestBusyPollEcho smoke-tests the busy-poll wait path end to end.
-func TestBusyPollEcho(t *testing.T) {
-	addr, _ := newTestServer(t)
-	dial := WithBusyPoll(nil)
-	c, err := dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for i := 0; i < 100; i++ {
-		resp, err := c.Call(methodEcho, []byte("spin"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(resp) != "spin" {
-			t.Fatalf("resp = %q", resp)
-		}
-	}
-}

@@ -139,7 +139,6 @@ func New(opts Options) (*Server, error) {
 	s.gate = qos.NewGate(qos.Options{
 		Clock:       opts.Clock,
 		Concurrency: opts.Config.QoSConcurrency,
-		MaxWait:     opts.Config.QoSMaxWait,
 	})
 	s.subs.init()
 	s.reg = obs.NewRegistry()
@@ -357,8 +356,8 @@ func (s *Server) reportFailedHop(hop core.BlockInfo) {
 
 // noteForwardLatency feeds one successful replication forward's round
 // trip into fail-slow detection: a successor that stalls past
-// SlowHopThreshold on SlowHopStreak consecutive forwards is reported to
-// the controller as Degraded evidence — reachable, applying, but
+// SlowHopThreshold on core.DefaultSlowHopStreak consecutive forwards is
+// reported to the controller as Degraded evidence — reachable, applying, but
 // persistently slow (a gray failure heartbeats will never catch,
 // because the server still beats on time). A single fast forward
 // clears the streak, so transient hiccups never escalate.
@@ -366,10 +365,6 @@ func (s *Server) noteForwardLatency(hop core.BlockInfo, d time.Duration) {
 	threshold := s.cfg.SlowHopThreshold
 	if threshold <= 0 || len(s.ctrlAddrs) == 0 {
 		return
-	}
-	streakLimit := s.cfg.SlowHopStreak
-	if streakLimit <= 0 {
-		streakLimit = core.DefaultSlowHopStreak
 	}
 	s.slowMu.Lock()
 	if d <= threshold {
@@ -383,7 +378,7 @@ func (s *Server) noteForwardLatency(hop core.BlockInfo, d time.Duration) {
 		s.slowStreaks = make(map[string]int)
 	}
 	s.slowStreaks[hop.Server]++
-	fire := s.slowStreaks[hop.Server] >= streakLimit
+	fire := s.slowStreaks[hop.Server] >= core.DefaultSlowHopStreak
 	if fire {
 		delete(s.slowStreaks, hop.Server) // re-arm: re-report only after a fresh streak
 	}

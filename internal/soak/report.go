@@ -3,10 +3,10 @@ package soak
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
+	"jiffy/internal/metrics"
 	"jiffy/internal/obs"
 )
 
@@ -95,14 +95,6 @@ func Jain(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sq)
 }
 
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
-}
-
 // report folds the per-tenant counters into per-tier aggregates and
 // grades them against the tier SLOs.
 func (e *engine) report(lost int) *Report {
@@ -144,9 +136,8 @@ func (e *engine) report(lost int) *Report {
 			tr.AchievedRatio = float64(tr.Achieved) / float64(tr.Entitled)
 		}
 		tr.Fairness = Jain(ratios)
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		tr.P50 = percentile(lats, 0.50)
-		tr.P99 = percentile(lats, 0.99)
+		tr.P50 = metrics.Quantile(lats, 0.50)
+		tr.P99 = metrics.Quantile(lats, 0.99)
 
 		slo := tier.SLO
 		if slo.MinThroughput > 0 && tr.AchievedRatio < slo.MinThroughput {

@@ -155,9 +155,6 @@ var (
 	// with the sequence space partitioned across them, for heavy
 	// concurrent single-op load against one server.
 	WithSessionShards = client.WithSessionShards
-	// WithBusyPoll makes callers spin briefly before parking while
-	// awaiting responses, trading CPU for small-op latency.
-	WithBusyPoll = client.WithBusyPoll
 )
 
 // DefaultRetryPolicy returns the default retry budget.
