@@ -189,35 +189,15 @@ func (a *Allocator) Stats() (total, free, servers int) {
 	return a.totalBlocks, a.freeBlocks, len(a.totalPerServer)
 }
 
-// ServerState is one server's allocator state for checkpointing.
+// ServerState is one server's allocator state, as Restore installs it.
 type ServerState struct {
 	Addr  string
 	Total int
 	Free  []core.BlockID
 }
 
-// Snapshot captures the allocator's full state (sorted by address for
-// determinism) plus the next block ID to assign.
-func (a *Allocator) Snapshot() ([]ServerState, core.BlockID) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	addrs := make([]string, 0, len(a.totalPerServer))
-	for addr := range a.totalPerServer {
-		addrs = append(addrs, addr)
-	}
-	sort.Strings(addrs)
-	out := make([]ServerState, 0, len(addrs))
-	for _, addr := range addrs {
-		out = append(out, ServerState{
-			Addr:  addr,
-			Total: a.totalPerServer[addr],
-			Free:  append([]core.BlockID(nil), a.free[addr]...),
-		})
-	}
-	return out, a.nextID
-}
-
-// Restore replaces the allocator's state from a checkpoint.
+// Restore replaces the allocator's state (promotion and checkpoint
+// restore rebuild it from the controller's metadata).
 func (a *Allocator) Restore(servers []ServerState, nextID core.BlockID) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -119,9 +120,8 @@ func controllerLoad(shards, clients int, duration time.Duration) (kops float64, 
 				default:
 				}
 				start := time.Now()
-				var resp proto.RenewLeaseResp
-				if err := cl.CallGob(proto.MethodRenewLease,
-					proto.RenewLeaseReq{Paths: []core.Path{path}}, &resp); err != nil {
+				if _, err := rpc.Invoke(context.Background(), cl, proto.RenewLease,
+					proto.RenewLeaseReq{Paths: []core.Path{path}}); err != nil {
 					return
 				}
 				hist.Record(time.Since(start))

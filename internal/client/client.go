@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"jiffy/internal/core"
@@ -179,10 +178,12 @@ func WithHedgedReads() Option {
 // replicated controller group for control operations and direct
 // sessions to the memory servers for data.
 type Client struct {
-	ctrlAddrs []string
-	ctrlPool  *rpc.Pool
-	pool      *rpc.Pool
-	policy    RetryPolicy
+	// ctrl follows the controller group's leader for every control call;
+	// ctrlPool holds its sessions.
+	ctrl     *rpc.Group
+	ctrlPool *rpc.Pool
+	pool     *rpc.Pool
+	policy   RetryPolicy
 
 	// Gray-failure defenses: always-on per-server health tracking, the
 	// opt-in circuit breaker gate, and opt-in read hedging.
@@ -190,11 +191,6 @@ type Client struct {
 	hedgeOn    bool
 	breakerOn  bool
 	rpcTimeout time.Duration
-
-	// leader is the index into ctrlAddrs of the member last observed to
-	// lead. Control calls start there; a NotLeader redirect or a dead
-	// connection moves it.
-	leader atomic.Int32
 
 	// Telemetry: per-method RPC metrics (role "client"), client-loop
 	// counters, and the optional tracer, all served via Obs().
@@ -205,7 +201,6 @@ type Client struct {
 	mapRefreshes   *obs.Counter
 	staleRegroups  *obs.Counter
 	throttleWaits  *obs.Counter
-	rehomes        *obs.Counter
 	hedgesFired    *obs.Counter
 	hedgesWon      *obs.Counter
 	hedgesCanceled *obs.Counter
@@ -235,11 +230,10 @@ func Dial(ctx context.Context, opts ...Option) (*Client, error) {
 	}
 
 	c := &Client{
-		ctrlAddrs: cfg.controllers,
-		policy:    cfg.policy,
-		routers:   make(map[string]*pushRouter),
-		reg:       obs.NewRegistry(),
-		rpcm:      obs.NewRPCMetrics("client"),
+		policy:  cfg.policy,
+		routers: make(map[string]*pushRouter),
+		reg:     obs.NewRegistry(),
+		rpcm:    obs.NewRPCMetrics("client"),
 	}
 	if cfg.exporter != nil {
 		c.tracer = obs.NewTracer(cfg.exporter, nil)
@@ -253,8 +247,11 @@ func Dial(ctx context.Context, opts ...Option) (*Client, error) {
 		"Batched calls regrouped after a stale partition map")
 	c.throttleWaits = c.reg.Counter("jiffy_client_throttle_waits_total",
 		"Retry-after waits honored following admission-control refusals")
-	c.rehomes = c.reg.Counter("jiffy_client_rehomes_total",
-		"Controller re-homes after NotLeader redirects or dead leaders")
+	c.reg.RegisterCollector(func(w io.Writer) {
+		const name = "jiffy_client_rehomes_total"
+		obs.WriteHeader(w, name, "Controller re-homes after NotLeader redirects or dead leaders", "counter")
+		obs.WriteSample(w, name, "", c.ctrl.Rehomes.Value())
+	})
 	c.hedgesFired = c.reg.Counter("jiffy_client_hedges_fired_total",
 		"Backup read requests launched past the primary's hedge deadline")
 	c.hedgesWon = c.reg.Counter("jiffy_client_hedges_won_total",
@@ -282,38 +279,26 @@ func Dial(ctx context.Context, opts ...Option) (*Client, error) {
 	c.pool = rpc.NewPool(dataDial)
 	c.ctrlPool = rpc.NewPool(ctrlDial)
 
-	// Leader discovery: the first reachable member names the leader.
-	// Every member knows it (standbys track the op-log's source), so one
-	// answer suffices; an unknown or empty answer leaves the reachable
-	// member as the starting point and the first control call re-homes.
-	var lastErr error
-	connected := false
-	for i, addr := range c.ctrlAddrs {
-		if err := ctx.Err(); err != nil {
-			c.ctrlPool.Close()
-			c.pool.Close()
-			return nil, fmt.Errorf("client: connect: %w", err)
-		}
-		conn, err := c.ctrlPool.Get(addr)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		connected = true
-		c.leader.Store(int32(i))
-		var role proto.CtrlRoleResp
-		if err := conn.CallGobCtx(ctx, proto.MethodCtrlRole, proto.CtrlRoleReq{}, &role); err == nil {
-			if j := c.ctrlIndexOf(role.Leader); j >= 0 {
-				c.leader.Store(int32(j))
-			}
-		}
-		break
-	}
-	if !connected {
+	// Control calls re-home within the retry budget, backing off between
+	// members so a failover in flight can finish.
+	c.ctrl = rpc.NewGroup(c.ctrlPool, cfg.controllers, c.policy.Limit+1,
+		func(ctx context.Context, attempt int) error {
+			return sleepCtx(ctx, backoffDelay(attempt, c.policy.MaxBackoff))
+		})
+
+	// Leader discovery: any reachable member names the leader (standbys
+	// track the op-log's source); an unknown or empty answer leaves the
+	// member that answered as the starting point and the first control
+	// call re-homes. A group that accepts connections but answers nothing
+	// in time still counts as reachable; the first control call then
+	// reports the timeout.
+	role, err := rpc.Invoke(ctx, c.ctrl, proto.CtrlRole, proto.CtrlRoleReq{})
+	if err != nil && !errors.Is(err, core.ErrTimeout) {
 		c.ctrlPool.Close()
 		c.pool.Close()
-		return nil, fmt.Errorf("client: connect: no controller reachable: %w", lastErr)
+		return nil, fmt.Errorf("client: connect: no controller reachable: %w", err)
 	}
+	c.ctrl.Lead(role.Leader)
 	return c, nil
 }
 
@@ -349,93 +334,6 @@ func (c *Client) writeBreakerStates(w io.Writer) {
 // and controller-reported probation. Sorted by server address.
 func (c *Client) ServerHealth() []ServerHealthInfo { return c.health.snapshot() }
 
-// ctrlIndexOf maps a controller address to its group index, -1 when
-// unknown.
-func (c *Client) ctrlIndexOf(addr string) int {
-	if addr == "" {
-		return -1
-	}
-	for i, a := range c.ctrlAddrs {
-		if a == addr {
-			return i
-		}
-	}
-	return -1
-}
-
-// callCtrl issues one control RPC against the current leader,
-// re-homing on NotLeader redirects and dead connections within the
-// retry budget. The stale leader's pooled session is dropped on every
-// re-home so it fails fast instead of lingering.
-func (c *Client) callCtrl(ctx context.Context, method uint16, req, resp any) error {
-	n := len(c.ctrlAddrs)
-	idx := int(c.leader.Load()) % n
-	var lastErr error
-	timeouts := 0
-	for attempt := 0; attempt <= c.policy.Limit; attempt++ {
-		addr := c.ctrlAddrs[idx]
-		conn, err := c.ctrlPool.Get(addr)
-		if err == nil {
-			err = conn.CallGobCtx(ctx, method, req, resp)
-		}
-		if err == nil {
-			c.leader.Store(int32(idx))
-			return nil
-		}
-		if cerr := ctxErr(err); cerr != nil {
-			return err
-		}
-		lastErr = err
-		followedHint := false
-		switch {
-		case errors.Is(err, core.ErrNotLeader):
-			if obs.On() {
-				c.rehomes.Inc()
-			}
-			c.ctrlPool.Drop(addr)
-			if hint, _ := core.LeaderHintOf(err); hint != addr {
-				if j := c.ctrlIndexOf(hint); j >= 0 {
-					idx = j
-					followedHint = true
-				}
-			}
-			if !followedHint {
-				idx = (idx + 1) % n
-			}
-		case isConnErr(err):
-			if obs.On() {
-				c.rehomes.Inc()
-			}
-			c.ctrlPool.Drop(addr)
-			// A timeout burns a full RPCTimeout per attempt (a refused
-			// or reset connection fails in microseconds), so re-homing
-			// on timeouts gets exactly one pass over the group: the
-			// member may be partitioned from us, but once every member
-			// has eaten a timeout the caller gets the answer within a
-			// bounded multiple of its configured deadline.
-			if errors.Is(err, core.ErrTimeout) {
-				timeouts++
-				if timeouts >= n {
-					return err
-				}
-			}
-			idx = (idx + 1) % n
-		default:
-			// An operation-level answer from the leader: surface it.
-			return err
-		}
-		// A fresh redirect hint is followed immediately; everything else
-		// (dead member, hint pointing back at a not-yet-promoted standby)
-		// backs off so an in-flight failover can finish.
-		if !followedHint {
-			if err := sleepCtx(ctx, backoffDelay(attempt, c.policy.MaxBackoff)); err != nil {
-				return fmt.Errorf("client: control call: %w", err)
-			}
-		}
-	}
-	return errRetriesExhausted("control call", lastErr)
-}
-
 // sleepCtx sleeps d or until ctx ends.
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
@@ -449,48 +347,26 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // ControllerRole reports the controller group's current leadership
-// (leader address, generation) as seen by the first reachable member.
+// (leader address, generation) as seen by the first reachable member,
+// and points the next control call at that leader.
 func (c *Client) ControllerRole(ctx context.Context) (proto.CtrlRoleResp, error) {
-	var lastErr error
-	idx := int(c.leader.Load()) % len(c.ctrlAddrs)
-	for i := 0; i < len(c.ctrlAddrs); i++ {
-		addr := c.ctrlAddrs[(idx+i)%len(c.ctrlAddrs)]
-		conn, err := c.ctrlPool.Get(addr)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		var resp proto.CtrlRoleResp
-		if err := conn.CallGobCtx(ctx, proto.MethodCtrlRole, proto.CtrlRoleReq{}, &resp); err != nil {
-			lastErr = err
-			c.ctrlPool.Drop(addr)
-			continue
-		}
-		return resp, nil
+	resp, err := rpc.Invoke(ctx, c.ctrl, proto.CtrlRole, proto.CtrlRoleReq{})
+	if err != nil {
+		return resp, fmt.Errorf("client: role: no controller reachable: %w", err)
 	}
-	return proto.CtrlRoleResp{}, fmt.Errorf("client: role: no controller reachable: %w", lastErr)
+	c.ctrl.Lead(resp.Leader)
+	return resp, nil
 }
 
 // PromoteController forces the member at addr to take leadership
 // (operator tooling; normal failover is automatic). Returns the new
 // generation.
 func (c *Client) PromoteController(ctx context.Context, addr string) (uint64, error) {
-	conn, err := c.ctrlPool.Get(addr)
+	resp, err := rpc.InvokeAt(ctx, c.ctrlPool, addr, proto.CtrlPromote, proto.CtrlPromoteReq{})
 	if err != nil {
 		return 0, fmt.Errorf("client: promote %s: %w", addr, err)
 	}
-	var resp proto.CtrlPromoteResp
-	if err := conn.CallGobCtx(ctx, proto.MethodCtrlPromote, proto.CtrlPromoteReq{}, &resp); err != nil {
-		c.ctrlPool.Drop(addr)
-		return 0, err
-	}
-	if j := c.ctrlIndexOf(addr); j >= 0 {
-		old := c.ctrlAddrs[int(c.leader.Load())%len(c.ctrlAddrs)]
-		if old != addr {
-			c.ctrlPool.Drop(old)
-		}
-		c.leader.Store(int32(j))
-	}
+	c.ctrl.Lead(addr)
 	return resp.Gen, nil
 }
 
@@ -516,47 +392,38 @@ func (c *Client) Close() error {
 
 // RegisterJob registers a job with the control plane.
 func (c *Client) RegisterJob(ctx context.Context, job core.JobID) error {
-	var resp proto.RegisterJobResp
-	return c.callCtrl(ctx, proto.MethodRegisterJob, proto.RegisterJobReq{Job: job}, &resp)
+	_, err := rpc.Invoke(ctx, c.ctrl, proto.RegisterJob, proto.RegisterJobReq{Job: job})
+	return err
 }
 
 // DeregisterJob releases all of a job's resources.
 func (c *Client) DeregisterJob(ctx context.Context, job core.JobID) error {
-	var resp proto.DeregisterJobResp
-	return c.callCtrl(ctx, proto.MethodDeregisterJob, proto.DeregisterJobReq{Job: job}, &resp)
+	_, err := rpc.Invoke(ctx, c.ctrl, proto.DeregisterJob, proto.DeregisterJobReq{Job: job})
+	return err
 }
 
 // CreatePrefix implements createAddrPrefix: adds an address prefix with
 // optional extra DAG parents and an attached data structure.
 func (c *Client) CreatePrefix(ctx context.Context, path core.Path, parents []core.Path, t core.DSType,
 	initialBlocks int, leaseDuration time.Duration) (ds.PartitionMap, time.Duration, error) {
-	var resp proto.CreatePrefixResp
-	err := c.callCtrl(ctx, proto.MethodCreatePrefix, proto.CreatePrefixReq{
-		Path:          path,
-		Parents:       parents,
-		Type:          t,
-		InitialBlocks: initialBlocks,
-		LeaseDuration: leaseDuration,
-	}, &resp)
-	return resp.Map, resp.LeaseDuration, err
+	return c.CreateBoundedPrefix(ctx, path, parents, t, initialBlocks, 0, leaseDuration)
 }
 
 // CreateBoundedPrefix is CreatePrefix with a size bound: the structure
-// never grows beyond maxBlocks blocks, and writers see ErrBlockFull
-// when it is full — the generalization of the paper's maxQueueLength
-// (§5.2). Consumers freeing space (dequeues, deletes) make writes
-// succeed again.
+// never grows beyond maxBlocks blocks (zero means unbounded), and
+// writers see ErrBlockFull when it is full — the generalization of the
+// paper's maxQueueLength (§5.2). Consumers freeing space (dequeues,
+// deletes) make writes succeed again.
 func (c *Client) CreateBoundedPrefix(ctx context.Context, path core.Path, parents []core.Path, t core.DSType,
 	initialBlocks, maxBlocks int, leaseDuration time.Duration) (ds.PartitionMap, time.Duration, error) {
-	var resp proto.CreatePrefixResp
-	err := c.callCtrl(ctx, proto.MethodCreatePrefix, proto.CreatePrefixReq{
+	resp, err := rpc.Invoke(ctx, c.ctrl, proto.CreatePrefix, proto.CreatePrefixReq{
 		Path:          path,
 		Parents:       parents,
 		Type:          t,
 		InitialBlocks: initialBlocks,
 		MaxBlocks:     maxBlocks,
 		LeaseDuration: leaseDuration,
-	}, &resp)
+	})
 	return resp.Map, resp.LeaseDuration, err
 }
 
@@ -564,49 +431,46 @@ func (c *Client) CreateBoundedPrefix(ctx context.Context, path core.Path, parent
 // hierarchy from an execution DAG.
 func (c *Client) CreateHierarchy(ctx context.Context, job core.JobID, nodes []proto.DagNode,
 	leaseDuration time.Duration) error {
-	var resp proto.CreateHierarchyResp
-	return c.callCtrl(ctx, proto.MethodCreateHierarchy, proto.CreateHierarchyReq{
+	_, err := rpc.Invoke(ctx, c.ctrl, proto.CreateHierarchy, proto.CreateHierarchyReq{
 		Job: job, Nodes: nodes, LeaseDuration: leaseDuration,
-	}, &resp)
+	})
+	return err
 }
 
 // RemovePrefix explicitly reclaims a prefix.
 func (c *Client) RemovePrefix(ctx context.Context, path core.Path) error {
-	var resp proto.RemovePrefixResp
-	return c.callCtrl(ctx, proto.MethodRemovePrefix, proto.RemovePrefixReq{Path: path}, &resp)
+	_, err := rpc.Invoke(ctx, c.ctrl, proto.RemovePrefix, proto.RemovePrefixReq{Path: path})
+	return err
 }
 
 // RenewLease implements renewLease for one or more prefixes.
 func (c *Client) RenewLease(ctx context.Context, paths ...core.Path) (int, error) {
-	var resp proto.RenewLeaseResp
-	err := c.callCtrl(ctx, proto.MethodRenewLease, proto.RenewLeaseReq{Paths: paths}, &resp)
+	resp, err := rpc.Invoke(ctx, c.ctrl, proto.RenewLease, proto.RenewLeaseReq{Paths: paths})
 	return resp.Renewed, err
 }
 
 // LeaseDuration implements getLeaseDuration.
 func (c *Client) LeaseDuration(ctx context.Context, path core.Path) (time.Duration, error) {
-	var resp proto.LeaseInfoResp
-	err := c.callCtrl(ctx, proto.MethodLeaseInfo, proto.LeaseInfoReq{Path: path}, &resp)
+	resp, err := rpc.Invoke(ctx, c.ctrl, proto.LeaseInfo, proto.LeaseInfoReq{Path: path})
 	return resp.Duration, err
 }
 
 // FlushPrefix implements flushAddrPrefix: checkpoint the prefix to the
 // external store.
 func (c *Client) FlushPrefix(ctx context.Context, path core.Path, externalPath string) (int, error) {
-	var resp proto.FlushPrefixResp
-	err := c.callCtrl(ctx, proto.MethodFlushPrefix, proto.FlushPrefixReq{
+	resp, err := rpc.Invoke(ctx, c.ctrl, proto.FlushPrefix, proto.FlushPrefixReq{
 		Path: path, ExternalPath: externalPath,
-	}, &resp)
+	})
 	return resp.Blocks, err
 }
 
 // LoadPrefix implements loadAddrPrefix: restore the prefix from the
 // external store.
 func (c *Client) LoadPrefix(ctx context.Context, path core.Path, externalPath string) error {
-	var resp proto.LoadPrefixResp
-	return c.callCtrl(ctx, proto.MethodLoadPrefix, proto.LoadPrefixReq{
+	_, err := rpc.Invoke(ctx, c.ctrl, proto.LoadPrefix, proto.LoadPrefixReq{
 		Path: path, ExternalPath: externalPath,
-	}, &resp)
+	})
+	return err
 }
 
 // SaveControllerState checkpoints the leader's metadata to its
@@ -615,15 +479,13 @@ func (c *Client) LoadPrefix(ctx context.Context, path core.Path, externalPath st
 // Standbys carry the same metadata via replication, so one checkpoint
 // covers the group.
 func (c *Client) SaveControllerState(ctx context.Context, key string) error {
-	var resp proto.SaveStateResp
-	return c.callCtrl(ctx, proto.MethodSaveState, proto.SaveStateReq{Key: key}, &resp)
+	_, err := rpc.Invoke(ctx, c.ctrl, proto.SaveState, proto.SaveStateReq{Key: key})
+	return err
 }
 
 // ControllerStats fetches controller statistics from the leader.
 func (c *Client) ControllerStats(ctx context.Context) (proto.ControllerStatsResp, error) {
-	var resp proto.ControllerStatsResp
-	err := c.callCtrl(ctx, proto.MethodControllerStats, proto.ControllerStatsReq{}, &resp)
-	return resp, err
+	return rpc.Invoke(ctx, c.ctrl, proto.ControllerStats, proto.ControllerStatsReq{})
 }
 
 // DrainServer migrates every block off a memory server (graceful
@@ -631,8 +493,7 @@ func (c *Client) ControllerStats(ctx context.Context) (proto.ControllerStatsResp
 // nothing new lands on it mid-drain; once the call returns it hosts no
 // data and can be shut down.
 func (c *Client) DrainServer(ctx context.Context, addr string) (int, error) {
-	var resp proto.DrainServerResp
-	err := c.callCtrl(ctx, proto.MethodDrainServer, proto.DrainServerReq{Addr: addr}, &resp)
+	resp, err := rpc.Invoke(ctx, c.ctrl, proto.DrainServer, proto.DrainServerReq{Addr: addr})
 	return resp.Migrated, err
 }
 
@@ -642,16 +503,13 @@ func (c *Client) DrainServer(ctx context.Context, addr string) (int, error) {
 // every memory server's admission gate, refusing over-quota traffic
 // with ErrQuotaExceeded. A zero quota clears the registration.
 func (c *Client) SetQuota(ctx context.Context, path core.Path, quota core.Quota) error {
-	var resp proto.SetQuotaResp
-	return c.callCtrl(ctx, proto.MethodSetQuota, proto.SetQuotaReq{
-		Path: path, Quota: quota,
-	}, &resp)
+	_, err := rpc.Invoke(ctx, c.ctrl, proto.SetQuota, proto.SetQuotaReq{Path: path, Quota: quota})
+	return err
 }
 
 // ListPrefixes lists a job's address hierarchy.
 func (c *Client) ListPrefixes(ctx context.Context, job core.JobID) ([]proto.PrefixInfo, error) {
-	var resp proto.ListPrefixesResp
-	err := c.callCtrl(ctx, proto.MethodListPrefixes, proto.ListPrefixesReq{Job: job}, &resp)
+	resp, err := rpc.Invoke(ctx, c.ctrl, proto.ListPrefixes, proto.ListPrefixesReq{Job: job})
 	return resp.Prefixes, err
 }
 
@@ -660,8 +518,7 @@ func (c *Client) ListPrefixes(ctx context.Context, job core.JobID) ([]proto.Pref
 // hedge-target ranking aligned with the control plane's gray-failure
 // judgment without extra round trips.
 func (c *Client) open(ctx context.Context, path core.Path) (ds.PartitionMap, time.Duration, error) {
-	var resp proto.OpenResp
-	err := c.callCtrl(ctx, proto.MethodOpen, proto.OpenReq{Path: path}, &resp)
+	resp, err := rpc.Invoke(ctx, c.ctrl, proto.Open, proto.OpenReq{Path: path})
 	if err == nil {
 		c.health.setProbation(resp.Probation)
 	}
@@ -673,8 +530,7 @@ func (c *Client) open(ctx context.Context, path core.Path) (ds.PartitionMap, tim
 // signal has landed, the client asks the controller to scale directly
 // and receives the refreshed map in the response.
 func (c *Client) requestScale(ctx context.Context, path core.Path, block core.BlockID) (ds.PartitionMap, error) {
-	var resp proto.ScaleUpResp
-	err := c.callCtrl(ctx, proto.MethodScaleUp, proto.ScaleUpReq{Path: path, Block: block}, &resp)
+	resp, err := rpc.Invoke(ctx, c.ctrl, proto.ScaleUp, proto.ScaleUpReq{Path: path, Block: block})
 	return resp.Map, err
 }
 

@@ -97,25 +97,6 @@ func TestIsConnErr(t *testing.T) {
 	}
 }
 
-// TestCtrlIndexOf pins the leader-hint resolution: a redirect hint
-// re-homes only onto a configured group member; unknown or empty
-// addresses (a solo controller reports no leader address) resolve to
-// -1 so callCtrl falls back to round-robin probing.
-func TestCtrlIndexOf(t *testing.T) {
-	c := &Client{ctrlAddrs: []string{"ctrl-0", "ctrl-1", "ctrl-2"}}
-	for i, addr := range c.ctrlAddrs {
-		if got := c.ctrlIndexOf(addr); got != i {
-			t.Errorf("ctrlIndexOf(%q) = %d, want %d", addr, got, i)
-		}
-	}
-	if got := c.ctrlIndexOf(""); got != -1 {
-		t.Errorf("ctrlIndexOf(\"\") = %d, want -1", got)
-	}
-	if got := c.ctrlIndexOf("ctrl-9"); got != -1 {
-		t.Errorf("ctrlIndexOf(unknown) = %d, want -1", got)
-	}
-}
-
 // TestLeaderHintRoundTrip verifies the NotLeader redirect survives the
 // wire format: the typed error's message re-parses into the same
 // leader hint on the client side (core.ErrOf reconstructs it from the

@@ -145,9 +145,8 @@ func (l *Listener) subscribeNew(ctx context.Context, m ds.PartitionMap) error {
 		if err != nil {
 			return err
 		}
-		var resp proto.SubscribeResp
-		if err := conn.CallGobCtx(ctx, proto.MethodSubscribe,
-			proto.SubscribeReq{Blocks: blocks, Ops: l.ops}, &resp); err != nil {
+		resp, err := rpc.Invoke(ctx, conn, proto.Subscribe, proto.SubscribeReq{Blocks: blocks, Ops: l.ops})
+		if err != nil {
 			return err
 		}
 		router := l.c.router(addr)
@@ -231,8 +230,9 @@ func (l *Listener) Close() {
 			router.mu.Unlock()
 		}
 		if conn, err := l.c.pool.Get(s.addr); err == nil {
-			var resp proto.UnsubscribeResp
-			conn.CallGob(proto.MethodUnsubscribe, proto.UnsubscribeReq{SubID: s.subID}, &resp)
+			// Best effort: the server also drops the subscription when the
+			// connection goes away.
+			_, _ = rpc.Invoke(context.Background(), conn, proto.Unsubscribe, proto.UnsubscribeReq{SubID: s.subID})
 		}
 	}
 }

@@ -86,7 +86,7 @@ func newFake(t *testing.T, dsType core.DSType, live ...string) *fake {
 		}
 		t.Cleanup(func() { s.Close() })
 	}
-	listen(f.ctrl, rpc.BytesHandler(f.serveCtrl))
+	listen(f.ctrl, rpc.BytesHandler(f.ctrlTable().Dispatch))
 	for _, name := range live {
 		addr := f.srv[name[1]-'0']
 		listen(addr, func(_ context.Context, _ *rpc.ServerConn, method uint16, payload []byte) (rpc.Response, error) {
@@ -96,23 +96,28 @@ func newFake(t *testing.T, dsType core.DSType, live ...string) *fake {
 	return f
 }
 
-func (f *fake) serveCtrl(_ context.Context, _ *rpc.ServerConn, method uint16, payload []byte) ([]byte, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	switch method {
-	case proto.MethodCtrlRole:
-		return rpc.Marshal(proto.CtrlRoleResp{IsLeader: true})
-	case proto.MethodOpen:
+// ctrlTable is the fake controller: the three methods a handle uses.
+func (f *fake) ctrlTable() *rpc.Table {
+	var tbl rpc.Table
+	rpc.Handle(&tbl, proto.CtrlRole, func(context.Context, *rpc.ServerConn, proto.CtrlRoleReq) (proto.CtrlRoleResp, error) {
+		return proto.CtrlRoleResp{IsLeader: true}, nil
+	})
+	rpc.Handle(&tbl, proto.Open, func(context.Context, *rpc.ServerConn, proto.OpenReq) (proto.OpenResp, error) {
+		f.mu.Lock()
+		defer f.mu.Unlock()
 		f.opens++
-		return rpc.Marshal(proto.OpenResp{Map: f.pmap.Clone(), LeaseDuration: time.Minute})
-	case proto.MethodScaleUp:
+		return proto.OpenResp{Map: f.pmap.Clone(), LeaseDuration: time.Minute}, nil
+	})
+	rpc.Handle(&tbl, proto.ScaleUp, func(context.Context, *rpc.ServerConn, proto.ScaleUpReq) (proto.ScaleUpResp, error) {
+		f.mu.Lock()
+		defer f.mu.Unlock()
 		f.scales++
 		if f.onScale != nil {
 			f.onScale(&f.pmap)
 		}
-		return rpc.Marshal(proto.ScaleUpResp{Map: f.pmap.Clone()})
-	}
-	return nil, fmt.Errorf("fake controller: method %d", method)
+		return proto.ScaleUpResp{Map: f.pmap.Clone()}, nil
+	})
+	return &tbl
 }
 
 // wireResult is err as a data server ships it: the code travels in the

@@ -64,6 +64,11 @@ type Controller struct {
 
 	servers *rpc.Pool
 	rpcSrv  *rpc.Server
+	// table maps every served control method to its implementation;
+	// onLeader marks the ones only the leader serves — standbys answer
+	// them with a redirect (see handlers.go).
+	table    rpc.Table
+	onLeader map[uint16]bool
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -166,6 +171,7 @@ func New(opts Options) (*Controller, error) {
 	c.group.contrib = make(map[string]contribRange)
 	c.repl = newReplicator(c)
 	c.leading.Store(true)
+	c.buildTable()
 	c.instrument()
 	if !opts.DisableExpiry {
 		c.wg.Add(1)

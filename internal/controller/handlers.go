@@ -2,291 +2,125 @@ package controller
 
 import (
 	"context"
-	"fmt"
 
-	"jiffy/internal/core"
 	"jiffy/internal/proto"
 	"jiffy/internal/rpc"
 )
 
-// handle is the controller's RPC dispatch table. The request context
-// (span propagation, cancellation) is currently consumed by the rpc
+// handle serves one control RPC from the method table. The request
+// context (span propagation, cancellation) is consumed by the rpc
 // layer's dispatch instrumentation; controller-internal operations are
 // lock-scoped and do not block on remote peers mid-request except via
 // the server pool, which applies its own deadlines.
 //
-// Group methods (replication stream, role queries, promotion) dispatch
-// on any member; everything else requires leadership and is answered
-// with a NotLeaderError redirect on standbys. On the leader, a mutating
-// request's response is withheld until the op-log reaches every live
-// standby (repl.flush), so an acknowledged mutation survives failover.
-func (c *Controller) handle(_ context.Context, _ *rpc.ServerConn, method uint16, payload []byte) ([]byte, error) {
+// A leader-only method is answered with a NotLeaderError redirect on a
+// standby, before its body is decoded; on the leader its response is
+// withheld until the op-log reaches every live standby (repl.flush), so
+// an acknowledged mutation survives failover.
+func (c *Controller) handle(ctx context.Context, conn *rpc.ServerConn, method uint16, payload []byte) ([]byte, error) {
 	c.ops.Add(1)
-	switch method {
-	case proto.MethodCtrlReplicate:
-		var req proto.CtrlReplicateReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.handleReplicate(req)
-		if err != nil {
-			return []byte(err.Error()), err
-		}
-		return rpc.Marshal(resp)
-
-	case proto.MethodCtrlBootstrap:
-		var req proto.CtrlBootstrapReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.handleBootstrap(req)
-		if err != nil {
-			return []byte(err.Error()), err
-		}
-		return rpc.Marshal(resp)
-
-	case proto.MethodCtrlRole:
-		return rpc.Marshal(c.Role())
-
-	case proto.MethodCtrlPromote:
-		return rpc.Marshal(proto.CtrlPromoteResp{Gen: c.PromoteNow()})
-	}
-
-	if !c.leading.Load() {
+	leaderOnly := c.onLeader[method]
+	if leaderOnly && !c.leading.Load() {
 		nl := c.notLeaderErr()
 		return []byte(nl.Error()), nl
 	}
-	resp, err := c.dispatch(method, payload)
-	if err != nil {
-		return resp, err
+	resp, err := c.table.Dispatch(ctx, conn, method, payload)
+	if err == nil && leaderOnly {
+		// A no-op when nothing was emitted or no group is set.
+		if ferr := c.repl.flush(); ferr != nil {
+			return []byte(ferr.Error()), ferr
+		}
 	}
-	// Withhold the ack until live standbys have the ops this request
-	// emitted; a no-op when nothing was emitted or no group is set.
-	if ferr := c.repl.flush(); ferr != nil {
-		return []byte(ferr.Error()), ferr
-	}
-	return resp, nil
+	return resp, err
 }
 
-func (c *Controller) dispatch(method uint16, payload []byte) ([]byte, error) {
-	switch method {
-	case proto.MethodRegisterJob:
-		var req proto.RegisterJobReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := c.RegisterJob(req.Job); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.RegisterJobResp{})
+// anyMember registers a group-protocol method: served by leader and
+// standbys alike, never held for the op-log.
+func anyMember[Req, Resp any](c *Controller, m proto.Method[Req, Resp], fn func(Req) (Resp, error)) {
+	rpc.Handle(&c.table, m, func(_ context.Context, _ *rpc.ServerConn, req Req) (Resp, error) {
+		return fn(req)
+	})
+}
 
-	case proto.MethodDeregisterJob:
-		var req proto.DeregisterJobReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := c.DeregisterJob(req.Job); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.DeregisterJobResp{})
+// leaderOnly registers a method only the leader serves (see handle).
+func leaderOnly[Req, Resp any](c *Controller, m proto.Method[Req, Resp], fn func(Req) (Resp, error)) {
+	c.onLeader[m.ID] = true
+	anyMember(c, m, fn)
+}
 
-	case proto.MethodCreatePrefix:
-		var req proto.CreatePrefixReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.CreatePrefix(req)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(resp)
+// buildTable declares what the controller serves: the replication
+// stream, role queries and promotion on any member, everything else on
+// the leader.
+func (c *Controller) buildTable() {
+	c.onLeader = make(map[uint16]bool)
 
-	case proto.MethodCreateHierarchy:
-		var req proto.CreateHierarchyReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := c.CreateHierarchy(req); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.CreateHierarchyResp{})
+	anyMember(c, proto.CtrlReplicate, c.handleReplicate)
+	anyMember(c, proto.CtrlBootstrap, c.handleBootstrap)
+	anyMember(c, proto.CtrlRole, func(proto.CtrlRoleReq) (proto.CtrlRoleResp, error) {
+		return c.Role(), nil
+	})
+	anyMember(c, proto.CtrlPromote, func(proto.CtrlPromoteReq) (proto.CtrlPromoteResp, error) {
+		return proto.CtrlPromoteResp{Gen: c.PromoteNow()}, nil
+	})
 
-	case proto.MethodRemovePrefix:
-		var req proto.RemovePrefixReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := c.RemovePrefix(req.Path); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.RemovePrefixResp{})
-
-	case proto.MethodRenewLease:
-		var req proto.RenewLeaseReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		n, err := c.RenewLease(req.Paths)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.RenewLeaseResp{Renewed: n})
-
-	case proto.MethodLeaseInfo:
-		var req proto.LeaseInfoReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.LeaseInfo(req.Path)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(resp)
-
-	case proto.MethodOpen:
-		var req proto.OpenReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.Open(req.Path)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(resp)
-
-	case proto.MethodFlushPrefix:
-		var req proto.FlushPrefixReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		n, err := c.FlushPrefix(req.Path, req.ExternalPath)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.FlushPrefixResp{Blocks: n})
-
-	case proto.MethodLoadPrefix:
-		var req proto.LoadPrefixReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.LoadPrefix(req.Path, req.ExternalPath)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(resp)
-
-	case proto.MethodRegisterServer:
-		var req proto.RegisterServerReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		first, err := c.RegisterServer(req.Addr, req.NumBlocks)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.RegisterServerResp{FirstID: first})
-
-	case proto.MethodHeartbeat:
-		var req proto.HeartbeatReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		epoch, err := c.Heartbeat(req.Addr)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.HeartbeatResp{Epoch: epoch})
-
-	case proto.MethodReportFailure:
-		var req proto.ReportFailureReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := c.ReportFailure(req); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.ReportFailureResp{})
-
-	case proto.MethodReportTier:
-		var req proto.ReportTierReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.ReportTier(req)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(resp)
-
-	case proto.MethodDrainServer:
-		var req proto.DrainServerReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		migrated, err := c.DrainServer(req.Addr)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.DrainServerResp{Migrated: migrated})
-
-	case proto.MethodScaleUp:
-		var req proto.ScaleUpReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.ScaleUp(req)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(resp)
-
-	case proto.MethodScaleDown:
-		var req proto.ScaleDownReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.ScaleDown(req)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(resp)
-
-	case proto.MethodSaveState:
-		var req proto.SaveStateReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := c.SaveState(req.Key); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.SaveStateResp{})
-
-	case proto.MethodControllerStats:
-		return rpc.Marshal(c.Stats())
-
-	case proto.MethodSetQuota:
-		var req proto.SetQuotaReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := c.SetQuota(req.Path, req.Quota); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.SetQuotaResp{})
-
-	case proto.MethodListPrefixes:
-		var req proto.ListPrefixesReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.ListPrefixes(req.Job)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(resp)
-
-	default:
-		return nil, fmt.Errorf("controller: unknown method %#x: %w", method, core.ErrNotFound)
-	}
+	leaderOnly(c, proto.RegisterJob, func(r proto.RegisterJobReq) (proto.RegisterJobResp, error) {
+		return proto.RegisterJobResp{}, c.RegisterJob(r.Job)
+	})
+	leaderOnly(c, proto.DeregisterJob, func(r proto.DeregisterJobReq) (proto.DeregisterJobResp, error) {
+		return proto.DeregisterJobResp{}, c.DeregisterJob(r.Job)
+	})
+	leaderOnly(c, proto.CreatePrefix, c.CreatePrefix)
+	leaderOnly(c, proto.CreateHierarchy, func(r proto.CreateHierarchyReq) (proto.CreateHierarchyResp, error) {
+		return proto.CreateHierarchyResp{}, c.CreateHierarchy(r)
+	})
+	leaderOnly(c, proto.RemovePrefix, func(r proto.RemovePrefixReq) (proto.RemovePrefixResp, error) {
+		return proto.RemovePrefixResp{}, c.RemovePrefix(r.Path)
+	})
+	leaderOnly(c, proto.RenewLease, func(r proto.RenewLeaseReq) (proto.RenewLeaseResp, error) {
+		n, err := c.RenewLease(r.Paths)
+		return proto.RenewLeaseResp{Renewed: n}, err
+	})
+	leaderOnly(c, proto.LeaseInfo, func(r proto.LeaseInfoReq) (proto.LeaseInfoResp, error) {
+		return c.LeaseInfo(r.Path)
+	})
+	leaderOnly(c, proto.Open, func(r proto.OpenReq) (proto.OpenResp, error) {
+		return c.Open(r.Path)
+	})
+	leaderOnly(c, proto.FlushPrefix, func(r proto.FlushPrefixReq) (proto.FlushPrefixResp, error) {
+		n, err := c.FlushPrefix(r.Path, r.ExternalPath)
+		return proto.FlushPrefixResp{Blocks: n}, err
+	})
+	leaderOnly(c, proto.LoadPrefix, func(r proto.LoadPrefixReq) (proto.LoadPrefixResp, error) {
+		return c.LoadPrefix(r.Path, r.ExternalPath)
+	})
+	leaderOnly(c, proto.RegisterServer, func(r proto.RegisterServerReq) (proto.RegisterServerResp, error) {
+		first, err := c.RegisterServer(r.Addr, r.NumBlocks)
+		return proto.RegisterServerResp{FirstID: first}, err
+	})
+	leaderOnly(c, proto.Heartbeat, func(r proto.HeartbeatReq) (proto.HeartbeatResp, error) {
+		epoch, err := c.Heartbeat(r.Addr)
+		return proto.HeartbeatResp{Epoch: epoch}, err
+	})
+	leaderOnly(c, proto.ReportFailure, func(r proto.ReportFailureReq) (proto.ReportFailureResp, error) {
+		return proto.ReportFailureResp{}, c.ReportFailure(r)
+	})
+	leaderOnly(c, proto.ReportTier, c.ReportTier)
+	leaderOnly(c, proto.DrainServer, func(r proto.DrainServerReq) (proto.DrainServerResp, error) {
+		n, err := c.DrainServer(r.Addr)
+		return proto.DrainServerResp{Migrated: n}, err
+	})
+	leaderOnly(c, proto.ScaleUp, c.ScaleUp)
+	leaderOnly(c, proto.ScaleDown, c.ScaleDown)
+	leaderOnly(c, proto.SaveState, func(r proto.SaveStateReq) (proto.SaveStateResp, error) {
+		return proto.SaveStateResp{}, c.SaveState(r.Key)
+	})
+	leaderOnly(c, proto.ControllerStats, func(proto.ControllerStatsReq) (proto.ControllerStatsResp, error) {
+		return c.Stats(), nil
+	})
+	leaderOnly(c, proto.SetQuota, func(r proto.SetQuotaReq) (proto.SetQuotaResp, error) {
+		return proto.SetQuotaResp{}, c.SetQuota(r.Path, r.Quota)
+	})
+	leaderOnly(c, proto.ListPrefixes, func(r proto.ListPrefixesReq) (proto.ListPrefixesResp, error) {
+		return c.ListPrefixes(r.Job)
+	})
 }

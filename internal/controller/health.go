@@ -196,8 +196,7 @@ func (c *Controller) ReportFailure(req proto.ReportFailureReq) error {
 	if c.ServerDead(req.Server) {
 		return nil // already handled
 	}
-	var resp proto.ServerStatsResp
-	err := c.callServer(req.Server, proto.MethodServerStats, proto.ServerStatsReq{}, &resp)
+	_, err := callServer(c, req.Server, proto.ServerStats, proto.ServerStatsReq{})
 	var ue *serverUnreachableError
 	if err != nil && errors.As(err, &ue) {
 		// Connectivity-class failure (undialable, session broken
@@ -304,8 +303,7 @@ func (c *Controller) ProbeProbationNow() []string {
 	changed := false
 	for _, addr := range c.ProbationList() {
 		start := c.clk.Now()
-		var resp proto.ServerStatsResp
-		err := c.callServer(addr, proto.MethodServerStats, proto.ServerStatsReq{}, &resp)
+		_, err := callServer(c, addr, proto.ServerStats, proto.ServerStatsReq{})
 		elapsed := c.clk.Now().Sub(start)
 		var ue *serverUnreachableError
 		if err != nil && errors.As(err, &ue) {

@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"errors"
 	"sort"
 	"sync"
 	"time"
@@ -262,42 +261,12 @@ func (c *Controller) PromoteNow() uint64 {
 		c.group.leaderAddr = c.group.peers[c.group.self]
 	}
 	seq := c.group.appliedSeq
-	contrib := make(map[string]contribRange, len(c.group.contrib))
-	for a, r := range c.group.contrib {
-		contrib[a] = r
-	}
-	nextID := c.group.nextID
 	peers := append([]string(nil), c.group.peers...)
 	self := c.group.self
 	c.group.mu.Unlock()
 
 	c.failovers.Add(1)
-
-	c.hbMu.Lock()
-	dead := make(map[string]bool, len(c.deadServers))
-	for a := range c.deadServers {
-		dead[a] = true
-	}
-	probated := make([]string, 0, len(c.probation))
-	for a := range c.probation {
-		probated = append(probated, a)
-	}
-	now := c.clk.Now()
-	for addr := range contrib {
-		if !dead[addr] {
-			c.lastBeat[addr] = now
-		}
-	}
-	c.hbMu.Unlock()
-
-	c.rebuildAllocator(contrib, dead, nextID)
-	// The rebuilt allocator starts with every server healthy; re-apply
-	// the replicated probation set so the new leader keeps excluding
-	// gray-failed servers from allocation.
-	sort.Strings(probated)
-	for _, addr := range probated {
-		c.alloc.Suspend(addr)
-	}
+	dead := c.rebuildAllocator()
 	c.memberEpoch.Add(1)
 
 	if len(peers) > 0 {
@@ -310,24 +279,50 @@ func (c *Controller) PromoteNow() uint64 {
 	// The old leader may have died mid-repair; re-sweep every dead
 	// server. Already-repaired chains no longer reference them, so the
 	// sweep only touches what was actually left broken.
-	var deadList []string
-	for a := range dead {
-		deadList = append(deadList, a)
-	}
-	sort.Strings(deadList)
-	for _, addr := range deadList {
+	for _, addr := range dead {
 		c.repairAfterDeath(addr)
 	}
 	_ = c.repl.flush()
 	return gen
 }
 
-// rebuildAllocator reconstitutes the free lists on promotion: each
-// live server's free set is its contributed range minus the blocks the
-// replicated partition maps say are in use. This is the trick that
-// lets the op-log skip allocator internals entirely — no cross-shard
-// ordering between allocate and free ops can ever matter.
-func (c *Controller) rebuildAllocator(contrib map[string]contribRange, dead map[string]bool, nextID core.BlockID) {
+// rebuildAllocator reconstitutes the allocator from the mirrored (or
+// restored) metadata: each live server's free set is its contributed
+// range minus the blocks the partition maps say are in use, and the
+// probation set is re-suspended, so gray-failed servers stay excluded
+// from allocation. This is the trick that lets the op-log and the state
+// image skip allocator internals entirely — no cross-shard ordering
+// between allocate and free ops can ever matter. Live servers get a
+// heartbeat grace period. Returns the dead servers, sorted.
+func (c *Controller) rebuildAllocator() []string {
+	c.group.mu.Lock()
+	contrib := make(map[string]contribRange, len(c.group.contrib))
+	for a, r := range c.group.contrib {
+		contrib[a] = r
+	}
+	nextID := c.group.nextID
+	c.group.mu.Unlock()
+
+	c.hbMu.Lock()
+	var dead, probated []string
+	for a := range c.deadServers {
+		dead = append(dead, a)
+	}
+	for a := range c.probation {
+		probated = append(probated, a)
+	}
+	now := c.clk.Now()
+	for addr := range contrib {
+		if c.deadServers[addr] {
+			delete(contrib, addr)
+		} else {
+			c.lastBeat[addr] = now
+		}
+	}
+	c.hbMu.Unlock()
+	sort.Strings(dead)
+	sort.Strings(probated)
+
 	inUse := make(map[string]map[core.BlockID]bool)
 	for _, sh := range c.shards {
 		sh.mu.Lock()
@@ -353,9 +348,6 @@ func (c *Controller) rebuildAllocator(contrib map[string]contribRange, dead map[
 	}
 	var states []alloc.ServerState
 	for addr, r := range contrib {
-		if dead[addr] {
-			continue
-		}
 		used := inUse[addr]
 		free := make([]core.BlockID, 0, r.N)
 		for id := r.First; id < r.First+core.BlockID(r.N); id++ {
@@ -370,6 +362,10 @@ func (c *Controller) rebuildAllocator(contrib map[string]contribRange, dead map[
 	}
 	sort.Slice(states, func(i, j int) bool { return states[i].Addr < states[j].Addr })
 	c.alloc.Restore(states, nextID)
+	for _, addr := range probated {
+		c.alloc.Suspend(addr)
+	}
+	return dead
 }
 
 // Role reports this controller's view of the group for MethodCtrlRole.
@@ -404,16 +400,3 @@ func (c *Controller) Failovers() int64 { return c.failovers.Load() }
 // ReplicationLag reports the op-log distance to the slowest live
 // standby (test/metrics hook; zero when not leading).
 func (c *Controller) ReplicationLag() int64 { return c.repl.lag() }
-
-// callPeer sends one RPC to another controller in the group.
-func (c *Controller) callPeer(addr string, method uint16, req, resp interface{}) error {
-	cl, err := c.ctrlPeers.Get(addr)
-	if err != nil {
-		return err
-	}
-	err = cl.CallGob(method, req, resp)
-	if err != nil && errors.Is(err, core.ErrClosed) {
-		c.ctrlPeers.Drop(addr)
-	}
-	return err
-}

@@ -79,9 +79,8 @@ func (c *Controller) pushTenantQuotas(addr string) {
 // setTenantQuotaOnServer installs one tenant's rate quota on a memory
 // server's admission gate.
 func (c *Controller) setTenantQuotaOnServer(addr, tenant string, q core.Quota) error {
-	var resp proto.SetTenantQuotaResp
-	return c.callServer(addr, proto.MethodSetTenantQuota,
-		proto.SetTenantQuotaReq{Tenant: tenant, Quota: q}, &resp)
+	_, err := callServer(c, addr, proto.SetTenantQuota, proto.SetTenantQuotaReq{Tenant: tenant, Quota: q})
+	return err
 }
 
 // checkMemoryQuotaLocked verifies that adding addBlocks physical

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -84,7 +85,8 @@ type contribRange struct {
 	N     int
 }
 
-// groupImage is the full-state bootstrap snapshot.
+// groupImage is the full-state image: what a lost standby is
+// bootstrapped from and what SaveState checkpoints (snapshot.go).
 type groupImage struct {
 	Gen     uint64
 	Seq     uint64
@@ -256,9 +258,8 @@ func (r *replicator) flush() error {
 		acks := make([]uint64, len(items))
 		lost := make([]bool, len(items))
 		for i, it := range items {
-			var resp proto.CtrlReplicateResp
-			err := r.c.callPeer(it.p.addr, proto.MethodCtrlReplicate,
-				proto.CtrlReplicateReq{Gen: gen, Leader: self, FirstSeq: it.first, Ops: it.ops}, &resp)
+			resp, err := rpc.InvokeAt(context.Background(), r.c.ctrlPeers, it.p.addr, proto.CtrlReplicate,
+				proto.CtrlReplicateReq{Gen: gen, Leader: self, FirstSeq: it.first, Ops: it.ops})
 			if err != nil {
 				var nl *core.NotLeaderError
 				if errors.As(err, &nl) && nl.Gen > gen {
@@ -335,19 +336,14 @@ func (r *replicator) pulseNow() {
 	r.mu.Unlock()
 
 	for _, p := range lostPeers {
-		img, err := r.c.buildImage()
-		if err != nil {
-			r.c.log.Error("controller: bootstrap image build failed", "err", err)
-			break
-		}
+		img := r.c.buildImage()
 		data, err := rpc.Marshal(img)
 		if err != nil {
 			r.c.log.Error("controller: bootstrap image encode failed", "err", err)
 			break
 		}
-		var resp proto.CtrlBootstrapResp
-		err = r.c.callPeer(p.addr, proto.MethodCtrlBootstrap,
-			proto.CtrlBootstrapReq{Gen: gen, Leader: self, Image: data}, &resp)
+		_, err = rpc.InvokeAt(context.Background(), r.c.ctrlPeers, p.addr, proto.CtrlBootstrap,
+			proto.CtrlBootstrapReq{Gen: gen, Leader: self, Image: data})
 		if err != nil {
 			var nl *core.NotLeaderError
 			if errors.As(err, &nl) && nl.Gen > gen {
@@ -366,9 +362,8 @@ func (r *replicator) pulseNow() {
 	}
 
 	for _, p := range livePeers {
-		var resp proto.CtrlReplicateResp
-		err := r.c.callPeer(p.addr, proto.MethodCtrlReplicate,
-			proto.CtrlReplicateReq{Gen: gen, Leader: self, FirstSeq: 0, Ops: nil}, &resp)
+		_, err := rpc.InvokeAt(context.Background(), r.c.ctrlPeers, p.addr, proto.CtrlReplicate,
+			proto.CtrlReplicateReq{Gen: gen, Leader: self})
 		if err != nil {
 			var nl *core.NotLeaderError
 			if errors.As(err, &nl) && nl.Gen > gen {
@@ -386,10 +381,10 @@ func (r *replicator) pulseNow() {
 
 // --- Leader-side image build -------------------------------------------
 
-// buildImage captures a fuzzy full-state snapshot for bootstrap. Seq
+// buildImage captures a fuzzy full-state snapshot. Seq
 // is read before any state, so ops enqueued during the capture replay
 // over the snapshot on the standby — idempotently.
-func (c *Controller) buildImage() (groupImage, error) {
+func (c *Controller) buildImage() groupImage {
 	img := groupImage{Tenants: make(map[string]core.Quota)}
 
 	c.repl.mu.Lock()
@@ -442,12 +437,13 @@ func (c *Controller) buildImage() (groupImage, error) {
 		}
 		sh.mu.Unlock()
 	}
-	return img, nil
+	return img
 }
 
 // --- Standby-side application ------------------------------------------
 
-// applyImage resets the standby's metadata to the snapshot.
+// applyImage resets this controller's metadata to the image (standby
+// bootstrap, checkpoint restore).
 func (c *Controller) applyImage(img groupImage) error {
 	c.applyMu.Lock()
 	defer c.applyMu.Unlock()
@@ -610,8 +606,7 @@ func (c *Controller) applyOp(op replOp) {
 	}
 }
 
-// applyNodeUpsert installs a replicated node image: create-or-update
-// by name, with parents resolved the same way restoreJob does.
+// applyNodeUpsert installs a replicated node image (see upsertNode).
 func (c *Controller) applyNodeUpsert(job core.JobID, ni nodeImage, now time.Time) error {
 	sh := c.shardFor(job)
 	sh.mu.Lock()
@@ -623,37 +618,10 @@ func (c *Controller) applyNodeUpsert(job core.JobID, ni nodeImage, now time.Time
 		h = hierarchy.New(job, c.cfg.LeaseDuration, now)
 		sh.jobs[job] = h
 	}
-	n, ok := h.Lookup(ni.Name)
-	if !ok {
-		if len(ni.Parents) == 0 {
-			return fmt.Errorf("controller: replicated root %q does not match job %q", ni.Name, job)
-		}
-		first, ok := h.Lookup(ni.Parents[0])
-		if !ok {
-			return fmt.Errorf("controller: replicated parent %q missing: %w", ni.Parents[0], core.ErrNotFound)
-		}
-		var extra []core.Path
-		for _, p := range ni.Parents[1:] {
-			pn, ok := h.Lookup(p)
-			if !ok {
-				return fmt.Errorf("controller: replicated parent %q missing: %w", p, core.ErrNotFound)
-			}
-			extra = append(extra, pn.CanonicalPath())
-		}
-		created, err := h.Create(first.CanonicalPath().MustChild(ni.Name), extra,
-			ni.Type, ni.LeaseDuration, now)
-		if err != nil {
-			return err
-		}
-		n = created
+	n, err := upsertNode(h, ni, now)
+	if err != nil {
+		return err
 	}
-	n.LeaseDuration = ni.LeaseDuration
-	n.LastRenewed = ni.LastRenewed
-	n.Type = ni.Type
-	n.Map = ni.Map
-	n.Flushed = ni.Flushed
-	n.FlushKey = ni.FlushKey
-	n.Quota = ni.Quota
 	sh.reindexNodeLocked(job, n)
 	if n == h.Root() {
 		c.setTenantQuotaLocal(string(job), ni.Quota)

@@ -1,12 +1,14 @@
 package controller
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/proto"
+	"jiffy/internal/rpc"
 )
 
 // serverUnreachableError marks an RPC failure as connectivity-class:
@@ -25,23 +27,20 @@ func (e *serverUnreachableError) Error() string {
 
 func (e *serverUnreachableError) Unwrap() error { return e.err }
 
-// callServer performs one gob RPC against a memory server,
+// callServer performs one control RPC against a memory server,
 // classifying dial failures and broken sessions as
-// serverUnreachableError (and dropping the broken pooled session so
-// the next call re-dials instead of reusing a dead connection).
-func (c *Controller) callServer(addr string, method uint16, req, resp interface{}) error {
-	cl, err := c.servers.Get(addr)
-	if err != nil {
-		return &serverUnreachableError{addr: addr, err: err}
+// serverUnreachableError (rpc.InvokeAt drops the broken pooled session,
+// so the next call re-dials instead of reusing a dead connection).
+func callServer[Req, Resp any](c *Controller, addr string, m proto.Method[Req, Resp], req Req) (Resp, error) {
+	resp, err := rpc.InvokeAt(context.Background(), c.servers, addr, m, req)
+	switch {
+	case err == nil:
+	case errors.Is(err, core.ErrClosed):
+		err = &serverUnreachableError{addr: addr, err: err}
+	default:
+		err = fmt.Errorf("controller: %s method %#x: %w", addr, m.ID, err)
 	}
-	if err := cl.CallGob(method, req, resp); err != nil {
-		if errors.Is(err, core.ErrClosed) {
-			c.servers.Drop(addr)
-			return &serverUnreachableError{addr: addr, err: err}
-		}
-		return fmt.Errorf("controller: %s method %#x: %w", addr, method, err)
-	}
-	return nil
+	return resp, err
 }
 
 // createBlockOnServer installs a partition for one block.
@@ -57,8 +56,7 @@ func (c *Controller) createBlockOnServer(info core.BlockInfo, path core.Path,
 		Chunk:    chunk,
 		Chain:    chain,
 	}
-	var resp proto.CreateBlockResp
-	err := c.callServer(info.Server, proto.MethodCreateBlock, req, &resp)
+	_, err := callServer(c, info.Server, proto.CreateBlock, req)
 	if errors.Is(err, core.ErrExists) {
 		// The server holds a partition under an ID the committed
 		// metadata says is free: an orphan from a previous leader's
@@ -69,12 +67,11 @@ func (c *Controller) createBlockOnServer(info core.BlockInfo, path core.Path,
 		// partition in its place.
 		c.log.Warn("controller: reclaiming orphan block",
 			"block", info.ID, "on", info.Server)
-		var dresp proto.DeleteBlockResp
-		if derr := c.callServer(info.Server, proto.MethodDeleteBlock,
-			proto.DeleteBlockReq{Block: info.ID}, &dresp); derr != nil {
+		if _, derr := callServer(c, info.Server, proto.DeleteBlock,
+			proto.DeleteBlockReq{Block: info.ID}); derr != nil {
 			return err
 		}
-		err = c.callServer(info.Server, proto.MethodCreateBlock, req, &resp)
+		_, err = callServer(c, info.Server, proto.CreateBlock, req)
 	}
 	return err
 }
@@ -86,80 +83,71 @@ func (c *Controller) createBlockOnServer(info core.BlockInfo, path core.Path,
 // since block IDs are recycled through the free list.
 func (c *Controller) deleteBlockOnServer(info core.BlockInfo) {
 	c.dropTierRecord(info)
-	var resp proto.DeleteBlockResp
-	err := c.callServer(info.Server, proto.MethodDeleteBlock,
-		proto.DeleteBlockReq{Block: info.ID}, &resp)
-	if err != nil {
+	if _, err := callServer(c, info.Server, proto.DeleteBlock,
+		proto.DeleteBlockReq{Block: info.ID}); err != nil {
 		c.log.Debug("controller: delete block failed", "block", info, "err", err)
 	}
 }
 
 // setNextOnServer links a queue segment to its successor.
 func (c *Controller) setNextOnServer(tail core.BlockInfo, next core.BlockInfo) error {
-	var resp proto.SetNextResp
-	return c.callServer(tail.Server, proto.MethodSetNext,
-		proto.SetNextReq{Block: tail.ID, Next: next}, &resp)
+	_, err := callServer(c, tail.Server, proto.SetNext, proto.SetNextReq{Block: tail.ID, Next: next})
+	return err
 }
 
 // exportSlotsOnServer removes the given slot ranges from one replica
 // of a KV block, returning the removed pairs.
 func (c *Controller) exportSlotsOnServer(member core.BlockInfo, ranges []ds.SlotRange) ([]ds.KVEntry, error) {
-	var resp proto.ExportSlotsResp
-	err := c.callServer(member.Server, proto.MethodExportSlots,
-		proto.ExportSlotsReq{Block: member.ID, Ranges: ranges}, &resp)
+	resp, err := callServer(c, member.Server, proto.ExportSlots,
+		proto.ExportSlotsReq{Block: member.ID, Ranges: ranges})
 	return resp.Entries, err
 }
 
 // importEntriesOnServer installs pairs (and range ownership) into one
 // replica of a KV block.
 func (c *Controller) importEntriesOnServer(member core.BlockInfo, ranges []ds.SlotRange, entries []ds.KVEntry) error {
-	var resp proto.ImportEntriesResp
-	return c.callServer(member.Server, proto.MethodImportEntries,
-		proto.ImportEntriesReq{Block: member.ID, Ranges: ranges, Entries: entries}, &resp)
+	_, err := callServer(c, member.Server, proto.ImportEntries,
+		proto.ImportEntriesReq{Block: member.ID, Ranges: ranges, Entries: entries})
+	return err
 }
 
 // flushBlockOnServer snapshots a block into the persistent store.
 func (c *Controller) flushBlockOnServer(info core.BlockInfo, key string) error {
-	var resp proto.FlushBlockResp
-	return c.callServer(info.Server, proto.MethodFlushBlock,
-		proto.FlushBlockReq{Block: info.ID, Key: key}, &resp)
+	_, err := callServer(c, info.Server, proto.FlushBlock, proto.FlushBlockReq{Block: info.ID, Key: key})
+	return err
 }
 
 // snapshotBlockOnServer fetches a block's partition snapshot.
 func (c *Controller) snapshotBlockOnServer(info core.BlockInfo) ([]byte, error) {
-	var resp proto.SnapshotBlockResp
-	err := c.callServer(info.Server, proto.MethodSnapshotBlock,
-		proto.SnapshotBlockReq{Block: info.ID}, &resp)
+	resp, err := callServer(c, info.Server, proto.SnapshotBlock, proto.SnapshotBlockReq{Block: info.ID})
 	return resp.Snapshot, err
 }
 
 // restoreBlockOnServer replaces a block's partition state.
 func (c *Controller) restoreBlockOnServer(info core.BlockInfo, snapshot []byte) error {
-	var resp proto.RestoreBlockResp
-	return c.callServer(info.Server, proto.MethodRestoreBlock,
-		proto.RestoreBlockReq{Block: info.ID, Snapshot: snapshot}, &resp)
+	_, err := callServer(c, info.Server, proto.RestoreBlock,
+		proto.RestoreBlockReq{Block: info.ID, Snapshot: snapshot})
+	return err
 }
 
 // updateChainOnServer switches one block to a new chain layout under a
 // new replication generation (see repair.go).
 func (c *Controller) updateChainOnServer(member core.BlockInfo, chain core.ReplicaChain, gen uint64) error {
-	var resp proto.UpdateChainResp
-	return c.callServer(member.Server, proto.MethodUpdateChain,
-		proto.UpdateChainReq{Block: member.ID, Chain: chain, Gen: gen}, &resp)
+	_, err := callServer(c, member.Server, proto.UpdateChain,
+		proto.UpdateChainReq{Block: member.ID, Chain: chain, Gen: gen})
+	return err
 }
 
 // sealBlockOnServer fences a block against all further writes (reads
 // keep serving) — the drain-time barrier taken before a migration
 // snapshot, so no acknowledged write can postdate the snapshot.
 func (c *Controller) sealBlockOnServer(member core.BlockInfo) error {
-	var resp proto.UpdateChainResp
-	return c.callServer(member.Server, proto.MethodUpdateChain,
-		proto.UpdateChainReq{Block: member.ID, Seal: true}, &resp)
+	_, err := callServer(c, member.Server, proto.UpdateChain, proto.UpdateChainReq{Block: member.ID, Seal: true})
+	return err
 }
 
 // loadBlockOnServer restores a block from the persistent store.
 func (c *Controller) loadBlockOnServer(info core.BlockInfo, key string) error {
-	var resp proto.LoadBlockResp
-	return c.callServer(info.Server, proto.MethodLoadBlock,
-		proto.LoadBlockReq{Block: info.ID, Key: key}, &resp)
+	_, err := callServer(c, info.Server, proto.LoadBlock, proto.LoadBlockReq{Block: info.ID, Key: key})
+	return err
 }

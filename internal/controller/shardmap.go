@@ -119,7 +119,11 @@ func (sh *shard) indexedNodesLocked(addr string) []*hierarchy.Node {
 func (c *Controller) commitNodeLocked(job core.JobID, n *hierarchy.Node) {
 	sh := c.shardFor(job)
 	sh.reindexNodeLocked(job, n)
-	c.repl.emit(replOp{Kind: opNodeUpsert, Job: job, Node: imageOfNode(n), Now: c.clk.Now()})
+	// The image clones the partition map: build it only for a stream
+	// somebody receives (emit re-checks; the gate may close in between).
+	if c.repl.on.Load() {
+		c.repl.emit(replOp{Kind: opNodeUpsert, Job: job, Node: imageOfNode(n), Now: c.clk.Now()})
+	}
 }
 
 // imageOfNode serializes one node for replication, parents by name

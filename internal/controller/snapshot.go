@@ -2,10 +2,8 @@ package controller
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"jiffy/internal/alloc"
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/hierarchy"
@@ -15,27 +13,12 @@ import (
 // Controller state checkpointing. The paper adopts primary-backup
 // fault tolerance for the control plane (§4.2.1, citing ZooKeeper-style
 // mechanisms); the building block either way is a serializable image of
-// the controller's two pieces of system-wide state — the free block
-// list and the per-job address hierarchies. SaveState writes that image
-// to the persistent store; a fresh controller started with RestoreState
-// resumes serving the same jobs, whose data still lives untouched on
-// the memory servers.
-
-// stateImage is the serialized controller state.
-type stateImage struct {
-	SavedAt time.Time
-	// Allocator state.
-	Servers []serverImage
-	NextID  core.BlockID
-	// Jobs' hierarchies.
-	Jobs []jobImage
-}
-
-type serverImage struct {
-	Addr   string
-	Total  int
-	FreeID []core.BlockID
-}
+// the controller's system-wide state. There is one such image,
+// groupImage (replication.go): the leader bootstraps standbys from it,
+// and SaveState writes the same bytes to the persistent store, so a
+// fresh controller started with RestoreState resumes exactly where a
+// promoted standby would — serving the same jobs, whose data still
+// lives untouched on the memory servers.
 
 type jobImage struct {
 	Job   core.JobID
@@ -60,32 +43,7 @@ type nodeImage struct {
 // SaveState checkpoints the controller's metadata into the persistent
 // store under key.
 func (c *Controller) SaveState(key string) error {
-	img := stateImage{SavedAt: c.clk.Now()}
-
-	// Allocator state.
-	servers, nextID := c.alloc.Snapshot()
-	for _, s := range servers {
-		img.Servers = append(img.Servers, serverImage{
-			Addr: s.Addr, Total: s.Total, FreeID: s.Free,
-		})
-	}
-	img.NextID = nextID
-
-	// Hierarchies, shard by shard.
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		jobs := make([]core.JobID, 0, len(sh.jobs))
-		for j := range sh.jobs {
-			jobs = append(jobs, j)
-		}
-		sort.Slice(jobs, func(i, j int) bool { return jobs[i] < jobs[j] })
-		for _, j := range jobs {
-			img.Jobs = append(img.Jobs, dumpJob(j, sh.jobs[j]))
-		}
-		sh.mu.Unlock()
-	}
-
-	data, err := rpc.Marshal(img)
+	data, err := rpc.Marshal(c.buildImage())
 	if err != nil {
 		return err
 	}
@@ -96,17 +54,9 @@ func (c *Controller) SaveState(key string) error {
 // (topological order — plain DFS is not enough, since a multi-parent
 // node can be reached before all of its parents have been visited).
 func dumpJob(job core.JobID, h *hierarchy.Hierarchy) jobImage {
-	img := jobImage{Job: job}
-	// Root sentinel first: restore re-creates it via hierarchy.New.
+	// Root first: restore re-creates it via hierarchy.New.
 	root := h.Root()
-	img.Nodes = append(img.Nodes, nodeImage{
-		Name:          root.Name,
-		LeaseDuration: root.LeaseDuration,
-		LastRenewed:   root.LastRenewed,
-		Quota:         root.Quota,
-	})
-
-	// Collect the remaining nodes and their parent edges.
+	img := jobImage{Job: job, Nodes: []nodeImage{imageOfNode(root)}}
 	var all []*hierarchy.Node
 	h.Walk(func(n *hierarchy.Node) bool {
 		if n != root {
@@ -119,11 +69,10 @@ func dumpJob(job core.JobID, h *hierarchy.Hierarchy) jobImage {
 		progressed := false
 		rest := all[:0]
 		for _, n := range all {
+			ni := imageOfNode(n)
 			ready := true
-			var parents []string
-			for _, p := range n.Parents() {
-				parents = append(parents, p.Name)
-				if !emitted[p.Name] {
+			for _, p := range ni.Parents {
+				if !emitted[p] {
 					ready = false
 				}
 			}
@@ -131,17 +80,7 @@ func dumpJob(job core.JobID, h *hierarchy.Hierarchy) jobImage {
 				rest = append(rest, n)
 				continue
 			}
-			img.Nodes = append(img.Nodes, nodeImage{
-				Name:          n.Name,
-				Parents:       parents,
-				LeaseDuration: n.LeaseDuration,
-				LastRenewed:   n.LastRenewed,
-				Type:          n.Type,
-				Map:           n.Map.Clone(),
-				Flushed:       n.Flushed,
-				FlushKey:      n.FlushKey,
-				Quota:         n.Quota,
-			})
+			img.Nodes = append(img.Nodes, ni)
 			emitted[n.Name] = true
 			progressed = true
 		}
@@ -155,7 +94,10 @@ func dumpJob(job core.JobID, h *hierarchy.Hierarchy) jobImage {
 	return img
 }
 
-// RestoreState rebuilds the controller's metadata from a checkpoint.
+// RestoreState rebuilds the controller's metadata from a checkpoint:
+// hierarchies with their server index, membership, dead and probation
+// sets, tier records and tenant quotas come from the image, the free
+// lists are derived from it the way a promoting standby derives them.
 // Must be called on a fresh controller (no registered jobs); the memory
 // servers referenced by the image must still hold their blocks.
 func (c *Controller) RestoreState(key string) error {
@@ -163,73 +105,68 @@ func (c *Controller) RestoreState(key string) error {
 	if err != nil {
 		return fmt.Errorf("controller: restore %q: %w", key, err)
 	}
-	var img stateImage
+	var img groupImage
 	if err := rpc.Unmarshal(data, &img); err != nil {
 		return err
 	}
-
-	// Allocator.
-	servers := make([]alloc.ServerState, 0, len(img.Servers))
-	for _, s := range img.Servers {
-		servers = append(servers, alloc.ServerState{Addr: s.Addr, Total: s.Total, Free: s.FreeID})
-	}
-	c.alloc.Restore(servers, img.NextID)
-
-	// Hierarchies.
-	for _, ji := range img.Jobs {
-		sh := c.shardFor(ji.Job)
+	for _, sh := range c.shards {
 		sh.mu.Lock()
-		if _, exists := sh.jobs[ji.Job]; exists {
-			sh.mu.Unlock()
-			return fmt.Errorf("controller: job %q already present: %w", ji.Job, core.ErrExists)
-		}
-		h, err := restoreJob(ji, c.clk.Now())
-		if err != nil {
-			sh.mu.Unlock()
-			return err
-		}
-		sh.jobs[ji.Job] = h
+		n := len(sh.jobs)
 		sh.mu.Unlock()
+		if n > 0 {
+			return fmt.Errorf("controller: restore onto %d registered jobs: %w", n, core.ErrExists)
+		}
 	}
+	if err := c.applyImage(img); err != nil {
+		return err
+	}
+	c.rebuildAllocator()
 	return nil
 }
 
+// restoreJob rebuilds one hierarchy from its image.
 func restoreJob(img jobImage, now time.Time) (*hierarchy.Hierarchy, error) {
 	if len(img.Nodes) == 0 {
 		return nil, fmt.Errorf("controller: empty job image for %q", img.Job)
 	}
-	root := img.Nodes[0]
-	h := hierarchy.New(img.Job, root.LeaseDuration, now)
-	h.Root().LastRenewed = root.LastRenewed
-	h.Root().Quota = root.Quota
-	for _, ni := range img.Nodes[1:] {
-		// Resolve the primary parent's canonical path; extra parents
-		// become DAG edges.
+	h := hierarchy.New(img.Job, img.Nodes[0].LeaseDuration, now)
+	for _, ni := range img.Nodes {
+		if _, err := upsertNode(h, ni, now); err != nil {
+			return nil, err
+		}
+	}
+	return h, nil
+}
+
+// upsertNode installs one node image in h: create-or-update by name,
+// the first parent giving the canonical path and the rest DAG edges.
+// Parents must already be present.
+func upsertNode(h *hierarchy.Hierarchy, ni nodeImage, now time.Time) (*hierarchy.Node, error) {
+	n, ok := h.Lookup(ni.Name)
+	if !ok {
 		if len(ni.Parents) == 0 {
-			return nil, fmt.Errorf("controller: node %q has no parents in image", ni.Name)
+			return nil, fmt.Errorf("controller: root image %q does not match job %q", ni.Name, h.Root().Name)
 		}
-		first, ok := h.Lookup(ni.Parents[0])
-		if !ok {
-			return nil, fmt.Errorf("controller: image parent %q missing (order broken)", ni.Parents[0])
-		}
-		var extra []core.Path
-		for _, p := range ni.Parents[1:] {
+		var paths []core.Path
+		for _, p := range ni.Parents {
 			pn, ok := h.Lookup(p)
 			if !ok {
-				return nil, fmt.Errorf("controller: image parent %q missing", p)
+				return nil, fmt.Errorf("controller: image parent %q missing: %w", p, core.ErrNotFound)
 			}
-			extra = append(extra, pn.CanonicalPath())
+			paths = append(paths, pn.CanonicalPath())
 		}
-		n, err := h.Create(first.CanonicalPath().MustChild(ni.Name), extra,
-			ni.Type, ni.LeaseDuration, now)
+		created, err := h.Create(paths[0].MustChild(ni.Name), paths[1:], ni.Type, ni.LeaseDuration, now)
 		if err != nil {
 			return nil, err
 		}
-		n.LastRenewed = ni.LastRenewed
-		n.Map = ni.Map
-		n.Flushed = ni.Flushed
-		n.FlushKey = ni.FlushKey
-		n.Quota = ni.Quota
+		n = created
 	}
-	return h, nil
+	n.LeaseDuration = ni.LeaseDuration
+	n.LastRenewed = ni.LastRenewed
+	n.Type = ni.Type
+	n.Map = ni.Map
+	n.Flushed = ni.Flushed
+	n.FlushKey = ni.FlushKey
+	n.Quota = ni.Quota
+	return n, nil
 }

@@ -9,6 +9,11 @@
 // The knob-table check (TestKnobTable) holds every configuration value
 // to a row in DESIGN.md's knob table, and every row to a value that
 // exists.
+//
+// The one-codec check (TestOneCodec) confines encoding/gob and
+// rpc.Marshal/rpc.Unmarshal to an explicit list of files: the control
+// codec, partition snapshots, and the persisted blobs not yet moved off
+// gob.
 package lint
 
 import (

@@ -1,8 +1,13 @@
-// Package proto defines the control-plane RPC surface shared by the
-// controller, memory servers and clients: method identifiers and the
-// gob-encoded request/response messages. Data-plane operations use the
-// compact binary codec in internal/ds instead and are identified by
-// MethodDataOp.
+// Package proto declares the control-plane RPC surface shared by the
+// controller, memory servers and clients. Each method is declared once,
+// as a typed descriptor — proto.Open = Method[OpenReq, OpenResp]{0x0008,
+// "Open"} — that fixes its wire id, its metric/span name and its
+// request/response pair; stubs (rpc.Invoke) and handler tables
+// (rpc.Handle) take the descriptor, so they cannot mix two methods'
+// messages. How a message body is encoded is not this package's
+// business: internal/rpc/codec.go owns that. Data-plane operations use
+// the compact binary codecs in internal/ds instead and are identified
+// by the plain ids MethodDataOp, MethodDataOpBatch and MethodReplicate.
 package proto
 
 import (
@@ -12,141 +17,186 @@ import (
 	"jiffy/internal/ds"
 )
 
-// Controller methods.
-const (
-	// MethodRegisterJob registers a job and creates its hierarchy root.
-	MethodRegisterJob uint16 = 0x0001
-	// MethodDeregisterJob removes a job, releasing all its resources.
-	MethodDeregisterJob uint16 = 0x0002
-	// MethodCreatePrefix adds an address prefix (createAddrPrefix).
-	MethodCreatePrefix uint16 = 0x0003
-	// MethodCreateHierarchy builds the full hierarchy from a DAG
-	// (createHierarchy).
-	MethodCreateHierarchy uint16 = 0x0004
-	// MethodRemovePrefix explicitly reclaims a prefix and its blocks.
-	MethodRemovePrefix uint16 = 0x0005
-	// MethodRenewLease renews leases for one or more prefixes.
-	MethodRenewLease uint16 = 0x0006
-	// MethodLeaseInfo queries a prefix's lease state (getLeaseDuration).
-	MethodLeaseInfo uint16 = 0x0007
-	// MethodOpen fetches a data structure's partition map and lease
-	// duration (initDataStructure / handle acquisition).
-	MethodOpen uint16 = 0x0008
-	// MethodFlushPrefix persists a prefix's data to the external store.
-	MethodFlushPrefix uint16 = 0x0009
-	// MethodLoadPrefix loads a prefix's data back from the external
-	// store.
-	MethodLoadPrefix uint16 = 0x000a
-	// MethodRegisterServer announces a memory server and its capacity.
-	MethodRegisterServer uint16 = 0x000b
-	// MethodScaleUp is the overload signal (Fig. 8 step 1); also used
-	// by clients that hit ErrBlockFull before the proactive signal
-	// lands.
-	MethodScaleUp uint16 = 0x000c
-	// MethodScaleDown is the underload signal; the controller merges
-	// and reclaims the block.
-	MethodScaleDown uint16 = 0x000d
-	// MethodControllerStats reports controller-wide statistics.
-	MethodControllerStats uint16 = 0x000e
-	// MethodListPrefixes lists the address hierarchy of a job.
-	MethodListPrefixes uint16 = 0x000f
-	// MethodSaveState checkpoints controller metadata to the
-	// persistent store (primary-backup building block).
-	MethodSaveState uint16 = 0x0010
-	// MethodHeartbeat is a memory server's periodic liveness beat; the
-	// failure detector marks servers dead after a suspicion window
-	// without one.
-	MethodHeartbeat uint16 = 0x0011
-	// MethodReportFailure reports write-path evidence of a dead peer (a
-	// chain head that could not reach its successor) so repair triggers
-	// without waiting out the suspicion window.
-	MethodReportFailure uint16 = 0x0012
-	// MethodDrainServer gracefully migrates every block off a server
-	// before decommission, using the chain-repair machinery.
-	MethodDrainServer uint16 = 0x0013
-	// MethodSetQuota registers a resource quota on a prefix. Rate
-	// dimensions on a job root fan out to every memory server for
-	// hot-path admission; the memory dimension is enforced by the
-	// controller at allocation time.
-	MethodSetQuota uint16 = 0x0014
-	// MethodReportTier records a block's tier transition (demotion to /
-	// promotion from the persist tier) in the controller's metadata, so
-	// a tiered block can be recovered if its chain later dies.
-	MethodReportTier uint16 = 0x0015
-	// MethodCtrlReplicate streams a batch of metadata op-log entries
-	// from the active controller to a standby. Standbys apply entries
-	// in sequence order; a gap triggers a fresh bootstrap.
-	MethodCtrlReplicate uint16 = 0x0016
-	// MethodCtrlBootstrap installs a full metadata snapshot on a
-	// standby, resetting whatever state it held. The active controller
-	// sends it when a standby joins or falls off the replay window.
-	MethodCtrlBootstrap uint16 = 0x0017
-	// MethodCtrlRole reports a controller's view of the replicated
-	// group: whether it is the leader, who it believes leads, and the
-	// leadership generation. Clients use it to seed their leader cache.
-	MethodCtrlRole uint16 = 0x0018
-	// MethodCtrlPromote forces a standby to assume leadership
-	// immediately (operator/test override of the suspicion window).
-	MethodCtrlPromote uint16 = 0x0019
-)
+// Info is the untyped half of a method declaration: the wire identifier
+// and the stable name used for metric labels and span events.
+type Info struct {
+	ID   uint16
+	Name string
+}
 
-// Memory-server methods.
+// Method declares one control-plane RPC. The type parameters pair the
+// method with its request and response messages, so a stub or a
+// handler that mixes two methods' messages does not compile (see
+// rpc.Invoke and rpc.Handle).
+type Method[Req, Resp any] struct{ Info }
+
+// methods lists every declared method, the data plane's three first.
+var methods = []Info{
+	{MethodDataOp, "DataOp"},
+	{MethodReplicate, "Replicate"},
+	{MethodDataOpBatch, "DataOpBatch"},
+}
+
+func declare[Req, Resp any](id uint16, name string) Method[Req, Resp] {
+	methods = append(methods, Info{id, name})
+	return Method[Req, Resp]{Info{id, name}}
+}
+
+// Methods returns every declared method.
+func Methods() []Info { return methods }
+
+// MethodName returns the human-readable name of a method identifier,
+// or "" when unknown (callers fall back to the hex value).
+func MethodName(id uint16) string {
+	for _, m := range methods {
+		if m.ID == id {
+			return m.Name
+		}
+	}
+	return ""
+}
+
+// Data-plane methods. Their bodies are the binary codecs of internal/ds,
+// not a Req/Resp pair, and servers dispatch them ahead of the method
+// table.
 const (
 	// MethodDataOp executes a data-plane op (binary codec, not gob).
 	MethodDataOp uint16 = 0x0101
-	// MethodCreateBlock installs a partition in a block.
-	MethodCreateBlock uint16 = 0x0102
-	// MethodDeleteBlock frees a block's partition.
-	MethodDeleteBlock uint16 = 0x0103
-	// MethodSetNext links a queue segment to its successor and seals it.
-	MethodSetNext uint16 = 0x0104
-	// MethodMoveSlots makes the server export KV slots from a donor
-	// block and push them to the target block (possibly remote).
-	MethodMoveSlots uint16 = 0x0105
-	// MethodImportEntries receives KV entries during a move
-	// (server-to-server).
-	MethodImportEntries uint16 = 0x0106
-	// MethodFlushBlock snapshots a block into the persistent store.
-	MethodFlushBlock uint16 = 0x0107
-	// MethodLoadBlock restores a block from the persistent store.
-	MethodLoadBlock uint16 = 0x0108
-	// MethodSubscribe registers for notifications on a set of blocks.
-	MethodSubscribe uint16 = 0x0109
-	// MethodUnsubscribe removes a subscription.
-	MethodUnsubscribe uint16 = 0x010a
-	// MethodServerStats reports server statistics.
-	MethodServerStats uint16 = 0x010b
-	// MethodSetOwnedSlots overwrites a KV block's owned slot ranges
-	// (merge commits).
-	MethodSetOwnedSlots uint16 = 0x010c
 	// MethodReplicate applies a replicated mutation at a chain
 	// successor. Its body is not gob: a seq|gen prefix followed by the
 	// data-plane request encoding (see ds.AppendReplicateVec), answered
 	// with an empty response.
 	MethodReplicate uint16 = 0x010d
-	// MethodSnapshotBlock returns a block's serialized partition state
-	// (chain resynchronization after slot moves).
-	MethodSnapshotBlock uint16 = 0x010e
-	// MethodRestoreBlock replaces a block's partition state from a
-	// snapshot.
-	MethodRestoreBlock uint16 = 0x010f
 	// MethodDataOpBatch executes many data-plane ops from one request
 	// frame, replying with per-op results in one response frame (binary
 	// codec in internal/ds, see EncodeBatchRequest).
 	MethodDataOpBatch uint16 = 0x0110
-	// MethodUpdateChain replaces a block's replication chain in place
+)
+
+// Controller methods.
+var (
+	// RegisterJob registers a job and creates its hierarchy root.
+	RegisterJob = declare[RegisterJobReq, RegisterJobResp](0x0001, "RegisterJob")
+	// DeregisterJob removes a job, releasing all its resources.
+	DeregisterJob = declare[DeregisterJobReq, DeregisterJobResp](0x0002, "DeregisterJob")
+	// CreatePrefix adds an address prefix (createAddrPrefix).
+	CreatePrefix = declare[CreatePrefixReq, CreatePrefixResp](0x0003, "CreatePrefix")
+	// CreateHierarchy builds the full hierarchy from a DAG
+	// (createHierarchy).
+	CreateHierarchy = declare[CreateHierarchyReq, CreateHierarchyResp](0x0004, "CreateHierarchy")
+	// RemovePrefix explicitly reclaims a prefix and its blocks.
+	RemovePrefix = declare[RemovePrefixReq, RemovePrefixResp](0x0005, "RemovePrefix")
+	// RenewLease renews leases for one or more prefixes.
+	RenewLease = declare[RenewLeaseReq, RenewLeaseResp](0x0006, "RenewLease")
+	// LeaseInfo queries a prefix's lease state (getLeaseDuration).
+	LeaseInfo = declare[LeaseInfoReq, LeaseInfoResp](0x0007, "LeaseInfo")
+	// Open fetches a data structure's partition map and lease
+	// duration (initDataStructure / handle acquisition).
+	Open = declare[OpenReq, OpenResp](0x0008, "Open")
+	// FlushPrefix persists a prefix's data to the external store.
+	FlushPrefix = declare[FlushPrefixReq, FlushPrefixResp](0x0009, "FlushPrefix")
+	// LoadPrefix loads a prefix's data back from the external
+	// store.
+	LoadPrefix = declare[LoadPrefixReq, LoadPrefixResp](0x000a, "LoadPrefix")
+	// RegisterServer announces a memory server and its capacity.
+	RegisterServer = declare[RegisterServerReq, RegisterServerResp](0x000b, "RegisterServer")
+	// ScaleUp is the overload signal (Fig. 8 step 1); also used
+	// by clients that hit ErrBlockFull before the proactive signal
+	// lands.
+	ScaleUp = declare[ScaleUpReq, ScaleUpResp](0x000c, "ScaleUp")
+	// ScaleDown is the underload signal; the controller merges
+	// and reclaims the block.
+	ScaleDown = declare[ScaleDownReq, ScaleDownResp](0x000d, "ScaleDown")
+	// ControllerStats reports controller-wide statistics.
+	ControllerStats = declare[ControllerStatsReq, ControllerStatsResp](0x000e, "ControllerStats")
+	// ListPrefixes lists the address hierarchy of a job.
+	ListPrefixes = declare[ListPrefixesReq, ListPrefixesResp](0x000f, "ListPrefixes")
+	// SaveState checkpoints controller metadata to the
+	// persistent store (primary-backup building block).
+	SaveState = declare[SaveStateReq, SaveStateResp](0x0010, "SaveState")
+	// Heartbeat is a memory server's periodic liveness beat; the
+	// failure detector marks servers dead after a suspicion window
+	// without one.
+	Heartbeat = declare[HeartbeatReq, HeartbeatResp](0x0011, "Heartbeat")
+	// ReportFailure reports write-path evidence of a dead peer (a
+	// chain head that could not reach its successor) so repair triggers
+	// without waiting out the suspicion window.
+	ReportFailure = declare[ReportFailureReq, ReportFailureResp](0x0012, "ReportFailure")
+	// DrainServer gracefully migrates every block off a server
+	// before decommission, using the chain-repair machinery.
+	DrainServer = declare[DrainServerReq, DrainServerResp](0x0013, "DrainServer")
+	// SetQuota registers a resource quota on a prefix. Rate
+	// dimensions on a job root fan out to every memory server for
+	// hot-path admission; the memory dimension is enforced by the
+	// controller at allocation time.
+	SetQuota = declare[SetQuotaReq, SetQuotaResp](0x0014, "SetQuota")
+	// ReportTier records a block's tier transition (demotion to /
+	// promotion from the persist tier) in the controller's metadata, so
+	// a tiered block can be recovered if its chain later dies.
+	ReportTier = declare[ReportTierReq, ReportTierResp](0x0015, "ReportTier")
+	// CtrlReplicate streams a batch of metadata op-log entries
+	// from the active controller to a standby. Standbys apply entries
+	// in sequence order; a gap triggers a fresh bootstrap.
+	CtrlReplicate = declare[CtrlReplicateReq, CtrlReplicateResp](0x0016, "CtrlReplicate")
+	// CtrlBootstrap installs a full metadata snapshot on a
+	// standby, resetting whatever state it held. The active controller
+	// sends it when a standby joins or falls off the replay window.
+	CtrlBootstrap = declare[CtrlBootstrapReq, CtrlBootstrapResp](0x0017, "CtrlBootstrap")
+	// CtrlRole reports a controller's view of the replicated
+	// group: whether it is the leader, who it believes leads, and the
+	// leadership generation. Clients use it to seed their leader cache.
+	CtrlRole = declare[CtrlRoleReq, CtrlRoleResp](0x0018, "CtrlRole")
+	// CtrlPromote forces a standby to assume leadership
+	// immediately (operator/test override of the suspicion window).
+	CtrlPromote = declare[CtrlPromoteReq, CtrlPromoteResp](0x0019, "CtrlPromote")
+)
+
+// Memory-server control methods.
+var (
+	// CreateBlock installs a partition in a block.
+	CreateBlock = declare[CreateBlockReq, CreateBlockResp](0x0102, "CreateBlock")
+	// DeleteBlock frees a block's partition.
+	DeleteBlock = declare[DeleteBlockReq, DeleteBlockResp](0x0103, "DeleteBlock")
+	// SetNext links a queue segment to its successor and seals it.
+	SetNext = declare[SetNextReq, SetNextResp](0x0104, "SetNext")
+	// MoveSlots makes the server export KV slots from a donor
+	// block and push them to the target block (possibly remote).
+	MoveSlots = declare[MoveSlotsReq, MoveSlotsResp](0x0105, "MoveSlots")
+	// ImportEntries receives KV entries during a move
+	// (server-to-server).
+	ImportEntries = declare[ImportEntriesReq, ImportEntriesResp](0x0106, "ImportEntries")
+	// FlushBlock snapshots a block into the persistent store.
+	FlushBlock = declare[FlushBlockReq, FlushBlockResp](0x0107, "FlushBlock")
+	// LoadBlock restores a block from the persistent store.
+	LoadBlock = declare[LoadBlockReq, LoadBlockResp](0x0108, "LoadBlock")
+	// Subscribe registers for notifications on a set of blocks.
+	Subscribe = declare[SubscribeReq, SubscribeResp](0x0109, "Subscribe")
+	// Unsubscribe removes a subscription.
+	Unsubscribe = declare[UnsubscribeReq, UnsubscribeResp](0x010a, "Unsubscribe")
+	// ServerStats reports server statistics.
+	ServerStats = declare[ServerStatsReq, ServerStatsResp](0x010b, "ServerStats")
+	// SetOwnedSlots overwrites a KV block's owned slot ranges
+	// (merge commits).
+	SetOwnedSlots = declare[SetOwnedSlotsReq, SetOwnedSlotsResp](0x010c, "SetOwnedSlots")
+	// SnapshotBlock returns a block's serialized partition state
+	// (chain resynchronization after slot moves).
+	SnapshotBlock = declare[SnapshotBlockReq, SnapshotBlockResp](0x010e, "SnapshotBlock")
+	// RestoreBlock replaces a block's partition state from a
+	// snapshot.
+	RestoreBlock = declare[RestoreBlockReq, RestoreBlockResp](0x010f, "RestoreBlock")
+	// UpdateChain replaces a block's replication chain in place
 	// (chain repair: survivors must learn the spliced chain so writes
 	// propagate to the replacement, not the dead member).
-	MethodUpdateChain uint16 = 0x0111
-	// MethodSetTenantQuota installs a tenant's rate quota on a memory
+	UpdateChain = declare[UpdateChainReq, UpdateChainResp](0x0111, "UpdateChain")
+	// SetTenantQuota installs a tenant's rate quota on a memory
 	// server's admission gate (controller-to-server push).
-	MethodSetTenantQuota uint16 = 0x0112
-	// MethodExportSlots removes and returns the pairs in the given slot
+	SetTenantQuota = declare[SetTenantQuotaReq, SetTenantQuotaResp](0x0112, "SetTenantQuota")
+	// ExportSlots removes and returns the pairs in the given slot
 	// ranges from one KV replica, disowning the ranges locally. The
 	// controller drives repartitioning with per-replica exports (tail
 	// first) so a live chain never needs a snapshot restore — see
 	// controller/scale.go.
-	MethodExportSlots uint16 = 0x0113
+	ExportSlots = declare[ExportSlotsReq, ExportSlotsResp](0x0113, "ExportSlots")
 )
 
 // --- controller messages ----------------------------------------------------
@@ -684,56 +734,3 @@ type SetTenantQuotaReq struct {
 
 // SetTenantQuotaResp acknowledges installation.
 type SetTenantQuotaResp struct{}
-
-// methodNames maps method identifiers to stable human-readable names
-// for metrics labels and span events.
-var methodNames = map[uint16]string{
-	MethodRegisterJob:     "RegisterJob",
-	MethodDeregisterJob:   "DeregisterJob",
-	MethodCreatePrefix:    "CreatePrefix",
-	MethodCreateHierarchy: "CreateHierarchy",
-	MethodRemovePrefix:    "RemovePrefix",
-	MethodRenewLease:      "RenewLease",
-	MethodLeaseInfo:       "LeaseInfo",
-	MethodOpen:            "Open",
-	MethodFlushPrefix:     "FlushPrefix",
-	MethodLoadPrefix:      "LoadPrefix",
-	MethodRegisterServer:  "RegisterServer",
-	MethodScaleUp:         "ScaleUp",
-	MethodScaleDown:       "ScaleDown",
-	MethodControllerStats: "ControllerStats",
-	MethodListPrefixes:    "ListPrefixes",
-	MethodSaveState:       "SaveState",
-	MethodHeartbeat:       "Heartbeat",
-	MethodReportFailure:   "ReportFailure",
-	MethodDrainServer:     "DrainServer",
-	MethodSetQuota:        "SetQuota",
-	MethodDataOp:          "DataOp",
-	MethodCreateBlock:     "CreateBlock",
-	MethodDeleteBlock:     "DeleteBlock",
-	MethodSetNext:         "SetNext",
-	MethodMoveSlots:       "MoveSlots",
-	MethodExportSlots:     "ExportSlots",
-	MethodImportEntries:   "ImportEntries",
-	MethodFlushBlock:      "FlushBlock",
-	MethodLoadBlock:       "LoadBlock",
-	MethodSubscribe:       "Subscribe",
-	MethodUnsubscribe:     "Unsubscribe",
-	MethodServerStats:     "ServerStats",
-	MethodSetOwnedSlots:   "SetOwnedSlots",
-	MethodReplicate:       "Replicate",
-	MethodSnapshotBlock:   "SnapshotBlock",
-	MethodRestoreBlock:    "RestoreBlock",
-	MethodDataOpBatch:     "DataOpBatch",
-	MethodUpdateChain:     "UpdateChain",
-	MethodSetTenantQuota:  "SetTenantQuota",
-	MethodReportTier:      "ReportTier",
-	MethodCtrlReplicate:   "CtrlReplicate",
-	MethodCtrlBootstrap:   "CtrlBootstrap",
-	MethodCtrlRole:        "CtrlRole",
-	MethodCtrlPromote:     "CtrlPromote",
-}
-
-// MethodName returns the human-readable name of a method identifier,
-// or "" when unknown (callers fall back to the hex value).
-func MethodName(method uint16) string { return methodNames[method] }

@@ -105,7 +105,7 @@ func TestSpanPropagationUntracedServer(t *testing.T) {
 func TestPerMethodMetrics(t *testing.T) {
 	serverMetrics := obs.NewRPCMetrics("server")
 	srv := NewServer(BytesHandler(func(_ context.Context, _ *ServerConn, method uint16, payload []byte) ([]byte, error) {
-		if method == proto.MethodCreateBlock {
+		if method == proto.CreateBlock.ID {
 			return nil, core.ErrExists
 		}
 		return append([]byte(nil), payload...), nil
@@ -130,7 +130,7 @@ func TestPerMethodMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.CallContext(context.Background(), proto.MethodCreateBlock, nil); !errors.Is(err, core.ErrExists) {
+	if _, err := c.CallContext(context.Background(), proto.CreateBlock.ID, nil); !errors.Is(err, core.ErrExists) {
 		t.Fatalf("want ErrExists, got %v", err)
 	}
 
@@ -140,7 +140,7 @@ func TestPerMethodMetrics(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if serverMetrics.Method(proto.MethodDataOp).Latency.Count() == 5 &&
-			serverMetrics.Method(proto.MethodCreateBlock).Latency.Count() == 1 {
+			serverMetrics.Method(proto.CreateBlock.ID).Latency.Count() == 1 {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -153,9 +153,9 @@ func TestPerMethodMetrics(t *testing.T) {
 		errs   int64
 	}{
 		{clientMetrics, proto.MethodDataOp, 5, 0},
-		{clientMetrics, proto.MethodCreateBlock, 1, 1},
+		{clientMetrics, proto.CreateBlock.ID, 1, 1},
 		{serverMetrics, proto.MethodDataOp, 5, 0},
-		{serverMetrics, proto.MethodCreateBlock, 1, 1},
+		{serverMetrics, proto.CreateBlock.ID, 1, 1},
 	} {
 		s := tc.m.Method(tc.method)
 		if got := s.Requests.Value(); got != tc.reqs {

@@ -9,9 +9,7 @@
 package rpc
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -44,23 +42,6 @@ func (e *SessionError) Error() string {
 
 // Unwrap maps the session failure onto the ErrClosed sentinel.
 func (e *SessionError) Unwrap() error { return core.ErrClosed }
-
-// Marshal gob-encodes a control-plane message.
-func Marshal(v interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("rpc: marshal: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal gob-decodes into v.
-func Unmarshal(data []byte, v interface{}) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("rpc: unmarshal: %w", err)
-	}
-	return nil
-}
 
 // pendingShards divides the in-flight call table; must be a power of
 // two. Sequence numbers are assigned atomically and map onto shards
@@ -753,32 +734,6 @@ func (c *Client) startWatchdog() {
 			}
 		}
 	}()
-}
-
-// CallGob marshals req, performs the call and unmarshals into resp
-// (which may be nil when no body is expected).
-func (c *Client) CallGob(method uint16, req, resp interface{}) error {
-	return c.CallGobCtx(context.Background(), method, req, resp)
-}
-
-// CallGobCtx is CallGob with cancellation and span propagation.
-func (c *Client) CallGobCtx(ctx context.Context, method uint16, req, resp interface{}) error {
-	var payload []byte
-	var err error
-	if req != nil {
-		payload, err = Marshal(req)
-		if err != nil {
-			return err
-		}
-	}
-	out, err := c.CallContext(ctx, method, payload)
-	if err != nil {
-		return err
-	}
-	if resp == nil {
-		return nil
-	}
-	return Unmarshal(out, resp)
 }
 
 // Close tears down the session's connections; in-flight calls fail

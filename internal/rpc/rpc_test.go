@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"jiffy/internal/core"
+	"jiffy/internal/proto"
 )
 
 const (
@@ -72,7 +73,7 @@ func TestCallEcho(t *testing.T) {
 	}
 }
 
-func TestCallGob(t *testing.T) {
+func TestInvoke(t *testing.T) {
 	addr, _ := newTestServer(t)
 	c, err := Dial(addr)
 	if err != nil {
@@ -83,8 +84,9 @@ func TestCallGob(t *testing.T) {
 		A int
 		B string
 	}
-	var out msg
-	if err := c.CallGob(methodEcho, msg{A: 42, B: "x"}, &out); err != nil {
+	echo := proto.Method[msg, msg]{Info: proto.Info{ID: methodEcho, Name: "Echo"}}
+	out, err := Invoke(context.Background(), c, echo, msg{A: 42, B: "x"})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if out.A != 42 || out.B != "x" {

@@ -17,7 +17,7 @@ import (
 //
 // Ownership contract: Payload passes to the rpc layer, which recycles
 // it into the wire buffer pool once the response frame is written —
-// so it must be freshly encoded (rpc.Marshal, ds codec helpers) or
+// so it must be freshly encoded (a Table's handlers, ds codec helpers) or
 // taken from wire.GetBuf, never a slice aliasing long-lived state.
 // Vec segments are the opposite: they MAY alias long-lived block
 // memory (that is the zero-copy read path's whole point), and the rpc
@@ -57,7 +57,7 @@ type Handler func(ctx context.Context, conn *ServerConn, method uint16, payload 
 
 // BytesHandler adapts a contiguous-payload handler function to the
 // Handler contract — the natural shape for control planes whose
-// replies are always freshly gob-encoded.
+// replies are always freshly encoded (Table.Dispatch has it).
 func BytesHandler(fn func(ctx context.Context, conn *ServerConn, method uint16, payload []byte) ([]byte, error)) Handler {
 	return func(ctx context.Context, conn *ServerConn, method uint16, payload []byte) (Response, error) {
 		b, err := fn(ctx, conn, method, payload)

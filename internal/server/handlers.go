@@ -16,8 +16,8 @@ import (
 // handle is the memory server's RPC dispatch. Data-plane ops build
 // their responses as scatter-gather views into block memory (see
 // handleDataOp) and replication hops use the same binary codec (see
-// applyReplicated); the control-plane methods reply with freshly
-// gob-encoded bodies.
+// applyReplicated); every other method is served from the control
+// table (buildTable).
 func (s *Server) handle(ctx context.Context, conn *rpc.ServerConn, method uint16, payload []byte) (rpc.Response, error) {
 	switch method {
 	case proto.MethodDataOp:
@@ -29,243 +29,174 @@ func (s *Server) handle(ctx context.Context, conn *rpc.ServerConn, method uint16
 		// Chain-internal: the acknowledgement is the empty response.
 		return rpc.Response{}, s.applyReplicated(ctx, payload)
 	default:
-		b, err := s.handleControl(ctx, conn, method, payload)
+		b, err := s.table.Dispatch(ctx, conn, method, payload)
 		return rpc.BytesResponse(b), err
 	}
 }
 
-// handleControl serves the control-plane methods.
-func (s *Server) handleControl(ctx context.Context, conn *rpc.ServerConn, method uint16, payload []byte) ([]byte, error) {
-	switch method {
-	case proto.MethodCreateBlock:
-		var req proto.CreateBlockReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := s.createBlock(req); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.CreateBlockResp{})
+// serve registers a control method whose implementation needs neither
+// the request context nor the connection.
+func serve[Req, Resp any](s *Server, m proto.Method[Req, Resp], fn func(Req) (Resp, error)) {
+	rpc.Handle(&s.table, m, func(_ context.Context, _ *rpc.ServerConn, req Req) (Resp, error) {
+		return fn(req)
+	})
+}
 
-	case proto.MethodDeleteBlock:
-		var req proto.DeleteBlockReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		// Take the tier object with the block: a deleted block's demoted
-		// contents must never be resurrected (block IDs are recycled).
-		if b, err := s.store.Get(req.Block); err == nil {
-			b.TierMu.Lock()
-			if b.TierKey != "" {
-				if derr := s.persist.Delete(b.TierKey); derr != nil {
-					s.log.Debug("server: tier object delete failed", "key", b.TierKey, "err", derr)
-				}
-				b.TierKey = ""
-			}
-			b.TierMu.Unlock()
-		}
-		if err := s.store.Delete(req.Block); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.DeleteBlockResp{})
-
-	case proto.MethodSetNext:
-		var req proto.SetNextReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
+// buildTable declares the control-plane methods the server serves.
+func (s *Server) buildTable() {
+	serve(s, proto.CreateBlock, s.createBlock)
+	serve(s, proto.DeleteBlock, s.deleteBlock)
+	rpc.Handle(&s.table, proto.SetNext, func(ctx context.Context, _ *rpc.ServerConn, req proto.SetNextReq) (proto.SetNextResp, error) {
 		// Sealing is a sequenced mutation: on replicated queues it
 		// flows down the chain in order with the enqueues it follows.
-		if _, err := s.applyMutation(ctx, req.Block, core.OpQueueSetNext,
-			[][]byte{ds.RedirectPayload(req.Next)}); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.SetNextResp{})
-
-	case proto.MethodMoveSlots:
-		var req proto.MoveSlotsReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		moved, err := s.moveSlots(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.MoveSlotsResp{Moved: moved})
-
-	case proto.MethodExportSlots:
-		var req proto.ExportSlotsReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		entries, err := s.exportSlots(req)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.ExportSlotsResp{Entries: entries})
-
-	case proto.MethodImportEntries:
-		var req proto.ImportEntriesReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := s.importEntries(req); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.ImportEntriesResp{})
-
-	case proto.MethodSetOwnedSlots:
-		var req proto.SetOwnedSlotsReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		b, err := s.resolve(req.Block)
-		if err != nil {
-			return nil, err
-		}
-		defer b.EndOp()
-		kv, ok := b.Partition.(*ds.KV)
-		if !ok {
-			return nil, fmt.Errorf("server: block %v is not a kv shard: %w",
-				req.Block, core.ErrWrongType)
-		}
-		kv.SetOwned(req.Ranges)
-		return rpc.Marshal(proto.SetOwnedSlotsResp{})
-
-	case proto.MethodFlushBlock:
-		var req proto.FlushBlockReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		b, err := s.store.Get(req.Block)
-		if err != nil {
-			return nil, err
-		}
-		// Tiered fast path: a demoted block's snapshot already sits in
-		// the persist tier — copy it under the flush key instead of
-		// rehydrating. This is what lets an idle tenant's lease expire
-		// without pulling all its cold blocks back into memory.
-		if done, n, ferr := s.flushTiered(b, req.Key); done {
-			if ferr != nil {
-				return nil, ferr
-			}
-			return rpc.Marshal(proto.FlushBlockResp{Bytes: n})
-		}
-		if err := s.resolveBlock(b); err != nil {
-			return nil, err
-		}
-		defer b.EndOp()
-		snap, err := b.Partition.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		if err := s.persist.Put(req.Key, snap); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.FlushBlockResp{Bytes: len(snap)})
-
-	case proto.MethodLoadBlock:
-		var req proto.LoadBlockReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		b, err := s.resolve(req.Block)
-		if err != nil {
-			return nil, err
-		}
-		defer b.EndOp()
-		snap, err := s.persist.Get(req.Key)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.Partition.Restore(snap); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.LoadBlockResp{})
-
-	case proto.MethodSubscribe:
-		var req proto.SubscribeReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		id := s.subs.add(conn, req.Blocks, req.Ops)
-		return rpc.Marshal(proto.SubscribeResp{SubID: id})
-
-	case proto.MethodUnsubscribe:
-		var req proto.UnsubscribeReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
+		_, err := s.applyMutation(ctx, req.Block, core.OpQueueSetNext,
+			[][]byte{ds.RedirectPayload(req.Next)})
+		return proto.SetNextResp{}, err
+	})
+	rpc.Handle(&s.table, proto.MoveSlots, func(ctx context.Context, _ *rpc.ServerConn, req proto.MoveSlotsReq) (proto.MoveSlotsResp, error) {
+		return s.moveSlots(ctx, req)
+	})
+	serve(s, proto.ExportSlots, s.exportSlots)
+	serve(s, proto.ImportEntries, s.importEntries)
+	serve(s, proto.SetOwnedSlots, s.setOwnedSlots)
+	serve(s, proto.FlushBlock, s.flushBlock)
+	serve(s, proto.LoadBlock, s.loadBlock)
+	rpc.Handle(&s.table, proto.Subscribe, func(_ context.Context, conn *rpc.ServerConn, req proto.SubscribeReq) (proto.SubscribeResp, error) {
+		return proto.SubscribeResp{SubID: s.subs.add(conn, req.Blocks, req.Ops)}, nil
+	})
+	serve(s, proto.Unsubscribe, func(req proto.UnsubscribeReq) (proto.UnsubscribeResp, error) {
 		s.subs.remove(req.SubID)
-		return rpc.Marshal(proto.UnsubscribeResp{})
-
-	case proto.MethodServerStats:
+		return proto.UnsubscribeResp{}, nil
+	})
+	serve(s, proto.ServerStats, func(proto.ServerStatsReq) (proto.ServerStatsResp, error) {
 		blocks, used, _ := s.store.Stats()
-		return rpc.Marshal(proto.ServerStatsResp{
+		return proto.ServerStatsResp{
 			Blocks:    blocks,
 			UsedBytes: used,
 			Capacity:  blocks * s.cfg.BlockSize,
 			Ops:       s.ops.Load(),
-		})
-
-	case proto.MethodSnapshotBlock:
-		var req proto.SnapshotBlockReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		b, err := s.resolve(req.Block)
-		if err != nil {
-			return nil, err
-		}
-		defer b.EndOp()
-		snap, err := b.Partition.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.SnapshotBlockResp{Snapshot: snap})
-
-	case proto.MethodRestoreBlock:
-		var req proto.RestoreBlockReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		b, err := s.resolve(req.Block)
-		if err != nil {
-			return nil, err
-		}
-		defer b.EndOp()
-		if err := b.Partition.Restore(req.Snapshot); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.RestoreBlockResp{})
-
-	case proto.MethodSetTenantQuota:
-		var req proto.SetTenantQuotaReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
+		}, nil
+	})
+	serve(s, proto.SnapshotBlock, s.snapshotBlock)
+	serve(s, proto.RestoreBlock, s.restoreBlock)
+	serve(s, proto.SetTenantQuota, func(req proto.SetTenantQuotaReq) (proto.SetTenantQuotaResp, error) {
 		s.gate.SetQuota(req.Tenant, req.Quota)
-		return rpc.Marshal(proto.SetTenantQuotaResp{})
-
-	case proto.MethodUpdateChain:
-		var req proto.UpdateChainReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
+		return proto.SetTenantQuotaResp{}, nil
+	})
+	serve(s, proto.UpdateChain, func(req proto.UpdateChainReq) (proto.UpdateChainResp, error) {
 		b, err := s.store.Get(req.Block)
 		if err != nil {
-			return nil, err
+			return proto.UpdateChainResp{}, err
 		}
 		if req.Seal {
 			b.Seal()
 		} else {
 			b.SetChain(req.Chain, req.Gen)
 		}
-		return rpc.Marshal(proto.UpdateChainResp{})
+		return proto.UpdateChainResp{}, nil
+	})
+}
 
-	default:
-		return nil, fmt.Errorf("server: unknown method %#x: %w", method, core.ErrNotFound)
+// deleteBlock frees a block.
+func (s *Server) deleteBlock(req proto.DeleteBlockReq) (proto.DeleteBlockResp, error) {
+	// Take the tier object with the block: a deleted block's demoted
+	// contents must never be resurrected (block IDs are recycled).
+	if b, err := s.store.Get(req.Block); err == nil {
+		b.TierMu.Lock()
+		if b.TierKey != "" {
+			if derr := s.persist.Delete(b.TierKey); derr != nil {
+				s.log.Debug("server: tier object delete failed", "key", b.TierKey, "err", derr)
+			}
+			b.TierKey = ""
+		}
+		b.TierMu.Unlock()
 	}
+	return proto.DeleteBlockResp{}, s.store.Delete(req.Block)
+}
+
+// kvShard resolves a block that must hold a KV shard; the caller ends
+// the op on the returned block.
+func (s *Server) kvShard(id core.BlockID) (*blockstore.Block, *ds.KV, error) {
+	b, err := s.resolve(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	kv, ok := b.Partition.(*ds.KV)
+	if !ok {
+		b.EndOp()
+		return nil, nil, fmt.Errorf("server: block %v is not a kv shard: %w", id, core.ErrWrongType)
+	}
+	return b, kv, nil
+}
+
+// setOwnedSlots overwrites a KV block's owned ranges (merge commits).
+func (s *Server) setOwnedSlots(req proto.SetOwnedSlotsReq) (proto.SetOwnedSlotsResp, error) {
+	b, kv, err := s.kvShard(req.Block)
+	if err != nil {
+		return proto.SetOwnedSlotsResp{}, err
+	}
+	defer b.EndOp()
+	kv.SetOwned(req.Ranges)
+	return proto.SetOwnedSlotsResp{}, nil
+}
+
+// flushBlock snapshots a block into the persistent store.
+func (s *Server) flushBlock(req proto.FlushBlockReq) (proto.FlushBlockResp, error) {
+	b, err := s.store.Get(req.Block)
+	if err != nil {
+		return proto.FlushBlockResp{}, err
+	}
+	// Tiered fast path: a demoted block's snapshot already sits in
+	// the persist tier — copy it under the flush key instead of
+	// rehydrating. This is what lets an idle tenant's lease expire
+	// without pulling all its cold blocks back into memory.
+	if done, n, ferr := s.flushTiered(b, req.Key); done {
+		return proto.FlushBlockResp{Bytes: n}, ferr
+	}
+	if err := s.resolveBlock(b); err != nil {
+		return proto.FlushBlockResp{}, err
+	}
+	defer b.EndOp()
+	snap, err := b.Partition.Snapshot()
+	if err != nil {
+		return proto.FlushBlockResp{}, err
+	}
+	return proto.FlushBlockResp{Bytes: len(snap)}, s.persist.Put(req.Key, snap)
+}
+
+// loadBlock restores a block's partition from the persistent store.
+func (s *Server) loadBlock(req proto.LoadBlockReq) (proto.LoadBlockResp, error) {
+	b, err := s.resolve(req.Block)
+	if err != nil {
+		return proto.LoadBlockResp{}, err
+	}
+	defer b.EndOp()
+	snap, err := s.persist.Get(req.Key)
+	if err != nil {
+		return proto.LoadBlockResp{}, err
+	}
+	return proto.LoadBlockResp{}, b.Partition.Restore(snap)
+}
+
+// snapshotBlock returns a block's serialized partition state.
+func (s *Server) snapshotBlock(req proto.SnapshotBlockReq) (proto.SnapshotBlockResp, error) {
+	b, err := s.resolve(req.Block)
+	if err != nil {
+		return proto.SnapshotBlockResp{}, err
+	}
+	defer b.EndOp()
+	snap, err := b.Partition.Snapshot()
+	return proto.SnapshotBlockResp{Snapshot: snap}, err
+}
+
+// restoreBlock replaces a block's partition state from a snapshot.
+func (s *Server) restoreBlock(req proto.RestoreBlockReq) (proto.RestoreBlockResp, error) {
+	b, err := s.resolve(req.Block)
+	if err != nil {
+		return proto.RestoreBlockResp{}, err
+	}
+	defer b.EndOp()
+	return proto.RestoreBlockResp{}, b.Partition.Restore(req.Snapshot)
 }
 
 // handleInline is the read-pump fast path for small single data-plane
@@ -637,7 +568,7 @@ func (s *Server) applyMutationOn(ctx context.Context, b *blockstore.Block, op co
 }
 
 // createBlock installs a partition per the controller's instruction.
-func (s *Server) createBlock(req proto.CreateBlockReq) error {
+func (s *Server) createBlock(req proto.CreateBlockReq) (proto.CreateBlockResp, error) {
 	var part ds.Partition
 	switch req.Type {
 	case core.DSFile:
@@ -649,7 +580,7 @@ func (s *Server) createBlock(req proto.CreateBlockReq) error {
 	default:
 		p, err := ds.NewCustom(req.Type, req.Capacity, req.NumSlots)
 		if err != nil {
-			return fmt.Errorf("server: create block of type %v: %w", req.Type, core.ErrWrongType)
+			return proto.CreateBlockResp{}, fmt.Errorf("server: create block of type %v: %w", req.Type, core.ErrWrongType)
 		}
 		part = p
 	}
@@ -668,72 +599,48 @@ func (s *Server) createBlock(req proto.CreateBlockReq) error {
 	b.Touch(now)
 	b.SetPromotedAt(now)
 	b.SetChain(req.Chain, 0)
-	return s.store.Create(b)
+	return proto.CreateBlockResp{}, s.store.Create(b)
 }
 
 // moveSlots is the donor side of KV repartitioning (Fig. 8 step 4):
 // export the pairs in the moving ranges and deliver them to the target
 // block — possibly on another server, possibly on this one.
-func (s *Server) moveSlots(ctx context.Context, req proto.MoveSlotsReq) (int, error) {
-	b, err := s.resolve(req.Block)
+func (s *Server) moveSlots(ctx context.Context, req proto.MoveSlotsReq) (proto.MoveSlotsResp, error) {
+	b, kv, err := s.kvShard(req.Block)
 	if err != nil {
-		return 0, err
+		return proto.MoveSlotsResp{}, err
 	}
 	defer b.EndOp()
-	kv, ok := b.Partition.(*ds.KV)
-	if !ok {
-		return 0, fmt.Errorf("server: block %v is not a kv shard: %w",
-			req.Block, core.ErrWrongType)
-	}
 	entries := kv.ExportSlots(req.Ranges)
 	imp := proto.ImportEntriesReq{Block: req.Target.ID, Ranges: req.Ranges, Entries: entries}
 	if req.Target.Server == s.addr {
-		if err := s.importEntries(imp); err != nil {
-			return 0, err
-		}
+		_, err = s.importEntries(imp)
 	} else {
-		peer, err := s.peers.Get(req.Target.Server)
-		if err != nil {
-			return 0, err
-		}
-		var resp proto.ImportEntriesResp
-		if err := peer.CallGobCtx(ctx, proto.MethodImportEntries, imp, &resp); err != nil {
-			return 0, err
-		}
+		_, err = rpc.InvokeAt(ctx, s.peers, req.Target.Server, proto.ImportEntries, imp)
 	}
-	return len(entries), nil
+	return proto.MoveSlotsResp{Moved: len(entries)}, err
 }
 
 // exportSlots removes and returns the pairs in the moving ranges from
 // one replica, disowning the ranges. The controller calls this on every
 // chain member (tail first) during repartitioning, so no member is ever
 // brought back in sync by a snapshot restore while live.
-func (s *Server) exportSlots(req proto.ExportSlotsReq) ([]ds.KVEntry, error) {
-	b, err := s.resolve(req.Block)
+func (s *Server) exportSlots(req proto.ExportSlotsReq) (proto.ExportSlotsResp, error) {
+	b, kv, err := s.kvShard(req.Block)
 	if err != nil {
-		return nil, err
+		return proto.ExportSlotsResp{}, err
 	}
 	defer b.EndOp()
-	kv, ok := b.Partition.(*ds.KV)
-	if !ok {
-		return nil, fmt.Errorf("server: block %v is not a kv shard: %w",
-			req.Block, core.ErrWrongType)
-	}
-	return kv.ExportSlots(req.Ranges), nil
+	return proto.ExportSlotsResp{Entries: kv.ExportSlots(req.Ranges)}, nil
 }
 
 // importEntries is the recipient side of a slot move.
-func (s *Server) importEntries(req proto.ImportEntriesReq) error {
-	b, err := s.resolve(req.Block)
+func (s *Server) importEntries(req proto.ImportEntriesReq) (proto.ImportEntriesResp, error) {
+	b, kv, err := s.kvShard(req.Block)
 	if err != nil {
-		return err
+		return proto.ImportEntriesResp{}, err
 	}
 	defer b.EndOp()
-	kv, ok := b.Partition.(*ds.KV)
-	if !ok {
-		return fmt.Errorf("server: block %v is not a kv shard: %w",
-			req.Block, core.ErrWrongType)
-	}
 	kv.ImportEntries(req.Ranges, req.Entries)
-	return nil
+	return proto.ImportEntriesResp{}, nil
 }

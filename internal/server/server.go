@@ -8,6 +8,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -64,11 +65,14 @@ type Server struct {
 	peers  *rpc.Pool
 	gate   *qos.Gate
 
+	// table serves the control-plane methods (see buildTable).
+	table rpc.Table
+
 	addr      string
 	ctrlAddrs []string
-	// ctrlLeader indexes ctrlAddrs at the member last observed leading;
-	// callCtrl starts there and re-homes on redirects.
-	ctrlLeader atomic.Int32
+	// ctrl follows the controller group's leader for registration,
+	// heartbeats, scale signals and reports.
+	ctrl *rpc.Group
 	// numBlocks is the registered capacity, kept for re-registration
 	// when the controller reports it no longer knows this server.
 	numBlocks atomic.Int64
@@ -135,6 +139,11 @@ func New(opts Options) (*Server, error) {
 		reports:   make(chan proto.ReportFailureReq, 64),
 		stop:      make(chan struct{}),
 	}
+	// One pass over the group plus slack for a hint follow, no wait between
+	// members: every caller is a background worker with its own retry
+	// cadence, so a failed pass just surfaces the last error to it.
+	s.ctrl = rpc.NewGroup(s.peers, s.ctrlAddrs, len(s.ctrlAddrs)+2, nil)
+	s.buildTable()
 	s.store = blockstore.NewStore(opts.Config.HighThreshold, opts.Config.LowThreshold, s.onSignal)
 	s.gate = qos.NewGate(qos.Options{
 		Clock:       opts.Clock,
@@ -230,77 +239,12 @@ func (s *Server) Listen(addr string) (string, error) {
 // Addr returns the bound data-plane address.
 func (s *Server) Addr() string { return s.addr }
 
-// ctrlIndexOf maps a leader-hint address to its slot in ctrlAddrs, or
-// -1 when the hint is empty or names a member outside the configured
-// group (callCtrl then falls back to round-robin probing).
-func (s *Server) ctrlIndexOf(addr string) int {
-	if addr == "" {
-		return -1
-	}
-	for i, a := range s.ctrlAddrs {
-		if a == addr {
-			return i
-		}
-	}
-	return -1
-}
-
-// callCtrl issues one control-plane call against the controller group,
-// starting at the member last observed leading. A NotLeader redirect
-// re-homes onto the hinted leader (or probes round-robin when the hint
-// is unusable); a connection failure drops the pooled session and
-// probes the next member. There is no sleep between probes — every
-// caller here is a background worker with its own retry cadence, so a
-// failed pass just surfaces the last error to that cadence.
-func (s *Server) callCtrl(method uint16, req, resp any) error {
-	n := len(s.ctrlAddrs)
-	if n == 0 {
-		return fmt.Errorf("server: no controller address configured")
-	}
-	idx := int(s.ctrlLeader.Load()) % n
-	var lastErr error
-	// One pass over the group plus slack for a hint follow.
-	for attempt := 0; attempt <= n+1; attempt++ {
-		addr := s.ctrlAddrs[idx]
-		ctrl, err := s.peers.Get(addr)
-		if err == nil {
-			err = ctrl.CallGob(method, req, resp)
-		}
-		if err == nil {
-			s.ctrlLeader.Store(int32(idx))
-			return nil
-		}
-		lastErr = err
-		switch {
-		case errors.Is(err, core.ErrNotLeader):
-			// A standby answered: invalidate its pooled session so a
-			// later leadership change is not served from a stale conn.
-			s.peers.Drop(addr)
-			if hint, _ := core.LeaderHintOf(err); hint != addr {
-				if j := s.ctrlIndexOf(hint); j >= 0 {
-					idx = j
-					continue
-				}
-			}
-			idx = (idx + 1) % n
-		case errors.Is(err, core.ErrClosed) || errors.Is(err, core.ErrTimeout):
-			s.peers.Drop(addr)
-			idx = (idx + 1) % n
-		default:
-			// An operation-level answer from the leader; not a routing
-			// problem, so surface it.
-			return err
-		}
-	}
-	return lastErr
-}
-
 // Register announces this server's capacity to the controller.
 func (s *Server) Register(numBlocks int) error {
 	s.numBlocks.Store(int64(numBlocks))
-	var resp proto.RegisterServerResp
-	return s.callCtrl(proto.MethodRegisterServer,
-		proto.RegisterServerReq{Addr: s.addr, NumBlocks: numBlocks}, &resp)
+	_, err := rpc.Invoke(context.Background(), s.ctrl, proto.RegisterServer,
+		proto.RegisterServerReq{Addr: s.addr, NumBlocks: numBlocks})
+	return err
 }
 
 // heartbeatWorker paces periodic liveness beats to the controller.
@@ -329,8 +273,7 @@ func (s *Server) HeartbeatNow() error {
 	if len(s.ctrlAddrs) == 0 || s.addr == "" {
 		return nil
 	}
-	var resp proto.HeartbeatResp
-	err := s.callCtrl(proto.MethodHeartbeat, proto.HeartbeatReq{Addr: s.addr}, &resp)
+	_, err := rpc.Invoke(context.Background(), s.ctrl, proto.Heartbeat, proto.HeartbeatReq{Addr: s.addr})
 	if errors.Is(err, core.ErrNotFound) {
 		if n := s.numBlocks.Load(); n > 0 {
 			s.log.Info("server: controller lost track of us; re-registering",
@@ -405,8 +348,7 @@ func (s *Server) reportWorker() {
 		case <-s.stop:
 			return
 		case rep := <-s.reports:
-			var resp proto.ReportFailureResp
-			if err := s.callCtrl(proto.MethodReportFailure, rep, &resp); err != nil {
+			if _, err := rpc.Invoke(context.Background(), s.ctrl, proto.ReportFailure, rep); err != nil {
 				s.log.Debug("server: failure report rejected", "server", rep.Server, "err", err)
 			}
 		}
@@ -472,13 +414,11 @@ func (s *Server) deliverSignal(sig signal) {
 	}
 	var err error
 	if sig.over {
-		var resp proto.ScaleUpResp
-		err = s.callCtrl(proto.MethodScaleUp,
-			proto.ScaleUpReq{Path: sig.path, Block: sig.block}, &resp)
+		_, err = rpc.Invoke(context.Background(), s.ctrl, proto.ScaleUp,
+			proto.ScaleUpReq{Path: sig.path, Block: sig.block})
 	} else {
-		var resp proto.ScaleDownResp
-		err = s.callCtrl(proto.MethodScaleDown,
-			proto.ScaleDownReq{Path: sig.path, Block: sig.block}, &resp)
+		_, err = rpc.Invoke(context.Background(), s.ctrl, proto.ScaleDown,
+			proto.ScaleDownReq{Path: sig.path, Block: sig.block})
 	}
 	s.signalsSent.Inc()
 	if err != nil {

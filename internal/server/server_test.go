@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -42,11 +43,10 @@ func newServer(t *testing.T) (*server.Server, *rpc.Client, *persist.MemStore) {
 func createBlock(t *testing.T, c *rpc.Client, id core.BlockID, typ core.DSType,
 	slots []ds.SlotRange, chunk int, chain core.ReplicaChain) {
 	t.Helper()
-	var resp proto.CreateBlockResp
-	err := c.CallGob(proto.MethodCreateBlock, proto.CreateBlockReq{
+	_, err := rpc.Invoke(context.Background(), c, proto.CreateBlock, proto.CreateBlockReq{
 		Block: id, Path: "j/t", Type: typ,
 		Capacity: 64 * core.KB, NumSlots: 64, Slots: slots, Chunk: chunk, Chain: chain,
-	}, &resp)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +71,7 @@ func TestDataOpLifecycle(t *testing.T) {
 		t.Errorf("get = %v, %v", res, err)
 	}
 	// Delete the block; further ops report stale metadata.
-	var dresp proto.DeleteBlockResp
-	if err := c.CallGob(proto.MethodDeleteBlock, proto.DeleteBlockReq{Block: 1}, &dresp); err != nil {
+	if _, err := rpc.Invoke(context.Background(), c, proto.DeleteBlock, proto.DeleteBlockReq{Block: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dataOp(c, 1, core.OpGet, []byte("k")); !errors.Is(err, core.ErrStaleEpoch) {
@@ -84,10 +83,9 @@ func TestQueueRedirectOverRPC(t *testing.T) {
 	_, c, _ := newServer(t)
 	createBlock(t, c, 1, core.DSQueue, nil, 0, nil)
 	createBlock(t, c, 2, core.DSQueue, nil, 1, nil)
-	var resp proto.SetNextResp
-	err := c.CallGob(proto.MethodSetNext, proto.SetNextReq{
+	_, err := rpc.Invoke(context.Background(), c, proto.SetNext, proto.SetNextReq{
 		Block: 1, Next: core.BlockInfo{ID: 2, Server: "elsewhere"},
-	}, &resp)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +110,11 @@ func TestMoveSlotsLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var mresp proto.MoveSlotsResp
-	err := c.CallGob(proto.MethodMoveSlots, proto.MoveSlotsReq{
+	mresp, err := rpc.Invoke(context.Background(), c, proto.MoveSlots, proto.MoveSlotsReq{
 		Block:  1,
 		Ranges: []ds.SlotRange{{Lo: 32, Hi: 63}},
 		Target: core.BlockInfo{ID: 2, Server: s.Addr()},
-	}, &mresp)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +149,11 @@ func TestMoveSlotsRemote(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var mresp proto.MoveSlotsResp
-	err := c1.CallGob(proto.MethodMoveSlots, proto.MoveSlotsReq{
+	mresp, err := rpc.Invoke(context.Background(), c1, proto.MoveSlots, proto.MoveSlotsReq{
 		Block:  1,
 		Ranges: []ds.SlotRange{{Lo: 0, Hi: 63}},
 		Target: core.BlockInfo{ID: 2, Server: s2.Addr()},
-	}, &mresp)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +171,8 @@ func TestFlushLoadBlock(t *testing.T) {
 	_, c, store := newServer(t)
 	createBlock(t, c, 1, core.DSKV, []ds.SlotRange{{Lo: 0, Hi: 63}}, 0, nil)
 	dataOp(c, 1, core.OpPut, []byte("persist-me"), []byte("v1"))
-	var fresp proto.FlushBlockResp
-	if err := c.CallGob(proto.MethodFlushBlock, proto.FlushBlockReq{Block: 1, Key: "snap/1"}, &fresp); err != nil {
+	fresp, err := rpc.Invoke(context.Background(), c, proto.FlushBlock, proto.FlushBlockReq{Block: 1, Key: "snap/1"})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if fresp.Bytes == 0 {
@@ -187,8 +183,7 @@ func TestFlushLoadBlock(t *testing.T) {
 	}
 	// Clobber and restore.
 	dataOp(c, 1, core.OpPut, []byte("persist-me"), []byte("dirty"))
-	var lresp proto.LoadBlockResp
-	if err := c.CallGob(proto.MethodLoadBlock, proto.LoadBlockReq{Block: 1, Key: "snap/1"}, &lresp); err != nil {
+	if _, err := rpc.Invoke(context.Background(), c, proto.LoadBlock, proto.LoadBlockReq{Block: 1, Key: "snap/1"}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := dataOp(c, 1, core.OpGet, []byte("persist-me"))
@@ -243,10 +238,9 @@ func TestSubscriptionDelivery(t *testing.T) {
 			notifs <- n
 		}
 	})
-	var sresp proto.SubscribeResp
-	err := c.CallGob(proto.MethodSubscribe, proto.SubscribeReq{
+	sresp, err := rpc.Invoke(context.Background(), c, proto.Subscribe, proto.SubscribeReq{
 		Blocks: []core.BlockID{1}, Ops: []core.OpType{core.OpEnqueue},
-	}, &sresp)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +261,9 @@ func TestSubscriptionDelivery(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 	// Unsubscribe stops delivery.
-	var uresp proto.UnsubscribeResp
-	c.CallGob(proto.MethodUnsubscribe, proto.UnsubscribeReq{SubID: sresp.SubID}, &uresp)
+	if _, err := rpc.Invoke(context.Background(), c, proto.Unsubscribe, proto.UnsubscribeReq{SubID: sresp.SubID}); err != nil {
+		t.Fatal(err)
+	}
 	dataOp(c, 1, core.OpEnqueue, []byte("after-unsub"))
 	select {
 	case n := <-notifs:
@@ -281,8 +276,8 @@ func TestServerStats(t *testing.T) {
 	_, c, _ := newServer(t)
 	createBlock(t, c, 1, core.DSKV, []ds.SlotRange{{Lo: 0, Hi: 63}}, 0, nil)
 	dataOp(c, 1, core.OpPut, []byte("k"), []byte("0123456789"))
-	var stats proto.ServerStatsResp
-	if err := c.CallGob(proto.MethodServerStats, proto.ServerStatsReq{}, &stats); err != nil {
+	stats, err := rpc.Invoke(context.Background(), c, proto.ServerStats, proto.ServerStatsReq{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Blocks != 1 || stats.UsedBytes != 11 || stats.Ops < 1 {
@@ -292,18 +287,17 @@ func TestServerStats(t *testing.T) {
 
 func TestCreateBlockValidation(t *testing.T) {
 	_, c, _ := newServer(t)
-	var resp proto.CreateBlockResp
-	err := c.CallGob(proto.MethodCreateBlock, proto.CreateBlockReq{
+	_, err := rpc.Invoke(context.Background(), c, proto.CreateBlock, proto.CreateBlockReq{
 		Block: 1, Type: core.DSNone, Capacity: 1024,
-	}, &resp)
+	})
 	if !errors.Is(err, core.ErrWrongType) {
 		t.Errorf("DSNone block accepted: %v", err)
 	}
 	// Duplicate creation rejected.
 	createBlock(t, c, 2, core.DSFile, nil, 0, nil)
-	err = c.CallGob(proto.MethodCreateBlock, proto.CreateBlockReq{
+	_, err = rpc.Invoke(context.Background(), c, proto.CreateBlock, proto.CreateBlockReq{
 		Block: 2, Type: core.DSFile, Capacity: 1024,
-	}, &resp)
+	})
 	if !errors.Is(err, core.ErrExists) {
 		t.Errorf("duplicate block accepted: %v", err)
 	}

@@ -33,7 +33,7 @@ func TestDroppedSignalRearms(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	ctrl := rpc.NewServer(rpc.BytesHandler(func(_ context.Context, _ *rpc.ServerConn, method uint16, _ []byte) ([]byte, error) {
-		if method != proto.MethodScaleUp {
+		if method != proto.ScaleUp.ID {
 			return nil, fmt.Errorf("unexpected method %#x", method)
 		}
 		select {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/proto"
+	"jiffy/internal/rpc"
 	"jiffy/internal/tier"
 )
 
@@ -283,15 +285,15 @@ func (s *Server) reportTier(id core.BlockID, path core.Path, key string, gen uin
 	if len(s.ctrlAddrs) == 0 {
 		return nil
 	}
-	var resp proto.ReportTierResp
-	return s.callCtrl(proto.MethodReportTier, proto.ReportTierReq{
+	_, err := rpc.Invoke(context.Background(), s.ctrl, proto.ReportTier, proto.ReportTierReq{
 		Server:  s.addr,
 		Block:   id,
 		Path:    path,
 		Key:     key,
 		Gen:     gen,
 		Demoted: demoted,
-	}, &resp)
+	})
+	return err
 }
 
 // resolveBlock pins b resident for one operation, rehydrating it first

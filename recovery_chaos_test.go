@@ -336,7 +336,7 @@ func restoreFailingDial(t *testing.T, inj *faultinject.Injector, fail *atomic.Bo
 		defer mu.Unlock()
 		if proxies[addr] == "" {
 			proxy := rpc.NewServer(rpc.BytesHandler(func(ctx context.Context, _ *rpc.ServerConn, method uint16, payload []byte) ([]byte, error) {
-				if method == proto.MethodRestoreBlock && fail.Load() {
+				if method == proto.RestoreBlock.ID && fail.Load() {
 					return nil, errors.New("injected restore failure")
 				}
 				up, err := upstream.Get(addr)
