@@ -393,26 +393,6 @@ func (s *Store) Get(id core.BlockID) (*Block, error) {
 	return nil, fmt.Errorf("blockstore: block %v unknown: %w", id, core.ErrStaleEpoch)
 }
 
-// GetMany resolves a set of block IDs against one consistent snapshot
-// of the block map — the batch path's lookup. The returned map holds
-// only the blocks that exist; absent IDs mean the client's partition
-// map is stale (same contract as Get).
-func (s *Store) GetMany(ids []core.BlockID) map[core.BlockID]*Block {
-	m := s.snapshotMap()
-	out := make(map[core.BlockID]*Block, len(ids))
-	for _, id := range ids {
-		if b, ok := m[id]; ok {
-			out[id] = b
-		}
-	}
-	return out
-}
-
-// CountOps adds n to the applied-op counter for ops executed outside
-// Apply/ApplyOn — the zero-copy view path, which reads partition
-// memory directly.
-func (s *Store) CountOps(n int64) { s.ops.Add(n) }
-
 // Apply executes a data-plane op against a block, re-evaluating
 // thresholds after mutations.
 func (s *Store) Apply(id core.BlockID, op core.OpType, args [][]byte) ([][]byte, error) {
@@ -495,9 +475,9 @@ func (s *Store) ResetSignal(id core.BlockID) {
 
 // Instrument registers the store's metrics with a registry: lifetime
 // block create/delete counters plus live gauges for block count, used
-// and capacity bytes (utilization is their ratio), and applied ops.
-// The gauges read store state only at scrape time, so the data path
-// pays nothing for them.
+// and capacity bytes (utilization is their ratio). The gauges read
+// store state only at scrape time, so the data path pays nothing for
+// them. (The op count is the server's: views bypass the store.)
 func (s *Store) Instrument(r *obs.Registry) {
 	s.created = r.Counter("jiffy_store_blocks_created_total",
 		"blocks installed into this store over its lifetime")
@@ -516,9 +496,6 @@ func (s *Store) Instrument(r *obs.Registry) {
 			capacity += int64(b.Partition.Capacity())
 		}
 		return capacity
-	})
-	r.GaugeFunc("jiffy_store_ops_total", "data-plane operations applied", func() int64 {
-		return s.ops.Load()
 	})
 }
 

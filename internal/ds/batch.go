@@ -40,8 +40,9 @@ func OKResult(vals [][]byte) BatchResult {
 }
 
 // ErrResult converts an op error into its wire form, preserving the
-// sentinel code, the redirect payload, and unclassified messages —
-// exactly what the single-op response frame would have carried.
+// sentinel code, the redirect payload, and unclassified messages. It
+// is the one rule for both response shapes: a single-op response
+// frame carries the same blob as its payload.
 func ErrResult(err error) BatchResult {
 	r := BatchResult{Code: core.CodeOf(err)}
 	if p := RedirectPayloadOf(err); p != nil {
@@ -108,14 +109,28 @@ func DecodeBatchRequest(data []byte) ([]BatchOp, error) {
 	return ops, nil
 }
 
+// AppendResult appends one result to a batch response under
+// construction. An OK result without a blob — ErrResult(nil) — takes
+// vals as its blob, encoded straight into dst, so a server answers a
+// batch without an allocation per op.
+func AppendResult(dst []byte, r BatchResult, vals [][]byte) []byte {
+	dst = append(dst, byte(r.Code), 0, 0, 0, 0)
+	start := len(dst)
+	if r.Code == core.CodeOK && r.Blob == nil {
+		dst = AppendVals(dst, vals)
+	} else {
+		dst = append(dst, r.Blob...)
+	}
+	binary.BigEndian.PutUint32(dst[start-4:start], uint32(len(dst)-start))
+	return dst
+}
+
 // AppendBatchResults appends the batch response encoding to dst (which
 // may be a pooled buffer).
 func AppendBatchResults(dst []byte, results []BatchResult) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(results)))
 	for _, r := range results {
-		dst = append(dst, byte(r.Code))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Blob)))
-		dst = append(dst, r.Blob...)
+		dst = AppendResult(dst, r, nil)
 	}
 	return dst
 }

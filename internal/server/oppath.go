@@ -1,0 +1,305 @@
+package server
+
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+
+	"jiffy/internal/blockstore"
+	"jiffy/internal/core"
+	"jiffy/internal/ds"
+	"jiffy/internal/rpc"
+	"jiffy/internal/wire"
+)
+
+// The data-op path (§4.2.2): every data op runs through the stages
+// decode → lookup → pin → admit → apply → forward → notify → encode,
+// entered from runOp (one op, on the read pump or its own goroutine),
+// runBatch (a batch frame) or runHop (a chain hop). DESIGN.md's "Server
+// op path" table says what each stage owns, when the inline entry
+// punts and which entries skip it; TestOpPathTable pins it.
+
+// opCtx is one data op on its way through the stages, held on the
+// stack of the entry that runs it.
+type opCtx struct {
+	op    core.OpType
+	block core.BlockID
+	args  [][]byte // alias the request frame: valid until the entry returns
+	b     *blockstore.Block
+
+	// hop marks a chain hop, position seq of generation gen in the
+	// block's replication stream.
+	hop      bool
+	seq, gen uint64
+	// checkNow evaluates the repartition thresholds right after a
+	// mutation. A batch checks once per mutated block at its end, and a
+	// hop never: the controller knows the head's block, not a replica's.
+	checkNow bool
+
+	res   [][]byte
+	lease func() // a view's read lease, held until res is encoded
+}
+
+// runOp runs one op (MethodDataOp). Inline, it returns
+// rpc.ErrDispatchAsync at the first stage that would block, holding
+// nothing, and the rpc layer runs it again from decode on a goroutine.
+// The response never aliases the request payload: partitions copy what
+// they keep, and a result is either owned outright (a dequeued item, a
+// removed value) or a view into block memory (see encode).
+func (s *Server) runOp(ctx context.Context, payload []byte, inline bool) (rpc.Response, error) {
+	o := opCtx{checkNow: true}
+	var err error
+	if o.op, o.block, o.args, err = ds.DecodeRequest(payload); err != nil {
+		return o.encode(err)
+	}
+	if o.b, err = s.store.Get(o.block); err != nil {
+		return o.encode(err)
+	}
+	if inline && o.op.IsMutation() && len(o.b.Chain()) > 1 {
+		// The head forwards synchronously; a replica waits on sequence order.
+		return o.encode(rpc.ErrDispatchAsync)
+	}
+	if err = s.pin(o.b, inline); err != nil {
+		return o.encode(err)
+	}
+	defer func() {
+		if o.lease == nil { // else the response's Release unpins
+			o.b.EndOp()
+		}
+	}()
+	release, err := s.admit(ctx, o.b.Tenant, 1, argBytes(o.args), inline)
+	if err != nil {
+		return o.encode(err)
+	}
+	if release != nil {
+		defer release()
+	}
+	return o.encode(s.apply(ctx, &o))
+}
+
+// encode answers one op. An error takes the wire form a batch result
+// has too (ds.ErrResult): its code, with the redirect target or the
+// message as payload. A result goes out as scatter-gather segments;
+// when they alias block memory under a view's lease, the lease and the
+// residency pin are held until the rpc layer has written the frame.
+func (o *opCtx) encode(err error) (rpc.Response, error) {
+	switch {
+	case err == rpc.ErrDispatchAsync:
+		return rpc.Response{}, err
+	case err != nil:
+		return rpc.BytesResponse(ds.ErrResult(err).Blob), err
+	}
+	head, vec := ds.AppendValsVec(wire.GetBuf(), o.res)
+	resp := rpc.Response{Payload: head, Vec: vec}
+	if o.lease != nil {
+		lease, b := o.lease, o.b
+		resp.Release = func() {
+			lease()
+			b.EndOp()
+		}
+	}
+	return resp, nil
+}
+
+// runBatch runs a batch (MethodDataOpBatch). Ops fail independently,
+// each failure attributed to its op alone, and the repartition
+// thresholds are evaluated once per mutated block after the whole
+// batch. Each result is encoded into the pooled response, and a view's
+// lease released, before the next op runs: a file read's lease held
+// across a later write to the same chunk would deadlock the batch on
+// itself.
+func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, error) {
+	ops, err := ds.DecodeBatchRequest(payload)
+	if err != nil {
+		return rpc.Response{}, err
+	}
+	blocks := make(map[core.BlockID]*blockstore.Block, len(ops))
+	refused := make(map[core.BlockID]error)
+	for _, bo := range ops {
+		if blocks[bo.Block] != nil || refused[bo.Block] != nil {
+			continue
+		}
+		b, err := s.store.Get(bo.Block)
+		if err == nil {
+			err = s.pin(b, false)
+		}
+		if err != nil {
+			refused[bo.Block] = err
+			continue
+		}
+		blocks[bo.Block] = b
+	}
+	defer func() {
+		for _, b := range blocks {
+			b.EndOp()
+		}
+	}()
+	// A tenant's ops and bytes are charged together, so a batch waits in
+	// the DRR queue at most once; a throttled tenant's ops all fail with
+	// its refusal while other tenants' proceed.
+	if s.gate.Active() {
+		demand := make(map[string][2]int64)
+		for _, bo := range ops {
+			if b := blocks[bo.Block]; b != nil {
+				d := demand[b.Tenant]
+				demand[b.Tenant] = [2]int64{d[0] + 1, d[1] + argBytes(bo.Args)}
+			}
+		}
+		for tenant, d := range demand {
+			release, err := s.admit(ctx, tenant, d[0], d[1], false)
+			if err != nil {
+				for id, b := range blocks {
+					if b.Tenant == tenant {
+						refused[id] = err
+					}
+				}
+			} else if release != nil {
+				defer release()
+			}
+		}
+	}
+	// The batch response: u16 count, then one ds.AppendResult per op.
+	resp := binary.BigEndian.AppendUint16(wire.GetBuf(), uint16(len(ops)))
+	mutated := make(map[core.BlockID]*blockstore.Block)
+	for _, bo := range ops {
+		o := opCtx{op: bo.Op, block: bo.Block, args: bo.Args, b: blocks[bo.Block]}
+		err := refused[bo.Block]
+		if err == nil {
+			if err = s.apply(ctx, &o); err == nil && o.op.IsMutation() {
+				mutated[o.block] = o.b
+			}
+		}
+		resp = ds.AppendResult(resp, ds.ErrResult(err), o.res)
+		if o.lease != nil {
+			o.lease()
+		}
+	}
+	for _, b := range mutated {
+		s.store.CheckThresholds(b)
+	}
+	return rpc.BytesResponse(resp), nil
+}
+
+// runHop runs a chain hop (MethodReplicate): a mutation forwarded by
+// the predecessor, applied in its sequence order and forwarded on. Its
+// args alias the inbound frame, which the rpc layer recycles once the
+// empty response is written, through the local apply (partitions copy
+// what they keep) and the onward hop. A hop is not admitted — the head
+// admitted the op, and charging it again would bill a replicated tenant
+// twice — and it leaves notification to the head, whose block the
+// subscribers know.
+func (s *Server) runHop(ctx context.Context, payload []byte) error {
+	o := opCtx{hop: true}
+	var err error
+	if o.seq, o.gen, o.op, o.block, o.args, err = ds.DecodeReplicate(payload); err != nil {
+		return err
+	}
+	if o.b, err = s.resolve(o.block); err != nil {
+		return err
+	}
+	defer o.b.EndOp()
+	return s.apply(ctx, &o)
+}
+
+// pin holds b resident for one operation, rehydrating it first if it
+// has been demoted; on success the caller owes b.EndOp(). Inline, a
+// demoted block punts instead: rehydration is persist-tier IO.
+func (s *Server) pin(b *blockstore.Block, inline bool) error {
+	for !b.BeginOp() {
+		if inline {
+			return rpc.ErrDispatchAsync
+		}
+		if err := s.rehydrateBlock(b); err != nil {
+			return err
+		}
+	}
+	b.Touch(s.store.HeatNow())
+	return nil
+}
+
+// admit charges the QoS gate for ops operations and bytes ingress
+// bytes on tenant's behalf (the path's job component); the caller runs
+// the returned release, if any, once the work is done. Inline, an
+// active gate punts: token debits, DRR waits and throttle accounting
+// do not belong on the read pump.
+func (s *Server) admit(ctx context.Context, tenant string, ops, bytes int64, inline bool) (func(), error) {
+	if inline && s.gate.Active() {
+		return nil, rpc.ErrDispatchAsync
+	}
+	return s.gate.Admit(ctx, tenant, ops, bytes)
+}
+
+// argBytes sums the request argument bytes of one op — the ingress
+// byte measure charged against a tenant's BytesPerSec bucket.
+func argBytes(args [][]byte) int64 {
+	var n int64
+	for _, a := range args {
+		n += int64(len(a))
+	}
+	return n
+}
+
+// apply runs the op against its pinned block and counts it: the one
+// place ServerStats.Ops moves. A mutation is sequenced and forwarded
+// (sequence). A read takes the partition's zero-copy view when it has
+// one, leaving o.lease set if the view holds a read lease, and the
+// partition's Apply otherwise. A successful op then notifies its
+// block's subscribers, unless it is a hop.
+func (s *Server) apply(ctx context.Context, o *opCtx) (err error) {
+	s.ops.Add(1)
+	if o.op.IsMutation() {
+		o.res, err = s.sequence(ctx, o)
+	} else if v, handled, verr := ds.ApplyView(o.b.Partition, o.op, o.args); handled {
+		o.res, o.lease, err = v.Vals, v.Release, verr
+	} else {
+		o.res, err = s.store.ApplyOn(o.b, o.op, o.args, o.checkNow)
+	}
+	if err == nil && !o.hop {
+		var data []byte
+		if len(o.args) > 0 {
+			data = o.args[0]
+		}
+		// notify marshals synchronously, copying data out of the frame.
+		s.notify(o.block, o.op, data)
+	}
+	return err
+}
+
+// sequence applies a mutation in chain order and forwards it to the
+// block's successor. A hop applies in its predecessor's sequence order
+// (ApplyInOrder); the head of a replicated chain takes the next
+// sequence number under the lock it applies under (NextReplSeq); any
+// other block applies directly, and refuses once sealed for migration.
+// The chain forwarded along is read under the same lock as the sequence
+// number, so a repair splice landing meanwhile can never pair a new
+// generation with the old layout — which would let mid-chain survivors
+// apply a mutation the spliced-in replacement misses, wedging the
+// stream on the hole.
+func (s *Server) sequence(ctx context.Context, o *opCtx) (res [][]byte, err error) {
+	b := o.b
+	applyOn := func() ([][]byte, error) { return s.store.ApplyOn(b, o.op, o.args, o.checkNow) }
+	var chain core.ReplicaChain
+	seq, gen := o.seq, o.gen
+	switch c := b.Chain(); {
+	case o.hop:
+		if res, chain, err = b.ApplyInOrder(seq, gen, applyOn); err != nil {
+			err = fmt.Errorf("server: replica apply: %w", err)
+		}
+	case len(c) > 1 && c.Head().ID == b.ID:
+		res, chain, seq, gen, err = b.NextReplSeq(applyOn)
+	default:
+		if !b.Sealed() {
+			res, err = applyOn()
+		}
+		if err == nil && b.Sealed() {
+			// Sealed, possibly while the mutation applied: the migration
+			// snapshot may miss it, so it is not acknowledged and the
+			// client retries against the migrated block.
+			err = fmt.Errorf("server: block %v sealed for migration: %w", b.ID, core.ErrStaleEpoch)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, s.propagate(ctx, b, chain, seq, gen, o.op, o.args)
+}

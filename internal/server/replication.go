@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"jiffy/internal/blockstore"
 	"jiffy/internal/core"
@@ -67,54 +68,22 @@ func (e *ReplicaApplyError) Unwrap() error { return e.Err }
 // travel: every member of a generation was installed with the same
 // chain, and finds its own successor in it.
 
-// propagate continues a sequenced mutation from b, which has applied
-// it, to b's successor in chain. chain is b's chain snapshot taken
-// under the sequence lock (NextReplSeq at the head, ApplyInOrder at a
-// replica), so a concurrent repair splice cannot mix configurations
-// within one mutation.
+// propagate forwards a sequenced mutation from b, which has applied
+// it, to b's successor in chain — b's chain snapshot taken under the
+// sequence lock (see sequence), so a concurrent repair splice cannot mix
+// configurations within one mutation. Failures are classified:
+// transport-level ones become ChainHopError (and are reported to the
+// controller as death evidence), everything else ReplicaApplyError.
 func (s *Server) propagate(ctx context.Context, b *blockstore.Block, chain core.ReplicaChain,
 	seq, gen uint64, op core.OpType, args [][]byte) error {
-	pos := chainPos(chain, b.ID)
+	pos := slices.IndexFunc(chain, func(m core.BlockInfo) bool { return m.ID == b.ID })
 	if pos < 0 || pos+1 >= len(chain) {
 		return nil // sole replica or tail: nothing to forward
 	}
-	return s.forward(ctx, chain[pos+1], seq, gen, op, args)
-}
-
-// applyReplicated applies a forwarded mutation in sequence order and
-// continues the chain. args alias payload — the inbound frame, which
-// the rpc layer recycles after the response is written — through the
-// local apply (partitions copy what they keep) and the onward hop.
-// Only the head evaluates the repartition thresholds: replicas hold the
-// same bytes, and their signals would name blocks the controller does
-// not know as heads.
-func (s *Server) applyReplicated(ctx context.Context, payload []byte) error {
-	seq, gen, op, blockID, args, err := ds.DecodeReplicate(payload)
-	if err != nil {
-		return err
-	}
-	b, err := s.resolve(blockID)
-	if err != nil {
-		return err
-	}
-	defer b.EndOp()
-	_, chain, err := b.ApplyInOrder(seq, gen, func() ([][]byte, error) {
-		return s.store.ApplyOn(b, op, args, false)
-	})
-	if err != nil {
-		return fmt.Errorf("server: replica apply: %w", err)
-	}
-	return s.propagate(ctx, b, chain, seq, gen, op, args)
-}
-
-// forward ships a mutation to the next chain hop, classifying failures:
-// transport-level failures become ChainHopError (and are reported to
-// the controller as death evidence), everything else becomes
-// ReplicaApplyError.
-func (s *Server) forward(ctx context.Context, next core.BlockInfo, seq, gen uint64, op core.OpType, args [][]byte) error {
+	next := chain[pos+1]
 	peer, err := s.peers.Get(next.Server)
 	if err != nil {
-		s.reportFailedHop(next)
+		s.reportHop(next, false)
 		return &ChainHopError{Hop: next, Err: err}
 	}
 	start := s.clk.Now()
@@ -134,18 +103,8 @@ func (s *Server) forward(ctx context.Context, next core.BlockInfo, seq, gen uint
 		// The session died mid-call: evict it so the next attempt
 		// re-dials, and surface the hop as possibly dead.
 		s.peers.Drop(next.Server)
-		s.reportFailedHop(next)
+		s.reportHop(next, false)
 		return &ChainHopError{Hop: next, Err: err}
 	}
 	return &ReplicaApplyError{Block: next.ID, Err: err}
-}
-
-// chainPos locates id inside chain (-1 when absent).
-func chainPos(chain core.ReplicaChain, id core.BlockID) int {
-	for i, b := range chain {
-		if b.ID == id {
-			return i
-		}
-	}
-	return -1
 }

@@ -89,6 +89,8 @@ type Server struct {
 
 	subs subRegistry
 
+	// ops counts the data ops applied here (see apply): ServerStats.Ops
+	// and jiffy_store_ops_total.
 	ops atomic.Int64
 
 	// telemetry: per-method inbound RPC stats, store gauges, and a
@@ -169,6 +171,7 @@ func New(opts Options) (*Server, error) {
 		s.store.ResidentBytes)
 	s.reg.GaugeFunc("jiffy_server_subscriptions", "live notification subscriptions",
 		func() int64 { return s.subs.count() })
+	s.reg.GaugeFunc("jiffy_store_ops_total", "data-plane operations applied", s.ops.Load)
 	s.reg.RegisterCollector(func(w io.Writer) {
 		const name = "jiffy_server_scale_signals_total"
 		obs.WriteHeader(w, name, "threshold-crossing signals by outcome: sent to the controller, or dropped on a full signal queue", "counter")
@@ -200,10 +203,11 @@ func New(opts Options) (*Server, error) {
 		}
 	})
 	s.rpcSrv = rpc.NewServer(s.handle, opts.Logger)
-	// Small single data-plane ops run directly on the connection read
-	// pump; handleInline punts anything that might block back to the
-	// goroutine path.
-	s.rpcSrv.SetInlineHandler(s.handleInline, func(method uint16, payloadLen int) bool {
+	// Small single data ops run directly on the connection read pump;
+	// runOp punts anything that would block back to the goroutine path.
+	s.rpcSrv.SetInlineHandler(func(ctx context.Context, _ *rpc.ServerConn, _ uint16, payload []byte) (rpc.Response, error) {
+		return s.runOp(ctx, payload, true)
+	}, func(method uint16, payloadLen int) bool {
 		return method == proto.MethodDataOp && payloadLen <= wire.InlineFrameThreshold
 	})
 	s.rpcSrv.SetObserver(s.rpcm, s.tracer)
@@ -284,15 +288,15 @@ func (s *Server) HeartbeatNow() error {
 	return err
 }
 
-// reportFailedHop enqueues write-path evidence that a chain hop's
-// server is unreachable; a full queue drops the report (the failure
-// detector will catch the death via missed heartbeats anyway).
-func (s *Server) reportFailedHop(hop core.BlockInfo) {
+// reportHop enqueues write-path evidence that a chain hop's server is
+// unreachable or, degraded, persistently slow; a full queue drops the
+// report (missed heartbeats, or the next slow streak, catch it anyway).
+func (s *Server) reportHop(hop core.BlockInfo, degraded bool) {
 	if len(s.ctrlAddrs) == 0 {
 		return
 	}
 	select {
-	case s.reports <- proto.ReportFailureReq{Reporter: s.addr, Server: hop.Server, Block: hop.ID}:
+	case s.reports <- proto.ReportFailureReq{Reporter: s.addr, Server: hop.Server, Block: hop.ID, Degraded: degraded}:
 	default:
 	}
 }
@@ -331,12 +335,7 @@ func (s *Server) noteForwardLatency(hop core.BlockInfo, d time.Duration) {
 	}
 	s.log.Warn("server: chain successor persistently slow; reporting degraded",
 		"successor", hop.Server, "latency", d, "threshold", threshold)
-	select {
-	case s.reports <- proto.ReportFailureReq{
-		Reporter: s.addr, Server: hop.Server, Block: hop.ID, Degraded: true,
-	}:
-	default:
-	}
+	s.reportHop(hop, true)
 }
 
 // reportWorker forwards failed-hop reports to the controller

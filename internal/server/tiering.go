@@ -214,17 +214,9 @@ func (s *Server) rehydrateBlock(b *blockstore.Block) error {
 	if b.TierState() == blockstore.TierMemory {
 		return nil
 	}
-	data, err := s.persist.Get(b.TierKey)
-	if err != nil {
-		return fmt.Errorf("server: rehydrate %v: persist get %q: %w", b.ID, b.TierKey, err)
-	}
-	obj, err := tier.Decode(data)
+	obj, err := s.tierObject(b)
 	if err != nil {
 		return fmt.Errorf("server: rehydrate %v: %w", b.ID, err)
-	}
-	if obj.Block != b.ID || obj.Gen != b.TierGen {
-		return fmt.Errorf("server: rehydrate %v: tier object mismatch (block %v gen %d, want gen %d)",
-			b.ID, obj.Block, obj.Gen, b.TierGen)
 	}
 	if err := b.Partition.Restore(obj.Snapshot); err != nil {
 		return fmt.Errorf("server: rehydrate %v: restore: %w", b.ID, err)
@@ -260,22 +252,28 @@ func (s *Server) flushTiered(b *blockstore.Block, key string) (handled bool, byt
 	if b.TierState() != blockstore.TierTiered {
 		return false, 0, nil
 	}
-	data, err := s.persist.Get(b.TierKey)
-	if err != nil {
-		return true, 0, fmt.Errorf("server: flush tiered %v: persist get %q: %w", b.ID, b.TierKey, err)
-	}
-	obj, err := tier.Decode(data)
+	obj, err := s.tierObject(b)
 	if err != nil {
 		return true, 0, fmt.Errorf("server: flush tiered %v: %w", b.ID, err)
-	}
-	if obj.Block != b.ID || obj.Gen != b.TierGen {
-		return true, 0, fmt.Errorf("server: flush tiered %v: tier object mismatch (block %v gen %d, want gen %d)",
-			b.ID, obj.Block, obj.Gen, b.TierGen)
 	}
 	if err := s.persist.Put(key, obj.Snapshot); err != nil {
 		return true, 0, fmt.Errorf("server: flush tiered %v: persist put %q: %w", b.ID, key, err)
 	}
 	return true, len(obj.Snapshot), nil
+}
+
+// tierObject reads b's tier object back and checks it is the one b's
+// demotion wrote. Callers hold b.TierMu.
+func (s *Server) tierObject(b *blockstore.Block) (tier.Object, error) {
+	data, err := s.persist.Get(b.TierKey)
+	if err != nil {
+		return tier.Object{}, fmt.Errorf("persist get %q: %w", b.TierKey, err)
+	}
+	obj, err := tier.Decode(data)
+	if err == nil && (obj.Block != b.ID || obj.Gen != b.TierGen) {
+		err = fmt.Errorf("tier object mismatch (block %v gen %d, want gen %d)", obj.Block, obj.Gen, b.TierGen)
+	}
+	return obj, err
 }
 
 // reportTier synchronously records a tier transition with the
@@ -296,28 +294,14 @@ func (s *Server) reportTier(id core.BlockID, path core.Path, key string, gen uin
 	return err
 }
 
-// resolveBlock pins b resident for one operation, rehydrating it first
-// if it has been demoted. On success the caller owns one residency pin
-// and must release it with b.EndOp() when the op completes.
-func (s *Server) resolveBlock(b *blockstore.Block) error {
-	for {
-		if b.BeginOp() {
-			b.Touch(s.store.HeatNow())
-			return nil
-		}
-		if err := s.rehydrateBlock(b); err != nil {
-			return err
-		}
-	}
-}
-
-// resolve looks up a block and pins it resident (see resolveBlock).
+// resolve looks up a block and pins it resident, rehydrating it if it
+// was demoted (see pin); on success the caller owes b.EndOp().
 func (s *Server) resolve(id core.BlockID) (*blockstore.Block, error) {
 	b, err := s.store.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.resolveBlock(b); err != nil {
+	if err := s.pin(b, false); err != nil {
 		return nil, err
 	}
 	return b, nil
