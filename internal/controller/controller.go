@@ -363,14 +363,7 @@ func (c *Controller) releaseBlocksLocked(n *hierarchy.Node) {
 	if len(n.Map.Blocks) == 0 {
 		return
 	}
-	var infos []core.BlockInfo
-	for _, e := range n.Map.Blocks {
-		for _, info := range e.Replicas() {
-			infos = append(infos, info)
-			c.deleteBlockOnServer(info)
-		}
-	}
-	c.alloc.Free(infos)
+	c.releaseEntries(n.Map.Blocks)
 	n.Map.Blocks = nil
 	n.Map.Epoch++
 }

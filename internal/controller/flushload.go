@@ -19,11 +19,20 @@ type manifest struct {
 	Entries   []manifestEntry
 }
 
-// manifestEntry pairs a flushed block's role with its snapshot key.
+// manifestEntry pairs a flushed block's role with the key of its JTO1
+// object and the envelope identity FlushBlock reported for it, which
+// LoadBlock checks before restoring anything.
 type manifestEntry struct {
 	Chunk int
 	Slots []ds.SlotRange
 	Key   string
+	Block core.BlockID
+	Gen   uint64
+}
+
+// source names the entry's object as a fill source.
+func (me manifestEntry) source() fillSource {
+	return fillSource{key: me.Key, block: me.Block, gen: me.Gen}
 }
 
 // autoFlushKey is where lease expiry flushes a prefix.
@@ -65,10 +74,12 @@ func (c *Controller) flushLocked(n *hierarchy.Node, externalPath string) (int, e
 		key := fmt.Sprintf("%s/block-%d", externalPath, i)
 		// Flush from the read target — under chain replication the
 		// tail holds only fully propagated writes.
-		if err := c.flushBlockOnServer(e.ReadTarget(), key); err != nil {
+		obj, err := c.flushBlockOnServer(e.ReadTarget(), key)
+		if err != nil {
 			return i, err
 		}
-		m.Entries = append(m.Entries, manifestEntry{Chunk: e.Chunk, Slots: e.Slots, Key: key})
+		m.Entries = append(m.Entries, manifestEntry{Chunk: e.Chunk, Slots: e.Slots, Key: key,
+			Block: obj.Block, Gen: obj.Gen})
 		c.flushBlocks.Add(1)
 	}
 	data, err := rpc.Marshal(m)
@@ -101,8 +112,24 @@ func (c *Controller) LoadPrefix(path core.Path, externalPath string) (proto.Load
 	return resp, err
 }
 
-// loadLocked restores a node's data from the persistent store,
-// replacing any current blocks. Caller holds the shard lock.
+// readManifest is the one reader of a flush manifest: LoadPrefix
+// rebuilds a prefix from it, and a death recovery finds a block's
+// flushed copy in it.
+func (c *Controller) readManifest(externalPath string) (manifest, error) {
+	var m manifest
+	data, err := c.persist.Get(externalPath + "/manifest")
+	if err != nil {
+		return m, fmt.Errorf("controller: load %q: %w", externalPath, err)
+	}
+	return m, rpc.Unmarshal(data, &m)
+}
+
+// loadLocked rebuilds a node's data from the persistent store onto
+// fresh chains. Every entry is placed and filled before the node is
+// touched, so a failure rolls back the new chains and leaves the prefix
+// — its blocks, its map and what the standbys hold — as it was; only
+// once the replacement exists are the old blocks released. Caller
+// holds the shard lock and commits the node.
 func (c *Controller) loadLocked(n *hierarchy.Node, externalPath string) error {
 	if externalPath == "" {
 		externalPath = n.FlushKey
@@ -110,57 +137,36 @@ func (c *Controller) loadLocked(n *hierarchy.Node, externalPath string) error {
 	if externalPath == "" {
 		externalPath = autoFlushKey(n.CanonicalPath())
 	}
-	data, err := c.persist.Get(externalPath + "/manifest")
-	if err != nil {
-		return fmt.Errorf("controller: load %q: %w", externalPath, err)
-	}
-	var m manifest
-	if err := rpc.Unmarshal(data, &m); err != nil {
-		return err
-	}
-	chains, err := c.allocateChains(len(m.Entries))
+	m, err := c.readManifest(externalPath)
 	if err != nil {
 		return err
 	}
-	// Release any blocks the prefix still holds before replacing them.
-	c.releaseBlocksLocked(n)
-
-	newMap := ds.PartitionMap{
+	blocks := make([]ds.PartitionEntry, len(m.Entries))
+	for i, me := range m.Entries {
+		blocks[i] = ds.PartitionEntry{Chunk: me.Chunk, Slots: me.Slots}
+	}
+	if err := c.place(n.CanonicalPath(), m.Type, blocks, nil, c.cfg.ChainLength); err != nil {
+		return err
+	}
+	for i := 0; err == nil && i < len(blocks); i++ {
+		err = c.fill(m.Entries[i].source(), blocks[i].Replicas())
+	}
+	if err == nil {
+		err = c.linkQueue(m.Type, blocks)
+	}
+	if err != nil {
+		c.releaseEntries(blocks)
+		return err
+	}
+	c.releaseEntries(n.Map.Blocks)
+	n.Map = ds.PartitionMap{
 		Type:      m.Type,
 		Epoch:     n.Map.Epoch + 1,
 		NumSlots:  m.NumSlots,
 		ChunkSize: m.ChunkSize,
+		MaxBlocks: n.Map.MaxBlocks,
+		Blocks:    blocks,
 	}
-	path := n.CanonicalPath()
-	freeAll := func() {
-		for _, chain := range chains {
-			c.alloc.Free(chain)
-		}
-	}
-	for i, me := range m.Entries {
-		chain := chains[i]
-		if err := c.createChainOnServers(chain, path, m.Type, me.Chunk, me.Slots); err != nil {
-			freeAll()
-			return err
-		}
-		// Restore every replica from the same snapshot.
-		for _, member := range chain {
-			if err := c.loadBlockOnServer(member, me.Key); err != nil {
-				freeAll()
-				return err
-			}
-		}
-		newMap.Blocks = append(newMap.Blocks, entryFor(chain, me.Chunk, me.Slots))
-	}
-	// Re-link restored queue segments.
-	if m.Type == core.DSQueue {
-		for i := 0; i+1 < len(newMap.Blocks); i++ {
-			if err := c.setNextOnChain(newMap.Blocks[i], newMap.Blocks[i+1].Info); err != nil {
-				return err
-			}
-		}
-	}
-	n.Map = newMap
 	n.Flushed = false
 	n.FlushKey = externalPath
 	return nil

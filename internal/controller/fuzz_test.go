@@ -21,8 +21,8 @@ func FuzzManifestDecode(f *testing.F) {
 		NumSlots:  16,
 		ChunkSize: 4096,
 		Entries: []manifestEntry{
-			{Chunk: 0, Slots: []ds.SlotRange{{Lo: 0, Hi: 7}}, Key: "jiffy-flush/j/t/block-0"},
-			{Chunk: 1, Slots: []ds.SlotRange{{Lo: 8, Hi: 15}}, Key: "jiffy-flush/j/t/block-1"},
+			{Chunk: 0, Slots: []ds.SlotRange{{Lo: 0, Hi: 7}}, Key: "jiffy-flush/j/t/block-0", Block: 12, Gen: 3},
+			{Chunk: 1, Slots: []ds.SlotRange{{Lo: 8, Hi: 15}}, Key: "jiffy-flush/j/t/block-1", Block: 40},
 		},
 	})
 	if err != nil {

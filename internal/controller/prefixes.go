@@ -38,9 +38,13 @@ func (c *Controller) CreatePrefix(req proto.CreatePrefixReq) (proto.CreatePrefix
 	return resp, err
 }
 
-// provisionLocked allocates and installs a data structure's initial
-// blocks. Caller holds the shard lock.
+// provisionLocked places a data structure's initial blocks and
+// installs its map on the node; a failure leaves nothing behind. Caller
+// holds the shard lock and commits the node.
 func (c *Controller) provisionLocked(n *hierarchy.Node, t core.DSType, initialBlocks, maxBlocks int) error {
+	if t != core.DSFile && t != core.DSQueue && t != core.DSKV && !ds.IsCustom(t) {
+		return fmt.Errorf("controller: %w: %v", core.ErrWrongType, t)
+	}
 	if initialBlocks <= 0 {
 		initialBlocks = 1
 	}
@@ -53,73 +57,32 @@ func (c *Controller) provisionLocked(n *hierarchy.Node, t core.DSType, initialBl
 	if err := c.checkMemoryQuotaLocked(n, initialBlocks*c.cfg.ChainLength); err != nil {
 		return err
 	}
-	chains, err := c.allocateChains(initialBlocks)
-	if err != nil {
-		return err
-	}
-	freeAll := func() {
-		for _, chain := range chains {
-			c.alloc.Free(chain)
-		}
-	}
-	path := n.CanonicalPath()
-	m := ds.PartitionMap{Type: t, Epoch: 1, MaxBlocks: maxBlocks}
-	switch t {
-	case core.DSFile:
-		m.ChunkSize = c.cfg.BlockSize
-		for i, chain := range chains {
-			if err := c.createChainOnServers(chain, path, t, i, nil); err != nil {
-				freeAll()
-				return err
-			}
-			m.Blocks = append(m.Blocks, entryFor(chain, i, nil))
-		}
-	case core.DSQueue:
-		for i, chain := range chains {
-			if err := c.createChainOnServers(chain, path, t, i, nil); err != nil {
-				freeAll()
-				return err
-			}
-			m.Blocks = append(m.Blocks, entryFor(chain, i, nil))
-		}
-		// Pre-provisioned segments form a linked list up front.
-		for i := 0; i+1 < len(m.Blocks); i++ {
-			if err := c.setNextOnChain(m.Blocks[i], m.Blocks[i+1].Info); err != nil {
-				freeAll()
-				return err
-			}
-		}
-	case core.DSKV:
+	m := ds.PartitionMap{Type: t, Epoch: 1, MaxBlocks: maxBlocks, Blocks: make([]ds.PartitionEntry, initialBlocks)}
+	if t == core.DSKV {
 		m.NumSlots = c.cfg.NumHashSlots
-		per := c.cfg.NumHashSlots / len(chains)
-		for i, chain := range chains {
-			lo := i * per
-			hi := lo + per - 1
-			if i == len(chains)-1 {
+	} else if t != core.DSQueue {
+		// Files, and custom structures with file-like elasticity:
+		// chunk-indexed blocks, scale-up appends.
+		m.ChunkSize = c.cfg.BlockSize
+	}
+	per := c.cfg.NumHashSlots / initialBlocks
+	for i := range m.Blocks {
+		m.Blocks[i].Chunk = i
+		if t == core.DSKV {
+			hi := (i+1)*per - 1
+			if i == initialBlocks-1 {
 				hi = c.cfg.NumHashSlots - 1
 			}
-			slots := []ds.SlotRange{{Lo: lo, Hi: hi}}
-			if err := c.createChainOnServers(chain, path, t, i, slots); err != nil {
-				freeAll()
-				return err
-			}
-			m.Blocks = append(m.Blocks, entryFor(chain, i, slots))
+			m.Blocks[i].Slots = []ds.SlotRange{{Lo: i * per, Hi: hi}}
 		}
-	default:
-		if !ds.IsCustom(t) {
-			freeAll()
-			return fmt.Errorf("controller: %w: %v", core.ErrWrongType, t)
-		}
-		// Custom structures get file-like elasticity: chunk-indexed
-		// blocks, scale-up appends.
-		m.ChunkSize = c.cfg.BlockSize
-		for i, chain := range chains {
-			if err := c.createChainOnServers(chain, path, t, i, nil); err != nil {
-				freeAll()
-				return err
-			}
-			m.Blocks = append(m.Blocks, entryFor(chain, i, nil))
-		}
+	}
+	if err := c.place(n.CanonicalPath(), t, m.Blocks, nil, c.cfg.ChainLength); err != nil {
+		return err
+	}
+	// Pre-provisioned queue segments form a linked list up front.
+	if err := c.linkQueue(t, m.Blocks); err != nil {
+		c.releaseEntries(m.Blocks)
+		return err
 	}
 	n.Map = m
 	return nil
@@ -160,6 +123,8 @@ func (c *Controller) CreateHierarchy(req proto.CreateHierarchyReq) error {
 			}
 			if node.Type != core.DSNone {
 				if err := c.provisionLocked(n, node.Type, node.InitialBlocks, node.MaxBlocks); err != nil {
+					// Roll the node back, as CreatePrefix does.
+					h.Remove(n.Name)
 					return err
 				}
 			}

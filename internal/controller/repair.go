@@ -1,14 +1,12 @@
 package controller
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/hierarchy"
-	"jiffy/internal/rpc"
 )
 
 // Chain repair (§4.2.2 fault tolerance). When a memory server dies (or
@@ -44,9 +42,10 @@ import (
 // a lost race rolls the splice back and replans from the current map,
 // so concurrent metadata operations never stall behind a repair.
 //
-// Blocks with no surviving replica are rebuilt from the persistent
-// tier when the prefix has a flushed copy; otherwise they are marked
-// Lost in the partition map so clients fail fast with ErrBlockLost.
+// Blocks with no surviving replica are rebuilt from a persisted copy —
+// a member's tier object or the prefix's flush copy — when one exists;
+// otherwise they are marked Lost in the partition map so clients fail
+// fast with ErrBlockLost.
 
 // repairAttempts bounds the collect → splice → commit retries for one
 // entry. A retry follows either a lost commit race or the eviction of
@@ -211,7 +210,7 @@ func (c *Controller) repairEntry(sh *shard, t repairTarget, addr string, alive b
 		if !ok {
 			// Lost the commit race: the entry changed while the splice
 			// ran unlocked. Undo the side effects and replan.
-			c.releaseReplacements(res.replacements)
+			c.release(res.replacements)
 			continue
 		}
 		if res.tierRecovered {
@@ -274,7 +273,7 @@ func (c *Controller) refreshTarget(sh *shard, t repairTarget, addr string) (repa
 // died mid-splice, or the fence could not be established).
 func (c *Controller) spliceEntry(t repairTarget, addr string, gen uint64, alive bool) (spliceResult, bool) {
 	replicas := t.entry.Replicas()
-	var survivors, doomedAlive, doomedDead core.ReplicaChain
+	var survivors, doomedAlive core.ReplicaChain
 	for _, info := range replicas {
 		switch {
 		case info.Server == addr && alive:
@@ -282,7 +281,6 @@ func (c *Controller) spliceEntry(t repairTarget, addr string, gen uint64, alive 
 		case info.Server == addr || c.ServerDead(info.Server):
 			// Members on other servers declared dead mid-repair are
 			// spliced out in the same pass.
-			doomedDead = append(doomedDead, info)
 		default:
 			survivors = append(survivors, info)
 		}
@@ -291,26 +289,20 @@ func (c *Controller) spliceEntry(t repairTarget, addr string, gen uint64, alive 
 		return c.recoverSoleReplica(t, doomedAlive, gen)
 	}
 
-	oldHead := replicas[0]
-	replacements := c.allocReplacements(t, survivors, len(doomedAlive)+len(doomedDead))
-	newChain := append(append(core.ReplicaChain(nil), survivors...), replacements...)
-
-	// switchSurvivors installs newChain on every survivor except the
-	// old head (switched last, once the replacements are ready), tail
-	// first. It reports false when a member could not be switched.
-	switchSurvivors := func() bool {
-		for i := len(survivors) - 1; i >= 0; i-- {
-			m := survivors[i]
-			if m == oldHead {
-				continue
-			}
-			if err := c.switchMember(m, chainField(newChain), gen); err != nil {
-				c.log.Warn("controller: chain switch failed on survivor; restarting splice",
-					"block", m.ID, "on", m.Server, "err", err)
-				return false
-			}
-		}
-		return true
+	// newChain is the survivors followed by the replacements placed
+	// here. The old head, if it survives, is switched last (see the
+	// package comment); every other survivor is fenced first.
+	s, h := len(survivors), 0
+	if survivors[0] == replicas[0] {
+		h = 1
+	}
+	placed := []ds.PartitionEntry{{Chunk: t.entry.Chunk, Slots: t.entry.Slots}}
+	newChain := survivors
+	if err := c.place(t.path, t.dsType, placed, survivors, max(c.cfg.ChainLength-s, 0)); err != nil {
+		c.log.Warn("controller: no chain replacement placed; degrading chain width",
+			"block", t.entry.Info.ID, "have", s, "err", err)
+	} else {
+		newChain = placed[0].Replicas()
 	}
 
 	// Fence the old chain (see the package comment): the survivors
@@ -320,8 +312,8 @@ func (c *Controller) spliceEntry(t repairTarget, addr string, gen uint64, alive 
 	// the old generation and reject every new-generation mutation
 	// forever — so the splice restarts instead, with the member evicted
 	// when the failure was connectivity-class.
-	if !switchSurvivors() {
-		c.releaseReplacements(replacements)
+	if c.switchChain(newChain, gen, h, s) != nil {
+		c.release(newChain[s:])
 		return spliceResult{}, true
 	}
 	// Still-answering drained members are sealed: required when one of
@@ -337,268 +329,140 @@ func (c *Controller) spliceEntry(t repairTarget, addr string, gen uint64, alive 
 		}
 	}
 
-	// degrade gives up on the replacements and narrows the layout to
-	// the survivors. The fence pass installed the wide layout on them,
-	// and replication hops do not carry the chain — each member forwards
-	// along its own copy — so every survivor is re-switched to the
-	// narrow one before the head starts the generation's stream. No
-	// write of this generation exists yet, so resetting their sequence
-	// state again is harmless.
-	degrade := func() bool {
-		c.releaseReplacements(replacements)
-		replacements = nil
-		newChain = append(core.ReplicaChain(nil), survivors...)
-		return switchSurvivors()
-	}
-	if len(replacements) > 0 {
+	if len(newChain) > s {
 		// Every old-chain member holds every acknowledged write, and
 		// the fence froze the survivors' old-generation stream, so the
 		// tail-most survivor's snapshot is a superset of all
 		// acknowledged writes.
-		src := survivors[len(survivors)-1]
-		if err := c.resyncMembers(src, replacements); err != nil {
-			c.log.Warn("controller: chain replacement resync failed; degrading chain width",
-				"block", t.entry.Info.ID, "err", err)
-			if !degrade() {
-				return spliceResult{}, true
-			}
+		err := c.fill(fillSource{live: survivors[s-1]}, newChain[s:])
+		if err == nil {
+			err = c.switchChain(newChain, gen, s, len(newChain))
 		}
-	}
-	for i := len(replacements) - 1; i >= 0; i-- {
-		if err := c.switchMember(replacements[i], chainField(newChain), gen); err != nil {
-			c.log.Warn("controller: chain switch failed on replacement; degrading chain width",
-				"block", replacements[i].ID, "on", replacements[i].Server, "err", err)
-			if !degrade() {
+		if err != nil {
+			// Degrade: give up on the replacements and narrow the
+			// layout to the survivors. The fence pass installed the wide
+			// layout on them, and replication hops do not carry the
+			// chain — each member forwards along its own copy — so every
+			// survivor is re-switched to the narrow one before the head
+			// starts the generation's stream. No write of this
+			// generation exists yet, so resetting their sequence state
+			// again is harmless.
+			c.log.Warn("controller: chain replacement not installed; degrading chain width",
+				"block", t.entry.Info.ID, "err", err)
+			c.release(newChain[s:])
+			newChain = survivors
+			if c.switchChain(newChain, gen, h, s) != nil {
 				return spliceResult{}, true
 			}
-			break
 		}
 	}
 	// The head switches last (see the package comment). When the old
 	// head is doomed the new head was already switched in the fence
 	// pass — safe, because no client routes writes to it until the
 	// commit publishes it as the head.
-	if survivors[0] == oldHead {
-		if err := c.switchMember(oldHead, chainField(newChain), gen); err != nil {
-			c.log.Warn("controller: chain switch failed on head; restarting splice",
-				"block", oldHead.ID, "on", oldHead.Server, "err", err)
-			c.releaseReplacements(replacements)
-			return spliceResult{}, true
-		}
+	if c.switchChain(newChain, gen, 0, h) != nil {
+		c.release(newChain[s:])
+		return spliceResult{}, true
 	}
 	return spliceResult{
 		newChain:     newChain,
-		replacements: replacements,
+		replacements: newChain[s:],
 		deleteAfter:  doomedAlive,
 	}, false
 }
 
-// switchMember switches one member to the new layout with one retry;
-// a persistent connectivity-class failure evicts the member's server
-// so the caller's restarted splice (and the server's own death repair)
-// observe it dead instead of leaving it wedged on the old generation.
-func (c *Controller) switchMember(m core.BlockInfo, chain core.ReplicaChain, gen uint64) error {
-	err := c.updateChainOnServer(m, chain, gen)
-	if err != nil {
-		err = c.updateChainOnServer(m, chain, gen)
+// recoverSoleReplica rebuilds an entry with no surviving replica onto a
+// fresh chain. While draining, the old members still answer: sealing
+// them is the fence — a member that cannot be sealed may still be
+// acknowledging writes the snapshot would miss, so the attempt restarts,
+// as a death when the drained server stopped answering — and the
+// sealed old tail, which holds exactly the acknowledged writes, is the
+// fill source. After a death the source is a persisted copy (see
+// persistedCopies); with none that every new member can load, the
+// entry is marked Lost.
+func (c *Controller) recoverSoleReplica(t repairTarget, sealed core.ReplicaChain, gen uint64) (spliceResult, bool) {
+	var srcs []fillSource
+	if len(sealed) > 0 {
+		srcs = []fillSource{{live: sealed[len(sealed)-1]}}
+	} else if srcs = c.persistedCopies(t); len(srcs) == 0 {
+		return spliceResult{lost: true, lostReason: "no persisted copy"}, false
 	}
-	if err != nil {
-		var ue *serverUnreachableError
-		if errors.As(err, &ue) {
-			c.evictServer(ue.addr)
+	placed := []ds.PartitionEntry{{Chunk: t.entry.Chunk, Slots: t.entry.Slots}}
+	if err := c.place(t.path, t.dsType, placed, nil, c.cfg.ChainLength); err != nil {
+		c.log.Warn("controller: no chain placed for a block with no survivor",
+			"block", t.entry.Info.ID, "err", err)
+		if len(sealed) > 0 {
+			// Nothing sealed yet: the drain skips this entry and the data
+			// stays readable and writable in place.
+			return spliceResult{abort: true}, false
 		}
+		return spliceResult{lost: true, lostReason: "no chain placed for recovery"}, false
 	}
-	return err
-}
-
-// allocReplacements allocates and creates n replacement blocks for a
-// splice, evicting unreachable placements and retrying so the new
-// members land on healthy servers. Returns nil (degraded width) when
-// capacity runs out or a server rejects the create outright.
-func (c *Controller) allocReplacements(t repairTarget, survivors core.ReplicaChain, n int) core.ReplicaChain {
-	for {
-		repl, err := c.alloc.Allocate(n)
-		if err != nil {
-			c.log.Warn("controller: no capacity for chain replacement; degrading chain width",
-				"block", t.entry.Info.ID, "want", len(survivors)+n, "have", len(survivors), "err", err)
-			return nil
-		}
-		chain := chainField(append(append(core.ReplicaChain(nil), survivors...), repl...))
-		retry := false
-		for i, info := range repl {
-			cerr := c.createBlockOnServer(info, t.path, t.dsType, t.entry.Chunk, t.entry.Slots, chain)
-			if cerr == nil {
-				continue
-			}
-			for _, done := range repl[:i] {
-				c.deleteBlockOnServer(done)
-			}
-			c.alloc.Free(repl)
-			var ue *serverUnreachableError
-			if errors.As(cerr, &ue) {
-				c.evictServer(ue.addr)
-				retry = true
-				break
-			}
-			c.log.Warn("controller: chain replacement create failed; degrading chain width",
-				"block", t.entry.Info.ID, "on", info.Server, "err", cerr)
-			return nil
-		}
-		if !retry {
-			return repl
-		}
-	}
-}
-
-// releaseReplacements deletes and frees blocks created by an attempt
-// whose result was not committed.
-func (c *Controller) releaseReplacements(repl core.ReplicaChain) {
-	if len(repl) == 0 {
-		return
-	}
-	for _, info := range repl {
-		c.deleteBlockOnServer(info)
-	}
-	c.alloc.Free(repl)
-}
-
-// resyncMembers pushes src's snapshot to each target block. Survivors
-// are never restored — only replacements — so writes racing the splice
-// cannot be clobbered by an older snapshot.
-func (c *Controller) resyncMembers(src core.BlockInfo, targets core.ReplicaChain) error {
-	snap, err := c.snapshotBlockOnServer(src)
-	if err != nil {
-		return err
-	}
-	for _, info := range targets {
-		if err := c.restoreBlockOnServer(info, snap); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// recoverSoleReplica rebuilds an entry with no surviving replica.
-// While draining (the old members still answer) the data is migrated
-// by snapshot behind a seal fence; after a death it is rebuilt from
-// the persistent tier when the prefix has a flushed copy, and
-// otherwise marked Lost.
-func (c *Controller) recoverSoleReplica(t repairTarget, doomedAlive core.ReplicaChain, gen uint64) (spliceResult, bool) {
-	if len(doomedAlive) > 0 {
-		return c.migrateSoleReplica(t, doomedAlive, gen)
-	}
-
-	// Death: rebuild from the persistent tier. A tier object (the block
-	// was demoted under memory pressure before its chain died) is
-	// preferred over a lease-flush manifest copy: its existence proves
-	// no write was acknowledged after the demotion, so it is always
-	// current; a flushed copy may predate later acknowledged writes.
-	if obj, member, ok := c.recoverFromTier(t); ok {
-		chain, err := c.provisionChain(t.path, t.dsType, t.entry.Chunk, t.entry.Slots)
-		if err != nil {
-			c.log.Warn("controller: no capacity to recover tiered block", "block", t.entry.Info.ID, "err", err)
-			return spliceResult{lost: true, lostReason: "no capacity for recovery"}, false
-		}
-		for _, m := range chain {
-			if err := c.restoreBlockOnServer(m, obj.Snapshot); err != nil {
-				c.log.Warn("controller: tier recovery restore failed",
-					"block", t.entry.Info.ID, "from", member, "err", err)
-				c.releaseReplacements(chain)
-				return spliceResult{lost: true, lostReason: "tier recovery restore failed"}, false
-			}
-		}
-		for i := len(chain) - 1; i >= 0; i-- {
-			if err := c.switchMember(chain[i], chainField(chain), gen); err != nil {
-				c.releaseReplacements(chain)
-				return spliceResult{}, true
-			}
-		}
-		c.log.Info("controller: block recovered from tier object",
-			"block", t.entry.Info.ID, "from", member, "new", chain.Head().ID)
-		return spliceResult{
-			newChain:        chain,
-			replacements:    chain,
-			relinkSuccessor: true,
-			tierRecovered:   true,
-		}, false
-	}
-
-	key, ok := c.flushedKey(t)
-	if !ok {
-		return spliceResult{lost: true, lostReason: "no flushed copy"}, false
-	}
-	chain, err := c.provisionChain(t.path, t.dsType, t.entry.Chunk, t.entry.Slots)
-	if err != nil {
-		c.log.Warn("controller: no capacity to recover block", "block", t.entry.Info.ID, "err", err)
-		return spliceResult{lost: true, lostReason: "no capacity for recovery"}, false
-	}
-	for _, member := range chain {
-		if err := c.loadBlockOnServer(member, key); err != nil {
-			c.log.Warn("controller: recovery load failed", "block", t.entry.Info.ID, "key", key, "err", err)
-			c.releaseReplacements(chain)
-			return spliceResult{lost: true, lostReason: "recovery load failed"}, false
-		}
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		if err := c.switchMember(chain[i], chainField(chain), gen); err != nil {
-			c.releaseReplacements(chain)
-			return spliceResult{}, true
-		}
-	}
-	c.log.Info("controller: block recovered from persistent tier",
-		"block", t.entry.Info.ID, "key", key, "new", chain.Head().ID)
-	return spliceResult{
-		newChain:        chain,
-		replacements:    chain,
-		relinkSuccessor: true,
-	}, false
-}
-
-// migrateSoleReplica moves a drained entry whose every replica lives
-// on the drained (still answering) server: provision a fresh chain,
-// seal the old members so no write can be acknowledged after the
-// migration snapshot, then snapshot, restore, and switch.
-func (c *Controller) migrateSoleReplica(t repairTarget, doomed core.ReplicaChain, gen uint64) (spliceResult, bool) {
-	chain, err := c.provisionChain(t.path, t.dsType, t.entry.Chunk, t.entry.Slots)
-	if err != nil {
-		// Nothing sealed yet: the drain skips this entry and the data
-		// stays readable and writable in place.
-		c.log.Warn("controller: drain has no capacity for block", "block", t.entry.Info.ID, "err", err)
-		return spliceResult{abort: true}, false
-	}
-	// Fence: seal every old member before the snapshot. A member that
-	// cannot be sealed may still be acknowledging writes the snapshot
-	// would miss, so the attempt restarts — as a death when the server
-	// stopped answering (its data then comes from the persist tier, if
-	// flushed).
-	for _, m := range doomed {
+	chain := placed[0].Replicas()
+	for _, m := range sealed {
 		if err := c.sealBlockOnServer(m); err != nil {
 			c.log.Warn("controller: drain seal failed; restarting entry",
 				"block", m.ID, "on", m.Server, "err", err)
-			c.releaseReplacements(chain)
-			var ue *serverUnreachableError
-			return spliceResult{demote: errors.As(err, &ue)}, true
+			c.release(chain)
+			return spliceResult{demote: unreachableAddr(err) == m.Server}, true
 		}
 	}
-	// The sealed old tail holds exactly the acknowledged writes.
-	if err := c.resyncMembers(t.entry.ReadTarget(), chain); err != nil {
-		c.log.Warn("controller: drain migration failed", "block", t.entry.Info.ID, "err", err)
-		c.releaseReplacements(chain)
-		var ue *serverUnreachableError
-		return spliceResult{demote: errors.As(err, &ue)}, true
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		if err := c.switchMember(chain[i], chainField(chain), gen); err != nil {
-			c.releaseReplacements(chain)
-			return spliceResult{}, true
+	res := spliceResult{newChain: chain, replacements: chain, deleteAfter: sealed, relinkSuccessor: true}
+	var err error
+	for _, src := range srcs {
+		if err = c.fill(src, chain); err == nil {
+			res.tierRecovered = src.tier
+			break
+		}
+		c.log.Warn("controller: rebuild fill failed",
+			"block", t.entry.Info.ID, "from", src.key, "err", err)
+		if unreachableAddr(err) != "" {
+			break // a member stopped answering: replace it, not the copy
 		}
 	}
-	return spliceResult{
-		newChain:        chain,
-		replacements:    chain,
-		deleteAfter:     doomed,
-		relinkSuccessor: true,
-	}, false
+	if err != nil {
+		c.release(chain)
+		if addr := unreachableAddr(err); addr != "" || len(sealed) > 0 {
+			return spliceResult{demote: len(sealed) > 0 && addr == sealed[0].Server}, true
+		}
+		return spliceResult{lost: true, lostReason: "no persisted copy could be loaded"}, false
+	}
+	if c.switchChain(chain, gen, 0, len(chain)) != nil {
+		c.release(chain)
+		return spliceResult{}, true
+	}
+	c.log.Info("controller: block rebuilt with no survivor",
+		"block", t.entry.Info.ID, "tier", res.tierRecovered, "new", placed[0].Info.ID)
+	return res, false
+}
+
+// persistedCopies lists the persisted objects a dead entry with no
+// survivor can be rebuilt from, best first. A member's tier object
+// comes before the prefix's lease-flush copy: a tier record's existence
+// proves no write was acknowledged after that member's demotion (see
+// tier.go), so it is always current, while a flushed copy may predate
+// later acknowledged writes. The flush manifest is read through the
+// flush key captured at collect time — no locks held — and the entry
+// matched by its partition role (chunk index, and slot ranges for KV
+// stores).
+func (c *Controller) persistedCopies(t repairTarget) []fillSource {
+	var srcs []fillSource
+	for _, m := range t.entry.Replicas() {
+		if rec, ok := c.tierRecordFor(m); ok {
+			srcs = append(srcs, fillSource{key: rec.Key, block: m.ID, gen: rec.Gen, tier: true})
+		}
+	}
+	if t.flushKey == "" {
+		return srcs
+	}
+	if m, err := c.readManifest(t.flushKey); err == nil {
+		for _, me := range m.Entries {
+			if me.Chunk == t.entry.Chunk && (t.dsType != core.DSKV || slotsEqual(me.Slots, t.entry.Slots)) {
+				return append(srcs, me.source())
+			}
+		}
+	}
+	return srcs
 }
 
 // commitRepair publishes a spliced layout into the partition map. It
@@ -694,34 +558,6 @@ func (c *Controller) markLostLocked(e *ds.PartitionEntry, reason string) {
 	e.Chain = nil
 	c.blocksLost.Add(1)
 	c.log.Error("controller: block lost", "block", e.Info.ID, "reason", reason)
-}
-
-// flushedKey looks up the persistent-tier snapshot key for the
-// target's entry: it reads the prefix's flush manifest (via the flush
-// key captured at collect time — no locks held) and matches the entry
-// by its partition role (chunk index, and slot ranges for KV stores).
-func (c *Controller) flushedKey(t repairTarget) (string, bool) {
-	if t.flushKey == "" {
-		return "", false
-	}
-	data, err := c.persist.Get(t.flushKey + "/manifest")
-	if err != nil {
-		return "", false
-	}
-	var m manifest
-	if err := rpc.Unmarshal(data, &m); err != nil {
-		return "", false
-	}
-	for _, me := range m.Entries {
-		if me.Chunk != t.entry.Chunk {
-			continue
-		}
-		if t.dsType == core.DSKV && !slotsEqual(me.Slots, t.entry.Slots) {
-			continue
-		}
-		return me.Key, true
-	}
-	return "", false
 }
 
 // slotsEqual reports whether two slot-range lists are identical.

@@ -77,11 +77,11 @@ func (c *Controller) scaleUpFile(n *hierarchy.Node, idx int) error {
 	}
 	// n.Map.Type rather than DSFile: custom structures share this
 	// append-a-chunk growth path.
-	chain, err := c.provisionChain(n.CanonicalPath(), n.Map.Type, maxChunk+1, nil)
-	if err != nil {
+	added := []ds.PartitionEntry{{Chunk: maxChunk + 1}}
+	if err := c.place(n.CanonicalPath(), n.Map.Type, added, nil, c.cfg.ChainLength); err != nil {
 		return err
 	}
-	n.Map.Blocks = append(n.Map.Blocks, entryFor(chain, maxChunk+1, nil))
+	n.Map.Blocks = append(n.Map.Blocks, added[0])
 	n.Map.Epoch++
 	c.commitNodeLocked(n.Job, n)
 	return nil
@@ -94,16 +94,15 @@ func (c *Controller) scaleUpQueue(n *hierarchy.Node, idx int) error {
 	if n.Map.Blocks[idx].Info.ID != tail.Info.ID {
 		return nil // stale: not the tail anymore
 	}
-	chain, err := c.provisionChain(n.CanonicalPath(), core.DSQueue, tail.Chunk+1, nil)
-	if err != nil {
+	added := []ds.PartitionEntry{{Chunk: tail.Chunk + 1}}
+	if err := c.place(n.CanonicalPath(), core.DSQueue, added, nil, c.cfg.ChainLength); err != nil {
 		return err
 	}
-	if err := c.setNextOnChain(tail, chain.Head()); err != nil {
-		c.deleteChainOnServers(entryFor(chain, tail.Chunk+1, nil))
-		c.alloc.Free(chain)
+	if err := c.setNextOnChain(tail, added[0].Info); err != nil {
+		c.releaseEntries(added)
 		return err
 	}
-	n.Map.Blocks = append(n.Map.Blocks, entryFor(chain, tail.Chunk+1, nil))
+	n.Map.Blocks = append(n.Map.Blocks, added[0])
 	n.Map.Epoch++
 	c.commitNodeLocked(n.Job, n)
 	return nil
@@ -121,18 +120,17 @@ func (c *Controller) scaleUpKV(n *hierarchy.Node, idx int) error {
 	}
 	// The new chain starts owning nothing; the move transfers ownership
 	// along with the data into every member.
-	chain, err := c.provisionChain(n.CanonicalPath(), core.DSKV, 0, nil)
-	if err != nil {
+	added := []ds.PartitionEntry{{}}
+	if err := c.place(n.CanonicalPath(), core.DSKV, added, nil, c.cfg.ChainLength); err != nil {
 		return err
 	}
-	newEntry := entryFor(chain, 0, upper)
-	if err := c.moveSlotRanges(*donor, upper, newEntry.Replicas()); err != nil {
-		c.deleteChainOnServers(newEntry)
-		c.alloc.Free(chain)
+	added[0].Slots = upper
+	if err := c.moveSlotRanges(*donor, upper, added[0].Replicas()); err != nil {
+		c.releaseEntries(added)
 		return err
 	}
 	donor.Slots = subtractAll(donor.Slots, upper)
-	n.Map.Blocks = append(n.Map.Blocks, newEntry)
+	n.Map.Blocks = append(n.Map.Blocks, added[0])
 	n.Map.Epoch++
 	c.commitNodeLocked(n.Job, n)
 	return nil
@@ -228,8 +226,7 @@ func (c *Controller) scaleDownQueue(n *hierarchy.Node, idx int) error {
 	if victim.Info.ID == tail.Info.ID {
 		return nil // never reclaim the tail
 	}
-	c.deleteChainOnServers(victim)
-	c.alloc.Free(victim.Replicas())
+	c.release(victim.Replicas())
 	n.Map.Blocks = append(n.Map.Blocks[:idx], n.Map.Blocks[idx+1:]...)
 	n.Map.Epoch++
 	c.commitNodeLocked(n.Job, n)
@@ -268,8 +265,7 @@ func (c *Controller) scaleDownKV(n *hierarchy.Node, idx int) error {
 		return err
 	}
 	n.Map.Blocks[sibling].Slots = unionAll(n.Map.Blocks[sibling].Slots, victim.Slots)
-	c.deleteChainOnServers(victim)
-	c.alloc.Free(victim.Replicas())
+	c.release(victim.Replicas())
 	n.Map.Blocks = append(n.Map.Blocks[:idx], n.Map.Blocks[idx+1:]...)
 	n.Map.Epoch++
 	c.commitNodeLocked(n.Job, n)

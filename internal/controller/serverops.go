@@ -13,9 +13,9 @@ import (
 
 // serverUnreachableError marks an RPC failure as connectivity-class:
 // the server could not be dialed, or its session broke mid-call. It is
-// evidence of server death — scale-ups use it to evict the server and
-// retry elsewhere (see provisionChain) — as opposed to an error the
-// server itself returned, which proves it is alive.
+// evidence of server death — a rebuild uses it to evict the server and
+// retry elsewhere (see place) — as opposed to an error the server
+// itself returned, which proves it is alive.
 type serverUnreachableError struct {
 	addr string
 	err  error
@@ -26,6 +26,16 @@ func (e *serverUnreachableError) Error() string {
 }
 
 func (e *serverUnreachableError) Unwrap() error { return e.err }
+
+// unreachableAddr returns the server behind a connectivity-class
+// failure, or "" for any other error.
+func unreachableAddr(err error) string {
+	var ue *serverUnreachableError
+	if errors.As(err, &ue) {
+		return ue.addr
+	}
+	return ""
+}
 
 // callServer performs one control RPC against a memory server,
 // classifying dial failures and broken sessions as
@@ -111,10 +121,10 @@ func (c *Controller) importEntriesOnServer(member core.BlockInfo, ranges []ds.Sl
 	return err
 }
 
-// flushBlockOnServer snapshots a block into the persistent store.
-func (c *Controller) flushBlockOnServer(info core.BlockInfo, key string) error {
-	_, err := callServer(c, info.Server, proto.FlushBlock, proto.FlushBlockReq{Block: info.ID, Key: key})
-	return err
+// flushBlockOnServer writes a block to the persistent store as a JTO1
+// object and returns the object's envelope identity.
+func (c *Controller) flushBlockOnServer(info core.BlockInfo, key string) (proto.FlushBlockResp, error) {
+	return callServer(c, info.Server, proto.FlushBlock, proto.FlushBlockReq{Block: info.ID, Key: key})
 }
 
 // snapshotBlockOnServer fetches a block's partition snapshot.
@@ -146,8 +156,10 @@ func (c *Controller) sealBlockOnServer(member core.BlockInfo) error {
 	return err
 }
 
-// loadBlockOnServer restores a block from the persistent store.
-func (c *Controller) loadBlockOnServer(info core.BlockInfo, key string) error {
-	_, err := callServer(c, info.Server, proto.LoadBlock, proto.LoadBlockReq{Block: info.ID, Key: key})
+// loadBlockOnServer restores a block from the persisted object src
+// names; the server refuses an object whose envelope is not src's.
+func (c *Controller) loadBlockOnServer(info core.BlockInfo, src fillSource) error {
+	_, err := callServer(c, info.Server, proto.LoadBlock,
+		proto.LoadBlockReq{Block: info.ID, Key: src.key, WantBlock: src.block, WantGen: src.gen})
 	return err
 }

@@ -6,7 +6,6 @@ import (
 
 	"jiffy/internal/core"
 	"jiffy/internal/proto"
-	"jiffy/internal/tier"
 )
 
 // Tiered-block bookkeeping. Memory servers report every tier
@@ -53,11 +52,17 @@ type tierState struct {
 func (c *Controller) ReportTier(req proto.ReportTierReq) (proto.ReportTierResp, error) {
 	c.applyTierReport(req)
 	c.repl.emit(replOp{Kind: opTier, Tier: req})
+	if req.Demoted {
+		c.tiers.demotes.Add(1)
+	} else {
+		c.tiers.promotes.Add(1)
+	}
 	return proto.ReportTierResp{}, nil
 }
 
 // applyTierReport mutates the tier table for one report; shared between
-// the RPC path above and standby-side op replay (replication.go).
+// the RPC path above, dropTierRecord and standby-side op replay
+// (replication.go).
 func (c *Controller) applyTierReport(req proto.ReportTierReq) {
 	info := core.BlockInfo{ID: req.Block, Server: req.Server}
 	c.tiers.mu.Lock()
@@ -73,11 +78,6 @@ func (c *Controller) applyTierReport(req proto.ReportTierReq) {
 		delete(c.tiers.records, info)
 	}
 	c.tiers.mu.Unlock()
-	if req.Demoted {
-		c.tiers.demotes.Add(1)
-	} else {
-		c.tiers.promotes.Add(1)
-	}
 }
 
 // tierRecordFor looks up the record for one chain member.
@@ -88,18 +88,17 @@ func (c *Controller) tierRecordFor(info core.BlockInfo) (tierRecord, bool) {
 	return rec, ok
 }
 
-// dropTierRecord forgets a member's record and garbage-collects its
-// persist-tier object. Called when the block is deleted or when a
-// repair splices the member out (its object is either consumed by the
-// recovery or stale).
+// dropTierRecord forgets a member's record, on the standbys too, and
+// garbage-collects its persist-tier object. Called when the block is
+// deleted or when a repair splices the member out (its object is either
+// consumed by the recovery or stale).
 func (c *Controller) dropTierRecord(info core.BlockInfo) {
-	c.tiers.mu.Lock()
-	rec, ok := c.tiers.records[info]
+	rec, ok := c.tierRecordFor(info)
 	if ok {
-		delete(c.tiers.records, info)
-	}
-	c.tiers.mu.Unlock()
-	if ok {
+		// Replayed like the promotion of the recorded generation.
+		drop := proto.ReportTierReq{Server: info.Server, Block: info.ID, Gen: rec.Gen}
+		c.applyTierReport(drop)
+		c.repl.emit(replOp{Kind: opTier, Tier: drop})
 		if err := c.persist.Delete(rec.Key); err != nil {
 			c.log.Debug("controller: tier object delete failed", "key", rec.Key, "err", err)
 		}
@@ -112,38 +111,4 @@ func (c *Controller) tieredBlockCount() int64 {
 	c.tiers.mu.Lock()
 	defer c.tiers.mu.Unlock()
 	return int64(len(c.tiers.records))
-}
-
-// recoverFromTier tries to rebuild a dead, survivor-less entry from a
-// member's tier object. Any member's record works: a record's
-// existence proves no write was acknowledged after that member's
-// demotion (see the invariant above), so its snapshot is a superset of
-// every acknowledged write. Returns the decoded object of the first
-// member with a valid record.
-func (c *Controller) recoverFromTier(t repairTarget) (tier.Object, core.BlockInfo, bool) {
-	for _, member := range t.entry.Replicas() {
-		rec, ok := c.tierRecordFor(member)
-		if !ok {
-			continue
-		}
-		data, err := c.persist.Get(rec.Key)
-		if err != nil {
-			c.log.Warn("controller: tier object unreadable during recovery",
-				"block", member.ID, "key", rec.Key, "err", err)
-			continue
-		}
-		obj, err := tier.Decode(data)
-		if err != nil {
-			c.log.Warn("controller: tier object corrupt during recovery",
-				"block", member.ID, "key", rec.Key, "err", err)
-			continue
-		}
-		if obj.Block != member.ID || obj.Gen != rec.Gen {
-			c.log.Warn("controller: tier object does not match record",
-				"block", member.ID, "key", rec.Key, "gen", rec.Gen, "objGen", obj.Gen)
-			continue
-		}
-		return obj, member, true
-	}
-	return tier.Object{}, core.BlockInfo{}, false
 }

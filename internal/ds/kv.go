@@ -66,14 +66,6 @@ func (k *KV) Owned() []SlotRange {
 	return append([]SlotRange(nil), k.owned...)
 }
 
-// SetOwned replaces the owned ranges (controller-driven during
-// repartitioning commits).
-func (k *KV) SetOwned(ranges []SlotRange) {
-	k.mu.Lock()
-	k.owned = append([]SlotRange(nil), ranges...)
-	k.mu.Unlock()
-}
-
 // owns reports whether the shard currently owns the slot.
 func (k *KV) owns(slot int) bool {
 	k.mu.RLock()

@@ -151,8 +151,7 @@ var codecSites = map[string]int{
 	"internal/ds/partition.go":           1, // partition snapshots
 	"internal/controller/replication.go": 4, // replOp ring entries, bootstrap groupImage (encode + decode each)
 	"internal/controller/snapshot.go":    2, // the same groupImage as a checkpoint
-	"internal/controller/flushload.go":   2, // flush manifest
-	"internal/controller/repair.go":      1, // flush manifest, read back during repair
+	"internal/controller/flushload.go":   2, // flush manifest (write, and the one reader)
 	"internal/server/subs.go":            1, // push Notification
 	"internal/client/listener.go":        1, // push Notification
 }

@@ -151,7 +151,8 @@ var (
 	CtrlPromote = declare[CtrlPromoteReq, CtrlPromoteResp](0x0019, "CtrlPromote")
 )
 
-// Memory-server control methods.
+// Memory-server control methods. Ids 0x0105 and 0x010c belonged to
+// the retired MoveSlots and SetOwnedSlots and are never reused.
 var (
 	// CreateBlock installs a partition in a block.
 	CreateBlock = declare[CreateBlockReq, CreateBlockResp](0x0102, "CreateBlock")
@@ -159,15 +160,14 @@ var (
 	DeleteBlock = declare[DeleteBlockReq, DeleteBlockResp](0x0103, "DeleteBlock")
 	// SetNext links a queue segment to its successor and seals it.
 	SetNext = declare[SetNextReq, SetNextResp](0x0104, "SetNext")
-	// MoveSlots makes the server export KV slots from a donor
-	// block and push them to the target block (possibly remote).
-	MoveSlots = declare[MoveSlotsReq, MoveSlotsResp](0x0105, "MoveSlots")
-	// ImportEntries receives KV entries during a move
-	// (server-to-server).
+	// ImportEntries installs moved KV entries in one replica of
+	// the recipient block (see ExportSlots).
 	ImportEntries = declare[ImportEntriesReq, ImportEntriesResp](0x0106, "ImportEntries")
-	// FlushBlock snapshots a block into the persistent store.
+	// FlushBlock writes a block to the persistent store as a JTO1
+	// object (internal/tier).
 	FlushBlock = declare[FlushBlockReq, FlushBlockResp](0x0107, "FlushBlock")
-	// LoadBlock restores a block from the persistent store.
+	// LoadBlock restores a block from a JTO1 object in the
+	// persistent store.
 	LoadBlock = declare[LoadBlockReq, LoadBlockResp](0x0108, "LoadBlock")
 	// Subscribe registers for notifications on a set of blocks.
 	Subscribe = declare[SubscribeReq, SubscribeResp](0x0109, "Subscribe")
@@ -175,9 +175,6 @@ var (
 	Unsubscribe = declare[UnsubscribeReq, UnsubscribeResp](0x010a, "Unsubscribe")
 	// ServerStats reports server statistics.
 	ServerStats = declare[ServerStatsReq, ServerStatsResp](0x010b, "ServerStats")
-	// SetOwnedSlots overwrites a KV block's owned slot ranges
-	// (merge commits).
-	SetOwnedSlots = declare[SetOwnedSlotsReq, SetOwnedSlotsResp](0x010c, "SetOwnedSlots")
 	// SnapshotBlock returns a block's serialized partition state
 	// (chain resynchronization after slot moves).
 	SnapshotBlock = declare[SnapshotBlockReq, SnapshotBlockResp](0x010e, "SnapshotBlock")
@@ -572,19 +569,6 @@ type SetNextReq struct {
 // SetNextResp acknowledges the link.
 type SetNextResp struct{}
 
-// MoveSlotsReq asks the donor server to move the given slot ranges
-// from Block to Target (Fig. 8 step 4).
-type MoveSlotsReq struct {
-	Block  core.BlockID
-	Ranges []ds.SlotRange
-	Target core.BlockInfo
-}
-
-// MoveSlotsResp reports how many pairs moved.
-type MoveSlotsResp struct {
-	Moved int
-}
-
 // ExportSlotsReq removes the given slot ranges (pairs and ownership)
 // from one replica of a KV block and returns the removed pairs.
 type ExportSlotsReq struct {
@@ -607,32 +591,30 @@ type ImportEntriesReq struct {
 // ImportEntriesResp acknowledges the import.
 type ImportEntriesResp struct{}
 
-// SetOwnedSlotsReq overwrites the owned ranges of a KV block.
-type SetOwnedSlotsReq struct {
-	Block  core.BlockID
-	Ranges []ds.SlotRange
-}
-
-// SetOwnedSlotsResp acknowledges the update.
-type SetOwnedSlotsResp struct{}
-
-// FlushBlockReq snapshots the block into the persistent store under
-// Key. The block's data remains in memory (deletion is separate).
+// FlushBlockReq writes the block to the persistent store under Key as
+// a JTO1 object. The block's data remains in memory (deletion is
+// separate).
 type FlushBlockReq struct {
 	Block core.BlockID
 	Key   string
 }
 
-// FlushBlockResp reports the snapshot size.
+// FlushBlockResp reports the object's size and its envelope identity,
+// which a later LoadBlock of the object must name.
 type FlushBlockResp struct {
 	Bytes int
+	Block core.BlockID
+	Gen   uint64
 }
 
-// LoadBlockReq restores the block's partition from the persistent
-// store.
+// LoadBlockReq restores Block's partition from the JTO1 object at Key.
+// The object is refused unless its envelope carries the identity the
+// caller's metadata recorded for it: WantBlock and WantGen.
 type LoadBlockReq struct {
-	Block core.BlockID
-	Key   string
+	Block     core.BlockID
+	Key       string
+	WantBlock core.BlockID
+	WantGen   uint64
 }
 
 // LoadBlockResp acknowledges the restore.

@@ -53,12 +53,8 @@ func (s *Server) buildTable() {
 			args: [][]byte{ds.RedirectPayload(req.Next)}, b: b, checkNow: true})
 		return proto.SetNextResp{}, err
 	})
-	rpc.Handle(&s.table, proto.MoveSlots, func(ctx context.Context, _ *rpc.ServerConn, req proto.MoveSlotsReq) (proto.MoveSlotsResp, error) {
-		return s.moveSlots(ctx, req)
-	})
 	serve(s, proto.ExportSlots, s.exportSlots)
 	serve(s, proto.ImportEntries, s.importEntries)
-	serve(s, proto.SetOwnedSlots, s.setOwnedSlots)
 	serve(s, proto.FlushBlock, s.flushBlock)
 	serve(s, proto.LoadBlock, s.loadBlock)
 	rpc.Handle(&s.table, proto.Subscribe, func(_ context.Context, conn *rpc.ServerConn, req proto.SubscribeReq) (proto.SubscribeResp, error) {
@@ -129,53 +125,47 @@ func (s *Server) kvShard(id core.BlockID) (*blockstore.Block, *ds.KV, error) {
 	return b, kv, nil
 }
 
-// setOwnedSlots overwrites a KV block's owned ranges (merge commits).
-func (s *Server) setOwnedSlots(req proto.SetOwnedSlotsReq) (proto.SetOwnedSlotsResp, error) {
-	b, kv, err := s.kvShard(req.Block)
-	if err != nil {
-		return proto.SetOwnedSlotsResp{}, err
-	}
-	defer b.EndOp()
-	kv.SetOwned(req.Ranges)
-	return proto.SetOwnedSlotsResp{}, nil
-}
-
-// flushBlock snapshots a block into the persistent store.
+// flushBlock writes a block to the persistent store as a JTO1 object
+// stamped with the block's current tier generation. A demoted block's
+// object already sits in the persist tier: its bytes are copied under
+// the flush key instead of rehydrating, which is what lets an idle
+// tenant's lease expire without pulling its cold blocks back into
+// memory. TierMu keeps the block in whichever of the two states it is.
 func (s *Server) flushBlock(req proto.FlushBlockReq) (proto.FlushBlockResp, error) {
 	b, err := s.store.Get(req.Block)
 	if err != nil {
 		return proto.FlushBlockResp{}, err
 	}
-	// Tiered fast path: a demoted block's snapshot already sits in
-	// the persist tier — copy it under the flush key instead of
-	// rehydrating. This is what lets an idle tenant's lease expire
-	// without pulling all its cold blocks back into memory.
-	if done, n, ferr := s.flushTiered(b, req.Key); done {
-		return proto.FlushBlockResp{Bytes: n}, ferr
+	b.TierMu.Lock()
+	defer b.TierMu.Unlock()
+	var data []byte
+	if b.TierState() == blockstore.TierTiered {
+		data, _, err = s.readObject(b.TierKey, b.ID, b.TierGen)
+	} else {
+		var snap []byte
+		if snap, err = b.Partition.Snapshot(); err == nil {
+			data = encodeObject(b, b.TierGen, snap)
+		}
 	}
-	if err := s.pin(b, false); err != nil {
-		return proto.FlushBlockResp{}, err
+	if err == nil {
+		err = s.persist.Put(req.Key, data)
 	}
-	defer b.EndOp()
-	snap, err := b.Partition.Snapshot()
-	if err != nil {
-		return proto.FlushBlockResp{}, err
-	}
-	return proto.FlushBlockResp{Bytes: len(snap)}, s.persist.Put(req.Key, snap)
+	return proto.FlushBlockResp{Bytes: len(data), Block: b.ID, Gen: b.TierGen}, err
 }
 
-// loadBlock restores a block's partition from the persistent store.
+// loadBlock restores a block's partition from a persisted object,
+// refused unless it carries the identity the caller recorded for it.
 func (s *Server) loadBlock(req proto.LoadBlockReq) (proto.LoadBlockResp, error) {
 	b, err := s.resolve(req.Block)
 	if err != nil {
 		return proto.LoadBlockResp{}, err
 	}
 	defer b.EndOp()
-	snap, err := s.persist.Get(req.Key)
+	_, obj, err := s.readObject(req.Key, req.WantBlock, req.WantGen)
 	if err != nil {
-		return proto.LoadBlockResp{}, err
+		return proto.LoadBlockResp{}, fmt.Errorf("server: load %v: %w", b.ID, err)
 	}
-	return proto.LoadBlockResp{}, b.Partition.Restore(snap)
+	return proto.LoadBlockResp{}, b.Partition.Restore(obj.Snapshot)
 }
 
 // snapshotBlock returns a block's serialized partition state.
@@ -232,25 +222,6 @@ func (s *Server) createBlock(req proto.CreateBlockReq) (proto.CreateBlockResp, e
 	b.SetPromotedAt(now)
 	b.SetChain(req.Chain, 0)
 	return proto.CreateBlockResp{}, s.store.Create(b)
-}
-
-// moveSlots is the donor side of KV repartitioning (Fig. 8 step 4):
-// export the pairs in the moving ranges and deliver them to the target
-// block — possibly on another server, possibly on this one.
-func (s *Server) moveSlots(ctx context.Context, req proto.MoveSlotsReq) (proto.MoveSlotsResp, error) {
-	b, kv, err := s.kvShard(req.Block)
-	if err != nil {
-		return proto.MoveSlotsResp{}, err
-	}
-	defer b.EndOp()
-	entries := kv.ExportSlots(req.Ranges)
-	imp := proto.ImportEntriesReq{Block: req.Target.ID, Ranges: req.Ranges, Entries: entries}
-	if req.Target.Server == s.addr {
-		_, err = s.importEntries(imp)
-	} else {
-		_, err = rpc.InvokeAt(ctx, s.peers, req.Target.Server, proto.ImportEntries, imp)
-	}
-	return proto.MoveSlotsResp{Moved: len(entries)}, err
 }
 
 // exportSlots removes and returns the pairs in the moving ranges from

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"jiffy/internal/proto"
 	"jiffy/internal/rpc"
 	"jiffy/internal/server"
+	"jiffy/internal/tier"
 )
 
 var srvSeq int
@@ -100,73 +102,49 @@ func TestQueueRedirectOverRPC(t *testing.T) {
 	}
 }
 
-func TestMoveSlotsLocal(t *testing.T) {
-	s, c, _ := newServer(t)
-	createBlock(t, c, 1, core.DSKV, []ds.SlotRange{{Lo: 0, Hi: 63}}, 0, nil)
-	createBlock(t, c, 2, core.DSKV, nil, 0, nil)
-	// Populate through the RPC path.
-	for i := 0; i < 50; i++ {
-		if _, err := dataOp(c, 1, core.OpPut, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mresp, err := rpc.Invoke(context.Background(), c, proto.MoveSlots, proto.MoveSlotsReq{
-		Block:  1,
-		Ranges: []ds.SlotRange{{Lo: 32, Hi: 63}},
-		Target: core.BlockInfo{ID: 2, Server: s.Addr()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mresp.Moved == 0 {
-		t.Fatal("nothing moved")
-	}
-	// Every key is now reachable from exactly one block.
-	found := 0
-	for i := 0; i < 50; i++ {
-		key := []byte(fmt.Sprintf("k%d", i))
-		_, err1 := dataOp(c, 1, core.OpGet, key)
-		_, err2 := dataOp(c, 2, core.OpGet, key)
-		if (err1 == nil) == (err2 == nil) {
-			t.Errorf("key %s reachable from both or neither: %v / %v", key, err1, err2)
-		}
-		if err1 == nil || err2 == nil {
-			found++
-		}
-	}
-	if found != 50 {
-		t.Errorf("found %d of 50 keys", found)
-	}
-}
-
-func TestMoveSlotsRemote(t *testing.T) {
+// TestExportImportSlots drives a slot move the way the controller does
+// (controller/scale.go): ExportSlots on the donor and ImportEntries on
+// the recipient, both over RPC. Afterwards every key is reachable from
+// exactly one block.
+func TestExportImportSlots(t *testing.T) {
 	_, c1, _ := newServer(t)
-	s2, c2, _ := newServer(t)
+	_, c2, _ := newServer(t)
 	createBlock(t, c1, 1, core.DSKV, []ds.SlotRange{{Lo: 0, Hi: 63}}, 0, nil)
 	createBlock(t, c2, 2, core.DSKV, nil, 0, nil)
-	for i := 0; i < 30; i++ {
+	for i := 0; i < 50; i++ {
 		if _, err := dataOp(c1, 1, core.OpPut, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mresp, err := rpc.Invoke(context.Background(), c1, proto.MoveSlots, proto.MoveSlotsReq{
-		Block:  1,
-		Ranges: []ds.SlotRange{{Lo: 0, Hi: 63}},
-		Target: core.BlockInfo{ID: 2, Server: s2.Addr()},
-	})
+	moving := []ds.SlotRange{{Lo: 32, Hi: 63}}
+	exp, err := rpc.Invoke(context.Background(), c1, proto.ExportSlots, proto.ExportSlotsReq{Block: 1, Ranges: moving})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mresp.Moved != 30 {
-		t.Errorf("moved = %d, want 30", mresp.Moved)
+	if len(exp.Entries) == 0 {
+		t.Fatal("nothing exported")
 	}
-	for i := 0; i < 30; i++ {
-		if _, err := dataOp(c2, 2, core.OpGet, []byte(fmt.Sprintf("k%d", i))); err != nil {
-			t.Errorf("k%d missing on target: %v", i, err)
+	if _, err := rpc.Invoke(context.Background(), c2, proto.ImportEntries, proto.ImportEntriesReq{
+		Block: 2, Ranges: moving, Entries: exp.Entries,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		key := []byte(fmt.Sprintf("k%d", i))
+		_, err1 := dataOp(c1, 1, core.OpGet, key)
+		_, err2 := dataOp(c2, 2, core.OpGet, key)
+		if (err1 == nil) == (err2 == nil) {
+			t.Errorf("key %s reachable from both or neither: %v / %v", key, err1, err2)
 		}
 	}
 }
 
+// TestFlushLoadBlock: a flush writes a JTO1 object and reports its
+// identity, and a load of that identity restores the block. A load
+// names the identity its caller recorded, so an object that is not it —
+// another block's, a corrupted one, or a raw partition snapshot (the
+// format flushes wrote before objects were enveloped) — is refused with
+// tier.ErrBadObject and the block is left untouched.
 func TestFlushLoadBlock(t *testing.T) {
 	_, c, store := newServer(t)
 	createBlock(t, c, 1, core.DSKV, []ds.SlotRange{{Lo: 0, Hi: 63}}, 0, nil)
@@ -175,20 +153,56 @@ func TestFlushLoadBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresp.Bytes == 0 {
-		t.Error("empty snapshot")
+	if fresp.Bytes == 0 || fresp.Block != 1 {
+		t.Errorf("flush = %+v", fresp)
 	}
-	if _, err := store.Get("snap/1"); err != nil {
-		t.Errorf("snapshot not in store: %v", err)
+	data, err := store.Get("snap/1")
+	if err != nil {
+		t.Fatalf("object not in store: %v", err)
 	}
-	// Clobber and restore.
+	if obj, err := tier.Decode(data); err != nil || obj.Block != fresp.Block || obj.Gen != fresp.Gen {
+		t.Fatalf("flushed object = %+v, %v; flush reported %+v", obj, err, fresp)
+	}
+	load := func(key string, block core.BlockID) error {
+		_, err := rpc.Invoke(context.Background(), c, proto.LoadBlock,
+			proto.LoadBlockReq{Block: 1, Key: key, WantBlock: block, WantGen: fresp.Gen})
+		return err
+	}
+	get := func() string {
+		res, err := dataOp(c, 1, core.OpGet, []byte("persist-me"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(res[0])
+	}
+
+	// Clobber, then try every wrong object before the right one.
 	dataOp(c, 1, core.OpPut, []byte("persist-me"), []byte("dirty"))
-	if _, err := rpc.Invoke(context.Background(), c, proto.LoadBlock, proto.LoadBlockReq{Block: 1, Key: "snap/1"}); err != nil {
+	corrupt := append([]byte(nil), data...)
+	corrupt[len(corrupt)/2] ^= 0xff
+	store.Put("snap/corrupt", corrupt)
+	snapResp, err := rpc.Invoke(context.Background(), c, proto.SnapshotBlock, proto.SnapshotBlockReq{Block: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dataOp(c, 1, core.OpGet, []byte("persist-me"))
-	if err != nil || string(res[0]) != "v1" {
-		t.Errorf("restored = %v, %v", res, err)
+	store.Put("snap/raw", snapResp.Snapshot)
+	for _, bad := range []struct {
+		key   string
+		block core.BlockID
+	}{{"snap/1", 2}, {"snap/corrupt", 1}, {"snap/raw", 1}} {
+		err := load(bad.key, bad.block)
+		if err == nil || !strings.Contains(err.Error(), tier.ErrBadObject.Error()) {
+			t.Errorf("load of %s as block %v = %v, want %v", bad.key, bad.block, err, tier.ErrBadObject)
+		}
+		if v := get(); v != "dirty" {
+			t.Errorf("refused load of %s restored the block: %q", bad.key, v)
+		}
+	}
+	if err := load("snap/1", 1); err != nil {
+		t.Fatal(err)
+	}
+	if v := get(); v != "v1" {
+		t.Errorf("restored = %q, want v1", v)
 	}
 }
 

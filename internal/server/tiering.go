@@ -144,16 +144,7 @@ func (s *Server) demoteBlock(b *blockstore.Block) (bool, error) {
 	}
 	gen := b.TierGen + 1
 	key := s.tierKeyFor(b, gen)
-	obj := tier.Object{
-		Block:    b.ID,
-		Gen:      gen,
-		Type:     b.Partition.Type(),
-		Capacity: b.Partition.Capacity(),
-		NumSlots: b.NumSlots,
-		Chunk:    b.Chunk,
-		Snapshot: snap,
-	}
-	if err := s.persist.Put(key, tier.Encode(obj)); err != nil {
+	if err := s.persist.Put(key, encodeObject(b, gen, snap)); err != nil {
 		revert()
 		return false, fmt.Errorf("server: demote %v: persist: %w", b.ID, err)
 	}
@@ -214,7 +205,7 @@ func (s *Server) rehydrateBlock(b *blockstore.Block) error {
 	if b.TierState() == blockstore.TierMemory {
 		return nil
 	}
-	obj, err := s.tierObject(b)
+	_, obj, err := s.readObject(b.TierKey, b.ID, b.TierGen)
 	if err != nil {
 		return fmt.Errorf("server: rehydrate %v: %w", b.ID, err)
 	}
@@ -240,40 +231,37 @@ func (s *Server) rehydrateBlock(b *blockstore.Block) error {
 	return nil
 }
 
-// flushTiered handles a FlushBlock request against a block that is
-// currently demoted: the flush snapshot is copied straight from the
-// tier object to the requested key, without rehydrating. This is what
-// makes scale-to-zero stick — an idle tenant's lease-expiry flush must
-// not pull every cold block back into memory. Returns handled=false
-// when the block is resident (caller takes the normal snapshot path).
-func (s *Server) flushTiered(b *blockstore.Block, key string) (handled bool, bytes int, err error) {
-	b.TierMu.Lock()
-	defer b.TierMu.Unlock()
-	if b.TierState() != blockstore.TierTiered {
-		return false, 0, nil
-	}
-	obj, err := s.tierObject(b)
-	if err != nil {
-		return true, 0, fmt.Errorf("server: flush tiered %v: %w", b.ID, err)
-	}
-	if err := s.persist.Put(key, obj.Snapshot); err != nil {
-		return true, 0, fmt.Errorf("server: flush tiered %v: persist put %q: %w", b.ID, key, err)
-	}
-	return true, len(obj.Snapshot), nil
+// encodeObject stamps a snapshot of b as the JTO1 object of
+// generation gen — the one format of a block in the persist tier,
+// written by demotion and by flush alike.
+func encodeObject(b *blockstore.Block, gen uint64, snap []byte) []byte {
+	return tier.Encode(tier.Object{
+		Block:    b.ID,
+		Gen:      gen,
+		Type:     b.Partition.Type(),
+		Capacity: b.Partition.Capacity(),
+		NumSlots: b.NumSlots,
+		Chunk:    b.Chunk,
+		Snapshot: snap,
+	})
 }
 
-// tierObject reads b's tier object back and checks it is the one b's
-// demotion wrote. Callers hold b.TierMu.
-func (s *Server) tierObject(b *blockstore.Block) (tier.Object, error) {
-	data, err := s.persist.Get(b.TierKey)
+// readObject is the one reader of a block object in the persist tier,
+// shared by rehydration, LoadBlock and the flush of a demoted block: it
+// checks the envelope's CRC and that the object is the (block, gen) the
+// caller's metadata recorded, and returns the raw bytes with the
+// decoded object, whose snapshot aliases them.
+func (s *Server) readObject(key string, block core.BlockID, gen uint64) ([]byte, tier.Object, error) {
+	data, err := s.persist.Get(key)
 	if err != nil {
-		return tier.Object{}, fmt.Errorf("persist get %q: %w", b.TierKey, err)
+		return nil, tier.Object{}, fmt.Errorf("persist get %q: %w", key, err)
 	}
 	obj, err := tier.Decode(data)
-	if err == nil && (obj.Block != b.ID || obj.Gen != b.TierGen) {
-		err = fmt.Errorf("tier object mismatch (block %v gen %d, want gen %d)", obj.Block, obj.Gen, b.TierGen)
+	if err == nil && (obj.Block != block || obj.Gen != gen) {
+		err = fmt.Errorf("%w: %q holds block %v gen %d, want block %v gen %d",
+			tier.ErrBadObject, key, obj.Block, obj.Gen, block, gen)
 	}
-	return obj, err
+	return data, obj, err
 }
 
 // reportTier synchronously records a tier transition with the
