@@ -165,6 +165,7 @@ func New(opts Options) (*Controller, error) {
 		tenantQuotas:    make(map[string]core.Quota),
 		bgDisabled:      opts.DisableExpiry,
 	}
+	c.tiers.records = make(map[core.BlockInfo]tierRecord)
 	for i := 0; i < opts.Shards; i++ {
 		c.shards = append(c.shards, newShard())
 	}
@@ -312,9 +313,9 @@ func (c *Controller) withJob(job core.JobID, fn func(h *hierarchy.Hierarchy) err
 	s := c.shardFor(job)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h, ok := s.jobs[job]
-	if !ok {
-		return fmt.Errorf("controller: job %q: %w", job, core.ErrNotFound)
+	h, err := s.job(job)
+	if err != nil {
+		return err
 	}
 	return fn(h)
 }
@@ -327,12 +328,9 @@ func (c *Controller) RegisterJob(job core.JobID) error {
 	s := c.shardFor(job)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.jobs[job]; exists {
+	if !c.applyRegisterJob(s, replOp{Kind: opRegisterJob, Job: job, Lease: c.cfg.LeaseDuration, Now: c.clk.Now()}) {
 		return fmt.Errorf("controller: job %q: %w", job, core.ErrExists)
 	}
-	now := c.clk.Now()
-	s.jobs[job] = hierarchy.New(job, c.cfg.LeaseDuration, now)
-	c.repl.emit(replOp{Kind: opRegisterJob, Job: job, Lease: c.cfg.LeaseDuration, Now: now})
 	return nil
 }
 
@@ -342,18 +340,15 @@ func (c *Controller) DeregisterJob(job core.JobID) error {
 	s := c.shardFor(job)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h, ok := s.jobs[job]
-	if !ok {
+	h := c.applyDeregisterJob(s, replOp{Kind: opDeregisterJob, Job: job})
+	if h == nil {
 		return fmt.Errorf("controller: job %q: %w", job, core.ErrNotFound)
 	}
 	h.Walk(func(n *hierarchy.Node) bool {
-		c.releaseBlocksLocked(n)
+		c.releaseEntries(n.Map.Blocks)
 		return true
 	})
-	s.dropJobIndexLocked(h)
-	delete(s.jobs, job)
-	c.setTenantQuota(string(job), core.Quota{})
-	c.repl.emit(replOp{Kind: opDeregisterJob, Job: job})
+	c.pushTenantQuota(string(job), core.Quota{})
 	return nil
 }
 
@@ -377,16 +372,10 @@ func (c *Controller) RegisterServer(addr string, numBlocks int) (core.BlockID, e
 	if err != nil {
 		return 0, err
 	}
-	c.group.mu.Lock()
-	c.group.contrib[addr] = contribRange{First: first, N: numBlocks}
-	if next := first + core.BlockID(numBlocks); next > c.group.nextID {
-		c.group.nextID = next
-	}
-	c.group.mu.Unlock()
-	c.noteServerAlive(addr)
-	c.memberEpoch.Add(1)
+	c.applyServerRegister(replOp{Kind: opServerRegister, Addr: addr, NumBlocks: numBlocks, FirstID: first})
+	// The server restarted: a probation it carried is lifted.
+	c.alloc.Resume(addr)
 	c.pushTenantQuotas(addr)
-	c.repl.emit(replOp{Kind: opServerRegister, Addr: addr, NumBlocks: numBlocks, FirstID: first})
 	return first, nil
 }
 

@@ -3,6 +3,8 @@ package controller_test
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -338,11 +340,45 @@ func TestShardedControllerIndependence(t *testing.T) {
 	if stats.Jobs != 64 {
 		t.Errorf("jobs = %d", stats.Jobs)
 	}
+	var all []core.Path
 	for i := 0; i < 64; i++ {
 		if _, err := ctrl.RenewLease([]core.Path{core.Path(fmt.Sprintf("job%d", i))}); err != nil {
 			t.Fatal(err)
 		}
+		all = append(all, core.Path(fmt.Sprintf("job%d", i)))
 	}
+	// Batches spanning every shard, listed in opposite orders, renew
+	// concurrently with registrations: a batch locks its shards in shard
+	// order, so none waits on another forever.
+	reversed := slices.Clone(all)
+	slices.Reverse(reversed)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			batch := all
+			if g%2 == 1 {
+				batch = reversed
+			}
+			for k := 0; k < 20; k++ {
+				if n, err := ctrl.RenewLease(batch); err != nil || n != len(batch) {
+					t.Errorf("renewed %d of %d: %v", n, len(batch), err)
+					return
+				}
+				job := core.JobID(fmt.Sprintf("extra%d-%d", g, k))
+				if err := ctrl.RegisterJob(job); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := ctrl.DeregisterJob(job); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestSaveRestoreState checkpoints a controller's metadata and rebuilds

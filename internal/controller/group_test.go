@@ -2,6 +2,7 @@ package controller_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"jiffy/internal/controller"
 	"jiffy/internal/core"
 	"jiffy/internal/persist"
+	"jiffy/internal/proto"
 	"jiffy/internal/server"
 )
 
@@ -239,5 +241,44 @@ func TestGroupFailoverDetection(t *testing.T) {
 	role := r.ctrls[1].Role()
 	if !role.IsLeader || role.Gen != 2 {
 		t.Fatalf("post-detection role = %+v", role)
+	}
+}
+
+// TestGroupRenewPartialBatch: a renewal batch stops at its first missing
+// path on the leader, and the standby renews exactly what the leader
+// renewed — not the paths after the failure.
+func TestGroupRenewPartialBatch(t *testing.T) {
+	cfg := core.TestConfig()
+	cfg.LeaseDuration = time.Hour
+	r := newGroupRig(t, cfg, 2, 0, 0)
+	leader, standby := r.ctrls[0], r.ctrls[1]
+	if err := leader.RegisterJob("j"); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []core.Path{"j/a", "j/c"} {
+		if _, err := leader.CreatePrefix(proto.CreatePrefixReq{Path: p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.vclock.Advance(time.Minute)
+	if _, err := leader.RenewLease([]core.Path{"j/a", "j/missing", "j/c"}); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("renew over a missing path: %v, want ErrNotFound", err)
+	}
+	leader.PulseNow()
+	for _, p := range []core.Path{"j/a", "j/c"} {
+		l, err := leader.LeaseInfo(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := standby.LeaseInfo(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !l.LastRenewed.Equal(s.LastRenewed) {
+			t.Errorf("%s renewed at %v on the leader, %v on the standby", p, l.LastRenewed, s.LastRenewed)
+		}
+	}
+	if l, _ := leader.LeaseInfo("j/a"); !l.LastRenewed.Equal(r.vclock.Now()) {
+		t.Errorf("j/a renewed at %v, want %v (before the missing path)", l.LastRenewed, r.vclock.Now())
 	}
 }

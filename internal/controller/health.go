@@ -38,23 +38,6 @@ func (c *Controller) Heartbeat(addr string) (uint64, error) {
 	return c.memberEpoch.Load(), nil
 }
 
-// noteServerAlive (re)admits addr to the tracked membership:
-// registration counts as the first heartbeat, and re-registration
-// revives a server previously declared dead. A re-registering server
-// restarted, so any gray-failure probation it carried is lifted.
-func (c *Controller) noteServerAlive(addr string) {
-	c.hbMu.Lock()
-	c.lastBeat[addr] = c.clk.Now()
-	delete(c.deadServers, addr)
-	wasProbated := c.probation[addr]
-	delete(c.probation, addr)
-	delete(c.probationStreak, addr)
-	c.hbMu.Unlock()
-	if wasProbated {
-		c.alloc.Resume(addr)
-	}
-}
-
 // detectorWorker is the failure detector's scan loop, paced at the
 // heartbeat interval on the controller's clock (virtual in chaos
 // tests, which step it via CheckLivenessNow instead).
@@ -134,28 +117,16 @@ func (c *Controller) evictServer(addr string) {
 	}()
 }
 
-// markServerDead performs the death bookkeeping: dedup via the dead
-// set, evict the server's free blocks from the allocator, drop its
-// pooled connection, and bump the membership epoch. Returns false if
+// markServerDead applies a server's death, then evicts its free blocks
+// from the allocator and drops its pooled connection. Returns false if
 // the server was already dead.
 func (c *Controller) markServerDead(addr string) bool {
-	c.hbMu.Lock()
-	if c.deadServers[addr] {
-		c.hbMu.Unlock()
+	if !c.applyServerDead(replOp{Kind: opServerDead, Addr: addr}) {
 		return false
 	}
-	c.deadServers[addr] = true
-	delete(c.lastBeat, addr)
-	// Death supersedes probation: the chain splice is coming, so the
-	// softer exclusion is moot.
-	delete(c.probation, addr)
-	delete(c.probationStreak, addr)
-	c.hbMu.Unlock()
 	c.srvFailures.Add(1)
 	c.alloc.RemoveServer(addr)
 	c.servers.Drop(addr)
-	c.memberEpoch.Add(1)
-	c.repl.emit(replOp{Kind: opServerDead, Addr: addr})
 	c.log.Warn("controller: server declared dead", "addr", addr,
 		"epoch", c.memberEpoch.Load())
 	return true
@@ -229,44 +200,20 @@ func (c *Controller) ReportFailure(req proto.ReportFailureReq) error {
 	return nil
 }
 
-// setProbation flips addr's probation state, suspends or resumes it in
-// the allocator, and replicates the transition through the op-log so a
-// promoted standby preserves it. Dead servers are never probated.
-// Returns false when the state did not change.
+// setProbation applies a probation transition and suspends or resumes
+// addr in the allocator to match; a promoted standby re-suspends from the
+// replicated set instead. Returns false when the state did not change
+// (a dead server is never probated).
 func (c *Controller) setProbation(addr string, on bool) bool {
-	c.hbMu.Lock()
-	if c.deadServers[addr] || c.probation[addr] == on {
-		c.hbMu.Unlock()
+	if !c.applyProbation(replOp{Kind: opServerProbation, Addr: addr, On: on}) {
 		return false
 	}
-	if on {
-		c.probation[addr] = true
-	} else {
-		delete(c.probation, addr)
-	}
-	delete(c.probationStreak, addr)
-	c.hbMu.Unlock()
 	if on {
 		c.alloc.Suspend(addr)
 	} else {
 		c.alloc.Resume(addr)
 	}
-	c.repl.emit(replOp{Kind: opServerProbation, Addr: addr, On: on})
 	return true
-}
-
-// applyProbationLocal mirrors a replicated probation transition on a
-// standby: map state only — the allocator is rebuilt at promotion,
-// which re-applies suspensions from this set.
-func (c *Controller) applyProbationLocal(addr string, on bool) {
-	c.hbMu.Lock()
-	if on && !c.deadServers[addr] {
-		c.probation[addr] = true
-	} else if !on {
-		delete(c.probation, addr)
-	}
-	delete(c.probationStreak, addr)
-	c.hbMu.Unlock()
 }
 
 // ServerProbated reports whether addr is on gray-failure probation.

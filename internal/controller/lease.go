@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"jiffy/internal/core"
 	"jiffy/internal/hierarchy"
 )
 
@@ -35,7 +36,7 @@ func (c *Controller) ExpireNow() int {
 		s.mu.Lock()
 		for _, h := range s.jobs {
 			for _, n := range h.Expired(now) {
-				if c.reclaimLocked(h, n) {
+				if c.reclaimLocked(n) {
 					reclaimed++
 				}
 			}
@@ -51,14 +52,15 @@ func (c *Controller) ExpireNow() int {
 // reclaimLocked flushes and frees one expired node's blocks. The node
 // itself stays in the hierarchy (marked Flushed) so a late consumer
 // can still open the prefix and trigger a reload; it is removed
-// entirely only when the job deregisters or RemovePrefix is called.
-// Caller holds the shard lock. Returns true if blocks were reclaimed.
-func (c *Controller) reclaimLocked(h *hierarchy.Hierarchy, n *hierarchy.Node) bool {
+// entirely only when the job deregisters or RemovePrefix is called. An
+// expired prefix also surrenders its quota registration (§3.2's reclaim
+// extends to the resource envelope); it is never a job root, so no
+// tenant quota moves. Caller holds the shard lock. Returns true if
+// blocks were reclaimed.
+func (c *Controller) reclaimLocked(n *hierarchy.Node) bool {
 	if len(n.Map.Blocks) == 0 {
-		// No data to flush, but an expired prefix still surrenders its
-		// quota registration.
 		if !n.Quota.IsZero() {
-			c.releaseQuotaLocked(h, n)
+			n.Quota = core.Quota{}
 			c.commitNodeLocked(n.Job, n)
 		}
 		return false
@@ -71,7 +73,7 @@ func (c *Controller) reclaimLocked(h *hierarchy.Hierarchy, n *hierarchy.Node) bo
 		return false
 	}
 	c.releaseBlocksLocked(n)
-	c.releaseQuotaLocked(h, n)
+	n.Quota = core.Quota{}
 	n.Flushed = true
 	c.commitNodeLocked(n.Job, n)
 	c.expiries.Add(1)

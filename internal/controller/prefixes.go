@@ -142,44 +142,37 @@ func (c *Controller) RemovePrefix(path core.Path) error {
 		if err != nil {
 			return err
 		}
-		c.releaseBlocksLocked(n)
-		if err := h.Remove(n.Name); err != nil {
-			// The node stays (it still has children); replicate its
-			// emptied partition map instead of a removal.
+		if err := c.applyRemoveNode(c.shardFor(n.Job), replOp{Kind: opRemoveNode, Job: n.Job, Name: n.Name}); err != nil {
+			// The node stays (it still has children): release its blocks
+			// and replicate its emptied partition map instead.
+			c.releaseBlocksLocked(n)
 			c.commitNodeLocked(n.Job, n)
 			return err
 		}
-		c.shardFor(n.Job).dropNodeIndexLocked(n)
-		c.repl.emit(replOp{Kind: opRemoveNode, Job: n.Job, Name: n.Name})
+		c.releaseEntries(n.Map.Blocks)
 		return nil
 	})
 }
 
 // RenewLease implements the renewal service: refresh the given
-// prefixes plus their propagation sets (§3.2).
+// prefixes plus their propagation sets (§3.2). The batch stops at the
+// first path that does not resolve; the paths before it are renewed.
 func (c *Controller) RenewLease(paths []core.Path) (int, error) {
 	c.renews.Add(1)
-	now := c.clk.Now()
-	total := 0
-	// Replicate the whole batch even on partial failure: standbys apply
-	// renewals best-effort, and renewing a path the leader rejected is
-	// harmless (the standby rejects it identically).
-	defer func() {
-		if total > 0 {
-			c.repl.emit(replOp{Kind: opRenewLease, Paths: paths, Now: now})
+	defer c.lockPaths(paths)()
+	op := replOp{Kind: opRenewLease, Now: c.clk.Now()}
+	var err error
+	for i, p := range paths {
+		var h *hierarchy.Hierarchy
+		if h, err = c.shardFor(p.Job()).job(p.Job()); err == nil {
+			_, err = h.Resolve(p)
 		}
-	}()
-	for _, p := range paths {
-		err := c.withJob(p.Job(), func(h *hierarchy.Hierarchy) error {
-			n, err := h.Renew(p, now)
-			total += n
-			return err
-		})
 		if err != nil {
-			return total, err
+			break
 		}
+		op.Paths = paths[:i+1]
 	}
-	return total, nil
+	return c.applyRenewLocked(op), err
 }
 
 // LeaseInfo reports a prefix's lease configuration and state.

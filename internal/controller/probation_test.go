@@ -224,3 +224,35 @@ func TestProbationSurvivesFailover(t *testing.T) {
 		t.Fatal("probation lift did not replicate to the standby")
 	}
 }
+
+// TestProbationClearedByDeathOnStandby: a probated server that dies is
+// dead, not degraded, on every member — the standby's death apply clears
+// probation as the leader's does, so a promoted standby reports no
+// degraded server.
+func TestProbationClearedByDeathOnStandby(t *testing.T) {
+	cfg := core.TestConfig()
+	cfg.LeaseDuration = time.Hour
+	r := newGroupRig(t, cfg, 2, 2, 8)
+	slow := r.servers[1].Addr()
+	if err := r.ctrls[0].ReportFailure(proto.ReportFailureReq{
+		Reporter: r.servers[0].Addr(), Server: slow, Degraded: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !r.ctrls[1].ServerProbated(slow) {
+		t.Fatal("standby missing replicated probation")
+	}
+	r.ctrls[0].FailServer(slow)
+	r.ctrls[0].PulseNow()
+	if !r.ctrls[1].ServerDead(slow) {
+		t.Fatal("standby missing replicated death")
+	}
+	if r.ctrls[1].ServerProbated(slow) {
+		t.Error("standby keeps a dead server on probation")
+	}
+	r.ctrls[0].Close()
+	r.ctrls[1].PromoteNow()
+	if degraded := r.ctrls[1].Stats().DegradedServers; len(degraded) != 0 {
+		t.Errorf("promoted standby reports degraded servers %v, want none", degraded)
+	}
+}

@@ -34,23 +34,16 @@ func (c *Controller) SetQuota(path core.Path, q core.Quota) error {
 		return err
 	}
 	if isRoot {
-		c.setTenantQuota(string(path.Job()), q)
+		c.pushTenantQuota(string(path.Job()), q)
 	}
 	return nil
 }
 
-// setTenantQuota records a job-root quota and fans it out to every
-// registered memory server. Push failures are logged and tolerated: an
-// unreachable server is either dead (its blocks will be repaired away)
-// or will re-register, which replays the quota table.
-func (c *Controller) setTenantQuota(tenant string, q core.Quota) {
-	c.qMu.Lock()
-	if q.IsZero() {
-		delete(c.tenantQuotas, tenant)
-	} else {
-		c.tenantQuotas[tenant] = q
-	}
-	c.qMu.Unlock()
+// pushTenantQuota fans one tenant's quota out to every registered
+// memory server. Push failures are logged and tolerated: an unreachable
+// server is either dead (its blocks will be repaired away) or will
+// re-register, which replays the quota table.
+func (c *Controller) pushTenantQuota(tenant string, q core.Quota) {
 	for _, addr := range c.alloc.Servers() {
 		if err := c.setTenantQuotaOnServer(addr, tenant, q); err != nil {
 			c.log.Warn("controller: tenant quota push failed",
@@ -96,19 +89,4 @@ func (c *Controller) checkMemoryQuotaLocked(n *hierarchy.Node, addBlocks int) er
 		}
 	}
 	return nil
-}
-
-// releaseQuotaLocked drops a node's quota registration when its lease
-// is lost (§3.2's reclaim extends to the resource envelope: an expired
-// tenant must not keep rate reservations on the servers). Caller holds
-// the shard lock; the broadcast reuses the server pool like
-// releaseBlocksLocked does.
-func (c *Controller) releaseQuotaLocked(h *hierarchy.Hierarchy, n *hierarchy.Node) {
-	if n.Quota.IsZero() {
-		return
-	}
-	n.Quota = core.Quota{}
-	if n == h.Root() {
-		c.setTenantQuota(string(n.Job), core.Quota{})
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -152,7 +153,7 @@ func runRebuildCell(t *testing.T, cause string, width int, step string, tamper f
 		// Demoted by one manual scan, and only by it.
 		cfg.TierIdleAfter, cfg.TierCooldown, cfg.TierScanPeriod = time.Second, 0, 0
 	}
-	r := newRebuildRig(t, cfg)
+	r := newRebuildRig(t, cfg, 1)
 	// A death or a sole-replica drain needs every member on one server:
 	// the home server is alone when the prefix is created, and the rest
 	// of the cluster registers afterwards.
@@ -251,26 +252,27 @@ func runRebuildCell(t *testing.T, cause string, width int, step string, tamper f
 	return got, r
 }
 
-// rebuildRig is a leader and a standby controller sharing a persist
+// rebuildRig is a leader and its standby controllers sharing a persist
 // store and a virtual clock, reaching memory servers through a
 // methodProxy. The test itself talks to the servers directly.
 type rebuildRig struct {
-	t               *testing.T
-	cfg             core.Config
-	store           *persist.MemStore
-	vclock          *clock.Virtual
-	proxy           *methodProxy
-	pool            *rpc.Pool
-	leader, standby *Controller
-	addrs           []string
-	servers         []*server.Server
-	killed          map[string]bool
-	name            string
+	t        *testing.T
+	cfg      core.Config
+	store    *persist.MemStore
+	vclock   *clock.Virtual
+	proxy    *methodProxy
+	pool     *rpc.Pool
+	leader   *Controller
+	standbys []*Controller
+	addrs    []string
+	servers  []*server.Server
+	killed   map[string]bool
+	name     string
 }
 
 var rebuildSeq atomic.Int64
 
-func newRebuildRig(t *testing.T, cfg core.Config) *rebuildRig {
+func newRebuildRig(t *testing.T, cfg core.Config, standbys int) *rebuildRig {
 	t.Helper()
 	r := &rebuildRig{
 		t:      t,
@@ -284,14 +286,8 @@ func newRebuildRig(t *testing.T, cfg core.Config) *rebuildRig {
 	r.proxy = newMethodProxy(t, r.name)
 	t.Cleanup(r.pool.Close)
 	var ctrls []*Controller
-	for i := 0; i < 2; i++ {
-		c, err := New(Options{
-			Config: cfg, Persist: r.store, Clock: r.vclock, DisableExpiry: true,
-			Dial: r.proxy.dial, Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i <= standbys; i++ {
+		c := r.newController()
 		t.Cleanup(func() { c.Close() })
 		addr, err := c.Listen(fmt.Sprintf("%s-ctrl-%d", r.name, i))
 		if err != nil {
@@ -300,10 +296,24 @@ func newRebuildRig(t *testing.T, cfg core.Config) *rebuildRig {
 		ctrls = append(ctrls, c)
 		r.addrs = append(r.addrs, addr)
 	}
-	ctrls[1].ConfigureGroup(r.addrs, 1, 0)
-	ctrls[0].ConfigureGroup(r.addrs, 0, 0)
-	r.leader, r.standby = ctrls[0], ctrls[1]
+	for i := len(ctrls) - 1; i >= 0; i-- {
+		ctrls[i].ConfigureGroup(r.addrs, i, 0)
+	}
+	r.leader, r.standbys = ctrls[0], ctrls[1:]
 	return r
+}
+
+// newController creates a controller on the rig's store, clock and
+// proxy.
+func (r *rebuildRig) newController() *Controller {
+	c, err := New(Options{
+		Config: r.cfg, Persist: r.store, Clock: r.vclock, DisableExpiry: true,
+		Dial: r.proxy.dial, Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return c
 }
 
 // addServer starts and registers a memory server contributing blocks.
@@ -473,34 +483,69 @@ func (r *rebuildRig) assertAccounted() {
 	}
 }
 
-// assertStandbyMatches flushes the op-log and compares the standby's
+// assertStandbyMatches flushes the op-log and compares every standby's
 // metadata with the leader's.
 func (r *rebuildRig) assertStandbyMatches() {
 	r.t.Helper()
 	r.leader.PulseNow()
-	if l, s := metadataOf(r.t, r.leader), metadataOf(r.t, r.standby); !bytes.Equal(l, s) {
-		r.t.Errorf("standby metadata diverges from the leader's")
+	want := metadataOf(r.t, r.leader)
+	for i, s := range r.standbys {
+		if diff := divergence(want, metadataOf(r.t, s)); diff != nil {
+			r.t.Errorf("standby %d diverges from the leader in %v", i+1, diff)
+		}
 	}
 }
 
-// metadataOf encodes what a standby must mirror of c: hierarchies,
-// tier records, the dead set and server contributions.
-func metadataOf(t *testing.T, c *Controller) []byte {
+// metadataOf encodes every field of c's state image but the stream
+// position (Gen, Seq), one entry per field, maps and sets sorted: what
+// every member that applied the same ops must hold alike.
+func metadataOf(t *testing.T, c *Controller) map[string][]byte {
 	img := c.buildImage()
 	sort.Slice(img.Tiers, func(i, j int) bool {
 		a, b := img.Tiers[i].Info, img.Tiers[j].Info
 		return a.ID < b.ID || a.ID == b.ID && a.Server < b.Server
 	})
-	data, err := rpc.Marshal(struct {
-		Jobs    []jobImage
-		Tiers   []tierImage
-		Dead    []string
-		Contrib []contribImage
-	}{img.Jobs, img.Tiers, img.Dead, img.Contrib})
-	if err != nil {
-		t.Fatal(err)
+	out := make(map[string][]byte)
+	v := reflect.ValueOf(img)
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		var data []byte
+		var err error
+		switch name {
+		case "Gen", "Seq":
+			continue
+		case "Tenants":
+			tenants := make([]string, 0, len(img.Tenants))
+			for tenant, q := range img.Tenants {
+				tenants = append(tenants, fmt.Sprintf("%s=%+v", tenant, q))
+			}
+			sort.Strings(tenants)
+			data = []byte(strings.Join(tenants, ","))
+		default:
+			// The field alone, in an otherwise zero image.
+			var one groupImage
+			reflect.ValueOf(&one).Elem().Field(i).Set(v.Field(i))
+			data, err = rpc.Marshal(one)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = data
 	}
-	return data
+	return out
+}
+
+// divergence lists, sorted, the image fields in which got differs from
+// want (nil when none does).
+func divergence(want, got map[string][]byte) []string {
+	var diff []string
+	for name, w := range want {
+		if !bytes.Equal(w, got[name]) {
+			diff = append(diff, name)
+		}
+	}
+	sort.Strings(diff)
+	return diff
 }
 
 // methodProxy stands in front of every memory server a controller
@@ -600,7 +645,7 @@ func TestLoadPrefixFailureKeepsPrefix(t *testing.T) {
 			cfg := core.TestConfig()
 			cfg.LeaseDuration = time.Hour
 			cfg.ChainLength = width
-			r := newRebuildRig(t, cfg)
+			r := newRebuildRig(t, cfg, 1)
 			for i := 0; i < 4; i++ {
 				r.addServer(16)
 			}
@@ -638,7 +683,7 @@ func TestLoadPrefixFailureKeepsPrefix(t *testing.T) {
 func TestCreatePrefixEvictsUnreachableServer(t *testing.T) {
 	cfg := core.TestConfig()
 	cfg.LeaseDuration = time.Hour
-	r := newRebuildRig(t, cfg)
+	r := newRebuildRig(t, cfg, 1)
 	r.addServer(8)
 	r.addServer(8)
 	gone := r.addServer(32).Addr() // the most free: placed first
@@ -675,7 +720,7 @@ func TestCreatePrefixEvictsUnreachableServer(t *testing.T) {
 func TestCreatePrefixRollsBackRejectedCreate(t *testing.T) {
 	cfg := core.TestConfig()
 	cfg.LeaseDuration = time.Hour
-	r := newRebuildRig(t, cfg)
+	r := newRebuildRig(t, cfg, 1)
 	r.addServer(12)
 	rejecting := r.addServer(11).Addr() // ties break by address: placed last
 	if err := r.leader.RegisterJob("j"); err != nil {

@@ -10,20 +10,21 @@ import (
 	"time"
 
 	"jiffy/internal/core"
-	"jiffy/internal/hierarchy"
 	"jiffy/internal/proto"
 	"jiffy/internal/rpc"
 )
 
-// Primary-backup replication of controller metadata (§4.2.1). The
-// active controller appends every durable metadata mutation — lease
-// grants and renewals, chain commits, tier records, quota changes,
-// membership events, repair commits — to a deterministic op-log and
-// streams it to the standbys. Ops are enqueued under the shard lock
-// (so per-node order is preserved) but sent after the handler's
-// dispatch completes, keeping RPCs out of every lock domain; the
-// handler still waits for standby acks before answering the client,
-// so an acknowledged control operation survives leader failure.
+// Primary-backup replication of controller metadata (§4.2.1). Every
+// durable metadata mutation — lease grants and renewals, chain commits,
+// tier records, quota changes, membership events, repair commits — is a
+// replOp that the active controller runs through its kind's apply
+// (apply.go) and appends to a deterministic op-log streamed to the
+// standbys, which run the same applies. An op is enqueued inside the
+// critical section of its apply (so each key's log order is its apply
+// order) but sent after the handler's dispatch completes, keeping RPCs
+// out of every lock domain; the handler still waits for standby acks
+// before answering the client, so an acknowledged control operation
+// survives leader failure.
 //
 // Standbys mirror the hierarchies, tier table, tenant quotas, and
 // membership, but not the allocator's free lists: they track only
@@ -440,207 +441,6 @@ func (c *Controller) buildImage() groupImage {
 	return img
 }
 
-// --- Standby-side application ------------------------------------------
-
-// applyImage resets this controller's metadata to the image (standby
-// bootstrap, checkpoint restore).
-func (c *Controller) applyImage(img groupImage) error {
-	c.applyMu.Lock()
-	defer c.applyMu.Unlock()
-
-	now := c.clk.Now()
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		sh.jobs = make(map[core.JobID]*hierarchy.Hierarchy)
-		sh.byServer = make(map[string]map[*hierarchy.Node]core.JobID)
-		sh.nodeServers = make(map[*hierarchy.Node][]string)
-		sh.mu.Unlock()
-	}
-	for _, ji := range img.Jobs {
-		sh := c.shardFor(ji.Job)
-		sh.mu.Lock()
-		h, err := restoreJob(ji, now)
-		if err != nil {
-			sh.mu.Unlock()
-			return err
-		}
-		sh.jobs[ji.Job] = h
-		h.Walk(func(n *hierarchy.Node) bool {
-			sh.reindexNodeLocked(ji.Job, n)
-			return true
-		})
-		sh.mu.Unlock()
-	}
-
-	dead := make(map[string]bool, len(img.Dead))
-	for _, addr := range img.Dead {
-		dead[addr] = true
-	}
-	c.group.mu.Lock()
-	c.group.contrib = make(map[string]contribRange, len(img.Contrib))
-	for _, ci := range img.Contrib {
-		c.group.contrib[ci.Addr] = contribRange{First: ci.First, N: ci.N}
-	}
-	c.group.nextID = img.NextID
-	c.group.appliedSeq = img.Seq
-	c.group.mu.Unlock()
-
-	c.hbMu.Lock()
-	c.lastBeat = make(map[string]time.Time)
-	c.deadServers = dead
-	c.probation = make(map[string]bool, len(img.Probation))
-	c.probationStreak = make(map[string]int)
-	for _, addr := range img.Probation {
-		if !dead[addr] {
-			c.probation[addr] = true
-		}
-	}
-	for _, ci := range img.Contrib {
-		if !dead[ci.Addr] {
-			c.lastBeat[ci.Addr] = now
-		}
-	}
-	c.hbMu.Unlock()
-	c.memberEpoch.Store(img.Epoch)
-
-	c.qMu.Lock()
-	c.tenantQuotas = make(map[string]core.Quota, len(img.Tenants))
-	for t, q := range img.Tenants {
-		c.tenantQuotas[t] = q
-	}
-	c.qMu.Unlock()
-
-	c.tiers.mu.Lock()
-	c.tiers.records = make(map[core.BlockInfo]tierRecord, len(img.Tiers))
-	for _, ti := range img.Tiers {
-		c.tiers.records[ti.Info] = tierRecord{Path: ti.Path, Key: ti.Key, Gen: ti.Gen}
-	}
-	c.tiers.mu.Unlock()
-	return nil
-}
-
-// applyOp applies one op-log entry on a standby. Application is
-// idempotent: replay over a snapshot that already reflects the op must
-// leave the same state (membership-epoch over-counting aside, which is
-// safe — the epoch only needs to stay ahead of what servers observed).
-func (c *Controller) applyOp(op replOp) {
-	switch op.Kind {
-	case opRegisterJob:
-		sh := c.shardFor(op.Job)
-		sh.mu.Lock()
-		if _, exists := sh.jobs[op.Job]; !exists {
-			lease := op.Lease
-			if lease <= 0 {
-				lease = c.cfg.LeaseDuration
-			}
-			sh.jobs[op.Job] = hierarchy.New(op.Job, lease, op.Now)
-		}
-		sh.mu.Unlock()
-
-	case opDeregisterJob:
-		sh := c.shardFor(op.Job)
-		sh.mu.Lock()
-		if h, ok := sh.jobs[op.Job]; ok {
-			sh.dropJobIndexLocked(h)
-			delete(sh.jobs, op.Job)
-		}
-		sh.mu.Unlock()
-		c.setTenantQuotaLocal(string(op.Job), core.Quota{})
-
-	case opNodeUpsert:
-		if err := c.applyNodeUpsert(op.Job, op.Node, op.Now); err != nil {
-			c.log.Warn("controller: replicated node upsert failed",
-				"job", op.Job, "node", op.Node.Name, "err", err)
-		}
-
-	case opRemoveNode:
-		sh := c.shardFor(op.Job)
-		sh.mu.Lock()
-		if h, ok := sh.jobs[op.Job]; ok {
-			if n, ok := h.Lookup(op.Name); ok {
-				sh.dropNodeIndexLocked(n)
-				if err := h.Remove(n.Name); err != nil {
-					// Guarded removal (e.g. children appeared from a
-					// raced upsert): reindex and leave the node.
-					sh.reindexNodeLocked(op.Job, n)
-				}
-			}
-		}
-		sh.mu.Unlock()
-
-	case opRenewLease:
-		for _, p := range op.Paths {
-			sh := c.shardFor(p.Job())
-			sh.mu.Lock()
-			if h, ok := sh.jobs[p.Job()]; ok {
-				_, _ = h.Renew(p, op.Now)
-			}
-			sh.mu.Unlock()
-		}
-
-	case opServerRegister:
-		c.group.mu.Lock()
-		c.group.contrib[op.Addr] = contribRange{First: op.FirstID, N: op.NumBlocks}
-		if end := op.FirstID + core.BlockID(op.NumBlocks); end > c.group.nextID {
-			c.group.nextID = end
-		}
-		c.group.mu.Unlock()
-		c.noteServerAlive(op.Addr)
-		c.memberEpoch.Add(1)
-
-	case opServerDead:
-		c.hbMu.Lock()
-		already := c.deadServers[op.Addr]
-		c.deadServers[op.Addr] = true
-		delete(c.lastBeat, op.Addr)
-		c.hbMu.Unlock()
-		if !already {
-			c.memberEpoch.Add(1)
-		}
-
-	case opTier:
-		c.applyTierReport(op.Tier)
-
-	case opServerProbation:
-		c.applyProbationLocal(op.Addr, op.On)
-	}
-}
-
-// applyNodeUpsert installs a replicated node image (see upsertNode).
-func (c *Controller) applyNodeUpsert(job core.JobID, ni nodeImage, now time.Time) error {
-	sh := c.shardFor(job)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	h, ok := sh.jobs[job]
-	if !ok {
-		// The op raced ahead of the job's bootstrap image; materialize
-		// the job so the upsert still lands.
-		h = hierarchy.New(job, c.cfg.LeaseDuration, now)
-		sh.jobs[job] = h
-	}
-	n, err := upsertNode(h, ni, now)
-	if err != nil {
-		return err
-	}
-	sh.reindexNodeLocked(job, n)
-	if n == h.Root() {
-		c.setTenantQuotaLocal(string(job), ni.Quota)
-	}
-	return nil
-}
-
-// setTenantQuotaLocal updates the tenant quota mirror without the
-// server fan-out (standbys don't talk to the data plane).
-func (c *Controller) setTenantQuotaLocal(tenant string, q core.Quota) {
-	c.qMu.Lock()
-	if q.IsZero() {
-		delete(c.tenantQuotas, tenant)
-	} else {
-		c.tenantQuotas[tenant] = q
-	}
-	c.qMu.Unlock()
-}
-
 // --- Replication RPC handlers ------------------------------------------
 
 // handleReplicate applies one streamed batch (or heartbeat) from the
@@ -669,7 +469,9 @@ func (c *Controller) handleReplicate(req proto.CtrlReplicateReq) (proto.CtrlRepl
 			if err := rpc.Unmarshal(raw, &op); err != nil {
 				return proto.CtrlReplicateResp{}, err
 			}
-			c.applyOp(op)
+			if err := c.apply(op); err != nil {
+				c.log.Warn("controller: replicated op not applied", "kind", op.Kind, "job", op.Job, "err", err)
+			}
 			applied = seq
 		}
 		c.group.mu.Lock()

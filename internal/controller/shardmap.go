@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"fmt"
 	"sync"
 
 	"jiffy/internal/core"
@@ -17,11 +18,10 @@ import (
 // repair consults the index instead of walking every job, making a
 // server death O(affected entries) rather than O(total metadata).
 //
-// The index is maintained at every commit point that changes a node's
-// partition map — commitNodeLocked is the single choke point, and it
-// doubles as the replication emit point (see replication.go): anything
-// worth reindexing is by definition a durable metadata mutation the
-// standbys must see.
+// The index follows every node image a member installs: indexNodeLocked
+// (apply.go) refreshes it, called by the leader's commitNodeLocked and
+// by a standby's node-upsert apply alike, so repair finds the same
+// nodes on every member.
 
 // shard owns a disjoint subset of jobs.
 type shard struct {
@@ -42,6 +42,15 @@ func newShard() *shard {
 		byServer:    make(map[string]map[*hierarchy.Node]core.JobID),
 		nodeServers: make(map[*hierarchy.Node][]string),
 	}
+}
+
+// job returns the hierarchy of job. Caller holds the shard lock.
+func (sh *shard) job(job core.JobID) (*hierarchy.Hierarchy, error) {
+	h, ok := sh.jobs[job]
+	if !ok {
+		return nil, fmt.Errorf("controller: job %q: %w", job, core.ErrNotFound)
+	}
+	return h, nil
 }
 
 // reindexNodeLocked recomputes the server index entries for one node.
@@ -111,37 +120,4 @@ func (sh *shard) indexedNodesLocked(addr string) []*hierarchy.Node {
 		nodes = append(nodes, n)
 	}
 	return nodes
-}
-
-// commitNodeLocked is the single commit choke point for node metadata
-// mutations: it refreshes the shard's server index and streams the
-// node's new image to the standbys. Caller holds the shard lock.
-func (c *Controller) commitNodeLocked(job core.JobID, n *hierarchy.Node) {
-	sh := c.shardFor(job)
-	sh.reindexNodeLocked(job, n)
-	// The image clones the partition map: build it only for a stream
-	// somebody receives (emit re-checks; the gate may close in between).
-	if c.repl.on.Load() {
-		c.repl.emit(replOp{Kind: opNodeUpsert, Job: job, Node: imageOfNode(n), Now: c.clk.Now()})
-	}
-}
-
-// imageOfNode serializes one node for replication, parents by name
-// (the hierarchy's names are unique per job).
-func imageOfNode(n *hierarchy.Node) nodeImage {
-	var parents []string
-	for _, p := range n.Parents() {
-		parents = append(parents, p.Name)
-	}
-	return nodeImage{
-		Name:          n.Name,
-		Parents:       parents,
-		LeaseDuration: n.LeaseDuration,
-		LastRenewed:   n.LastRenewed,
-		Type:          n.Type,
-		Map:           n.Map.Clone(),
-		Flushed:       n.Flushed,
-		FlushKey:      n.FlushKey,
-		Quota:         n.Quota,
-	}
 }

@@ -40,6 +40,26 @@ type nodeImage struct {
 	Quota         core.Quota
 }
 
+// imageOfNode serializes one node, parents by name (the hierarchy's
+// names are unique per job).
+func imageOfNode(n *hierarchy.Node) nodeImage {
+	var parents []string
+	for _, p := range n.Parents() {
+		parents = append(parents, p.Name)
+	}
+	return nodeImage{
+		Name:          n.Name,
+		Parents:       parents,
+		LeaseDuration: n.LeaseDuration,
+		LastRenewed:   n.LastRenewed,
+		Type:          n.Type,
+		Map:           n.Map.Clone(),
+		Flushed:       n.Flushed,
+		FlushKey:      n.FlushKey,
+		Quota:         n.Quota,
+	}
+}
+
 // SaveState checkpoints the controller's metadata into the persistent
 // store under key.
 func (c *Controller) SaveState(key string) error {
@@ -122,51 +142,4 @@ func (c *Controller) RestoreState(key string) error {
 	}
 	c.rebuildAllocator()
 	return nil
-}
-
-// restoreJob rebuilds one hierarchy from its image.
-func restoreJob(img jobImage, now time.Time) (*hierarchy.Hierarchy, error) {
-	if len(img.Nodes) == 0 {
-		return nil, fmt.Errorf("controller: empty job image for %q", img.Job)
-	}
-	h := hierarchy.New(img.Job, img.Nodes[0].LeaseDuration, now)
-	for _, ni := range img.Nodes {
-		if _, err := upsertNode(h, ni, now); err != nil {
-			return nil, err
-		}
-	}
-	return h, nil
-}
-
-// upsertNode installs one node image in h: create-or-update by name,
-// the first parent giving the canonical path and the rest DAG edges.
-// Parents must already be present.
-func upsertNode(h *hierarchy.Hierarchy, ni nodeImage, now time.Time) (*hierarchy.Node, error) {
-	n, ok := h.Lookup(ni.Name)
-	if !ok {
-		if len(ni.Parents) == 0 {
-			return nil, fmt.Errorf("controller: root image %q does not match job %q", ni.Name, h.Root().Name)
-		}
-		var paths []core.Path
-		for _, p := range ni.Parents {
-			pn, ok := h.Lookup(p)
-			if !ok {
-				return nil, fmt.Errorf("controller: image parent %q missing: %w", p, core.ErrNotFound)
-			}
-			paths = append(paths, pn.CanonicalPath())
-		}
-		created, err := h.Create(paths[0].MustChild(ni.Name), paths[1:], ni.Type, ni.LeaseDuration, now)
-		if err != nil {
-			return nil, err
-		}
-		n = created
-	}
-	n.LeaseDuration = ni.LeaseDuration
-	n.LastRenewed = ni.LastRenewed
-	n.Type = ni.Type
-	n.Map = ni.Map
-	n.Flushed = ni.Flushed
-	n.FlushKey = ni.FlushKey
-	n.Quota = ni.Quota
-	return n, nil
 }

@@ -45,39 +45,15 @@ type tierState struct {
 	recoveries atomic.Int64
 }
 
-// ReportTier records one member's tier transition. Demotions install
-// or refresh the record (newer generations win); promotions clear it
-// unless a newer demotion has already superseded the reported
-// generation.
+// ReportTier records one member's tier transition (see applyTier).
 func (c *Controller) ReportTier(req proto.ReportTierReq) (proto.ReportTierResp, error) {
-	c.applyTierReport(req)
-	c.repl.emit(replOp{Kind: opTier, Tier: req})
+	c.applyTier(replOp{Kind: opTier, Tier: req})
 	if req.Demoted {
 		c.tiers.demotes.Add(1)
 	} else {
 		c.tiers.promotes.Add(1)
 	}
 	return proto.ReportTierResp{}, nil
-}
-
-// applyTierReport mutates the tier table for one report; shared between
-// the RPC path above, dropTierRecord and standby-side op replay
-// (replication.go).
-func (c *Controller) applyTierReport(req proto.ReportTierReq) {
-	info := core.BlockInfo{ID: req.Block, Server: req.Server}
-	c.tiers.mu.Lock()
-	if c.tiers.records == nil {
-		c.tiers.records = make(map[core.BlockInfo]tierRecord)
-	}
-	rec, ok := c.tiers.records[info]
-	if req.Demoted {
-		if !ok || req.Gen > rec.Gen {
-			c.tiers.records[info] = tierRecord{Path: req.Path, Key: req.Key, Gen: req.Gen}
-		}
-	} else if ok && req.Gen >= rec.Gen {
-		delete(c.tiers.records, info)
-	}
-	c.tiers.mu.Unlock()
 }
 
 // tierRecordFor looks up the record for one chain member.
@@ -95,10 +71,8 @@ func (c *Controller) tierRecordFor(info core.BlockInfo) (tierRecord, bool) {
 func (c *Controller) dropTierRecord(info core.BlockInfo) {
 	rec, ok := c.tierRecordFor(info)
 	if ok {
-		// Replayed like the promotion of the recorded generation.
-		drop := proto.ReportTierReq{Server: info.Server, Block: info.ID, Gen: rec.Gen}
-		c.applyTierReport(drop)
-		c.repl.emit(replOp{Kind: opTier, Tier: drop})
+		// Applied like the promotion of the recorded generation.
+		c.applyTier(replOp{Kind: opTier, Tier: proto.ReportTierReq{Server: info.Server, Block: info.ID, Gen: rec.Gen}})
 		if err := c.persist.Delete(rec.Key); err != nil {
 			c.log.Debug("controller: tier object delete failed", "key", rec.Key, "err", err)
 		}

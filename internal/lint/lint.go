@@ -14,6 +14,9 @@
 // rpc.Marshal/rpc.Unmarshal to an explicit list of files: the control
 // codec, partition snapshots, and the persisted blobs not yet moved off
 // gob.
+//
+// The one-apply-path check (TestOneApplyPath) confines writes to the
+// controller's replicated maps to internal/controller/apply.go.
 package lint
 
 import (

@@ -209,3 +209,59 @@ func TestOneCodec(t *testing.T) {
 		}
 	}
 }
+
+// replicatedFields are the controller's replicated maps: the dead and
+// probation sets, server contributions, the tenant quota mirror, the
+// tier records and a shard's job table.
+var replicatedFields = map[string]bool{
+	"deadServers": true, "probation": true, "contrib": true,
+	"tenantQuotas": true, "records": true, "jobs": true,
+}
+
+// TestOneApplyPath is the ratchet for "one apply path" (DESIGN.md §14,
+// invariant 9): in non-test internal/controller, an index-assignment to
+// or a delete from a replicated map appears only in apply.go, where each
+// op kind has its one apply function that the leader, the standby stream
+// and image replay all run. A write anywhere else is a second path the
+// standbys do not take. Each field must still be written there, so a
+// rename cannot empty the check.
+func TestOneApplyPath(t *testing.T) {
+	fset, files, err := parseDir("../controller")
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied := make(map[string]bool)
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			var written ast.Expr
+			switch s := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range s.Lhs {
+					if ix, ok := lhs.(*ast.IndexExpr); ok {
+						written = ix.X
+					}
+				}
+			case *ast.CallExpr:
+				if fn, ok := s.Fun.(*ast.Ident); ok && fn.Name == "delete" && len(s.Args) == 2 {
+					written = s.Args[0]
+				}
+			}
+			sel, ok := written.(*ast.SelectorExpr)
+			if !ok || !replicatedFields[sel.Sel.Name] {
+				return true
+			}
+			pos := fset.Position(sel.Pos())
+			if filepath.Base(pos.Filename) == "apply.go" {
+				applied[sel.Sel.Name] = true
+			} else {
+				t.Errorf("%s: writes replicated field %s outside apply.go: build a replOp and run its apply", pos, sel.Sel.Name)
+			}
+			return true
+		})
+	}
+	for field := range replicatedFields {
+		if !applied[field] {
+			t.Errorf("apply.go no longer writes %s: update replicatedFields", field)
+		}
+	}
+}
