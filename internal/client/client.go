@@ -76,7 +76,6 @@ type config struct {
 	policy      RetryPolicy
 	timeout     time.Duration
 	exporter    obs.SpanExporter
-	shards      int
 	breaker     BreakerPolicy
 	breakerOn   bool
 	hedgeOn     bool
@@ -135,21 +134,6 @@ func WithRetryPolicy(p RetryPolicy) Option {
 // so server-side spans nest under client calls.
 func WithTracing(exp obs.SpanExporter) Option {
 	return func(c *config) { c.exporter = exp }
-}
-
-// WithSessionShards makes every data-plane session own n connections
-// instead of one, partitioning the sequence space across them so many
-// goroutines hammering one server stop serializing on a single write
-// lock and read pump. Single-goroutine workloads gain nothing; n is
-// worth raising only under heavy concurrent single-op load. Calls stay
-// synchronous request/response, so each goroutine's operations keep
-// their program order on every data type regardless of which
-// connection carries them; operations from different goroutines have
-// no mutual order with or without sharding (see DESIGN.md §15).
-// Applies to the built-in transport only: WithDial supplies whole
-// sessions and takes precedence.
-func WithSessionShards(n int) Option {
-	return func(c *config) { c.shards = n }
 }
 
 // WithBreaker installs a per-server circuit breaker (see BreakerPolicy;
@@ -264,20 +248,12 @@ func Dial(ctx context.Context, opts ...Option) (*Client, error) {
 	c.rpcTimeout = cfg.timeout
 	c.reg.RegisterCollector(c.writeBreakerStates)
 
-	// Control and data planes get separate dial chains: session
-	// sharding is a data-path tool, pointless for the occasional control
-	// call.
-	dataDial := cfg.dial
-	if dataDial == nil && cfg.shards > 1 {
-		n := cfg.shards
-		dataDial = func(addr string) (*rpc.Client, error) { return rpc.DialShards(addr, n) }
-	}
-	dataDial = rpc.WithTimeout(dataDial, cfg.timeout)
-	dataDial = rpc.WithInstrumentation(dataDial, c.rpcm, c.tracer)
-	ctrlDial := rpc.WithTimeout(cfg.dial, cfg.timeout)
-	ctrlDial = rpc.WithInstrumentation(ctrlDial, c.rpcm, c.tracer)
-	c.pool = rpc.NewPool(dataDial)
-	c.ctrlPool = rpc.NewPool(ctrlDial)
+	// Control and data planes keep separate session pools over one dial
+	// chain.
+	dial := rpc.WithTimeout(cfg.dial, cfg.timeout)
+	dial = rpc.WithInstrumentation(dial, c.rpcm, c.tracer)
+	c.pool = rpc.NewPool(dial)
+	c.ctrlPool = rpc.NewPool(dial)
 
 	// Control calls re-home within the retry budget, backing off between
 	// members so a failover in flight can finish.

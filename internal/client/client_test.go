@@ -201,6 +201,64 @@ func TestListenerTimeout(t *testing.T) {
 	}
 }
 
+// TestListenerCloseSkipsDeadSession: closing a listener whose
+// subscription session has died must not dial a fresh session only to
+// cancel a subscription the server already dropped on disconnect (on
+// tcp to a vanished host that dial blocks for the OS connect timeout).
+func TestListenerCloseSkipsDeadSession(t *testing.T) {
+	cluster, _ := testCluster(t)
+	ctrl := make(map[string]bool)
+	for _, a := range cluster.ControllerAddrs {
+		ctrl[a] = true
+	}
+	var mu sync.Mutex
+	dials := 0
+	var data []*rpc.Client
+	c, err := cluster.Connect(context.Background(), client.WithDial(func(addr string) (*rpc.Client, error) {
+		s, err := rpc.Dial(addr)
+		if err == nil {
+			mu.Lock()
+			dials++
+			if !ctrl[addr] {
+				data = append(data, s)
+			}
+			mu.Unlock()
+		}
+		return s, err
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.RegisterJob(context.Background(), "j")
+	c.CreatePrefix(context.Background(), "j/q", nil, core.DSQueue, 1, 0)
+	q, err := c.OpenQueue(context.Background(), "j/q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := q.Subscribe(context.Background(), core.OpEnqueue)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	sessions := data
+	before := dials
+	mu.Unlock()
+	if len(sessions) == 0 {
+		t.Fatal("subscribe dialed no data-plane session")
+	}
+	for _, s := range sessions {
+		s.Close()
+	}
+	l.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	if dials != before {
+		t.Fatalf("Listener.Close dialed %d new session(s) to cancel subscriptions on dead ones", dials-before)
+	}
+}
+
 func TestClientCloseIdempotent(t *testing.T) {
 	cluster, _ := testCluster(t)
 	c, err := cluster.Connect(context.Background())

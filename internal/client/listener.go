@@ -170,7 +170,7 @@ func (l *Listener) pruneDead() {
 	defer l.mu.Unlock()
 	kept := l.subs[:0]
 	for _, s := range l.subs {
-		if s.conn != nil && s.conn.IsClosed() {
+		if s.conn.IsClosed() {
 			for _, b := range s.blocks {
 				delete(l.covered, b)
 			}
@@ -217,7 +217,10 @@ func (l *Listener) TryGet() (proto.Notification, bool) {
 	}
 }
 
-// Close unsubscribes from every server.
+// Close unsubscribes from every server, over the session each
+// subscription was registered on. A subscription whose session has
+// died is skipped: the server dropped it on disconnect, and re-dialing
+// only to cancel it could block on an unreachable host.
 func (l *Listener) Close() {
 	l.mu.Lock()
 	subs := l.subs
@@ -229,10 +232,10 @@ func (l *Listener) Close() {
 			delete(router.chans, s.subID)
 			router.mu.Unlock()
 		}
-		if conn, err := l.c.pool.Get(s.addr); err == nil {
-			// Best effort: the server also drops the subscription when the
-			// connection goes away.
-			_, _ = rpc.Invoke(context.Background(), conn, proto.Unsubscribe, proto.UnsubscribeReq{SubID: s.subID})
+		if !s.conn.IsClosed() {
+			// Best effort: the session may die mid-call, which drops the
+			// subscription server-side anyway.
+			_, _ = rpc.Invoke(context.Background(), s.conn, proto.Unsubscribe, proto.UnsubscribeReq{SubID: s.subID})
 		}
 	}
 }

@@ -12,13 +12,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"jiffy/internal/clock"
 	"jiffy/internal/core"
 	"jiffy/internal/obs"
 	"jiffy/internal/proto"
@@ -87,27 +85,29 @@ type waiter struct {
 	// times out (coarse-deadline fast path). Written before registration,
 	// read by the watchdog under the shard lock.
 	expiry uint64
-	// timer is the lazily created, reused per-call timeout timer (real
-	// clock only; virtual clocks go through clock.After).
+	// timer is the lazily created, reused per-call timeout timer.
 	timer *time.Timer
+	// traceExt holds a traced call's trace-extension payload until the
+	// request is written, so the extension costs no allocation.
+	traceExt [32]byte
 }
 
 var waiterPool = sync.Pool{
 	New: func() interface{} { return &waiter{ch: make(chan callResult, 1)} },
 }
 
-// Client is one logical session with an RPC server. It is safe for
-// concurrent use: calls from many goroutines are multiplexed over the
-// session's connections and matched to responses by sequence number.
-// A session normally owns one connection; DialShards builds one that
-// owns several (each with its own read pump and write mutex),
-// partitioning the sequence space across them so concurrent callers
-// stop contending on a single write lock and read pump. Calls remain
-// synchronous request/response, so operations issued by one goroutine
-// keep their program order regardless of which connection carries
-// them; there is no cross-goroutine ordering either way.
+// Client is one session with an RPC server: one framed connection, one
+// read pump matching responses to callers by sequence number, and
+// wall-time timeouts (a pooled per-call timer, or the coarse watchdog
+// for long deadlines). It is safe for concurrent use: calls from many
+// goroutines are multiplexed over the connection, and their request
+// writes group-commit into shared flushes. Calls are synchronous
+// request/response, so operations issued by one goroutine keep their
+// program order; operations from different goroutines have none. The
+// session is the unit of failure: when the connection dies every
+// pending call fails fast and Done closes.
 type Client struct {
-	conns []*wire.Conn
+	conn *wire.Conn
 
 	nextSeq atomic.Uint64
 	pending [pendingShards]pendingShard
@@ -124,20 +124,14 @@ type Client struct {
 	tick         atomic.Uint64
 	watchdogOnce sync.Once
 
-	// downOnce closes readerDone exactly once — with a sharded session
-	// several read pumps race to report the session's death.
-	downOnce sync.Once
-
 	mu sync.Mutex
 	// sessionErr records why the session died; returned to callers whose
 	// pending requests were failed by failAll. Guarded by mu.
 	sessionErr error
 
 	// timeout bounds every Call without an explicit context deadline;
-	// zero disables the bound. clk drives the timeout timer (virtual in
-	// simulations). Guarded by mu.
+	// zero disables the bound. Guarded by mu.
 	timeout time.Duration
-	clk     clock.Clock
 
 	// onPush, if set, receives push frames (subscription notifications).
 	onPush func(subID uint64, payload []byte)
@@ -157,64 +151,23 @@ type instrumentation struct {
 	peer    string
 }
 
-// DialFunc customizes how clients reach servers; the default uses
-// wire.Dial (TCP or mem://).
-type DialFunc func(addr string) (*Client, error)
-
-// Dial connects to an RPC server at addr.
+// Dial connects to an RPC server at addr (TCP or mem://).
 func Dial(addr string) (*Client, error) {
-	return DialShards(addr, 1)
-}
-
-// DialShards connects a sharded session to addr: n independent framed
-// connections bound into one logical Client (n < 1 is treated as 1).
-// See DialShardsNet for custom transports.
-func DialShards(addr string, n int) (*Client, error) {
-	return DialShardsNet(addr, n, wire.Dial)
-}
-
-// DialShardsNet is DialShards over a caller-supplied net-level dial
-// (fault injectors, custom transports). Connections dialed before a
-// failure are closed on the way out.
-func DialShardsNet(addr string, n int, dialNet func(string) (net.Conn, error)) (*Client, error) {
-	if n < 1 {
-		n = 1
+	nc, err := wire.Dial(addr)
+	if err != nil {
+		return nil, err
 	}
-	conns := make([]*wire.Conn, 0, n)
-	for i := 0; i < n; i++ {
-		nc, err := dialNet(addr)
-		if err != nil {
-			for _, c := range conns {
-				c.Close()
-			}
-			return nil, err
-		}
-		conns = append(conns, wire.NewConn(nc))
-	}
-	return NewClientConns(conns), nil
+	return NewClient(wire.NewConn(nc)), nil
 }
 
 // NewClient builds a client over an established framed connection and
 // starts its read pump.
 func NewClient(conn *wire.Conn) *Client {
-	return NewClientConns([]*wire.Conn{conn})
-}
-
-// NewClientConns builds one logical session over conns and starts a
-// read pump per connection. All pumps share the pending table and the
-// push hook; the death of any connection fails the whole session.
-func NewClientConns(conns []*wire.Conn) *Client {
-	c := &Client{
-		conns:      conns,
-		clk:        clock.Real{},
-		readerDone: make(chan struct{}),
-	}
+	c := &Client{conn: conn, readerDone: make(chan struct{})}
 	for i := range c.pending {
 		c.pending[i].m = make(map[uint64]*waiter)
 	}
-	for _, cn := range conns {
-		go c.readLoop(cn)
-	}
+	go c.readLoop()
 	return c
 }
 
@@ -223,14 +176,6 @@ func NewClientConns(conns []*wire.Conn) *Client {
 func (c *Client) SetTimeout(d time.Duration) {
 	c.mu.Lock()
 	c.timeout = d
-	c.mu.Unlock()
-}
-
-// SetClock overrides the timeout timer source (tests and simulations
-// use a virtual clock).
-func (c *Client) SetClock(clk clock.Clock) {
-	c.mu.Lock()
-	c.clk = clk
 	c.mu.Unlock()
 }
 
@@ -317,12 +262,12 @@ func (c *Client) shard(seq uint64) *pendingShard {
 	return &c.pending[seq&(pendingShards-1)]
 }
 
-func (c *Client) readLoop(cn *wire.Conn) {
+func (c *Client) readLoop() {
 	for {
 		// Small frames decode into connection-owned storage; whatever
 		// must outlive this iteration is copied below. Large frames come
 		// back freshly allocated and transfer ownership as before.
-		f, reused, err := cn.ReadFrameReused()
+		f, reused, err := c.conn.ReadFrameReused()
 		if err != nil {
 			c.failAll(err)
 			return
@@ -365,24 +310,18 @@ func (c *Client) readLoop(cn *wire.Conn) {
 	}
 }
 
-// failAll marks the session dead and fails every pending call fast
-// with a SessionError carrying cause — callers never hang on a peer
-// that stopped responding. The error is recorded before closed flips,
-// so any caller that observes closed reads a non-nil cause. With a
-// sharded session the first pump to die brings down the sibling
-// connections too (the session is one unit of failure); their pumps
-// then re-enter here and find the table already swept.
+// failAll is the read pump's exit: it marks the session dead, fails
+// every pending call fast with a SessionError carrying cause — callers
+// never hang on a peer that stopped responding — and closes readerDone.
+// The error is recorded before closed flips, so any caller that
+// observes closed reads a non-nil cause.
 func (c *Client) failAll(cause error) {
+	serr := &SessionError{Cause: cause}
 	c.mu.Lock()
-	if c.sessionErr == nil {
-		c.sessionErr = &SessionError{Cause: cause}
-	}
-	serr := c.sessionErr
+	c.sessionErr = serr
 	c.mu.Unlock()
 	c.closed.Store(true)
-	for _, cn := range c.conns {
-		cn.Close()
-	}
+	c.conn.Close()
 	for i := range c.pending {
 		sh := &c.pending[i]
 		sh.mu.Lock()
@@ -392,7 +331,7 @@ func (c *Client) failAll(cause error) {
 		}
 		sh.mu.Unlock()
 	}
-	c.downOnce.Do(func() { close(c.readerDone) })
+	close(c.readerDone)
 }
 
 // closureErr reports why the session is closed.
@@ -504,23 +443,20 @@ func (c *Client) call(ctx context.Context, method uint16, payload []byte, vec []
 
 	c.mu.Lock()
 	timeout := c.timeout
-	clk := c.clk
 	c.mu.Unlock()
 
 	w := waiterPool.Get().(*waiter)
 	w.borrow = borrow
 	w.method = method
-	// Coarse-deadline fast path: a deadline-less context with the real
-	// clock doesn't arm a per-call timer at all. The waiter records the
-	// watchdog tick at which it expires and the caller parks in a bare
-	// channel receive — no timer lock traffic, no multi-way select. The
-	// price is timeout granularity of one sweep interval, which is why
-	// short timeouts keep the precise timer.
+	// Coarse-deadline fast path: a deadline-less context doesn't arm a
+	// per-call timer at all. The waiter records the watchdog tick at
+	// which it expires and the caller parks in a bare channel receive —
+	// no timer lock traffic, no multi-way select. The price is timeout
+	// granularity of one sweep interval, which is why short timeouts keep
+	// the precise timer.
 	if timeout >= watchdogMinTimeout && ctx.Done() == nil {
-		if _, real := clk.(clock.Real); real {
-			c.watchdogOnce.Do(c.startWatchdog)
-			w.expiry = c.tick.Load() + watchdogTicks(timeout)
-		}
+		c.watchdogOnce.Do(c.startWatchdog)
+		w.expiry = c.tick.Load() + watchdogTicks(timeout)
 	}
 	seq := c.nextSeq.Add(1)
 	sh := c.shard(seq)
@@ -534,73 +470,53 @@ func (c *Client) call(ctx context.Context, method uint16, payload []byte, vec []
 		return nil, false, c.abandon(seq, w, nil, c.closureErr())
 	}
 
-	// Sharded sessions partition the sequence space across connections;
-	// the response returns on the connection that carried the request.
-	cn := c.conns[0]
-	if len(c.conns) > 1 {
-		cn = c.conns[seq%uint64(len(c.conns))]
+	// The request, preceded by its trace extension when a span rides
+	// ctx: the extension travels under the same seq and in the same
+	// flush, and old peers skip non-request frames, so this stays
+	// wire-compatible. A small contiguous request is encoded into one
+	// pooled buffer and handed over as a single contiguous write (the
+	// frames stay on the stack); anything else is one framed write.
+	// Either way the group-commit flush treats the write like any other
+	// convoy member.
+	var ext wire.Frame
+	req := wire.Frame{Kind: wire.KindRequest, Seq: seq, Method: method,
+		Payload: payload, PayloadVec: vec}
+	frames := [2]*wire.Frame{&ext, &req}
+	fs := frames[1:]
+	if sc, traced := obs.SpanFromContext(ctx); traced && sc.Valid() {
+		n := copy(w.traceExt[:], wire.EncodeTraceExt(sc.TraceID, sc.SpanID))
+		ext = wire.Frame{Kind: wire.KindTraceExt, Seq: seq, Payload: w.traceExt[:n]}
+		fs = frames[:]
 	}
-
 	var err error
-	sc, traced := obs.SpanFromContext(ctx)
-	if traced && sc.Valid() {
-		// The trace extension travels immediately before its request,
-		// under the same seq and in the same flush. Old peers skip
-		// non-request frames, so this stays wire-compatible.
-		if vec == nil && len(payload) <= wire.InlineFrameThreshold {
-			buf := wire.GetBuf()
-			ext := wire.Frame{Kind: wire.KindTraceExt, Seq: seq,
-				Payload: wire.EncodeTraceExt(sc.TraceID, sc.SpanID)}
-			req := wire.Frame{Kind: wire.KindRequest, Seq: seq, Method: method, Payload: payload}
-			buf = wire.AppendFrame(buf, &ext)
-			buf = wire.AppendFrame(buf, &req)
-			err = cn.WriteBytes(buf)
-			wire.PutBuf(buf)
-		} else {
-			ext := &wire.Frame{Kind: wire.KindTraceExt, Seq: seq,
-				Payload: wire.EncodeTraceExt(sc.TraceID, sc.SpanID)}
-			req := &wire.Frame{Kind: wire.KindRequest, Seq: seq, Method: method,
-				Payload: payload, PayloadVec: vec}
-			err = cn.WriteFrames(ext, req)
-		}
-	} else if vec == nil && len(payload) <= wire.InlineFrameThreshold {
-		// Inline fast path: encode the whole frame into one pooled
-		// buffer and hand the connection a single contiguous write. The
-		// frame value stays on the stack; the group-commit flush treats
-		// the write like any other convoy member.
+	if vec == nil && len(payload) <= wire.InlineFrameThreshold {
 		buf := wire.GetBuf()
-		req := wire.Frame{Kind: wire.KindRequest, Seq: seq, Method: method, Payload: payload}
-		buf = wire.AppendFrame(buf, &req)
-		err = cn.WriteBytes(buf)
+		for _, f := range fs {
+			buf = wire.AppendFrame(buf, f)
+		}
+		err = c.conn.WriteBytes(buf)
 		wire.PutBuf(buf)
 	} else {
-		req := &wire.Frame{Kind: wire.KindRequest, Seq: seq, Method: method,
-			Payload: payload, PayloadVec: vec}
-		err = cn.WriteFrame(req)
+		err = c.conn.WriteFrames(fs...)
 	}
 	if err != nil {
 		return nil, false, c.abandon(seq, w, nil, err)
 	}
 
-	// Timeout timer: with the real clock the waiter's own timer is
-	// reused across calls (time.After allocates a timer plus channel per
-	// call); virtual clocks go through clock.After as before. Calls on
-	// the coarse-deadline fast path already carry a watchdog expiry.
+	// Timeout timer: the waiter's own timer is reused across calls
+	// (time.After allocates a timer plus channel per call). Calls on the
+	// coarse-deadline fast path already carry a watchdog expiry.
 	var timerC <-chan time.Time
 	var tm *time.Timer
 	if timeout > 0 && w.expiry == 0 {
 		if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-			if _, real := clk.(clock.Real); real {
-				if tm = w.timer; tm == nil {
-					tm = time.NewTimer(timeout)
-					w.timer = tm
-				} else {
-					tm.Reset(timeout)
-				}
-				timerC = tm.C
+			if tm = w.timer; tm == nil {
+				tm = time.NewTimer(timeout)
+				w.timer = tm
 			} else {
-				timerC = clk.After(timeout)
+				tm.Reset(timeout)
 			}
+			timerC = tm.C
 		}
 	}
 
@@ -691,9 +607,9 @@ func releaseWaiter(w *waiter) {
 
 // watchdogInterval is the sweep period of the coarse timeout watchdog;
 // watchdogMinTimeout is the smallest default timeout it serves. Calls
-// with shorter timeouts, virtual clocks, or cancellable contexts keep
-// the precise per-call timer, so the coarse path only ever stretches a
-// multi-second deadline by at most one sweep.
+// with shorter timeouts or cancellable contexts keep the precise
+// per-call timer, so the coarse path only ever stretches a multi-second
+// deadline by at most one sweep.
 const (
 	watchdogInterval   = 100 * time.Millisecond
 	watchdogMinTimeout = time.Second
@@ -736,15 +652,10 @@ func (c *Client) startWatchdog() {
 	}()
 }
 
-// Close tears down the session's connections; in-flight calls fail
-// with ErrClosed.
+// Close tears down the session's connection and waits for the read
+// pump to exit; in-flight calls fail with ErrClosed.
 func (c *Client) Close() error {
-	var err error
-	for _, cn := range c.conns {
-		if cerr := cn.Close(); err == nil {
-			err = cerr
-		}
-	}
+	err := c.conn.Close()
 	<-c.readerDone
 	return err
 }

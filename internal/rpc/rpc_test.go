@@ -349,102 +349,3 @@ func TestPoolClosedRejects(t *testing.T) {
 		t.Error("closed pool handed out a connection")
 	}
 }
-
-// TestShardedSessionConcurrentCalls drives a 4-connection session from
-// 8 goroutines and checks every response lands on the caller that
-// issued it (the pending table is shared; the sequence space is
-// partitioned across connections).
-func TestShardedSessionConcurrentCalls(t *testing.T) {
-	addr, _ := newTestServer(t)
-	c, err := DialShards(addr, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				want := fmt.Sprintf("g%d-i%d", g, i)
-				resp, err := c.Call(methodEcho, []byte(want))
-				if err != nil {
-					errs <- err
-					return
-				}
-				if string(resp) != want {
-					errs <- fmt.Errorf("echo mismatch: got %q want %q", resp, want)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
-// TestShardedSessionFailsAsUnit checks a sharded session stays one
-// failure domain: when the server goes away, every connection is torn
-// down, pending and future calls fail, and Done() fires — exactly the
-// signals the pool and the client's dead-session eviction rely on.
-func TestShardedSessionFailsAsUnit(t *testing.T) {
-	addr, srv := newTestServer(t)
-	c, err := DialShards(addr, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Call(methodEcho, []byte("up")); err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-	select {
-	case <-c.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("session not marked down after server close")
-	}
-	if !c.IsClosed() {
-		t.Error("IsClosed() = false after server close")
-	}
-	for i := 0; i < 6; i++ { // covers every shard twice
-		if _, err := c.Call(methodEcho, []byte("down")); err == nil {
-			t.Fatal("call succeeded on dead sharded session")
-		}
-	}
-}
-
-// TestShardedSessionPush checks server pushes reach the shared OnPush
-// hook regardless of which connection carried the subscribe.
-func TestShardedSessionPush(t *testing.T) {
-	addr, _ := newTestServer(t)
-	c, err := DialShards(addr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	got := make(chan string, 1)
-	c.OnPush(func(subID uint64, payload []byte) {
-		if subID == 77 {
-			got <- string(payload)
-		}
-	})
-	// Issue subscribes from both shards of the sequence space.
-	for i := 0; i < 2; i++ {
-		if _, err := c.Call(methodSubscribe, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	select {
-	case msg := <-got:
-		if msg != "notification" {
-			t.Errorf("push payload = %q", msg)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("push not delivered on sharded session")
-	}
-}

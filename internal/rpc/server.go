@@ -276,7 +276,7 @@ func (tc *traceCache) take(seq uint64) (sc obs.SpanContext) {
 
 func (sc *ServerConn) readLoop() {
 	var pending traceCache
-	inlineH, inlineFast := sc.srv.inlineHandler, sc.srv.inlineFast
+	inlineFast := sc.srv.inlineFast
 	for {
 		// Large requests arrive in pooled buffers that finish recycles
 		// once the response is written.
@@ -298,11 +298,8 @@ func (sc *ServerConn) readLoop() {
 			continue // ignore stray frames
 		}
 		trace := pending.take(f.Seq)
-		if inlineH != nil && inlineFast(f.Method, len(f.Payload)) {
-			if sc.dispatchInline(f, trace) {
-				continue
-			}
-			// Handler punted (might block): fall through to a goroutine.
+		if inlineFast != nil && inlineFast(f.Method, len(f.Payload)) && sc.dispatch(f, trace, true) {
+			continue // answered on the read pump; a punt falls through
 		}
 		if reused {
 			// The goroutine outlives this iteration; give it an owned
@@ -312,7 +309,7 @@ func (sc *ServerConn) readLoop() {
 		sc.reqWG.Add(1)
 		go func(f *wire.Frame, trace obs.SpanContext) {
 			defer sc.reqWG.Done()
-			sc.dispatch(f, trace)
+			sc.dispatch(f, trace, false)
 		}(f, trace)
 	}
 }
@@ -370,20 +367,20 @@ func (sc *ServerConn) begin(f *wire.Frame, trace obs.SpanContext) dispatchState 
 	return st
 }
 
-func (sc *ServerConn) dispatch(f *wire.Frame, trace obs.SpanContext) {
+// dispatch runs one request — through the inline handler on the read
+// pump, or the regular handler on the request's own goroutine — and
+// writes its response. It reports false, leaving the frame untouched,
+// when the inline handler punts with ErrDispatchAsync.
+func (sc *ServerConn) dispatch(f *wire.Frame, trace obs.SpanContext, inline bool) bool {
+	h := sc.srv.handler
+	if inline {
+		h = sc.srv.inlineHandler
+	}
 	st := sc.begin(f, trace)
-	resp, err := sc.callHandler(st.ctx, f)
-	sc.finish(f, trace, st, resp, err)
-}
-
-// dispatchInline runs one request on the read pump through the inline
-// handler. It reports false — leaving the frame untouched — when the
-// handler declines with ErrDispatchAsync.
-func (sc *ServerConn) dispatchInline(f *wire.Frame, trace obs.SpanContext) bool {
-	st := sc.begin(f, trace)
-	resp, err := sc.callInlineHandler(st.ctx, f)
-	if err == ErrDispatchAsync {
-		// Undo begin's in-flight mark; the goroutine path will begin anew.
+	resp, err := sc.callHandler(st.ctx, h, f)
+	if inline && err == ErrDispatchAsync {
+		// Undo begin's counts; the goroutine path will begin anew, so a
+		// punted request is counted once.
 		if st.stats != nil {
 			st.stats.Requests.Add(-1)
 			st.stats.BytesIn.Add(-int64(len(f.Payload)))
@@ -396,7 +393,7 @@ func (sc *ServerConn) dispatchInline(f *wire.Frame, trace obs.SpanContext) bool 
 }
 
 // finish writes the response frame and closes out the telemetry opened
-// by begin. Shared by the inline and goroutine dispatch paths.
+// by begin.
 func (sc *ServerConn) finish(f *wire.Frame, trace obs.SpanContext, st dispatchState, resp Response, err error) {
 	// The release hook rides on the frame so it fires exactly once on
 	// every write path — success, staging error, or dead connection —
@@ -453,22 +450,14 @@ func (sc *ServerConn) finish(f *wire.Frame, trace obs.SpanContext, st dispatchSt
 	wire.RecycleFrame(f)
 }
 
-func (sc *ServerConn) callHandler(ctx context.Context, f *wire.Frame) (resp Response, err error) {
+// callHandler runs h, turning a panic into an ErrClosed answer for this
+// request alone.
+func (sc *ServerConn) callHandler(ctx context.Context, h Handler, f *wire.Frame) (resp Response, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			sc.srv.log.Error("rpc: handler panic", "method", f.Method, "panic", r)
 			resp, err = Response{}, core.ErrClosed
 		}
 	}()
-	return sc.srv.handler(ctx, sc, f.Method, f.Payload)
-}
-
-func (sc *ServerConn) callInlineHandler(ctx context.Context, f *wire.Frame) (resp Response, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			sc.srv.log.Error("rpc: inline handler panic", "method", f.Method, "panic", r)
-			resp, err = Response{}, core.ErrClosed
-		}
-	}()
-	return sc.srv.inlineHandler(ctx, sc, f.Method, f.Payload)
+	return h(ctx, sc, f.Method, f.Payload)
 }

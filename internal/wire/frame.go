@@ -15,7 +15,7 @@
 //	...  payload
 //
 // The write path is batching-aware: WriteFrames coalesces many frames
-// into a single buffered flush, and WriteFrame group-commits — when
+// into a single buffered flush, and every write group-commits — when
 // several goroutines write concurrently over one session, only the
 // last writer in the convoy flushes, so N concurrent single-frame
 // writes cost far fewer than N flushes (see DESIGN.md, "Batched hot
@@ -142,7 +142,7 @@ type Conn struct {
 	rframe Frame
 	rbuf   []byte
 
-	// writers counts goroutines inside WriteFrame(s) — holding or
+	// writers counts goroutines between enter and leave — holding or
 	// queued for wmu. A writer that sees other writers pending skips
 	// its flush: the last member of the convoy flushes for everyone
 	// (group commit).
@@ -174,33 +174,21 @@ func NewConn(nc net.Conn) *Conn {
 // RemoteAddr exposes the peer address for logging.
 func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
 
-// WriteFrame sends one frame. Safe for concurrent use. The flush is
-// opportunistically coalesced: if other writers are already queued on
-// this connection, the buffer is left for the last of them to flush,
-// so concurrent single-op callers sharing a session amortize flushes.
-// f.Payload and f.PayloadVec are fully consumed before return and may
-// be reused; f.Release (if set) has fired by then.
-func (c *Conn) WriteFrame(f *Frame) error {
-	c.writers.Add(1)
-	c.wmu.Lock()
-	err := c.writeFrameLocked(f)
-	if err == nil {
-		err = c.maybeFlushLocked()
-	} else {
-		c.writers.Add(-1)
-	}
-	c.wmu.Unlock()
-	return err
-}
+// WriteFrame sends one frame: WriteFrames with a single frame.
+func (c *Conn) WriteFrame(f *Frame) error { return c.WriteFrames(f) }
 
-// WriteFrames sends many frames under one lock acquisition and at most
-// one flush — the wire-level frame coalescer used by batched calls.
+// WriteFrames sends frames under one lock acquisition and at most one
+// flush. Safe for concurrent use. The flush is opportunistically
+// coalesced: if other writers are already queued on this connection,
+// the buffer is left for the last of them to flush, so concurrent
+// callers sharing a session amortize flushes. Payload and PayloadVec
+// are fully consumed before return and may be reused; every Release
+// hook has fired by then.
 func (c *Conn) WriteFrames(frames ...*Frame) error {
 	if len(frames) == 0 {
 		return nil
 	}
-	c.writers.Add(1)
-	c.wmu.Lock()
+	c.enter()
 	var err error
 	for i, f := range frames {
 		if err = c.writeFrameLocked(f); err != nil {
@@ -212,10 +200,23 @@ func (c *Conn) WriteFrames(frames ...*Frame) error {
 			break
 		}
 	}
-	if err == nil {
-		err = c.maybeFlushLocked()
-	} else {
-		c.writers.Add(-1)
+	return c.leave(err)
+}
+
+// enter joins the write convoy: it takes a writer slot, then wmu.
+func (c *Conn) enter() {
+	c.writers.Add(1)
+	c.wmu.Lock()
+}
+
+// leave ends a write begun by enter and returns its error. It drops the
+// writer slot and, when the write succeeded and no other writer is
+// committed to acquiring wmu, flushes — the group commit: the convoy's
+// last writer always observes zero pending writers, so every staged
+// frame reaches the wire. A failed write flushes nothing.
+func (c *Conn) leave(err error) error {
+	if c.writers.Add(-1) == 0 && err == nil {
+		err = c.w.Flush()
 	}
 	c.wmu.Unlock()
 	return err
@@ -279,18 +280,6 @@ func (c *Conn) writeFrameLocked(f *Frame) error {
 	return nil
 }
 
-// maybeFlushLocked releases this goroutine's writer slot and flushes
-// unless another writer is already committed to acquiring wmu — that
-// writer will stage its own frame and flush both. The convoy's last
-// writer always observes zero pending writers and flushes, so every
-// staged frame reaches the wire. Caller holds wmu.
-func (c *Conn) maybeFlushLocked() error {
-	if c.writers.Add(-1) > 0 {
-		return nil
-	}
-	return c.w.Flush()
-}
-
 // AppendFrame appends f's wire encoding (length prefix, header,
 // payload) to dst. The inline small-frame fast path encodes into a
 // pooled buffer with it and sends the result through WriteBytes as one
@@ -314,19 +303,12 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 
 // WriteBytes stages pre-encoded frame bytes (one or more AppendFrame
 // encodings) and participates in the same group-commit flush as
-// WriteFrame, so fast-path and general writers coalesce into one convoy.
+// WriteFrames, so fast-path and general writers coalesce into one convoy.
 // Safe for concurrent use. The caller owns b again on return.
 func (c *Conn) WriteBytes(b []byte) error {
-	c.writers.Add(1)
-	c.wmu.Lock()
+	c.enter()
 	_, err := c.w.Write(b)
-	if err == nil {
-		err = c.maybeFlushLocked()
-	} else {
-		c.writers.Add(-1)
-	}
-	c.wmu.Unlock()
-	return err
+	return c.leave(err)
 }
 
 // parseFrameInto decodes the post-length-prefix portion of a frame into

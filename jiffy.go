@@ -151,10 +151,6 @@ var (
 	// WithControllers lists the controller group endpoints for Dial; the
 	// client discovers the leader among them and re-homes on failover.
 	WithControllers = client.WithControllers
-	// WithSessionShards gives every data-plane session n connections
-	// with the sequence space partitioned across them, for heavy
-	// concurrent single-op load against one server.
-	WithSessionShards = client.WithSessionShards
 )
 
 // DefaultRetryPolicy returns the default retry budget.
