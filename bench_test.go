@@ -37,23 +37,15 @@ func runFig(b *testing.B, fn func(io.Writer, bench.Options) error) {
 // peak provisioning.
 func BenchmarkFig1SnowflakeTrace(b *testing.B) { runFig(b, bench.Fig1) }
 
-// BenchmarkFig9aJobSlowdown and BenchmarkFig9bUtilization regenerate
-// Fig. 9: job slowdown and resource utilization vs. capacity for
-// ElastiCache, Pocket and Jiffy (one simulation produces both panels).
+// BenchmarkFig9aJobSlowdown regenerates Fig. 9: job slowdown (a) and
+// resource utilization (b) vs. capacity for ElastiCache, Pocket and
+// Jiffy. One replay produces both panels.
 func BenchmarkFig9aJobSlowdown(b *testing.B) { runFig(b, bench.Fig9) }
 
-// BenchmarkFig9bUtilization is the same sweep as Fig. 9(a); both
-// panels come from one replay (see internal/bench.Fig9).
-func BenchmarkFig9bUtilization(b *testing.B) { runFig(b, bench.Fig9) }
-
-// BenchmarkFig10aLatency / BenchmarkFig10bThroughput regenerate
-// Fig. 10: six-system latency and MB/s vs. object size, with Jiffy
-// measured live.
+// BenchmarkFig10aLatency regenerates Fig. 10: six-system latency (a)
+// and MB/s (b) vs. object size, with Jiffy measured live. Both panels
+// come from the same samples.
 func BenchmarkFig10aLatency(b *testing.B) { runFig(b, bench.Fig10) }
-
-// BenchmarkFig10bThroughput shares Fig10's measurement (latency and
-// MB/s come from the same samples).
-func BenchmarkFig10bThroughput(b *testing.B) { runFig(b, bench.Fig10) }
 
 // BenchmarkFig11aLifetime regenerates Fig. 11(a): allocated vs. used
 // memory over time per data structure under lease-based reclamation.

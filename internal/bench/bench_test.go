@@ -26,12 +26,16 @@ func TestFig1(t *testing.T) {
 	}
 }
 
+// TestFig9 checks Fig. 9's shape on the quick profile: at every
+// capacity Jiffy's slowdown is at most Pocket's and ElastiCache's, and
+// its utilization at least 3× Pocket's.
 func TestFig9(t *testing.T) {
-	out := quick(t, Fig9)
-	for _, want := range []string{"Fig. 9(a)", "Fig. 9(b)", "ElastiCache", "Pocket", "Jiffy", "100"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in output", want)
-		}
+	_, _, rows := fig9Sweep(Options{Quick: true})
+	if len(rows) != 5 {
+		t.Fatalf("%d capacities, want 5", len(rows))
+	}
+	if err := fig9Shape(rows); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -98,13 +102,20 @@ func TestFig13b(t *testing.T) {
 	}
 }
 
+// TestFig14 checks each Fig. 14 sweep's shape on the quick profile:
+// allocated/used never falls as the block size, the lease or the
+// premature-allocation margin grows.
 func TestFig14(t *testing.T) {
-	for name, fn := range map[string]func(io.Writer, Options) error{
-		"a": Fig14a, "b": Fig14b, "c": Fig14c,
+	for name, rows := range map[string][]fig14Row{
+		"a": fig14aRows(Options{Quick: true}),
+		"b": fig14bRows(Options{Quick: true}),
+		"c": fig14cRows(Options{Quick: true}),
 	} {
-		out := quick(t, fn)
-		if !strings.Contains(out, "sensitivity") {
-			t.Errorf("fig14%s output:\n%s", name, out)
+		if len(rows) != 5 {
+			t.Errorf("fig14%s: %d points, want 5", name, len(rows))
+		}
+		if err := fig14Shape(rows); err != nil {
+			t.Errorf("fig14%s: %v", name, err)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"time"
 
@@ -16,7 +18,9 @@ import (
 // file data structure). Per-stage files are sized near the block-size
 // regime (tens to hundreds of MB) so that block granularity, lease
 // tails and premature allocation are visible against the data itself.
-func fig14Workload(opts Options) *trace.Trace {
+// It returns the trace and a pool of 8× its peak, so capacity never
+// constrains the sweep.
+func fig14Workload(opts Options) (tr *trace.Trace, capacity int64) {
 	cfg := sim.Fig9TraceConfig()
 	cfg.Tenants = 20
 	cfg.JobsPerTenant = 10
@@ -27,7 +31,47 @@ func fig14Workload(opts Options) *trace.Trace {
 		cfg.Tenants = 8
 		cfg.JobsPerTenant = 5
 	}
-	return trace.Generate(cfg, opts.seed())
+	tr = trace.Generate(cfg, opts.seed())
+	return tr, 8 * sim.PeakCapacity(tr, time.Second)
+}
+
+// fig14Row is one point of a Fig. 14 sweep.
+type fig14Row struct {
+	param     string
+	allocUsed float64 // time-averaged allocated/used
+	util      float64 // time-averaged used/allocated, in percent
+}
+
+// fig14Replay replays tr against one Jiffy policy.
+func fig14Replay(tr *trace.Trace, capacity int64, param string, p baseline.Policy) fig14Row {
+	st := sim.Run(tr, p, capacity, time.Second)
+	return fig14Row{param: param, allocUsed: overhead(st), util: efficiency(st)}
+}
+
+// fig14Shape is the claim every Fig. 14 panel shares, as a predicate:
+// allocated/used never falls along the sweep (each sweep runs from the
+// paper's best setting towards its worst).
+func fig14Shape(rows []fig14Row) error {
+	var errs []error
+	for i := 1; i < len(rows); i++ {
+		if prev, r := rows[i-1], rows[i]; r.allocUsed < prev.allocUsed {
+			errs = append(errs, fmt.Errorf("allocated/used falls from %.3f at %s to %.3f at %s",
+				prev.allocUsed, prev.param, r.allocUsed, r.param))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// printFig14 prints one Fig. 14 panel.
+func printFig14(w io.Writer, title, param string, rows []fig14Row, shape ...string) {
+	tbl := metrics.NewTable(title, param, "avg allocated/used", "avg utilization(%)")
+	for _, r := range rows {
+		tbl.AddRow(r.param, r.allocUsed, r.util)
+	}
+	fprintln(w, "%s", tbl.String())
+	for _, line := range shape {
+		fprintln(w, "%s", line)
+	}
 }
 
 // Fig14a reproduces the paper's Fig. 14(a): sensitivity to block size.
@@ -35,18 +79,19 @@ func fig14Workload(opts Options) *trace.Trace {
 // allocated and used storage grows and utilization drops (32MB → 512MB
 // in the paper).
 func Fig14a(w io.Writer, opts Options) error {
-	tr := fig14Workload(opts)
-	peak := sim.PeakCapacity(tr, time.Second)
-	tbl := metrics.NewTable("Fig. 14(a): block-size sensitivity (95% threshold, 1s lease)",
-		"block size", "avg allocated/used", "avg utilization(%)")
-	for _, bs := range []int64{32 << 20, 64 << 20, 128 << 20, 256 << 20, 512 << 20} {
-		st := sim.Run(tr, baseline.NewJiffyPolicy(8*peak, bs,
-			core.DefaultHighThreshold, core.DefaultLeaseDuration), 8*peak, time.Second)
-		tbl.AddRow(sizeLabel(int(bs)), overhead(st), efficiency(st))
-	}
-	fprintln(w, "%s", tbl.String())
-	fprintln(w, "paper shape: bigger blocks widen the allocated-used gap.")
+	printFig14(w, "Fig. 14(a): block-size sensitivity (95% threshold, 1s lease)", "block size",
+		fig14aRows(opts), "paper shape: bigger blocks widen the allocated-used gap.")
 	return nil
+}
+
+func fig14aRows(opts Options) []fig14Row {
+	tr, capacity := fig14Workload(opts)
+	var rows []fig14Row
+	for _, bs := range []int64{32 << 20, 64 << 20, 128 << 20, 256 << 20, 512 << 20} {
+		rows = append(rows, fig14Replay(tr, capacity, sizeLabel(int(bs)),
+			baseline.NewJiffyPolicy(capacity, bs, core.DefaultHighThreshold, core.DefaultLeaseDuration)))
+	}
+	return rows
 }
 
 // Fig14b reproduces the paper's Fig. 14(b): sensitivity to lease
@@ -54,21 +99,22 @@ func Fig14a(w io.Writer, opts Options) error {
 // allocated storage trails usage by ever-longer tails and utilization
 // drops (0.25s → 64s in the paper).
 func Fig14b(w io.Writer, opts Options) error {
-	tr := fig14Workload(opts)
-	peak := sim.PeakCapacity(tr, time.Second)
-	tbl := metrics.NewTable("Fig. 14(b): lease-duration sensitivity (128MB blocks, 95% threshold)",
-		"lease", "avg allocated/used", "avg utilization(%)")
+	printFig14(w, "Fig. 14(b): lease-duration sensitivity (128MB blocks, 95% threshold)", "lease",
+		fig14bRows(opts), "paper shape: longer leases hold reclaimed-able memory longer; 1s is the sweet spot.")
+	return nil
+}
+
+func fig14bRows(opts Options) []fig14Row {
+	tr, capacity := fig14Workload(opts)
+	var rows []fig14Row
 	for _, lease := range []time.Duration{
 		250 * time.Millisecond, time.Second, 4 * time.Second,
 		16 * time.Second, 64 * time.Second,
 	} {
-		st := sim.Run(tr, baseline.NewJiffyPolicy(8*peak, 128<<20,
-			core.DefaultHighThreshold, lease), 8*peak, time.Second)
-		tbl.AddRow(lease, overhead(st), efficiency(st))
+		rows = append(rows, fig14Replay(tr, capacity, lease.String(),
+			baseline.NewJiffyPolicy(capacity, 128<<20, core.DefaultHighThreshold, lease)))
 	}
-	fprintln(w, "%s", tbl.String())
-	fprintln(w, "paper shape: longer leases hold reclaimed-able memory longer; 1s is the sweet spot.")
-	return nil
+	return rows
 }
 
 // Fig14c reproduces the paper's Fig. 14(c): sensitivity to the high
@@ -76,19 +122,20 @@ func Fig14b(w io.Writer, opts Options) error {
 // allocation (a new block arrives when the current one is only X%
 // full), inflating allocated storage (99% → 60% in the paper).
 func Fig14c(w io.Writer, opts Options) error {
-	tr := fig14Workload(opts)
-	peak := sim.PeakCapacity(tr, time.Second)
-	tbl := metrics.NewTable("Fig. 14(c): repartition-threshold sensitivity (128MB blocks, 1s lease)",
-		"threshold(%)", "avg allocated/used", "avg utilization(%)")
-	for _, th := range []float64{0.99, 0.95, 0.90, 0.80, 0.60} {
-		st := sim.Run(tr, baseline.NewJiffyPolicy(8*peak, 128<<20, th,
-			core.DefaultLeaseDuration), 8*peak, time.Second)
-		tbl.AddRow(int(th*100), overhead(st), efficiency(st))
-	}
-	fprintln(w, "%s", tbl.String())
-	fprintln(w, "paper shape: lower thresholds allocate prematurely; the effect is mild because")
-	fprintln(w, "blocks are much smaller than per-file data (as the paper notes).")
+	printFig14(w, "Fig. 14(c): repartition-threshold sensitivity (128MB blocks, 1s lease)", "threshold(%)",
+		fig14cRows(opts), "paper shape: lower thresholds allocate prematurely; the effect is mild because",
+		"blocks are much smaller than per-file data (as the paper notes).")
 	return nil
+}
+
+func fig14cRows(opts Options) []fig14Row {
+	tr, capacity := fig14Workload(opts)
+	var rows []fig14Row
+	for _, th := range []float64{0.99, 0.95, 0.90, 0.80, 0.60} {
+		rows = append(rows, fig14Replay(tr, capacity, fmt.Sprint(int(th*100)),
+			baseline.NewJiffyPolicy(capacity, 128<<20, th, core.DefaultLeaseDuration)))
+	}
+	return rows
 }
 
 // overhead reports time-averaged allocated/used.

@@ -17,6 +17,10 @@
 //
 // The one-apply-path check (TestOneApplyPath) confines writes to the
 // controller's replicated maps to internal/controller/apply.go.
+//
+// The design-map check (TestDesignMap) holds DESIGN.md to the tree: its
+// module map, the paths, tests and jiffy-bench subcommands it cites, and
+// the Owns/Invariants/Gates parts of its layer chapters.
 package lint
 
 import (
