@@ -8,18 +8,14 @@ package jiffy_test
 //
 // or regenerate a figure's full output with cmd/jiffy-bench. Benchmarks
 // run the Quick configurations so the whole suite finishes in minutes;
-// EXPERIMENTS.md records full-scale results.
+// EXPERIMENTS.md records full-scale results. Single-op data-path cost is
+// measured by the repository benchmark (bash benchmark/run.sh), not here.
 
 import (
-	"context"
-	"fmt"
 	"io"
 	"testing"
-	"time"
 
-	"jiffy"
 	"jiffy/internal/bench"
-	"jiffy/internal/core"
 )
 
 // runFig executes one figure generator b.N times, discarding output.
@@ -85,111 +81,3 @@ func BenchmarkFig14cThreshold(b *testing.B) { runFig(b, bench.Fig14c) }
 // BenchmarkMetadataOverhead regenerates the §6.4 storage-overhead
 // numbers.
 func BenchmarkMetadataOverhead(b *testing.B) { runFig(b, bench.Overhead) }
-
-// --- end-to-end data-path micro-benchmarks --------------------------------
-//
-// These complement the figure reproductions with standard Go benches of
-// the live data path (akin to the §6.2 single-client measurements).
-
-func benchCluster(b *testing.B) *jiffy.Client {
-	b.Helper()
-	cfg := core.TestConfig()
-	cfg.BlockSize = core.MB
-	cfg.LeaseDuration = time.Hour
-	cluster, err := jiffy.StartCluster(jiffy.ClusterOptions{
-		Config: cfg, Servers: 2, BlocksPerServer: 128,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { cluster.Close() })
-	c, err := cluster.Connect(context.Background())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { c.Close() })
-	return c
-}
-
-// BenchmarkKVPut measures end-to-end KV writes through the full RPC
-// stack.
-func BenchmarkKVPut(b *testing.B) {
-	c := benchCluster(b)
-	c.RegisterJob(context.Background(), "bench")
-	c.CreatePrefix(context.Background(), "bench/kv", nil, jiffy.DSKV, 4, 0)
-	kv, err := c.OpenKV(context.Background(), "bench/kv")
-	if err != nil {
-		b.Fatal(err)
-	}
-	val := make([]byte, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := kv.Put(context.Background(), fmt.Sprintf("key-%d", i%4096), val); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKVGet measures end-to-end KV reads.
-func BenchmarkKVGet(b *testing.B) {
-	c := benchCluster(b)
-	c.RegisterJob(context.Background(), "bench")
-	c.CreatePrefix(context.Background(), "bench/kv", nil, jiffy.DSKV, 4, 0)
-	kv, _ := c.OpenKV(context.Background(), "bench/kv")
-	val := make([]byte, 128)
-	for i := 0; i < 1024; i++ {
-		kv.Put(context.Background(), fmt.Sprintf("key-%d", i), val)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := kv.Get(context.Background(), fmt.Sprintf("key-%d", i%1024)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQueueEnqueueDequeue measures queue round trips.
-func BenchmarkQueueEnqueueDequeue(b *testing.B) {
-	c := benchCluster(b)
-	c.RegisterJob(context.Background(), "bench")
-	c.CreatePrefix(context.Background(), "bench/q", nil, jiffy.DSQueue, 1, 0)
-	q, _ := c.OpenQueue(context.Background(), "bench/q")
-	item := make([]byte, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := q.Enqueue(context.Background(), item); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := q.Dequeue(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFileAppendRecord measures concurrent-safe record appends.
-func BenchmarkFileAppendRecord(b *testing.B) {
-	c := benchCluster(b)
-	c.RegisterJob(context.Background(), "bench")
-	c.CreatePrefix(context.Background(), "bench/f", nil, jiffy.DSFile, 1, 0)
-	f, _ := c.OpenFile(context.Background(), "bench/f")
-	rec := make([]byte, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.AppendRecord(context.Background(), rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLeaseRenewal measures the dominant control-plane op.
-func BenchmarkLeaseRenewal(b *testing.B) {
-	c := benchCluster(b)
-	c.RegisterJob(context.Background(), "bench")
-	c.CreatePrefix(context.Background(), "bench/kv", nil, jiffy.DSKV, 1, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.RenewLease(context.Background(), "bench/kv"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

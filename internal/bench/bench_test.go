@@ -77,10 +77,20 @@ func TestFig12a(t *testing.T) {
 	}
 }
 
+// TestFig12b checks the rows Fig. 12(b) prints on the quick profile:
+// one per shard count, 1 and 4 shards, each with non-zero throughput.
 func TestFig12b(t *testing.T) {
-	out := quick(t, Fig12b)
-	if !strings.Contains(out, "speedup") {
-		t.Errorf("output:\n%s", out)
+	rows, err := fig12bRows(Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("%d rows, want 2", len(rows))
+	}
+	for i, want := range []int{1, 4} {
+		if rows[i].Shards != want || rows[i].KOps <= 0 {
+			t.Errorf("row %d = %+v, want %d shards and non-zero KOps", i, rows[i], want)
+		}
 	}
 }
 

@@ -2,9 +2,10 @@
 // scaling (the paper's Fig. 12(b) claim): create/lookup/renew
 // throughput against a metadata set sized in blocks, driven directly
 // in-process so shard-lock contention — not the RPC stack — is the
-// measured variable. The regress gate compares N shard workers against
-// the single-lock baseline and fails when the speedup falls below the
-// claimed floor.
+// measured variable. Measure is the one body: jiffy-bench fig12b prints
+// it per shard count, and the regress gate (jiffy-regress -ctrl-scale)
+// compares N shards against the single-lock baseline and fails when the
+// speedup falls below the claimed floor.
 package ctrlscale
 
 import (

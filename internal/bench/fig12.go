@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"jiffy/internal/bench/ctrlscale"
 	"jiffy/internal/controller"
 	"jiffy/internal/core"
 	"jiffy/internal/metrics"
@@ -31,7 +32,7 @@ func Fig12a(w io.Writer, opts Options) error {
 	tbl := metrics.NewTable("Fig. 12(a): controller throughput vs latency (1 shard)",
 		"clients", "throughput(KOps)", "mean latency", "p99 latency")
 	for _, conc := range concurrencies {
-		kops, mean, p99, err := controllerLoad(1, conc, duration)
+		kops, mean, p99, err := controllerLoad(conc, duration)
 		if err != nil {
 			return err
 		}
@@ -44,42 +45,51 @@ func Fig12a(w io.Writer, opts Options) error {
 // Fig12b reproduces the paper's Fig. 12(b): controller throughput as
 // shards (cores) are added. Jobs hash-partition across shards with
 // independent locks, so throughput scales with shard count until the
-// machine's cores are saturated (the paper scales to 64 cores;
-// laptop-scale runs flatten at NumCPU).
+// machine's cores are saturated (the paper scales to 64 cores). Each row
+// is ctrlscale.Measure, the body jiffy-regress -ctrl-scale gates.
 func Fig12b(w io.Writer, opts Options) error {
-	shardCounts := []int{1, 2, 4, 8}
-	duration := 600 * time.Millisecond
-	if opts.Quick {
-		shardCounts = []int{1, 4}
-		duration = 200 * time.Millisecond
+	rows, err := fig12bRows(opts)
+	if err != nil {
+		return err
 	}
 	tbl := metrics.NewTable(
 		fmt.Sprintf("Fig. 12(b): controller throughput scaling (GOMAXPROCS=%d)", runtime.GOMAXPROCS(0)),
 		"shards", "throughput(KOps)", "speedup")
-	base := 0.0
-	for _, shards := range shardCounts {
-		kops, _, _, err := controllerLoad(shards, 4*shards, duration)
-		if err != nil {
-			return err
-		}
-		if base == 0 {
-			base = kops
-		}
-		tbl.AddRow(shards, kops, kops/base)
+	for _, r := range rows {
+		tbl.AddRow(r.Shards, r.KOps, r.KOps/rows[0].KOps)
 	}
 	fprintln(w, "%s", tbl.String())
 	return nil
 }
 
+// fig12bRows measures one ctrlscale row per shard count, 1 first.
+func fig12bRows(opts Options) ([]ctrlscale.Result, error) {
+	shardCounts := []int{1, 2, 4, 8}
+	if opts.Quick {
+		shardCounts = []int{1, 4}
+	}
+	p := ctrlscale.DefaultParams(opts.Quick)
+	rows := make([]ctrlscale.Result, 0, len(shardCounts))
+	for _, shards := range shardCounts {
+		r, err := ctrlscale.Measure(shards, p)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, r)
+	}
+	return rows, nil
+}
+
 var fig12Seq atomic.Int64
 
-// controllerLoad drives a live controller over the framed RPC stack
-// with closed-loop renewal clients and reports throughput and latency.
-func controllerLoad(shards, clients int, duration time.Duration) (kops float64, mean, p99 time.Duration, err error) {
+// controllerLoad drives a live one-shard controller over the framed RPC
+// stack with closed-loop renewal clients and reports throughput and
+// latency.
+func controllerLoad(clients int, duration time.Duration) (kops float64, mean, p99 time.Duration, err error) {
 	cfg := core.TestConfig()
 	cfg.LeaseDuration = time.Hour // nothing expires mid-benchmark
 	ctrl, err := controller.New(controller.Options{
-		Config: cfg, Shards: shards, DisableExpiry: true,
+		Config: cfg, Shards: 1, DisableExpiry: true,
 	})
 	if err != nil {
 		return 0, 0, 0, err
@@ -90,7 +100,7 @@ func controllerLoad(shards, clients int, duration time.Duration) (kops float64, 
 		return 0, 0, 0, err
 	}
 
-	// One job (and hierarchy) per client, spread across shards.
+	// One job (and hierarchy) per client.
 	paths := make([]core.Path, clients)
 	for i := range paths {
 		job := core.JobID(fmt.Sprintf("loadjob%d", i))

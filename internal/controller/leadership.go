@@ -27,7 +27,7 @@ import (
 // silent for the suspicion window, scaled by the standby's rank so the
 // lowest-indexed standby wins without an election protocol.
 //
-// Documented limitations (see DESIGN.md §14): the group has no quorum
+// Documented limitations (see DESIGN.md §12, "Limits"): the group has no quorum
 // — failover is failure-detection-based, so a partition that splits
 // leader from standbys can lose acks the leader granted while cut off;
 // and a leader crash mid-chain-splice can orphan replacement blocks

@@ -24,7 +24,7 @@ import (
 // Provisioning, the scale-ups, LoadPrefix, the repair splice, drain
 // migration and death recovery are those steps plus each caller's own
 // fence and its own commit; whatever a caller placed but does not
-// commit it gives back with release. DESIGN.md §11's rebuild table
+// commit it gives back with release. DESIGN.md §13's rebuild table
 // lists them side by side.
 
 // place puts one chain per role onto the cluster and fills in each

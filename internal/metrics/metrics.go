@@ -1,16 +1,14 @@
 // Package metrics provides the measurement primitives used by the
 // experiment harness: latency histograms with percentile queries, CDF
 // extraction (Figs. 11b, 13a of the paper), time series of
-// allocated/used capacity (Figs. 1, 11a, 14), and throughput counters.
+// allocated/used capacity (Figs. 1, 11a, 14), and text tables.
 //
 // All types are safe for concurrent use unless noted otherwise.
 package metrics
 
 import (
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -18,8 +16,8 @@ import (
 
 // Quantile sorts samples in place and returns the sample at index
 // floor(q·(n-1)), 0 <= q <= 1: the one sorted-sample quantile the soak
-// report, the tail gate and the gray-failure chaos test grade latency
-// with. Returns 0 for no samples.
+// report, the tail gate and the figure histograms grade latency with.
+// Returns 0 for no samples.
 func Quantile(samples []time.Duration, q float64) time.Duration {
 	if len(samples) == 0 {
 		return 0
@@ -34,7 +32,6 @@ func Quantile(samples []time.Duration, q float64) time.Duration {
 type Histogram struct {
 	mu      sync.Mutex
 	samples []time.Duration
-	sorted  bool
 }
 
 // NewHistogram returns an empty histogram.
@@ -44,7 +41,6 @@ func NewHistogram() *Histogram { return &Histogram{} }
 func (h *Histogram) Record(d time.Duration) {
 	h.mu.Lock()
 	h.samples = append(h.samples, d)
-	h.sorted = false
 	h.mu.Unlock()
 }
 
@@ -55,36 +51,12 @@ func (h *Histogram) Count() int {
 	return len(h.samples)
 }
 
-func (h *Histogram) sortLocked() {
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
-	}
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using
-// nearest-rank interpolation. Returns 0 for an empty histogram.
+// Percentile returns the p-th percentile (0 <= p <= 100) by Quantile's
+// rank rule. Returns 0 for an empty histogram.
 func (h *Histogram) Percentile(p float64) time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sortLocked()
-	if p <= 0 {
-		return h.samples[0]
-	}
-	if p >= 100 {
-		return h.samples[len(h.samples)-1]
-	}
-	rank := p / 100 * float64(len(h.samples)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return h.samples[lo]
-	}
-	frac := rank - float64(lo)
-	return h.samples[lo] + time.Duration(frac*float64(h.samples[hi]-h.samples[lo]))
+	return Quantile(h.samples, p/100)
 }
 
 // Mean returns the arithmetic mean of the samples.
@@ -101,17 +73,6 @@ func (h *Histogram) Mean() time.Duration {
 	return sum / time.Duration(len(h.samples))
 }
 
-// Min returns the smallest sample (0 when empty).
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sortLocked()
-	return h.samples[0]
-}
-
 // Max returns the largest sample (0 when empty).
 func (h *Histogram) Max() time.Duration {
 	h.mu.Lock()
@@ -119,8 +80,7 @@ func (h *Histogram) Max() time.Duration {
 	if len(h.samples) == 0 {
 		return 0
 	}
-	h.sortLocked()
-	return h.samples[len(h.samples)-1]
+	return slices.Max(h.samples)
 }
 
 // CDF returns (value, cumulative-fraction) pairs at n evenly spaced
@@ -235,48 +195,6 @@ func (s *Series) Downsample(n int) *Series {
 		out.Points = append(out.Points, s.Points[int(float64(i)*step)])
 	}
 	return out
-}
-
-// Counter is a monotonically increasing operation counter with a
-// throughput helper.
-type Counter struct {
-	mu    sync.Mutex
-	n     int64
-	start time.Time
-	clock func() time.Time
-}
-
-// NewCounter returns a counter that timestamps with now.
-func NewCounter(now func() time.Time) *Counter {
-	if now == nil {
-		now = time.Now
-	}
-	return &Counter{start: now(), clock: now}
-}
-
-// Add increments the counter by delta.
-func (c *Counter) Add(delta int64) {
-	c.mu.Lock()
-	c.n += delta
-	c.mu.Unlock()
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// Rate returns operations per second since the counter was created.
-func (c *Counter) Rate() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	elapsed := c.clock().Sub(c.start).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.n) / elapsed
 }
 
 // Table accumulates labelled rows for experiment output; every figure

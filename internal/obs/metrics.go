@@ -20,8 +20,8 @@ import (
 )
 
 // enabled is the process-wide telemetry switch. It exists so the
-// benchmark harness can measure the overhead of the always-on
-// instrumentation (see internal/bench/hotpath's *NoObs variants);
+// telemetry-overhead gate (internal/bench/hotpath, behind
+// jiffy-regress -overhead) can A/B the always-on instrumentation;
 // production code never turns it off.
 var enabled atomic.Bool
 
