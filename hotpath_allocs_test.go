@@ -1,13 +1,13 @@
 package jiffy_test
 
-// Allocation gates for the single-op hot path. Client and servers
-// share the process over mem://, so the measured count covers the
-// whole round trip: request encode, wire framing, server dispatch,
-// response decode. The ceilings pin the pooled fast path — inline
-// frames, recycled waiters, borrowed response buffers — so a stray
-// per-call allocation (a lost pooled buffer, a regrown channel, an
-// escaping frame struct) fails the test rather than quietly eroding
-// the single-digit-microsecond budget.
+// Allocation gates for the single-op hot path and the control call.
+// Client and servers share the process over mem://, so the measured
+// count covers the whole round trip: request encode, wire framing,
+// server dispatch, response decode. The ceilings pin the pooled fast
+// path — inline frames, recycled waiters, borrowed response buffers —
+// so a stray per-call allocation (a lost pooled buffer, a regrown
+// channel, an escaping frame struct) fails the test rather than quietly
+// eroding the single-digit-microsecond budget.
 
 import (
 	"context"
@@ -138,6 +138,49 @@ func TestQueueEnqueueSingleAllocs(t *testing.T) {
 	})
 	if allocs > 5 {
 		t.Fatalf("queue enqueue single-op allocates %.1f objects/op, want <= 5", allocs)
+	}
+}
+
+// TestControlCallAllocs pins the control call: one LeaseInfo (answered
+// by the leader) and one RenewLease (applied, streamed to the standby as
+// an op-log entry and acked before the answer) on a 2-controller
+// mem:// cluster. It covers both ends of every body and the standby's
+// entry decode, so a codec that rebuilds per-message state fails here:
+// the pair measures 78 objects, and 1 634 with a gob encoder per
+// message. The ceiling carries a small margin over the steady state.
+func TestControlCallAllocs(t *testing.T) {
+	skipUnderRace(t)
+	cfg := core.TestConfig()
+	cfg.LeaseDuration = time.Hour
+	cluster, err := jiffy.StartCluster(jiffy.ClusterOptions{
+		Config: cfg, Controllers: 2, Servers: 1, BlocksPerServer: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	ctx := context.Background()
+	c, err := cluster.Connect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.RegisterJob(ctx, "ctl"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.CreatePrefix(ctx, "ctl/t", nil, jiffy.DSKV, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(300, func() {
+		if _, err := c.LeaseDuration(ctx, "ctl/t"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RenewLease(ctx, "ctl/t"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 90 {
+		t.Fatalf("LeaseInfo + RenewLease allocate %.1f objects, want <= 90", allocs)
 	}
 }
 

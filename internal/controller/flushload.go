@@ -121,7 +121,10 @@ func (c *Controller) readManifest(externalPath string) (manifest, error) {
 	if err != nil {
 		return m, fmt.Errorf("controller: load %q: %w", externalPath, err)
 	}
-	return m, rpc.Unmarshal(data, &m)
+	if err := rpc.Unmarshal(data, &m); err != nil {
+		return m, fmt.Errorf("controller: load %q: %w", externalPath, err)
+	}
+	return m, nil
 }
 
 // loadLocked rebuilds a node's data from the persistent store onto

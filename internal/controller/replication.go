@@ -56,8 +56,9 @@ const (
 	opServerProbation
 )
 
-// replOp is one op-log entry. The struct is flat — gob omits zero
-// fields, so each entry carries only what its kind uses.
+// replOp is one op-log entry. The struct is flat: every kind shares
+// it, and a field a kind does not use travels as its zero value (one
+// byte for most fields, see internal/rpc/codec.go).
 type replOp struct {
 	Kind opKind
 	Job  core.JobID

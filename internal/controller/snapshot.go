@@ -127,7 +127,7 @@ func (c *Controller) RestoreState(key string) error {
 	}
 	var img groupImage
 	if err := rpc.Unmarshal(data, &img); err != nil {
-		return err
+		return fmt.Errorf("controller: restore %q: %w", key, err)
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()

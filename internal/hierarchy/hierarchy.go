@@ -402,14 +402,14 @@ func (n *Node) SubtreePhysicalBlocks() int {
 
 // MetadataBytes estimates the controller metadata footprint of this
 // hierarchy, following the §6.4 accounting: a fixed per-task cost plus
-// a per-block cost.
+// a per-block cost. It sums the name index, which holds every node
+// exactly once, so a stats call allocates nothing.
 func (h *Hierarchy) MetadataBytes() int {
 	const perTask = 64
 	const perBlock = 8
 	total := 0
-	h.Walk(func(n *Node) bool {
+	for _, n := range h.byName {
 		total += perTask + perBlock*len(n.Map.Blocks)
-		return true
-	})
+	}
 	return total
 }

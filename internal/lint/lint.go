@@ -11,9 +11,9 @@
 // exists.
 //
 // The one-codec check (TestOneCodec) confines encoding/gob and
-// rpc.Marshal/rpc.Unmarshal to an explicit list of files: the control
-// codec, partition snapshots, and the persisted blobs not yet moved off
-// gob.
+// rpc.Marshal/rpc.Unmarshal to an explicit list of files: partition
+// snapshots (the last gob user) and the persisted and embedded blobs
+// that call the control codec directly instead of through a method.
 //
 // The one-apply-path check (TestOneApplyPath) confines writes to the
 // controller's replicated maps to internal/controller/apply.go.

@@ -150,11 +150,11 @@ func TestKnobTable(t *testing.T) {
 // that may import encoding/gob or call rpc.Marshal/rpc.Unmarshal, with
 // how many such sites each holds and why. Request and response bodies
 // are not on it — they are encoded in internal/rpc/codec.go and nowhere
-// else — so what is left is the persisted and embedded blobs ROADMAP
-// item 2 still has to move; that item finishes by emptying the list.
+// else — so what is left is the persisted and embedded blobs, which
+// already use the control codec, and the partition snapshots, the last
+// gob importer. ROADMAP item 2 finishes by emptying the list.
 var codecSites = map[string]int{
-	"internal/rpc/codec.go":              1, // the control-plane codec itself
-	"internal/ds/partition.go":           1, // partition snapshots
+	"internal/ds/partition.go":           1, // partition snapshots, still gob
 	"internal/controller/replication.go": 4, // replOp ring entries, bootstrap groupImage (encode + decode each)
 	"internal/controller/snapshot.go":    2, // the same groupImage as a checkpoint
 	"internal/controller/flushload.go":   2, // flush manifest (write, and the one reader)

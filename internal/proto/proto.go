@@ -60,12 +60,13 @@ func MethodName(id uint16) string {
 // not a Req/Resp pair, and servers dispatch them ahead of the method
 // table.
 const (
-	// MethodDataOp executes a data-plane op (binary codec, not gob).
+	// MethodDataOp executes a data-plane op (the internal/ds request
+	// codec, not the control codec).
 	MethodDataOp uint16 = 0x0101
 	// MethodReplicate applies a replicated mutation at a chain
-	// successor. Its body is not gob: a seq|gen prefix followed by the
-	// data-plane request encoding (see ds.AppendReplicateVec), answered
-	// with an empty response.
+	// successor. Its body is not a control message: a seq|gen prefix
+	// followed by the data-plane request encoding (see
+	// ds.AppendReplicateVec), answered with an empty response.
 	MethodReplicate uint16 = 0x010d
 	// MethodDataOpBatch executes many data-plane ops from one request
 	// frame, replying with per-op results in one response frame (binary
@@ -472,9 +473,9 @@ type ReportTierResp struct{}
 // the active controller. Gen fences the stream: a standby that has
 // observed a higher leadership generation rejects the batch with
 // ErrNotLeader so a deposed leader demotes itself. FirstSeq is the
-// sequence number of Ops[0]; entries are gob-encoded replOp values
-// (see internal/controller). An empty Ops slice is a leadership
-// heartbeat.
+// sequence number of Ops[0]; entries are replOp values encoded by the
+// control codec (internal/rpc/codec.go; the op type lives in
+// internal/controller). An empty Ops slice is a leadership heartbeat.
 type CtrlReplicateReq struct {
 	Gen      uint64
 	Leader   string
@@ -487,9 +488,9 @@ type CtrlReplicateResp struct {
 	AckedSeq uint64
 }
 
-// CtrlBootstrapReq installs a full metadata snapshot (gob-encoded
-// group image, see internal/controller) on a standby. Gen fences it
-// like CtrlReplicateReq.
+// CtrlBootstrapReq installs a full metadata snapshot (the group image
+// of internal/controller, encoded by the control codec) on a standby.
+// Gen fences it like CtrlReplicateReq.
 type CtrlBootstrapReq struct {
 	Gen    uint64
 	Leader string

@@ -1,57 +1,260 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"jiffy/internal/core"
+	"jiffy/internal/ds"
 	"jiffy/internal/proto"
 )
 
-// TestWireGolden decodes three message bodies exactly as the tree before
-// the method table encoded them (hex captured from that build) and pins
-// the ids they travel under: the table changed how methods are
-// declared, not what is on the wire. (gob's type numbers depend on
-// which types a process encoded first, so encodings are compared by
-// what they decode to, not byte for byte.)
+// nodeUpsertOp is an encoded controller op-log entry: a node-upsert
+// replOp for j/t holding one KV block. internal/controller's
+// TestReplOpGolden pins what it decodes to.
+const nodeUpsertOp = "0103016a00010000000edce5e80000000000ffff017401016a80a8d6b907010000000edce5e80000000000ffff030301200000010701610001001e00000000000000000000000000000000000000000000000000000000000000000000"
+
+// TestWireGolden pins control bodies byte for byte: each value encodes
+// to the committed hex, the hex decodes back to the value, and the
+// method ids are the ones the bodies have always travelled under.
 func TestWireGolden(t *testing.T) {
-	decode := func(golden string, into any) {
-		t.Helper()
-		raw, err := hex.DecodeString(golden)
+	op, err := hex.DecodeString(nodeUpsertOp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		id, wantID uint16
+		golden     string
+		msg        any
+	}{
+		{proto.CreatePrefix.ID, 0x0003, "01036a2f7401036a2f7003040080a8d6b907", proto.CreatePrefixReq{
+			Path: "j/t", Parents: []core.Path{"j/p"}, Type: core.DSKV, InitialBlocks: 2, LeaseDuration: time.Second}},
+		{proto.RenewLease.ID, 0x0006, "0106", proto.RenewLeaseResp{Renewed: 3}},
+		{proto.UpdateChain.ID, 0x0111, "0107020701610801620500", proto.UpdateChainReq{
+			Block: 7, Chain: core.ReplicaChain{{ID: 7, Server: "a"}, {ID: 8, Server: "b"}}, Gen: 5}},
+		{proto.CtrlReplicate.ID, 0x0016, "0102066374726c2d3029015d" + nodeUpsertOp, proto.CtrlReplicateReq{
+			Gen: 2, Leader: "ctrl-0", FirstSeq: 41, Ops: [][]byte{op}}},
+	} {
+		if c.id != c.wantID {
+			t.Errorf("%T: method id = %#x, want %#x", c.msg, c.id, c.wantID)
+		}
+		got, err := Marshal(c.msg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Unmarshal(raw, into); err != nil {
+		if hex.EncodeToString(got) != c.golden {
+			t.Errorf("%T encodes to\n%x, want\n%s", c.msg, got, c.golden)
+		}
+		raw, _ := hex.DecodeString(c.golden)
+		back := reflect.New(reflect.TypeOf(c.msg))
+		if err := Unmarshal(raw, back.Interface()); err != nil {
 			t.Fatal(err)
 		}
-	}
-	check := func(id, wantID uint16, got, want any) {
-		t.Helper()
-		if id != wantID {
-			t.Errorf("method id = %#x, want %#x", id, wantID)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("decoded %+v, want %+v", got, want)
+		if !reflect.DeepEqual(back.Elem().Interface(), c.msg) {
+			t.Errorf("golden %T decodes to %+v, want %+v", c.msg, back.Elem().Interface(), c.msg)
 		}
 	}
+}
 
-	var cp proto.CreatePrefixReq
-	decode("6d7f0301010f43726561746550726566697852657101ff80000106010450617468010c000107506172656e747301ff8200010454797065010600010d496e697469616c426c6f636b7301040001094d6178426c6f636b73010400010d4c656173654475726174696f6e010400000019ff810201010b5b5d636f72652e5061746801ff8200010c000018ff8001036a2f740101036a2f700103010402fc7735940000", &cp)
-	check(proto.CreatePrefix.ID, 0x0003, cp, proto.CreatePrefixReq{
-		Path: "j/t", Parents: []core.Path{"j/p"}, Type: core.DSKV, InitialBlocks: 2, LeaseDuration: time.Second})
+// TestCodecRefuses: every malformed or foreign input is an error naming
+// what is wrong, never a partial or wrong value.
+func TestCodecRefuses(t *testing.T) {
+	type pair struct{ A, B uint8 }
+	for _, c := range []struct {
+		name, hex, want string
+		into            any
+	}{
+		{"empty", "", "empty message", &proto.RenewLeaseResp{}},
+		{"other codec version", "0206", "codec version 2, want 1", &proto.RenewLeaseResp{}},
+		{"gob stream", "28ff8303", "codec version 40, want 1", &proto.RenewLeaseResp{}},
+		{"trailing bytes", "010600", "1 trailing bytes", &proto.RenewLeaseResp{}},
+		{"truncated varint", "0180", "truncated", &proto.RenewLeaseResp{}},
+		{"non-minimal varint", "018600", "non-minimal varint", &proto.RenewLeaseResp{}},
+		{"overflow", "01ff03", "overflows", &pair{}},
+		{"bad bool", "0102", "bad bool", &struct{ B bool }{}},
+		{"string past the end", "0105616263", "count 5 exceeds the 3 bytes left", &proto.LeaseInfoReq{}},
+		{"count past the end", "01ffffffffffffffff7f00", "exceeds", &proto.RenewLeaseReq{}},
+		{"map keys out of order", "01020162000161000000000000", "not ascending", &struct{ M map[string]int }{}},
+		{"duplicate map keys", "0102016100016100", "not ascending", &struct{ M map[string]int }{}},
+		{"time layout version 2 without seconds", "0100" + "02000000000edce5e8000000000000" + "00", "non-canonical time", &proto.LeaseInfoResp{}},
+		{"unsupported kind", "0100", "unsupported type *int", &struct{ P *int }{}},
+	} {
+		raw, err := hex.DecodeString(c.hex)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		err = Unmarshal(raw, c.into)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to say %q", c.name, err, c.want)
+		}
+	}
+	for _, v := range []any{
+		struct{ P *int }{},
+		struct{ I any }{},
+		struct{ F float32 }{},
+		struct{ A [2]int }{},
+		struct{ M map[int]int }{},
+		struct{ S []struct{} }{S: make([]struct{}, 3)},
+	} {
+		if _, err := Marshal(v); err == nil {
+			t.Errorf("Marshal(%T) succeeded, want an error", v)
+		}
+	}
+	if err := Unmarshal([]byte{codecVersion}, proto.RenewLeaseResp{}); err == nil {
+		t.Error("Unmarshal into a non-pointer succeeded")
+	}
+}
 
-	var rl proto.RenewLeaseResp
-	decode("28ff830301010e52656e65774c656173655265737001ff84000101010752656e65776564010400000005ff84010600", &rl)
-	check(proto.RenewLease.ID, 0x0006, rl, proto.RenewLeaseResp{Renewed: 3})
+// TestCodecTimeLayout: a time.Time travels in exactly the bytes
+// MarshalBinary writes, so lease timestamps keep their instant and zone
+// as they did under gob; the monotonic reading is dropped.
+func TestCodecTimeLayout(t *testing.T) {
+	base := time.Unix(1700000000, 123456789)
+	for _, tm := range []time.Time{
+		base.UTC(),
+		base.Local(),
+		base.In(time.FixedZone("", -7*3600)),
+		base.In(time.FixedZone("", 5*3600+30*60+15)), // layout version 2
+		time.Now(),
+		{},
+	} {
+		want, err := tm.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendTime(nil, tm)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("appendTime(%v) = %x, %v; MarshalBinary = %x", tm, got, err, want)
+		}
+		var back proto.LeaseInfoResp
+		data, err := Marshal(proto.LeaseInfoResp{LastRenewed: tm})
+		if err == nil {
+			err = Unmarshal(data, &back)
+		}
+		var viaGobLayout time.Time
+		_ = viaGobLayout.UnmarshalBinary(want)
+		if err != nil || !reflect.DeepEqual(back.LastRenewed, viaGobLayout) {
+			t.Errorf("round trip of %v = %v, %v; want %v", tm, back.LastRenewed, err, viaGobLayout)
+		}
+	}
+}
 
-	var uc proto.UpdateChainReq
-	decode("42ff850301010e557064617465436861696e52657101ff860001040105426c6f636b0106000105436861696e01ff8a00010347656e01060001045365616c01020000001bff890201010c5265706c696361436861696e01ff8a0001ff88000029ff8703010109426c6f636b496e666f01ff88000102010249440106000106536572766572010c00000015ff8601070102010701016100010801016200010500", &uc)
-	check(proto.UpdateChain.ID, 0x0111, uc, proto.UpdateChainReq{
-		Block: 7, Chain: core.ReplicaChain{{ID: 7, Server: "a"}, {ID: 8, Server: "b"}}, Gen: 5})
+// TestCodecShape: empty slices and maps decode as nil, maps encode in
+// key order, unexported fields do not travel.
+func TestCodecShape(t *testing.T) {
+	type msg struct {
+		Paths   []core.Path
+		Data    []byte
+		Tenants map[string]core.Quota
+		hidden  int
+	}
+	data, err := Marshal(msg{Paths: []core.Path{}, Data: []byte{}, Tenants: map[string]core.Quota{}, hidden: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got msg
+	if err := Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Paths != nil || got.Data != nil || got.Tenants != nil || got.hidden != 0 || len(data) != 4 {
+		t.Errorf("empty message = %x decoding to %+v, want 4 bytes decoding to nils", data, got)
+	}
+	tenants := map[string]core.Quota{}
+	for _, k := range []string{"c", "a", "d", "b"} {
+		tenants[k] = core.Quota{Weight: int(k[0])}
+	}
+	first, _ := Marshal(msg{Tenants: tenants})
+	for i := 0; i < 20; i++ {
+		if again, _ := Marshal(msg{Tenants: tenants}); !bytes.Equal(again, first) {
+			t.Fatalf("map encoding not deterministic: %x then %x", first, again)
+		}
+	}
+	if err := Unmarshal(first, &got); err != nil || !reflect.DeepEqual(got.Tenants, tenants) {
+		t.Errorf("tenants round trip = %v, %v", got.Tenants, err)
+	}
+}
+
+// tenantsMsg stands in for the controller's state image, the one
+// message with a map.
+type tenantsMsg struct {
+	Seq     uint64
+	Dead    []string
+	Tenants map[string]core.Quota
+}
+
+// fuzzMessages are the seeds of FuzzControlDecode, one per message type
+// it decodes into.
+func fuzzMessages() []any {
+	renewed := time.Unix(1700000000, 5).UTC()
+	return []any{
+		proto.CreatePrefixReq{Path: "j/t", Parents: []core.Path{"j/p", "j/q"}, Type: core.DSKV, InitialBlocks: 2, MaxBlocks: -1, LeaseDuration: time.Second},
+		proto.OpenResp{Map: ds.PartitionMap{Type: core.DSKV, Epoch: 3, NumSlots: 16, Blocks: []ds.PartitionEntry{
+			{Info: core.BlockInfo{ID: 7, Server: "a"}, Slots: []ds.SlotRange{{Lo: 0, Hi: 7}},
+				Chain: core.ReplicaChain{{ID: 7, Server: "a"}, {ID: 9, Server: "b"}}},
+			{Info: core.BlockInfo{ID: 8, Server: "b"}, Slots: []ds.SlotRange{{Lo: 8, Hi: 15}}, Lost: true},
+		}}, LeaseDuration: time.Minute, Probation: []string{"c"}},
+		proto.ListPrefixesResp{Prefixes: []proto.PrefixInfo{
+			{Path: "j", LastRenewed: renewed},
+			{Path: "j/t", Type: core.DSFile, Blocks: 2, UsedBytes: 4096, LastRenewed: renewed.Local()},
+		}},
+		proto.CtrlReplicateReq{Gen: 2, Leader: "ctrl-0", FirstSeq: 41, Ops: [][]byte{{1, 3}, {1}}},
+		proto.SetQuotaReq{Path: "j", Quota: core.Quota{OpsPerSec: 1e3, BytesPerSec: 0.5, MemoryBytes: 1 << 30, Weight: 2}},
+		tenantsMsg{Seq: 9, Dead: []string{"x"}, Tenants: map[string]core.Quota{"a": {Weight: 1}, "b": {OpsPerSec: 2}}},
+	}
+}
+
+// FuzzControlDecode: arbitrary bytes decoded into control messages
+// never panic, never allocate more than a small multiple of their
+// length, and whatever is accepted re-encodes to the identical bytes.
+func FuzzControlDecode(f *testing.F) {
+	for _, m := range fuzzMessages() {
+		data, err := Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)-1])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		msgs := fuzzMessages()
+		into := make([]reflect.Value, len(msgs))
+		errs := make([]error, len(msgs))
+		for i, m := range msgs {
+			into[i] = reflect.New(reflect.TypeOf(m))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i, v := range into {
+			errs[i] = Unmarshal(data, v.Interface())
+		}
+		runtime.ReadMemStats(&after)
+		// Every count is bounded by the bytes left, so a decode allocates
+		// at most the input length times the largest element (an 88-byte
+		// PartitionEntry) per nesting level; the constant absorbs error
+		// formatting.
+		if n, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(into)*256*len(data)+64<<10); n > limit {
+			t.Fatalf("decoding %d bytes %d ways allocated %d bytes, limit %d", len(data), len(into), n, limit)
+		}
+		for i, v := range into {
+			if errs[i] != nil {
+				continue
+			}
+			re, err := Marshal(v.Interface())
+			if err != nil {
+				t.Fatalf("re-encoding an accepted %T: %v", msgs[i], err)
+			}
+			if !bytes.Equal(re, data) {
+				t.Fatalf("accepted %T re-encodes differently:\n  in %x\n out %x", msgs[i], data, re)
+			}
+		}
+	})
 }
 
 // TestTableErrorConvention: a handler's error reaches the caller as its

@@ -26,10 +26,11 @@ import (
 // SessionError reports that an RPC session died with calls in flight:
 // the read pump hit a connection error (peer crash, reset, network
 // partition) and every pending request was failed fast rather than
-// left hanging. It unwraps to core.ErrClosed so existing errors.Is
-// checks keep working; Cause carries the underlying transport error.
+// left hanging, or a request could not be written. It unwraps to
+// core.ErrClosed so existing errors.Is checks keep working; Cause
+// carries the underlying transport error.
 type SessionError struct {
-	// Cause is the read-pump error that killed the session.
+	// Cause is the transport error that killed the session.
 	Cause error
 }
 
@@ -500,6 +501,14 @@ func (c *Client) call(ctx context.Context, method uint16, payload []byte, vec []
 		err = c.conn.WriteFrames(fs...)
 	}
 	if err != nil {
+		// A request the transport refused means the session is dead (the
+		// peer closed, or the write broke mid-frame), even if the read
+		// pump has not seen it yet: fail the call as the pump's exit
+		// would, so callers re-dial or re-home. Only an oversized frame,
+		// refused before a byte is written, is the caller's own error.
+		if !errors.Is(err, core.ErrTooLarge) {
+			err = &SessionError{Cause: err}
+		}
 		return nil, false, c.abandon(seq, w, nil, err)
 	}
 

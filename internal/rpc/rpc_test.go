@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +13,7 @@ import (
 
 	"jiffy/internal/core"
 	"jiffy/internal/proto"
+	"jiffy/internal/wire"
 )
 
 const (
@@ -251,6 +254,31 @@ func TestServerCloseDisconnectsClients(t *testing.T) {
 	srv.Close()
 	if _, err := c.Call(methodEcho, []byte("x")); err == nil {
 		t.Error("call after server close should fail")
+	}
+}
+
+// writeClosedConn is a connection whose peer has gone but whose read
+// side has not noticed yet: every write fails, reads block until Close.
+type writeClosedConn struct{ net.Conn }
+
+func (writeClosedConn) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// TestWriteFailureIsSessionError: a call whose request cannot be written
+// fails as a dead session (ErrClosed), not with the raw transport error,
+// even before the read pump has seen the peer go — otherwise a leader
+// that just closed looks like an answer and the group caller does not
+// move on.
+func TestWriteFailureIsSessionError(t *testing.T) {
+	nc, peer := net.Pipe()
+	defer peer.Close()
+	c := NewClient(wire.NewConn(writeClosedConn{nc}))
+	defer c.Close()
+	for _, payload := range [][]byte{[]byte("small"), make([]byte, 64*core.KB)} {
+		_, err := c.Call(methodEcho, payload)
+		var serr *SessionError
+		if !errors.Is(err, core.ErrClosed) || !errors.As(err, &serr) || !errors.Is(serr.Cause, io.ErrClosedPipe) {
+			t.Errorf("%d-byte call on a write-closed session = %v, want a SessionError caused by the closed pipe", len(payload), err)
+		}
 	}
 }
 

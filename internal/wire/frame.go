@@ -242,7 +242,7 @@ func (c *Conn) writeFrameLocked(f *Frame) error {
 	}
 	n := headerLen + len(f.Payload) + vecLen
 	if n > MaxFrameSize {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrameSize)
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d: %w", n, MaxFrameSize, core.ErrTooLarge)
 	}
 	binary.BigEndian.PutUint32(c.hdr[0:4], uint32(n))
 	c.hdr[4] = byte(f.Kind)
