@@ -100,6 +100,42 @@ func TestMultiGetMissingKeysAttributed(t *testing.T) {
 	}
 }
 
+// TestMultiGetBeyondOneFrame: a batch frame counts its ops in a u16, so
+// a server's share of a batch larger than ds.MaxBatchOps must travel as
+// several frames. Sent as one, the count wraps and the server refuses
+// the whole frame, failing every op — the present keys included.
+func TestMultiGetBeyondOneFrame(t *testing.T) {
+	_, c := testCluster(t, 1, 16)
+	c.RegisterJob(context.Background(), "batch")
+	kv := batchKV(t, c, "batch/big", 1)
+
+	const n, present = 65_537, 1_000
+	keys := make([]string, n)
+	pairs := make([]KVPair, present)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%05d", i)
+		if i < present {
+			pairs[i] = KVPair{Key: keys[i], Value: []byte(keys[i])}
+		}
+	}
+	if err := kv.MultiPut(context.Background(), pairs); err != nil {
+		t.Fatal(err)
+	}
+	vals, err := kv.MultiGet(context.Background(), keys)
+	var me *MultiError
+	if !errors.As(err, &me) || len(me.Errs) != n {
+		t.Fatalf("MultiGet of %d keys = %v, want a *MultiError with %d outcomes", n, err, n)
+	}
+	for i := range keys {
+		switch {
+		case i < present && (me.Errs[i] != nil || string(vals[i]) != keys[i]):
+			t.Fatalf("present key %d: val=%q err=%v", i, vals[i], me.Errs[i])
+		case i >= present && !errors.Is(me.Errs[i], ErrNotFound):
+			t.Fatalf("absent key %d attributed %v, want ErrNotFound", i, me.Errs[i])
+		}
+	}
+}
+
 func TestBatchEmptyAndSingle(t *testing.T) {
 	_, c := testCluster(t, 1, 16)
 	c.RegisterJob(context.Background(), "batch")

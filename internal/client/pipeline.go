@@ -338,19 +338,22 @@ type batchGroup struct {
 }
 
 // runBatch drives a batch of same-op operations to completion, one
-// MethodDataOpBatch frame per destination server and attempt. Op i
-// addresses keys[i] and carries vals[i]; with keys nil every op
-// addresses chunk, with vals nil the key is the only argument. landed,
-// when set, receives each successful op's values and the chunk that
-// served it. The result is nil or a *MultiError indexed like the
-// batch: ops fail and are retried independently, and every pending op
-// shares each attempt's one settle.
+// MethodDataOpBatch frame per destination server and attempt, cut at
+// ds.MaxBatchOps ops. Op i addresses keys[i] and carries vals[i]; with
+// keys nil every op addresses chunk, with vals nil the key is the only
+// argument. landed, when set, receives each successful op's values and
+// the chunk that served it; the values alias the response, but the
+// vector holding them is reused for the next op, so landed keeps
+// elements, never res itself. The result is nil or a *MultiError
+// indexed like the batch: ops fail and are retried independently, and
+// every pending op shares each attempt's one settle.
 func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, chunk int, vals [][]byte,
 	landed func(i, chunk int, res [][]byte) error) error {
 	n := max(len(keys), len(vals))
 	if n == 0 {
 		return nil
 	}
+	argv, width := batchArgv(keys, vals)
 	errs := make([]error, n)
 	pending := make([]int, n)
 	for i := range pending {
@@ -364,6 +367,7 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 	}
 	rec := recovery{h: h}
 	var groups []batchGroup
+	var res [][]byte // one result's values, reused across the call
 
 	for attempt := 0; attempt < h.c.policy.Limit; attempt++ {
 		// Route: group the pending ops by destination server under the
@@ -386,16 +390,17 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 			}
 			at := rec.target(&e, op)
 			gi := 0
-			for gi < len(groups) && groups[gi].server != at.Server {
+			for gi < len(groups) && (groups[gi].server != at.Server || len(groups[gi].ops) == ds.MaxBatchOps) {
 				gi++
 			}
 			if gi == len(groups) {
+				size := min(len(pending), ds.MaxBatchOps)
 				groups = append(groups, batchGroup{server: at.Server, chunk: e.Chunk,
-					idxs: make([]int, 0, len(pending)), ops: make([]ds.BatchOp, 0, len(pending))})
+					idxs: make([]int, 0, size), ops: make([]ds.BatchOp, 0, size)})
 			}
 			g := &groups[gi]
 			g.idxs = append(g.idxs, i)
-			g.ops = append(g.ops, ds.BatchOp{Op: op, Block: at.ID, Args: batchArgs(keys, vals, i)})
+			g.ops = append(g.ops, ds.BatchOp{Op: op, Block: at.ID, Args: argv[i*width : (i+1)*width : (i+1)*width]})
 		}
 
 		// Gate and dispatch each group; classify per call, then per op.
@@ -423,7 +428,10 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 			}
 			for j, r := range rs {
 				i := g.idxs[j]
-				res, oerr := r.Vals()
+				oerr := r.Err()
+				if oerr == nil {
+					res, oerr = ds.DecodeValsInto(res[:0], r.Blob)
+				}
 				if oerr == nil && landed != nil {
 					oerr = landed(i, g.chunk, res)
 				}
@@ -457,15 +465,29 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 	return multiErr(errs)
 }
 
-// batchArgs builds op i's argument vector. A value-only op aliases the
-// caller's slice instead of allocating a vector per op.
-func batchArgs(keys []string, vals [][]byte, i int) [][]byte {
-	switch {
-	case keys == nil:
-		return vals[i : i+1 : i+1]
-	case vals == nil:
-		return [][]byte{[]byte(keys[i])}
-	default:
-		return [][]byte{[]byte(keys[i]), vals[i]}
+// batchArgv builds every op's argument vector up front, for the whole
+// call: op i's args are argv[i*width : (i+1)*width], and the keys'
+// bytes share one buffer. A value-only batch aliases the caller's
+// slice instead.
+func batchArgv(keys []string, vals [][]byte) (argv [][]byte, width int) {
+	if keys == nil {
+		return vals, 1
 	}
+	width, size := 1, 0
+	if vals != nil {
+		width = 2
+	}
+	for _, k := range keys {
+		size += len(k)
+	}
+	kb := make([]byte, 0, size)
+	argv = make([][]byte, 0, width*len(keys))
+	for i, k := range keys {
+		kb = append(kb, k...)
+		argv = append(argv, kb[len(kb)-len(k):len(kb):len(kb)])
+		if vals != nil {
+			argv = append(argv, vals[i])
+		}
+	}
+	return argv, width
 }

@@ -3,6 +3,7 @@ package ds
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"jiffy/internal/core"
 )
@@ -12,8 +13,9 @@ import (
 // frame; the server executes them in order and replies with one result
 // per op in a single response frame. Layouts (big endian):
 //
-//	request:  u16 nops, then per op the single-op request layout
-//	          (u8 op, u64 block, u16 nargs, per arg u32 len + bytes)
+//	request:  u16 nops (at most MaxBatchOps), then per op the single-op
+//	          request layout (u8 op, u64 block, u16 nargs, per arg u32
+//	          len + bytes)
 //	response: u16 nresults, then per result u8 code + u32 len + blob
 //
 // A result's blob is the EncodeVals-encoded value vector on CodeOK, the
@@ -64,17 +66,17 @@ func (r BatchResult) Err() error {
 	return core.ErrOf(r.Code, string(r.Blob))
 }
 
-// Vals decodes a successful result's value vector.
-func (r BatchResult) Vals() ([][]byte, error) {
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return DecodeVals(r.Blob)
-}
+// MaxBatchOps is the most ops one batch frame carries: its count is a
+// u16. A larger batch is cut into frames of at most this many ops.
+const MaxBatchOps = math.MaxUint16
 
 // AppendBatchRequest appends the batch request encoding to dst (which
-// may be a pooled buffer).
+// may be a pooled buffer). ops holds at most MaxBatchOps operations;
+// more would wrap the count, so it panics instead.
 func AppendBatchRequest(dst []byte, ops []BatchOp) []byte {
+	if len(ops) > MaxBatchOps {
+		panic(fmt.Sprintf("ds: batch of %d ops exceeds MaxBatchOps (%d)", len(ops), MaxBatchOps))
+	}
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(ops)))
 	for _, o := range ops {
 		dst = AppendRequest(dst, o.Op, o.Block, o.Args)
@@ -87,24 +89,48 @@ func EncodeBatchRequest(ops []BatchOp) []byte {
 	return AppendBatchRequest(nil, ops)
 }
 
-// DecodeBatchRequest parses a batch request. Op args alias data.
+// DecodeBatchRequest parses a batch request. Every op's args go into
+// one arg vector for the whole frame, sized by the first op's arg count
+// (a client batch is one op kind); op i's Args is a full-slice-capped
+// window into it, so appending to one op's Args never writes into
+// another's. Args alias data.
 func DecodeBatchRequest(data []byte) ([]BatchOp, error) {
 	if len(data) < 2 {
 		return nil, fmt.Errorf("ds: batch request too short (%d bytes)", len(data))
 	}
 	nops := int(binary.BigEndian.Uint16(data[0:2]))
 	data = data[2:]
+	if nops > len(data)/11 {
+		// Every op needs at least its fixed fields; checking up front
+		// keeps a forged count from sizing the allocations below.
+		return nil, fmt.Errorf("ds: batch of %d ops in %d bytes", nops, len(data))
+	}
 	ops := make([]BatchOp, 0, nops)
+	var argv [][]byte
+	if nops > 0 {
+		perOp := int(binary.BigEndian.Uint16(data[9:11]))
+		argv = make([][]byte, 0, min(nops*perOp, len(data)/4))
+	}
 	for i := 0; i < nops; i++ {
-		op, block, args, rest, err := decodeRequestPrefix(data)
+		start := len(argv)
+		op, block, args, rest, err := decodeRequestPrefix(argv, data)
 		if err != nil {
 			return nil, fmt.Errorf("ds: batch op %d: %w", i, err)
 		}
-		ops = append(ops, BatchOp{Op: op, Block: block, Args: args})
+		argv = args
+		ops = append(ops, BatchOp{Op: op, Block: block, Args: argv[start:]})
 		data = rest
 	}
 	if len(data) != 0 {
 		return nil, fmt.Errorf("ds: batch request has %d trailing bytes", len(data))
+	}
+	// Windows taken before a mixed batch outgrew the first guess point
+	// into an older vector: cut every window from the final one.
+	k := 0
+	for i := range ops {
+		n := len(ops[i].Args)
+		ops[i].Args = argv[k : k+n : k+n]
+		k += n
 	}
 	return ops, nil
 }

@@ -87,9 +87,12 @@ func TestBatchResultsRoundTrip(t *testing.T) {
 			t.Fatalf("result %d: got %+v, want %+v", i, out[i], in[i])
 		}
 	}
-	vals, err := out[0].Vals()
+	if err := out[0].Err(); err != nil {
+		t.Fatalf("result 0 Err = %v", err)
+	}
+	vals, err := DecodeVals(out[0].Blob)
 	if err != nil || len(vals) != 1 || string(vals[0]) != "value" {
-		t.Fatalf("Vals = %q, %v", vals, err)
+		t.Fatalf("DecodeVals = %q, %v", vals, err)
 	}
 	if !errors.Is(out[2].Err(), core.ErrNotFound) {
 		t.Fatalf("result 2 Err = %v, want ErrNotFound", out[2].Err())
@@ -158,6 +161,52 @@ func TestErrResultRoundTrip(t *testing.T) {
 		}
 		if !errors.Is(out[0].Err(), core.ErrStaleEpoch) || !errors.Is(out[1].Err(), core.ErrRedirect) {
 			t.Fatalf("decoded errors = %v, %v", out[0].Err(), out[1].Err())
+		}
+	})
+}
+
+// FuzzBatchRequestDecode covers the batch request codec the server runs
+// on every MethodDataOpBatch frame: arbitrary bytes never panic, an
+// accepted frame re-encodes byte-identically through AppendBatchRequest,
+// and although every op's args share the frame's one arg vector,
+// appending to one op's Args never changes another op's.
+func FuzzBatchRequestDecode(f *testing.F) {
+	f.Add(EncodeBatchRequest([]BatchOp{
+		{Op: core.OpFileAppend, Block: 7, Args: [][]byte{bytes.Repeat([]byte{0xab}, 100)}},
+		{Op: core.OpFileAppend, Block: 7, Args: [][]byte{[]byte("r")}},
+	}))
+	f.Add(EncodeBatchRequest([]BatchOp{
+		{Op: core.OpGet, Block: 1, Args: [][]byte{[]byte("k")}},
+		{Op: core.OpPut, Block: 2, Args: [][]byte{[]byte("k"), []byte("v")}},
+		{Op: core.OpDequeue, Block: 3},
+		{Op: core.OpFileWrite, Block: 1 << 40, Args: [][]byte{U64(4096), nil}},
+	}))
+	// testdata/fuzz/FuzzBatchRequestDecode adds the raw frames: a count
+	// that wrapped (two ops under a count of one, as 65 537 ops became
+	// one), a forged count, a forged arg count, an arg length reaching
+	// past the frame.
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		ops, err := DecodeBatchRequest(raw)
+		if err != nil {
+			return
+		}
+		if back := AppendBatchRequest(nil, ops); !bytes.Equal(back, raw) {
+			t.Fatalf("accepted frame is not canonical: %x re-encodes to %x", raw, back)
+		}
+		before := make([][][]byte, len(ops))
+		for i, o := range ops {
+			before[i] = append([][]byte(nil), o.Args...)
+		}
+		for i := range ops {
+			_ = append(ops[i].Args, []byte("appended"))
+		}
+		for i, o := range ops {
+			for j, a := range o.Args {
+				if len(a) != len(before[i][j]) || (len(a) > 0 && &a[0] != &before[i][j][0]) {
+					t.Fatalf("op %d arg %d changed after appending to its neighbours' args", i, j)
+				}
+			}
 		}
 	})
 }

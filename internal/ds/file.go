@@ -63,7 +63,7 @@ func (f *File) Apply(op core.OpType, args [][]byte) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return [][]byte{U64(uint64(n))}, nil
+		return u64Vals(uint64(n)), nil
 	case core.OpFileRead:
 		if len(args) != 2 {
 			return nil, fmt.Errorf("ds: file read wants 2 args, got %d", len(args))
@@ -89,9 +89,9 @@ func (f *File) Apply(op core.OpType, args [][]byte) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return [][]byte{U64(uint64(off))}, nil
+		return u64Vals(uint64(off)), nil
 	case core.OpUsage:
-		return [][]byte{U64(uint64(f.Bytes()))}, nil
+		return u64Vals(uint64(f.Bytes())), nil
 	default:
 		return nil, fmt.Errorf("ds: file: %w (%v)", core.ErrWrongType, op)
 	}

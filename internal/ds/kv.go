@@ -142,7 +142,7 @@ func (k *KV) Apply(op core.OpType, args [][]byte) ([][]byte, error) {
 		}
 		return [][]byte{old}, nil
 	case core.OpUsage:
-		return [][]byte{U64(uint64(k.Bytes()))}, nil
+		return u64Vals(uint64(k.Bytes())), nil
 	default:
 		return nil, fmt.Errorf("ds: kv: %w (%v)", core.ErrWrongType, op)
 	}

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"jiffy/internal/core"
 )
@@ -239,10 +240,12 @@ func EncodeRequest(op core.OpType, block core.BlockID, args [][]byte) []byte {
 	return AppendRequest(make([]byte, 0, n), op, block, args)
 }
 
-// decodeRequestPrefix parses one operation from the front of data and
-// returns the remainder — the shared scanner under DecodeRequest and
-// DecodeBatchRequest. Args alias data.
-func decodeRequestPrefix(data []byte) (op core.OpType, block core.BlockID, args [][]byte, rest []byte, err error) {
+// decodeRequestPrefix parses one operation from the front of data,
+// appends its args to dst and returns the remainder — the one scanner
+// under DecodeRequest, DecodeBatchRequest and DecodeReplicate. args is
+// dst extended by the op's args, which alias data; a nil dst costs one
+// vector of exactly the op's arg count.
+func decodeRequestPrefix(dst [][]byte, data []byte) (op core.OpType, block core.BlockID, args [][]byte, rest []byte, err error) {
 	if len(data) < 11 {
 		return 0, 0, nil, nil, fmt.Errorf("ds: request too short (%d bytes)", len(data))
 	}
@@ -255,7 +258,7 @@ func decodeRequestPrefix(data []byte) (op core.OpType, block core.BlockID, args 
 		// keeps a forged count from sizing the allocation below.
 		return 0, 0, nil, nil, fmt.Errorf("ds: truncated arg header")
 	}
-	args = make([][]byte, 0, nargs)
+	args = slices.Grow(dst, nargs)
 	for i := 0; i < nargs; i++ {
 		if off+4 > len(data) {
 			return 0, 0, nil, nil, fmt.Errorf("ds: truncated arg header")
@@ -273,7 +276,7 @@ func decodeRequestPrefix(data []byte) (op core.OpType, block core.BlockID, args 
 
 // DecodeRequest parses a data-plane operation.
 func DecodeRequest(data []byte) (op core.OpType, block core.BlockID, args [][]byte, err error) {
-	op, block, args, _, err = decodeRequestPrefix(data)
+	op, block, args, _, err = decodeRequestPrefix(nil, data)
 	return op, block, args, err
 }
 
@@ -298,21 +301,31 @@ func EncodeVals(vals [][]byte) []byte {
 	return AppendVals(make([]byte, 0, n), vals)
 }
 
-// DecodeVals parses a result vector.
+// DecodeVals parses a result vector into a fresh one.
 func DecodeVals(data []byte) ([][]byte, error) {
+	return DecodeValsInto(nil, data)
+}
+
+// DecodeValsInto parses a result vector, appending the values to dst;
+// they alias data. A caller decoding many results reuses one vector
+// (dst[:0]); a nil dst costs one vector of exactly the value count.
+func DecodeValsInto(dst [][]byte, data []byte) ([][]byte, error) {
 	if len(data) < 2 {
 		return nil, fmt.Errorf("ds: result too short")
 	}
 	n := int(binary.BigEndian.Uint16(data[0:2]))
 	off := 2
-	vals := make([][]byte, 0, n)
+	if n > (len(data)-off)/4 {
+		return nil, fmt.Errorf("ds: truncated val header")
+	}
+	vals := slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		if off+4 > len(data) {
 			return nil, fmt.Errorf("ds: truncated val header")
 		}
 		l := int(binary.BigEndian.Uint32(data[off : off+4]))
 		off += 4
-		if off+l > len(data) {
+		if l > len(data)-off {
 			return nil, fmt.Errorf("ds: truncated val body")
 		}
 		vals = append(vals, data[off:off+l])
@@ -326,6 +339,20 @@ func U64(v uint64) []byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], v)
 	return b[:]
+}
+
+// u64Vals is a partition's one-value integer result (a write's byte
+// count, an append's offset, a usage figure): the value's 8 bytes and
+// the one-element vector carrying them share one allocation, where
+// [][]byte{U64(v)} costs two.
+func u64Vals(v uint64) [][]byte {
+	r := new(struct {
+		vec [1][]byte
+		b   [8]byte
+	})
+	binary.BigEndian.PutUint64(r.b[:], v)
+	r.vec[0] = r.b[:]
+	return r.vec[:]
 }
 
 // ParseU64 decodes an integer argument.

@@ -145,7 +145,7 @@ func (q *Queue) Apply(op core.OpType, args [][]byte) ([][]byte, error) {
 		q.SetNext(next)
 		return nil, nil
 	case core.OpUsage:
-		return [][]byte{U64(uint64(q.Bytes()))}, nil
+		return u64Vals(uint64(q.Bytes())), nil
 	default:
 		return nil, fmt.Errorf("ds: queue: %w (%v)", core.ErrWrongType, op)
 	}

@@ -42,7 +42,7 @@ func DecodeReplicate(data []byte) (seq, gen uint64, op core.OpType, block core.B
 	}
 	seq = binary.BigEndian.Uint64(data[0:8])
 	gen = binary.BigEndian.Uint64(data[8:16])
-	op, block, args, rest, err := decodeRequestPrefix(data[replicatePrefixLen:])
+	op, block, args, rest, err := decodeRequestPrefix(nil, data[replicatePrefixLen:])
 	if err != nil {
 		return 0, 0, 0, 0, nil, err
 	}

@@ -178,8 +178,13 @@ func partitionOf(key string, reducers int) int {
 	return int(h.Sum32()) % reducers
 }
 
+// appendBatch is how many records a map task appends to a shuffle file
+// per call: one round trip per 64 records, not one per record.
+const appendBatch = 64
+
 // runMapTask executes one map task: apply Map to the split, buffer
-// pairs per partition, and append the records to the shuffle files.
+// pairs per partition, and append the records to the shuffle files,
+// appendBatch at a time.
 func runMapTask(ctx context.Context, cfg Config, shuffles []*client.File, split string) error {
 	buffers := make([][]KeyValue, cfg.Reducers)
 	emit := func(key, value string) {
@@ -189,14 +194,21 @@ func runMapTask(ctx context.Context, cfg Config, shuffles []*client.File, split 
 	if err := cfg.Map(split, emit); err != nil {
 		return err
 	}
+	records := make([][]byte, 0, appendBatch)
 	for r, pairs := range buffers {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for _, kv := range pairs {
-			if _, err := shuffles[r].AppendRecord(ctx, encodeRecord(kv)); err != nil {
+		for len(pairs) > 0 {
+			if err := ctx.Err(); err != nil {
 				return err
 			}
+			n := min(len(pairs), appendBatch)
+			records = records[:0]
+			for _, kv := range pairs[:n] {
+				records = append(records, encodeRecord(kv))
+			}
+			if _, err := shuffles[r].AppendBatch(ctx, records); err != nil {
+				return err
+			}
+			pairs = pairs[n:]
 		}
 	}
 	return nil

@@ -113,7 +113,10 @@ func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, er
 	if err != nil {
 		return rpc.Response{}, err
 	}
-	blocks := make(map[core.BlockID]*blockstore.Block, len(ops))
+	// The per-block maps grow with the distinct blocks the batch touches —
+	// one or two for a shuffle batch — not with its ops: unsized, they
+	// stay on the stack up to eight blocks.
+	blocks := make(map[core.BlockID]*blockstore.Block)
 	refused := make(map[core.BlockID]error)
 	for _, bo := range ops {
 		if blocks[bo.Block] != nil || refused[bo.Block] != nil {

@@ -359,7 +359,11 @@ func TestBatchReleasesViewLease(t *testing.T) {
 		t.Fatalf("batch response: %d results, %v", len(results), err)
 	}
 	for i, want := range []string{"v0", "", "v1"} {
-		vals, err := results[i].Vals()
+		err := results[i].Err()
+		var vals [][]byte
+		if err == nil {
+			vals, err = ds.DecodeVals(results[i].Blob)
+		}
 		if err != nil || (want != "" && (len(vals) != 1 || string(vals[0]) != want)) {
 			t.Errorf("op %d = %q, %v; want %q", i, vals, err, want)
 		}
