@@ -1,7 +1,7 @@
 package jiffy_test
 
-// Allocation gates for the single-op hot path, the batched path and the
-// control call.
+// Allocation gates for the single-op hot path, the batched path, the
+// control call and partition snapshots.
 // Client and servers share the process over mem://, so the measured
 // count covers the whole round trip: request encode, wire framing,
 // server dispatch, response decode. The ceilings pin the pooled fast
@@ -19,6 +19,7 @@ import (
 
 	"jiffy"
 	"jiffy/internal/core"
+	"jiffy/internal/ds"
 )
 
 // skipUnderRace skips an allocation gate under -race: sync.Pool then
@@ -312,4 +313,40 @@ func TestBatchAllocs(t *testing.T) {
 			t.Fatalf("MultiGet of 64 keys allocates %.1f objects, want <= 160", allocs)
 		}
 	})
+}
+
+// TestSnapshotAllocs pins Snapshot+Restore of a partition, the step
+// every demotion, rehydration, drain and chain fill runs. A snapshot is
+// one codec message: a 1 MiB file chunk costs its buffer, its one
+// decoded copy and a few fixed objects, and an empty queue segment (what
+// every demotion restores to release memory) a handful. A per-item or
+// per-field allocation in the snapshot format fails here.
+func TestSnapshotAllocs(t *testing.T) {
+	skipUnderRace(t)
+	file := ds.NewFile(core.MB)
+	if _, err := file.WriteAt(0, make([]byte, core.MB)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		p       ds.Partition
+		ceiling float64
+	}{
+		{"File 1 MiB", file, 7},
+		{"empty Queue", ds.NewQueue(core.MB), 4},
+	} {
+		allocs := testing.AllocsPerRun(50, func() {
+			snap, err := c.p.Snapshot()
+			if err == nil {
+				err = c.p.Restore(snap)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.1f objects per Snapshot+Restore", c.name, allocs)
+		if allocs > c.ceiling {
+			t.Errorf("%s: Snapshot+Restore allocates %.1f objects, want <= %.0f", c.name, allocs, c.ceiling)
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/proto"
@@ -25,7 +26,7 @@ type pushRouter struct {
 
 func (r *pushRouter) route(subID uint64, payload []byte) {
 	var n proto.Notification
-	if err := rpc.Unmarshal(payload, &n); err != nil {
+	if err := codec.Unmarshal(payload, &n); err != nil {
 		return
 	}
 	r.mu.Lock()

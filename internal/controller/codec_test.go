@@ -8,11 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/persist"
 	"jiffy/internal/proto"
-	"jiffy/internal/rpc"
 )
 
 // TestReplOpGolden pins an op-log entry byte for byte: the node-upsert
@@ -26,7 +26,7 @@ func TestReplOpGolden(t *testing.T) {
 		Map: ds.PartitionMap{Type: core.DSKV, Epoch: 1, NumSlots: 16, Blocks: []ds.PartitionEntry{
 			{Info: core.BlockInfo{ID: 7, Server: "a"}, Slots: []ds.SlotRange{{Lo: 0, Hi: 15}}}}},
 	}}
-	got, err := rpc.Marshal(op)
+	got, err := codec.Marshal(op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestReplOpGolden(t *testing.T) {
 	}
 	raw, _ := hex.DecodeString(golden)
 	var back replOp
-	if err := rpc.Unmarshal(raw, &back); err != nil {
+	if err := codec.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back, op) {

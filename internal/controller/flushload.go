@@ -3,11 +3,11 @@ package controller
 import (
 	"fmt"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/hierarchy"
 	"jiffy/internal/proto"
-	"jiffy/internal/rpc"
 )
 
 // manifest records a flushed prefix's layout so Load can rebuild the
@@ -82,7 +82,7 @@ func (c *Controller) flushLocked(n *hierarchy.Node, externalPath string) (int, e
 			Block: obj.Block, Gen: obj.Gen})
 		c.flushBlocks.Add(1)
 	}
-	data, err := rpc.Marshal(m)
+	data, err := codec.Marshal(m)
 	if err != nil {
 		return len(m.Entries), err
 	}
@@ -121,7 +121,7 @@ func (c *Controller) readManifest(externalPath string) (manifest, error) {
 	if err != nil {
 		return m, fmt.Errorf("controller: load %q: %w", externalPath, err)
 	}
-	if err := rpc.Unmarshal(data, &m); err != nil {
+	if err := codec.Unmarshal(data, &m); err != nil {
 		return m, fmt.Errorf("controller: load %q: %w", externalPath, err)
 	}
 	return m, nil

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
-	"jiffy/internal/rpc"
 )
 
 // FuzzManifestDecode hardens the flush-manifest codec: a manifest read
@@ -16,7 +16,7 @@ import (
 // re-encode to the identical bytes — otherwise repair could rebuild a
 // prefix from a manifest that no flush could have written.
 func FuzzManifestDecode(f *testing.F) {
-	valid, err := rpc.Marshal(manifest{
+	valid, err := codec.Marshal(manifest{
 		Type:      core.DSKV,
 		NumSlots:  16,
 		ChunkSize: 4096,
@@ -38,10 +38,10 @@ func FuzzManifestDecode(f *testing.F) {
 			return // bound decoder allocations, not codec behavior
 		}
 		var m manifest
-		if err := rpc.Unmarshal(data, &m); err != nil {
+		if err := codec.Unmarshal(data, &m); err != nil {
 			return // rejection is fine; panicking is not
 		}
-		re, err := rpc.Marshal(m)
+		re, err := codec.Marshal(m)
 		if err != nil {
 			t.Fatalf("re-marshal of accepted manifest failed: %v", err)
 		}

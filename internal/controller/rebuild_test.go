@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"jiffy/internal/clock"
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/hierarchy"
@@ -525,7 +526,7 @@ func metadataOf(t *testing.T, c *Controller) map[string][]byte {
 			// The field alone, in an otherwise zero image.
 			var one groupImage
 			reflect.ValueOf(&one).Elem().Field(i).Set(v.Field(i))
-			data, err = rpc.Marshal(one)
+			data, err = codec.Marshal(one)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/proto"
 	"jiffy/internal/rpc"
@@ -58,7 +59,7 @@ const (
 
 // replOp is one op-log entry. The struct is flat: every kind shares
 // it, and a field a kind does not use travels as its zero value (one
-// byte for most fields, see internal/rpc/codec.go).
+// byte for most fields, see internal/codec).
 type replOp struct {
 	Kind opKind
 	Job  core.JobID
@@ -183,7 +184,7 @@ func (r *replicator) emit(op replOp) {
 	if !r.on.Load() {
 		return
 	}
-	data, err := rpc.Marshal(op)
+	data, err := codec.Marshal(op)
 	if err != nil {
 		r.c.log.Error("controller: replication op encode failed", "kind", op.Kind, "err", err)
 		return
@@ -339,7 +340,7 @@ func (r *replicator) pulseNow() {
 
 	for _, p := range lostPeers {
 		img := r.c.buildImage()
-		data, err := rpc.Marshal(img)
+		data, err := codec.Marshal(img)
 		if err != nil {
 			r.c.log.Error("controller: bootstrap image encode failed", "err", err)
 			break
@@ -467,7 +468,7 @@ func (c *Controller) handleReplicate(req proto.CtrlReplicateReq) (proto.CtrlRepl
 				continue
 			}
 			var op replOp
-			if err := rpc.Unmarshal(raw, &op); err != nil {
+			if err := codec.Unmarshal(raw, &op); err != nil {
 				return proto.CtrlReplicateResp{}, err
 			}
 			if err := c.apply(op); err != nil {
@@ -490,7 +491,7 @@ func (c *Controller) handleBootstrap(req proto.CtrlBootstrapReq) (proto.CtrlBoot
 		return proto.CtrlBootstrapResp{}, err
 	}
 	var img groupImage
-	if err := rpc.Unmarshal(req.Image, &img); err != nil {
+	if err := codec.Unmarshal(req.Image, &img); err != nil {
 		return proto.CtrlBootstrapResp{}, err
 	}
 	if err := c.applyImage(img); err != nil {

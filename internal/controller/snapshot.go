@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/hierarchy"
-	"jiffy/internal/rpc"
 )
 
 // Controller state checkpointing. The paper adopts primary-backup
@@ -63,7 +63,7 @@ func imageOfNode(n *hierarchy.Node) nodeImage {
 // SaveState checkpoints the controller's metadata into the persistent
 // store under key.
 func (c *Controller) SaveState(key string) error {
-	data, err := rpc.Marshal(c.buildImage())
+	data, err := codec.Marshal(c.buildImage())
 	if err != nil {
 		return err
 	}
@@ -126,7 +126,7 @@ func (c *Controller) RestoreState(key string) error {
 		return fmt.Errorf("controller: restore %q: %w", key, err)
 	}
 	var img groupImage
-	if err := rpc.Unmarshal(data, &img); err != nil {
+	if err := codec.Unmarshal(data, &img); err != nil {
 		return fmt.Errorf("controller: restore %q: %w", key, err)
 	}
 	for _, sh := range c.shards {

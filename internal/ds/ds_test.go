@@ -56,12 +56,21 @@ func TestValsCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRequestTruncated: a request or result vector cut short, or
+// followed by stray bytes, is refused.
 func TestDecodeRequestTruncated(t *testing.T) {
 	full := EncodeRequest(core.OpPut, 7, [][]byte{[]byte("key"), []byte("value")})
 	for cut := 0; cut < len(full); cut++ {
 		if _, _, _, err := DecodeRequest(full[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+	if _, _, args, err := DecodeRequest(append(full, 0xde, 0xad)); err == nil {
+		t.Errorf("request with 2 trailing bytes accepted with args %q", args)
+	}
+	vals := EncodeVals([][]byte{[]byte("v"), nil})
+	if got, err := DecodeVals(append(vals, 1, 2, 3)); err == nil {
+		t.Errorf("result vector with 3 trailing bytes accepted as %q", got)
 	}
 }
 

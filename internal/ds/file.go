@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 )
 
@@ -228,10 +229,10 @@ func (f *File) ApplyView(op core.OpType, args [][]byte) (View, bool, error) {
 	}, true, nil
 }
 
-// fileSnapshot is the serialized form of a file chunk.
+// fileSnapshot is the serialized form of a file chunk: its written
+// bytes, whose length is the high-water mark, and its capacity.
 type fileSnapshot struct {
 	Data []byte
-	Size int
 	Cap  int
 }
 
@@ -239,23 +240,23 @@ type fileSnapshot struct {
 func (f *File) Snapshot() ([]byte, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return gobEncode(fileSnapshot{
-		Data: f.data[:f.size],
-		Size: f.size,
-		Cap:  f.cap,
-	})
+	return codec.Marshal(&fileSnapshot{Data: f.data[:f.size], Cap: f.cap})
 }
 
-// Restore implements Partition.
+// Restore implements Partition. A snapshot holding more bytes than its
+// capacity is refused; on any error the chunk is left as it was.
 func (f *File) Restore(snapshot []byte) error {
 	var s fileSnapshot
-	if err := gobDecode(snapshot, &s); err != nil {
-		return err
+	if err := codec.Unmarshal(snapshot, &s); err != nil {
+		return fmt.Errorf("ds: file snapshot: %w", err)
+	}
+	if len(s.Data) > s.Cap {
+		return fmt.Errorf("ds: file snapshot of %d bytes exceeds its capacity %d", len(s.Data), s.Cap)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.data = append([]byte(nil), s.Data...)
-	f.size = s.Size
+	f.data = s.Data
+	f.size = len(s.Data)
 	f.cap = s.Cap
 	return nil
 }

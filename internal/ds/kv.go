@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/cuckoo"
 )
@@ -361,7 +362,7 @@ func (k *KV) Snapshot() ([]byte, error) {
 		entries = append(entries, KVEntry{Key: key, Value: val})
 		return true
 	})
-	return gobEncode(kvSnapshot{
+	return codec.Marshal(&kvSnapshot{
 		Entries:  entries,
 		NumSlots: k.numSlots,
 		Cap:      k.cap,
@@ -372,8 +373,8 @@ func (k *KV) Snapshot() ([]byte, error) {
 // Restore implements Partition.
 func (k *KV) Restore(snapshot []byte) error {
 	var s kvSnapshot
-	if err := gobDecode(snapshot, &s); err != nil {
-		return err
+	if err := codec.Unmarshal(snapshot, &s); err != nil {
+		return fmt.Errorf("ds: kv snapshot: %w", err)
 	}
 	k.mu.Lock()
 	k.numSlots = s.NumSlots

@@ -10,9 +10,7 @@
 package ds
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"slices"
 
@@ -210,7 +208,7 @@ func (m *PartitionMap) extremum(min bool) (PartitionEntry, bool) {
 // --- Data-plane request codec -------------------------------------------
 //
 // Data ops are the hot path, so they use a hand-rolled binary layout
-// rather than gob:
+// rather than the reflective internal/codec:
 //
 //	u8   op
 //	u64  block id
@@ -241,42 +239,59 @@ func EncodeRequest(op core.OpType, block core.BlockID, args [][]byte) []byte {
 }
 
 // decodeRequestPrefix parses one operation from the front of data,
-// appends its args to dst and returns the remainder — the one scanner
-// under DecodeRequest, DecodeBatchRequest and DecodeReplicate. args is
-// dst extended by the op's args, which alias data; a nil dst costs one
+// appends its args to dst and returns the remainder; DecodeRequest,
+// DecodeBatchRequest and DecodeReplicate all run it. args is dst
+// extended by the op's args, which alias data; a nil dst costs one
 // vector of exactly the op's arg count.
 func decodeRequestPrefix(dst [][]byte, data []byte) (op core.OpType, block core.BlockID, args [][]byte, rest []byte, err error) {
 	if len(data) < 11 {
 		return 0, 0, nil, nil, fmt.Errorf("ds: request too short (%d bytes)", len(data))
 	}
-	op = core.OpType(data[0])
-	block = core.BlockID(binary.BigEndian.Uint64(data[1:9]))
-	nargs := int(binary.BigEndian.Uint16(data[9:11]))
-	off := 11
-	if nargs > (len(data)-off)/4 {
-		// Every arg needs at least its length prefix; checking up front
-		// keeps a forged count from sizing the allocation below.
-		return 0, 0, nil, nil, fmt.Errorf("ds: truncated arg header")
+	if args, rest, err = scanVec(dst, data[9:]); err != nil {
+		return 0, 0, nil, nil, err
 	}
-	args = slices.Grow(dst, nargs)
-	for i := 0; i < nargs; i++ {
+	return core.OpType(data[0]), core.BlockID(binary.BigEndian.Uint64(data[1:9])), args, rest, nil
+}
+
+// scanVec is the one scanner of a length-prefixed vector — u16 count,
+// then count × (u32 length, bytes) — under both request args and result
+// values. It appends the values at the front of data to dst and returns
+// the remainder; the values alias data, and a nil dst costs one vector
+// of exactly the count.
+func scanVec(dst [][]byte, data []byte) (vec [][]byte, rest []byte, err error) {
+	if len(data) < 2 {
+		return nil, nil, fmt.Errorf("ds: vector too short (%d bytes)", len(data))
+	}
+	n := int(binary.BigEndian.Uint16(data))
+	off := 2
+	if n > (len(data)-off)/4 {
+		// Every value needs at least its length prefix; checking up
+		// front keeps a forged count from sizing the allocation below.
+		return nil, nil, fmt.Errorf("ds: truncated vector header")
+	}
+	vec = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
 		if off+4 > len(data) {
-			return 0, 0, nil, nil, fmt.Errorf("ds: truncated arg header")
+			return nil, nil, fmt.Errorf("ds: truncated vector header")
 		}
 		l := int(binary.BigEndian.Uint32(data[off : off+4]))
 		off += 4
 		if l < 0 || l > len(data)-off {
-			return 0, 0, nil, nil, fmt.Errorf("ds: truncated arg body")
+			return nil, nil, fmt.Errorf("ds: truncated vector value")
 		}
-		args = append(args, data[off:off+l])
+		vec = append(vec, data[off:off+l])
 		off += l
 	}
-	return op, block, args, data[off:], nil
+	return vec, data[off:], nil
 }
 
-// DecodeRequest parses a data-plane operation.
+// DecodeRequest parses a data-plane operation; bytes after it are an
+// error.
 func DecodeRequest(data []byte) (op core.OpType, block core.BlockID, args [][]byte, err error) {
-	op, block, args, _, err = decodeRequestPrefix(nil, data)
+	op, block, args, rest, err := decodeRequestPrefix(nil, data)
+	if err == nil && len(rest) != 0 {
+		return 0, 0, nil, fmt.Errorf("ds: %d trailing bytes after request", len(rest))
+	}
 	return op, block, args, err
 }
 
@@ -307,31 +322,15 @@ func DecodeVals(data []byte) ([][]byte, error) {
 }
 
 // DecodeValsInto parses a result vector, appending the values to dst;
-// they alias data. A caller decoding many results reuses one vector
-// (dst[:0]); a nil dst costs one vector of exactly the value count.
+// they alias data, and bytes after the vector are an error. A caller
+// decoding many results reuses one vector (dst[:0]); a nil dst costs
+// one vector of exactly the value count.
 func DecodeValsInto(dst [][]byte, data []byte) ([][]byte, error) {
-	if len(data) < 2 {
-		return nil, fmt.Errorf("ds: result too short")
+	vals, rest, err := scanVec(dst, data)
+	if err == nil && len(rest) != 0 {
+		return nil, fmt.Errorf("ds: %d trailing bytes after result", len(rest))
 	}
-	n := int(binary.BigEndian.Uint16(data[0:2]))
-	off := 2
-	if n > (len(data)-off)/4 {
-		return nil, fmt.Errorf("ds: truncated val header")
-	}
-	vals := slices.Grow(dst, n)
-	for i := 0; i < n; i++ {
-		if off+4 > len(data) {
-			return nil, fmt.Errorf("ds: truncated val header")
-		}
-		l := int(binary.BigEndian.Uint32(data[off : off+4]))
-		off += 4
-		if l > len(data)-off {
-			return nil, fmt.Errorf("ds: truncated val body")
-		}
-		vals = append(vals, data[off:off+l])
-		off += l
-	}
-	return vals, nil
+	return vals, err
 }
 
 // U64 encodes an integer argument.
@@ -361,21 +360,4 @@ func ParseU64(b []byte) (uint64, error) {
 		return 0, fmt.Errorf("ds: expected 8-byte integer, got %d bytes", len(b))
 	}
 	return binary.BigEndian.Uint64(b), nil
-}
-
-// gobEncode is the shared snapshot serializer.
-func gobEncode(v interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("ds: snapshot encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// gobDecode is the shared snapshot deserializer.
-func gobDecode(data []byte, v interface{}) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("ds: snapshot decode: %w", err)
-	}
-	return nil
 }

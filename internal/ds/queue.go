@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 )
 
@@ -248,10 +249,10 @@ func (q *Queue) Drained() bool {
 	return q.sealed && q.head >= len(q.items)
 }
 
-// queueSnapshot is the serialized form of a queue segment.
+// queueSnapshot is the serialized form of a queue segment: its pending
+// items, whose lengths sum to its byte usage, its capacity and its link.
 type queueSnapshot struct {
 	Items  [][]byte
-	Bytes  int
 	Cap    int
 	Next   core.BlockInfo
 	Sealed bool
@@ -261,28 +262,28 @@ type queueSnapshot struct {
 func (q *Queue) Snapshot() ([]byte, error) {
 	q.mu.RLock()
 	defer q.mu.RUnlock()
-	pending := make([][]byte, 0, len(q.items)-q.head)
-	pending = append(pending, q.items[q.head:]...)
-	return gobEncode(queueSnapshot{
-		Items:  pending,
-		Bytes:  q.bytes,
-		Cap:    q.cap,
-		Next:   q.next,
-		Sealed: q.sealed,
-	})
+	return codec.Marshal(&queueSnapshot{Items: q.items[q.head:], Cap: q.cap, Next: q.next, Sealed: q.sealed})
 }
 
-// Restore implements Partition.
+// Restore implements Partition. A snapshot whose items exceed its
+// capacity is refused; on any error the segment is left as it was.
 func (q *Queue) Restore(snapshot []byte) error {
 	var s queueSnapshot
-	if err := gobDecode(snapshot, &s); err != nil {
-		return err
+	if err := codec.Unmarshal(snapshot, &s); err != nil {
+		return fmt.Errorf("ds: queue snapshot: %w", err)
+	}
+	bytes := 0
+	for _, it := range s.Items {
+		bytes += len(it)
+	}
+	if bytes > s.Cap {
+		return fmt.Errorf("ds: queue snapshot of %d bytes exceeds its capacity %d", bytes, s.Cap)
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.items = s.Items
 	q.head = 0
-	q.bytes = s.Bytes
+	q.bytes = bytes
 	q.cap = s.Cap
 	q.next = s.Next
 	q.sealed = s.Sealed

@@ -10,10 +10,11 @@
 // to a row in DESIGN.md's knob table, and every row to a value that
 // exists.
 //
-// The one-codec check (TestOneCodec) confines encoding/gob and
-// rpc.Marshal/rpc.Unmarshal to an explicit list of files: partition
-// snapshots (the last gob user) and the persisted and embedded blobs
-// that call the control codec directly instead of through a method.
+// The one-codec check (TestOneCodec) holds structured data to one
+// serializer, internal/codec, by two rules with no allow-list: no
+// non-test file imports encoding/gob, and outside internal/rpc every raw
+// session call names a data-plane method, so control bodies are encoded
+// only by rpc.Invoke and rpc.Handle.
 //
 // The one-apply-path check (TestOneApplyPath) confines writes to the
 // controller's replicated maps to internal/controller/apply.go.

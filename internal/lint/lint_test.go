@@ -146,55 +146,62 @@ func TestKnobTable(t *testing.T) {
 	}
 }
 
-// codecSites is the allow-list behind TestOneCodec: the non-test files
-// that may import encoding/gob or call rpc.Marshal/rpc.Unmarshal, with
-// how many such sites each holds and why. Request and response bodies
-// are not on it — they are encoded in internal/rpc/codec.go and nowhere
-// else — so what is left is the persisted and embedded blobs, which
-// already use the control codec, and the partition snapshots, the last
-// gob importer. ROADMAP item 2 finishes by emptying the list.
-var codecSites = map[string]int{
-	"internal/ds/partition.go":           1, // partition snapshots, still gob
-	"internal/controller/replication.go": 4, // replOp ring entries, bootstrap groupImage (encode + decode each)
-	"internal/controller/snapshot.go":    2, // the same groupImage as a checkpoint
-	"internal/controller/flushload.go":   2, // flush manifest (write, and the one reader)
-	"internal/server/subs.go":            1, // push Notification
-	"internal/client/listener.go":        1, // push Notification
+// dataMethods are the only method ids a session call may name outside
+// internal/rpc: the data-plane frames, whose bodies are ds's hand-rolled
+// layouts. A control body goes through rpc.Invoke and rpc.Handle.
+var dataMethods = map[string]bool{
+	"MethodDataOp": true, "MethodDataOpBatch": true, "MethodReplicate": true,
 }
 
-// TestOneCodec is the ratchet for "one codec": a new gob import or
-// rpc.Marshal/rpc.Unmarshal call outside the allow-list fails here, and
-// so does an allowance left larger than what the file still uses.
-// benchmark/ (a module of its own) and examples/ (user code with its
-// own snapshot formats) are out of scope.
+// sessionCalls are the rpc session methods that send a raw payload.
+var sessionCalls = map[string]bool{
+	"CallContext": true, "CallBorrowedContext": true, "CallVecContext": true,
+}
+
+// TestOneCodec holds the tree to one serializer, internal/codec, with
+// two rules and no allow-list: (a) no non-test file imports
+// encoding/gob, and (b) outside internal/rpc, every raw session call
+// names a data-plane method (proto.MethodDataOp, MethodDataOpBatch or
+// MethodReplicate), so every control body is encoded by rpc.Invoke and
+// rpc.Handle. benchmark/ (a module of its own) and examples/ (user code
+// with its own snapshot formats) are out of scope.
 func TestOneCodec(t *testing.T) {
 	root := "../.."
-	got := make(map[string]int)
+	calls := 0
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
-		if rel, _ := filepath.Rel(root, path); rel == "benchmark" || rel == "examples" || strings.HasPrefix(d.Name(), ".") && path != root {
+		rel, _ := filepath.Rel(root, path)
+		if rel == "benchmark" || rel == "examples" || strings.HasPrefix(d.Name(), ".") && path != root {
 			return filepath.SkipDir
 		}
+		inRPC := filepath.ToSlash(rel) == "internal/rpc"
 		fset, files, err := parseDir(path)
 		if err != nil {
 			return err
 		}
 		for _, f := range files {
-			name, _ := filepath.Rel(root, fset.Position(f.Pos()).Filename)
 			for _, imp := range f.Imports {
 				if imp.Path.Value == `"encoding/gob"` {
-					got[filepath.ToSlash(name)]++
+					t.Errorf("%s: imports encoding/gob: encode structured data with internal/codec", fset.Position(imp.Pos()))
 				}
 			}
+			if inRPC {
+				continue
+			}
 			ast.Inspect(f, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Marshal" || sel.Sel.Name == "Unmarshal") {
-						if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "rpc" {
-							got[filepath.ToSlash(name)]++
-						}
-					}
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || !sessionCalls[sel.Sel.Name] || len(call.Args) < 2 {
+					return true
+				}
+				calls++
+				if !isDataMethod(call.Args[1]) {
+					t.Errorf("%s: %s sends a non-data-plane method: send request/response bodies through rpc.Invoke and rpc.Handle", fset.Position(call.Pos()), sel.Sel.Name)
 				}
 				return true
 			})
@@ -204,16 +211,19 @@ func TestOneCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, n := range got {
-		if n > codecSites[name] {
-			t.Errorf("%s names the codec at %d sites, %d allowed: send request/response bodies through rpc.Invoke and rpc.Handle", name, n, codecSites[name])
-		}
+	if calls == 0 {
+		t.Error("no session call outside internal/rpc: rule (b) checks nothing, update sessionCalls")
 	}
-	for name, allowed := range codecSites {
-		if got[name] < allowed {
-			t.Errorf("%s is allowed %d codec sites and has %d: lower the allowance in codecSites", name, allowed, got[name])
-		}
+}
+
+// isDataMethod reports whether e names one of dataMethods as proto.X.
+func isDataMethod(e ast.Expr) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return false
 	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == "proto" && dataMethods[sel.Sel.Name]
 }
 
 // replicatedFields are the controller's replicated maps: the dead and

@@ -5,7 +5,7 @@
 // request/response pair; stubs (rpc.Invoke) and handler tables
 // (rpc.Handle) take the descriptor, so they cannot mix two methods'
 // messages. How a message body is encoded is not this package's
-// business: internal/rpc/codec.go owns that. Data-plane operations use
+// business: internal/codec owns that. Data-plane operations use
 // the compact binary codecs in internal/ds instead and are identified
 // by the plain ids MethodDataOp, MethodDataOpBatch and MethodReplicate.
 package proto
@@ -473,9 +473,8 @@ type ReportTierResp struct{}
 // the active controller. Gen fences the stream: a standby that has
 // observed a higher leadership generation rejects the batch with
 // ErrNotLeader so a deposed leader demotes itself. FirstSeq is the
-// sequence number of Ops[0]; entries are replOp values encoded by the
-// control codec (internal/rpc/codec.go; the op type lives in
-// internal/controller). An empty Ops slice is a leadership heartbeat.
+// sequence number of Ops[0]; entries are replOp values encoded by
+// internal/codec (the op type lives in internal/controller). An empty Ops slice is a leadership heartbeat.
 type CtrlReplicateReq struct {
 	Gen      uint64
 	Leader   string

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/proto"
 	"jiffy/internal/wire"
@@ -309,12 +310,12 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 		Path:   core.MustPath("job", "T1"),
 		Blocks: []core.BlockInfo{{ID: 1, Server: "a"}, {ID: 2, Server: "b"}},
 	}
-	data, err := Marshal(in)
+	data, err := codec.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out payload
-	if err := Unmarshal(data, &out); err != nil {
+	if err := codec.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Path != in.Path || len(out.Blocks) != 2 || out.Blocks[1].ID != 2 {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/persist"
@@ -248,7 +249,7 @@ func TestSubscriptionDelivery(t *testing.T) {
 	notifs := make(chan proto.Notification, 16)
 	c.OnPush(func(subID uint64, payload []byte) {
 		var n proto.Notification
-		if rpc.Unmarshal(payload, &n) == nil {
+		if codec.Unmarshal(payload, &n) == nil {
 			notifs <- n
 		}
 	})

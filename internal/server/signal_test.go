@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/obs"
@@ -41,7 +42,7 @@ func TestDroppedSignalRearms(t *testing.T) {
 		default:
 		}
 		<-release
-		return rpc.Marshal(proto.ScaleUpResp{})
+		return codec.Marshal(proto.ScaleUpResp{})
 	}), nil)
 	srvSeq++
 	ctrlAddr, err := ctrl.Listen(fmt.Sprintf("mem://signal-ctrl-%d", srvSeq))

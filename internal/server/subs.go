@@ -3,6 +3,7 @@ package server
 import (
 	"sync"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/proto"
 	"jiffy/internal/rpc"
@@ -119,7 +120,7 @@ func (s *Server) notify(block core.BlockID, op core.OpType, data []byte) {
 	if len(targets) == 0 {
 		return
 	}
-	payload, err := rpc.Marshal(proto.Notification{Block: block, Op: op, Data: data})
+	payload, err := codec.Marshal(proto.Notification{Block: block, Op: op, Data: data})
 	if err != nil {
 		return
 	}
