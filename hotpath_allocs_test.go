@@ -55,7 +55,10 @@ func allocCluster(t *testing.T) *jiffy.Client {
 
 // TestKVPutSingleAllocs pins the put round trip. Keys are pre-written
 // so the measured puts are steady-state overwrites, not hash-map
-// growth.
+// growth: the server decodes into a pooled vector and the table copies
+// the value into the bytes it already holds, so what is left is the
+// client's copy of the key as argument 0 (4 objects when every put
+// re-allocated its value and its vectors).
 func TestKVPutSingleAllocs(t *testing.T) {
 	c := allocCluster(t)
 	c.RegisterJob(context.Background(), "allocs")
@@ -81,13 +84,17 @@ func TestKVPutSingleAllocs(t *testing.T) {
 		}
 		i++
 	})
-	if allocs > 6 {
-		t.Fatalf("KV put single-op allocates %.1f objects/op, want <= 6", allocs)
+	t.Logf("KV put: %.1f objects/op", allocs)
+	if allocs > 1 {
+		t.Fatalf("KV put single-op allocates %.1f objects/op, want <= 1", allocs)
 	}
 }
 
-// TestKVGetSingleAllocs pins the get round trip, including the
-// borrowed-response copy-out (one exact-size value allocation).
+// TestKVGetSingleAllocs pins the get round trip: the server copies the
+// value into its pooled response under the bucket lock, the client
+// decodes into the caller's vector, and what is left is the client's
+// copy of the key and the value the caller keeps (7 objects with a
+// view, a result vector and a decode vector at each end).
 func TestKVGetSingleAllocs(t *testing.T) {
 	c := allocCluster(t)
 	c.RegisterJob(context.Background(), "allocs")
@@ -114,14 +121,15 @@ func TestKVGetSingleAllocs(t *testing.T) {
 		}
 		i++
 	})
-	if allocs > 8 {
-		t.Fatalf("KV get single-op allocates %.1f objects/op, want <= 8", allocs)
+	t.Logf("KV get: %.1f objects/op", allocs)
+	if allocs > 2 {
+		t.Fatalf("KV get single-op allocates %.1f objects/op, want <= 2", allocs)
 	}
 }
 
-// TestQueueEnqueueSingleAllocs pins the enqueue round trip. Segment
-// growth amortizes across ops, so the ceiling carries a small margin
-// over the steady-state count.
+// TestQueueEnqueueSingleAllocs pins the enqueue round trip: the item
+// the segment stores is its one steady-state allocation. Segment growth
+// amortizes across ops, so the ceiling carries a margin of one.
 func TestQueueEnqueueSingleAllocs(t *testing.T) {
 	c := allocCluster(t)
 	c.RegisterJob(context.Background(), "allocs")
@@ -138,8 +146,9 @@ func TestQueueEnqueueSingleAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 5 {
-		t.Fatalf("queue enqueue single-op allocates %.1f objects/op, want <= 5", allocs)
+	t.Logf("queue enqueue: %.1f objects/op", allocs)
+	if allocs > 2 {
+		t.Fatalf("queue enqueue single-op allocates %.1f objects/op, want <= 2", allocs)
 	}
 }
 
@@ -253,11 +262,14 @@ func TestFileWrite1MChain3AllocBytes(t *testing.T) {
 // AppendBatch of 64 × 100 B records and a KV MultiGet of 64 keys, each a
 // whole in-process round trip. A batch frame decodes into one arg vector,
 // the client decodes every result into one reused value vector, and an
-// append's integer result is one object, so what is left per op is the
-// record the partition stores and its result (a get's one-value view).
-// Measured steady states: AppendBatch 78 objects per call, 271 with a
-// vector per op at both ends and a two-object integer result; MultiGet
-// 146, 401 then. The ceilings carry a small margin.
+// append's integer result is one object, so what is left per append is
+// the record the partition stores and its result. A get is copied into
+// the batch response under its bucket lock, so it leaves nothing, and
+// MultiGet pays only per call. Measured steady states: AppendBatch 78
+// objects per call, 271 with a vector per op at both ends and a
+// two-object integer result; MultiGet 18, 146 with a key string and a
+// one-value view per get, 401 with the vectors too. The ceilings carry
+// a small margin.
 func TestBatchAllocs(t *testing.T) {
 	c := allocCluster(t)
 	ctx := context.Background()
@@ -309,8 +321,8 @@ func TestBatchAllocs(t *testing.T) {
 			}
 		})
 		t.Logf("MultiGet of 64 keys: %.1f objects/call", allocs)
-		if allocs > 160 {
-			t.Fatalf("MultiGet of 64 keys allocates %.1f objects, want <= 160", allocs)
+		if allocs > 24 {
+			t.Fatalf("MultiGet of 64 keys allocates %.1f objects, want <= 24", allocs)
 		}
 	})
 }

@@ -57,7 +57,7 @@ func (cu *Custom) route(_ core.OpType, _ string, chunk int) (ds.PartitionEntry, 
 // is not a mutation is taken to be an idempotent read, routed to the
 // tail, and may be hedged or served by another chain member.
 func (cu *Custom) Exec(ctx context.Context, ci int, op core.OpType, args ...[]byte) ([][]byte, error) {
-	res, _, err := cu.h.run(ctx, op, "", ci, args)
+	res, _, err := cu.h.run(ctx, op, "", ci, args, nil)
 	return res, err
 }
 

@@ -75,7 +75,7 @@ func (f *File) WriteAt(ctx context.Context, off int, data []byte) error {
 		if n > len(data) {
 			n = len(data)
 		}
-		if _, _, err := f.h.run(ctx, core.OpFileWrite, "", ci, [][]byte{ds.U64(uint64(in)), data[:n]}); err != nil {
+		if _, _, err := f.h.run(ctx, core.OpFileWrite, "", ci, [][]byte{ds.U64(uint64(in)), data[:n]}, nil); err != nil {
 			return err
 		}
 		off += n
@@ -149,7 +149,8 @@ func (f *File) ReadAt(ctx context.Context, off, n int) ([]byte, error) {
 
 // readChunk reads within one chunk.
 func (f *File) readChunk(ctx context.Context, ci, in, n int) ([]byte, error) {
-	return one(f.h.run(ctx, core.OpFileRead, "", ci, [][]byte{ds.U64(uint64(in)), ds.U64(uint64(n))}))
+	var res [1][]byte
+	return one(f.h.run(ctx, core.OpFileRead, "", ci, [][]byte{ds.U64(uint64(in)), ds.U64(uint64(n))}, res[:0]))
 }
 
 // Seek positions the sequential-read cursor (seek in §5.1).
@@ -182,7 +183,8 @@ func (f *File) AppendRecord(ctx context.Context, data []byte) (int, error) {
 	if cs <= 0 {
 		return 0, fmt.Errorf("client: file has no chunk size")
 	}
-	res, chunk, err := f.h.run(ctx, core.OpFileAppend, "", tailChunk, [][]byte{data})
+	var vals [1][]byte
+	res, chunk, err := f.h.run(ctx, core.OpFileAppend, "", tailChunk, [][]byte{data}, vals[:0])
 	if err != nil {
 		return 0, err
 	}

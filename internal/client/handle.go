@@ -87,8 +87,9 @@ func (h *handle) requestScale(ctx context.Context, block core.BlockID) error {
 // dispatch stage. Connection-level failures evict the pooled session so
 // the next attempt re-dials. Every call feeds the per-server health
 // tracker (latency EWMA + windowed quantile — allocation-free, so the
-// PR 9 small-op hot path keeps its ceilings).
-func (h *handle) do(ctx context.Context, info core.BlockInfo, op core.OpType, args [][]byte) ([][]byte, error) {
+// small-op hot path keeps its ceilings). The values are decoded into
+// res, the caller's vector.
+func (h *handle) do(ctx context.Context, info core.BlockInfo, op core.OpType, args, res [][]byte) ([][]byte, error) {
 	conn, err := h.c.dataConn(info.Server)
 	if err != nil {
 		// An unreachable server is a connection failure like any other:
@@ -138,7 +139,7 @@ func (h *handle) do(ctx context.Context, info core.BlockInfo, op core.OpType, ar
 		}
 		return nil, err
 	}
-	vals, derr := ds.DecodeVals(payload)
+	vals, derr := ds.DecodeValsInto(res, payload)
 	if pooled {
 		// Vals alias the borrowed buffer: copy them out (exact-size
 		// allocations) before recycling it.

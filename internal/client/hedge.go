@@ -22,20 +22,21 @@ import (
 
 // doRead dispatches one idempotent read to info, hedging it when the
 // client is configured for it and chain offers an alternate.
-// Everything the hedge path allocates (contexts, goroutines, channel)
-// is confined to doHedged, so clients without WithHedgedReads keep the
-// allocation-free hot path through do().
-func (h *handle) doRead(ctx context.Context, info core.BlockInfo, chain core.ReplicaChain, op core.OpType, args [][]byte) ([][]byte, error) {
+// Everything the hedge path allocates (contexts, goroutines, channel,
+// the arms' own result vectors) is confined to doHedged, so clients
+// without WithHedgedReads keep the allocation-free hot path through
+// do(), which decodes into res.
+func (h *handle) doRead(ctx context.Context, info core.BlockInfo, chain core.ReplicaChain, op core.OpType, args, res [][]byte) ([][]byte, error) {
 	if !h.c.hedgeOn {
-		return h.do(ctx, info, op, args)
+		return h.do(ctx, info, op, args, res)
 	}
 	delay, ok := h.c.health.hedgeDelay(info.Server)
 	if !ok {
-		return h.do(ctx, info, op, args)
+		return h.do(ctx, info, op, args, res)
 	}
 	alt, ok := h.altFor(info, chain)
 	if !ok {
-		return h.do(ctx, info, op, args)
+		return h.do(ctx, info, op, args, res)
 	}
 	return h.doHedged(ctx, info, alt, delay, op, args)
 }
@@ -101,7 +102,7 @@ func (h *handle) doHedged(ctx context.Context, primary, alt core.BlockInfo, dela
 
 	results := make(chan hedgeResult, 2)
 	go func() {
-		vals, err := h.do(pctx, primary, op, args)
+		vals, err := h.do(pctx, primary, op, args, nil)
 		results <- hedgeResult{vals, err, false}
 	}()
 
@@ -121,7 +122,7 @@ func (h *handle) doHedged(ctx context.Context, primary, alt core.BlockInfo, dela
 				h.c.hedgesFired.Inc()
 			}
 			go func() {
-				vals, err := h.do(bctx, alt, op, args)
+				vals, err := h.do(bctx, alt, op, args, nil)
 				results <- hedgeResult{vals, err, true}
 			}()
 		case r := <-results:

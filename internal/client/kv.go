@@ -34,18 +34,19 @@ func (k *KV) route(_ core.OpType, key string, _ int) (ds.PartitionEntry, error) 
 
 // Put stores a key-value pair.
 func (k *KV) Put(ctx context.Context, key string, value []byte) error {
-	_, _, err := k.h.run(ctx, core.OpPut, key, 0, [][]byte{[]byte(key), value})
+	_, _, err := k.h.run(ctx, core.OpPut, key, 0, [][]byte{[]byte(key), value}, nil)
 	return err
 }
 
 // Get fetches the value for key.
 func (k *KV) Get(ctx context.Context, key string) ([]byte, error) {
-	return one(k.h.run(ctx, core.OpGet, key, 0, [][]byte{[]byte(key)}))
+	var res [1][]byte
+	return one(k.h.run(ctx, core.OpGet, key, 0, [][]byte{[]byte(key)}, res[:0]))
 }
 
 // Exists reports whether key is present.
 func (k *KV) Exists(ctx context.Context, key string) (bool, error) {
-	_, _, err := k.h.run(ctx, core.OpExists, key, 0, [][]byte{[]byte(key)})
+	_, _, err := k.h.run(ctx, core.OpExists, key, 0, [][]byte{[]byte(key)}, nil)
 	if errors.Is(err, core.ErrNotFound) {
 		return false, nil
 	}
@@ -54,13 +55,15 @@ func (k *KV) Exists(ctx context.Context, key string) (bool, error) {
 
 // Delete removes key and returns the previous value.
 func (k *KV) Delete(ctx context.Context, key string) ([]byte, error) {
-	return one(k.h.run(ctx, core.OpDelete, key, 0, [][]byte{[]byte(key)}))
+	var res [1][]byte
+	return one(k.h.run(ctx, core.OpDelete, key, 0, [][]byte{[]byte(key)}, res[:0]))
 }
 
 // Update overwrites an existing key and returns the previous value;
 // fails with ErrNotFound if the key is absent.
 func (k *KV) Update(ctx context.Context, key string, value []byte) ([]byte, error) {
-	return one(k.h.run(ctx, core.OpUpdate, key, 0, [][]byte{[]byte(key), value}))
+	var res [1][]byte
+	return one(k.h.run(ctx, core.OpUpdate, key, 0, [][]byte{[]byte(key), value}, res[:0]))
 }
 
 // Subscribe registers for notifications on the given op types across

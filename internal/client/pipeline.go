@@ -286,9 +286,10 @@ func (h *handle) exhausted(op core.OpType, key string, last error) error {
 
 // run drives one op to completion. key addresses a KV slot, chunk a
 // file or custom chunk; a structure ignores the one it does not route
-// by. It returns the op's values and the chunk of the entry that
-// served it.
-func (h *handle) run(ctx context.Context, op core.OpType, key string, chunk int, args [][]byte) ([][]byte, int, error) {
+// by. It returns the op's values, decoded into res (the caller's vector,
+// so a one-value answer costs the caller only its value), and the chunk
+// of the entry that served it.
+func (h *handle) run(ctx context.Context, op core.OpType, key string, chunk int, args, res [][]byte) ([][]byte, int, error) {
 	rec := recovery{h: h}
 	var last error
 	for attempt := 0; attempt < h.c.policy.Limit; attempt++ {
@@ -298,11 +299,11 @@ func (h *handle) run(ctx context.Context, op core.OpType, key string, chunk int,
 			if retry, err = rec.admit(op, at.Server); err == nil {
 				var vals [][]byte
 				if op.IsMutation() {
-					vals, err = h.do(ctx, at, op, args)
+					vals, err = h.do(ctx, at, op, args, res)
 				} else {
 					// What is not a mutation is an idempotent read: it may
 					// hedge against another member of the chain.
-					vals, err = h.doRead(ctx, at, e.Chain, op, args)
+					vals, err = h.doRead(ctx, at, e.Chain, op, args, res)
 				}
 				if err == nil {
 					return vals, e.Chunk, nil

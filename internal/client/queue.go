@@ -75,14 +75,15 @@ func (q *Queue) redirected(op core.OpType, next core.BlockInfo) {
 // Enqueue appends an item to the queue tail. On a bounded queue at its
 // block limit it reports ErrBlockFull as backpressure to the producer.
 func (q *Queue) Enqueue(ctx context.Context, item []byte) error {
-	_, _, err := q.h.run(ctx, core.OpEnqueue, "", 0, [][]byte{item})
+	_, _, err := q.h.run(ctx, core.OpEnqueue, "", 0, [][]byte{item}, nil)
 	return err
 }
 
 // Dequeue removes and returns the oldest item; returns ErrEmpty when
 // the queue has no pending items.
 func (q *Queue) Dequeue(ctx context.Context) ([]byte, error) {
-	return one(q.h.run(ctx, core.OpDequeue, "", 0, nil))
+	var res [1][]byte
+	return one(q.h.run(ctx, core.OpDequeue, "", 0, nil, res[:0]))
 }
 
 // Peek returns the oldest pending item without consuming it; returns
@@ -91,7 +92,8 @@ func (q *Queue) Dequeue(ctx context.Context) ([]byte, error) {
 // segment's read lock, so concurrent peeks never serialize against
 // each other.
 func (q *Queue) Peek(ctx context.Context) ([]byte, error) {
-	return one(q.h.run(ctx, core.OpQueuePeek, "", 0, nil))
+	var res [1][]byte
+	return one(q.h.run(ctx, core.OpQueuePeek, "", 0, nil, res[:0]))
 }
 
 // Subscribe registers for notifications on the queue's blocks —

@@ -1,6 +1,7 @@
 package cuckoo
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -269,4 +270,134 @@ func BenchmarkGetParallel(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// TestSlotRangeKeysFillTable: the KV store routes keys to a block by
+// the low bits of their FNV-64a hash, so one block's keys all share
+// them. The bucket index must not reuse those bits, or the keys crowd a
+// fraction of the primary buckets and the table grows half empty. Every
+// growth past 256 buckets must come at a load factor of at least 0.9.
+func TestSlotRangeKeysFillTable(t *testing.T) {
+	const numSlots, owned = 1024, 32 // a shard owning 32 of 1 024 slots
+	fnv := func(s string) uint64 {
+		h := uint64(14695981039346656037)
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= 1099511628211
+		}
+		return h
+	}
+	tb := New(0)
+	for i := 0; len(tb.buckets) < 4096; i++ {
+		k := fmt.Sprintf("k%015d", i)
+		if fnv(k)&(numSlots-1) >= owned {
+			continue
+		}
+		before := len(tb.buckets)
+		tb.Set(k, nil, -1)
+		if n := len(tb.buckets); n != before && before >= 256 {
+			if lf := float64(tb.Len()-1) / float64(before*slotsPerBucket); lf < 0.9 {
+				t.Fatalf("grew from %d buckets at load factor %.2f, want >= 0.9", before, lf)
+			}
+		}
+	}
+}
+
+// TestSetOverwritesInPlace: an overwrite copies into the stored bytes
+// when they hold the new value and at most twice it, and takes a fresh
+// copy otherwise; Set copies key and value, so the caller may reuse
+// both.
+func TestSetOverwritesInPlace(t *testing.T) {
+	tb := New(0)
+	stored := func(key string) []byte {
+		h := hashKey(key)
+		for _, i := range [2]uint64{tb.i1(h), tb.i2(tb.i1(h), h)} {
+			if s := tb.find(i, h, key); s >= 0 {
+				return tb.buckets[i].entries[s].val
+			}
+		}
+		t.Fatalf("%q not stored", key)
+		return nil
+	}
+	key := []byte("k")
+	val := bytes.Repeat([]byte{1}, 100)
+	tb.Set(string(key), val, -1)
+	key[0], val[0] = 'x', 9 // the caller's buffers are its own
+	if v, ok := tb.Get("k"); !ok || v[0] != 1 {
+		t.Fatalf("Get = %v, %v after the caller reused its buffers", v[:1], ok)
+	}
+	first := &stored("k")[0]
+	for _, c := range []struct {
+		n       int
+		inPlace bool
+	}{{100, true}, {60, true}, {100, true}, {40, false}, {100, false}} {
+		before := &stored("k")[0]
+		if existed, ok := tb.Set("k", bytes.Repeat([]byte{byte(c.n)}, c.n), -1); !existed || !ok {
+			t.Fatalf("Set %d bytes: existed=%v stored=%v", c.n, existed, ok)
+		}
+		v := stored("k")
+		if (&v[0] == before) != c.inPlace || len(v) != c.n || v[c.n-1] != byte(c.n) {
+			t.Fatalf("Set %d bytes: in place %v, len %d; want in place %v", c.n, &v[0] == before, len(v), c.inPlace)
+		}
+		if tb.Bytes() != 1+c.n {
+			t.Fatalf("Bytes = %d, want %d", tb.Bytes(), 1+c.n)
+		}
+	}
+	if &stored("k")[0] == first {
+		t.Fatal("a value 2.5x smaller kept the old allocation")
+	}
+}
+
+// TestSetLimit: a write that would grow Bytes past the limit stores
+// nothing, a shrinking or same-size one always fits, and Update touches
+// only existing keys, returning the value it replaced intact.
+func TestSetLimit(t *testing.T) {
+	tb := New(0)
+	if _, ok := tb.Set("a", make([]byte, 100), 1024); !ok {
+		t.Fatal("first insert refused")
+	}
+	if _, ok := tb.Set("b", make([]byte, 800), 1024); !ok {
+		t.Fatal("second insert refused")
+	}
+	if existed, ok := tb.Set("a", make([]byte, 1000), 1024); !existed || ok {
+		t.Fatalf("overwrite growing past the limit: existed=%v stored=%v", existed, ok)
+	}
+	if _, ok := tb.Set("c", make([]byte, 200), 1024); ok {
+		t.Fatal("insert past the limit stored")
+	}
+	if tb.Bytes() != 902 || tb.Len() != 2 {
+		t.Fatalf("bytes=%d len=%d, want 902 and 2", tb.Bytes(), tb.Len())
+	}
+	if _, ok := tb.Set("b", make([]byte, 800), 900); !ok {
+		t.Fatal("same-size overwrite over the limit refused")
+	}
+
+	old := bytes.Repeat([]byte("o"), 100)
+	tb.Set("a", old, -1)
+	prev, found, ok := tb.Update("a", bytes.Repeat([]byte("n"), 100), -1)
+	if !found || !ok || !bytes.Equal(prev, old) {
+		t.Fatalf("Update = %q, %v, %v; want the old value", prev, found, ok)
+	}
+	if _, found, _ := tb.Update("missing", []byte("v"), -1); found || tb.Has("missing") {
+		t.Fatal("Update inserted an absent key")
+	}
+}
+
+// TestRemoveIf: the matching entries leave the table and their values
+// are handed over whole.
+func TestRemoveIf(t *testing.T) {
+	tb := New(0)
+	for i := 0; i < 100; i++ {
+		tb.Set(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i)), -1)
+	}
+	got := map[string]string{}
+	tb.RemoveIf(func(k string) bool { return len(k) == 2 }, func(k string, v []byte) { got[k] = string(v) })
+	if len(got) != 10 || tb.Len() != 90 {
+		t.Fatalf("removed %d, %d left; want 10 and 90", len(got), tb.Len())
+	}
+	for k, v := range got {
+		if v != "v"+k[1:] || tb.Has(k) {
+			t.Errorf("%s: removed %q, still present %v", k, v, tb.Has(k))
+		}
+	}
 }

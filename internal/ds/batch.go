@@ -151,6 +151,17 @@ func AppendResult(dst []byte, r BatchResult, vals [][]byte) []byte {
 	return dst
 }
 
+// BeginResult opens an OK result on dst whose value vector is then
+// encoded straight onto it (AppendRead). EndResult closes it, mark
+// being len(dst) before BeginResult: it backfills the result's length.
+func BeginResult(dst []byte) []byte { return append(dst, byte(core.CodeOK), 0, 0, 0, 0) }
+
+// EndResult closes a result opened by BeginResult at mark.
+func EndResult(dst []byte, mark int) []byte {
+	binary.BigEndian.PutUint32(dst[mark+1:mark+5], uint32(len(dst)-mark-5))
+	return dst
+}
+
 // AppendBatchResults appends the batch response encoding to dst (which
 // may be a pooled buffer).
 func AppendBatchResults(dst []byte, results []BatchResult) []byte {

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"jiffy/internal/core"
 )
@@ -397,6 +399,100 @@ func TestKVApply(t *testing.T) {
 	}
 	if _, err := kv.Apply(core.OpEnqueue, [][]byte{[]byte("x")}); !errors.Is(err, core.ErrWrongType) {
 		t.Errorf("queue op on kv = %v", err)
+	}
+}
+
+// TestKVOverwriteBoundedByCapacity: an overwrite or Update that grows
+// the shard past its capacity is refused like an insert, and a pair
+// larger than the block is refused outright, whatever the op.
+func TestKVOverwriteBoundedByCapacity(t *testing.T) {
+	kv := fullKV(1024)
+	if err := kv.Put("a", make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Put("b", bytes.Repeat([]byte("b"), 800)); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Put("a", make([]byte, 1000)); !errors.Is(err, core.ErrBlockFull) {
+		t.Errorf("overwrite growing to 1 802 B in 1 024 = %v, want ErrBlockFull", err)
+	}
+	if _, err := kv.Update("b", make([]byte, 5000)); !errors.Is(err, core.ErrTooLarge) {
+		t.Errorf("update with a 5 001 B pair = %v, want ErrTooLarge", err)
+	}
+	if _, err := kv.Update("b", make([]byte, 1000)); !errors.Is(err, core.ErrBlockFull) {
+		t.Errorf("update growing to 1 102 B in 1 024 = %v, want ErrBlockFull", err)
+	}
+	if kv.Bytes() != 902 {
+		t.Fatalf("refused writes left %d bytes, want 902", kv.Bytes())
+	}
+	old, err := kv.Update("b", make([]byte, 700))
+	if err != nil || !bytes.Equal(old, bytes.Repeat([]byte("b"), 800)) {
+		t.Errorf("shrinking update = %d bytes, %v; want the old 800", len(old), err)
+	}
+}
+
+// TestKVExportStrandsNoWrite: a put racing ExportSlots either lands
+// before the export, and moves with its slot, or is refused as stale.
+// An acknowledged put is never stranded in the donor, where no client
+// would look for it again.
+func TestKVExportStrandsNoWrite(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		kv := fullKV(core.MB)
+		upper, _ := kv.SplitUpper()
+		stop := make(chan struct{})
+		acked := make([][]string, 4)
+		var wg sync.WaitGroup
+		for w := range acked {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					key := fmt.Sprintf("w%d-%d", w, i)
+					if kv.Put(key, []byte("v")) == nil {
+						acked[w] = append(acked[w], key)
+					}
+				}
+			}()
+		}
+		time.Sleep(100 * time.Microsecond)
+		moved := map[string]bool{}
+		for _, e := range kv.ExportSlots(upper) {
+			moved[e.Key] = true
+		}
+		close(stop)
+		wg.Wait()
+		for _, keys := range acked {
+			for _, key := range keys {
+				slot := SlotOf(key, 64)
+				if slot >= upper[0].Lo && !moved[key] {
+					t.Fatalf("round %d: put of %s (slot %d) acknowledged but neither moved nor refused", round, key, slot)
+				}
+			}
+		}
+	}
+}
+
+// TestKVAppendRead: a get answered by appending encodes the same
+// one-value vector Apply returns, behind whatever dst held; a miss or a
+// foreign slot leaves dst as it was.
+func TestKVAppendRead(t *testing.T) {
+	kv := fullKV(core.MB)
+	kv.Put("k", []byte("value"))
+	out, handled, err := AppendRead(kv, []byte("head"), core.OpGet, [][]byte{[]byte("k")})
+	if !handled || err != nil || !bytes.Equal(out, append([]byte("head"), EncodeVals([][]byte{[]byte("value")})...)) {
+		t.Fatalf("AppendRead = %q, %v, %v", out, handled, err)
+	}
+	out, _, err = AppendRead(kv, []byte("head"), core.OpGet, [][]byte{[]byte("missing")})
+	if !errors.Is(err, core.ErrNotFound) || string(out) != "head" {
+		t.Errorf("miss = %q, %v", out, err)
+	}
+	if _, handled, _ := AppendRead(kv, nil, core.OpPut, nil); handled {
+		t.Error("a put took the appending read path")
 	}
 }
 

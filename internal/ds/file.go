@@ -189,13 +189,13 @@ func (f *File) ReadAt(off, length int) ([]byte, error) {
 	return out, nil
 }
 
-// ApplyView implements ViewReader for OpFileRead. Unlike KV values and
-// queue items, file bytes ARE mutated in place (WriteAt over written
+// ApplyView implements ViewReader for OpFileRead. Unlike queue items,
+// file bytes ARE mutated in place (WriteAt over written
 // regions), so the view is leased: it returns with the chunk's read
 // lock held and Release drops it, which blocks writers — but not other
 // readers or Snapshot — for exactly as long as the response is being
 // handed to the transport.
-func (f *File) ApplyView(op core.OpType, args [][]byte) (View, bool, error) {
+func (f *File) ApplyView(op core.OpType, args, dst [][]byte) (View, bool, error) {
 	if op != core.OpFileRead {
 		return View{}, false, nil
 	}
@@ -217,14 +217,14 @@ func (f *File) ApplyView(op core.OpType, args [][]byte) (View, bool, error) {
 	f.mu.RLock()
 	if o >= f.size {
 		f.mu.RUnlock()
-		return View{Vals: [][]byte{nil}}, true, nil
+		return View{Vals: append(dst, nil)}, true, nil
 	}
 	end := o + l
 	if end > f.size || end < o {
 		end = f.size
 	}
 	return View{
-		Vals:    [][]byte{f.data[o:end]},
+		Vals:    append(dst, f.data[o:end]),
 		Release: f.mu.RUnlock,
 	}, true, nil
 }

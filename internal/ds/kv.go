@@ -1,9 +1,11 @@
 package ds
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"jiffy/internal/codec"
 	"jiffy/internal/core"
@@ -16,6 +18,11 @@ import (
 // stores its key-value pairs in a cuckoo hash table. Repartitioning
 // reassigns half of an overloaded block's slots to a new block and
 // moves the corresponding pairs (hash-based repartitioning, Table 2).
+//
+// Values stay where they are: an overwrite copies into the stored bytes
+// when they fit (cuckoo.Table.Set), so every read copies its value out
+// under the bucket lock that guards it — Get, AppendRead, Snapshot and
+// ExportSlots all do — and no stored value is ever handed out.
 type KV struct {
 	table    *cuckoo.Table
 	numSlots int
@@ -46,14 +53,6 @@ func (k *KV) Capacity() int {
 	return k.cap
 }
 
-// slots returns the slot-space size under the lock (Restore may change
-// it when a snapshot with a different configuration is loaded).
-func (k *KV) slots() int {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	return k.numSlots
-}
-
 // Bytes implements Partition.
 func (k *KV) Bytes() int { return k.table.Bytes() }
 
@@ -67,28 +66,30 @@ func (k *KV) Owned() []SlotRange {
 	return append([]SlotRange(nil), k.owned...)
 }
 
-// owns reports whether the shard currently owns the slot.
-func (k *KV) owns(slot int) bool {
+// lockOwned validates routing — a key whose slot this shard does not
+// own means the client's partition map is stale — and on success
+// returns with k.mu read-locked: the caller unlocks once its table op
+// is done. ExportSlots disowns and removes under the write lock, so an
+// op lands either before its slot moves, and moves with it, or after,
+// and is refused; never in between, where a write would be stranded in
+// the donor and a read would miss a pair on its way out.
+func (k *KV) lockOwned(key string) error {
 	k.mu.RLock()
-	defer k.mu.RUnlock()
+	slot := SlotOf(key, k.numSlots)
 	for _, r := range k.owned {
 		if r.Contains(slot) {
-			return true
+			return nil
 		}
 	}
-	return false
+	k.mu.RUnlock()
+	return fmt.Errorf("ds: slot %d not owned by this block: %w", slot, core.ErrStaleEpoch)
 }
 
-// checkOwned validates routing: a key whose slot this shard does not
-// own means the client's partition map is stale.
-func (k *KV) checkOwned(key string) error {
-	slot := SlotOf(key, k.slots())
-	if !k.owns(slot) {
-		return fmt.Errorf("ds: slot %d not owned by this block: %w",
-			slot, core.ErrStaleEpoch)
-	}
-	return nil
-}
+// keyOf views a key argument as a string without copying it. The
+// string aliases the request frame, so nothing may keep it past the op:
+// the table copies a key it inserts (cuckoo.Table.Set), and an error
+// formats it into its own message.
+func keyOf(arg []byte) string { return unsafe.String(unsafe.SliceData(arg), len(arg)) }
 
 // Apply implements Partition.
 //
@@ -103,12 +104,12 @@ func (k *KV) Apply(op core.OpType, args [][]byte) ([][]byte, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("ds: put wants 2 args, got %d", len(args))
 		}
-		return nil, k.Put(string(args[0]), args[1])
+		return nil, k.Put(keyOf(args[0]), args[1])
 	case core.OpGet:
 		if len(args) != 1 {
 			return nil, fmt.Errorf("ds: get wants 1 arg, got %d", len(args))
 		}
-		v, err := k.Get(string(args[0]))
+		v, err := k.Get(keyOf(args[0]))
 		if err != nil {
 			return nil, err
 		}
@@ -117,7 +118,7 @@ func (k *KV) Apply(op core.OpType, args [][]byte) ([][]byte, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("ds: delete wants 1 arg, got %d", len(args))
 		}
-		old, err := k.Delete(string(args[0]))
+		old, err := k.Delete(keyOf(args[0]))
 		if err != nil {
 			return nil, err
 		}
@@ -126,10 +127,12 @@ func (k *KV) Apply(op core.OpType, args [][]byte) ([][]byte, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("ds: exists wants 1 arg, got %d", len(args))
 		}
-		if err := k.checkOwned(string(args[0])); err != nil {
+		key := keyOf(args[0])
+		if err := k.lockOwned(key); err != nil {
 			return nil, err
 		}
-		if _, ok := k.table.Get(string(args[0])); !ok {
+		defer k.mu.RUnlock()
+		if !k.table.Has(key) {
 			return nil, core.ErrNotFound
 		}
 		return nil, nil
@@ -137,7 +140,7 @@ func (k *KV) Apply(op core.OpType, args [][]byte) ([][]byte, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("ds: update wants 2 args, got %d", len(args))
 		}
-		old, err := k.Update(string(args[0]), args[1])
+		old, err := k.Update(keyOf(args[0]), args[1])
 		if err != nil {
 			return nil, err
 		}
@@ -149,78 +152,107 @@ func (k *KV) Apply(op core.OpType, args [][]byte) ([][]byte, error) {
 	}
 }
 
-// ApplyView implements ViewReader for OpGet: the returned value aliases
-// the stored bytes with no lease needed — Put and Update copy values in
-// and never mutate stored bytes, and repartitioning moves slice headers,
-// not bytes (immutable-values regime, see view.go).
-func (k *KV) ApplyView(op core.OpType, args [][]byte) (View, bool, error) {
-	if op != core.OpGet {
-		return View{}, false, nil
-	}
+// appendGet answers OpGet for AppendRead: the one-value result vector
+// is encoded onto dst, the value copied in under its bucket lock. A
+// single op's value thus goes straight into its pooled response, and a
+// batched one into the batch response.
+func (k *KV) appendGet(dst []byte, args [][]byte) ([]byte, error) {
 	if len(args) != 1 {
-		return View{}, true, fmt.Errorf("ds: get wants 1 arg, got %d", len(args))
+		return dst, fmt.Errorf("ds: get wants 1 arg, got %d", len(args))
 	}
-	v, err := k.Get(string(args[0]))
-	if err != nil {
-		return View{}, true, err
+	key := keyOf(args[0])
+	if err := k.lockOwned(key); err != nil {
+		return dst, err
 	}
-	return View{Vals: [][]byte{v}}, true, nil
+	defer k.mu.RUnlock()
+	n := len(dst)
+	// A one-value vector: u16 count 1, then the value's u32 length,
+	// backfilled once the value is in.
+	out, ok := k.table.AppendGet(append(dst, 0, 1, 0, 0, 0, 0), key)
+	if !ok {
+		return dst, notFound(key)
+	}
+	binary.BigEndian.PutUint32(out[n+2:n+6], uint32(len(out)-n-6))
+	return out, nil
 }
 
-// Put inserts or overwrites a pair. Writes that would push the shard
-// beyond its capacity are rejected with ErrBlockFull; the proactive
+// notFound is the answer for an absent key.
+func notFound(key string) error { return fmt.Errorf("ds: key %q: %w", key, core.ErrNotFound) }
+
+// room returns the shard's capacity, or ErrTooLarge when the pair alone
+// exceeds it. Caller holds k.mu.
+func (k *KV) room(key string, value []byte) (int, error) {
+	if len(key)+len(value) > k.cap {
+		return 0, fmt.Errorf("ds: pair of %d bytes exceeds block capacity %d: %w",
+			len(key)+len(value), k.cap, core.ErrTooLarge)
+	}
+	return k.cap, nil
+}
+
+// Put inserts or overwrites a pair; key and value may alias memory the
+// caller reuses. A write that would grow the shard past its capacity —
+// an insert or an overwrite with a longer value — is refused with
+// ErrBlockFull, checked together with the write; the proactive
 // high-threshold split normally prevents ever reaching this.
 func (k *KV) Put(key string, value []byte) error {
-	if err := k.checkOwned(key); err != nil {
+	if err := k.lockOwned(key); err != nil {
 		return err
 	}
-	capacity := k.Capacity()
-	if len(key)+len(value) > capacity {
-		return fmt.Errorf("ds: pair of %d bytes exceeds block capacity %d: %w",
-			len(key)+len(value), capacity, core.ErrTooLarge)
+	defer k.mu.RUnlock()
+	capacity, err := k.room(key, value)
+	if err != nil {
+		return err
 	}
-	if k.table.Bytes()+len(key)+len(value) > capacity {
-		if _, exists := k.table.Get(key); !exists {
-			return core.ErrBlockFull
-		}
+	if _, ok := k.table.Set(key, value, capacity); !ok {
+		return core.ErrBlockFull
 	}
-	k.table.Put(key, append([]byte(nil), value...))
 	return nil
 }
 
-// Get returns the value for key.
+// Get returns a copy of the value for key.
 func (k *KV) Get(key string) ([]byte, error) {
-	if err := k.checkOwned(key); err != nil {
+	if err := k.lockOwned(key); err != nil {
 		return nil, err
 	}
+	defer k.mu.RUnlock()
 	v, ok := k.table.Get(key)
 	if !ok {
-		return nil, fmt.Errorf("ds: key %q: %w", key, core.ErrNotFound)
+		return nil, notFound(key)
 	}
 	return v, nil
 }
 
 // Delete removes key, returning the old value.
 func (k *KV) Delete(key string) ([]byte, error) {
-	if err := k.checkOwned(key); err != nil {
+	if err := k.lockOwned(key); err != nil {
 		return nil, err
 	}
+	defer k.mu.RUnlock()
 	old, ok := k.table.Delete(key)
 	if !ok {
-		return nil, fmt.Errorf("ds: key %q: %w", key, core.ErrNotFound)
+		return nil, notFound(key)
 	}
 	return old, nil
 }
 
-// Update overwrites an existing key, returning the previous value.
+// Update overwrites an existing key, returning the previous value. It
+// is bounded by the capacity like Put.
 func (k *KV) Update(key string, value []byte) ([]byte, error) {
-	if err := k.checkOwned(key); err != nil {
+	if err := k.lockOwned(key); err != nil {
 		return nil, err
 	}
-	if _, ok := k.table.Get(key); !ok {
-		return nil, fmt.Errorf("ds: key %q: %w", key, core.ErrNotFound)
+	defer k.mu.RUnlock()
+	capacity, err := k.room(key, value)
+	if err != nil {
+		return nil, err
 	}
-	prev, _ := k.table.Put(key, append([]byte(nil), value...))
+	prev, found, ok := k.table.Update(key, value, capacity)
+	switch {
+	case !found:
+		return nil, notFound(key)
+	case !ok:
+		return nil, core.ErrBlockFull
+	}
 	return prev, nil
 }
 
@@ -235,34 +267,31 @@ type KVEntry struct {
 // of a split: after it returns, requests for moved keys fail with
 // ErrStaleEpoch, prompting clients to refresh their partition map.
 func (k *KV) ExportSlots(ranges []SlotRange) []KVEntry {
+	// Disown and remove under the write lock: no op that checked
+	// ownership is still in the table meanwhile (lockOwned), and none
+	// that checks later owns the moving slots.
 	k.mu.Lock()
-	// Disown first so concurrent writers can no longer add to the
-	// moving slots.
+	defer k.mu.Unlock()
 	k.owned = subtractRanges(k.owned, ranges)
-	k.mu.Unlock()
-
-	numSlots := k.slots()
 	var out []KVEntry
-	var doomed []string
-	k.table.Range(func(key string, val []byte) bool {
-		slot := SlotOf(key, numSlots)
+	k.table.RemoveIf(func(key string) bool {
+		slot := SlotOf(key, k.numSlots)
 		for _, r := range ranges {
 			if r.Contains(slot) {
-				out = append(out, KVEntry{Key: key, Value: val})
-				doomed = append(doomed, key)
-				break
+				return true
 			}
 		}
-		return true
+		return false
+	}, func(key string, val []byte) {
+		out = append(out, KVEntry{Key: key, Value: val})
 	})
-	for _, key := range doomed {
-		k.table.Delete(key)
-	}
 	return out
 }
 
 // ImportEntries installs pairs and takes ownership of ranges: the
-// recipient half of a split (or merge).
+// recipient half of a split (or merge). The shard keeps the entries'
+// values, which the caller hands over: a later overwrite may reuse
+// their bytes.
 func (k *KV) ImportEntries(ranges []SlotRange, entries []KVEntry) {
 	k.mu.Lock()
 	k.owned = addRanges(k.owned, ranges)
@@ -355,11 +384,16 @@ type kvSnapshot struct {
 	Owned    []SlotRange
 }
 
-// Snapshot implements Partition.
+// Snapshot implements Partition. Every value is copied out under the
+// table lock, into one arena: an entry's bytes sit where the arena held
+// them when it was appended, and growth moves later appends, never
+// earlier ones.
 func (k *KV) Snapshot() ([]byte, error) {
 	var entries []KVEntry
+	var arena []byte
 	k.table.Range(func(key string, val []byte) bool {
-		entries = append(entries, KVEntry{Key: key, Value: val})
+		arena = append(arena, val...)
+		entries = append(entries, KVEntry{Key: key, Value: arena[len(arena)-len(val) : len(arena) : len(arena)]})
 		return true
 	})
 	return codec.Marshal(&kvSnapshot{

@@ -285,10 +285,16 @@ func scanVec(dst [][]byte, data []byte) (vec [][]byte, rest []byte, err error) {
 	return vec, data[off:], nil
 }
 
-// DecodeRequest parses a data-plane operation; bytes after it are an
-// error.
+// DecodeRequest parses a data-plane operation into a fresh arg vector.
 func DecodeRequest(data []byte) (op core.OpType, block core.BlockID, args [][]byte, err error) {
-	op, block, args, rest, err := decodeRequestPrefix(nil, data)
+	return DecodeRequestInto(nil, data)
+}
+
+// DecodeRequestInto parses a data-plane operation, appending its args
+// to dst; they alias data, and bytes after the operation are an error.
+// The server decodes every single op into a pooled vector (dst[:0]).
+func DecodeRequestInto(dst [][]byte, data []byte) (op core.OpType, block core.BlockID, args [][]byte, err error) {
+	op, block, args, rest, err := decodeRequestPrefix(dst, data)
 	if err == nil && len(rest) != 0 {
 		return 0, 0, nil, fmt.Errorf("ds: %d trailing bytes after request", len(rest))
 	}

@@ -230,7 +230,7 @@ func (q *Queue) Peek() ([]byte, error) {
 // ApplyView implements ViewReader for OpQueuePeek: the returned value
 // aliases the stored item with no lease needed (immutability
 // invariant).
-func (q *Queue) ApplyView(op core.OpType, args [][]byte) (View, bool, error) {
+func (q *Queue) ApplyView(op core.OpType, args, dst [][]byte) (View, bool, error) {
 	if op != core.OpQueuePeek {
 		return View{}, false, nil
 	}
@@ -238,7 +238,7 @@ func (q *Queue) ApplyView(op core.OpType, args [][]byte) (View, bool, error) {
 	if err != nil {
 		return View{}, true, err
 	}
-	return View{Vals: [][]byte{item}}, true, nil
+	return View{Vals: append(dst, item)}, true, nil
 }
 
 // Drained reports whether the segment is sealed and fully consumed —

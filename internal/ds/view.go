@@ -13,15 +13,18 @@ import (
 // regimes, and every ViewReader implementation must satisfy one:
 //
 //   - Immutable values: the partition never mutates stored bytes in
-//     place. KV shards copy values on Put/Update and queues copy items
-//     on Enqueue, so a returned slice can outlive the partition lock —
-//     repartitioning moves the slice headers, never the bytes, and
-//     deletion merely drops references the response still holds.
+//     place. Queues copy items on Enqueue, so a peeked slice can outlive
+//     the partition lock — deletion merely drops references the
+//     response still holds.
 //   - Leased views: the partition DOES mutate memory in place (a file
 //     chunk's WriteAt), so ApplyView returns with a read lease held —
 //     Release drops it. The rpc layer fires Release exactly once when
 //     the response frame's bytes have been handed to the transport,
 //     which bounds the lease to the in-flight response.
+//
+// KV values are overwritten in place too, and small: instead of a
+// leased view, a KV read copies its value into the response under the
+// bucket lock that guards it (AppendRead).
 type View struct {
 	// Vals is the result vector; slices may alias partition memory.
 	Vals [][]byte
@@ -33,18 +36,33 @@ type View struct {
 // ViewReader is implemented by partitions that can serve non-mutating
 // ops as zero-copy views into their memory.
 type ViewReader interface {
-	// ApplyView executes op if it has a zero-copy form. handled=false
-	// means the caller must fall back to Apply; when an error is
-	// returned no lease is held.
-	ApplyView(op core.OpType, args [][]byte) (v View, handled bool, err error)
+	// ApplyView executes op if it has a zero-copy form; Vals is dst
+	// extended by the result, so a caller answering many ops reuses one
+	// vector. handled=false means the caller must fall back to Apply;
+	// when an error is returned no lease is held.
+	ApplyView(op core.OpType, args, dst [][]byte) (v View, handled bool, err error)
 }
 
 // ApplyView tries the zero-copy read path against a partition.
-func ApplyView(p Partition, op core.OpType, args [][]byte) (View, bool, error) {
+func ApplyView(p Partition, op core.OpType, args, dst [][]byte) (View, bool, error) {
 	if vr, ok := p.(ViewReader); ok {
-		return vr.ApplyView(op, args)
+		return vr.ApplyView(op, args, dst)
 	}
 	return View{}, false, nil
+}
+
+// AppendRead answers a read by encoding its result vector (the
+// AppendVals layout) onto dst under the lock that guards the values,
+// when the partition has that form: a KV get. Nothing in the answer
+// aliases partition memory, and no result vector exists. handled=false
+// means the caller must fall back; on an error dst comes back
+// unextended.
+func AppendRead(p Partition, dst []byte, op core.OpType, args [][]byte) (out []byte, handled bool, err error) {
+	if kv, ok := p.(*KV); ok && op == core.OpGet {
+		out, err = kv.appendGet(dst, args)
+		return out, true, err
+	}
+	return dst, false, nil
 }
 
 // AppendValsVec encodes a result vector (same wire layout as

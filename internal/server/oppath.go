@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"jiffy/internal/blockstore"
 	"jiffy/internal/core"
@@ -36,8 +37,36 @@ type opCtx struct {
 	// hop never: the controller knows the head's block, not a replica's.
 	checkNow bool
 
-	res   [][]byte
-	lease func() // a view's read lease, held until res is encoded
+	// out is the response the result is encoded onto: the pooled
+	// payload of a single op, the batch response of a batched one. A
+	// read the partition answers by appending (ds.AppendRead) extends
+	// it in the apply stage and sets encoded; any other result is res,
+	// which the entry encodes.
+	out     []byte
+	encoded bool
+	res     [][]byte
+	lease   func() // a view's read lease, held until res is encoded
+}
+
+// scratch is the vectors one op decodes its args into and a view
+// extends with its one value (a batch takes one for all its views).
+// They cross the Partition and ViewReader interfaces, so on the stack
+// they would escape; pooled, a steady-state op allocates neither.
+type scratch struct {
+	args, res [][]byte
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{args: make([][]byte, 0, 4), res: make([][]byte, 0, 1)}
+}}
+
+// release drops what the vectors point at — the request frame, block
+// memory — and pools them.
+func (sc *scratch) release() {
+	clear(sc.args[:cap(sc.args)])
+	clear(sc.res[:cap(sc.res)])
+	sc.args, sc.res = sc.args[:0], sc.res[:0]
+	scratchPool.Put(sc)
 }
 
 // runOp runs one op (MethodDataOp). Inline, it returns
@@ -45,13 +74,17 @@ type opCtx struct {
 // nothing, and the rpc layer runs it again from decode on a goroutine.
 // The response never aliases the request payload: partitions copy what
 // they keep, and a result is either owned outright (a dequeued item, a
-// removed value) or a view into block memory (see encode).
+// removed value), copied into the response (a KV value, a small view)
+// or a view into block memory (see encode).
 func (s *Server) runOp(ctx context.Context, payload []byte, inline bool) (rpc.Response, error) {
-	o := opCtx{checkNow: true}
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	o := opCtx{checkNow: true, out: wire.GetBuf(), res: sc.res[:0]}
 	var err error
-	if o.op, o.block, o.args, err = ds.DecodeRequest(payload); err != nil {
+	if o.op, o.block, o.args, err = ds.DecodeRequestInto(sc.args[:0], payload); err != nil {
 		return o.encode(err)
 	}
+	sc.args = o.args
 	if o.b, err = s.store.Get(o.block); err != nil {
 		return o.encode(err)
 	}
@@ -79,17 +112,31 @@ func (s *Server) runOp(ctx context.Context, payload []byte, inline bool) (rpc.Re
 
 // encode answers one op. An error takes the wire form a batch result
 // has too (ds.ErrResult): its code, with the redirect target or the
-// message as payload. A result goes out as scatter-gather segments;
-// when they alias block memory under a view's lease, the lease and the
-// residency pin are held until the rpc layer has written the frame.
+// message as payload. A result the apply stage encoded already is the
+// payload as it stands. Any other result under the inline frame
+// threshold is copied into the payload, and a view's lease released
+// here; a larger one goes out as scatter-gather segments, and when they
+// alias block memory under a view's lease, the lease and the residency
+// pin are held until the rpc layer has written the frame.
 func (o *opCtx) encode(err error) (rpc.Response, error) {
 	switch {
 	case err == rpc.ErrDispatchAsync:
+		wire.PutBuf(o.out)
 		return rpc.Response{}, err
 	case err != nil:
+		wire.PutBuf(o.out)
 		return rpc.BytesResponse(ds.ErrResult(err).Blob), err
+	case o.encoded:
+		return rpc.BytesResponse(o.out), nil
+	case argBytes(o.res) <= wire.InlineFrameThreshold:
+		o.out = ds.AppendVals(o.out, o.res)
+		if o.lease != nil {
+			o.lease()
+			o.lease = nil
+		}
+		return rpc.BytesResponse(o.out), nil
 	}
-	head, vec := ds.AppendValsVec(wire.GetBuf(), o.res)
+	head, vec := ds.AppendValsVec(o.out, o.res)
 	resp := rpc.Response{Payload: head, Vec: vec}
 	if o.lease != nil {
 		lease, b := o.lease, o.b
@@ -161,18 +208,29 @@ func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, er
 			}
 		}
 	}
-	// The batch response: u16 count, then one ds.AppendResult per op.
+	// The batch response: u16 count, then one result per op. An
+	// appending read encodes its value onto the response behind an OK
+	// result header whose length it backfills; any other outcome goes
+	// through ds.AppendResult.
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
 	resp := binary.BigEndian.AppendUint16(wire.GetBuf(), uint16(len(ops)))
 	mutated := make(map[core.BlockID]*blockstore.Block)
 	for _, bo := range ops {
-		o := opCtx{op: bo.Op, block: bo.Block, args: bo.Args, b: blocks[bo.Block]}
+		mark := len(resp)
+		o := opCtx{op: bo.Op, block: bo.Block, args: bo.Args, b: blocks[bo.Block],
+			out: ds.BeginResult(resp), res: sc.res[:0]}
 		err := refused[bo.Block]
 		if err == nil {
 			if err = s.apply(ctx, &o); err == nil && o.op.IsMutation() {
 				mutated[o.block] = o.b
 			}
 		}
-		resp = ds.AppendResult(resp, ds.ErrResult(err), o.res)
+		if err == nil && o.encoded {
+			resp = ds.EndResult(o.out, mark)
+		} else {
+			resp = ds.AppendResult(o.out[:mark], ds.ErrResult(err), o.res)
+		}
 		if o.lease != nil {
 			o.lease()
 		}
@@ -232,8 +290,9 @@ func (s *Server) admit(ctx context.Context, tenant string, ops, bytes int64, inl
 	return s.gate.Admit(ctx, tenant, ops, bytes)
 }
 
-// argBytes sums the request argument bytes of one op — the ingress
-// byte measure charged against a tenant's BytesPerSec bucket.
+// argBytes sums the bytes of one op's vector: its request args — the
+// ingress byte measure charged against a tenant's BytesPerSec bucket —
+// or its result.
 func argBytes(args [][]byte) int64 {
 	var n int64
 	for _, a := range args {
@@ -244,15 +303,20 @@ func argBytes(args [][]byte) int64 {
 
 // apply runs the op against its pinned block and counts it: the one
 // place ServerStats.Ops moves. A mutation is sequenced and forwarded
-// (sequence). A read takes the partition's zero-copy view when it has
-// one, leaving o.lease set if the view holds a read lease, and the
-// partition's Apply otherwise. A successful op then notifies its
-// block's subscribers, unless it is a hop.
+// (sequence). A read is encoded onto o.out when the partition answers
+// it by appending (a KV get: its value is copied under the bucket
+// lock), takes the partition's zero-copy view when it has one, leaving
+// o.lease set if the view holds a read lease, and the partition's Apply
+// otherwise. A successful op then notifies its block's subscribers,
+// unless it is a hop.
 func (s *Server) apply(ctx context.Context, o *opCtx) (err error) {
 	s.ops.Add(1)
+	p := o.b.Partition
 	if o.op.IsMutation() {
 		o.res, err = s.sequence(ctx, o)
-	} else if v, handled, verr := ds.ApplyView(o.b.Partition, o.op, o.args); handled {
+	} else if out, handled, aerr := ds.AppendRead(p, o.out, o.op, o.args); handled {
+		o.out, o.encoded, err = out, aerr == nil, aerr
+	} else if v, handled, verr := ds.ApplyView(p, o.op, o.args, o.res[:0]); handled {
 		o.res, o.lease, err = v.Vals, v.Release, verr
 	} else {
 		o.res, err = s.store.ApplyOn(o.b, o.op, o.args, o.checkNow)

@@ -369,3 +369,41 @@ func TestBatchReleasesViewLease(t *testing.T) {
 		}
 	}
 }
+
+// TestRunOpKVAllocs is the server-layer allocation gate: a KV put and
+// get through runOp, from decode to the encoded response, allocate
+// nothing. The args decode into a pooled vector, the put copies its
+// value into the bytes the table already holds, and the get copies the
+// value into the pooled response under its bucket lock.
+func TestRunOpKVAllocs(t *testing.T) {
+	if poolsInstrumented {
+		t.Skip("the race detector or the jiffydebug build instruments the pools")
+	}
+	s := startOpServer(t, clock.NewVirtual(time.Unix(0, 0)))
+	if _, err := s.createBlock(proto.CreateBlockReq{Block: 1, Path: "j/t", Type: core.DSKV, Capacity: core.MB,
+		NumSlots: 64, Slots: []ds.SlotRange{{Lo: 0, Hi: 63}}}); err != nil {
+		t.Fatal(err)
+	}
+	val := bytes.Repeat([]byte("v"), 128)
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		req  []byte
+		want []byte
+	}{
+		{"put", ds.EncodeRequest(core.OpPut, 1, [][]byte{[]byte("key"), val}), ds.EncodeVals(nil)},
+		{"get", ds.EncodeRequest(core.OpGet, 1, [][]byte{[]byte("key")}), ds.EncodeVals([][]byte{val})},
+	} {
+		run := func() {
+			resp, err := s.runOp(ctx, c.req, true)
+			if err != nil || !bytes.Equal(resp.Payload, c.want) || resp.Vec != nil {
+				t.Fatalf("%s: %q + %d segments, %v", c.name, resp.Payload, len(resp.Vec), err)
+			}
+			wire.PutBuf(resp.Payload)
+		}
+		run()
+		if allocs := testing.AllocsPerRun(1000, run); allocs != 0 {
+			t.Errorf("runOp %s allocates %.1f objects, want 0", c.name, allocs)
+		}
+	}
+}
