@@ -1,8 +1,9 @@
-// Package alloc implements the controller's block allocator and free
-// list (§4.2.1): the system-wide record of which fixed-size blocks are
-// unassigned, with their physical server locations. Allocation picks
-// blocks from the least-loaded servers, mirroring the controller's
-// global load view in Pocket/Jiffy.
+// Package alloc implements the controller's block allocator (§4.2.1):
+// how many fixed-size blocks each memory server has unassigned, and the
+// ID each placed block gets. Allocation picks blocks from the
+// least-loaded servers, mirroring the controller's global load view in
+// Pocket/Jiffy. IDs come from one counter and are never handed out
+// twice, so a handle to a reclaimed block names an ID no server hosts.
 package alloc
 
 import (
@@ -13,13 +14,11 @@ import (
 	"jiffy/internal/core"
 )
 
-// Allocator tracks free blocks across the memory-server pool.
+// Allocator tracks free block counts across the memory-server pool and
+// mints block IDs.
 type Allocator struct {
-	mu sync.Mutex
-	// free maps server address → free block IDs on that server.
-	free map[string][]core.BlockID
-	// totalPerServer remembers each server's contribution.
-	totalPerServer map[string]int
+	mu      sync.Mutex
+	servers map[string]*ServerState
 	// suspended marks servers on gray-failure probation: their free
 	// blocks stay in the pool (the server is alive and its data intact)
 	// but Allocate avoids them unless the healthy servers alone cannot
@@ -33,39 +32,28 @@ type Allocator struct {
 // New creates an empty allocator.
 func New() *Allocator {
 	return &Allocator{
-		free:           make(map[string][]core.BlockID),
-		totalPerServer: make(map[string]int),
-		suspended:      make(map[string]bool),
-		nextID:         1,
+		servers:   make(map[string]*ServerState),
+		suspended: make(map[string]bool),
+		nextID:    1,
 	}
 }
 
 // RegisterServer adds a memory server contributing n blocks, returning
-// the first block ID of its contiguous ID range. Re-registration (same
-// address) replaces the old entry — the server restarted and its old
-// blocks are gone.
+// its registration mark: the next ID to be minted, so every block
+// placed on this registration has an ID at or above it. Re-registration
+// (same address) replaces the old entry — the server restarted and its
+// old blocks are gone.
 func (a *Allocator) RegisterServer(addr string, n int) (core.BlockID, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("alloc: server %q must contribute at least one block", addr)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if old, exists := a.totalPerServer[addr]; exists {
-		a.totalBlocks -= old
-		a.freeBlocks -= len(a.free[addr])
-		delete(a.free, addr)
-	}
-	first := a.nextID
-	ids := make([]core.BlockID, n)
-	for i := range ids {
-		ids[i] = a.nextID
-		a.nextID++
-	}
-	a.free[addr] = ids
-	a.totalPerServer[addr] = n
+	a.dropLocked(addr)
+	a.servers[addr] = &ServerState{Addr: addr, Total: n, Free: n, Since: a.nextID}
 	a.totalBlocks += n
 	a.freeBlocks += n
-	return first, nil
+	return a.nextID, nil
 }
 
 // RemoveServer drops a server's free blocks from the pool. Blocks
@@ -74,14 +62,22 @@ func (a *Allocator) RegisterServer(addr string, n int) (core.BlockID, error) {
 func (a *Allocator) RemoveServer(addr string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if _, exists := a.totalPerServer[addr]; !exists {
-		return
+	if a.dropLocked(addr) {
+		delete(a.suspended, addr)
 	}
-	a.freeBlocks -= len(a.free[addr])
-	a.totalBlocks -= a.totalPerServer[addr]
-	delete(a.free, addr)
-	delete(a.totalPerServer, addr)
-	delete(a.suspended, addr)
+}
+
+// dropLocked takes addr's blocks out of the pool; false when addr was
+// not registered.
+func (a *Allocator) dropLocked(addr string) bool {
+	s := a.servers[addr]
+	if s == nil {
+		return false
+	}
+	a.totalBlocks -= s.Total
+	a.freeBlocks -= s.Free
+	delete(a.servers, addr)
+	return true
 }
 
 // Suspend places addr on probation: Allocate skips it while any
@@ -112,13 +108,13 @@ func (a *Allocator) Suspended() []string {
 	return out
 }
 
-// Allocate removes n blocks from the free list, preferring the servers
-// with the most free capacity (global load balancing). Servers on
-// probation (Suspend) are excluded while the healthy pool alone can
-// cover the request; when it cannot, the probated servers are used as
-// a fallback — a slow server beats ErrNoCapacity. Returns
-// ErrNoCapacity without allocating anything when fewer than n blocks
-// are free in total.
+// Allocate takes n blocks from the pool, each under a freshly minted
+// ID, preferring the servers with the most free capacity (global load
+// balancing). Servers on probation (Suspend) are excluded while the
+// healthy pool alone can cover the request; when it cannot, the
+// probated servers are used as a fallback — a slow server beats
+// ErrNoCapacity. Returns ErrNoCapacity without allocating anything
+// when fewer than n blocks are free in total.
 func (a *Allocator) Allocate(n int) ([]core.BlockInfo, error) {
 	if n <= 0 {
 		return nil, nil
@@ -131,18 +127,19 @@ func (a *Allocator) Allocate(n int) ([]core.BlockInfo, error) {
 	}
 	healthyFree := a.freeBlocks
 	for addr := range a.suspended {
-		healthyFree -= len(a.free[addr])
+		if s := a.servers[addr]; s != nil {
+			healthyFree -= s.Free
+		}
 	}
 	skipSuspended := healthyFree >= n
 	out := make([]core.BlockInfo, 0, n)
 	for len(out) < n {
-		addr := a.mostFreeLocked(skipSuspended)
-		ids := a.free[addr]
-		id := ids[len(ids)-1]
-		a.free[addr] = ids[:len(ids)-1]
-		out = append(out, core.BlockInfo{ID: id, Server: addr})
-		a.freeBlocks--
+		s := a.mostFreeLocked(skipSuspended)
+		s.Free--
+		out = append(out, core.BlockInfo{ID: a.nextID, Server: s.Addr})
+		a.nextID++
 	}
+	a.freeBlocks -= n
 	return out, nil
 }
 
@@ -150,35 +147,36 @@ func (a *Allocator) Allocate(n int) ([]core.BlockInfo, error) {
 // tie-breaking by address for determinism. With skipSuspended set,
 // probated servers are not considered (the caller guarantees the
 // healthy pool is sufficient).
-func (a *Allocator) mostFreeLocked(skipSuspended bool) string {
-	best, bestN := "", -1
-	addrs := make([]string, 0, len(a.free))
-	for addr := range a.free {
+func (a *Allocator) mostFreeLocked(skipSuspended bool) *ServerState {
+	addrs := make([]string, 0, len(a.servers))
+	for addr := range a.servers {
 		addrs = append(addrs, addr)
 	}
 	sort.Strings(addrs)
+	var best *ServerState
 	for _, addr := range addrs {
 		if skipSuspended && a.suspended[addr] {
 			continue
 		}
-		if n := len(a.free[addr]); n > bestN {
-			best, bestN = addr, n
+		if s := a.servers[addr]; best == nil || s.Free > best.Free {
+			best = s
 		}
 	}
 	return best
 }
 
-// Free returns blocks to the pool. Blocks from servers that have since
-// been removed are dropped.
+// Free returns blocks to the pool; their IDs are not minted again.
+// Blocks from servers that have since been removed, or placed before
+// the server's current registration, died with their server and are
+// dropped.
 func (a *Allocator) Free(blocks []core.BlockInfo) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, b := range blocks {
-		if _, exists := a.totalPerServer[b.Server]; !exists {
-			continue
+		if s := a.servers[b.Server]; s != nil && b.ID >= s.Since {
+			s.Free++
+			a.freeBlocks++
 		}
-		a.free[b.Server] = append(a.free[b.Server], b.ID)
-		a.freeBlocks++
 	}
 }
 
@@ -186,30 +184,30 @@ func (a *Allocator) Free(blocks []core.BlockInfo) {
 func (a *Allocator) Stats() (total, free, servers int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.totalBlocks, a.freeBlocks, len(a.totalPerServer)
+	return a.totalBlocks, a.freeBlocks, len(a.servers)
 }
 
-// ServerState is one server's allocator state, as Restore installs it.
+// ServerState is one registered server's share of the pool.
 type ServerState struct {
-	Addr  string
-	Total int
-	Free  []core.BlockID
+	Addr        string
+	Total, Free int
+	// Since is the registration mark (see RegisterServer).
+	Since core.BlockID
 }
 
 // Restore replaces the allocator's state (promotion and checkpoint
-// restore rebuild it from the controller's metadata).
+// restore rebuild it from the controller's metadata). The ID counter
+// only moves up: nextID must be above every ID the metadata names.
 func (a *Allocator) Restore(servers []ServerState, nextID core.BlockID) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.free = make(map[string][]core.BlockID, len(servers))
-	a.totalPerServer = make(map[string]int, len(servers))
+	a.servers = make(map[string]*ServerState, len(servers))
 	a.totalBlocks = 0
 	a.freeBlocks = 0
 	for _, s := range servers {
-		a.free[s.Addr] = append([]core.BlockID(nil), s.Free...)
-		a.totalPerServer[s.Addr] = s.Total
+		a.servers[s.Addr] = &s
 		a.totalBlocks += s.Total
-		a.freeBlocks += len(s.Free)
+		a.freeBlocks += s.Free
 	}
 	if nextID > a.nextID {
 		a.nextID = nextID
@@ -220,8 +218,8 @@ func (a *Allocator) Restore(servers []ServerState, nextID core.BlockID) {
 func (a *Allocator) Servers() []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.totalPerServer))
-	for addr := range a.totalPerServer {
+	out := make([]string, 0, len(a.servers))
+	for addr := range a.servers {
 		out = append(out, addr)
 	}
 	sort.Strings(out)

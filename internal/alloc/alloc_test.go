@@ -99,17 +99,35 @@ func TestFreeToRemovedServerDropped(t *testing.T) {
 func TestReRegisterReplaces(t *testing.T) {
 	a := New()
 	a.RegisterServer("s1", 5)
-	a.Allocate(2)
-	first, err := a.RegisterServer("s1", 8)
+	minted, _ := a.Allocate(2)
+	mark, err := a.RegisterServer("s1", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first != 6 { // IDs 1-5 used by first registration
-		t.Errorf("first = %v", first)
+	for _, b := range minted {
+		if b.ID >= mark {
+			t.Errorf("mark %v not above %v, minted before re-registration", mark, b.ID)
+		}
 	}
 	total, free, _ := a.Stats()
 	if total != 8 || free != 8 {
 		t.Errorf("stats after re-register = %d/%d", total, free)
+	}
+}
+
+// TestReRegisterDoesNotOverCredit: blocks placed on a server's earlier
+// registration died with it, so freeing them credits nothing.
+func TestReRegisterDoesNotOverCredit(t *testing.T) {
+	a := New()
+	a.RegisterServer("s1", 2)
+	old, _ := a.Allocate(2)
+	a.RegisterServer("s1", 2)
+	a.Free(old)
+	if total, free, _ := a.Stats(); total != 2 || free != 2 {
+		t.Errorf("stats after freeing the old registration's blocks = %d/%d, want 2/2", total, free)
+	}
+	if _, err := a.Allocate(4); !errors.Is(err, core.ErrNoCapacity) {
+		t.Errorf("Allocate(4) on a 2-block server = %v, want ErrNoCapacity", err)
 	}
 }
 
@@ -131,14 +149,15 @@ func TestServers(t *testing.T) {
 }
 
 // TestNoDoubleAllocation: across any alternation of allocs and frees,
-// no block ID is ever held by two owners.
+// no block ID is handed out twice over the allocator's life, and the
+// free count is the capacity minus what is held.
 func TestNoDoubleAllocation(t *testing.T) {
 	f := func(ops []uint8) bool {
 		a := New()
 		a.RegisterServer("s1", 16)
 		a.RegisterServer("s2", 16)
-		held := map[core.BlockID]core.BlockInfo{}
-		var heldList []core.BlockInfo
+		minted := map[core.BlockID]bool{}
+		var held []core.BlockInfo
 		for _, op := range ops {
 			if op%2 == 0 {
 				n := int(op%3) + 1
@@ -147,16 +166,15 @@ func TestNoDoubleAllocation(t *testing.T) {
 					continue
 				}
 				for _, b := range blocks {
-					if _, dup := held[b.ID]; dup {
+					if minted[b.ID] {
 						return false
 					}
-					held[b.ID] = b
-					heldList = append(heldList, b)
+					minted[b.ID] = true
+					held = append(held, b)
 				}
-			} else if len(heldList) > 0 {
-				b := heldList[len(heldList)-1]
-				heldList = heldList[:len(heldList)-1]
-				delete(held, b.ID)
+			} else if len(held) > 0 {
+				b := held[len(held)-1]
+				held = held[:len(held)-1]
 				a.Free([]core.BlockInfo{b})
 			}
 		}

@@ -275,7 +275,8 @@ type Store struct {
 	// writeMu and publish the copy. Readers may briefly see a block
 	// that was just deleted; that is indistinguishable from the op
 	// racing ahead of the delete, which the epoch protocol already
-	// handles.
+	// handles. Once the delete is published the op finds nothing:
+	// the controller never mints a block ID twice.
 	blocks  atomic.Pointer[blockMap]
 	writeMu sync.Mutex
 

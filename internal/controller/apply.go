@@ -137,10 +137,22 @@ func (c *Controller) commitNodeLocked(job core.JobID, n *hierarchy.Node) {
 }
 
 // indexNodeLocked refreshes what a node's image implies outside the
-// node, on leader and standby alike: the shard's server index and, for
-// a job root, the tenant quota mirror. Caller holds the shard lock.
+// node, on leader and standby alike: the shard's server index, the ID
+// high-water mark (every ID in the map was minted, so a promoted or
+// restored allocator mints above it) and, for a job root, the tenant
+// quota mirror. Caller holds the shard lock.
 func (c *Controller) indexNodeLocked(job core.JobID, n *hierarchy.Node) {
 	c.shardFor(job).reindexNodeLocked(job, n)
+	var top core.BlockID
+	for _, e := range n.Map.Blocks {
+		top = max(top, e.Info.ID)
+		for _, m := range e.Chain {
+			top = max(top, m.ID)
+		}
+	}
+	c.group.mu.Lock()
+	c.group.nextID = max(c.group.nextID, top+1)
+	c.group.mu.Unlock()
 	if n.Name == string(job) { // the root: node names are unique per job
 		c.mirrorTenantQuota(string(job), n.Quota)
 	}
@@ -211,10 +223,11 @@ func (c *Controller) lockPaths(paths []core.Path) (unlock func()) {
 	return func() { each((*sync.Mutex).Unlock) }
 }
 
-// applyServerRegister records a server's contributed range and
-// (re)admits it to the tracked membership: registration counts as the
-// first heartbeat, revives a server declared dead (its old blocks are
-// gone), and lifts any probation (it restarted). Replayed over a fuzzy
+// applyServerRegister records a server's contribution and registration
+// mark, raises the ID high-water mark to it, and (re)admits the server
+// to the tracked membership: registration counts as the first
+// heartbeat, revives a server declared dead (its old blocks are gone),
+// and lifts any probation (it restarted). Replayed over a fuzzy
 // bootstrap image that already holds it, it only advances the epoch
 // again, which is safe: the epoch need only stay ahead of what servers
 // observed.
@@ -223,9 +236,7 @@ func (c *Controller) applyServerRegister(op replOp) {
 	defer c.hbMu.Unlock()
 	c.group.mu.Lock()
 	c.group.contrib[op.Addr] = contribRange{First: op.FirstID, N: op.NumBlocks}
-	if end := op.FirstID + core.BlockID(op.NumBlocks); end > c.group.nextID {
-		c.group.nextID = end
-	}
+	c.group.nextID = max(c.group.nextID, op.FirstID)
 	c.group.mu.Unlock()
 	c.lastBeat[op.Addr] = c.clk.Now()
 	delete(c.deadServers, op.Addr)
@@ -295,8 +306,9 @@ func (c *Controller) applyTier(op replOp) bool {
 
 // applyImage resets this controller's metadata and replays the image
 // through the applies, as ops (standby bootstrap, checkpoint restore).
-// The tenant quotas follow from the job roots; the epoch and the next
-// block id are the image's.
+// The tenant quotas follow from the job roots and the epoch is the
+// image's. The ID high-water mark only moves up: the replayed ops raise
+// it, and then the image's mark does.
 func (c *Controller) applyImage(img groupImage) error {
 	now := c.clk.Now()
 	var ops []replOp
@@ -355,7 +367,7 @@ func (c *Controller) applyImage(img groupImage) error {
 	}
 
 	c.group.mu.Lock()
-	c.group.nextID = img.NextID
+	c.group.nextID = max(c.group.nextID, img.NextID)
 	c.group.appliedSeq = img.Seq
 	c.group.mu.Unlock()
 	c.memberEpoch.Store(img.Epoch)

@@ -363,20 +363,20 @@ func (c *Controller) releaseBlocksLocked(n *hierarchy.Node) {
 	n.Map.Epoch++
 }
 
-// RegisterServer records a memory server's capacity contribution.
-// Registration counts as the server's first heartbeat and revives a
-// server previously declared dead (its old blocks are gone; it
-// contributes a fresh range).
+// RegisterServer records a memory server's capacity contribution and
+// returns its registration mark. Registration counts as the server's
+// first heartbeat and revives a server previously declared dead (its
+// old blocks are gone; freeing one credits nothing).
 func (c *Controller) RegisterServer(addr string, numBlocks int) (core.BlockID, error) {
-	first, err := c.alloc.RegisterServer(addr, numBlocks)
+	mark, err := c.alloc.RegisterServer(addr, numBlocks)
 	if err != nil {
 		return 0, err
 	}
-	c.applyServerRegister(replOp{Kind: opServerRegister, Addr: addr, NumBlocks: numBlocks, FirstID: first})
+	c.applyServerRegister(replOp{Kind: opServerRegister, Addr: addr, NumBlocks: numBlocks, FirstID: mark})
 	// The server restarted: a probation it carried is lifted.
 	c.alloc.Resume(addr)
 	c.pushTenantQuotas(addr)
-	return first, nil
+	return mark, nil
 }
 
 // Clock exposes the controller's time source (the simulator drives a

@@ -94,8 +94,8 @@ func (c *Controller) buildTable() {
 		return c.LoadPrefix(r.Path, r.ExternalPath)
 	})
 	leaderOnly(c, proto.RegisterServer, func(r proto.RegisterServerReq) (proto.RegisterServerResp, error) {
-		first, err := c.RegisterServer(r.Addr, r.NumBlocks)
-		return proto.RegisterServerResp{FirstID: first}, err
+		mark, err := c.RegisterServer(r.Addr, r.NumBlocks)
+		return proto.RegisterServerResp{FirstID: mark}, err
 	})
 	leaderOnly(c, proto.Heartbeat, func(r proto.HeartbeatReq) (proto.HeartbeatResp, error) {
 		epoch, err := c.Heartbeat(r.Addr)

@@ -50,10 +50,14 @@ type groupState struct {
 	// lastLeaderContact is the last time the leader's stream reached
 	// this standby (measured on the controller's clock).
 	lastLeaderContact time.Time
-	// contrib tracks each server's contributed block range; the
-	// promotion-time allocator rebuild derives free lists from it.
+	// contrib tracks each live registration: the server's block count
+	// and registration mark; the promotion-time allocator rebuild
+	// derives free counts from it.
 	contrib map[string]contribRange
-	nextID  core.BlockID
+	// nextID is the ID high-water mark: above every registration mark
+	// and every replica ID this member has applied, so an allocator
+	// rebuilt here mints only IDs never placed before.
+	nextID core.BlockID
 }
 
 // ConfigureGroup joins this controller to a replicated group. peers
@@ -235,14 +239,14 @@ func (c *Controller) CheckLeaderNow() bool {
 }
 
 // PromoteNow makes this controller the group leader under a fresh,
-// fenced generation. It rebuilds the allocator's free lists from the
-// replicated metadata, advances the membership epoch (so post-failover
-// chain repairs commit under a generation no pre-failover write can
-// race), grants the servers a heartbeat grace period, points the
-// replicator at the remaining peers, and finally opens for client
-// traffic — then sweeps any dead servers whose chains the old leader
-// may have died mid-repair on. Idempotent: promoting a leader returns
-// its current generation.
+// fenced generation. It rebuilds the allocator's free counts and ID
+// counter from the replicated metadata, advances the membership epoch
+// (so post-failover chain repairs commit under a generation no
+// pre-failover write can race), grants the servers a heartbeat grace
+// period, points the replicator at the remaining peers, and finally
+// opens for client traffic — then sweeps any dead servers whose chains
+// the old leader may have died mid-repair on. Idempotent: promoting a
+// leader returns its current generation.
 func (c *Controller) PromoteNow() uint64 {
 	// Exclude an in-flight op batch: once the generation advances no
 	// further batch passes the fence, and holding applyMu here waits
@@ -287,13 +291,15 @@ func (c *Controller) PromoteNow() uint64 {
 }
 
 // rebuildAllocator reconstitutes the allocator from the mirrored (or
-// restored) metadata: each live server's free set is its contributed
-// range minus the blocks the partition maps say are in use, and the
-// probation set is re-suspended, so gray-failed servers stay excluded
-// from allocation. This is the trick that lets the op-log and the state
-// image skip allocator internals entirely — no cross-shard ordering
-// between allocate and free ops can ever matter. Live servers get a
-// heartbeat grace period. Returns the dead servers, sorted.
+// restored) metadata: each live server's free count is its contribution
+// minus the replicas the partition maps place on its current
+// registration (IDs at or above its mark), the ID counter resumes at the
+// replicated high-water mark, and the probation set is re-suspended, so
+// gray-failed servers stay excluded from allocation. This is the trick
+// that lets the op-log and the state image skip allocator internals
+// entirely — no cross-shard ordering between allocate and free ops can
+// ever matter. Live servers get a heartbeat grace period. Returns the
+// dead servers, sorted.
 func (c *Controller) rebuildAllocator() []string {
 	c.group.mu.Lock()
 	contrib := make(map[string]contribRange, len(c.group.contrib))
@@ -323,7 +329,7 @@ func (c *Controller) rebuildAllocator() []string {
 	sort.Strings(dead)
 	sort.Strings(probated)
 
-	inUse := make(map[string]map[core.BlockID]bool)
+	used := make(map[string]int, len(contrib))
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		for _, h := range sh.jobs {
@@ -333,12 +339,9 @@ func (c *Controller) rebuildAllocator() []string {
 						continue
 					}
 					for _, info := range e.Replicas() {
-						set := inUse[info.Server]
-						if set == nil {
-							set = make(map[core.BlockID]bool)
-							inUse[info.Server] = set
+						if r, ok := contrib[info.Server]; ok && info.ID >= r.First {
+							used[info.Server]++
 						}
-						set[info.ID] = true
 					}
 				}
 				return true
@@ -346,21 +349,10 @@ func (c *Controller) rebuildAllocator() []string {
 		}
 		sh.mu.Unlock()
 	}
-	var states []alloc.ServerState
+	states := make([]alloc.ServerState, 0, len(contrib))
 	for addr, r := range contrib {
-		used := inUse[addr]
-		free := make([]core.BlockID, 0, r.N)
-		for id := r.First; id < r.First+core.BlockID(r.N); id++ {
-			if !used[id] {
-				free = append(free, id)
-			}
-		}
-		if end := r.First + core.BlockID(r.N); end > nextID {
-			nextID = end
-		}
-		states = append(states, alloc.ServerState{Addr: addr, Total: r.N, Free: free})
+		states = append(states, alloc.ServerState{Addr: addr, Total: r.N, Free: max(r.N-used[addr], 0), Since: r.First})
 	}
-	sort.Slice(states, func(i, j int) bool { return states[i].Addr < states[j].Addr })
 	c.alloc.Restore(states, nextID)
 	for _, addr := range probated {
 		c.alloc.Suspend(addr)

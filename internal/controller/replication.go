@@ -28,11 +28,13 @@ import (
 // survives leader failure.
 //
 // Standbys mirror the hierarchies, tier table, tenant quotas, and
-// membership, but not the allocator's free lists: they track only
-// each server's contributed block range, and a promoting standby
-// rebuilds the free lists as "contributed minus in-use" from its
-// replicated partition maps (see leadership.go). That removes any
-// cross-shard ordering requirement between allocate and free ops.
+// membership, but not the allocator's free counts: they track only
+// each server's block count and registration mark, and a promoting
+// standby rebuilds each free count as "contributed minus in use" from
+// its replicated partition maps (see leadership.go). That removes any
+// cross-shard ordering requirement between allocate and free ops. The
+// ID counter needs no op either: every applied node image raises the
+// member's high-water mark past the IDs it holds (apply.go).
 //
 // A standby that misses the bounded replay window (or joins late, or
 // was a deposed leader with a diverged log) is re-bootstrapped with a
@@ -72,7 +74,8 @@ type replOp struct {
 	Name string
 	// RenewLease
 	Paths []core.Path
-	// ServerRegister / ServerDead / ServerProbation
+	// ServerRegister / ServerDead / ServerProbation; FirstID is the
+	// registration mark (see contribRange).
 	Addr      string
 	NumBlocks int
 	FirstID   core.BlockID
@@ -82,7 +85,10 @@ type replOp struct {
 	Tier proto.ReportTierReq
 }
 
-// contribRange records one server's contributed block range.
+// contribRange records one server's registration: First is its
+// registration mark (the ID counter when it registered; every block
+// placed on this registration has an ID at or above it, every lower ID
+// belongs to an earlier one) and N its block count.
 type contribRange struct {
 	First core.BlockID
 	N     int

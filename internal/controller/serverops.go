@@ -69,7 +69,7 @@ func (c *Controller) createBlockOnServer(info core.BlockInfo, path core.Path,
 	_, err := callServer(c, info.Server, proto.CreateBlock, req)
 	if errors.Is(err, core.ErrExists) {
 		// The server holds a partition under an ID the committed
-		// metadata says is free: an orphan from a previous leader's
+		// metadata never placed: an orphan from a previous leader's
 		// uncommitted work (a chain splice cut short by the leader's
 		// death never reaches the op-log, but its replacement block
 		// survives on the server). The replicated metadata is
@@ -89,8 +89,8 @@ func (c *Controller) createBlockOnServer(info core.BlockInfo, path core.Path,
 // deleteBlockOnServer removes a block's partition; failures are logged
 // (the server may already be gone) and the block is still freed. Any
 // tier record for the member is dropped with it — a deleted block's
-// tier object must never be resurrected by a later repair, especially
-// since block IDs are recycled through the free list.
+// tier object must never be resurrected by a later repair, and its
+// storage is reclaimed with it.
 func (c *Controller) deleteBlockOnServer(info core.BlockInfo) {
 	c.dropTierRecord(info)
 	if _, err := callServer(c, info.Server, proto.DeleteBlock,

@@ -14,8 +14,9 @@ import (
 )
 
 // BlockID uniquely identifies a memory block across the whole cluster.
-// IDs are assigned by the controller when a memory server registers its
-// capacity and are never reused within a controller's lifetime.
+// The controller mints one per placed block from a single counter and
+// never mints it again, not across failover or checkpoint restore, so
+// a handle to a reclaimed block names an ID no server hosts.
 type BlockID uint64
 
 // String renders the block ID in the canonical "B<n>" form used in logs

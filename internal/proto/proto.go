@@ -348,8 +348,10 @@ type RegisterServerReq struct {
 	NumBlocks int
 }
 
-// RegisterServerResp returns the ID range assigned to the new blocks:
-// [FirstID, FirstID+NumBlocks).
+// RegisterServerResp returns the server's registration mark: every
+// block later placed on this registration gets an ID at or above
+// FirstID, and every lower ID belongs to an earlier registration. IDs
+// are minted per placement, never reserved.
 type RegisterServerResp struct {
 	FirstID core.BlockID
 }

@@ -96,7 +96,7 @@ func (s *Server) buildTable() {
 // deleteBlock frees a block.
 func (s *Server) deleteBlock(req proto.DeleteBlockReq) (proto.DeleteBlockResp, error) {
 	// Take the tier object with the block: a deleted block's demoted
-	// contents must never be resurrected (block IDs are recycled).
+	// contents would otherwise hold persistent storage forever.
 	if b, err := s.store.Get(req.Block); err == nil {
 		b.TierMu.Lock()
 		if b.TierKey != "" {

@@ -268,9 +268,9 @@ func (s *Server) heartbeatWorker() {
 
 // HeartbeatNow sends one liveness beat synchronously. If the
 // controller no longer knows this server (it was declared dead, or the
-// controller restarted), the server re-registers its capacity — the
-// controller assigns a fresh block range; any blocks it hosted under
-// the old registration have already been repaired away or marked lost.
+// controller restarted), the server re-registers its capacity under a
+// fresh registration mark; any blocks it hosted under the old
+// registration have already been repaired away or marked lost.
 // Deterministic tests call this directly instead of advancing the
 // heartbeat clock.
 func (s *Server) HeartbeatNow() error {
