@@ -140,8 +140,8 @@ func main() {
 			srv.Close()
 			return
 		case <-ticker.C:
-			blocks, used, ops := srv.Store().Stats()
-			logger.Info("stats", "blocks", blocks, "used_bytes", used, "ops", ops)
+			blocks, used := srv.Store().Stats()
+			logger.Info("stats", "blocks", blocks, "used_bytes", used, "ops", srv.Ops())
 		}
 	}
 }

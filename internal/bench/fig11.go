@@ -89,7 +89,7 @@ func runLifetimeTrace(structure core.DSType, window time.Duration, opts Options)
 			case <-ticker.C:
 				var u int
 				for _, s := range cluster.Servers {
-					_, ub, _ := s.Store().Stats()
+					_, ub := s.Store().Stats()
 					u += ub
 				}
 				stats, err := c.ControllerStats(context.Background())

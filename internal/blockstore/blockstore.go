@@ -196,22 +196,21 @@ func (b *Block) Seal() {
 // Sealed reports whether the block has been fenced by Seal.
 func (b *Block) Sealed() bool { return b.sealed.Load() }
 
-// NextReplSeq atomically applies a head-side mutation via fn and
-// assigns it the next replication sequence number, stamped with the
-// chain generation it belongs to. The chain snapshot is read under the
-// same lock SetChain writes it, so the returned chain always matches
-// the returned generation — a concurrent repair splice can never pair
-// a new generation with the old layout.
-func (b *Block) NextReplSeq(fn func() ([][]byte, error)) (res [][]byte, chain core.ReplicaChain, seq, gen uint64, err error) {
+// NextReplSeq atomically applies a head-side mutation via fn, which
+// keeps its own answer, and assigns it the next replication sequence
+// number, stamped with the chain generation it belongs to. The chain
+// snapshot is read under the same lock SetChain writes it, so the
+// returned chain always matches the returned generation — a concurrent
+// repair splice can never pair a new generation with the old layout.
+func (b *Block) NextReplSeq(fn func() error) (chain core.ReplicaChain, seq, gen uint64, err error) {
 	b.replMu.Lock()
 	defer b.replMu.Unlock()
 	if b.sealed.Load() {
-		return nil, nil, 0, 0, fmt.Errorf("blockstore: block %v sealed for migration: %w",
+		return nil, 0, 0, fmt.Errorf("blockstore: block %v sealed for migration: %w",
 			b.ID, core.ErrStaleEpoch)
 	}
-	res, err = fn()
-	if err != nil {
-		return nil, nil, 0, 0, err
+	if err = fn(); err != nil {
+		return nil, 0, 0, err
 	}
 	if p := b.chain.Load(); p != nil {
 		chain = *p
@@ -219,13 +218,14 @@ func (b *Block) NextReplSeq(fn func() ([][]byte, error)) (res [][]byte, chain co
 	seq = b.replSeq
 	gen = b.replGen
 	b.replSeq++
-	return res, chain, seq, gen, nil
+	return chain, seq, gen, nil
 }
 
 // ApplyInOrder blocks until it is seq's turn at this replica, applies
-// fn, and releases the next sequence number. A mutation from a
-// different chain generation than the replica's current one — or any
-// mutation once the block is sealed — returns ErrStaleEpoch
+// fn (which keeps its own answer), and releases the next sequence
+// number. A mutation from a different chain generation than the
+// replica's current one — or any mutation once the block is sealed —
+// returns ErrStaleEpoch
 // immediately (or as soon as a repair bumps the generation mid-wait):
 // its sender is propagating along a chain that no longer exists, and
 // must refresh. The returned chain is this replica's chain for gen,
@@ -234,7 +234,7 @@ func (b *Block) NextReplSeq(fn func() ([][]byte, error)) (res [][]byte, chain co
 // admitted under even if a repair splice lands right after. Every
 // member of a generation is installed with the same chain, which is
 // why the hop does not carry one.
-func (b *Block) ApplyInOrder(seq, gen uint64, fn func() ([][]byte, error)) (res [][]byte, chain core.ReplicaChain, err error) {
+func (b *Block) ApplyInOrder(seq, gen uint64, fn func() error) (chain core.ReplicaChain, err error) {
 	b.replMu.Lock()
 	defer b.replMu.Unlock()
 	if b.applyCond == nil {
@@ -244,13 +244,13 @@ func (b *Block) ApplyInOrder(seq, gen uint64, fn func() ([][]byte, error)) (res 
 		b.applyCond.Wait()
 	}
 	if b.replGen != gen || b.sealed.Load() {
-		return nil, nil, fmt.Errorf("blockstore: block %v: chain generation %d superseded by %d: %w",
+		return nil, fmt.Errorf("blockstore: block %v: chain generation %d superseded by %d: %w",
 			b.ID, gen, b.replGen, core.ErrStaleEpoch)
 	}
-	res, err = fn()
+	err = fn()
 	b.applySeq++
 	b.applyCond.Broadcast()
-	return res, b.Chain(), err
+	return b.Chain(), err
 }
 
 // ChainGen returns the block's chain together with the replication
@@ -279,8 +279,6 @@ type Store struct {
 	// the controller never mints a block ID twice.
 	blocks  atomic.Pointer[blockMap]
 	writeMu sync.Mutex
-
-	ops atomic.Int64
 
 	// heatNow is the current heat clock value (UnixNano), refreshed by
 	// the tiering worker at each scan. The data path stamps block
@@ -411,11 +409,26 @@ func (s *Store) Apply(id core.BlockID, op core.OpType, args [][]byte) ([][]byte,
 // batch costs one threshold evaluation instead of 64.
 func (s *Store) ApplyOn(b *Block, op core.OpType, args [][]byte, checkNow bool) ([][]byte, error) {
 	res, err := b.Partition.Apply(op, args)
-	s.ops.Add(1)
+	s.applied(b, op, checkNow)
+	return res, err
+}
+
+// AppendOn is ApplyOn through the op's appending form
+// (ds.AppendAnswer): its answer is encoded onto dst. handled=false
+// means the partition has no such form for op and nothing ran.
+func (s *Store) AppendOn(b *Block, dst []byte, op core.OpType, args [][]byte, checkNow bool) (out []byte, handled bool, err error) {
+	if out, handled, err = ds.AppendAnswer(b.Partition, dst, op, args); handled {
+		s.applied(b, op, checkNow)
+	}
+	return out, handled, err
+}
+
+// applied is what both apply forms do after an op: re-evaluate the
+// thresholds after a mutation, when checkNow.
+func (s *Store) applied(b *Block, op core.OpType, checkNow bool) {
 	if checkNow && op.IsMutation() {
 		s.checkThresholds(b)
 	}
-	return res, err
 }
 
 // CheckThresholds re-evaluates a block against the repartition
@@ -488,7 +501,7 @@ func (s *Store) Instrument(r *obs.Registry) {
 		return int64(len(s.snapshotMap()))
 	})
 	r.GaugeFunc("jiffy_store_used_bytes", "bytes stored across hosted blocks", func() int64 {
-		_, used, _ := s.Stats()
+		_, used := s.Stats()
 		return int64(used)
 	})
 	r.GaugeFunc("jiffy_store_capacity_bytes", "capacity across hosted blocks", func() int64 {
@@ -510,11 +523,12 @@ func (s *Store) List() []*Block {
 	return out
 }
 
-// Stats summarizes the store.
-func (s *Store) Stats() (blocks int, usedBytes int, ops int64) {
+// Stats summarizes the store. (The op count is the server's:
+// ServerStats.Ops.)
+func (s *Store) Stats() (blocks int, usedBytes int) {
 	m := s.snapshotMap()
 	for _, b := range m {
 		usedBytes += b.Partition.Bytes()
 	}
-	return len(m), usedBytes, s.ops.Load()
+	return len(m), usedBytes
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
@@ -334,6 +335,7 @@ func one(vals [][]byte, _ int, err error) ([]byte, error) {
 type batchGroup struct {
 	server string
 	chunk  int   // of the first op's entry; keyless batches share one route
+	n      int   // ops routed to it
 	idxs   []int // positions in the caller's batch
 	ops    []ds.BatchOp
 }
@@ -347,7 +349,9 @@ type batchGroup struct {
 // vector holding them is reused for the next op, so landed keeps
 // elements, never res itself. The result is nil or a *MultiError
 // indexed like the batch: ops fail and are retried independently, and
-// every pending op shares each attempt's one settle.
+// every pending op shares each attempt's one settle. The groups' vectors
+// are windows of two per-call vectors, reused by every attempt, and the
+// per-op errors are only allocated once an op fails.
 func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, chunk int, vals [][]byte,
 	landed func(i, chunk int, res [][]byte) error) error {
 	n := max(len(keys), len(vals))
@@ -355,11 +359,21 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 		return nil
 	}
 	argv, width := batchArgv(keys, vals)
-	errs := make([]error, n)
-	pending := make([]int, n)
+	var errs []error
+	setErr := func(i int, err error) {
+		if err != nil && errs == nil {
+			errs = make([]error, n)
+		}
+		if errs != nil {
+			errs[i] = err
+		}
+	}
+	ints := make([]int, 2*n)
+	pending, idxBuf := ints[:n:n], ints[n:n]
 	for i := range pending {
 		pending[i] = i
 	}
+	opBuf := make([]ds.BatchOp, 0, n)
 	keyOf := func(i int) string {
 		if keys == nil {
 			return ""
@@ -367,14 +381,16 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 		return keys[i]
 	}
 	rec := recovery{h: h}
-	var groups []batchGroup
+	var oneGroup [1]batchGroup // most batches reach one server
+	groups := oneGroup[:0]
 	var res [][]byte // one result's values, reused across the call
 
 	for attempt := 0; attempt < h.c.policy.Limit; attempt++ {
-		// Route: group the pending ops by destination server under the
-		// current map.
+		// Route: every pending op's destination under the current map,
+		// each op tagged with its group as gi*n + i.
 		var next []int
 		groups = groups[:0]
+		idxs, ops := idxBuf[:0], opBuf[:0]
 		var e ds.PartitionEntry
 		var retry bool
 		var rerr error
@@ -383,7 +399,7 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 				e, retry, rerr = rec.locate(op, keyOf(i), chunk)
 			}
 			if rerr != nil {
-				errs[i] = rerr
+				setErr(i, rerr)
 				if retry {
 					next = append(next, i)
 				}
@@ -391,17 +407,28 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 			}
 			at := rec.target(&e, op)
 			gi := 0
-			for gi < len(groups) && (groups[gi].server != at.Server || len(groups[gi].ops) == ds.MaxBatchOps) {
+			for gi < len(groups) && (groups[gi].server != at.Server || groups[gi].n == ds.MaxBatchOps) {
 				gi++
 			}
 			if gi == len(groups) {
-				size := min(len(pending), ds.MaxBatchOps)
-				groups = append(groups, batchGroup{server: at.Server, chunk: e.Chunk,
-					idxs: make([]int, 0, size), ops: make([]ds.BatchOp, 0, size)})
+				groups = append(groups, batchGroup{server: at.Server, chunk: e.Chunk})
 			}
+			groups[gi].n++
+			idxs = append(idxs, gi*n+i)
+			ops = append(ops, ds.BatchOp{Op: op, Block: at.ID, Args: argv[i*width : (i+1)*width : (i+1)*width]})
+		}
+		// Cut each group's window: sorted by tag, a group's ops are
+		// contiguous and stay in batch order.
+		if len(groups) > 1 {
+			sort.Sort(byTag{idxs, ops})
+		}
+		for gi, k := range groups {
 			g := &groups[gi]
-			g.idxs = append(g.idxs, i)
-			g.ops = append(g.ops, ds.BatchOp{Op: op, Block: at.ID, Args: argv[i*width : (i+1)*width : (i+1)*width]})
+			g.idxs, g.ops = idxs[:k.n:k.n], ops[:k.n:k.n]
+			idxs, ops = idxs[k.n:], ops[k.n:]
+			for j := range g.idxs {
+				g.idxs[j] -= gi * n
+			}
 		}
 
 		// Gate and dispatch each group; classify per call, then per op.
@@ -420,7 +447,7 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 			if cerr != nil {
 				// The whole call failed: no op in it got an answer.
 				for _, i := range g.idxs {
-					errs[i] = cerr
+					setErr(i, cerr)
 				}
 				if retry {
 					next = append(next, g.idxs...)
@@ -437,7 +464,7 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 					oerr = landed(i, g.chunk, res)
 				}
 				oerr = withRedirect(oerr, r.Blob)
-				errs[i] = oerr
+				setErr(i, oerr)
 				if oerr != nil && rec.note(op, core.BlockInfo{ID: g.ops[j].Block, Server: g.server}, oerr) {
 					next = append(next, i)
 				}
@@ -455,15 +482,28 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 		}
 		if serr := rec.settle(ctx, attempt); serr != nil {
 			for _, i := range pending {
-				errs[i] = serr
+				setErr(i, serr)
 			}
 			return multiErr(errs)
 		}
 	}
 	for _, i := range pending {
-		errs[i] = h.exhausted(op, keyOf(i), errs[i])
+		setErr(i, h.exhausted(op, keyOf(i), errs[i]))
 	}
 	return multiErr(errs)
+}
+
+// byTag sorts a batch's routed ops by their group tags (gi*n + i).
+type byTag struct {
+	tags []int
+	ops  []ds.BatchOp
+}
+
+func (b byTag) Len() int           { return len(b.tags) }
+func (b byTag) Less(i, j int) bool { return b.tags[i] < b.tags[j] }
+func (b byTag) Swap(i, j int) {
+	b.tags[i], b.tags[j] = b.tags[j], b.tags[i]
+	b.ops[i], b.ops[j] = b.ops[j], b.ops[i]
 }
 
 // batchArgv builds every op's argument vector up front, for the whole

@@ -439,7 +439,7 @@ func (r *rebuildRig) counts() string {
 	s := fmt.Sprintf("free=%d", free)
 	for _, srv := range r.servers {
 		if !r.killed[srv.Addr()] {
-			blocks, _, _ := srv.Store().Stats()
+			blocks, _ := srv.Store().Stats()
 			s += fmt.Sprintf(" %s=%d", srv.Addr()[len(r.name):], blocks)
 		}
 	}
@@ -470,7 +470,7 @@ func (r *rebuildRig) assertAccounted() {
 		sh.mu.Unlock()
 	}
 	for _, srv := range r.servers {
-		if blocks, _, _ := srv.Store().Stats(); !r.killed[srv.Addr()] && blocks != placed[srv.Addr()] {
+		if blocks, _ := srv.Store().Stats(); !r.killed[srv.Addr()] && blocks != placed[srv.Addr()] {
 			r.t.Errorf("%s holds %d blocks, the metadata places %d there", srv.Addr(), blocks, placed[srv.Addr()])
 		}
 	}

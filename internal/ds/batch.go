@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"jiffy/internal/core"
 )
@@ -89,40 +90,49 @@ func EncodeBatchRequest(ops []BatchOp) []byte {
 	return AppendBatchRequest(nil, ops)
 }
 
-// DecodeBatchRequest parses a batch request. Every op's args go into
-// one arg vector for the whole frame, sized by the first op's arg count
-// (a client batch is one op kind); op i's Args is a full-slice-capped
-// window into it, so appending to one op's Args never writes into
-// another's. Args alias data.
+// DecodeBatchRequest parses a batch request into fresh vectors.
 func DecodeBatchRequest(data []byte) ([]BatchOp, error) {
+	ops, _, err := DecodeBatchRequestInto(nil, nil, data)
+	return ops, err
+}
+
+// DecodeBatchRequestInto parses a batch request, appending its ops to
+// dst and every op's args to argv, the one arg vector of the whole
+// frame; it returns both, so a caller decoding many frames reuses them
+// (dst[:0], argv[:0]). argv grows to fit, at first by the first op's
+// arg count per op (a client batch is one op kind); op i's Args is a
+// full-slice-capped window into it, so appending to one op's Args never
+// writes into another's. Args alias data; a nil dst and argv cost one
+// vector each.
+func DecodeBatchRequestInto(dst []BatchOp, argv [][]byte, data []byte) (ops []BatchOp, args [][]byte, err error) {
 	if len(data) < 2 {
-		return nil, fmt.Errorf("ds: batch request too short (%d bytes)", len(data))
+		return nil, argv, fmt.Errorf("ds: batch request too short (%d bytes)", len(data))
 	}
 	nops := int(binary.BigEndian.Uint16(data[0:2]))
 	data = data[2:]
 	if nops > len(data)/11 {
 		// Every op needs at least its fixed fields; checking up front
 		// keeps a forged count from sizing the allocations below.
-		return nil, fmt.Errorf("ds: batch of %d ops in %d bytes", nops, len(data))
+		return nil, argv, fmt.Errorf("ds: batch of %d ops in %d bytes", nops, len(data))
 	}
-	ops := make([]BatchOp, 0, nops)
-	var argv [][]byte
+	ops = slices.Grow(dst[:0], nops)
+	argv = argv[:0]
 	if nops > 0 {
 		perOp := int(binary.BigEndian.Uint16(data[9:11]))
-		argv = make([][]byte, 0, min(nops*perOp, len(data)/4))
+		argv = slices.Grow(argv, min(nops*perOp, len(data)/4))
 	}
 	for i := 0; i < nops; i++ {
 		start := len(argv)
-		op, block, args, rest, err := decodeRequestPrefix(argv, data)
+		op, block, a, rest, err := decodeRequestPrefix(argv, data)
 		if err != nil {
-			return nil, fmt.Errorf("ds: batch op %d: %w", i, err)
+			return nil, argv, fmt.Errorf("ds: batch op %d: %w", i, err)
 		}
-		argv = args
+		argv = a
 		ops = append(ops, BatchOp{Op: op, Block: block, Args: argv[start:]})
 		data = rest
 	}
 	if len(data) != 0 {
-		return nil, fmt.Errorf("ds: batch request has %d trailing bytes", len(data))
+		return nil, argv, fmt.Errorf("ds: batch request has %d trailing bytes", len(data))
 	}
 	// Windows taken before a mixed batch outgrew the first guess point
 	// into an older vector: cut every window from the final one.
@@ -132,7 +142,7 @@ func DecodeBatchRequest(data []byte) ([]BatchOp, error) {
 		ops[i].Args = argv[k : k+n : k+n]
 		k += n
 	}
-	return ops, nil
+	return ops, argv, nil
 }
 
 // AppendResult appends one result to a batch response under
@@ -152,7 +162,7 @@ func AppendResult(dst []byte, r BatchResult, vals [][]byte) []byte {
 }
 
 // BeginResult opens an OK result on dst whose value vector is then
-// encoded straight onto it (AppendRead). EndResult closes it, mark
+// encoded straight onto it (AppendAnswer). EndResult closes it, mark
 // being len(dst) before BeginResult: it backfills the result's length.
 func BeginResult(dst []byte) []byte { return append(dst, byte(core.CodeOK), 0, 0, 0, 0) }
 

@@ -169,7 +169,11 @@ func TestErrResultRoundTrip(t *testing.T) {
 // on every MethodDataOpBatch frame: arbitrary bytes never panic, an
 // accepted frame re-encodes byte-identically through AppendBatchRequest,
 // and although every op's args share the frame's one arg vector,
-// appending to one op's Args never changes another op's.
+// appending to one op's Args never changes another op's. Each input is
+// decoded twice, fresh and into the vectors the previous input left
+// dirty, as the server's pooled decode does: the two must agree on
+// acceptance and on every op, so a window left from a recycled frame
+// fails.
 func FuzzBatchRequestDecode(f *testing.F) {
 	f.Add(EncodeBatchRequest([]BatchOp{
 		{Op: core.OpFileAppend, Block: 7, Args: [][]byte{bytes.Repeat([]byte{0xab}, 100)}},
@@ -186,10 +190,32 @@ func FuzzBatchRequestDecode(f *testing.F) {
 	// one), a forged count, a forged arg count, an arg length reaching
 	// past the frame.
 
+	var dirtyOps []BatchOp
+	var dirtyArgv [][]byte
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		ops, err := DecodeBatchRequest(raw)
+		pooled, argv, perr := DecodeBatchRequestInto(dirtyOps, dirtyArgv, raw)
+		dirtyArgv = argv
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("fresh decode: %v; into dirty vectors: %v", err, perr)
+		}
 		if err != nil {
 			return
+		}
+		dirtyOps = pooled
+		if len(pooled) != len(ops) {
+			t.Fatalf("%d ops decoded into dirty vectors, %d fresh", len(pooled), len(ops))
+		}
+		for i, o := range ops {
+			p := pooled[i]
+			if p.Op != o.Op || p.Block != o.Block || len(p.Args) != len(o.Args) || cap(p.Args) != len(p.Args) {
+				t.Fatalf("op %d into dirty vectors = %v %v %d/%d args, fresh %v %v %d", i, p.Op, p.Block, len(p.Args), cap(p.Args), o.Op, o.Block, len(o.Args))
+			}
+			for j, a := range o.Args {
+				if b := p.Args[j]; len(b) != len(a) || (len(a) > 0 && &b[0] != &a[0]) {
+					t.Fatalf("op %d arg %d into dirty vectors is not the fresh one", i, j)
+				}
+			}
 		}
 		if back := AppendBatchRequest(nil, ops); !bytes.Equal(back, raw) {
 			t.Fatalf("accepted frame is not canonical: %x re-encodes to %x", raw, back)

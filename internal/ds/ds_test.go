@@ -483,16 +483,77 @@ func TestKVExportStrandsNoWrite(t *testing.T) {
 func TestKVAppendRead(t *testing.T) {
 	kv := fullKV(core.MB)
 	kv.Put("k", []byte("value"))
-	out, handled, err := AppendRead(kv, []byte("head"), core.OpGet, [][]byte{[]byte("k")})
+	out, handled, err := AppendAnswer(kv, []byte("head"), core.OpGet, [][]byte{[]byte("k")})
 	if !handled || err != nil || !bytes.Equal(out, append([]byte("head"), EncodeVals([][]byte{[]byte("value")})...)) {
-		t.Fatalf("AppendRead = %q, %v, %v", out, handled, err)
+		t.Fatalf("AppendAnswer = %q, %v, %v", out, handled, err)
 	}
-	out, _, err = AppendRead(kv, []byte("head"), core.OpGet, [][]byte{[]byte("missing")})
+	out, _, err = AppendAnswer(kv, []byte("head"), core.OpGet, [][]byte{[]byte("missing")})
 	if !errors.Is(err, core.ErrNotFound) || string(out) != "head" {
 		t.Errorf("miss = %q, %v", out, err)
 	}
-	if _, handled, _ := AppendRead(kv, nil, core.OpPut, nil); handled {
-		t.Error("a put took the appending read path")
+	if _, handled, _ := AppendAnswer(kv, nil, core.OpPut, nil); handled {
+		t.Error("a put took the appending path")
+	}
+}
+
+// TestAppendAnswerMatchesApply: every op a built-in answers by
+// appending encodes, behind whatever dst held, the vector its Apply
+// returns on a twin partition; Apply's integer answer is one object;
+// and an op without the appending form is left to the caller.
+func TestAppendAnswerMatchesApply(t *testing.T) {
+	seeded := func(typ core.DSType) Partition {
+		switch typ {
+		case core.DSFile:
+			f := NewFile(1024)
+			f.Append([]byte("xy"))
+			return f
+		case core.DSKV:
+			kv := fullKV(core.MB)
+			kv.Put("k", []byte("value"))
+			return kv
+		}
+		q := NewQueue(1024)
+		q.Enqueue([]byte("item"))
+		return q
+	}
+	for _, c := range []struct {
+		typ     core.DSType
+		op      core.OpType
+		args    [][]byte
+		handled bool
+	}{
+		{core.DSFile, core.OpFileWrite, [][]byte{U64(3), []byte("abc")}, true},
+		{core.DSFile, core.OpFileAppend, [][]byte{[]byte("abc")}, true},
+		{core.DSFile, core.OpUsage, nil, true},
+		{core.DSFile, core.OpFileRead, [][]byte{U64(0), U64(2)}, false},
+		{core.DSKV, core.OpGet, [][]byte{[]byte("k")}, true},
+		{core.DSKV, core.OpUsage, nil, true},
+		{core.DSKV, core.OpPut, [][]byte{[]byte("k"), []byte("v")}, false},
+		{core.DSQueue, core.OpUsage, nil, true},
+		{core.DSQueue, core.OpEnqueue, [][]byte{[]byte("x")}, false},
+	} {
+		name := fmt.Sprintf("%v %v", c.typ, c.op)
+		want, err := seeded(c.typ).Apply(c.op, c.args)
+		if err != nil {
+			t.Fatalf("%s: Apply: %v", name, err)
+		}
+		got, handled, err := AppendAnswer(seeded(c.typ), []byte("head"), c.op, c.args)
+		if handled != c.handled || err != nil {
+			t.Fatalf("%s: handled=%v, %v; want handled=%v", name, handled, err, c.handled)
+		}
+		if !handled {
+			if string(got) != "head" {
+				t.Errorf("%s: unhandled op extended dst to %q", name, got)
+			}
+			continue
+		}
+		if !bytes.Equal(got, append([]byte("head"), EncodeVals(want)...)) {
+			t.Errorf("%s: AppendAnswer = %q, Apply = %q", name, got, want)
+		}
+	}
+	f := seeded(core.DSFile)
+	if allocs := testing.AllocsPerRun(100, func() { f.Apply(core.OpUsage, nil) }); allocs != 1 {
+		t.Errorf("Apply's integer answer is %.1f objects, want 1", allocs)
 	}
 }
 

@@ -50,21 +50,12 @@ func (f *File) Bytes() int {
 //	             → [bytesWritten u64]
 //	OpFileRead:  args[0]=offset (u64), args[1]=length (u64)
 //	             → [data] (short or empty at end of written region)
+//	OpFileAppend: args[0]=data → [chunk-relative offset u64]
+//	OpUsage:     → [bytes used u64]
 func (f *File) Apply(op core.OpType, args [][]byte) ([][]byte, error) {
 	switch op {
-	case core.OpFileWrite:
-		if len(args) != 2 {
-			return nil, fmt.Errorf("ds: file write wants 2 args, got %d", len(args))
-		}
-		off, err := ParseU64(args[0])
-		if err != nil {
-			return nil, err
-		}
-		n, err := f.WriteAt(int(off), args[1])
-		if err != nil {
-			return nil, err
-		}
-		return u64Vals(uint64(n)), nil
+	case core.OpFileWrite, core.OpFileAppend, core.OpUsage:
+		return applyAnswer(f, op, args)
 	case core.OpFileRead:
 		if len(args) != 2 {
 			return nil, fmt.Errorf("ds: file read wants 2 args, got %d", len(args))
@@ -82,21 +73,48 @@ func (f *File) Apply(op core.OpType, args [][]byte) ([][]byte, error) {
 			return nil, err
 		}
 		return [][]byte{data}, nil
-	case core.OpFileAppend:
-		if len(args) != 1 {
-			return nil, fmt.Errorf("ds: file append wants 1 arg, got %d", len(args))
-		}
-		off, err := f.Append(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return u64Vals(uint64(off)), nil
-	case core.OpUsage:
-		return u64Vals(uint64(f.Bytes())), nil
 	default:
 		return nil, fmt.Errorf("ds: file: %w (%v)", core.ErrWrongType, op)
 	}
 }
+
+// appendAnswer is the appending form (AppendAnswer) of every file op
+// whose answer is an integer: a write's byte count, an append's offset
+// and the usage.
+func (f *File) appendAnswer(dst []byte, op core.OpType, args [][]byte) ([]byte, bool, error) {
+	var n int
+	var err error
+	switch op {
+	case core.OpFileWrite:
+		if len(args) != 2 {
+			return dst, true, fmt.Errorf("ds: file write wants 2 args, got %d", len(args))
+		}
+		var off uint64
+		if off, err = ParseU64(args[0]); err == nil {
+			n, err = f.WriteAt(int(off), args[1])
+		}
+	case core.OpFileAppend:
+		if len(args) != 1 {
+			return dst, true, fmt.Errorf("ds: file append wants 1 arg, got %d", len(args))
+		}
+		n, err = f.Append(args[0])
+	case core.OpUsage:
+		n = f.Bytes()
+	default:
+		return dst, false, nil
+	}
+	if err != nil {
+		return dst, true, err
+	}
+	return appendU64(dst, uint64(n)), true, nil
+}
+
+// errChunkFull refuses a write or an append that does not fit the
+// chunk. It is built once: both wire forms of an error (ds.ErrResult)
+// carry only its code, so a message formatted per refusal would be
+// dropped unread, and a shuffle's appends are refused once per chunk
+// per writer.
+var errChunkFull = fmt.Errorf("ds: write exceeds chunk capacity: %w", core.ErrBlockFull)
 
 // Append atomically writes data at the chunk's current high-water mark
 // and returns the chunk-relative offset it landed at. Appends that do
@@ -112,8 +130,7 @@ func (f *File) Append(data []byte) (int, error) {
 	}
 	off := f.size
 	if off+len(data) > f.cap {
-		return 0, fmt.Errorf("ds: append of %d bytes at %d exceeds chunk capacity %d: %w",
-			len(data), off, f.cap, core.ErrBlockFull)
+		return 0, errChunkFull
 	}
 	f.grow(off + len(data))
 	copy(f.data[off:], data)
@@ -131,8 +148,7 @@ func (f *File) WriteAt(off int, data []byte) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if off+len(data) > f.cap {
-		return 0, fmt.Errorf("ds: write [%d,%d) exceeds chunk capacity %d: %w",
-			off, off+len(data), f.cap, core.ErrBlockFull)
+		return 0, errChunkFull
 	}
 	f.grow(off + len(data))
 	copy(f.data[off:], data)

@@ -21,7 +21,7 @@ import (
 //
 // Values stay where they are: an overwrite copies into the stored bytes
 // when they fit (cuckoo.Table.Set), so every read copies its value out
-// under the bucket lock that guards it — Get, AppendRead, Snapshot and
+// under the bucket lock that guards it — Get, AppendAnswer, Snapshot and
 // ExportSlots all do — and no stored value is ever handed out.
 type KV struct {
 	table    *cuckoo.Table
@@ -105,15 +105,8 @@ func (k *KV) Apply(op core.OpType, args [][]byte) ([][]byte, error) {
 			return nil, fmt.Errorf("ds: put wants 2 args, got %d", len(args))
 		}
 		return nil, k.Put(keyOf(args[0]), args[1])
-	case core.OpGet:
-		if len(args) != 1 {
-			return nil, fmt.Errorf("ds: get wants 1 arg, got %d", len(args))
-		}
-		v, err := k.Get(keyOf(args[0]))
-		if err != nil {
-			return nil, err
-		}
-		return [][]byte{v}, nil
+	case core.OpGet, core.OpUsage:
+		return applyAnswer(k, op, args)
 	case core.OpDelete:
 		if len(args) != 1 {
 			return nil, fmt.Errorf("ds: delete wants 1 arg, got %d", len(args))
@@ -145,17 +138,28 @@ func (k *KV) Apply(op core.OpType, args [][]byte) ([][]byte, error) {
 			return nil, err
 		}
 		return [][]byte{old}, nil
-	case core.OpUsage:
-		return u64Vals(uint64(k.Bytes())), nil
 	default:
 		return nil, fmt.Errorf("ds: kv: %w (%v)", core.ErrWrongType, op)
 	}
 }
 
-// appendGet answers OpGet for AppendRead: the one-value result vector
-// is encoded onto dst, the value copied in under its bucket lock. A
-// single op's value thus goes straight into its pooled response, and a
-// batched one into the batch response.
+// appendAnswer is the appending form (AppendAnswer) of a get and of the
+// usage.
+func (k *KV) appendAnswer(dst []byte, op core.OpType, args [][]byte) ([]byte, bool, error) {
+	switch op {
+	case core.OpGet:
+		out, err := k.appendGet(dst, args)
+		return out, true, err
+	case core.OpUsage:
+		return appendU64(dst, uint64(k.Bytes())), true, nil
+	}
+	return dst, false, nil
+}
+
+// appendGet answers OpGet: the one-value result vector is encoded onto
+// dst, the value copied in under its bucket lock. A single op's value
+// thus goes straight into its pooled response, and a batched one into
+// the batch response.
 func (k *KV) appendGet(dst []byte, args [][]byte) ([]byte, error) {
 	if len(args) != 1 {
 		return dst, fmt.Errorf("ds: get wants 1 arg, got %d", len(args))

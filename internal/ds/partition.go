@@ -27,7 +27,10 @@ type Partition interface {
 	// byte-slice vectors (see the op documentation in internal/core).
 	// args alias the request frame, which the server recycles once the
 	// response is written: a partition copies what it keeps, and its
-	// results never alias args.
+	// results never alias args. It is the form custom partitions
+	// implement and the server's fallback for them; a built-in answers
+	// an op whose answer is an integer or a copied value by appending it
+	// to the response (AppendAnswer), and its Apply runs that same code.
 	Apply(op core.OpType, args [][]byte) ([][]byte, error)
 	// Bytes reports the current payload usage, driving the high/low
 	// repartition thresholds.
@@ -344,20 +347,6 @@ func U64(v uint64) []byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], v)
 	return b[:]
-}
-
-// u64Vals is a partition's one-value integer result (a write's byte
-// count, an append's offset, a usage figure): the value's 8 bytes and
-// the one-element vector carrying them share one allocation, where
-// [][]byte{U64(v)} costs two.
-func u64Vals(v uint64) [][]byte {
-	r := new(struct {
-		vec [1][]byte
-		b   [8]byte
-	})
-	binary.BigEndian.PutUint64(r.b[:], v)
-	r.vec[0] = r.b[:]
-	return r.vec[:]
 }
 
 // ParseU64 decodes an integer argument.

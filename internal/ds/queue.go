@@ -146,10 +146,18 @@ func (q *Queue) Apply(op core.OpType, args [][]byte) ([][]byte, error) {
 		q.SetNext(next)
 		return nil, nil
 	case core.OpUsage:
-		return u64Vals(uint64(q.Bytes())), nil
+		return applyAnswer(q, op, args)
 	default:
 		return nil, fmt.Errorf("ds: queue: %w (%v)", core.ErrWrongType, op)
 	}
+}
+
+// appendAnswer is the appending form (AppendAnswer) of the usage.
+func (q *Queue) appendAnswer(dst []byte, op core.OpType, _ [][]byte) ([]byte, bool, error) {
+	if op != core.OpUsage {
+		return dst, false, nil
+	}
+	return appendU64(dst, uint64(q.Bytes())), true, nil
 }
 
 // redirectError wraps ErrRedirect with the successor's location so the

@@ -35,14 +35,21 @@ func AppendReplicateVec(head []byte, seq, gen uint64, op core.OpType, block core
 	return vec, buf
 }
 
-// DecodeReplicate parses one hop. Args alias data.
+// DecodeReplicate parses one hop into a fresh arg vector.
 func DecodeReplicate(data []byte) (seq, gen uint64, op core.OpType, block core.BlockID, args [][]byte, err error) {
+	return DecodeReplicateInto(nil, data)
+}
+
+// DecodeReplicateInto parses one hop, appending its args to dst; they
+// alias data, and bytes after the hop are an error. The server decodes
+// every hop into a pooled vector (dst[:0]).
+func DecodeReplicateInto(dst [][]byte, data []byte) (seq, gen uint64, op core.OpType, block core.BlockID, args [][]byte, err error) {
 	if len(data) < replicatePrefixLen {
 		return 0, 0, 0, 0, nil, fmt.Errorf("ds: replicate hop too short (%d bytes)", len(data))
 	}
 	seq = binary.BigEndian.Uint64(data[0:8])
 	gen = binary.BigEndian.Uint64(data[8:16])
-	op, block, args, rest, err := decodeRequestPrefix(nil, data[replicatePrefixLen:])
+	op, block, args, rest, err := decodeRequestPrefix(dst, data[replicatePrefixLen:])
 	if err != nil {
 		return 0, 0, 0, 0, nil, err
 	}

@@ -24,7 +24,7 @@ import (
 //
 // KV values are overwritten in place too, and small: instead of a
 // leased view, a KV read copies its value into the response under the
-// bucket lock that guards it (AppendRead).
+// bucket lock that guards it (AppendAnswer).
 type View struct {
 	// Vals is the result vector; slices may alias partition memory.
 	Vals [][]byte
@@ -51,18 +51,46 @@ func ApplyView(p Partition, op core.OpType, args, dst [][]byte) (View, bool, err
 	return View{}, false, nil
 }
 
-// AppendRead answers a read by encoding its result vector (the
-// AppendVals layout) onto dst under the lock that guards the values,
-// when the partition has that form: a KV get. Nothing in the answer
-// aliases partition memory, and no result vector exists. handled=false
-// means the caller must fall back; on an error dst comes back
-// unextended.
-func AppendRead(p Partition, dst []byte, op core.OpType, args [][]byte) (out []byte, handled bool, err error) {
-	if kv, ok := p.(*KV); ok && op == core.OpGet {
-		out, err = kv.appendGet(dst, args)
-		return out, true, err
+// AppendAnswer runs op by encoding its result vector (the AppendVals
+// layout) onto dst, when the partition answers it that way: every
+// built-in op whose answer is an integer or a copied value — a KV get,
+// copied under its bucket lock; a file write's byte count and an
+// append's offset; any built-in's usage. Nothing in the answer aliases
+// partition memory, and no result vector exists. handled=false means
+// the caller must fall back (a view, or Apply, the form custom
+// partitions implement); on an error dst comes back unextended.
+func AppendAnswer(p Partition, dst []byte, op core.OpType, args [][]byte) (out []byte, handled bool, err error) {
+	if a, ok := p.(answerer); ok {
+		return a.appendAnswer(dst, op, args)
 	}
 	return dst, false, nil
+}
+
+// answerer is a built-in partition's appending form (AppendAnswer).
+type answerer interface {
+	appendAnswer(dst []byte, op core.OpType, args [][]byte) ([]byte, bool, error)
+}
+
+// applyAnswer is Apply for an op a built-in answers by appending: the
+// answer is encoded into a buffer that shares one allocation with the
+// one-element vector returned, so an integer result is one object.
+func applyAnswer(p answerer, op core.OpType, args [][]byte) ([][]byte, error) {
+	r := new(struct {
+		vec [1][]byte
+		buf [2 + 4 + 8]byte
+	})
+	out, _, err := p.appendAnswer(r.buf[:0], op, args)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeValsInto(r.vec[:0], out)
+}
+
+// appendU64 encodes a one-value integer result vector onto dst: its
+// count, its length and its 8 bytes.
+func appendU64(dst []byte, v uint64) []byte {
+	dst = append(dst, 0, 1, 0, 0, 0, 8)
+	return binary.BigEndian.AppendUint64(dst, v)
 }
 
 // AppendValsVec encodes a result vector (same wire layout as

@@ -49,7 +49,7 @@ func (s *Server) buildTable() {
 			return proto.SetNextResp{}, err
 		}
 		defer b.EndOp()
-		_, err = s.sequence(ctx, &opCtx{op: core.OpQueueSetNext, block: req.Block,
+		err = s.sequence(ctx, &opCtx{op: core.OpQueueSetNext, block: req.Block,
 			args: [][]byte{ds.RedirectPayload(req.Next)}, b: b, checkNow: true})
 		return proto.SetNextResp{}, err
 	})
@@ -65,7 +65,7 @@ func (s *Server) buildTable() {
 		return proto.UnsubscribeResp{}, nil
 	})
 	serve(s, proto.ServerStats, func(proto.ServerStatsReq) (proto.ServerStatsResp, error) {
-		blocks, used, _ := s.store.Stats()
+		blocks, used := s.store.Stats()
 		return proto.ServerStatsResp{
 			Blocks:    blocks,
 			UsedBytes: used,

@@ -38,34 +38,47 @@ type opCtx struct {
 	checkNow bool
 
 	// out is the response the result is encoded onto: the pooled
-	// payload of a single op, the batch response of a batched one. A
-	// read the partition answers by appending (ds.AppendRead) extends
-	// it in the apply stage and sets encoded; any other result is res,
-	// which the entry encodes.
+	// payload of a single op, the batch response of a batched one, the
+	// scratch buffer of a hop, whose answer is discarded. An op the
+	// partition answers by appending (ds.AppendAnswer) extends it in the
+	// apply stage and sets encoded; any other result is res, which the
+	// entry encodes.
 	out     []byte
 	encoded bool
 	res     [][]byte
 	lease   func() // a view's read lease, held until res is encoded
 }
 
-// scratch is the vectors one op decodes its args into and a view
-// extends with its one value (a batch takes one for all its views).
+// scratch is the vectors one entry decodes into — an op's or a hop's
+// args, a batch frame's ops and their one arg vector — the vector a
+// view extends with its one value (a batch takes one for all its
+// views), and the buffer a hop's discarded answer is encoded onto.
 // They cross the Partition and ViewReader interfaces, so on the stack
-// they would escape; pooled, a steady-state op allocates neither.
+// they would escape; pooled, a steady-state entry allocates none.
 type scratch struct {
 	args, res [][]byte
+	ops       []ds.BatchOp
+	out       []byte
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{args: make([][]byte, 0, 4), res: make([][]byte, 0, 1)}
+	return &scratch{args: make([][]byte, 0, 4), res: make([][]byte, 0, 1), out: make([]byte, 0, 16)}
 }}
 
+// scratchMax bounds the vectors a scratch keeps: release clears every
+// pooled element, so one huge batch must not tax the ops after it.
+const scratchMax = 1 << 10
+
 // release drops what the vectors point at — the request frame, block
-// memory — and pools them.
+// memory — and pools them, unless a batch grew them past scratchMax.
 func (sc *scratch) release() {
+	if cap(sc.args) > scratchMax || cap(sc.ops) > scratchMax {
+		return
+	}
 	clear(sc.args[:cap(sc.args)])
 	clear(sc.res[:cap(sc.res)])
-	sc.args, sc.res = sc.args[:0], sc.res[:0]
+	clear(sc.ops[:cap(sc.ops)])
+	sc.args, sc.res, sc.ops, sc.out = sc.args[:0], sc.res[:0], sc.ops[:0], sc.out[:0]
 	scratchPool.Put(sc)
 }
 
@@ -156,10 +169,14 @@ func (o *opCtx) encode(err error) (rpc.Response, error) {
 // across a later write to the same chunk would deadlock the batch on
 // itself.
 func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, error) {
-	ops, err := ds.DecodeBatchRequest(payload)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	ops, args, err := ds.DecodeBatchRequestInto(sc.ops, sc.args, payload)
+	sc.args = args
 	if err != nil {
 		return rpc.Response{}, err
 	}
+	sc.ops = ops
 	// The per-block maps grow with the distinct blocks the batch touches —
 	// one or two for a shuffle batch — not with its ops: unsized, they
 	// stay on the stack up to eight blocks.
@@ -208,12 +225,10 @@ func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, er
 			}
 		}
 	}
-	// The batch response: u16 count, then one result per op. An
-	// appending read encodes its value onto the response behind an OK
-	// result header whose length it backfills; any other outcome goes
-	// through ds.AppendResult.
-	sc := scratchPool.Get().(*scratch)
-	defer sc.release()
+	// The batch response: u16 count, then one result per op. An op
+	// answered by appending encodes its value onto the response behind
+	// an OK result header whose length it backfills; any other outcome
+	// goes through ds.AppendResult.
 	resp := binary.BigEndian.AppendUint16(wire.GetBuf(), uint16(len(ops)))
 	mutated := make(map[core.BlockID]*blockstore.Block)
 	for _, bo := range ops {
@@ -245,21 +260,27 @@ func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, er
 // the predecessor, applied in its sequence order and forwarded on. Its
 // args alias the inbound frame, which the rpc layer recycles once the
 // empty response is written, through the local apply (partitions copy
-// what they keep) and the onward hop. A hop is not admitted — the head
-// admitted the op, and charging it again would bill a replicated tenant
-// twice — and it leaves notification to the head, whose block the
-// subscribers know.
+// what they keep) and the onward hop; they decode into a pooled vector,
+// and the answer, which the empty response discards, into the pooled
+// buffer. A hop is not admitted — the head admitted the op, and
+// charging it again would bill a replicated tenant twice — and it
+// leaves notification to the head, whose block the subscribers know.
 func (s *Server) runHop(ctx context.Context, payload []byte) error {
-	o := opCtx{hop: true}
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	o := opCtx{hop: true, out: sc.out[:0]}
 	var err error
-	if o.seq, o.gen, o.op, o.block, o.args, err = ds.DecodeReplicate(payload); err != nil {
+	if o.seq, o.gen, o.op, o.block, o.args, err = ds.DecodeReplicateInto(sc.args[:0], payload); err != nil {
 		return err
 	}
+	sc.args = o.args
 	if o.b, err = s.resolve(o.block); err != nil {
 		return err
 	}
 	defer o.b.EndOp()
-	return s.apply(ctx, &o)
+	err = s.apply(ctx, &o)
+	sc.out = o.out
+	return err
 }
 
 // pin holds b resident for one operation, rehydrating it first if it
@@ -303,23 +324,18 @@ func argBytes(args [][]byte) int64 {
 
 // apply runs the op against its pinned block and counts it: the one
 // place ServerStats.Ops moves. A mutation is sequenced and forwarded
-// (sequence). A read is encoded onto o.out when the partition answers
-// it by appending (a KV get: its value is copied under the bucket
-// lock), takes the partition's zero-copy view when it has one, leaving
-// o.lease set if the view holds a read lease, and the partition's Apply
-// otherwise. A successful op then notifies its block's subscribers,
-// unless it is a hop.
+// (sequence). A read takes the partition's zero-copy view when it has
+// one, leaving o.lease set if the view holds a read lease, and is
+// answered like a mutation otherwise (applyOn). A successful op then
+// notifies its block's subscribers, unless it is a hop.
 func (s *Server) apply(ctx context.Context, o *opCtx) (err error) {
 	s.ops.Add(1)
-	p := o.b.Partition
 	if o.op.IsMutation() {
-		o.res, err = s.sequence(ctx, o)
-	} else if out, handled, aerr := ds.AppendRead(p, o.out, o.op, o.args); handled {
-		o.out, o.encoded, err = out, aerr == nil, aerr
-	} else if v, handled, verr := ds.ApplyView(p, o.op, o.args, o.res[:0]); handled {
+		err = s.sequence(ctx, o)
+	} else if v, handled, verr := ds.ApplyView(o.b.Partition, o.op, o.args, o.res[:0]); handled {
 		o.res, o.lease, err = v.Vals, v.Release, verr
 	} else {
-		o.res, err = s.store.ApplyOn(o.b, o.op, o.args, o.checkNow)
+		err = s.applyOn(o)
 	}
 	if err == nil && !o.hop {
 		var data []byte
@@ -332,9 +348,24 @@ func (s *Server) apply(ctx context.Context, o *opCtx) (err error) {
 	return err
 }
 
-// sequence applies a mutation in chain order and forwards it to the
-// block's successor. A hop applies in its predecessor's sequence order
-// (ApplyInOrder); the head of a replicated chain takes the next
+// applyOn runs the op against its block. A built-in op whose answer is
+// an integer or a copied value — a KV get, its value copied under the
+// bucket lock; a file write or append; any usage — is encoded onto o.out
+// (ds.AppendAnswer) and sets o.encoded; any other op is the partition's
+// Apply, its result o.res.
+func (s *Server) applyOn(o *opCtx) error {
+	out, handled, err := s.store.AppendOn(o.b, o.out, o.op, o.args, o.checkNow)
+	if handled {
+		o.out, o.encoded = out, err == nil
+		return err
+	}
+	o.res, err = s.store.ApplyOn(o.b, o.op, o.args, o.checkNow)
+	return err
+}
+
+// sequence applies a mutation (applyOn) in chain order and forwards it
+// to the block's successor. A hop applies in its predecessor's sequence
+// order (ApplyInOrder); the head of a replicated chain takes the next
 // sequence number under the lock it applies under (NextReplSeq); any
 // other block applies directly, and refuses once sealed for migration.
 // The chain forwarded along is read under the same lock as the sequence
@@ -342,21 +373,21 @@ func (s *Server) apply(ctx context.Context, o *opCtx) (err error) {
 // generation with the old layout — which would let mid-chain survivors
 // apply a mutation the spliced-in replacement misses, wedging the
 // stream on the hole.
-func (s *Server) sequence(ctx context.Context, o *opCtx) (res [][]byte, err error) {
+func (s *Server) sequence(ctx context.Context, o *opCtx) (err error) {
 	b := o.b
-	applyOn := func() ([][]byte, error) { return s.store.ApplyOn(b, o.op, o.args, o.checkNow) }
+	applyOn := func() error { return s.applyOn(o) }
 	var chain core.ReplicaChain
 	seq, gen := o.seq, o.gen
 	switch c := b.Chain(); {
 	case o.hop:
-		if res, chain, err = b.ApplyInOrder(seq, gen, applyOn); err != nil {
+		if chain, err = b.ApplyInOrder(seq, gen, applyOn); err != nil {
 			err = fmt.Errorf("server: replica apply: %w", err)
 		}
 	case len(c) > 1 && c.Head().ID == b.ID:
-		res, chain, seq, gen, err = b.NextReplSeq(applyOn)
+		chain, seq, gen, err = b.NextReplSeq(applyOn)
 	default:
 		if !b.Sealed() {
-			res, err = applyOn()
+			err = applyOn()
 		}
 		if err == nil && b.Sealed() {
 			// Sealed, possibly while the mutation applied: the migration
@@ -366,7 +397,7 @@ func (s *Server) sequence(ctx context.Context, o *opCtx) (res [][]byte, err erro
 		}
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return res, s.propagate(ctx, b, chain, seq, gen, o.op, o.args)
+	return s.propagate(ctx, b, chain, seq, gen, o.op, o.args)
 }

@@ -222,7 +222,7 @@ func (f *opFixture) counters(t *testing.T) opCounters {
 		}
 	}
 	if f.next != nil {
-		_, _, n.nextOps = f.next.store.Stats()
+		n.nextOps = f.next.Ops()
 	}
 	return n
 }
@@ -398,6 +398,47 @@ func TestRunOpKVAllocs(t *testing.T) {
 			resp, err := s.runOp(ctx, c.req, true)
 			if err != nil || !bytes.Equal(resp.Payload, c.want) || resp.Vec != nil {
 				t.Fatalf("%s: %q + %d segments, %v", c.name, resp.Payload, len(resp.Vec), err)
+			}
+			wire.PutBuf(resp.Payload)
+		}
+		run()
+		if allocs := testing.AllocsPerRun(1000, run); allocs != 0 {
+			t.Errorf("runOp %s allocates %.1f objects, want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestRunOpFileAllocs is the same gate for a file chunk: a write and an
+// append through runOp answer by encoding their integer onto the pooled
+// response (ds.AppendAnswer), so from decode to the encoded response
+// neither allocates. The chunk's doubling growth under the appends is
+// amortized below one object per run.
+func TestRunOpFileAllocs(t *testing.T) {
+	if poolsInstrumented {
+		t.Skip("the race detector or the jiffydebug build instruments the pools")
+	}
+	s := startOpServer(t, clock.NewVirtual(time.Unix(0, 0)))
+	if _, err := s.createBlock(proto.CreateBlockReq{Block: 1, Path: "j/f", Type: core.DSFile, Capacity: core.MB}); err != nil {
+		t.Fatal(err)
+	}
+	rec := bytes.Repeat([]byte("r"), 100)
+	wrote := ds.EncodeVals([][]byte{ds.U64(uint64(len(rec)))})
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		req  []byte
+	}{
+		{"write", ds.EncodeRequest(core.OpFileWrite, 1, [][]byte{ds.U64(0), rec})},
+		{"append", ds.EncodeRequest(core.OpFileAppend, 1, [][]byte{rec})},
+	} {
+		run := func() {
+			resp, err := s.runOp(ctx, c.req, true)
+			// One 8-byte value: a write's count, an append's offset.
+			if err != nil || len(resp.Payload) != len(wrote) || !bytes.Equal(resp.Payload[:6], wrote[:6]) || resp.Vec != nil {
+				t.Fatalf("%s: %q + %d segments, %v", c.name, resp.Payload, len(resp.Vec), err)
+			}
+			if c.name == "write" && !bytes.Equal(resp.Payload, wrote) {
+				t.Fatalf("write answered %q, want %q", resp.Payload, wrote)
 			}
 			wire.PutBuf(resp.Payload)
 		}

@@ -428,6 +428,9 @@ func (s *Server) deliverSignal(sig signal) {
 	}
 }
 
+// Ops returns the data ops applied here: ServerStats.Ops.
+func (s *Server) Ops() int64 { return s.ops.Load() }
+
 // Store exposes the blockstore for tests and the experiment harness.
 func (s *Server) Store() *blockstore.Store { return s.store }
 
