@@ -3,6 +3,7 @@ package controller
 import (
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
+	"jiffy/internal/proto"
 )
 
 // Chain rebuilding (§4.2.2: "Jiffy supports chain replication at block
@@ -16,8 +17,9 @@ import (
 //   - place allocates the members (the allocator's most-free placement
 //     spreads them across servers) and creates each one with its
 //     partition role and the whole chain recorded;
-//   - fill gives new members their data, from a live member's snapshot
-//     or from a persisted object each member loads itself;
+//   - fill has each new member load its data itself, from a live
+//     member's snapshot or from a persisted object, so block bytes move
+//     between memory servers and never through the controller;
 //   - switchChain moves members to the chain under a new replication
 //     generation, tail first.
 //
@@ -75,11 +77,11 @@ func (c *Controller) place(path core.Path, t core.DSType, roles []ds.PartitionEn
 }
 
 // fillSource is where a fill takes a block's data from: a live member,
-// whose snapshot the controller relays, or a persisted JTO1 object
-// (internal/tier) that every target loads itself. An object is refused
-// unless its envelope carries the identity the caller's metadata
-// recorded for it — the tier record's, or the one the flush manifest
-// entry kept from FlushBlock.
+// whose snapshot every target pulls from it, or a persisted JTO1 object
+// (internal/tier) that every target reads. An object is refused unless
+// its envelope carries the identity the caller's metadata recorded for
+// it — the tier record's, or the one the flush manifest entry kept from
+// FlushBlock.
 type fillSource struct {
 	live  core.BlockInfo // a live member; zero for a persisted object
 	key   string         // the object's key, and its identity:
@@ -88,21 +90,19 @@ type fillSource struct {
 	tier  bool // the object is a tier record's (counts a tier recovery)
 }
 
-// fill gives every target src's data. Targets are new members only —
-// survivors are never restored, so writes racing a splice cannot be
+// fill has every target load src's data. Targets are new members only
+// — survivors are never restored, so writes racing a splice cannot be
 // clobbered by an older snapshot. A member on an unreachable server
-// evicts that server.
+// evicts that server; when a target answered but its pull failed, only
+// the controller's own probe can find a live source unreachable.
 func (c *Controller) fill(src fillSource, targets core.ReplicaChain) error {
-	var snap []byte
 	var err error
-	if src.key == "" {
-		snap, err = c.snapshotBlockOnServer(src.live)
-	}
 	for i := 0; err == nil && i < len(targets); i++ {
-		if src.key == "" {
-			err = c.restoreBlockOnServer(targets[i], snap)
-		} else {
-			err = c.loadBlockOnServer(targets[i], src)
+		err = c.loadBlockOnServer(targets[i], src)
+	}
+	if err != nil && unreachableAddr(err) == "" && src.live.Server != "" {
+		if _, perr := callServer(c, src.live.Server, proto.ServerStats, proto.ServerStatsReq{}); unreachableAddr(perr) != "" {
+			err = perr
 		}
 	}
 	if addr := unreachableAddr(err); addr != "" {

@@ -33,12 +33,13 @@ import (
 // death with a tier object, a flush copy or no copy — against a failure
 // of each of its steps, at chain lengths 1 and 3. A step fails because a
 // proxy in front of every memory server refuses its method: CreateBlock
-// (place), RestoreBlock and LoadBlock (fill), UpdateChain (switch); a
-// step a cause does not take leaves it as if nothing failed. Each cell
-// asserts the outcome, what every key reads back and the recovery
-// counters, and after every cell that the allocator, the servers and the
-// metadata account for the same blocks and the standby holds what the
-// leader holds.
+// (place), LoadBlock (fill), UpdateChain (switch); a step a cause does
+// not take leaves it as if nothing failed. Each cell asserts the
+// outcome, what every key reads back and the recovery counters, and
+// after every cell that the allocator, the servers and the metadata
+// account for the same blocks, the standby holds what the leader holds
+// and no block's data passed through the controller: it fetched no
+// snapshot.
 
 // rebuildTable holds "outcome data" per cause for a failing step of
 // none, place, fill and switch. Outcomes: committed; degraded (committed
@@ -65,7 +66,7 @@ var (
 	rebuildSteps   = []string{"none", "place", "fill", "switch"}
 	rebuildRefuses = map[string][]uint16{
 		"place":  {proto.CreateBlock.ID},
-		"fill":   {proto.RestoreBlock.ID, proto.LoadBlock.ID},
+		"fill":   {proto.LoadBlock.ID},
 		"switch": {proto.UpdateChain.ID},
 	}
 )
@@ -206,6 +207,7 @@ func runRebuildCell(t *testing.T, cause string, width int, step string, tamper f
 	case home:
 		doomed = r.servers[0].Addr()
 	}
+	r.doomed = doomed
 	if cause == "splice" || strings.HasPrefix(cause, "death") {
 		r.kill(doomed)
 	}
@@ -227,6 +229,7 @@ func runRebuildCell(t *testing.T, cause string, width int, step string, tamper f
 		r.leader.FailServer(doomed)
 	}
 	r.proxy.refuse("")
+	r.leader.wg.Wait() // the repairs of servers the cause evicted
 
 	got := rebuildOutcome{result: "committed", data: r.readBack()}
 	if err != nil {
@@ -250,24 +253,30 @@ func runRebuildCell(t *testing.T, cause string, width int, step string, tamper f
 	got.lost = r.leader.blocksLost.Load() - lost
 	r.assertAccounted()
 	r.assertStandbyMatches()
+	if snaps := r.proxy.seen(proto.SnapshotBlock.ID); snaps != (proxyCalls{}) {
+		t.Errorf("the controller fetched snapshots: %+v; want none, every fill pulled by its target", snaps)
+	}
 	return got, r
 }
 
 // rebuildRig is a leader and its standby controllers sharing a persist
 // store and a virtual clock, reaching memory servers through a
-// methodProxy. The test itself talks to the servers directly.
+// methodProxy; the servers reach each other through a second one. The
+// test itself talks to the servers directly.
 type rebuildRig struct {
 	t        *testing.T
 	cfg      core.Config
 	store    *persist.MemStore
 	vclock   *clock.Virtual
-	proxy    *methodProxy
+	proxy    *methodProxy // the controllers' to the servers
+	peers    *methodProxy // the servers' to each other
 	pool     *rpc.Pool
 	leader   *Controller
 	standbys []*Controller
 	addrs    []string
 	servers  []*server.Server
 	killed   map[string]bool
+	doomed   string // the server the cell's cause kills or drains
 	name     string
 }
 
@@ -284,7 +293,8 @@ func newRebuildRig(t *testing.T, cfg core.Config, standbys int) *rebuildRig {
 		killed: make(map[string]bool),
 		name:   fmt.Sprintf("mem://rebuild-%d", rebuildSeq.Add(1)),
 	}
-	r.proxy = newMethodProxy(t, r.name)
+	r.proxy = newMethodProxy(t, "proxy")
+	r.peers = newMethodProxy(t, "peer")
 	t.Cleanup(r.pool.Close)
 	var ctrls []*Controller
 	for i := 0; i <= standbys; i++ {
@@ -322,7 +332,7 @@ func (r *rebuildRig) addServer(blocks int) *server.Server {
 	r.t.Helper()
 	srv, err := server.New(server.Options{
 		Config: r.cfg, ControllerAddrs: r.addrs, Persist: r.store, Clock: r.vclock,
-		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Dial: r.peers.dial, Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
 		r.t.Fatal(err)
@@ -549,20 +559,21 @@ func divergence(want, got map[string][]byte) []string {
 	return diff
 }
 
-// methodProxy stands in front of every memory server a controller
-// dials: it forwards each call upstream, refusing the methods it is told
-// to (on one server, or on all), and records per method how many calls
-// succeeded and the last error.
+// methodProxy stands in front of every memory server its owner dials:
+// it forwards each call upstream, refusing the methods it is told to (on
+// one server, or on all) and the calls intercept answers with an error,
+// and records per method how many calls succeeded and the last error.
 type methodProxy struct {
 	t        *testing.T
-	name     string
+	tag      string // names the proxies' listeners
 	upstream *rpc.Pool
 
-	mu      sync.Mutex
-	proxies map[string]string // server address → its proxy's
-	only    string            // refuse on this server only; "" for all
-	refused map[uint16]bool
-	calls   map[uint16]proxyCalls
+	mu        sync.Mutex
+	proxies   map[string]string // server address → its proxy's
+	only      string            // refuse on this server only; "" for all
+	refused   map[uint16]bool
+	intercept func(addr string, method uint16) error
+	calls     map[uint16]proxyCalls
 }
 
 type proxyCalls struct {
@@ -570,8 +581,8 @@ type proxyCalls struct {
 	lastErr string
 }
 
-func newMethodProxy(t *testing.T, name string) *methodProxy {
-	p := &methodProxy{t: t, name: name, upstream: rpc.NewPool(nil),
+func newMethodProxy(t *testing.T, tag string) *methodProxy {
+	p := &methodProxy{t: t, tag: tag, upstream: rpc.NewPool(nil),
 		proxies: make(map[string]string), calls: make(map[uint16]proxyCalls)}
 	t.Cleanup(p.upstream.Close)
 	return p
@@ -587,6 +598,14 @@ func (p *methodProxy) refuse(addr string, ids ...uint16) {
 	for _, id := range ids {
 		p.refused[id] = true
 	}
+}
+
+// interceptWith makes the proxy pass every call to fn first; a call fn
+// answers with an error is refused with it.
+func (p *methodProxy) interceptWith(fn func(addr string, method uint16) error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.intercept = fn
 }
 
 func (p *methodProxy) seen(id uint16) proxyCalls {
@@ -605,15 +624,21 @@ func (p *methodProxy) dial(addr string) (*rpc.Client, error) {
 		proxy := rpc.NewServer(rpc.BytesHandler(func(ctx context.Context, _ *rpc.ServerConn, method uint16, payload []byte) ([]byte, error) {
 			p.mu.Lock()
 			refused := p.refused[method] && (p.only == "" || p.only == addr)
+			intercept := p.intercept
 			p.mu.Unlock()
 			if refused {
 				return nil, fmt.Errorf("injected refusal of %s", proto.MethodName(method))
 			}
-			up, err := p.upstream.Get(addr)
-			if err != nil {
-				return nil, err
+			if intercept != nil {
+				if err := intercept(addr, method); err != nil {
+					return nil, err
+				}
 			}
-			resp, err := up.CallContext(ctx, method, payload)
+			var resp []byte
+			up, err := p.upstream.Get(addr)
+			if err == nil {
+				resp, err = up.CallContext(ctx, method, payload)
+			}
 			p.mu.Lock()
 			c := p.calls[method]
 			if err != nil {
@@ -625,7 +650,7 @@ func (p *methodProxy) dial(addr string) (*rpc.Client, error) {
 			p.mu.Unlock()
 			return resp, err
 		}), nil)
-		bound, err := proxy.Listen(strings.Replace(addr, "-srv-", "-proxy-", 1))
+		bound, err := proxy.Listen(strings.Replace(addr, "-srv-", "-"+p.tag+"-", 1))
 		if err != nil {
 			return nil, err
 		}
@@ -633,6 +658,91 @@ func (p *methodProxy) dial(addr string) (*rpc.Client, error) {
 		p.proxies[addr] = bound
 	}
 	return rpc.Dial(p.proxies[addr])
+}
+
+// TestFillSourceUnreachableFromTarget: a new member that cannot reach
+// its live fill source — the servers' proxy answers its SnapshotBlock as
+// a dead session would — fails the fill, but the controller still
+// reaches the source, so it declares no server dead and evicts neither
+// the target nor the source: each cause ends as the rebuild table's
+// fill column says.
+func TestFillSourceUnreachableFromTarget(t *testing.T) {
+	for _, cause := range []string{"splice", "drain", "drain-sole"} {
+		t.Run(cause, func(t *testing.T) {
+			var pulls atomic.Int64
+			got, r := runRebuildCell(t, cause, 3, "none", func(r *rebuildRig) {
+				r.peers.interceptWith(func(_ string, method uint16) error {
+					if method != proto.SnapshotBlock.ID {
+						return nil
+					}
+					pulls.Add(1)
+					return fmt.Errorf("injected: source unreachable: %w", core.ErrClosed)
+				})
+			})
+			if want := wantRebuild(cause, 2); got != want {
+				t.Errorf("got %+v, want %+v", got, want)
+			}
+			if pulls.Load() == 0 {
+				t.Error("no target pulled from its source")
+			}
+			if probes := r.proxy.seen(proto.ServerStats.ID); probes.ok == 0 || probes.lastErr != "" {
+				t.Errorf("the controller's probes of the source: %+v; want answered, none failed", probes)
+			}
+			r.assertDead(r.doomed)
+		})
+	}
+}
+
+// TestFillSourceDeadAtFill: a live fill source that dies as its target
+// pulls from it is evicted by the controller's own probe, and the splice
+// restarts without it; the targets, which answered, stay members, and
+// every acknowledged write reads back.
+func TestFillSourceDeadAtFill(t *testing.T) {
+	for _, cause := range []string{"splice", "drain"} {
+		t.Run(cause, func(t *testing.T) {
+			var source atomic.Value
+			got, r := runRebuildCell(t, cause, 3, "none", func(r *rebuildRig) {
+				r.peers.interceptWith(func(addr string, method uint16) error {
+					if method != proto.SnapshotBlock.ID || !source.CompareAndSwap(nil, addr) {
+						return nil
+					}
+					r.kill(addr)
+					return fmt.Errorf("injected: source died: %w", core.ErrClosed)
+				})
+			})
+			src, _ := source.Load().(string)
+			if src == "" {
+				t.Fatal("no target pulled from its source")
+			}
+			if probes := r.proxy.seen(proto.ServerStats.ID); probes.lastErr == "" {
+				t.Errorf("the controller's probes of the source: %+v; want one failed", probes)
+			}
+			if want := (rebuildOutcome{result: "committed", data: "v1"}); got != want {
+				t.Errorf("got %+v, want %+v", got, want)
+			}
+			for _, e := range r.entries() {
+				if entryReferences(e, src) {
+					t.Errorf("entry still on the dead source %s: %+v", src, e)
+				}
+			}
+			r.assertDead(r.doomed, src)
+		})
+	}
+}
+
+// assertDead holds the leader's dead set to exactly addrs among the
+// rig's servers.
+func (r *rebuildRig) assertDead(addrs ...string) {
+	r.t.Helper()
+	for _, srv := range r.servers {
+		want := false
+		for _, a := range addrs {
+			want = want || a == srv.Addr()
+		}
+		if got := r.leader.ServerDead(srv.Addr()); got != want {
+			r.t.Errorf("%s declared dead = %v, want %v", srv.Addr(), got, want)
+		}
+	}
 }
 
 // TestLoadPrefixFailureKeepsPrefix: a LoadPrefix that fails part-way —

@@ -192,7 +192,16 @@ func (c *Controller) repairEntry(sh *shard, t repairTarget, addr string, alive b
 			var ok bool
 			if t, ok = c.refreshTarget(sh, t, addr); !ok {
 				// The entry is gone, lost, or was already repaired by a
-				// concurrent splice.
+				// concurrent splice. A death repair splices a drained
+				// member out as dead without deleting it, so the drain
+				// deletes what it would have after its own commit.
+				if alive {
+					for _, m := range t.entry.Replicas() {
+						if m.Server == addr {
+							c.deleteBlockOnServer(m)
+						}
+					}
+				}
 				return false
 			}
 		}

@@ -127,19 +127,6 @@ func (c *Controller) flushBlockOnServer(info core.BlockInfo, key string) (proto.
 	return callServer(c, info.Server, proto.FlushBlock, proto.FlushBlockReq{Block: info.ID, Key: key})
 }
 
-// snapshotBlockOnServer fetches a block's partition snapshot.
-func (c *Controller) snapshotBlockOnServer(info core.BlockInfo) ([]byte, error) {
-	resp, err := callServer(c, info.Server, proto.SnapshotBlock, proto.SnapshotBlockReq{Block: info.ID})
-	return resp.Snapshot, err
-}
-
-// restoreBlockOnServer replaces a block's partition state.
-func (c *Controller) restoreBlockOnServer(info core.BlockInfo, snapshot []byte) error {
-	_, err := callServer(c, info.Server, proto.RestoreBlock,
-		proto.RestoreBlockReq{Block: info.ID, Snapshot: snapshot})
-	return err
-}
-
 // updateChainOnServer switches one block to a new chain layout under a
 // new replication generation (see repair.go).
 func (c *Controller) updateChainOnServer(member core.BlockInfo, chain core.ReplicaChain, gen uint64) error {
@@ -156,10 +143,11 @@ func (c *Controller) sealBlockOnServer(member core.BlockInfo) error {
 	return err
 }
 
-// loadBlockOnServer restores a block from the persisted object src
-// names; the server refuses an object whose envelope is not src's.
+// loadBlockOnServer has a block pull src's data itself: a live
+// member's snapshot, or the persisted object src names, which the
+// server refuses if its envelope is not src's.
 func (c *Controller) loadBlockOnServer(info core.BlockInfo, src fillSource) error {
-	_, err := callServer(c, info.Server, proto.LoadBlock,
-		proto.LoadBlockReq{Block: info.ID, Key: src.key, WantBlock: src.block, WantGen: src.gen})
+	_, err := callServer(c, info.Server, proto.LoadBlock, proto.LoadBlockReq{
+		Block: info.ID, Key: src.key, WantBlock: src.block, WantGen: src.gen, From: src.live})
 	return err
 }

@@ -152,8 +152,9 @@ var (
 	CtrlPromote = declare[CtrlPromoteReq, CtrlPromoteResp](0x0019, "CtrlPromote")
 )
 
-// Memory-server control methods. Ids 0x0105 and 0x010c belonged to
-// the retired MoveSlots and SetOwnedSlots and are never reused.
+// Memory-server control methods. Ids 0x0105, 0x010c and 0x010f
+// belonged to the retired MoveSlots, SetOwnedSlots and RestoreBlock and
+// are never reused.
 var (
 	// CreateBlock installs a partition in a block.
 	CreateBlock = declare[CreateBlockReq, CreateBlockResp](0x0102, "CreateBlock")
@@ -168,7 +169,8 @@ var (
 	// object (internal/tier).
 	FlushBlock = declare[FlushBlockReq, FlushBlockResp](0x0107, "FlushBlock")
 	// LoadBlock restores a block from a JTO1 object in the
-	// persistent store.
+	// persistent store, or from a live member's snapshot the server
+	// pulls itself.
 	LoadBlock = declare[LoadBlockReq, LoadBlockResp](0x0108, "LoadBlock")
 	// Subscribe registers for notifications on a set of blocks.
 	Subscribe = declare[SubscribeReq, SubscribeResp](0x0109, "Subscribe")
@@ -176,12 +178,9 @@ var (
 	Unsubscribe = declare[UnsubscribeReq, UnsubscribeResp](0x010a, "Unsubscribe")
 	// ServerStats reports server statistics.
 	ServerStats = declare[ServerStatsReq, ServerStatsResp](0x010b, "ServerStats")
-	// SnapshotBlock returns a block's serialized partition state
-	// (chain resynchronization after slot moves).
+	// SnapshotBlock returns a block's serialized partition state: the
+	// server-to-server half of a LoadBlock from a live member.
 	SnapshotBlock = declare[SnapshotBlockReq, SnapshotBlockResp](0x010e, "SnapshotBlock")
-	// RestoreBlock replaces a block's partition state from a
-	// snapshot.
-	RestoreBlock = declare[RestoreBlockReq, RestoreBlockResp](0x010f, "RestoreBlock")
 	// UpdateChain replaces a block's replication chain in place
 	// (chain repair: survivors must learn the spliced chain so writes
 	// propagate to the replacement, not the dead member).
@@ -609,14 +608,17 @@ type FlushBlockResp struct {
 	Gen   uint64
 }
 
-// LoadBlockReq restores Block's partition from the JTO1 object at Key.
-// The object is refused unless its envelope carries the identity the
+// LoadBlockReq restores Block's partition from a source the server
+// reads itself. A non-zero From names a live member, whose snapshot the
+// server fetches with SnapshotBlock. Otherwise the source is the JTO1
+// object at Key, refused unless its envelope carries the identity the
 // caller's metadata recorded for it: WantBlock and WantGen.
 type LoadBlockReq struct {
 	Block     core.BlockID
 	Key       string
 	WantBlock core.BlockID
 	WantGen   uint64
+	From      core.BlockInfo
 }
 
 // LoadBlockResp acknowledges the restore.
@@ -670,15 +672,6 @@ type SnapshotBlockReq struct {
 type SnapshotBlockResp struct {
 	Snapshot []byte
 }
-
-// RestoreBlockReq replaces a block's partition state.
-type RestoreBlockReq struct {
-	Block    core.BlockID
-	Snapshot []byte
-}
-
-// RestoreBlockResp acknowledges the restore.
-type RestoreBlockResp struct{}
 
 // UpdateChainReq replaces Block's replication chain (repair splice).
 // Gen is the new chain generation — the controller's membership epoch

@@ -378,3 +378,47 @@ func TestPoolClosedRejects(t *testing.T) {
 		t.Error("closed pool handed out a connection")
 	}
 }
+
+// TestOversizedResponseAnswersTooLarge: a response over
+// wire.MaxFrameSize is refused before a byte is written, so the server
+// answers the call with ErrTooLarge at once instead of leaving it to
+// its deadline, and the session keeps serving. The body is 257 segments
+// aliasing one 1 MiB buffer, so nothing near the bound is allocated.
+func TestOversizedResponseAnswersTooLarge(t *testing.T) {
+	const methodHuge uint16 = 100
+	seg := make([]byte, core.MB)
+	var released atomic.Int32
+	srv := NewServer(func(_ context.Context, _ *ServerConn, method uint16, payload []byte) (Response, error) {
+		if method != methodHuge {
+			return Response{Payload: append(wire.GetBuf(), payload...)}, nil
+		}
+		vec := make([][]byte, wire.MaxFrameSize/core.MB+1)
+		for i := range vec {
+			vec[i] = seg
+		}
+		return Response{Vec: vec, Release: func() { released.Add(1) }}, nil
+	}, nil)
+	addr, err := srv.Listen(fmt.Sprintf("mem://rpc-test-%p", srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetTimeout(3 * time.Second)
+
+	start := time.Now()
+	_, err = c.Call(methodHuge, nil)
+	if took := time.Since(start); !errors.Is(err, core.ErrTooLarge) || took > time.Second {
+		t.Errorf("oversized response = %v after %v, want ErrTooLarge in under 1s", err, took)
+	}
+	if n := released.Load(); n != 1 {
+		t.Errorf("response released %d times, want once", n)
+	}
+	if resp, err := c.Call(methodEcho, []byte("ping")); err != nil || string(resp) != "ping" {
+		t.Errorf("next call on the session = %q, %v", resp, err)
+	}
+}

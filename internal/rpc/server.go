@@ -415,6 +415,16 @@ func (sc *ServerConn) finish(f *wire.Frame, trace obs.SpanContext, st dispatchSt
 	respBytes := out.PayloadLen()
 	if werr := sc.conn.WriteFrame(&out); werr != nil && !errors.Is(werr, net.ErrClosed) {
 		sc.srv.log.Debug("rpc: response write failed", "err", werr)
+		if errors.Is(werr, core.ErrTooLarge) {
+			// Refused before a byte was written, so the session is
+			// intact: answer with the typed error rather than leave the
+			// caller to wait out its deadline.
+			err, respBytes = werr, 0
+			out = wire.Frame{Kind: wire.KindResponse, Seq: f.Seq, Code: core.CodeTooLarge}
+			if werr = sc.conn.WriteFrame(&out); werr != nil {
+				sc.srv.log.Debug("rpc: response write failed", "err", werr)
+			}
+		}
 	}
 
 	if st.tracer != nil && trace.Valid() {

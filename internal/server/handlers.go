@@ -56,7 +56,7 @@ func (s *Server) buildTable() {
 	serve(s, proto.ExportSlots, s.exportSlots)
 	serve(s, proto.ImportEntries, s.importEntries)
 	serve(s, proto.FlushBlock, s.flushBlock)
-	serve(s, proto.LoadBlock, s.loadBlock)
+	rpc.Handle(&s.table, proto.LoadBlock, s.loadBlock)
 	rpc.Handle(&s.table, proto.Subscribe, func(_ context.Context, conn *rpc.ServerConn, req proto.SubscribeReq) (proto.SubscribeResp, error) {
 		return proto.SubscribeResp{SubID: s.subs.add(conn, req.Blocks, req.Ops)}, nil
 	})
@@ -74,7 +74,6 @@ func (s *Server) buildTable() {
 		}, nil
 	})
 	serve(s, proto.SnapshotBlock, s.snapshotBlock)
-	serve(s, proto.RestoreBlock, s.restoreBlock)
 	serve(s, proto.SetTenantQuota, func(req proto.SetTenantQuotaReq) (proto.SetTenantQuotaResp, error) {
 		s.gate.SetQuota(req.Tenant, req.Quota)
 		return proto.SetTenantQuotaResp{}, nil
@@ -153,14 +152,24 @@ func (s *Server) flushBlock(req proto.FlushBlockReq) (proto.FlushBlockResp, erro
 	return proto.FlushBlockResp{Bytes: len(data), Block: b.ID, Gen: b.TierGen}, err
 }
 
-// loadBlock restores a block's partition from a persisted object,
-// refused unless it carries the identity the caller recorded for it.
-func (s *Server) loadBlock(req proto.LoadBlockReq) (proto.LoadBlockResp, error) {
+// loadBlock restores a block's partition from a live member's snapshot,
+// pulled over the peer session, or from a persisted object carrying the
+// identity the caller recorded. An unreachable source's error loses its
+// class (%v), so the caller does not take this server for unreachable.
+func (s *Server) loadBlock(ctx context.Context, _ *rpc.ServerConn, req proto.LoadBlockReq) (proto.LoadBlockResp, error) {
 	b, err := s.resolve(req.Block)
 	if err != nil {
 		return proto.LoadBlockResp{}, err
 	}
 	defer b.EndOp()
+	if req.From != (core.BlockInfo{}) {
+		snap, err := rpc.InvokeAt(ctx, s.peers, req.From.Server, proto.SnapshotBlock,
+			proto.SnapshotBlockReq{Block: req.From.ID})
+		if err != nil {
+			return proto.LoadBlockResp{}, fmt.Errorf("server: load %v from %v: %v", b.ID, req.From, err)
+		}
+		return proto.LoadBlockResp{}, b.Partition.Restore(snap.Snapshot)
+	}
 	_, obj, err := s.readObject(req.Key, req.WantBlock, req.WantGen)
 	if err != nil {
 		return proto.LoadBlockResp{}, fmt.Errorf("server: load %v: %w", b.ID, err)
@@ -177,16 +186,6 @@ func (s *Server) snapshotBlock(req proto.SnapshotBlockReq) (proto.SnapshotBlockR
 	defer b.EndOp()
 	snap, err := b.Partition.Snapshot()
 	return proto.SnapshotBlockResp{Snapshot: snap}, err
-}
-
-// restoreBlock replaces a block's partition state from a snapshot.
-func (s *Server) restoreBlock(req proto.RestoreBlockReq) (proto.RestoreBlockResp, error) {
-	b, err := s.resolve(req.Block)
-	if err != nil {
-		return proto.RestoreBlockResp{}, err
-	}
-	defer b.EndOp()
-	return proto.RestoreBlockResp{}, b.Partition.Restore(req.Snapshot)
 }
 
 // createBlock installs a partition per the controller's instruction.

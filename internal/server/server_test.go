@@ -1,9 +1,11 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -204,6 +206,99 @@ func TestFlushLoadBlock(t *testing.T) {
 	}
 	if v := get(); v != "v1" {
 		t.Errorf("restored = %q, want v1", v)
+	}
+}
+
+// TestLoadBlockFromLiveMember: a LoadBlock naming a live member pulls
+// that member's snapshot over the server's own peer session. A source
+// the server cannot reach fails the load without the connection class,
+// so the caller does not take the server it asked for the unreachable
+// one, and the block keeps what it held.
+func TestLoadBlockFromLiveMember(t *testing.T) {
+	src, c1, _ := newServer(t)
+	_, c2, _ := newServer(t)
+	createBlock(t, c1, 1, core.DSKV, []ds.SlotRange{{Lo: 0, Hi: 63}}, 0, nil)
+	createBlock(t, c2, 2, core.DSKV, []ds.SlotRange{{Lo: 0, Hi: 63}}, 0, nil)
+	dataOp(c1, 1, core.OpPut, []byte("k"), []byte("live"))
+	dataOp(c2, 2, core.OpPut, []byte("k"), []byte("old"))
+	load := func(from core.BlockInfo) error {
+		_, err := rpc.Invoke(context.Background(), c2, proto.LoadBlock, proto.LoadBlockReq{Block: 2, From: from})
+		return err
+	}
+	get := func() string {
+		res, err := dataOp(c2, 2, core.OpGet, []byte("k"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(res[0])
+	}
+
+	for _, from := range []core.BlockInfo{{ID: 1, Server: "mem://no-such-server"}, {ID: 9, Server: src.Addr()}} {
+		err := load(from)
+		if err == nil || errors.Is(err, core.ErrClosed) || errors.Is(err, core.ErrTimeout) {
+			t.Errorf("load from %v = %v, want a failure of no connection class", from, err)
+		}
+		if v := get(); v != "old" {
+			t.Errorf("failed load from %v restored the block: %q", from, v)
+		}
+	}
+	if err := load(core.BlockInfo{ID: 1, Server: src.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	if v := get(); v != "live" {
+		t.Errorf("loaded = %q, want the source's live", v)
+	}
+}
+
+// parentLoadBlockReq is LoadBlockReq as servers before live-member loads
+// decode it: without From.
+type parentLoadBlockReq struct {
+	Block     core.BlockID
+	Key       string
+	WantBlock core.BlockID
+	WantGen   uint64
+}
+
+// TestParentLoadBlockRefused: LoadBlockReq gained From, and the codec
+// has no optional fields, so the two versions refuse each other by name
+// instead of misreading a body. A parent-encoded request (kept in
+// testdata) is refused as truncated and restores nothing; a current one
+// leaves a parent decoder trailing bytes. The retired RestoreBlock id
+// 0x010f is not served.
+func TestParentLoadBlockRefused(t *testing.T) {
+	parent, err := os.ReadFile("testdata/parent-loadblockreq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := parentLoadBlockReq{Block: 1, Key: "snap/1", WantBlock: 1}
+	if enc, err := codec.Marshal(req); err != nil || !bytes.Equal(enc, parent) {
+		t.Fatalf("testdata is not %+v in the parent format: %x, %v", req, enc, err)
+	}
+
+	_, c, _ := newServer(t)
+	createBlock(t, c, 1, core.DSKV, []ds.SlotRange{{Lo: 0, Hi: 63}}, 0, nil)
+	dataOp(c, 1, core.OpPut, []byte("k"), []byte("flushed"))
+	if _, err := rpc.Invoke(context.Background(), c, proto.FlushBlock, proto.FlushBlockReq{Block: 1, Key: "snap/1"}); err != nil {
+		t.Fatal(err)
+	}
+	dataOp(c, 1, core.OpPut, []byte("k"), []byte("current"))
+	if _, err := c.Call(proto.LoadBlock.ID, parent); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("parent LoadBlockReq = %v, want refused as truncated", err)
+	}
+	if res, err := dataOp(c, 1, core.OpGet, []byte("k")); err != nil || string(res[0]) != "current" {
+		t.Errorf("after the refused load the block reads %q, %v; want current", res, err)
+	}
+
+	cur, err := codec.Marshal(proto.LoadBlockReq{Block: 1, Key: "snap/1", WantBlock: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := codec.Unmarshal(cur, &parentLoadBlockReq{}); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Errorf("a parent decoding a current LoadBlockReq = %v, want trailing bytes", err)
+	}
+
+	if _, err := c.Call(0x010f, cur); !errors.Is(err, core.ErrNotFound) {
+		t.Errorf("retired id 0x010f = %v, want ErrNotFound", err)
 	}
 }
 

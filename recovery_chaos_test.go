@@ -319,11 +319,11 @@ func TestChainMembersAgreeOnLayout(t *testing.T) {
 	}
 }
 
-// restoreFailingDial returns a cluster dial function that reaches every
-// memory server through a forwarding proxy, which refuses
-// MethodRestoreBlock while fail is set — the one step of a repair
-// splice a connection-level injector cannot single out.
-func restoreFailingDial(t *testing.T, inj *faultinject.Injector, fail *atomic.Bool) func(string) (*rpc.Client, error) {
+// loadFailingDial returns a cluster dial function that reaches every
+// memory server through a forwarding proxy, which refuses LoadBlock
+// while fail is set — the one step of a repair splice a
+// connection-level injector cannot single out.
+func loadFailingDial(t *testing.T, inj *faultinject.Injector, fail *atomic.Bool) func(string) (*rpc.Client, error) {
 	upstream := rpc.NewPool(inj.Dial)
 	t.Cleanup(upstream.Close)
 	var mu sync.Mutex
@@ -336,8 +336,8 @@ func restoreFailingDial(t *testing.T, inj *faultinject.Injector, fail *atomic.Bo
 		defer mu.Unlock()
 		if proxies[addr] == "" {
 			proxy := rpc.NewServer(rpc.BytesHandler(func(ctx context.Context, _ *rpc.ServerConn, method uint16, payload []byte) ([]byte, error) {
-				if method == proto.RestoreBlock.ID && fail.Load() {
-					return nil, errors.New("injected restore failure")
+				if method == proto.LoadBlock.ID && fail.Load() {
+					return nil, errors.New("injected load failure")
 				}
 				up, err := upstream.Get(addr)
 				if err != nil {
@@ -366,10 +366,10 @@ func TestRepairNarrowsEverySurvivorWhenResyncFails(t *testing.T) {
 	inj := faultinject.New(910, nil)
 	vclock := clock.NewVirtual(time.Unix(0, 0))
 	cfg := recoveryConfig()
-	var failRestore atomic.Bool
+	var failLoad atomic.Bool
 	opts := ClusterOptions{
 		Config: cfg, Servers: 4, BlocksPerServer: 16, Clock: vclock, DisableExpiry: true,
-		Dial: restoreFailingDial(t, inj, &failRestore),
+		Dial: loadFailingDial(t, inj, &failLoad),
 	}
 	cluster, err := StartCluster(opts)
 	if err != nil {
@@ -395,7 +395,7 @@ func TestRepairNarrowsEverySurvivorWhenResyncFails(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	failRestore.Store(true)
+	failLoad.Store(true)
 	mid := m.Blocks[0].Chain[1].Server
 	midIdx := killServer(t, cluster, inj, mid)
 	detectAndRepair(t, cluster, vclock, cfg, midIdx, mid)
