@@ -361,13 +361,31 @@ func (s *Store) Create(b *Block) error {
 	return nil
 }
 
-// Delete removes a block.
+// Delete removes a block. A file chunk's memory goes back to the pool
+// (ds.File.Release), and an op that resolved the block before the
+// delete then answers ErrStaleEpoch, as Get does after it, instead of
+// being acknowledged on a detached partition. Release waits out the
+// chunk's leased views, so it runs after the map is republished and
+// the write mutex dropped.
 func (s *Store) Delete(id core.BlockID) error {
+	b, err := s.detach(id)
+	if err != nil {
+		return err
+	}
+	if f, ok := b.Partition.(*ds.File); ok {
+		f.Release()
+	}
+	return nil
+}
+
+// detach republishes the block map without id and returns its block.
+func (s *Store) detach(id core.BlockID) (*Block, error) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	old := s.snapshotMap()
-	if _, exists := old[id]; !exists {
-		return fmt.Errorf("blockstore: block %v: %w", id, core.ErrNotFound)
+	b, exists := old[id]
+	if !exists {
+		return nil, fmt.Errorf("blockstore: block %v: %w", id, core.ErrNotFound)
 	}
 	next := make(blockMap, len(old))
 	for bid, blk := range old {
@@ -379,7 +397,7 @@ func (s *Store) Delete(id core.BlockID) error {
 	if s.deleted != nil && obs.On() {
 		s.deleted.Inc()
 	}
-	return nil
+	return b, nil
 }
 
 // Get returns the block, or ErrStaleEpoch when unknown — an unknown

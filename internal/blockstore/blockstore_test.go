@@ -1,7 +1,9 @@
 package blockstore
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -211,5 +213,60 @@ func TestConcurrentApply(t *testing.T) {
 	b, _ := s.Get(1)
 	if n := b.Partition.(*ds.KV).Len(); n != 4000 {
 		t.Errorf("%d pairs stored, want 4000", n)
+	}
+}
+
+// TestDeleteWaitsOutLeasedView deletes a file block while a leased view
+// of its bytes is in flight (a read response not yet written). Delete
+// releases the chunk's buffer to the pool, so it must wait for the
+// lease: the view reads its bytes intact until its Release, even with a
+// new chunk waiting to reuse the buffer. A delete that did not wait
+// lets the new chunk clear the buffer under the view.
+func TestDeleteWaitsOutLeasedView(t *testing.T) {
+	const size = 64 * core.KB
+	s := NewStore(0.95, 0.05, nil)
+	want := make([]byte, size)
+	for i := range want {
+		want[i] = byte(i)
+	}
+	if err := s.Create(&Block{ID: 1, Path: "j/f", Partition: ds.NewFile(size)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Apply(1, core.OpFileWrite, [][]byte{ds.U64(0), want}); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := s.Get(1)
+	v, _, err := ds.ApplyView(b.Partition, core.OpFileRead, [][]byte{ds.U64(0), ds.U64(size)}, nil)
+	if err != nil || v.Release == nil {
+		t.Fatalf("view: %v, leased %v", err, v.Release != nil)
+	}
+
+	deleted := make(chan struct{})
+	go func() {
+		defer close(deleted)
+		if err := s.Delete(1); err != nil {
+			t.Error(err)
+		}
+		// A new chunk grows into the released buffer and overwrites it.
+		next := ds.NewFile(size)
+		if _, err := next.WriteAt(0, make([]byte, size)); err != nil {
+			t.Error(err)
+		}
+	}()
+	for i := 0; i < 100; i++ {
+		if !bytes.Equal(v.Vals[0], want) {
+			t.Fatalf("read %d: the view's bytes changed under its lease", i)
+		}
+		select {
+		case <-deleted:
+			t.Fatal("Delete returned while a leased view was in flight")
+		default:
+		}
+		runtime.Gosched()
+	}
+	v.Release()
+	<-deleted
+	if _, err := b.Partition.Apply(core.OpFileRead, [][]byte{ds.U64(0), ds.U64(1)}); !errors.Is(err, core.ErrStaleEpoch) {
+		t.Fatalf("read after delete: %v, want ErrStaleEpoch", err)
 	}
 }

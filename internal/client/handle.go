@@ -171,7 +171,7 @@ func argsBytes(args [][]byte) int {
 // error means the whole call failed (encode, connection, or decode);
 // op-level failures live inside the results. Connection-level failures
 // evict the pooled session like the single-op path.
-func (h *handle) doBatch(ctx context.Context, server string, ops []ds.BatchOp) ([]ds.BatchResult, error) {
+func (h *handle) doBatch(ctx context.Context, server string, ops []ds.BatchOp, dst []ds.BatchResult) ([]ds.BatchResult, error) {
 	if obs.On() {
 		h.c.batchSizes.Observe(int64(len(ops)))
 	}
@@ -194,7 +194,7 @@ func (h *handle) doBatch(ctx context.Context, server string, ops []ds.BatchOp) (
 	if err != nil {
 		return nil, err
 	}
-	return ds.DecodeBatchResults(payload)
+	return ds.DecodeBatchResultsInto(dst, payload)
 }
 
 // redirect is the client-side form of a queue head/tail redirection.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
@@ -350,8 +351,8 @@ type batchGroup struct {
 // elements, never res itself. The result is nil or a *MultiError
 // indexed like the batch: ops fail and are retried independently, and
 // every pending op shares each attempt's one settle. The groups' vectors
-// are windows of two per-call vectors, reused by every attempt, and the
-// per-op errors are only allocated once an op fails.
+// are windows of a pooled scratch's vectors, reused by every attempt,
+// and the per-op errors are only allocated once an op fails.
 func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, chunk int, vals [][]byte,
 	landed func(i, chunk int, res [][]byte) error) error {
 	n := max(len(keys), len(vals))
@@ -368,12 +369,17 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 			errs[i] = err
 		}
 	}
-	ints := make([]int, 2*n)
-	pending, idxBuf := ints[:n:n], ints[n:n]
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer sc.release()
+	sc.ints = slices.Grow(sc.ints[:0], 3*n)[:3*n]
+	// Positions: the pending ops, the routed ops' tags, and the ops to
+	// retry, which become the next attempt's pending ops (at most n).
+	pending, idxBuf, spare := sc.ints[:n:n], sc.ints[n:n:2*n], sc.ints[2*n:2*n]
 	for i := range pending {
 		pending[i] = i
 	}
-	opBuf := make([]ds.BatchOp, 0, n)
+	sc.ops = slices.Grow(sc.ops[:0], n)
+	opBuf := sc.ops
 	keyOf := func(i int) string {
 		if keys == nil {
 			return ""
@@ -383,12 +389,12 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 	rec := recovery{h: h}
 	var oneGroup [1]batchGroup // most batches reach one server
 	groups := oneGroup[:0]
-	var res [][]byte // one result's values, reused across the call
+	res := sc.vals[:0] // one result's values, reused across the call
 
 	for attempt := 0; attempt < h.c.policy.Limit; attempt++ {
 		// Route: every pending op's destination under the current map,
 		// each op tagged with its group as gi*n + i.
-		var next []int
+		next := spare[:0]
 		groups = groups[:0]
 		idxs, ops := idxBuf[:0], opBuf[:0]
 		var e ds.PartitionEntry
@@ -437,7 +443,7 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 			var rs []ds.BatchResult
 			retry, cerr := rec.admit(op, g.server)
 			if cerr == nil {
-				if rs, cerr = h.doBatch(ctx, g.server, g.ops); cerr == nil && len(rs) != len(g.idxs) {
+				if rs, cerr = h.doBatch(ctx, g.server, g.ops, sc.results[:0]); cerr == nil && len(rs) != len(g.idxs) {
 					cerr = fmt.Errorf("client: batch: %d results for %d ops", len(rs), len(g.idxs))
 				}
 				if cerr != nil {
@@ -454,11 +460,13 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 				}
 				continue
 			}
+			sc.results = rs
 			for j, r := range rs {
 				i := g.idxs[j]
 				oerr := r.Err()
 				if oerr == nil {
 					res, oerr = ds.DecodeValsInto(res[:0], r.Blob)
+					sc.vals = res
 				}
 				if oerr == nil && landed != nil {
 					oerr = landed(i, g.chunk, res)
@@ -471,7 +479,7 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 			}
 		}
 
-		pending = next
+		pending, spare = next, pending[:0]
 		if len(pending) == 0 {
 			return multiErr(errs)
 		}
@@ -491,6 +499,38 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 		setErr(i, h.exhausted(op, keyOf(i), errs[i]))
 	}
 	return multiErr(errs)
+}
+
+// batchScratch is the vectors one runBatch call works in: positions
+// (pending, tagged and retried ops), routed ops, one group's results
+// and one result's values. Pooled, a steady-state call allocates none
+// of them.
+type batchScratch struct {
+	ints    []int
+	ops     []ds.BatchOp
+	results []ds.BatchResult
+	vals    [][]byte
+}
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// batchScratchMax bounds the batches whose scratch is kept: release
+// clears every pooled element, so one huge batch must not tax the calls
+// after it. No vector outgrows the batch, so bounding the op vector
+// bounds them all.
+const batchScratchMax = 1 << 12
+
+// release drops what the vectors point at — the caller's values, the
+// response — and pools them, unless a batch grew them past
+// batchScratchMax.
+func (sc *batchScratch) release() {
+	if cap(sc.ops) > batchScratchMax {
+		return
+	}
+	clear(sc.ops[:cap(sc.ops)])
+	clear(sc.results[:cap(sc.results)])
+	clear(sc.vals[:cap(sc.vals)])
+	batchScratchPool.Put(sc)
 }
 
 // byTag sorts a batch's routed ops by their group tags (gi*n + i).

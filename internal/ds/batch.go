@@ -187,14 +187,25 @@ func EncodeBatchResults(results []BatchResult) []byte {
 	return AppendBatchResults(nil, results)
 }
 
-// DecodeBatchResults parses a batch response. Blobs alias data.
+// DecodeBatchResults parses a batch response into a fresh vector.
+// Blobs alias data.
 func DecodeBatchResults(data []byte) ([]BatchResult, error) {
+	return DecodeBatchResultsInto(nil, data)
+}
+
+// DecodeBatchResultsInto parses a batch response, appending its results
+// to dst, so a caller decoding many responses reuses one vector
+// (dst[:0]). Blobs alias data.
+func DecodeBatchResultsInto(dst []BatchResult, data []byte) ([]BatchResult, error) {
 	if len(data) < 2 {
 		return nil, fmt.Errorf("ds: batch response too short (%d bytes)", len(data))
 	}
 	n := int(binary.BigEndian.Uint16(data[0:2]))
+	if n > (len(data)-2)/5 {
+		return nil, fmt.Errorf("ds: batch of %d results in %d bytes", n, len(data)-2)
+	}
 	off := 2
-	results := make([]BatchResult, 0, n)
+	results := slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		if off+5 > len(data) {
 			return nil, fmt.Errorf("ds: batch result %d: truncated header", i)

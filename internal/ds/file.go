@@ -6,6 +6,7 @@ import (
 
 	"jiffy/internal/codec"
 	"jiffy/internal/core"
+	"jiffy/internal/wire"
 )
 
 // File is the partition engine for one chunk of a Jiffy file (§5.1).
@@ -15,11 +16,18 @@ import (
 // chunk-relative. Files are append-oriented but support writes at
 // arbitrary in-capacity offsets (needed when concurrent map tasks write
 // disjoint regions of a shuffle file) and seek reads.
+//
+// The chunk owns data: nothing outside it holds a slice of its backing
+// array except a leased view, which holds the read lock. That lets the
+// chunk take its memory from the large-buffer pool (wire.GetLarge) as it
+// grows, give back what it outgrows, and give back all of it when its
+// block is deleted (Release).
 type File struct {
-	mu   sync.RWMutex
-	data []byte
-	size int // high-water mark of written bytes
-	cap  int
+	mu       sync.RWMutex
+	data     []byte
+	size     int // high-water mark of written bytes
+	cap      int
+	released bool // Release ran: every op answers errReleased
 }
 
 // NewFile creates an empty file chunk of the given capacity.
@@ -99,7 +107,7 @@ func (f *File) appendAnswer(dst []byte, op core.OpType, args [][]byte) ([]byte, 
 		}
 		n, err = f.Append(args[0])
 	case core.OpUsage:
-		n = f.Bytes()
+		n, err = f.usage()
 	default:
 		return dst, false, nil
 	}
@@ -108,6 +116,12 @@ func (f *File) appendAnswer(dst []byte, op core.OpType, args [][]byte) ([]byte, 
 	}
 	return appendU64(dst, uint64(n)), true, nil
 }
+
+// errReleased answers every op on a chunk whose block was deleted: the
+// answer Store.Get gives for an unknown block, so a client that
+// resolved the block before the delete refreshes its map as it would
+// after.
+var errReleased = fmt.Errorf("ds: file chunk released: %w", core.ErrStaleEpoch)
 
 // errChunkFull refuses a write or an append that does not fit the
 // chunk. It is built once: both wire forms of an error (ds.ErrResult)
@@ -124,6 +138,9 @@ var errChunkFull = fmt.Errorf("ds: write exceeds chunk capacity: %w", core.ErrBl
 func (f *File) Append(data []byte) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.released {
+		return 0, errReleased
+	}
 	if len(data) > f.cap {
 		return 0, fmt.Errorf("ds: record of %d bytes exceeds chunk capacity %d: %w",
 			len(data), f.cap, core.ErrTooLarge)
@@ -147,6 +164,9 @@ func (f *File) WriteAt(off int, data []byte) (int, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.released {
+		return 0, errReleased
+	}
 	if off+len(data) > f.cap {
 		return 0, errChunkFull
 	}
@@ -160,7 +180,12 @@ func (f *File) WriteAt(off int, data []byte) (int, error) {
 
 // grow extends the backing buffer to at least need bytes, doubling
 // capacity (bounded by the chunk capacity) so sequences of small
-// appends stay amortized O(1). Caller holds the lock; need <= f.cap.
+// appends stay amortized O(1). The next buffer comes from the
+// large-buffer pool, which rounds it up to its class (at least 8 KiB)
+// and hands it over dirty: everything past the copied prefix is
+// cleared, as make would have, because a WriteAt past the high-water
+// mark exposes the gap to readers. The outgrown buffer goes back.
+// Caller holds the lock; need <= f.cap.
 func (f *File) grow(need int) {
 	if need <= len(f.data) {
 		return
@@ -169,19 +194,34 @@ func (f *File) grow(need int) {
 		f.data = f.data[:need]
 		return
 	}
-	newCap := 2 * cap(f.data)
-	if newCap < need {
-		newCap = need
-	}
-	if newCap < 4096 {
-		newCap = 4096
-	}
-	if newCap > f.cap {
-		newCap = f.cap
-	}
-	grown := make([]byte, need, newCap)
-	copy(grown, f.data)
+	grown := wire.GetLarge(min(max(2*cap(f.data), need), f.cap))[:need]
+	n := copy(grown, f.data)
+	clear(grown[n:cap(grown)])
+	wire.PutLarge(f.data)
 	f.data = grown
+}
+
+// usage is OpUsage's answer: the high-water mark of a live chunk.
+func (f *File) usage() (int, error) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if f.released {
+		return 0, errReleased
+	}
+	return f.size, nil
+}
+
+// Release hands the chunk's memory back to the large-buffer pool once
+// its block is deleted (blockstore.Store.Delete). It takes the write
+// lock, which waits out every leased view, so no response still reads
+// the buffer; every later op answers core.ErrStaleEpoch. The size is
+// left as it was, so a straggling op's threshold check sees no
+// crossing. Releasing twice is harmless.
+func (f *File) Release() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	wire.PutLarge(f.data)
+	f.data, f.released = nil, true
 }
 
 // ReadAt returns up to length bytes starting at the chunk-relative
@@ -193,6 +233,9 @@ func (f *File) ReadAt(off, length int) ([]byte, error) {
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
+	if f.released {
+		return nil, errReleased
+	}
 	if off >= f.size {
 		return nil, nil
 	}
@@ -231,6 +274,10 @@ func (f *File) ApplyView(op core.OpType, args, dst [][]byte) (View, bool, error)
 		return View{}, true, fmt.Errorf("ds: negative offset/length")
 	}
 	f.mu.RLock()
+	if f.released {
+		f.mu.RUnlock()
+		return View{}, true, errReleased
+	}
 	if o >= f.size {
 		f.mu.RUnlock()
 		return View{Vals: append(dst, nil)}, true, nil
@@ -256,11 +303,21 @@ type fileSnapshot struct {
 func (f *File) Snapshot() ([]byte, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
+	if f.released {
+		return nil, errReleased
+	}
 	return codec.Marshal(&fileSnapshot{Data: f.data[:f.size], Cap: f.cap})
 }
 
 // Restore implements Partition. A snapshot holding more bytes than its
-// capacity is refused; on any error the chunk is left as it was.
+// capacity is refused; on any error the chunk is left as it was. The
+// decoded bytes are a copy the chunk owns. An empty restore — how a
+// demotion frees a block's memory — gives the buffer back to the pool,
+// as a delete does. A non-empty one leaves the buffer it replaces to
+// the collector: the server restores data only into chunks that hold
+// none (a load into a new block, a rehydration), and a put that no
+// grower matches costs the pool a box, and its re-creation after every
+// collection.
 func (f *File) Restore(snapshot []byte) error {
 	var s fileSnapshot
 	if err := codec.Unmarshal(snapshot, &s); err != nil {
@@ -271,6 +328,12 @@ func (f *File) Restore(snapshot []byte) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.released {
+		return errReleased
+	}
+	if len(s.Data) == 0 {
+		wire.PutLarge(f.data)
+	}
 	f.data = s.Data
 	f.size = len(s.Data)
 	f.cap = s.Cap

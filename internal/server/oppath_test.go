@@ -448,3 +448,50 @@ func TestRunOpFileAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestOpAfterDeleteIsStale: an op that looked up and pinned its file
+// block before a DeleteBlock reaches its apply stage after it. The
+// delete released the chunk, so the op answers ErrStaleEpoch — what the
+// lookup answers once the delete has landed, which sends the client to
+// refresh its map — instead of being acknowledged on a detached
+// partition whose bytes no reader will ever see.
+func TestOpAfterDeleteIsStale(t *testing.T) {
+	s := startOpServer(t, clock.NewVirtual(time.Unix(0, 0)))
+	ctx := context.Background()
+	for i, c := range []struct {
+		op   core.OpType
+		args [][]byte
+	}{
+		{core.OpFileWrite, [][]byte{ds.U64(0), []byte("v1")}},
+		{core.OpFileAppend, [][]byte{[]byte("v1")}},
+		{core.OpFileRead, [][]byte{ds.U64(0), ds.U64(2)}},
+	} {
+		id := core.BlockID(i + 1)
+		if _, err := s.createBlock(proto.CreateBlockReq{Block: id, Path: "j/f", Type: core.DSFile, Capacity: core.MB}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.store.Apply(id, core.OpFileWrite, [][]byte{ds.U64(0), []byte("v0")}); err != nil {
+			t.Fatal(err)
+		}
+		o := opCtx{op: c.op, block: id, args: c.args, checkNow: true, out: wire.GetBuf()}
+		var err error
+		if o.b, err = s.store.Get(id); err != nil {
+			t.Fatal(err)
+		}
+		if err = s.pin(o.b, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.deleteBlock(proto.DeleteBlockReq{Block: id}); err != nil {
+			t.Fatal(err)
+		}
+		err = s.apply(ctx, &o)
+		if o.lease != nil {
+			o.lease()
+		}
+		o.b.EndOp()
+		if !errors.Is(err, core.ErrStaleEpoch) {
+			t.Errorf("%v resolved before its block's delete: %v, want ErrStaleEpoch", c.op, err)
+		}
+		wire.PutBuf(o.out)
+	}
+}

@@ -453,13 +453,13 @@ func (c *Conn) readFrame(pooled bool) (f *Frame, reused bool, err error) {
 		f, err = parseFrame(buf)
 		return f, false, err
 	}
-	buf := getLarge(n)
+	buf := GetLarge(n)
 	if _, err := io.ReadFull(c.r, buf); err != nil {
-		putLarge(buf)
+		PutLarge(buf)
 		return nil, false, err
 	}
 	if f, err = parseFrame(buf); err != nil {
-		putLarge(buf)
+		PutLarge(buf)
 		return nil, false, err
 	}
 	f.buf = buf
@@ -476,7 +476,7 @@ func RecycleFrame(f *Frame) {
 	}
 	buf := f.buf
 	f.buf, f.Payload = nil, nil
-	putLarge(buf)
+	PutLarge(buf)
 }
 
 // readBody reads the n-byte remainder of a frame into a fresh buffer.

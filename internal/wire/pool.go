@@ -70,15 +70,17 @@ func PutBuf(b []byte) {
 }
 
 // Large-buffer class: receive buffers for request frames above
-// InlineFrameThreshold. A server reads such a frame into one of these
-// (ReadFramePooled), the handler works on the payload in place, and
-// the rpc layer hands the buffer back (RecycleFrame) once the response
-// is written — so a stream of 1 MiB writes reuses one buffer per
-// connection instead of allocating a megabyte per request. Buffers
-// come in power-of-two sizes from 8 KiB, except the top class, which is
-// readAllocChunk: it exists for the 1 MiB write plus its framing, and
-// rounding that up to 2 MiB would double the memory the pool holds.
-// Frames above readAllocChunk are never pooled (see readBody).
+// InlineFrameThreshold, and the backing memory of file chunks. A server
+// reads such a frame into one of these (ReadFramePooled), the handler
+// works on the payload in place, and the rpc layer hands the buffer
+// back (RecycleFrame) once the response is written — so a stream of
+// 1 MiB writes reuses one buffer per connection instead of allocating a
+// megabyte per request. A file chunk grows through the same class and
+// gives back what it outgrows, and all of it when its block is deleted
+// (ds.File). Buffers come in power-of-two sizes from 8 KiB, except the
+// top class, which is readAllocChunk: it exists for the 1 MiB write
+// plus its framing, and rounding that up to 2 MiB would double the
+// memory the pool holds. Nothing above readAllocChunk is pooled.
 const (
 	minLargeShift = 13 // 8 KiB: the first size above InlineFrameThreshold + header
 	largeClasses  = 9  // 8 KiB … 1 MiB, then readAllocChunk
@@ -86,8 +88,8 @@ const (
 
 var largePools [largeClasses]sync.Pool
 
-// largeClass maps a frame length to its size class and buffer size;
-// ok is false for lengths the class does not serve.
+// largeClass maps a length to its size class and buffer size; ok is
+// false for lengths the class does not serve.
 func largeClass(n int) (class, size int, ok bool) {
 	if n <= 0 || n > readAllocChunk {
 		return 0, 0, false
@@ -102,10 +104,17 @@ func largeClass(n int) (class, size int, ok bool) {
 	return shift - minLargeShift, 1 << shift, true
 }
 
-// getLarge returns an n-byte buffer from the large class; n must be in
-// (0, readAllocChunk].
-func getLarge(n int) []byte {
-	class, size, _ := largeClass(n)
+// GetLarge returns an n-byte buffer whose capacity is its class size,
+// from the class's pool when it holds one. A pooled buffer is dirty:
+// its bytes are whatever its last holder left (0xDB under -tags
+// jiffydebug), so a caller that exposes bytes it did not write clears
+// them first. A length the class does not serve (above readAllocChunk)
+// gets a fresh buffer, which PutLarge then leaves to the collector.
+func GetLarge(n int) []byte {
+	class, size, ok := largeClass(n)
+	if !ok {
+		return make([]byte, n)
+	}
 	if p, _ := largePools[class].Get().(*[]byte); p != nil {
 		b := unbox(p)
 		debugTrackGet(b)
@@ -114,9 +123,11 @@ func getLarge(n int) []byte {
 	return make([]byte, n, size)
 }
 
-// putLarge returns a getLarge buffer to its class; a buffer whose
-// capacity is not a class size is left to the collector.
-func putLarge(b []byte) {
+// PutLarge hands a buffer to its class. The caller must own b — no
+// other slice of its backing array may be used afterwards — and must
+// not touch it again. A buffer whose capacity is not a class size is
+// left to the collector, so PutLarge is safe on any owned slice.
+func PutLarge(b []byte) {
 	class, size, ok := largeClass(cap(b))
 	if !ok || size != cap(b) {
 		return

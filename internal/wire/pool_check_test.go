@@ -61,7 +61,7 @@ func TestPoolUntrackedPutAllowed(t *testing.T) {
 // handler that keeps writing through a request frame after
 // RecycleFrame is caught when the buffer is next handed out.
 func TestLargePoolUseAfterRecyclePanics(t *testing.T) {
-	buf := getLarge(64 * 1024)
+	buf := GetLarge(64 * 1024)
 	f := &Frame{Kind: KindRequest, Payload: buf[headerLen:], buf: buf}
 	held := f.Payload
 	RecycleFrame(f)
@@ -71,7 +71,7 @@ func TestLargePoolUseAfterRecyclePanics(t *testing.T) {
 	held[0] = 42 // the bug: a retained alias of the request payload
 	mustPanic(t, "wire: buffer written after PutBuf (use after put)", func() {
 		for i := 0; i < 64; i++ { // the pool may hold other buffers of this class
-			getLarge(64 * 1024)
+			GetLarge(64 * 1024)
 		}
 	})
 }

@@ -34,9 +34,14 @@ func TestLargeClassSizes(t *testing.T) {
 	}
 	// A buffer whose capacity is not a class size is never pooled: it
 	// would come back out under a length it cannot hold.
-	putLarge(make([]byte, 12000))
-	if b := getLarge(16 * core.KB); cap(b) != 16*core.KB {
-		t.Fatalf("getLarge(16K) returned cap %d", cap(b))
+	PutLarge(make([]byte, 12000))
+	if b := GetLarge(16 * core.KB); cap(b) != 16*core.KB {
+		t.Fatalf("GetLarge(16K) returned cap %d", cap(b))
+	}
+	// A length above the top class gets a fresh buffer of that length
+	// (a file chunk's growth past it), which PutLarge then drops.
+	if b := GetLarge(readAllocChunk + 1); len(b) != readAllocChunk+1 {
+		t.Fatalf("GetLarge above the top class returned %d bytes", len(b))
 	}
 }
 
