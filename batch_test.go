@@ -7,11 +7,17 @@ package jiffy
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
+	"jiffy/internal/client"
 	"jiffy/internal/core"
+	"jiffy/internal/faultinject"
+	"jiffy/internal/rpc"
 )
 
 func batchKV(t *testing.T, c *Client, prefix core.Path, blocks int) *KV {
@@ -298,5 +304,129 @@ func TestBatchSpanningRepartitionInFlight(t *testing.T) {
 	// The fill data survived the batch traffic too.
 	if v, err := writerKV.Get(context.Background(), "fill-0000"); err != nil || !bytes.Equal(v, filler) {
 		t.Fatalf("fill key after batch: len=%d err=%v", len(v), err)
+	}
+}
+
+// TestAppendBatchFollowsLinks: two writers append 100 B records in
+// batches across ten 64 KiB chunks. Each chunk's over-signal, answered,
+// links it to the next chunk, and a full chunk redirects its appenders
+// there, so the writers never ask the controller to grow the file
+// (client ScaleUp calls: 0). With every server-to-controller send
+// reset, no signal is ever answered and nothing is linked: the writers
+// grow the file themselves (the rare path) and still place every
+// record. Either way every record reads back exactly once, at the
+// offset its batch returned.
+func TestAppendBatchFollowsLinks(t *testing.T) {
+	for _, dropped := range []bool{false, true} {
+		t.Run(fmt.Sprintf("signals-dropped=%v", dropped), func(t *testing.T) {
+			inj := faultinject.New(46, nil)
+			cfg := core.TestConfig()
+			cfg.LeaseDuration = time.Hour
+			cluster, err := StartCluster(ClusterOptions{Config: cfg, Servers: 1, BlocksPerServer: 64, Dial: inj.Dial})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Close()
+			ctx := context.Background()
+			// The client dials past the injector: only the servers' sends
+			// to the controller are reset.
+			c, err := cluster.Connect(ctx, client.WithDial(rpc.Dial))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if dropped {
+				inj.AddRule(faultinject.Rule{Name: "reset-signals", Match: "send:" + cluster.ControllerAddr, ResetProb: 1})
+			}
+			c.RegisterJob(ctx, "links")
+			if _, _, err := c.CreatePrefix(ctx, "links/f", nil, DSFile, 1, 0); err != nil {
+				t.Fatal(err)
+			}
+
+			const writers, batches, per, size = 2, 48, 64, 100
+			record := func(w, i int) []byte {
+				r := bytes.Repeat([]byte{byte('a' + w)}, size)
+				binary.BigEndian.PutUint32(r[1:], uint32(i))
+				return r
+			}
+			offs := make([][]int, writers)
+			var wg sync.WaitGroup
+			errs := make(chan error, writers)
+			for w := 0; w < writers; w++ {
+				f, err := c.OpenFile(ctx, "links/f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for b := 0; b < batches; b++ {
+						recs := make([][]byte, per)
+						for j := range recs {
+							recs[j] = record(w, b*per+j)
+						}
+						got, err := f.AppendBatch(ctx, recs)
+						if err != nil {
+							errs <- fmt.Errorf("writer %d batch %d: %w", w, b, err)
+							return
+						}
+						offs[w] = append(offs[w], got...)
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+
+			scales := scrapeObs(c.Obs())[`jiffy_rpc_requests_total{role="client",method="ScaleUp"}`]
+			if !dropped && scales != 0 {
+				t.Errorf("client ScaleUp calls = %g, want 0: a writer grew a file the server had linked", scales)
+			}
+			if dropped && scales == 0 {
+				t.Errorf("client ScaleUp calls = 0 with every signal dropped: who grew the file?")
+			}
+
+			f, err := c.OpenFile(ctx, "links/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks, err := f.Chunks(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d chunks, %g client ScaleUp calls", chunks, scales)
+			if chunks < 8 {
+				t.Fatalf("file has %d chunks, want at least 8", chunks)
+			}
+			at := make(map[string]int) // record → where the scan found it
+			for ci := 0; ci < chunks; ci++ {
+				data, err := f.ReadChunk(ctx, ci)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(data)%size != 0 {
+					t.Fatalf("chunk %d holds %d bytes: a record straddles or was torn", ci, len(data))
+				}
+				for o := 0; o < len(data); o += size {
+					key := string(data[o : o+size])
+					if _, twice := at[key]; twice {
+						t.Fatalf("record %q found twice", key[:5])
+					}
+					at[key] = ci*cfg.BlockSize + o
+				}
+			}
+			if len(at) != writers*batches*per {
+				t.Fatalf("scan found %d records, want %d", len(at), writers*batches*per)
+			}
+			for w := range offs {
+				for i, off := range offs[w] {
+					if got, ok := at[string(record(w, i))]; !ok || got != off {
+						t.Fatalf("writer %d record %d: returned offset %d, found at %d (%v)", w, i, off, got, ok)
+					}
+				}
+			}
+		})
 	}
 }

@@ -330,6 +330,87 @@ func TestBatchAllocs(t *testing.T) {
 		}
 	})
 
+	// A redirected suffix: each measured call goes to its own file,
+	// whose full first chunk the server has linked to the second; the
+	// handle has not seen the second, so the call's first 15 records
+	// land in the first chunk and the other 49 are redirected and land
+	// in the second, whose buffer another handle's record has already
+	// taken. The suffix costs its own frame — what the plain call's one
+	// frame costs, the plain call less its offsets vector — and the
+	// redirect, parsed once per call, at most 3 objects more: the per-op
+	// error vector, the redirect and its server name. Measured: 12
+	// objects, 5 for the plain call; 108 when every redirected op
+	// parsed its own redirect.
+	t.Run("AppendBatchRedirected", func(t *testing.T) {
+		plain := appendAllocs(t, 64, 100)
+		cfg := core.TestConfig()
+		cfg.LeaseDuration = time.Hour
+		cluster, err := jiffy.StartCluster(jiffy.ClusterOptions{Config: cfg, Servers: 1, BlocksPerServer: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cluster.Close()
+		rc, err := cluster.Connect(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rc.Close()
+		rc.RegisterJob(ctx, "linked")
+		records := make([][]byte, 64)
+		for i := range records {
+			records[i] = make([]byte, 100)
+		}
+		const runs = 30
+		files := make([]*jiffy.File, runs+1) // AllocsPerRun warms up with one call
+		for i := range files {
+			path := core.Path(fmt.Sprintf("linked/f%d", i))
+			if _, _, err := rc.CreatePrefix(ctx, path, nil, jiffy.DSFile, 1, 0); err != nil {
+				t.Fatal(err)
+			}
+			if files[i], err = rc.OpenFile(ctx, path); err != nil {
+				t.Fatal(err)
+			}
+			// 640 of the 655 records a 64 KiB chunk holds: past the high
+			// threshold, so the chunk signals and is linked.
+			for b := 0; b < 10; b++ {
+				if _, err := files[i].AppendBatch(ctx, records); err != nil {
+					t.Fatal(err)
+				}
+			}
+			probe, err := rc.OpenFile(ctx, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				if n, err := probe.Chunks(ctx); err == nil && n == 2 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the full chunk was never grown")
+				}
+			}
+			if err := probe.WriteAt(ctx, cfg.BlockSize, records[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			offs, err := files[next].AppendBatch(ctx, records)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if offs[63] < cfg.BlockSize {
+				t.Fatalf("record 63 landed at %d, in the first chunk", offs[63])
+			}
+			next++
+		})
+		t.Logf("AppendBatch of 64 x 100 B with a redirected suffix: %.1f objects/call, %.1f without", allocs, plain)
+		if frame := plain - 1; allocs > plain+frame+3 {
+			t.Fatalf("a redirected suffix costs %.1f objects over a plain call and its own frame (%.1f), want <= 3",
+				allocs-plain-frame, frame)
+		}
+	})
+
 	t.Run("MultiGet", func(t *testing.T) {
 		if _, _, err := c.CreatePrefix(ctx, "allocs/kv", nil, jiffy.DSKV, 4, 0); err != nil {
 			t.Fatal(err)

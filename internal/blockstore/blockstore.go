@@ -46,6 +46,11 @@ type Block struct {
 	// armedUnder becomes true once usage exceeds the low threshold, so
 	// freshly created empty blocks don't immediately signal underload.
 	armedUnder atomic.Bool
+	// growth is open while the block's over-signal is in flight and
+	// closed once it is answered, failed or dropped (EndGrowth): an
+	// append refused as full waits on it for the link to the next chunk.
+	growMu sync.Mutex
+	growth chan struct{}
 
 	// Replication ordering state (only used when the chain is
 	// non-empty). At the chain head, replMu serializes mutation
@@ -62,6 +67,9 @@ type Block struct {
 	replGen   uint64
 	applySeq  uint64
 	applyCond *sync.Cond
+	// halted is set by Store.Halt as the server shuts down: a hop
+	// parked in ApplyInOrder, or arriving later, fails at once.
+	halted bool
 
 	// sealed permanently fences the block against mutations (reads keep
 	// serving): a drain seals the source before taking its migration
@@ -228,7 +236,8 @@ func (b *Block) NextReplSeq(fn func() error) (chain core.ReplicaChain, seq, gen 
 // returns ErrStaleEpoch
 // immediately (or as soon as a repair bumps the generation mid-wait):
 // its sender is propagating along a chain that no longer exists, and
-// must refresh. The returned chain is this replica's chain for gen,
+// must refresh. Once the store is halted it returns ErrClosed, so
+// a hop waiting for a seq that never comes does not hold up shutdown. The returned chain is this replica's chain for gen,
 // read under the lock SetChain writes it — exactly as NextReplSeq does
 // for the head — so the mutation continues along the layout it was
 // admitted under even if a repair splice lands right after. Every
@@ -240,8 +249,11 @@ func (b *Block) ApplyInOrder(seq, gen uint64, fn func() error) (chain core.Repli
 	if b.applyCond == nil {
 		b.applyCond = sync.NewCond(&b.replMu)
 	}
-	for b.applySeq != seq && b.replGen == gen && !b.sealed.Load() {
+	for b.applySeq != seq && b.replGen == gen && !b.sealed.Load() && !b.halted {
 		b.applyCond.Wait()
+	}
+	if b.halted {
+		return nil, fmt.Errorf("blockstore: block %v: server shutting down: %w", b.ID, core.ErrClosed)
 	}
 	if b.replGen != gen || b.sealed.Load() {
 		return nil, fmt.Errorf("blockstore: block %v: chain generation %d superseded by %d: %w",
@@ -251,6 +263,51 @@ func (b *Block) ApplyInOrder(seq, gen uint64, fn func() error) (chain core.Repli
 	b.applySeq++
 	b.applyCond.Broadcast()
 	return b.Chain(), err
+}
+
+// halt wakes every hop parked in ApplyInOrder and fails the later
+// ones (see Store.Halt).
+func (b *Block) halt() {
+	b.replMu.Lock()
+	b.halted = true
+	if b.applyCond != nil {
+		b.applyCond.Broadcast()
+	}
+	b.replMu.Unlock()
+}
+
+// Growth returns a channel that is closed once the block's over-signal
+// in flight is answered, or nil when none is in flight.
+func (b *Block) Growth() <-chan struct{} {
+	b.growMu.Lock()
+	defer b.growMu.Unlock()
+	return b.growth
+}
+
+// latchOver latches the over-signal and opens the growth channel in
+// one step, under the lock Growth reads it under: an append refused
+// while the signal is being sent finds it in flight.
+func (b *Block) latchOver() bool {
+	b.growMu.Lock()
+	defer b.growMu.Unlock()
+	if !b.signaled.CompareAndSwap(0, 1) && !b.signaled.CompareAndSwap(-1, 1) {
+		return false
+	}
+	if b.growth == nil {
+		b.growth = make(chan struct{})
+	}
+	return true
+}
+
+// EndGrowth wakes everything waiting on Growth: the over-signal was
+// answered, failed or dropped. Ending no growth is harmless.
+func (b *Block) EndGrowth() {
+	b.growMu.Lock()
+	if b.growth != nil {
+		close(b.growth)
+		b.growth = nil
+	}
+	b.growMu.Unlock()
 }
 
 // ChainGen returns the block's chain together with the replication
@@ -279,6 +336,8 @@ type Store struct {
 	// the controller never mints a block ID twice.
 	blocks  atomic.Pointer[blockMap]
 	writeMu sync.Mutex
+	// halted is set by Halt; a block created after it starts halted.
+	halted atomic.Bool
 
 	// heatNow is the current heat clock value (UnixNano), refreshed by
 	// the tiering worker at each scan. The data path stamps block
@@ -355,6 +414,9 @@ func (s *Store) Create(b *Block) error {
 	}
 	next[b.ID] = b
 	s.blocks.Store(&next)
+	if s.halted.Load() {
+		b.halt()
+	}
 	if s.created != nil && obs.On() {
 		s.created.Inc()
 	}
@@ -366,7 +428,8 @@ func (s *Store) Create(b *Block) error {
 // delete then answers ErrStaleEpoch, as Get does after it, instead of
 // being acknowledged on a detached partition. Release waits out the
 // chunk's leased views, so it runs after the map is republished and
-// the write mutex dropped.
+// the write mutex dropped. An append waiting on the block's growth is
+// woken: no answer to its signal will find the block.
 func (s *Store) Delete(id core.BlockID) error {
 	b, err := s.detach(id)
 	if err != nil {
@@ -375,6 +438,7 @@ func (s *Store) Delete(id core.BlockID) error {
 	if f, ok := b.Partition.(*ds.File); ok {
 		f.Release()
 	}
+	b.EndGrowth()
 	return nil
 }
 
@@ -398,6 +462,16 @@ func (s *Store) detach(id core.BlockID) (*Block, error) {
 		s.deleted.Inc()
 	}
 	return b, nil
+}
+
+// Halt wakes every hop parked in a hosted block's ApplyInOrder, and
+// fails every later one, with ErrClosed: the server is shutting down,
+// and a hop waiting for a seq that never arrives must not hold it up.
+func (s *Store) Halt() {
+	s.halted.Store(true)
+	for _, b := range s.snapshotMap() {
+		b.halt()
+	}
 }
 
 // Get returns the block, or ErrStaleEpoch when unknown — an unknown
@@ -473,7 +547,7 @@ func (s *Store) checkThresholds(b *Block) {
 	}
 	switch {
 	case frac >= s.high:
-		if b.signaled.CompareAndSwap(0, 1) || b.signaled.CompareAndSwap(-1, 1) {
+		if b.signaled.Load() != 1 && b.latchOver() {
 			s.onSignal(b.Path, b.ID, true)
 		}
 	case frac <= s.low && b.armedUnder.Load():
@@ -496,12 +570,14 @@ func drainedQueue(b *Block) bool {
 
 // ResetSignal clears the de-duplication state of a block whose signal
 // was never answered — dropped on a full queue, or the controller call
-// failed — re-arming it. An answered signal is not reset: the latch
+// failed — re-arming it, and wakes what waits on its growth: nothing
+// will come of that signal. An answered signal is not reset: the latch
 // then clears by itself once usage leaves the threshold band (the
 // default arm of checkThresholds).
 func (s *Store) ResetSignal(id core.BlockID) {
 	if b, err := s.Get(id); err == nil {
 		b.signaled.Store(0)
+		b.EndGrowth()
 	}
 }
 

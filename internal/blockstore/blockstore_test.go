@@ -164,6 +164,47 @@ func TestResetSignalRearms(t *testing.T) {
 	}
 }
 
+// TestGrowthOpenWhileSignalInFlight: an over-signal opens the block's
+// growth channel; whatever ends the signal — an answer (EndGrowth), a
+// drop or failure (ResetSignal), the block's delete — closes it, and
+// with no signal in flight there is nothing to wait on.
+func TestGrowthOpenWhileSignalInFlight(t *testing.T) {
+	rec := &signalRecorder{}
+	s := NewStore(0.5, 0.05, rec.fn)
+	b := newKVBlock(1, 100)
+	s.Create(b)
+	if b.Growth() != nil {
+		t.Fatal("growth open before any signal")
+	}
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	for _, end := range []struct {
+		name string
+		fn   func()
+	}{
+		{"answered", b.EndGrowth},
+		{"dropped", func() { s.ResetSignal(1) }},
+		{"deleted", func() { s.Delete(1) }},
+	} {
+		s.ResetSignal(1)
+		s.Apply(1, core.OpPut, [][]byte{[]byte("a"), make([]byte, 60)})
+		growth := b.Growth()
+		if growth == nil || closed(growth) {
+			t.Fatalf("%s: no growth in flight after the over-signal", end.name)
+		}
+		end.fn()
+		if !closed(growth) || b.Growth() != nil {
+			t.Errorf("%s: growth still in flight", end.name)
+		}
+	}
+}
+
 func TestReadsDoNotSignal(t *testing.T) {
 	rec := &signalRecorder{}
 	s := NewStore(0.5, 0.05, rec.fn)

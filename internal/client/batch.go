@@ -97,8 +97,9 @@ func (k *KV) MultiGet(ctx context.Context, keys []string) ([][]byte, error) {
 // AppendBatch appends many records to the file's tail chunk in one
 // round trip, returning the absolute offset each record landed at
 // (aligned with records). Like AppendRecord, records never straddle
-// chunks. When the tail fills mid-batch the unplaced suffix requests a
-// scale-up and retries against the new tail; on partial failure the
+// chunks. When the tail fills mid-batch the unplaced suffix follows the
+// full chunk's link to the next one — or, when the server has none,
+// requests a scale-up — and retries there; on partial failure the
 // error is a *MultiError indexed like records.
 func (f *File) AppendBatch(ctx context.Context, records [][]byte) ([]int, error) {
 	cs := f.chunkSize()

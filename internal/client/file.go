@@ -14,15 +14,23 @@ import (
 // fixed-size chunks, each stored in one block. Writes at arbitrary
 // offsets are split at chunk boundaries; writing past the last chunk
 // grows the file by requesting new blocks from the controller. Each
-// handle tracks an append cursor for Append/Read streaming.
+// handle tracks an append cursor for Append/Read streaming. Record
+// appends follow links the way a queue's ends do: a full chunk
+// redirects them to its successor, which the server learned when the
+// controller answered the chunk's over-signal, so appenders rarely ask
+// for growth themselves.
 type File struct {
-	mapRouted
 	h *handle
 
 	mu     sync.Mutex
 	wcur   int // append cursor
 	rcur   int // sequential-read cursor
 	maxEnd int // highest offset this handle has written
+	// linked is the chunk a redirect sent appends to while the map does
+	// not know it yet (zero when none), learned under the map of epoch
+	// linkedEpoch.
+	linked      ds.PartitionEntry
+	linkedEpoch core.Epoch
 }
 
 // Path returns the handle's address prefix.
@@ -37,28 +45,70 @@ func (f *File) chunkSize() int {
 // is routed: where records are appended.
 const tailChunk = -1
 
-// route finds the block holding chunk. A write to a chunk that does
-// not exist yet asks the pipeline to grow the file from its tail (the
-// server's proactive signal usually got there first); a read of one is
-// past the end of the file.
+// route finds the block holding chunk. Appends go to the file's tail:
+// the map's last chunk, or the chunk a redirect linked past it. A write
+// to a chunk that does not exist yet asks the pipeline to grow the file
+// from its tail (the server's proactive signal usually got there
+// first); a read of one is past the end of the file — unless a link
+// named it, and then the map is stale.
 func (f *File) route(op core.OpType, _ string, chunk int) (ds.PartitionEntry, error) {
 	m := f.h.snapshot()
+	tail, ok := m.Tail()
+	f.mu.Lock()
+	linked := f.linked
+	f.mu.Unlock()
 	if chunk != tailChunk {
 		if e, ok := m.BlockForChunk(chunk); ok {
 			return e, nil
+		}
+		if linked.Info.Server != "" && chunk <= linked.Chunk {
+			return linked, fmt.Errorf("client: file chunk %d linked but not mapped: %w", chunk, core.ErrStaleEpoch)
 		}
 		if !op.IsMutation() {
 			return ds.PartitionEntry{}, fmt.Errorf("client: file chunk %d: %w", chunk, core.ErrNotFound)
 		}
 	}
-	tail, ok := m.Tail()
 	switch {
 	case !ok:
 		return tail, fmt.Errorf("client: file has no chunks: %w", core.ErrNotFound)
 	case chunk != tailChunk:
 		return tail, fmt.Errorf("client: file grow to chunk %d: %w", chunk, core.ErrBlockFull)
+	case linked.Info.Server != "" && linked.Chunk > tail.Chunk:
+		return linked, nil
 	}
 	return tail, nil
+}
+
+// forget drops the linked chunk once a map newer than the one it was
+// learned under arrives: that map knows the chunk, or knows better.
+func (f *File) forget() {
+	epoch := f.h.snapshot().Epoch
+	f.mu.Lock()
+	if epoch > f.linkedEpoch {
+		f.linked = ds.PartitionEntry{}
+	}
+	f.mu.Unlock()
+}
+
+// redirected follows a link: the chunk from is full and next holds the
+// chunk after it, where the append goes again. The linked chunk only
+// moves forward, so two batches redirected from successive chunks
+// cannot send a later append back. The map, when it already knows the
+// chunk, supplies its entry.
+func (f *File) redirected(op core.OpType, from int, next core.BlockInfo) {
+	if op != core.OpFileAppend {
+		return
+	}
+	m := f.h.snapshot()
+	e, ok := m.BlockForChunk(from + 1)
+	if !ok {
+		e = ds.PartitionEntry{Info: next, Chunk: from + 1}
+	}
+	f.mu.Lock()
+	if e.Chunk > f.linked.Chunk {
+		f.linked, f.linkedEpoch = e, m.Epoch
+	}
+	f.mu.Unlock()
 }
 
 // WriteAt writes data at an absolute file offset, spanning chunks as

@@ -197,7 +197,8 @@ func (h *handle) doBatch(ctx context.Context, server string, ops []ds.BatchOp, d
 	return ds.DecodeBatchResultsInto(dst, payload)
 }
 
-// redirect is the client-side form of a queue head/tail redirection.
+// redirect is the client-side form of a redirection: a queue end or a
+// full file chunk handing the op over to its successor.
 type redirect struct{ next core.BlockInfo }
 
 func (r *redirect) Error() string { return core.ErrRedirect.Error() }
@@ -209,9 +210,14 @@ func withRedirect(err error, payload []byte) error {
 	if classify(err) != actRedirect {
 		return err
 	}
-	next, perr := ds.ParseRedirect(payload)
-	if perr != nil {
-		return perr
+	return redirectTo(payload)
+}
+
+// redirectTo is the typed redirect to the block payload names.
+func redirectTo(payload []byte) error {
+	next, err := ds.ParseRedirect(payload)
+	if err != nil {
+		return err
 	}
 	return &redirect{next: next}
 }

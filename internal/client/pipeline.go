@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -35,7 +36,7 @@ const (
 	actDone     action = iota // the op succeeded
 	actFatal                  // the error is the op's answer
 	actRelearn                // the cached map is stale: fetch it again
-	actRedirect               // the server named the block to go to instead
+	actRedirect               // the server named the block to go to instead: follow the link
 	actGrow                   // the block is full: ask the controller to scale
 	actThrottle               // admission control refused: wait the hint out
 	actAvoid                  // the server is dead or degraded: route around it
@@ -76,17 +77,17 @@ type structure interface {
 	route(op core.OpType, key string, chunk int) (ds.PartitionEntry, error)
 	// forget drops routing state derived from a map that was replaced.
 	forget()
-	// redirected records that the server handed the end op works on
-	// over to next.
-	redirected(op core.OpType, next core.BlockInfo)
+	// redirected records that the block of chunk (or queue segment)
+	// from, which op was sent to, handed it over to next.
+	redirected(op core.OpType, from int, next core.BlockInfo)
 }
 
 // mapRouted is embedded by the structures that route from the cached
 // map alone: nothing to forget, and their servers never redirect.
 type mapRouted struct{}
 
-func (mapRouted) forget()                                {}
-func (mapRouted) redirected(core.OpType, core.BlockInfo) {}
+func (mapRouted) forget()                                     {}
+func (mapRouted) redirected(core.OpType, int, core.BlockInfo) {}
 
 // errBoundedFull is backpressure from a structure at its MaxBlocks
 // bound (maxQueueLength, §5.2): the block is full and cannot grow.
@@ -122,7 +123,7 @@ func (r *recovery) locate(op core.OpType, key string, chunk int) (e ds.Partition
 		// The op lands on, or wants to grow from, a block that could not.
 		return e, false, errBoundedFull
 	case err != nil:
-		return e, r.note(op, e.Info, err), err
+		return e, r.note(op, e.Info, e.Chunk, err), err
 	case e.Lost:
 		// Every replica died with no flushed copy: retrying brings nothing back.
 		return e, false, fmt.Errorf("client: block %d: %w", e.Info.ID, core.ErrBlockLost)
@@ -176,25 +177,27 @@ func (r *recovery) admit(op core.OpType, server string) (retry bool, err error) 
 	if r.avoid[server] {
 		return false, err
 	}
-	return r.note(op, core.BlockInfo{Server: server}, err), err
+	return r.note(op, core.BlockInfo{Server: server}, 0, err), err
 }
 
-// note classifies the failure of an op sent (or routed) to at and
-// records what recovering from it takes. It reports whether the op is
-// to be tried again after settle; false means err is its answer.
-func (r *recovery) note(op core.OpType, at core.BlockInfo, err error) bool {
+// note classifies the failure of an op sent (or routed) to at, the
+// block of chunk, and records what recovering from it takes. It
+// reports whether the op is to be tried again after settle; false means
+// err is its answer.
+func (r *recovery) note(op core.OpType, at core.BlockInfo, chunk int, err error) bool {
 	switch classify(err) {
 	case actRelearn:
 		r.stale = true
 	case actRedirect:
-		var rd *redirect
-		if !errors.As(err, &rd) {
+		// The data calls give a redirect its typed form (redirectTo).
+		rd, ok := err.(*redirect)
+		if !ok {
 			return false
 		}
 		if obs.On() {
 			r.h.c.rpcm.Redirects.Inc()
 		}
-		r.h.s.redirected(op, rd.next)
+		r.h.s.redirected(op, chunk, rd.next)
 		return true // the link is in hand: no pause
 	case actGrow:
 		// Custom structures grow when the application says so (Grow).
@@ -204,6 +207,7 @@ func (r *recovery) note(op core.OpType, at core.BlockInfo, err error) bool {
 		if !slices.Contains(r.full, at.ID) {
 			r.full = append(r.full, at.ID)
 		}
+		return true // settle pauses only if the grow moved nothing
 	case actThrottle:
 		// Past ThrottleLimit waits the typed refusal surfaces, hint intact.
 		if r.throttles >= r.h.c.policy.ThrottleLimit {
@@ -228,8 +232,9 @@ func (r *recovery) note(op core.OpType, at core.BlockInfo, err error) bool {
 
 // settle does what the attempt's failures asked for, once, in this
 // order: grow, relearn, then wait — a throttle's retry-after if there
-// was one, else the backoff step. It returns an error when recovery
-// itself failed or ctx ended.
+// was one, else the backoff step. A grow that moved the map needs no
+// wait: the op goes again at once, along the new map. It returns an
+// error when recovery itself failed or ctx ended.
 func (r *recovery) settle(ctx context.Context, attempt int) error {
 	h, p := r.h, &r.h.c.policy
 	for _, b := range r.full {
@@ -240,8 +245,11 @@ func (r *recovery) settle(ctx context.Context, attempt int) error {
 			return err
 		}
 		h.s.forget()
-		if m := h.snapshot(); m.AtMaxBlocks() && m.Epoch == before {
-			r.atMax = append(r.atMax, b) // nothing changed and nothing can
+		if m := h.snapshot(); m.Epoch == before {
+			r.pause = true
+			if m.AtMaxBlocks() {
+				r.atMax = append(r.atMax, b) // nothing changed and nothing can
+			}
 		}
 	}
 	if r.stale || r.avoided {
@@ -310,7 +318,7 @@ func (h *handle) run(ctx context.Context, op core.OpType, key string, chunk int,
 				if err == nil {
 					return vals, e.Chunk, nil
 				}
-				retry = rec.note(op, at, err)
+				retry = rec.note(op, at, e.Chunk, err)
 			}
 		}
 		if !retry {
@@ -447,7 +455,7 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 					cerr = fmt.Errorf("client: batch: %d results for %d ops", len(rs), len(g.idxs))
 				}
 				if cerr != nil {
-					retry = rec.note(op, core.BlockInfo{Server: g.server}, cerr)
+					retry = rec.note(op, core.BlockInfo{Server: g.server}, g.chunk, cerr)
 				}
 			}
 			if cerr != nil {
@@ -461,19 +469,40 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 				continue
 			}
 			sc.results = rs
+			// A failed result equal to the one before it — the redirected
+			// or refused suffix of a filled chunk — shares its parsed
+			// error and its note: one parse per run, not per op.
+			var last ds.BatchResult
+			var lastBlock core.BlockID
+			var lastErr error
+			var lastRetry bool
 			for j, r := range rs {
-				i := g.idxs[j]
-				oerr := r.Err()
-				if oerr == nil {
+				i, at := g.idxs[j], core.BlockInfo{ID: g.ops[j].Block, Server: g.server}
+				var oerr error
+				retry := false
+				switch {
+				case r.Code == core.CodeOK:
 					res, oerr = ds.DecodeValsInto(res[:0], r.Blob)
 					sc.vals = res
+					if oerr == nil && landed != nil {
+						oerr = landed(i, g.chunk, res)
+					}
+					if oerr != nil {
+						retry = rec.note(op, at, g.chunk, oerr)
+					}
+				case lastErr != nil && at.ID == lastBlock && r.Code == last.Code && bytes.Equal(r.Blob, last.Blob):
+					oerr, retry = lastErr, lastRetry
+				default:
+					if r.Code == core.CodeRedirect {
+						oerr = redirectTo(r.Blob)
+					} else {
+						oerr = r.Err()
+					}
+					retry = rec.note(op, at, g.chunk, oerr)
+					last, lastBlock, lastErr, lastRetry = r, at.ID, oerr, retry
 				}
-				if oerr == nil && landed != nil {
-					oerr = landed(i, g.chunk, res)
-				}
-				oerr = withRedirect(oerr, r.Blob)
 				setErr(i, oerr)
-				if oerr != nil && rec.note(op, core.BlockInfo{ID: g.ops[j].Block, Server: g.server}, oerr) {
+				if retry {
 					next = append(next, i)
 				}
 			}

@@ -194,6 +194,7 @@ type outcome struct {
 	attempts  int    // requests that reached a data server
 	last      string // server that answered the last one ("s0".."s2")
 	lastOps   int    // ops in the last request
+	landed    int    // the chunk a file append lands in
 	err       error  // nil, or the sentinel the final error must match
 }
 
@@ -234,13 +235,14 @@ func (f *fake) check(c *Client, got error, want outcome) {
 
 // opKind is one row group of the table: an op of the public API.
 type opKind struct {
-	name   string
-	dsType core.DSType
-	read   bool // not a mutation: routed to the chain tail
-	queue  bool // follows redirects
-	custom bool // does not grow on full
-	batch  int  // ops per call, 0 for a single op
-	run    func(ctx context.Context, c *Client) error
+	name    string
+	dsType  core.DSType
+	read    bool // not a mutation: routed to the chain tail
+	follows bool // follows links: a redirect sends it to the successor
+	custom  bool // does not grow on full
+	batch   int  // ops per call, 0 for a single op
+	// run drives the op; a file append must land in chunk landed.
+	run func(ctx context.Context, c *Client, landed int) error
 }
 
 const customType = ds.CustomBase + 7
@@ -266,101 +268,105 @@ func shrunk(ops, attempts int) int {
 func discard[T any](_ T, err error) error { return err }
 
 var opKinds = []opKind{
-	{name: "KV.Get", dsType: core.DSKV, read: true, run: func(ctx context.Context, c *Client) error {
+	{name: "KV.Get", dsType: core.DSKV, read: true, run: func(ctx context.Context, c *Client, landed int) error {
 		kv, err := c.OpenKV(ctx, "j/s")
 		if err != nil {
 			return err
 		}
 		return discard(kv.Get(ctx, "k"))
 	}},
-	{name: "KV.Put", dsType: core.DSKV, run: func(ctx context.Context, c *Client) error {
+	{name: "KV.Put", dsType: core.DSKV, run: func(ctx context.Context, c *Client, landed int) error {
 		kv, err := c.OpenKV(ctx, "j/s")
 		if err != nil {
 			return err
 		}
 		return kv.Put(ctx, "k", []byte("v"))
 	}},
-	{name: "File.ReadAt", dsType: core.DSFile, read: true, run: func(ctx context.Context, c *Client) error {
+	{name: "File.ReadAt", dsType: core.DSFile, read: true, run: func(ctx context.Context, c *Client, landed int) error {
 		f, err := c.OpenFile(ctx, "j/s")
 		if err != nil {
 			return err
 		}
 		return discard(f.ReadAt(ctx, 0, 8))
 	}},
-	{name: "File.WriteAt", dsType: core.DSFile, run: func(ctx context.Context, c *Client) error {
+	{name: "File.WriteAt", dsType: core.DSFile, run: func(ctx context.Context, c *Client, landed int) error {
 		f, err := c.OpenFile(ctx, "j/s")
 		if err != nil {
 			return err
 		}
 		return f.WriteAt(ctx, 0, []byte("data"))
 	}},
-	{name: "File.AppendRecord", dsType: core.DSFile, run: func(ctx context.Context, c *Client) error {
+	{name: "File.AppendRecord", dsType: core.DSFile, follows: true, run: func(ctx context.Context, c *Client, landed int) error {
 		f, err := c.OpenFile(ctx, "j/s")
 		if err != nil {
 			return err
 		}
 		off, err := f.AppendRecord(ctx, []byte("rec"))
-		if err == nil && off != 7 {
-			err = fmt.Errorf("record landed at %d, want 7", off)
+		if want := landed*fakeChunk + 7; err == nil && off != want {
+			err = fmt.Errorf("record landed at %d, want %d", off, want)
 		}
 		return err
 	}},
-	{name: "Queue.Enqueue", dsType: core.DSQueue, queue: true, run: func(ctx context.Context, c *Client) error {
+	{name: "Queue.Enqueue", dsType: core.DSQueue, follows: true, run: func(ctx context.Context, c *Client, landed int) error {
 		q, err := c.OpenQueue(ctx, "j/s")
 		if err != nil {
 			return err
 		}
 		return q.Enqueue(ctx, []byte("item"))
 	}},
-	{name: "Queue.Dequeue", dsType: core.DSQueue, queue: true, run: func(ctx context.Context, c *Client) error {
+	{name: "Queue.Dequeue", dsType: core.DSQueue, follows: true, run: func(ctx context.Context, c *Client, landed int) error {
 		q, err := c.OpenQueue(ctx, "j/s")
 		if err != nil {
 			return err
 		}
 		return discard(q.Dequeue(ctx))
 	}},
-	{name: "Queue.Peek", dsType: core.DSQueue, queue: true, read: true, run: func(ctx context.Context, c *Client) error {
+	{name: "Queue.Peek", dsType: core.DSQueue, follows: true, read: true, run: func(ctx context.Context, c *Client, landed int) error {
 		q, err := c.OpenQueue(ctx, "j/s")
 		if err != nil {
 			return err
 		}
 		return discard(q.Peek(ctx))
 	}},
-	{name: "Custom.Exec(read)", dsType: customType, custom: true, read: true, run: func(ctx context.Context, c *Client) error {
+	{name: "Custom.Exec(read)", dsType: customType, custom: true, read: true, run: func(ctx context.Context, c *Client, landed int) error {
 		cu, err := c.OpenCustom(ctx, "j/s", customType)
 		if err != nil {
 			return err
 		}
 		return discard(cu.Exec(ctx, 0, core.OpGet, []byte("k")))
 	}},
-	{name: "Custom.Exec(mutation)", dsType: customType, custom: true, run: func(ctx context.Context, c *Client) error {
+	{name: "Custom.Exec(mutation)", dsType: customType, custom: true, run: func(ctx context.Context, c *Client, landed int) error {
 		cu, err := c.OpenCustom(ctx, "j/s", customType)
 		if err != nil {
 			return err
 		}
 		return discard(cu.Exec(ctx, 0, core.OpUpdate, []byte("k"), []byte("v")))
 	}},
-	{name: "KV.MultiPut", dsType: core.DSKV, batch: 4, run: func(ctx context.Context, c *Client) error {
+	{name: "KV.MultiPut", dsType: core.DSKV, batch: 4, run: func(ctx context.Context, c *Client, landed int) error {
 		kv, err := c.OpenKV(ctx, "j/s")
 		if err != nil {
 			return err
 		}
 		return kv.MultiPut(ctx, []KVPair{{"a", nil}, {"b", nil}, {"c", nil}, {"d", nil}})
 	}},
-	{name: "File.AppendBatch", dsType: core.DSFile, batch: 4, run: func(ctx context.Context, c *Client) error {
+	{name: "File.AppendBatch", dsType: core.DSFile, follows: true, batch: 4, run: func(ctx context.Context, c *Client, landed int) error {
 		f, err := c.OpenFile(ctx, "j/s")
 		if err != nil {
 			return err
 		}
 		offs, err := f.AppendBatch(ctx, batchItems(4))
 		for i, off := range offs {
-			if err == nil && off != 7 {
-				err = fmt.Errorf("record %d landed at %d, want 7", i, off)
+			want := 7 // the placed prefix lands in the first chunk
+			if i >= 2 {
+				want += landed * fakeChunk
+			}
+			if err == nil && off != want {
+				err = fmt.Errorf("record %d landed at %d, want %d", i, off, want)
 			}
 		}
 		return err
 	}},
-	{name: "Queue.EnqueueBatch", dsType: core.DSQueue, queue: true, batch: 4, run: func(ctx context.Context, c *Client) error {
+	{name: "Queue.EnqueueBatch", dsType: core.DSQueue, follows: true, batch: 4, run: func(ctx context.Context, c *Client, landed int) error {
 		q, err := c.OpenQueue(ctx, "j/s")
 		if err != nil {
 			return err
@@ -413,8 +419,10 @@ func wantCell(k opKind, class string) outcome {
 		}
 		retried.scales = 1
 	case "redirect": // follow the link, no map fetch, no pause
-		if k.queue {
-			retried.last = "s1" // where the fake's redirect points
+		if k.follows {
+			// The successor the fake's redirect names, on s1; a file
+			// append lands in the chunk after the full one.
+			retried.last, retried.landed = "s1", 1
 		}
 	case "throttled": // wait the hint out, go again
 		retried.waits = 1
@@ -447,8 +455,8 @@ func TestPipelineTable(t *testing.T) {
 				defer cancel()
 				f.cancel = cancel
 				start := time.Now()
-				err := k.run(ctx, c)
 				want := wantCell(k, cl.name)
+				err := k.run(ctx, c, want.landed)
 				f.check(c, err, want)
 				if want.waits > 0 && time.Since(start) < throttleHint {
 					t.Errorf("throttled op returned after %v, before its %v hint", time.Since(start), throttleHint)
@@ -484,7 +492,7 @@ func TestPipelineThrottleSurfacesAfterLimit(t *testing.T) {
 				f.script = append(f.script, step{err: errThrottled})
 			}
 			c := f.dial()
-			err := k.run(context.Background(), c)
+			err := k.run(context.Background(), c, 0)
 			f.check(c, err, outcome{waits: limit, attempts: limit + 1, last: "s0",
 				lastOps: shrunk(max(k.batch, 1), limit+1), err: core.ErrQuotaExceeded})
 			if hint := core.RetryAfterOf(err); hint != throttleHint {
@@ -504,7 +512,7 @@ func TestPipelineDeadTailReadsFallBack(t *testing.T) {
 		t.Run(k.name, func(t *testing.T) {
 			f := newFake(t, k.dsType, "s0", "s1")
 			c := f.dial()
-			err := k.run(context.Background(), c)
+			err := k.run(context.Background(), c, 0)
 			f.check(c, err, outcome{refreshes: 1, attempts: 1, last: "s1", lastOps: 1})
 		})
 	}
@@ -523,10 +531,10 @@ func TestPipelineOpenBreaker(t *testing.T) {
 				// second read is refused at the gate and still served by s1.
 				f := newFake(t, k.dsType, "s0", "s1")
 				c := f.dial(breaker)
-				if err := k.run(ctx, c); err != nil {
+				if err := k.run(ctx, c, 0); err != nil {
 					t.Fatalf("first read: %v", err)
 				}
-				err := k.run(ctx, c)
+				err := k.run(ctx, c, 0)
 				f.mu.Lock()
 				f.opens-- // the second run opened a second handle
 				f.mu.Unlock()
@@ -535,7 +543,7 @@ func TestPipelineOpenBreaker(t *testing.T) {
 			}
 			f := newFake(t, k.dsType, "s1", "s2")
 			c := f.dial(breaker)
-			err := k.run(ctx, c)
+			err := k.run(ctx, c, 0)
 			f.check(c, err, outcome{refreshes: 1, err: core.ErrServerDegraded})
 			if core.RetryAfterOf(err) <= 0 {
 				t.Errorf("degraded error %v carries no retry-after", err)
@@ -557,7 +565,7 @@ func TestPipelineBoundedStructureFull(t *testing.T) {
 			f.pmap.MaxBlocks = 1
 			f.script = []step{{err: core.ErrBlockFull}}
 			c := f.dial()
-			err := k.run(context.Background(), c)
+			err := k.run(context.Background(), c, 0)
 			f.check(c, err, outcome{scales: 1, attempts: 1, last: "s0", lastOps: max(k.batch, 1),
 				err: core.ErrBlockFull})
 		})
@@ -596,7 +604,7 @@ func TestPipelineBudget(t *testing.T) {
 				f.script = append(f.script, step{err: core.ErrStaleEpoch})
 			}
 			c := f.dial(WithRetryPolicy(RetryPolicy{Limit: limit}))
-			err := k.run(context.Background(), c)
+			err := k.run(context.Background(), c, 0)
 			last := "s0"
 			if k.read {
 				last = "s2"
@@ -611,7 +619,10 @@ func TestPipelineBudget(t *testing.T) {
 }
 
 // TestPipelineWriteGrowsMissingChunk: a write to a chunk the file does
-// not have yet is a route miss the grow action serves.
+// not have yet is a route miss the grow action serves. A grow that
+// moved the map sends the op again at once, with no backoff pause; one
+// that moved nothing (here a full chunk whose scale request the fake
+// leaves unanswered) pauses before the next attempt.
 func TestPipelineWriteGrowsMissingChunk(t *testing.T) {
 	f := newFake(t, core.DSFile, "s0", "s1", "s2")
 	f.onScale = func(m *ds.PartitionMap) {
@@ -628,6 +639,21 @@ func TestPipelineWriteGrowsMissingChunk(t *testing.T) {
 	}
 	err = file.WriteAt(ctx, fakeChunk, []byte("second chunk"))
 	f.check(c, err, outcome{scales: 1, attempts: 1, last: "s0", lastOps: 1})
+	if n := c.rpcm.Retries.Value(); n != 0 {
+		t.Errorf("backoff pauses after a grow that moved the map = %d, want 0", n)
+	}
+
+	still := newFake(t, core.DSFile, "s0", "s1", "s2")
+	still.script = []step{{err: core.ErrBlockFull}}
+	c = still.dial()
+	if file, err = c.OpenFile(ctx, "j/s"); err != nil {
+		t.Fatal(err)
+	}
+	_, err = file.AppendRecord(ctx, []byte("rec"))
+	still.check(c, err, outcome{scales: 1, attempts: 2, last: "s0", lastOps: 1})
+	if n := c.rpcm.Retries.Value(); n != 1 {
+		t.Errorf("backoff pauses after a grow that moved nothing = %d, want 1", n)
+	}
 }
 
 // TestClassify pins the classifier: one action per error class, the

@@ -55,7 +55,7 @@ func (q *Queue) forget() {
 // redirected follows a link: the tail sealed, or the head segment
 // drained, and next is its successor. The map, when it already knows
 // the successor, supplies its replica chain.
-func (q *Queue) redirected(op core.OpType, next core.BlockInfo) {
+func (q *Queue) redirected(op core.OpType, _ int, next core.BlockInfo) {
 	e := ds.PartitionEntry{Info: next}
 	m := q.h.snapshot()
 	for _, known := range m.Blocks {

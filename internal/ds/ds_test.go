@@ -840,3 +840,49 @@ func TestNewPartition(t *testing.T) {
 		t.Error("DSNone partition created")
 	}
 }
+
+// TestFileLinkRedirectsAppends: once SetNext links a chunk, an append
+// that does not fit is redirected to the successor, in the wire form a
+// queue's redirect takes and with an error built once; a write past the
+// capacity is still refused, and a snapshot carries no link.
+func TestFileLinkRedirectsAppends(t *testing.T) {
+	f := NewFile(64)
+	if _, err := f.Append(make([]byte, 60)); err != nil {
+		t.Fatal(err)
+	}
+	rec := make([]byte, 10)
+	if _, err := f.Append(rec); !errors.Is(err, core.ErrBlockFull) {
+		t.Fatalf("unlinked full chunk: append = %v, want ErrBlockFull", err)
+	}
+	next := core.BlockInfo{ID: 9, Server: "s9"}
+	f.SetNext(next)
+	out, args := make([]byte, 0, 16), [][]byte{rec}
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		_, _, err = AppendAnswer(f, out, core.OpFileAppend, args)
+	})
+	r := ErrResult(err)
+	if to, perr := ParseRedirect(r.Blob); r.Code != core.CodeRedirect || perr != nil || to != next {
+		t.Fatalf("linked full chunk: append = %v (%+v), want a redirect to %+v", err, to, next)
+	}
+	if allocs != 0 {
+		t.Errorf("a redirected append allocates %.1f objects, want 0", allocs)
+	}
+	if off, err := f.Append(make([]byte, 4)); err != nil || off != 60 {
+		t.Errorf("a record that fits: offset %d, %v; want 60", off, err)
+	}
+	if _, err := f.WriteAt(60, rec); !errors.Is(err, core.ErrBlockFull) {
+		t.Errorf("write past the capacity of a linked chunk = %v, want ErrBlockFull", err)
+	}
+	snap, err := f.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewFile(64)
+	if err := g.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Append(rec); !errors.Is(err, core.ErrBlockFull) {
+		t.Errorf("restored chunk: append = %v, want ErrBlockFull (no link travels)", err)
+	}
+}

@@ -28,6 +28,11 @@ type File struct {
 	size     int // high-water mark of written bytes
 	cap      int
 	released bool // Release ran: every op answers errReleased
+	// next is the redirect to the chunk after this one, set by SetNext:
+	// an append that no longer fits answers it instead of ErrBlockFull.
+	// Built once, like errChunkFull. In memory only: no snapshot
+	// carries it.
+	next error
 }
 
 // NewFile creates an empty file chunk of the given capacity.
@@ -58,7 +63,9 @@ func (f *File) Bytes() int {
 //	             → [bytesWritten u64]
 //	OpFileRead:  args[0]=offset (u64), args[1]=length (u64)
 //	             → [data] (short or empty at end of written region)
-//	OpFileAppend: args[0]=data → [chunk-relative offset u64]
+//	OpFileAppend: args[0]=data → [chunk-relative offset u64] ;
+//	             ErrRedirect(next) when it does not fit and SetNext
+//	             linked the chunk, else ErrBlockFull
 //	OpUsage:     → [bytes used u64]
 func (f *File) Apply(op core.OpType, args [][]byte) ([][]byte, error) {
 	switch op {
@@ -130,11 +137,23 @@ var errReleased = fmt.Errorf("ds: file chunk released: %w", core.ErrStaleEpoch)
 // per writer.
 var errChunkFull = fmt.Errorf("ds: write exceeds chunk capacity: %w", core.ErrBlockFull)
 
+// SetNext links the chunk to its successor, the block holding the next
+// chunk of the file: from then on an append that does not fit is
+// redirected there. The server links a chunk when the controller
+// answers its over-signal (§3.3), so writers follow the growth instead
+// of asking for it.
+func (f *File) SetNext(next core.BlockInfo) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.next = &redirectError{payload: redirectPayload(next)}
+}
+
 // Append atomically writes data at the chunk's current high-water mark
-// and returns the chunk-relative offset it landed at. Appends that do
-// not fit entirely are rejected with ErrBlockFull (the record moves
-// whole to the next chunk), which is what lets many concurrent map
-// tasks interleave records in one shuffle file safely (§5.1).
+// and returns the chunk-relative offset it landed at. An append that
+// does not fit entirely is refused — redirected to the next chunk once
+// SetNext linked it, else ErrBlockFull — and the record moves whole to
+// the next chunk, which is what lets many concurrent map tasks
+// interleave records in one shuffle file safely (§5.1).
 func (f *File) Append(data []byte) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -147,6 +166,9 @@ func (f *File) Append(data []byte) (int, error) {
 	}
 	off := f.size
 	if off+len(data) > f.cap {
+		if f.next != nil {
+			return 0, f.next
+		}
 		return 0, errChunkFull
 	}
 	f.grow(off + len(data))

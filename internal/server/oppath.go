@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -29,9 +30,10 @@ type opCtx struct {
 	b     *blockstore.Block
 
 	// hop marks a chain hop, position seq of generation gen in the
-	// block's replication stream.
-	hop      bool
-	seq, gen uint64
+	// block's replication stream; a hop whose op is OpNop is a skip (see
+	// sequence). inline marks an op run on the read pump.
+	hop, inline bool
+	seq, gen    uint64
 	// checkNow evaluates the repartition thresholds right after a
 	// mutation. A batch checks once per mutated block at its end, and a
 	// hop never: the controller knows the head's block, not a replica's.
@@ -92,7 +94,7 @@ func (sc *scratch) release() {
 func (s *Server) runOp(ctx context.Context, payload []byte, inline bool) (rpc.Response, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
-	o := opCtx{checkNow: true, out: wire.GetBuf(), res: sc.res[:0]}
+	o := opCtx{checkNow: true, inline: inline, out: wire.GetBuf(), res: sc.res[:0]}
 	var err error
 	if o.op, o.block, o.args, err = ds.DecodeRequestInto(sc.args[:0], payload); err != nil {
 		return o.encode(err)
@@ -265,6 +267,7 @@ func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, er
 // buffer. A hop is not admitted — the head admitted the op, and
 // charging it again would bill a replicated tenant twice — and it
 // leaves notification to the head, whose block the subscribers know.
+// A skip (OpNop) only fills its seq (see sequence).
 func (s *Server) runHop(ctx context.Context, payload []byte) error {
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
@@ -278,6 +281,11 @@ func (s *Server) runHop(ctx context.Context, payload []byte) error {
 		return err
 	}
 	defer o.b.EndOp()
+	if o.op == core.OpNop {
+		// A skip fills its seq and is passed on: nothing is applied,
+		// counted or notified.
+		return s.sequence(ctx, &o)
+	}
 	err = s.apply(ctx, &o)
 	sc.out = o.out
 	return err
@@ -327,11 +335,18 @@ func argBytes(args [][]byte) int64 {
 // (sequence). A read takes the partition's zero-copy view when it has
 // one, leaving o.lease set if the view holds a read lease, and is
 // answered like a mutation otherwise (applyOn). A successful op then
-// notifies its block's subscribers, unless it is a hop.
+// notifies its block's subscribers, unless it is a hop. A file append
+// refused as full may first wait for its chunk's growth and run once
+// more (awaitGrowth).
 func (s *Server) apply(ctx context.Context, o *opCtx) (err error) {
 	s.ops.Add(1)
 	if o.op.IsMutation() {
 		err = s.sequence(ctx, o)
+		if err != nil && o.op == core.OpFileAppend && !o.hop && errors.Is(err, core.ErrBlockFull) {
+			if err = s.awaitGrowth(ctx, o, err); err == nil {
+				err = s.sequence(ctx, o)
+			}
+		}
 	} else if v, handled, verr := ds.ApplyView(o.b.Partition, o.op, o.args, o.res[:0]); handled {
 		o.res, o.lease, err = v.Vals, v.Release, verr
 	} else {
@@ -346,6 +361,37 @@ func (s *Server) apply(ctx context.Context, o *opCtx) (err error) {
 		s.notify(o.block, o.op, data)
 	}
 	return err
+}
+
+// awaitGrowth is the apply stage's growth wait. An append refused as
+// full while its chunk's over-signal is in flight waits for the answer,
+// which links the chunk to its successor (deliverSignal); the caller
+// then applies it once more, and it is redirected — or refused again
+// when the signal grew nothing, and the client grows the file itself.
+// A batch that crossed the threshold and filled the chunk in one frame
+// has not signalled yet (it checks at its end), so the check runs
+// first. With no signal in flight the append is applied once more at
+// once: the answer may have linked the chunk since the refusal.
+// Inline, the op punts rather than wait, uncounted, since it reruns
+// from decode. The wait ends on the answer, on ctx and on Close.
+func (s *Server) awaitGrowth(ctx context.Context, o *opCtx, refused error) error {
+	s.store.CheckThresholds(o.b)
+	growth := o.b.Growth()
+	switch {
+	case growth == nil:
+		return nil
+	case o.inline:
+		s.ops.Add(-1)
+		return rpc.ErrDispatchAsync
+	}
+	select {
+	case <-growth:
+		return nil
+	case <-ctx.Done():
+		return refused
+	case <-s.stop:
+		return fmt.Errorf("server: shutting down: %w", core.ErrClosed)
+	}
 }
 
 // applyOn runs the op against its block. A built-in op whose answer is
@@ -365,9 +411,14 @@ func (s *Server) applyOn(o *opCtx) error {
 
 // sequence applies a mutation (applyOn) in chain order and forwards it
 // to the block's successor. A hop applies in its predecessor's sequence
-// order (ApplyInOrder); the head of a replicated chain takes the next
-// sequence number under the lock it applies under (NextReplSeq); any
-// other block applies directly, and refuses once sealed for migration.
+// order (ApplyInOrder). Its seq is consumed even when the apply
+// refuses, so a refusing replica forwards a skip (an OpNop hop) in its
+// place, counted in jiffy_server_hop_refusals_total, and a skip it
+// receives fills the seq without applying: a member's refusal never
+// leaves a gap that parks every later hop at its successors. The head
+// of a replicated chain takes the next sequence number under the lock
+// it applies under (NextReplSeq); any other block applies directly, and
+// refuses once sealed for migration.
 // The chain forwarded along is read under the same lock as the sequence
 // number, so a repair splice landing meanwhile can never pair a new
 // generation with the old layout — which would let mid-chain survivors
@@ -380,8 +431,21 @@ func (s *Server) sequence(ctx context.Context, o *opCtx) (err error) {
 	seq, gen := o.seq, o.gen
 	switch c := b.Chain(); {
 	case o.hop:
-		if chain, err = b.ApplyInOrder(seq, gen, applyOn); err != nil {
-			err = fmt.Errorf("server: replica apply: %w", err)
+		var refused error
+		chain, err = b.ApplyInOrder(seq, gen, func() error {
+			if o.op != core.OpNop {
+				refused = applyOn()
+			}
+			return nil
+		})
+		if err == nil && refused != nil {
+			s.hopRefusals.Inc()
+			if err = s.propagate(ctx, b, chain, seq, gen, core.OpNop, nil); err == nil {
+				err = refused
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("server: replica apply: %w", err)
 		}
 	case len(c) > 1 && c.Head().ID == b.ID:
 		chain, seq, gen, err = b.NextReplSeq(applyOn)

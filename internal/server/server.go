@@ -21,6 +21,7 @@ import (
 	"jiffy/internal/blockstore"
 	"jiffy/internal/clock"
 	"jiffy/internal/core"
+	"jiffy/internal/ds"
 	"jiffy/internal/obs"
 	"jiffy/internal/persist"
 	"jiffy/internal/proto"
@@ -108,6 +109,9 @@ type Server struct {
 	// scale-signal outcomes (see onSignal, deliverSignal)
 	signalsSent    obs.Counter
 	signalsDropped obs.Counter
+	// hopRefusals counts sequenced mutations a replica refused (see
+	// sequence): each left a skip in its place.
+	hopRefusals *obs.Counter
 }
 
 type signal struct {
@@ -178,6 +182,8 @@ func New(opts Options) (*Server, error) {
 		obs.WriteSample(w, name, `{result="sent"}`, s.signalsSent.Value())
 		obs.WriteSample(w, name, `{result="dropped"}`, s.signalsDropped.Value())
 	})
+	s.hopRefusals = s.reg.Counter("jiffy_server_hop_refusals_total",
+		"sequenced mutations refused as a chain replica, each forwarded on as a skip")
 	s.reg.RegisterCollector(func(w io.Writer) {
 		stats := s.gate.Stats()
 		if len(stats) == 0 {
@@ -354,13 +360,16 @@ func (s *Server) reportWorker() {
 	}
 }
 
-// Close stops the server.
+// Close stops the server. It wakes what waits inside the op path
+// first — a hop parked for a seq that never arrives, an append waiting
+// for its chunk's growth — so no handler holds up the shutdown.
 func (s *Server) Close() error {
 	select {
 	case <-s.stop:
 	default:
 		close(s.stop)
 	}
+	s.store.Halt()
 	s.wg.Wait()
 	s.rpcSrv.Close()
 	s.peers.Close()
@@ -402,19 +411,29 @@ func (s *Server) signalWorker() {
 // until usage leaves the threshold band (checkThresholds' default arm):
 // a full file chunk that is overwritten in place, or a KV shard still
 // above the threshold after its split, would otherwise send a stale
-// signal with every mutation. The one case where an answered signal
-// did not grow the structure and growth becomes possible later
-// (AtMaxBlocks refusal followed by a drain) is re-triggered by the
-// client: a writer that meets the full block calls ScaleUp itself (see
-// client requestScale).
+// signal with every mutation. An answered over-signal links a file
+// chunk to its successor (link) before the appends waiting on its
+// growth are woken, so they are redirected there. The cases where an
+// answered signal links nothing — it failed, was dropped, or was
+// refused at the bound, and growth becomes possible later (a drain) —
+// are re-triggered by the client: a writer that meets the full block
+// calls ScaleUp itself (see client requestScale).
 func (s *Server) deliverSignal(sig signal) {
+	b, berr := s.store.Get(sig.block) // gone when the block was deleted meanwhile
+	if berr == nil && sig.over {
+		defer b.EndGrowth()
+	}
 	if len(s.ctrlAddrs) == 0 {
 		return
 	}
 	var err error
 	if sig.over {
-		_, err = rpc.Invoke(context.Background(), s.ctrl, proto.ScaleUp,
+		var resp proto.ScaleUpResp
+		resp, err = rpc.Invoke(context.Background(), s.ctrl, proto.ScaleUp,
 			proto.ScaleUpReq{Path: sig.path, Block: sig.block})
+		if err == nil && berr == nil {
+			link(b, resp.Map)
+		}
 	} else {
 		_, err = rpc.Invoke(context.Background(), s.ctrl, proto.ScaleDown,
 			proto.ScaleDownReq{Path: sig.path, Block: sig.block})
@@ -425,6 +444,22 @@ func (s *Server) deliverSignal(sig signal) {
 		// The block may have been deleted meanwhile; ResetSignal
 		// tolerates that.
 		s.store.ResetSignal(sig.block)
+	}
+}
+
+// link hands a file chunk whose over-signal was answered its
+// successor: the entry for the next chunk in the map the controller
+// answered with, there when the signal grew the file or a writer grew
+// it first. Only the head signals, so only a head is linked. The link
+// lives in the chunk's memory alone: a head rebuilt without it sends
+// its appenders down the client's rare path (requestScale) instead.
+func link(b *blockstore.Block, m ds.PartitionMap) {
+	f, ok := b.Partition.(*ds.File)
+	if !ok || m.Type != core.DSFile {
+		return
+	}
+	if next, ok := m.BlockForChunk(b.Chunk + 1); ok {
+		f.SetNext(next.Info)
 	}
 }
 

@@ -419,3 +419,37 @@ func TestUnknownMethod(t *testing.T) {
 		t.Error("unknown method accepted")
 	}
 }
+
+// TestCloseWakesParkedHop: a chain hop waiting for a seq that never
+// arrives (its predecessor's seqs 0–4 were lost) must not hold up
+// shutdown. Close wakes it; the hop fails with ErrClosed, and Close
+// returns within a second.
+func TestCloseWakesParkedHop(t *testing.T) {
+	s, c, _ := newServer(t)
+	chain := core.ReplicaChain{{ID: 1, Server: "mem://lost-head"}, {ID: 2, Server: s.Addr()}}
+	createBlock(t, c, 2, core.DSKV, []ds.SlotRange{{Lo: 0, Hi: 63}}, 0, chain)
+	vec, _ := ds.AppendReplicateVec(nil, 5, 0, core.OpPut, 2, [][]byte{[]byte("k"), []byte("v")})
+	hop := make(chan error, 1)
+	go func() {
+		_, err := c.Call(proto.MethodReplicate, bytes.Join(vec, nil))
+		hop <- err
+	}()
+	select {
+	case err := <-hop:
+		t.Fatalf("hop for seq 5 at seq 0 answered %v, want it parked", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close did not return within 1 s of a parked hop")
+	}
+	if err := <-hop; !errors.Is(err, core.ErrClosed) {
+		t.Errorf("parked hop answered %v, want ErrClosed", err)
+	}
+}

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -127,5 +128,89 @@ func TestDroppedSignalRearms(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if sent, dropped := signalCounts(s); sent != queueSlots+2 || dropped != 2 {
 		t.Fatalf("an answered signal re-armed the block: sent=%g dropped=%g", sent, dropped)
+	}
+}
+
+// TestRefusedAppendAwaitsGrowth: an append refused by a full chunk
+// whose over-signal is still in flight waits for the controller's
+// answer, which links the chunk to the next one, and is then
+// redirected there instead of refused. Close ends such a wait.
+func TestRefusedAppendAwaitsGrowth(t *testing.T) {
+	next := core.BlockInfo{ID: 2, Server: "mem://next-chunk"}
+	for _, closing := range []bool{false, true} {
+		t.Run(fmt.Sprintf("close=%v", closing), func(t *testing.T) {
+			release := make(chan struct{})
+			ctrl := rpc.NewServer(rpc.BytesHandler(func(_ context.Context, _ *rpc.ServerConn, method uint16, _ []byte) ([]byte, error) {
+				if method != proto.ScaleUp.ID {
+					return nil, fmt.Errorf("unexpected method %#x", method)
+				}
+				<-release
+				return codec.Marshal(proto.ScaleUpResp{Map: ds.PartitionMap{Type: core.DSFile, Epoch: 2,
+					Blocks: []ds.PartitionEntry{{Info: core.BlockInfo{ID: 1}}, {Info: next, Chunk: 1}}}})
+			}), nil)
+			srvSeq++
+			ctrlAddr, err := ctrl.Listen(fmt.Sprintf("mem://growth-ctrl-%d", srvSeq))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := server.New(server.Options{Config: core.TestConfig(), ControllerAddrs: []string{ctrlAddr}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr, err := s.Listen(fmt.Sprintf("mem://growth-srv-%d", srvSeq))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := rpc.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			released := false
+			t.Cleanup(func() {
+				if !released {
+					close(release)
+				}
+				c.Close()
+				s.Close()
+				ctrl.Close()
+			})
+
+			// A full chunk: its one write crosses the threshold and signals.
+			createBlock(t, c, 1, core.DSFile, nil, 0, nil)
+			if _, err := dataOp(c, 1, core.OpFileWrite, ds.U64(0), make([]byte, 64*core.KB)); err != nil {
+				t.Fatal(err)
+			}
+			// Small enough to run inline on the read pump, whence it punts.
+			appended := make(chan error, 1)
+			var answer []byte
+			go func() {
+				var err error
+				answer, err = c.Call(proto.MethodDataOp, ds.EncodeRequest(core.OpFileAppend, 1, [][]byte{[]byte("record")}))
+				appended <- err
+			}()
+			select {
+			case err := <-appended:
+				t.Fatalf("append answered %v while the signal was in flight, want it waiting", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			if closing {
+				go s.Close()
+				select {
+				case err := <-appended:
+					if !errors.Is(err, core.ErrClosed) {
+						t.Fatalf("append woken by Close: %v, want ErrClosed", err)
+					}
+				case <-time.After(time.Second):
+					t.Fatal("Close did not end the growth wait")
+				}
+				return
+			}
+			close(release)
+			released = true
+			err = <-appended
+			if to, perr := ds.ParseRedirect(answer); !errors.Is(err, core.ErrRedirect) || perr != nil || to != next {
+				t.Fatalf("append after the answer: %v to %+v (%v), want a redirect to %+v", err, to, perr, next)
+			}
+		})
 	}
 }

@@ -3,11 +3,15 @@ package jiffy
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"jiffy/internal/core"
+	"jiffy/internal/ds"
+	"jiffy/internal/proto"
+	"jiffy/internal/rpc"
 )
 
 // replicatedCluster boots a cluster with chain length 2 across three
@@ -268,5 +272,101 @@ func TestOnlyHeadSignals(t *testing.T) {
 	}
 	if got := scaleSignalsSent(cluster); got != 1 {
 		t.Errorf("servers sent %g scale signals, want 1 (the head's)", got)
+	}
+}
+
+// TestChainRefusalLeavesNoGap: on a chain of 3, the middle replica
+// alone disowns half its slots (ExportSlots), as a split that reached
+// it before the head does. A put in that half is applied by the head
+// and refused by the middle, which has consumed its seq: it forwards a
+// skip in its place, so the tail's stream has no gap. The put fails
+// typed, a put in the other half is acknowledged within a second, and
+// the cluster shuts down. Without the skip the tail waits forever for
+// the refused seq, every later put parks behind it, and Close hangs.
+func TestChainRefusalLeavesNoGap(t *testing.T) {
+	cfg := core.TestConfig()
+	cfg.LeaseDuration = time.Hour
+	cfg.ChainLength = 3
+	cluster, err := StartCluster(ClusterOptions{Config: cfg, Servers: 3, BlocksPerServer: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := false
+	defer func() {
+		if !closed {
+			go cluster.Close() // it may hang: that is the failure reported
+		}
+	}()
+	ctx := context.Background()
+	c, err := cluster.Connect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.RegisterJob(ctx, "gap")
+	m, _, err := c.CreatePrefix(ctx, "gap/kv", nil, DSKV, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv, err := c.OpenKV(ctx, "gap/kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Put(ctx, "before", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+
+	chain := m.Blocks[0].Chain
+	if len(chain) != 3 {
+		t.Fatalf("chain = %v, want 3 members", chain)
+	}
+	middle, err := rpc.Dial(chain[1].Server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer middle.Close()
+	half := m.NumSlots / 2
+	disowned := []ds.SlotRange{{Lo: 0, Hi: half - 1}}
+	if _, err := rpc.Invoke(ctx, middle, proto.ExportSlots, proto.ExportSlotsReq{Block: chain[1].ID, Ranges: disowned}); err != nil {
+		t.Fatal(err)
+	}
+	keyIn := func(lo, hi int) string {
+		for i := 0; ; i++ {
+			if k := fmt.Sprintf("k%d", i); ds.SlotOf(k, m.NumSlots) >= lo && ds.SlotOf(k, m.NumSlots) <= hi {
+				return k
+			}
+		}
+	}
+
+	inCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	err = kv.Put(inCtx, keyIn(0, half-1), []byte("refused"))
+	cancel()
+	if !errors.Is(err, core.ErrStaleEpoch) {
+		t.Fatalf("put in the disowned range: %v, want ErrStaleEpoch", err)
+	}
+	outCtx, cancel := context.WithTimeout(ctx, time.Second)
+	err = kv.Put(outCtx, keyIn(half, m.NumSlots-1), []byte("acked"))
+	cancel()
+	if err != nil {
+		t.Fatalf("put outside the disowned range after the refusal: %v", err)
+	}
+	var refusals float64
+	for _, srv := range cluster.Servers {
+		refusals += scrapeObs(srv.Obs())["jiffy_server_hop_refusals_total"]
+	}
+	if refusals == 0 {
+		t.Error("jiffy_server_hop_refusals_total = 0 after the middle refused a put")
+	}
+
+	done := make(chan struct{})
+	go func() {
+		cluster.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+		closed = true
+	case <-time.After(5 * time.Second):
+		t.Fatal("Cluster.Close did not return within 5 s")
 	}
 }
