@@ -23,11 +23,11 @@ import (
 //   - switchChain moves members to the chain under a new replication
 //     generation, tail first.
 //
-// Provisioning, the scale-ups, LoadPrefix, the repair splice, drain
-// migration and death recovery are those steps plus each caller's own
-// fence and its own commit; whatever a caller placed but does not
-// commit it gives back with release. DESIGN.md §13's rebuild table
-// lists them side by side.
+// Provisioning, the scale-ups, the KV merge, LoadPrefix, the repair
+// splice, drain migration and death recovery are those steps plus each
+// caller's own fence and its own commit; whatever a caller placed but
+// does not commit it gives back with release. DESIGN.md §13's rebuild
+// table lists them side by side.
 
 // place puts one chain per role onto the cluster and fills in each
 // role's Info and Chain. A chain is keep — a splice's survivors, which
@@ -81,24 +81,31 @@ func (c *Controller) place(path core.Path, t core.DSType, roles []ds.PartitionEn
 // (internal/tier) that every target reads. An object is refused unless
 // its envelope carries the identity the caller's metadata recorded for
 // it — the tier record's, or the one the flush manifest entry kept from
-// FlushBlock.
+// FlushBlock. A live source with slots set is a KV split's or merge's
+// donor: each target pulls only its pairs in those slots, which replace
+// the target's there without changing what it owns.
 type fillSource struct {
 	live  core.BlockInfo // a live member; zero for a persisted object
+	slots []ds.SlotRange // a live KV member's slots to pull; nil for all
 	key   string         // the object's key, and its identity:
 	block core.BlockID
 	gen   uint64
 	tier  bool // the object is a tier record's (counts a tier recovery)
 }
 
-// fill has every target load src's data. Targets are new members only
-// — survivors are never restored, so writes racing a splice cannot be
-// clobbered by an older snapshot. A member on an unreachable server
-// evicts that server; when a target answered but its pull failed, only
-// the controller's own probe can find a live source unreachable.
+// fill has every target load src's data with one LoadBlock, which the
+// server refuses for a persisted object whose envelope is not src's.
+// Targets are new members only — survivors are never restored, so
+// writes racing a splice cannot be clobbered by an older snapshot — or,
+// for a slot pull, the members of a chain that does not own the slots.
+// A member on an unreachable server evicts that server; when a target
+// answered but its pull failed, only the controller's own probe can
+// find a live source unreachable.
 func (c *Controller) fill(src fillSource, targets core.ReplicaChain) error {
 	var err error
 	for i := 0; err == nil && i < len(targets); i++ {
-		err = c.loadBlockOnServer(targets[i], src)
+		_, err = callServer(c, targets[i].Server, proto.LoadBlock, proto.LoadBlockReq{Block: targets[i].ID,
+			Key: src.key, WantBlock: src.block, WantGen: src.gen, From: src.live, Slots: src.slots})
 	}
 	if err != nil && unreachableAddr(err) == "" && src.live.Server != "" {
 		if _, perr := callServer(c, src.live.Server, proto.ServerStats, proto.ServerStatsReq{}); unreachableAddr(perr) != "" {
@@ -183,5 +190,7 @@ func (c *Controller) linkQueue(t core.DSType, blocks []ds.PartitionEntry) error 
 // a sequenced mutation, so the server propagates it down the chain in
 // order with the enqueues that preceded it.
 func (c *Controller) setNextOnChain(tail ds.PartitionEntry, next core.BlockInfo) error {
-	return c.setNextOnServer(tail.WriteTarget(), next)
+	head := tail.WriteTarget()
+	_, err := callServer(c, head.Server, proto.SetNext, proto.SetNextReq{Block: head.ID, Next: next})
+	return err
 }

@@ -28,10 +28,10 @@ import (
 )
 
 // The rebuild table: every caller of the chain-rebuild path (rebuild.go)
-// — provisioning, a scale-up, LoadPrefix, a repair splice with
-// survivors, a drain with survivors, the drain of a sole replica, and a
-// death with a tier object, a flush copy or no copy — against a failure
-// of each of its steps, at chain lengths 1 and 3. A step fails because a
+// — provisioning, a scale-up (a KV split), a KV merge, LoadPrefix, a
+// repair splice with survivors, a drain with survivors, the drain of a
+// sole replica, and a death with a tier object, a flush copy or no copy
+// — against a failure of each of its steps, at chain lengths 1 and 3. A step fails because a
 // proxy in front of every memory server refuses its method: CreateBlock
 // (place), LoadBlock (fill), UpdateChain (switch); a step a cause does
 // not take leaves it as if nothing failed. Each cell asserts the
@@ -39,7 +39,8 @@ import (
 // after every cell that the allocator, the servers and the metadata
 // account for the same blocks, the standby holds what the leader holds
 // and no block's data passed through the controller: it fetched no
-// snapshot.
+// snapshot and sent no call of the retired slot relay (ExportSlots,
+// ImportEntries).
 
 // rebuildTable holds "outcome data" per cause for a failing step of
 // none, place, fill and switch. Outcomes: committed; degraded (committed
@@ -50,7 +51,8 @@ import (
 // dead server) or none (no prefix).
 var rebuildTable = map[string][4]string{
 	"provision":   {"committed absent", "error none", "committed absent", "committed absent"},
-	"scale-up":    {"committed v1", "error v1", "committed v1", "committed v1"},
+	"scale-up":    {"committed v1", "error v1", "error v1", "committed v1"},
+	"merge":       {"committed v1", "committed v1", "error v1", "committed v1"},
 	"load":        {"committed v1", "error v2", "error v2", "committed v1"},
 	"splice":      {"committed v1", "degraded v1", "degraded v1", "retried v1"},
 	"drain":       {"committed v1", "degraded v1", "degraded v1", "retried v1"},
@@ -61,7 +63,7 @@ var rebuildTable = map[string][4]string{
 }
 
 var (
-	rebuildCauses = []string{"provision", "scale-up", "load", "splice", "drain",
+	rebuildCauses = []string{"provision", "scale-up", "merge", "load", "splice", "drain",
 		"drain-sole", "death-tier", "death-flush", "death-none"}
 	rebuildSteps   = []string{"none", "place", "fill", "switch"}
 	rebuildRefuses = map[string][]uint16{
@@ -171,7 +173,7 @@ func runRebuildCell(t *testing.T, cause string, width int, step string, tamper f
 		t.Fatal(err)
 	}
 	blocks := 1
-	if cause == "load" {
+	if cause == "load" || cause == "merge" {
 		blocks = 2
 	}
 	if cause != "provision" {
@@ -221,6 +223,8 @@ func runRebuildCell(t *testing.T, cause string, width int, step string, tamper f
 		_, err = r.leader.CreatePrefix(proto.CreatePrefixReq{Path: "j/t", Type: core.DSKV, InitialBlocks: 2})
 	case "scale-up":
 		_, err = r.leader.ScaleUp(proto.ScaleUpReq{Path: "j/t", Block: r.entries()[0].Info.ID})
+	case "merge":
+		_, err = r.leader.ScaleDown(proto.ScaleDownReq{Path: "j/t", Block: r.entries()[0].Info.ID})
 	case "load":
 		_, err = r.leader.LoadPrefix("j/t", "ckpt/t")
 	case "drain", "drain-sole":
@@ -255,6 +259,11 @@ func runRebuildCell(t *testing.T, cause string, width int, step string, tamper f
 	r.assertStandbyMatches()
 	if snaps := r.proxy.seen(proto.SnapshotBlock.ID); snaps != (proxyCalls{}) {
 		t.Errorf("the controller fetched snapshots: %+v; want none, every fill pulled by its target", snaps)
+	}
+	for _, id := range []uint16{0x0106, 0x0113} {
+		if calls := r.proxy.seen(id); calls != (proxyCalls{}) {
+			t.Errorf("the controller called the retired slot relay %#x: %+v", id, calls)
+		}
 	}
 	return got, r
 }
@@ -727,6 +736,122 @@ func TestFillSourceDeadAtFill(t *testing.T) {
 			}
 			r.assertDead(r.doomed, src)
 		})
+	}
+}
+
+// TestSplitDisownIsSequenced: a split's change of ownership is one
+// sequenced op at the donor's head, so every member of a chain of 3
+// agrees whether a put racing the split was owned. The proxy pauses the
+// controller's first call to the donor head's server that is not a
+// CreateBlock, and meanwhile a raw put (no client retry) writes a new
+// value under a key in the moving range at the head. After the split
+// the key reads the new value exactly when that put was acknowledged,
+// and the old one otherwise; a put outside the range is then
+// acknowledged within a second, and every server closes. If the members
+// disowned each on their own, the head would apply a put the middle
+// refused, and the split would carry the unacknowledged value along.
+func TestSplitDisownIsSequenced(t *testing.T) {
+	cfg := core.TestConfig()
+	cfg.LeaseDuration = time.Hour
+	cfg.ChainLength = 3
+	r := newRebuildRig(t, cfg, 0)
+	for i := 0; i < 4; i++ {
+		r.addServer(16)
+	}
+	if err := r.leader.RegisterJob("j"); err != nil {
+		t.Fatal(err)
+	}
+	r.create(1)
+	donor := r.entries()[0]
+	head := donor.WriteTarget()
+	upper := ds.UpperHalf(donor.Slots)
+	keyIn := func(in bool) string {
+		for i := 0; ; i++ {
+			k := fmt.Sprintf("key-%d", i)
+			slot := ds.SlotOf(k, cfg.NumHashSlots)
+			if (slot >= upper[len(upper)-1].Lo) == in {
+				return k
+			}
+		}
+	}
+	moving, staying := keyIn(true), keyIn(false)
+	if _, err := r.dataOp(head, core.OpPut, []byte(moving), []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	put := func(key, v string, timeout time.Duration) error {
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		defer cancel()
+		c, err := r.pool.Get(head.Server)
+		if err == nil {
+			var payload []byte
+			if payload, err = c.CallContext(ctx, proto.MethodDataOp, ds.EncodeRequest(core.OpPut, head.ID, [][]byte{[]byte(key), []byte(v)})); err == nil {
+				_, err = ds.DecodeVals(payload)
+			}
+		}
+		return err
+	}
+
+	paused, resume := make(chan uint16), make(chan struct{})
+	var first atomic.Bool
+	r.proxy.interceptWith(func(addr string, method uint16) error {
+		if addr == head.Server && method != proto.CreateBlock.ID && first.CompareAndSwap(false, true) {
+			paused <- method
+			<-resume
+		}
+		return nil
+	})
+	split := make(chan error, 1)
+	go func() {
+		_, err := r.leader.ScaleUp(proto.ScaleUpReq{Path: "j/t", Block: head.ID})
+		split <- err
+	}()
+	var putErr error
+	select {
+	case method := <-paused:
+		putErr = put(moving, "new", 5*time.Second)
+		t.Logf("paused %s; the racing put answered %v", proto.MethodName(method), putErr)
+	case err := <-split:
+		t.Fatalf("the split made no call to the donor head's server but CreateBlock: %v", err)
+	}
+	close(resume)
+	if err := <-split; err != nil {
+		t.Fatal(err)
+	}
+	r.proxy.interceptWith(nil)
+	if n := len(r.entries()); n != 2 {
+		t.Fatalf("%d shards after the split, want 2", n)
+	}
+
+	open, err := r.leader.Open("j/t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ := open.Map.BlockForSlot(ds.SlotOf(moving, cfg.NumHashSlots))
+	if e.Info.ID == head.ID {
+		t.Fatalf("%s did not move", moving)
+	}
+	want := "old"
+	if putErr == nil {
+		want = "new"
+	}
+	if vals, err := r.dataOp(e.ReadTarget(), core.OpGet, []byte(moving)); err != nil || string(vals[0]) != want {
+		t.Errorf("after the split %s reads %q, %v; want %q (the racing put answered %v)", moving, vals, err, want, putErr)
+	}
+	if err := put(staying, "acked", time.Second); err != nil {
+		t.Errorf("a put outside the moving range after the split: %v", err)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		for _, srv := range r.servers {
+			srv.Close()
+		}
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the servers did not close within 5 s")
 	}
 }
 

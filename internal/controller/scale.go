@@ -11,22 +11,9 @@ import (
 
 // ScaleUp handles an overload signal for a block (Fig. 8): allocate a
 // new block from the free list, install it, trigger data-structure
-// specific repartitioning, and advance the map epoch. Signals may be
-// stale (the structure already scaled, or the block is no longer the
-// relevant one); those return the current map unchanged so the caller
-// simply refreshes.
+// specific repartitioning, and advance the map epoch.
 func (c *Controller) ScaleUp(req proto.ScaleUpReq) (proto.ScaleUpResp, error) {
-	var resp proto.ScaleUpResp
-	err := c.withJob(req.Path.Job(), func(h *hierarchy.Hierarchy) error {
-		n, err := h.Resolve(req.Path)
-		if err != nil {
-			return err
-		}
-		defer func() { resp.Map = n.Map.Clone() }()
-		idx := blockIndex(&n.Map, req.Block)
-		if idx < 0 {
-			return nil // stale signal: block already gone
-		}
+	m, err := c.onSignal(req.Path, req.Block, func(n *hierarchy.Node, idx int) error {
 		if n.Map.AtMaxBlocks() {
 			return nil // bounded structure: refuse growth (maxQueueLength)
 		}
@@ -51,7 +38,35 @@ func (c *Controller) ScaleUp(req proto.ScaleUpReq) (proto.ScaleUpResp, error) {
 	if err == nil {
 		c.scaleUps.Add(1)
 	}
-	return resp, err
+	return proto.ScaleUpResp{Map: m}, err
+}
+
+// onSignal runs fn, the handling of a scale signal, on the node at path
+// and block's index in its map, under the job's lock, and answers the
+// map as it stands afterwards. Signals may be stale (the structure
+// already scaled, or the block is no longer the relevant one); a block
+// no longer in the map gets the current map unchanged, so the caller
+// simply refreshes. Every scale adds or removes a block, and one that
+// did advances the map epoch and is committed.
+func (c *Controller) onSignal(path core.Path, block core.BlockID, fn func(n *hierarchy.Node, idx int) error) (m ds.PartitionMap, err error) {
+	err = c.withJob(path.Job(), func(h *hierarchy.Hierarchy) error {
+		n, err := h.Resolve(path)
+		if err != nil {
+			return err
+		}
+		defer func() { m = n.Map.Clone() }()
+		idx, blocks := blockIndex(&n.Map, block), len(n.Map.Blocks)
+		if idx < 0 {
+			return nil
+		}
+		if err := fn(n, idx); err != nil || len(n.Map.Blocks) == blocks {
+			return err
+		}
+		n.Map.Epoch++
+		c.commitNodeLocked(n.Job, n)
+		return nil
+	})
+	return m, err
 }
 
 func blockIndex(m *ds.PartitionMap, id core.BlockID) int {
@@ -82,8 +97,6 @@ func (c *Controller) scaleUpFile(n *hierarchy.Node, idx int) error {
 		return err
 	}
 	n.Map.Blocks = append(n.Map.Blocks, added[0])
-	n.Map.Epoch++
-	c.commitNodeLocked(n.Job, n)
 	return nil
 }
 
@@ -103,87 +116,88 @@ func (c *Controller) scaleUpQueue(n *hierarchy.Node, idx int) error {
 		return err
 	}
 	n.Map.Blocks = append(n.Map.Blocks, added[0])
-	n.Map.Epoch++
-	c.commitNodeLocked(n.Job, n)
 	return nil
 }
 
-// scaleUpKV splits an overloaded shard: reassign the upper half of its
-// hash slots to a new block and move the corresponding pairs (§5.3).
-// The controller owns the authoritative slot assignment, so it computes
-// the split itself and ships only the move to the data plane.
+// scaleUpKV splits an overloaded shard: the upper half of its hash
+// slots, with their pairs, moves to a new chain (§5.3). The controller
+// owns the authoritative slot assignment, so it computes the split
+// itself and the servers only carry it out (moveSlots).
 func (c *Controller) scaleUpKV(n *hierarchy.Node, idx int) error {
 	donor := &n.Map.Blocks[idx]
-	upper := upperHalf(donor.Slots)
+	upper := ds.UpperHalf(donor.Slots)
 	if upper == nil {
 		return nil // single-slot shard; cannot split further
 	}
-	// The new chain starts owning nothing; the move transfers ownership
-	// along with the data into every member.
+	// The new chain starts owning nothing; the move hands it the slots
+	// once every member holds their pairs.
 	added := []ds.PartitionEntry{{}}
 	if err := c.place(n.CanonicalPath(), core.DSKV, added, nil, c.cfg.ChainLength); err != nil {
 		return err
 	}
-	added[0].Slots = upper
-	if err := c.moveSlotRanges(*donor, upper, added[0].Replicas()); err != nil {
+	if err := c.moveSlots(*donor, added[0], upper, true); err != nil {
 		c.releaseEntries(added)
 		return err
 	}
-	donor.Slots = subtractAll(donor.Slots, upper)
+	added[0].Slots = upper
+	donor.Slots = ds.SubtractRanges(donor.Slots, upper)
 	n.Map.Blocks = append(n.Map.Blocks, added[0])
-	n.Map.Epoch++
-	c.commitNodeLocked(n.Job, n)
 	return nil
 }
 
-// moveSlotRanges moves ranges — pairs and slot ownership — from every
-// replica of donor into every member of targets. It deliberately never
-// restores a live replica from a snapshot: a restore would clobber
-// writes the chain acknowledged while the snapshot was in flight (the
-// repair path obeys the same rule — survivors are never restored).
+// moveSlots hands ranges, with their pairs, from the donor chain to the
+// target chain: a split's new chain or a merge's live sibling. It is a
+// fill (rebuild.go) between ownership changes, each one SlotOwnership
+// call to a chain's head: a sequenced op, so its ack means every member
+// changed at the same seq.
 //
-// Exports run tail first. The tail holds exactly the acknowledged
-// prefix of the chain, so once its export succeeds no acknowledged pair
-// can be lost; upstream members' exports land on the targets afterwards
-// in chain order, so the head's (newest) value of each moved key wins.
-// A write racing the move is either captured by an upstream export or
-// rejected once its replica has disowned the slot — rejected writes are
-// never acknowledged and the client retries against the refreshed map.
-func (c *Controller) moveSlotRanges(donor ds.PartitionEntry, ranges []ds.SlotRange,
-	targets core.ReplicaChain) error {
-	members := donor.Replicas()
-	var exports [][]ds.KVEntry
-	var sources core.ReplicaChain
-	// undo re-imports everything exported so far back into its source
-	// replica, restoring pairs and ownership.
-	undo := func() {
-		for i := range exports {
-			if err := c.importEntriesOnServer(sources[i], ranges, exports[i]); err != nil {
-				c.log.Warn("controller: slot-move undo failed; replica dropped moved pairs",
-					"block", sources[i].ID, "on", sources[i].Server, "err", err)
-			}
-		}
+//  1. the donor disowns the ranges. A write its head sequenced before
+//     the disown is on every member, and one after is refused, so the
+//     donor's tail now holds every acknowledged pair there, and no more
+//     arrive;
+//  2. each target member pulls those pairs from the donor's tail;
+//  3. the target owns the ranges;
+//  4. a split's donor drops the pairs (a merge releases the donor).
+//
+// Only block names and slot ranges pass through the controller. A
+// failure before step 4 undoes what was done, in reverse — a merge's
+// sibling drops what it pulled, the donor owns the ranges again — and
+// the caller releases a split's new chain, so a failed move leaves the
+// cluster as it was. From step 4 on the target owns the ranges and the
+// move stands: a failed drop leaves only unowned pairs in the donor,
+// which no op reads and any later pull of those slots replaces.
+func (c *Controller) moveSlots(donor, target ds.PartitionEntry, ranges []ds.SlotRange, split bool) error {
+	if len(ranges) == 0 {
+		return nil // nothing to move; a fill without slots would restore the whole target
 	}
-	for i := len(members) - 1; i >= 0; i-- {
-		entries, err := c.exportSlotsOnServer(members[i], ranges)
+	change := func(e ds.PartitionEntry, own, drop bool) error {
+		head := e.WriteTarget()
+		_, err := callServer(c, head.Server, proto.SlotOwnership,
+			proto.SlotOwnershipReq{Block: head.ID, Ranges: ranges, Own: own, Drop: drop})
 		if err != nil {
-			undo()
-			return err
+			c.log.Warn("controller: slot ownership change failed", "block", e.Info.ID,
+				"ranges", ranges, "own", own, "drop", drop, "err", err)
 		}
-		exports = append(exports, entries)
-		sources = append(sources, members[i])
+		return err
 	}
-	for _, entries := range exports {
-		for _, t := range targets {
-			err := c.importEntriesOnServer(t, ranges, entries)
-			if err != nil {
-				err = c.importEntriesOnServer(t, ranges, entries)
-			}
-			if err != nil {
-				undo()
-				return err
-			}
+	undo := func(err error) error {
+		if !split {
+			change(target, false, true)
 		}
+		change(donor, true, false)
+		return err
+	}
+	if err := change(donor, false, false); err != nil {
+		return undo(err)
+	}
+	if err := c.fill(fillSource{live: donor.ReadTarget(), slots: ranges}, target.Replicas()); err != nil {
+		return undo(err)
+	}
+	if err := change(target, true, false); err != nil {
+		return undo(err)
+	}
+	if split {
+		change(donor, false, true)
 	}
 	return nil
 }
@@ -193,30 +207,19 @@ func (c *Controller) moveSlotRanges(donor ds.PartitionEntry, ranges []ds.SlotRan
 // return the block to the free list. File structures never shrink
 // (append-only; §5.1).
 func (c *Controller) ScaleDown(req proto.ScaleDownReq) (proto.ScaleDownResp, error) {
-	var resp proto.ScaleDownResp
-	err := c.withJob(req.Path.Job(), func(h *hierarchy.Hierarchy) error {
-		n, err := h.Resolve(req.Path)
-		if err != nil {
-			return err
-		}
-		defer func() { resp.Map = n.Map.Clone() }()
-		idx := blockIndex(&n.Map, req.Block)
-		if idx < 0 {
-			return nil // stale
-		}
+	m, err := c.onSignal(req.Path, req.Block, func(n *hierarchy.Node, idx int) error {
 		switch n.Map.Type {
 		case core.DSQueue:
 			return c.scaleDownQueue(n, idx)
 		case core.DSKV:
 			return c.scaleDownKV(n, idx)
-		default:
-			return nil
 		}
+		return nil
 	})
 	if err == nil {
 		c.scaleDowns.Add(1)
 	}
-	return resp, err
+	return proto.ScaleDownResp{Map: m}, err
 }
 
 // scaleDownQueue reclaims a drained (non-tail) segment.
@@ -228,8 +231,6 @@ func (c *Controller) scaleDownQueue(n *hierarchy.Node, idx int) error {
 	}
 	c.release(victim.Replicas())
 	n.Map.Blocks = append(n.Map.Blocks[:idx], n.Map.Blocks[idx+1:]...)
-	n.Map.Epoch++
-	c.commitNodeLocked(n.Job, n)
 	return nil
 }
 
@@ -243,117 +244,21 @@ func (c *Controller) scaleDownKV(n *hierarchy.Node, idx int) error {
 	victim := n.Map.Blocks[idx]
 	// Choose the sibling with the fewest slots to keep slot counts
 	// balanced.
-	sibling := -1
-	best := 1 << 30
+	sibling, best := -1, 1<<30
 	for i, e := range n.Map.Blocks {
-		if i == idx {
-			continue
-		}
 		count := 0
 		for _, r := range e.Slots {
 			count += r.Count()
 		}
-		if count < best {
+		if i != idx && count < best {
 			best, sibling = count, i
 		}
 	}
-	// Move into every sibling replica directly: restoring the live
-	// sibling chain from a snapshot would clobber writes it acked while
-	// the snapshot was in flight (see moveSlotRanges).
-	if err := c.moveSlotRanges(victim, victim.Slots,
-		n.Map.Blocks[sibling].Replicas()); err != nil {
+	if err := c.moveSlots(victim, n.Map.Blocks[sibling], victim.Slots, false); err != nil {
 		return err
 	}
-	n.Map.Blocks[sibling].Slots = unionAll(n.Map.Blocks[sibling].Slots, victim.Slots)
+	n.Map.Blocks[sibling].Slots = ds.AddRanges(n.Map.Blocks[sibling].Slots, victim.Slots)
 	c.release(victim.Replicas())
 	n.Map.Blocks = append(n.Map.Blocks[:idx], n.Map.Blocks[idx+1:]...)
-	n.Map.Epoch++
-	c.commitNodeLocked(n.Job, n)
 	return nil
-}
-
-// upperHalf returns the top half of the slots covered by ranges, or
-// nil when fewer than two slots are owned. Mirrors ds.(*KV).SplitUpper
-// but runs on the controller's authoritative metadata.
-func upperHalf(ranges []ds.SlotRange) []ds.SlotRange {
-	total := 0
-	for _, r := range ranges {
-		total += r.Count()
-	}
-	if total < 2 {
-		return nil
-	}
-	want := total / 2
-	// Take slots from the high end.
-	sorted := append([]ds.SlotRange(nil), ranges...)
-	for i := 0; i < len(sorted); i++ {
-		for j := i + 1; j < len(sorted); j++ {
-			if sorted[j].Lo > sorted[i].Lo {
-				sorted[i], sorted[j] = sorted[j], sorted[i]
-			}
-		}
-	}
-	var out []ds.SlotRange
-	for _, r := range sorted {
-		if want == 0 {
-			break
-		}
-		take := r.Count()
-		if take > want {
-			take = want
-		}
-		out = append(out, ds.SlotRange{Lo: r.Hi - take + 1, Hi: r.Hi})
-		want -= take
-	}
-	return out
-}
-
-// subtractAll removes sub from ranges slot-accurately.
-func subtractAll(ranges, sub []ds.SlotRange) []ds.SlotRange {
-	out := append([]ds.SlotRange(nil), ranges...)
-	for _, s := range sub {
-		next := out[:0:0]
-		for _, r := range out {
-			if s.Hi < r.Lo || s.Lo > r.Hi {
-				next = append(next, r)
-				continue
-			}
-			if r.Lo < s.Lo {
-				next = append(next, ds.SlotRange{Lo: r.Lo, Hi: s.Lo - 1})
-			}
-			if r.Hi > s.Hi {
-				next = append(next, ds.SlotRange{Lo: s.Hi + 1, Hi: r.Hi})
-			}
-		}
-		out = next
-	}
-	return out
-}
-
-// unionAll merges two range sets (no coalescing needed for
-// correctness, but adjacent ranges are joined for compactness).
-func unionAll(a, b []ds.SlotRange) []ds.SlotRange {
-	all := append(append([]ds.SlotRange(nil), a...), b...)
-	if len(all) == 0 {
-		return nil
-	}
-	for i := 0; i < len(all); i++ {
-		for j := i + 1; j < len(all); j++ {
-			if all[j].Lo < all[i].Lo {
-				all[i], all[j] = all[j], all[i]
-			}
-		}
-	}
-	out := []ds.SlotRange{all[0]}
-	for _, r := range all[1:] {
-		last := &out[len(out)-1]
-		if r.Lo <= last.Hi+1 {
-			if r.Hi > last.Hi {
-				last.Hi = r.Hi
-			}
-		} else {
-			out = append(out, r)
-		}
-	}
-	return out
 }

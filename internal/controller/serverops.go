@@ -99,28 +99,6 @@ func (c *Controller) deleteBlockOnServer(info core.BlockInfo) {
 	}
 }
 
-// setNextOnServer links a queue segment to its successor.
-func (c *Controller) setNextOnServer(tail core.BlockInfo, next core.BlockInfo) error {
-	_, err := callServer(c, tail.Server, proto.SetNext, proto.SetNextReq{Block: tail.ID, Next: next})
-	return err
-}
-
-// exportSlotsOnServer removes the given slot ranges from one replica
-// of a KV block, returning the removed pairs.
-func (c *Controller) exportSlotsOnServer(member core.BlockInfo, ranges []ds.SlotRange) ([]ds.KVEntry, error) {
-	resp, err := callServer(c, member.Server, proto.ExportSlots,
-		proto.ExportSlotsReq{Block: member.ID, Ranges: ranges})
-	return resp.Entries, err
-}
-
-// importEntriesOnServer installs pairs (and range ownership) into one
-// replica of a KV block.
-func (c *Controller) importEntriesOnServer(member core.BlockInfo, ranges []ds.SlotRange, entries []ds.KVEntry) error {
-	_, err := callServer(c, member.Server, proto.ImportEntries,
-		proto.ImportEntriesReq{Block: member.ID, Ranges: ranges, Entries: entries})
-	return err
-}
-
 // flushBlockOnServer writes a block to the persistent store as a JTO1
 // object and returns the object's envelope identity.
 func (c *Controller) flushBlockOnServer(info core.BlockInfo, key string) (proto.FlushBlockResp, error) {
@@ -140,14 +118,5 @@ func (c *Controller) updateChainOnServer(member core.BlockInfo, chain core.Repli
 // snapshot, so no acknowledged write can postdate the snapshot.
 func (c *Controller) sealBlockOnServer(member core.BlockInfo) error {
 	_, err := callServer(c, member.Server, proto.UpdateChain, proto.UpdateChainReq{Block: member.ID, Seal: true})
-	return err
-}
-
-// loadBlockOnServer has a block pull src's data itself: a live
-// member's snapshot, or the persisted object src names, which the
-// server refuses if its envelope is not src's.
-func (c *Controller) loadBlockOnServer(info core.BlockInfo, src fillSource) error {
-	_, err := callServer(c, info.Server, proto.LoadBlock, proto.LoadBlockReq{
-		Block: info.ID, Key: src.key, WantBlock: src.block, WantGen: src.gen, From: src.live})
 	return err
 }

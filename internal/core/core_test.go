@@ -164,13 +164,13 @@ func TestParseOpType(t *testing.T) {
 }
 
 func TestOpIsMutation(t *testing.T) {
-	muts := []OpType{OpFileWrite, OpEnqueue, OpDequeue, OpPut, OpDelete, OpUpdate, OpImport}
+	muts := []OpType{OpFileWrite, OpEnqueue, OpDequeue, OpPut, OpDelete, OpUpdate, OpDisownSlots, OpOwnSlots, OpQueueSetNext}
 	for _, m := range muts {
 		if !m.IsMutation() {
 			t.Errorf("%v should be a mutation", m)
 		}
 	}
-	for _, r := range []OpType{OpGet, OpFileRead, OpExists, OpExport, OpUsage} {
+	for _, r := range []OpType{OpGet, OpFileRead, OpExists, OpUsage, OpQueuePeek} {
 		if r.IsMutation() {
 			t.Errorf("%v should not be a mutation", r)
 		}

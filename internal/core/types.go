@@ -102,10 +102,12 @@ const (
 	OpDelete // args: key                            -> ok
 	OpExists // args: key                            -> ok / not found
 	OpUpdate // args: key, value                     -> previous value
-	// Maintenance ops used by repartitioning, flush and replication.
-	OpExport // args: selector                       -> opaque snapshot
-	OpImport // args: opaque snapshot                -> ok
-	OpUsage  // args: -                              -> bytes used
+	// Slot ownership ops: a KV split or merge, sequenced at the head of
+	// a chain like any mutation, so every member changes ownership at
+	// the same seq. Only the controller sends them (see IsControl).
+	OpDisownSlots // args: ranges, drop               -> ok
+	OpOwnSlots    // args: ranges                     -> ok
+	OpUsage       // args: -                          -> bytes used
 	// OpQueueSetNext links a queue segment to its successor and seals
 	// it. It is modeled as a data-plane mutation so that, on replicated
 	// queues, the seal flows through the same sequenced propagation
@@ -144,10 +146,10 @@ func (o OpType) String() string {
 		return "exists"
 	case OpUpdate:
 		return "update"
-	case OpExport:
-		return "export"
-	case OpImport:
-		return "import"
+	case OpDisownSlots:
+		return "disownslots"
+	case OpOwnSlots:
+		return "ownslots"
 	case OpUsage:
 		return "usage"
 	case OpQueueSetNext:
@@ -177,11 +179,19 @@ func ParseOpType(s string) (OpType, error) {
 // the ops forwarded through replication chains.
 func (o OpType) IsMutation() bool {
 	switch o {
-	case OpFileWrite, OpFileAppend, OpEnqueue, OpDequeue, OpPut, OpDelete, OpUpdate, OpImport,
-		OpQueueSetNext:
+	case OpFileWrite, OpFileAppend, OpEnqueue, OpDequeue, OpPut, OpDelete, OpUpdate,
+		OpDisownSlots, OpOwnSlots, OpQueueSetNext:
 		return true
 	}
 	return false
+}
+
+// IsControl reports whether only the controller may send the op: a
+// queue seal and the slot ownership ops reach a block through their
+// control methods (SetNext, SlotOwnership) and down its chain as hops,
+// never in a client's data op.
+func (o OpType) IsControl() bool {
+	return o == OpQueueSetNext || o == OpDisownSlots || o == OpOwnSlots
 }
 
 // BlockInfo locates a block in the data plane.

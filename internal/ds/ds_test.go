@@ -431,14 +431,22 @@ func TestKVOverwriteBoundedByCapacity(t *testing.T) {
 	}
 }
 
-// TestKVExportStrandsNoWrite: a put racing ExportSlots either lands
-// before the export, and moves with its slot, or is refused as stale.
-// An acknowledged put is never stranded in the donor, where no client
-// would look for it again.
-func TestKVExportStrandsNoWrite(t *testing.T) {
+// slots applies one slot ownership op.
+func slots(t testing.TB, kv *KV, op core.OpType, ranges []SlotRange, drop bool) {
+	t.Helper()
+	if _, err := kv.Apply(op, SlotArgs(op, ranges, drop)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKVDisownStrandsNoWrite: a put racing a disown either lands
+// before the disown, and is pulled with its slot, or is refused as
+// stale. An acknowledged put is never stranded in the donor, where no
+// client would look for it again.
+func TestKVDisownStrandsNoWrite(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		kv := fullKV(core.MB)
-		upper, _ := kv.SplitUpper()
+		upper := UpperHalf(kv.Owned())
 		stop := make(chan struct{})
 		acked := make([][]string, 4)
 		var wg sync.WaitGroup
@@ -460,17 +468,23 @@ func TestKVExportStrandsNoWrite(t *testing.T) {
 			}()
 		}
 		time.Sleep(100 * time.Microsecond)
-		moved := map[string]bool{}
-		for _, e := range kv.ExportSlots(upper) {
-			moved[e.Key] = true
+		slots(t, kv, core.OpDisownSlots, upper, false)
+		snap, err := kv.SnapshotSlots(upper)
+		if err != nil {
+			t.Fatal(err)
 		}
 		close(stop)
 		wg.Wait()
+		pulled := NewKV(core.MB, 64, nil)
+		if err := pulled.LoadSlots(upper, snap); err != nil {
+			t.Fatal(err)
+		}
+		slots(t, pulled, core.OpOwnSlots, upper, false)
 		for _, keys := range acked {
 			for _, key := range keys {
 				slot := SlotOf(key, 64)
-				if slot >= upper[0].Lo && !moved[key] {
-					t.Fatalf("round %d: put of %s (slot %d) acknowledged but neither moved nor refused", round, key, slot)
+				if _, err := pulled.Get(key); slot >= upper[0].Lo && err != nil {
+					t.Fatalf("round %d: put of %s (slot %d) acknowledged but neither pulled nor refused", round, key, slot)
 				}
 			}
 		}
@@ -559,10 +573,7 @@ func TestAppendAnswerMatchesApply(t *testing.T) {
 
 func TestKVSplitUpper(t *testing.T) {
 	kv := fullKV(core.MB)
-	upper, ok := kv.SplitUpper()
-	if !ok {
-		t.Fatal("split of 64 slots should succeed")
-	}
+	upper := UpperHalf(kv.Owned())
 	count := 0
 	for _, r := range upper {
 		count += r.Count()
@@ -571,25 +582,43 @@ func TestKVSplitUpper(t *testing.T) {
 		t.Errorf("upper half = %d slots, want 32", count)
 	}
 	// A single-slot shard cannot split.
-	tiny := NewKV(core.MB, 64, []SlotRange{{Lo: 5, Hi: 5}})
-	if _, ok := tiny.SplitUpper(); ok {
-		t.Error("single-slot shard split should fail")
+	if upper := UpperHalf([]SlotRange{{Lo: 5, Hi: 5}}); upper != nil {
+		t.Errorf("single-slot shard split = %v, want none", upper)
 	}
 }
 
-func TestKVExportImport(t *testing.T) {
+// splitKV runs a split's shard steps in order: the donor disowns upper,
+// the target loads the donor's pairs there and owns upper, and the donor
+// drops them.
+func splitKV(t testing.TB, donor *KV) *KV {
+	upper := UpperHalf(donor.Owned())
+	slots(t, donor, core.OpDisownSlots, upper, false)
+	snap, err := donor.SnapshotSlots(upper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := NewKV(core.MB, 64, nil)
+	if err := target.LoadSlots(upper, snap); err != nil {
+		t.Fatal(err)
+	}
+	slots(t, target, core.OpOwnSlots, upper, false)
+	slots(t, donor, core.OpDisownSlots, upper, true)
+	return target
+}
+
+// TestKVSlotMove: after a split's steps every key is reachable from
+// exactly one shard, the donor holds none of the moved pairs, and a
+// load into slots the shard owns is refused.
+func TestKVSlotMove(t *testing.T) {
 	donor := fullKV(core.MB)
 	const n = 500
 	for i := 0; i < n; i++ {
 		donor.Put(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("val-%d", i)))
 	}
-	upper, _ := donor.SplitUpper()
-	moved := donor.ExportSlots(upper)
-	if len(moved) == 0 || len(moved) == n {
-		t.Fatalf("moved %d of %d entries; expected a proper subset", len(moved), n)
+	recipient := splitKV(t, donor)
+	if moved := recipient.Len(); moved == 0 || moved == n || donor.Len()+moved != n {
+		t.Fatalf("moved %d of %d entries, donor kept %d; expected a proper split", moved, n, donor.Len())
 	}
-	recipient := NewKV(core.MB, 64, nil)
-	recipient.ImportEntries(upper, moved)
 
 	// Every key is now reachable from exactly one shard.
 	for i := 0; i < n; i++ {
@@ -606,16 +635,20 @@ func TestKVExportImport(t *testing.T) {
 			if string(rv) != want {
 				t.Errorf("%s from recipient = %q", key, rv)
 			}
+			if err := donor.Put(key, []byte("x")); !errors.Is(err, core.ErrStaleEpoch) {
+				t.Errorf("donor accepted write to moved key %q: %v", key, err)
+			}
 		default:
 			t.Errorf("%s reachable from %v shards (donor err %v, recipient err %v)",
 				key, map[bool]int{true: 2, false: 0}[derr == nil && rerr == nil], derr, rerr)
 		}
 	}
-	// Donor disowned the moved slots.
-	for _, e := range moved {
-		if err := donor.Put(e.Key, []byte("x")); !errors.Is(err, core.ErrStaleEpoch) {
-			t.Errorf("donor accepted write to moved key %q: %v", e.Key, err)
-		}
+	snap, err := donor.SnapshotSlots(donor.Owned())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := recipient.LoadSlots(recipient.Owned(), snap); !errors.Is(err, core.ErrStaleEpoch) {
+		t.Errorf("load into owned slots = %v, want ErrStaleEpoch", err)
 	}
 }
 
@@ -642,11 +675,8 @@ func TestKVSplitPreservesData(t *testing.T) {
 			// Occasionally split a random shard.
 			if i%50 == 49 {
 				donor := shards[rng.Intn(len(shards))]
-				if upper, ok := donor.SplitUpper(); ok {
-					entries := donor.ExportSlots(upper)
-					fresh := NewKV(core.MB, 64, nil)
-					fresh.ImportEntries(upper, entries)
-					shards = append(shards, fresh)
+				if UpperHalf(donor.Owned()) != nil {
+					shards = append(shards, splitKV(t, donor))
 				}
 			}
 		}
@@ -698,26 +728,26 @@ func TestKVSnapshotRestore(t *testing.T) {
 
 func TestSubtractRanges(t *testing.T) {
 	owned := []SlotRange{{Lo: 0, Hi: 63}}
-	out := subtractRanges(owned, []SlotRange{{Lo: 32, Hi: 63}})
+	out := SubtractRanges(owned, []SlotRange{{Lo: 32, Hi: 63}})
 	if len(out) != 1 || out[0] != (SlotRange{Lo: 0, Hi: 31}) {
 		t.Errorf("subtract upper = %v", out)
 	}
-	out = subtractRanges(owned, []SlotRange{{Lo: 10, Hi: 20}})
+	out = SubtractRanges(owned, []SlotRange{{Lo: 10, Hi: 20}})
 	if len(out) != 2 || out[0] != (SlotRange{Lo: 0, Hi: 9}) || out[1] != (SlotRange{Lo: 21, Hi: 63}) {
 		t.Errorf("subtract middle = %v", out)
 	}
-	out = subtractRanges(owned, []SlotRange{{Lo: 0, Hi: 63}})
+	out = SubtractRanges(owned, []SlotRange{{Lo: 0, Hi: 63}})
 	if len(out) != 0 {
 		t.Errorf("subtract all = %v", out)
 	}
 }
 
 func TestAddRangesCoalesces(t *testing.T) {
-	out := addRanges([]SlotRange{{Lo: 0, Hi: 31}}, []SlotRange{{Lo: 32, Hi: 63}})
+	out := AddRanges([]SlotRange{{Lo: 0, Hi: 31}}, []SlotRange{{Lo: 32, Hi: 63}})
 	if len(out) != 1 || out[0] != (SlotRange{Lo: 0, Hi: 63}) {
 		t.Errorf("adjacent ranges not coalesced: %v", out)
 	}
-	out = addRanges([]SlotRange{{Lo: 0, Hi: 10}}, []SlotRange{{Lo: 20, Hi: 30}})
+	out = AddRanges([]SlotRange{{Lo: 0, Hi: 10}}, []SlotRange{{Lo: 20, Hi: 30}})
 	if len(out) != 2 {
 		t.Errorf("disjoint ranges merged: %v", out)
 	}
@@ -731,8 +761,8 @@ func TestRangeAlgebraProperty(t *testing.T) {
 		hi := lo + rng.Intn(32)
 		owned := []SlotRange{{Lo: 0, Hi: 63}}
 		sub := []SlotRange{{Lo: lo, Hi: hi}}
-		reduced := subtractRanges(owned, sub)
-		restored := addRanges(reduced, sub)
+		reduced := SubtractRanges(owned, sub)
+		restored := AddRanges(reduced, sub)
 		for s := 0; s <= 63; s++ {
 			inReduced := false
 			for _, r := range reduced {
@@ -754,7 +784,20 @@ func TestRangeAlgebraProperty(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		// The upper half of what is left is half its slots (rounded
+		// down), all inside it.
+		total, half := 0, 0
+		for _, r := range reduced {
+			total += r.Count()
+		}
+		upper := UpperHalf(reduced)
+		for _, u := range upper {
+			half += u.Count()
+			if len(SubtractRanges([]SlotRange{u}, reduced)) != 0 {
+				return false
+			}
+		}
+		return half == total/2 && (upper == nil) == (total < 2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

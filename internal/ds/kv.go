@@ -3,6 +3,7 @@ package ds
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"unsafe"
@@ -22,7 +23,7 @@ import (
 // Values stay where they are: an overwrite copies into the stored bytes
 // when they fit (cuckoo.Table.Set), so every read copies its value out
 // under the bucket lock that guards it — Get, AppendAnswer, Snapshot and
-// ExportSlots all do — and no stored value is ever handed out.
+// SnapshotSlots all do — and no stored value is ever handed out.
 type KV struct {
 	table    *cuckoo.Table
 	numSlots int
@@ -69,20 +70,17 @@ func (k *KV) Owned() []SlotRange {
 // lockOwned validates routing — a key whose slot this shard does not
 // own means the client's partition map is stale — and on success
 // returns with k.mu read-locked: the caller unlocks once its table op
-// is done. ExportSlots disowns and removes under the write lock, so an
-// op lands either before its slot moves, and moves with it, or after,
+// is done. OpDisownSlots disowns under the write lock, so an op lands
+// either before its slot is disowned, and is pulled with it, or after,
 // and is refused; never in between, where a write would be stranded in
-// the donor and a read would miss a pair on its way out.
+// the donor.
 func (k *KV) lockOwned(key string) error {
 	k.mu.RLock()
-	slot := SlotOf(key, k.numSlots)
-	for _, r := range k.owned {
-		if r.Contains(slot) {
-			return nil
-		}
+	if k.inSlots(k.owned, key) {
+		return nil
 	}
 	k.mu.RUnlock()
-	return fmt.Errorf("ds: slot %d not owned by this block: %w", slot, core.ErrStaleEpoch)
+	return fmt.Errorf("ds: slot %d not owned by this block: %w", SlotOf(key, k.numSlots), core.ErrStaleEpoch)
 }
 
 // keyOf views a key argument as a string without copying it. The
@@ -98,6 +96,8 @@ func keyOf(arg []byte) string { return unsafe.String(unsafe.SliceData(arg), len(
 //	OpDelete: [key]        → [old value]
 //	OpExists: [key]        → [] or ErrNotFound
 //	OpUpdate: [key, value] → [old value]; ErrNotFound if absent
+//	OpDisownSlots: [ranges, drop] → [] (SlotArgs)
+//	OpOwnSlots:    [ranges]       → []
 func (k *KV) Apply(op core.OpType, args [][]byte) ([][]byte, error) {
 	switch op {
 	case core.OpPut:
@@ -138,6 +138,8 @@ func (k *KV) Apply(op core.OpType, args [][]byte) ([][]byte, error) {
 			return nil, err
 		}
 		return [][]byte{old}, nil
+	case core.OpDisownSlots, core.OpOwnSlots:
+		return nil, k.applySlots(op, args)
 	default:
 		return nil, fmt.Errorf("ds: kv: %w (%v)", core.ErrWrongType, op)
 	}
@@ -260,85 +262,111 @@ func (k *KV) Update(key string, value []byte) ([]byte, error) {
 	return prev, nil
 }
 
-// KVEntry is one exported key-value pair.
+// KVEntry is one key-value pair of a snapshot.
 type KVEntry struct {
 	Key   string
 	Value []byte
 }
 
-// ExportSlots atomically removes and returns every pair whose slot
-// falls inside ranges, and disowns those ranges. This is the donor half
-// of a split: after it returns, requests for moved keys fail with
-// ErrStaleEpoch, prompting clients to refresh their partition map.
-func (k *KV) ExportSlots(ranges []SlotRange) []KVEntry {
-	// Disown and remove under the write lock: no op that checked
-	// ownership is still in the table meanwhile (lockOwned), and none
-	// that checks later owns the moving slots.
+// SlotArgs is the argument vector of a slot ownership op: the ranges,
+// and for OpDisownSlots whether their pairs are dropped too.
+func SlotArgs(op core.OpType, ranges []SlotRange, drop bool) [][]byte {
+	enc, _ := codec.Marshal(ranges) // ints and slices always encode
+	if op == core.OpOwnSlots {
+		return [][]byte{enc}
+	}
+	flag, _ := codec.Marshal(drop)
+	return [][]byte{enc, flag}
+}
+
+// applySlots runs a slot ownership op on its SlotArgs: own the ranges,
+// whose pairs a pull has loaded (LoadSlots), or disown them and, with
+// drop, remove their pairs. It takes the write lock, so no op that
+// checked ownership (lockOwned) is still in the table meanwhile, and
+// none that checks later owns disowned ranges: a write lands before the
+// disown, and is pulled with its slot, or is refused stale.
+func (k *KV) applySlots(op core.OpType, args [][]byte) error {
+	var ranges []SlotRange
+	var drop bool
+	ok := op == core.OpOwnSlots && len(args) == 1 ||
+		op == core.OpDisownSlots && len(args) == 2 && codec.Unmarshal(args[1], &drop) == nil
+	if !ok || codec.Unmarshal(args[0], &ranges) != nil {
+		return fmt.Errorf("ds: malformed %v args", op)
+	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.owned = subtractRanges(k.owned, ranges)
-	var out []KVEntry
-	k.table.RemoveIf(func(key string) bool {
-		slot := SlotOf(key, k.numSlots)
-		for _, r := range ranges {
-			if r.Contains(slot) {
-				return true
-			}
-		}
-		return false
-	}, func(key string, val []byte) {
-		out = append(out, KVEntry{Key: key, Value: val})
-	})
-	return out
+	if op == core.OpOwnSlots {
+		k.owned = AddRanges(k.owned, ranges)
+		return nil
+	}
+	k.owned = SubtractRanges(k.owned, ranges)
+	if drop {
+		k.table.RemoveIf(func(key string) bool { return k.inSlots(ranges, key) }, func(string, []byte) {})
+	}
+	return nil
 }
 
-// ImportEntries installs pairs and takes ownership of ranges: the
-// recipient half of a split (or merge). The shard keeps the entries'
-// values, which the caller hands over: a later overwrite may reuse
-// their bytes.
-func (k *KV) ImportEntries(ranges []SlotRange, entries []KVEntry) {
-	k.mu.Lock()
-	k.owned = addRanges(k.owned, ranges)
-	k.mu.Unlock()
-	for _, e := range entries {
+// inSlots reports whether key's slot falls inside ranges.
+func (k *KV) inSlots(ranges []SlotRange, key string) bool {
+	slot := SlotOf(key, k.numSlots)
+	for _, r := range ranges {
+		if r.Contains(slot) {
+			return true
+		}
+	}
+	return false
+}
+
+// SnapshotSlots serializes the pairs whose slots fall inside ranges,
+// owned or not, with no ownership: what a new member of a split pulls
+// from the donor's tail once the donor has disowned the ranges.
+func (k *KV) SnapshotSlots(ranges []SlotRange) ([]byte, error) {
+	return k.snapshot(func(key string) bool { return k.inSlots(ranges, key) }, nil)
+}
+
+// LoadSlots replaces the pairs in ranges with a SnapshotSlots' pairs,
+// taking no ownership: an OpOwnSlots does, once every member loaded.
+// A shard that owns any of ranges refuses, since its pairs there are
+// live.
+func (k *KV) LoadSlots(ranges []SlotRange, snapshot []byte) error {
+	var s kvSnapshot
+	if err := codec.Unmarshal(snapshot, &s); err != nil {
+		return fmt.Errorf("ds: kv slots snapshot: %w", err)
+	}
+	if owned := k.Owned(); !slices.Equal(SubtractRanges(owned, ranges), owned) {
+		return fmt.Errorf("ds: load of owned slots %v: %w", ranges, core.ErrStaleEpoch)
+	}
+	k.table.RemoveIf(func(key string) bool { return k.inSlots(ranges, key) }, func(string, []byte) {})
+	for _, e := range s.Entries {
 		k.table.Put(e.Key, e.Value)
 	}
+	return nil
 }
 
-// SplitUpper computes the upper half of this shard's owned slots — the
-// ranges the controller reassigns to a new block when this one
-// overflows. Returns false if the shard owns fewer than two slots.
-func (k *KV) SplitUpper() ([]SlotRange, bool) {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	total := 0
-	for _, r := range k.owned {
-		total += r.Count()
+// UpperHalf returns the top half of the slots ranges cover — what a
+// split hands to the new shard — or nil when they cover fewer than two.
+func UpperHalf(ranges []SlotRange) []SlotRange {
+	want := 0
+	for _, r := range ranges {
+		want += r.Count()
 	}
-	if total < 2 {
-		return nil, false
-	}
-	// Collect the top half of slots, preserving range structure.
-	want := total / 2
-	upper := make([]SlotRange, 0, len(k.owned))
-	sorted := append([]SlotRange(nil), k.owned...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Lo > sorted[j].Lo })
+	want /= 2
+	sorted := slices.Clone(ranges)
+	slices.SortFunc(sorted, func(a, b SlotRange) int { return b.Lo - a.Lo })
+	var upper []SlotRange
 	for _, r := range sorted {
 		if want == 0 {
 			break
 		}
-		take := r.Count()
-		if take > want {
-			take = want
-		}
+		take := min(r.Count(), want)
 		upper = append(upper, SlotRange{Lo: r.Hi - take + 1, Hi: r.Hi})
 		want -= take
 	}
-	return upper, true
+	return upper
 }
 
-// subtractRanges removes sub from owned (slot-accurate).
-func subtractRanges(owned, sub []SlotRange) []SlotRange {
+// SubtractRanges removes sub from owned (slot-accurate).
+func SubtractRanges(owned, sub []SlotRange) []SlotRange {
 	out := append([]SlotRange(nil), owned...)
 	for _, s := range sub {
 		next := out[:0:0]
@@ -359,8 +387,8 @@ func subtractRanges(owned, sub []SlotRange) []SlotRange {
 	return out
 }
 
-// addRanges unions add into owned, coalescing adjacent ranges.
-func addRanges(owned, add []SlotRange) []SlotRange {
+// AddRanges unions add into owned, coalescing adjacent ranges.
+func AddRanges(owned, add []SlotRange) []SlotRange {
 	all := append(append([]SlotRange(nil), owned...), add...)
 	if len(all) == 0 {
 		return nil
@@ -388,14 +416,20 @@ type kvSnapshot struct {
 	Owned    []SlotRange
 }
 
-// Snapshot implements Partition. Every value is copied out under the
-// table lock, into one arena: an entry's bytes sit where the arena held
-// them when it was appended, and growth moves later appends, never
-// earlier ones.
-func (k *KV) Snapshot() ([]byte, error) {
+// Snapshot implements Partition.
+func (k *KV) Snapshot() ([]byte, error) { return k.snapshot(nil, k.Owned()) }
+
+// snapshot serializes the pairs keep selects (nil: all) with owned.
+// Every value is copied out under the table lock, into one arena: an
+// entry's bytes sit where the arena held them when it was appended, and
+// growth moves later appends, never earlier ones.
+func (k *KV) snapshot(keep func(key string) bool, owned []SlotRange) ([]byte, error) {
 	var entries []KVEntry
 	var arena []byte
 	k.table.Range(func(key string, val []byte) bool {
+		if keep != nil && !keep(key) {
+			return true
+		}
 		arena = append(arena, val...)
 		entries = append(entries, KVEntry{Key: key, Value: arena[len(arena)-len(val) : len(arena) : len(arena)]})
 		return true
@@ -404,7 +438,7 @@ func (k *KV) Snapshot() ([]byte, error) {
 		Entries:  entries,
 		NumSlots: k.numSlots,
 		Cap:      k.cap,
-		Owned:    k.Owned(),
+		Owned:    owned,
 	})
 }
 

@@ -152,9 +152,9 @@ var (
 	CtrlPromote = declare[CtrlPromoteReq, CtrlPromoteResp](0x0019, "CtrlPromote")
 )
 
-// Memory-server control methods. Ids 0x0105, 0x010c and 0x010f
-// belonged to the retired MoveSlots, SetOwnedSlots and RestoreBlock and
-// are never reused.
+// Memory-server control methods. Ids 0x0105, 0x0106, 0x010c, 0x010f
+// and 0x0113 belonged to the retired MoveSlots, ImportEntries,
+// SetOwnedSlots, RestoreBlock and ExportSlots and are never reused.
 var (
 	// CreateBlock installs a partition in a block.
 	CreateBlock = declare[CreateBlockReq, CreateBlockResp](0x0102, "CreateBlock")
@@ -162,9 +162,6 @@ var (
 	DeleteBlock = declare[DeleteBlockReq, DeleteBlockResp](0x0103, "DeleteBlock")
 	// SetNext links a queue segment to its successor and seals it.
 	SetNext = declare[SetNextReq, SetNextResp](0x0104, "SetNext")
-	// ImportEntries installs moved KV entries in one replica of
-	// the recipient block (see ExportSlots).
-	ImportEntries = declare[ImportEntriesReq, ImportEntriesResp](0x0106, "ImportEntries")
 	// FlushBlock writes a block to the persistent store as a JTO1
 	// object (internal/tier).
 	FlushBlock = declare[FlushBlockReq, FlushBlockResp](0x0107, "FlushBlock")
@@ -188,12 +185,12 @@ var (
 	// SetTenantQuota installs a tenant's rate quota on a memory
 	// server's admission gate (controller-to-server push).
 	SetTenantQuota = declare[SetTenantQuotaReq, SetTenantQuotaResp](0x0112, "SetTenantQuota")
-	// ExportSlots removes and returns the pairs in the given slot
-	// ranges from one KV replica, disowning the ranges locally. The
-	// controller drives repartitioning with per-replica exports (tail
-	// first) so a live chain never needs a snapshot restore — see
-	// controller/scale.go.
-	ExportSlots = declare[ExportSlotsReq, ExportSlotsResp](0x0113, "ExportSlots")
+	// SlotOwnership changes which slots a KV shard owns: a sequenced
+	// mutation (OpOwnSlots, OpDisownSlots) that the server applies
+	// like SetNext, so sent to a chain's head it changes every member
+	// at the same seq. A split or merge is these steps around a fill
+	// (controller/scale.go).
+	SlotOwnership = declare[SlotOwnershipReq, SlotOwnershipResp](0x0114, "SlotOwnership")
 )
 
 // --- controller messages ----------------------------------------------------
@@ -570,27 +567,17 @@ type SetNextReq struct {
 // SetNextResp acknowledges the link.
 type SetNextResp struct{}
 
-// ExportSlotsReq removes the given slot ranges (pairs and ownership)
-// from one replica of a KV block and returns the removed pairs.
-type ExportSlotsReq struct {
+// SlotOwnershipReq makes Block own Ranges, or with Own false disown
+// them, also removing their pairs when Drop is set.
+type SlotOwnershipReq struct {
 	Block  core.BlockID
 	Ranges []ds.SlotRange
+	Own    bool
+	Drop   bool
 }
 
-// ExportSlotsResp carries the removed pairs.
-type ExportSlotsResp struct {
-	Entries []ds.KVEntry
-}
-
-// ImportEntriesReq delivers moved KV pairs to the recipient block.
-type ImportEntriesReq struct {
-	Block   core.BlockID
-	Ranges  []ds.SlotRange
-	Entries []ds.KVEntry
-}
-
-// ImportEntriesResp acknowledges the import.
-type ImportEntriesResp struct{}
+// SlotOwnershipResp acknowledges the change on every member.
+type SlotOwnershipResp struct{}
 
 // FlushBlockReq writes the block to the persistent store under Key as
 // a JTO1 object. The block's data remains in memory (deletion is
@@ -610,15 +597,18 @@ type FlushBlockResp struct {
 
 // LoadBlockReq restores Block's partition from a source the server
 // reads itself. A non-zero From names a live member, whose snapshot the
-// server fetches with SnapshotBlock. Otherwise the source is the JTO1
-// object at Key, refused unless its envelope carries the identity the
-// caller's metadata recorded for it: WantBlock and WantGen.
+// server fetches with SnapshotBlock; with Slots set, only the pairs in
+// those KV slots, which replace Block's pairs there without ownership
+// (a split's or merge's fill). Otherwise the source is the JTO1 object
+// at Key, refused unless its envelope carries the identity the caller's
+// metadata recorded for it: WantBlock and WantGen.
 type LoadBlockReq struct {
 	Block     core.BlockID
 	Key       string
 	WantBlock core.BlockID
 	WantGen   uint64
 	From      core.BlockInfo
+	Slots     []ds.SlotRange
 }
 
 // LoadBlockResp acknowledges the restore.
@@ -663,9 +653,12 @@ type ServerStatsResp struct {
 	Ops       int64
 }
 
-// SnapshotBlockReq fetches a block's serialized partition state.
+// SnapshotBlockReq fetches a block's serialized partition state, or
+// with Slots set a KV shard's pairs in those slots, owned or not
+// (ds.KV.SnapshotSlots).
 type SnapshotBlockReq struct {
 	Block core.BlockID
+	Slots []ds.SlotRange
 }
 
 // SnapshotBlockResp carries the snapshot.

@@ -44,17 +44,20 @@ func (s *Server) buildTable() {
 	rpc.Handle(&s.table, proto.SetNext, func(ctx context.Context, _ *rpc.ServerConn, req proto.SetNextReq) (proto.SetNextResp, error) {
 		// Sealing is a sequenced mutation: on replicated queues it
 		// flows down the chain in order with the enqueues it follows.
-		b, err := s.resolve(req.Block)
-		if err != nil {
-			return proto.SetNextResp{}, err
-		}
-		defer b.EndOp()
-		err = s.sequence(ctx, &opCtx{op: core.OpQueueSetNext, block: req.Block,
-			args: [][]byte{ds.RedirectPayload(req.Next)}, b: b, checkNow: true})
-		return proto.SetNextResp{}, err
+		return proto.SetNextResp{}, s.sequenced(ctx, &opCtx{op: core.OpQueueSetNext, block: req.Block,
+			args: [][]byte{ds.RedirectPayload(req.Next)}, checkNow: true})
 	})
-	serve(s, proto.ExportSlots, s.exportSlots)
-	serve(s, proto.ImportEntries, s.importEntries)
+	rpc.Handle(&s.table, proto.SlotOwnership, func(ctx context.Context, _ *rpc.ServerConn, req proto.SlotOwnershipReq) (proto.SlotOwnershipResp, error) {
+		// So is a change of ownership: a put the head sequenced before
+		// a disown is owned on every member, and one after it is
+		// refused at the head. It never signals: a move is no growth.
+		op := core.OpDisownSlots
+		if req.Own {
+			op = core.OpOwnSlots
+		}
+		return proto.SlotOwnershipResp{}, s.sequenced(ctx, &opCtx{op: op, block: req.Block,
+			args: ds.SlotArgs(op, req.Ranges, req.Drop)})
+	})
 	serve(s, proto.FlushBlock, s.flushBlock)
 	rpc.Handle(&s.table, proto.LoadBlock, s.loadBlock)
 	rpc.Handle(&s.table, proto.Subscribe, func(_ context.Context, conn *rpc.ServerConn, req proto.SubscribeReq) (proto.SubscribeResp, error) {
@@ -109,19 +112,26 @@ func (s *Server) deleteBlock(req proto.DeleteBlockReq) (proto.DeleteBlockResp, e
 	return proto.DeleteBlockResp{}, s.store.Delete(req.Block)
 }
 
-// kvShard resolves a block that must hold a KV shard; the caller ends
-// the op on the returned block.
-func (s *Server) kvShard(id core.BlockID) (*blockstore.Block, *ds.KV, error) {
-	b, err := s.resolve(id)
+// sequenced runs a control method's op on its block as a sequenced
+// mutation: sent to a chain's head, every member applies it at the same
+// seq, in order with the data ops around it.
+func (s *Server) sequenced(ctx context.Context, o *opCtx) error {
+	b, err := s.resolve(o.block)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
+	defer b.EndOp()
+	o.b = b
+	return s.sequence(ctx, o)
+}
+
+// kvShard is b's partition, which must be a KV shard.
+func kvShard(b *blockstore.Block) (*ds.KV, error) {
 	kv, ok := b.Partition.(*ds.KV)
 	if !ok {
-		b.EndOp()
-		return nil, nil, fmt.Errorf("server: block %v is not a kv shard: %w", id, core.ErrWrongType)
+		return nil, fmt.Errorf("server: block %v is not a kv shard: %w", b.ID, core.ErrWrongType)
 	}
-	return b, kv, nil
+	return kv, nil
 }
 
 // flushBlock writes a block to the persistent store as a JTO1 object
@@ -153,9 +163,11 @@ func (s *Server) flushBlock(req proto.FlushBlockReq) (proto.FlushBlockResp, erro
 }
 
 // loadBlock restores a block's partition from a live member's snapshot,
-// pulled over the peer session, or from a persisted object carrying the
-// identity the caller recorded. An unreachable source's error loses its
-// class (%v), so the caller does not take this server for unreachable.
+// pulled over a session of its own, or from a persisted object carrying
+// the identity the caller recorded. With slots named, the live member's
+// pairs in them replace the block's there, and nothing else changes. An
+// unreachable source's error loses its class (%v), so the caller does
+// not take this server for unreachable.
 func (s *Server) loadBlock(ctx context.Context, _ *rpc.ServerConn, req proto.LoadBlockReq) (proto.LoadBlockResp, error) {
 	b, err := s.resolve(req.Block)
 	if err != nil {
@@ -163,12 +175,23 @@ func (s *Server) loadBlock(ctx context.Context, _ *rpc.ServerConn, req proto.Loa
 	}
 	defer b.EndOp()
 	if req.From != (core.BlockInfo{}) {
-		snap, err := rpc.InvokeAt(ctx, s.peers, req.From.Server, proto.SnapshotBlock,
-			proto.SnapshotBlockReq{Block: req.From.ID})
+		peer, err := s.dial(req.From.Server)
+		var snap proto.SnapshotBlockResp
+		if err == nil {
+			snap, err = rpc.Invoke(ctx, peer, proto.SnapshotBlock, proto.SnapshotBlockReq{Block: req.From.ID, Slots: req.Slots})
+			peer.Close()
+		}
 		if err != nil {
 			return proto.LoadBlockResp{}, fmt.Errorf("server: load %v from %v: %v", b.ID, req.From, err)
 		}
-		return proto.LoadBlockResp{}, b.Partition.Restore(snap.Snapshot)
+		if len(req.Slots) == 0 {
+			return proto.LoadBlockResp{}, b.Partition.Restore(snap.Snapshot)
+		}
+		kv, err := kvShard(b)
+		if err == nil {
+			err = kv.LoadSlots(req.Slots, snap.Snapshot)
+		}
+		return proto.LoadBlockResp{}, err
 	}
 	_, obj, err := s.readObject(req.Key, req.WantBlock, req.WantGen)
 	if err != nil {
@@ -177,14 +200,23 @@ func (s *Server) loadBlock(ctx context.Context, _ *rpc.ServerConn, req proto.Loa
 	return proto.LoadBlockResp{}, b.Partition.Restore(obj.Snapshot)
 }
 
-// snapshotBlock returns a block's serialized partition state.
+// snapshotBlock returns a block's serialized partition state, or a KV
+// shard's pairs in the slots named.
 func (s *Server) snapshotBlock(req proto.SnapshotBlockReq) (proto.SnapshotBlockResp, error) {
 	b, err := s.resolve(req.Block)
 	if err != nil {
 		return proto.SnapshotBlockResp{}, err
 	}
 	defer b.EndOp()
-	snap, err := b.Partition.Snapshot()
+	if len(req.Slots) == 0 {
+		snap, err := b.Partition.Snapshot()
+		return proto.SnapshotBlockResp{Snapshot: snap}, err
+	}
+	kv, err := kvShard(b)
+	if err != nil {
+		return proto.SnapshotBlockResp{}, err
+	}
+	snap, err := kv.SnapshotSlots(req.Slots)
 	return proto.SnapshotBlockResp{Snapshot: snap}, err
 }
 
@@ -221,28 +253,4 @@ func (s *Server) createBlock(req proto.CreateBlockReq) (proto.CreateBlockResp, e
 	b.SetPromotedAt(now)
 	b.SetChain(req.Chain, 0)
 	return proto.CreateBlockResp{}, s.store.Create(b)
-}
-
-// exportSlots removes and returns the pairs in the moving ranges from
-// one replica, disowning the ranges. The controller calls this on every
-// chain member (tail first) during repartitioning, so no member is ever
-// brought back in sync by a snapshot restore while live.
-func (s *Server) exportSlots(req proto.ExportSlotsReq) (proto.ExportSlotsResp, error) {
-	b, kv, err := s.kvShard(req.Block)
-	if err != nil {
-		return proto.ExportSlotsResp{}, err
-	}
-	defer b.EndOp()
-	return proto.ExportSlotsResp{Entries: kv.ExportSlots(req.Ranges)}, nil
-}
-
-// importEntries is the recipient side of a slot move.
-func (s *Server) importEntries(req proto.ImportEntriesReq) (proto.ImportEntriesResp, error) {
-	b, kv, err := s.kvShard(req.Block)
-	if err != nil {
-		return proto.ImportEntriesResp{}, err
-	}
-	defer b.EndOp()
-	kv.ImportEntries(req.Ranges, req.Entries)
-	return proto.ImportEntriesResp{}, nil
 }

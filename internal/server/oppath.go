@@ -100,6 +100,9 @@ func (s *Server) runOp(ctx context.Context, payload []byte, inline bool) (rpc.Re
 		return o.encode(err)
 	}
 	sc.args = o.args
+	if o.op.IsControl() {
+		return o.encode(errControlOp)
+	}
 	if o.b, err = s.store.Get(o.block); err != nil {
 		return o.encode(err)
 	}
@@ -124,6 +127,12 @@ func (s *Server) runOp(ctx context.Context, payload []byte, inline bool) (rpc.Re
 	}
 	return o.encode(s.apply(ctx, &o))
 }
+
+// errControlOp refuses a control-only op kind (core.OpType.IsControl)
+// in a client's data op: it reaches a block only through its control
+// method and as a hop, so a client cannot, say, disown its own shard's
+// slots behind the controller's back.
+var errControlOp = fmt.Errorf("server: a control op in a data op: %w", core.ErrWrongType)
 
 // encode answers one op. An error takes the wire form a batch result
 // has too (ds.ErrResult): its code, with the redirect target or the
@@ -185,7 +194,7 @@ func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, er
 	blocks := make(map[core.BlockID]*blockstore.Block)
 	refused := make(map[core.BlockID]error)
 	for _, bo := range ops {
-		if blocks[bo.Block] != nil || refused[bo.Block] != nil {
+		if bo.Op.IsControl() || blocks[bo.Block] != nil || refused[bo.Block] != nil {
 			continue
 		}
 		b, err := s.store.Get(bo.Block)
@@ -238,6 +247,9 @@ func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, er
 		o := opCtx{op: bo.Op, block: bo.Block, args: bo.Args, b: blocks[bo.Block],
 			out: ds.BeginResult(resp), res: sc.res[:0]}
 		err := refused[bo.Block]
+		if bo.Op.IsControl() {
+			err = errControlOp
+		}
 		if err == nil {
 			if err = s.apply(ctx, &o); err == nil && o.op.IsMutation() {
 				mutated[o.block] = o.b

@@ -22,13 +22,17 @@ import (
 // in sequence order and forwards onwards. By the time the head
 // acknowledges a write, every replica holds it. Reads are served at
 // the tail — the classic chain-replication consistency argument: the
-// tail only ever holds fully propagated writes. The controller
-// provisions chains, spreads members across servers, resynchronizes
-// replicas by snapshot after KV slot moves (which bypass this path),
-// and splices dead members out of chains (see internal/controller's
-// repair planner); each splice starts a new chain generation so
-// mutations from the old configuration fail fast instead of deadlocking
-// the sequence stream.
+// tail only ever holds fully propagated writes. The control ops that
+// change a block's state — a queue seal, a KV shard's change of slot
+// ownership — ride this path too: the controller sends them to the
+// head, so every member applies them at the same seq. The controller
+// provisions chains, spreads members across servers, and splices dead
+// members out of chains (see internal/controller's repair planner);
+// each splice starts a new chain generation so mutations from the old
+// configuration fail fast instead of deadlocking the sequence stream.
+// No live member is restored from a snapshot: a member loads its data
+// once, before it serves (a fill), and a KV split's or merge's target
+// loads only slots it does not own yet.
 
 // ChainHopError reports a transport-level failure reaching the next
 // chain hop: the hop's server is unreachable or the connection died

@@ -2,9 +2,10 @@
 // §4.2.2): it hosts fixed-size blocks in a blockstore, serves
 // data-structure operations over the framed RPC protocol, pushes
 // notifications to subscribers, signals the controller when blocks
-// cross the repartitioning thresholds, executes controller-shipped
-// repartitioning (slot moves), participates in chain replication, and
-// flushes/loads blocks to/from the persistent tier.
+// cross the repartitioning thresholds, carries out the controller's
+// repartitioning (sequenced slot ownership changes, slot pulls from a
+// peer), participates in chain replication, and flushes/loads blocks
+// to/from the persistent tier.
 package server
 
 import (
@@ -64,7 +65,11 @@ type Server struct {
 	store  *blockstore.Store
 	rpcSrv *rpc.Server
 	peers  *rpc.Pool
-	gate   *qos.Gate
+	// dial opens a session to a peer outside the pool: a fill's pull,
+	// rare enough that a pooled session's buffers would sit idle for
+	// good on a chain of 1, where no hop ever uses them.
+	dial func(addr string) (*rpc.Client, error)
+	gate *qos.Gate
 
 	// table serves the control-plane methods (see buildTable).
 	table rpc.Table
@@ -139,7 +144,7 @@ func New(opts Options) (*Server, error) {
 		log:       opts.Logger,
 		persist:   opts.Persist,
 		clk:       opts.Clock,
-		peers:     rpc.NewPool(rpc.WithTimeout(opts.Dial, opts.Config.RPCTimeout)),
+		dial:      rpc.WithTimeout(opts.Dial, opts.Config.RPCTimeout),
 		ctrlAddrs: opts.ControllerAddrs,
 		signals:   make(chan signal, 1024),
 		reports:   make(chan proto.ReportFailureReq, 64),
@@ -148,6 +153,7 @@ func New(opts Options) (*Server, error) {
 	// One pass over the group plus slack for a hint follow, no wait between
 	// members: every caller is a background worker with its own retry
 	// cadence, so a failed pass just surfaces the last error to it.
+	s.peers = rpc.NewPool(s.dial)
 	s.ctrl = rpc.NewGroup(s.peers, s.ctrlAddrs, len(s.ctrlAddrs)+2, nil)
 	s.buildTable()
 	s.store = blockstore.NewStore(opts.Config.HighThreshold, opts.Config.LowThreshold, s.onSignal)

@@ -105,39 +105,104 @@ func TestQueueRedirectOverRPC(t *testing.T) {
 	}
 }
 
-// TestExportImportSlots drives a slot move the way the controller does
-// (controller/scale.go): ExportSlots on the donor and ImportEntries on
-// the recipient, both over RPC. Afterwards every key is reachable from
-// exactly one block.
-func TestExportImportSlots(t *testing.T) {
-	_, c1, _ := newServer(t)
+// slotOwnership sends one SlotOwnership call.
+func slotOwnership(t *testing.T, c *rpc.Client, req proto.SlotOwnershipReq) {
+	t.Helper()
+	if _, err := rpc.Invoke(context.Background(), c, proto.SlotOwnership, req); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadBlockSlots drives a slot move the way the controller does
+// (controller/scale.go), between two servers: the donor disowns, the
+// recipient pulls the donor's pairs in the moving slots with a LoadBlock
+// naming them and then owns them, and the donor drops them. Afterwards
+// every key is reachable from exactly one block, with its value, and a
+// pull into slots the recipient owns is refused.
+func TestLoadBlockSlots(t *testing.T) {
+	src, c1, _ := newServer(t)
 	_, c2, _ := newServer(t)
 	createBlock(t, c1, 1, core.DSKV, []ds.SlotRange{{Lo: 0, Hi: 63}}, 0, nil)
 	createBlock(t, c2, 2, core.DSKV, nil, 0, nil)
 	for i := 0; i < 50; i++ {
-		if _, err := dataOp(c1, 1, core.OpPut, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+		if _, err := dataOp(c1, 1, core.OpPut, []byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	moving := []ds.SlotRange{{Lo: 32, Hi: 63}}
-	exp, err := rpc.Invoke(context.Background(), c1, proto.ExportSlots, proto.ExportSlotsReq{Block: 1, Ranges: moving})
-	if err != nil {
+	load := func() error {
+		_, err := rpc.Invoke(context.Background(), c2, proto.LoadBlock, proto.LoadBlockReq{
+			Block: 2, From: core.BlockInfo{ID: 1, Server: src.Addr()}, Slots: moving})
+		return err
+	}
+	slotOwnership(t, c1, proto.SlotOwnershipReq{Block: 1, Ranges: moving})
+	if err := load(); err != nil {
 		t.Fatal(err)
 	}
-	if len(exp.Entries) == 0 {
-		t.Fatal("nothing exported")
-	}
-	if _, err := rpc.Invoke(context.Background(), c2, proto.ImportEntries, proto.ImportEntriesReq{
-		Block: 2, Ranges: moving, Entries: exp.Entries,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	slotOwnership(t, c2, proto.SlotOwnershipReq{Block: 2, Ranges: moving, Own: true})
+	slotOwnership(t, c1, proto.SlotOwnershipReq{Block: 1, Ranges: moving, Drop: true})
+	moved := 0
 	for i := 0; i < 50; i++ {
 		key := []byte(fmt.Sprintf("k%d", i))
-		_, err1 := dataOp(c1, 1, core.OpGet, key)
-		_, err2 := dataOp(c2, 2, core.OpGet, key)
+		v1, err1 := dataOp(c1, 1, core.OpGet, key)
+		v2, err2 := dataOp(c2, 2, core.OpGet, key)
 		if (err1 == nil) == (err2 == nil) {
 			t.Errorf("key %s reachable from both or neither: %v / %v", key, err1, err2)
+			continue
+		}
+		if err2 == nil {
+			moved++
+			v1 = v2
+		}
+		if string(v1[0]) != fmt.Sprintf("v%d", i) {
+			t.Errorf("key %s = %q", key, v1[0])
+		}
+	}
+	if moved == 0 || moved == 50 {
+		t.Errorf("%d of 50 keys moved, want a proper subset", moved)
+	}
+	if err := load(); !errors.Is(err, core.ErrStaleEpoch) {
+		t.Errorf("a pull into owned slots = %v, want ErrStaleEpoch", err)
+	}
+}
+
+// TestClientControlOpRefused: the op kinds only the controller sends —
+// a queue seal and the two slot ownership ops — are refused typed in a
+// client's data op, single or batched, and leave the block as it was.
+func TestClientControlOpRefused(t *testing.T) {
+	_, c, _ := newServer(t)
+	createBlock(t, c, 1, core.DSKV, []ds.SlotRange{{Lo: 0, Hi: 63}}, 0, nil)
+	createBlock(t, c, 2, core.DSQueue, nil, 0, nil)
+	if _, err := dataOp(c, 1, core.OpPut, []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	all := []ds.SlotRange{{Lo: 0, Hi: 63}}
+	for _, k := range []struct {
+		op    core.OpType
+		block core.BlockID
+		args  [][]byte
+	}{
+		{core.OpDisownSlots, 1, ds.SlotArgs(core.OpDisownSlots, all, true)},
+		{core.OpOwnSlots, 1, ds.SlotArgs(core.OpOwnSlots, all, false)},
+		{core.OpQueueSetNext, 2, [][]byte{ds.RedirectPayload(core.BlockInfo{ID: 3, Server: "elsewhere"})}},
+	} {
+		_, err := dataOp(c, k.block, k.op, k.args...)
+		if !errors.Is(err, core.ErrWrongType) {
+			t.Errorf("%v as a data op = %v, want ErrWrongType", k.op, err)
+		}
+		payload, err := c.Call(proto.MethodDataOpBatch, ds.EncodeBatchRequest([]ds.BatchOp{{Op: k.op, Block: k.block, Args: k.args}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ds.DecodeBatchResults(payload)
+		if err != nil || len(res) != 1 || !errors.Is(res[0].Err(), core.ErrWrongType) {
+			t.Errorf("%v in a batch = %+v, %v; want ErrWrongType", k.op, res, err)
+		}
+		if v, err := dataOp(c, 1, core.OpGet, []byte("k")); err != nil || string(v[0]) != "v" {
+			t.Errorf("after a refused %v the kv reads %q, %v", k.op, v, err)
+		}
+		if _, err := dataOp(c, 2, core.OpEnqueue, []byte("x")); err != nil {
+			t.Errorf("after a refused %v the queue refuses an enqueue: %v", k.op, err)
 		}
 	}
 }
@@ -210,7 +275,7 @@ func TestFlushLoadBlock(t *testing.T) {
 }
 
 // TestLoadBlockFromLiveMember: a LoadBlock naming a live member pulls
-// that member's snapshot over the server's own peer session. A source
+// that member's snapshot over a session the server dials itself. A source
 // the server cannot reach fails the load without the connection class,
 // so the caller does not take the server it asked for the unreachable
 // one, and the block keeps what it held.
@@ -250,29 +315,43 @@ func TestLoadBlockFromLiveMember(t *testing.T) {
 	}
 }
 
-// parentLoadBlockReq is LoadBlockReq as servers before live-member loads
-// decode it: without From.
+// parentLoadBlockReq and parentSnapshotBlockReq are LoadBlockReq and
+// SnapshotBlockReq as servers before slot pulls decode them: without
+// Slots.
 type parentLoadBlockReq struct {
 	Block     core.BlockID
 	Key       string
 	WantBlock core.BlockID
 	WantGen   uint64
+	From      core.BlockInfo
 }
 
-// TestParentLoadBlockRefused: LoadBlockReq gained From, and the codec
-// has no optional fields, so the two versions refuse each other by name
-// instead of misreading a body. A parent-encoded request (kept in
-// testdata) is refused as truncated and restores nothing; a current one
-// leaves a parent decoder trailing bytes. The retired RestoreBlock id
-// 0x010f is not served.
+type parentSnapshotBlockReq struct {
+	Block core.BlockID
+}
+
+// TestParentLoadBlockRefused: LoadBlockReq and SnapshotBlockReq gained
+// Slots, and the codec has no optional fields, so the two versions
+// refuse each other by name instead of misreading a body. A
+// parent-encoded request (kept in testdata) is refused as truncated and
+// restores or answers nothing; a current one leaves a parent decoder
+// trailing bytes. The retired ids 0x0106 (ImportEntries), 0x010f
+// (RestoreBlock) and 0x0113 (ExportSlots) are not served.
 func TestParentLoadBlockRefused(t *testing.T) {
-	parent, err := os.ReadFile("testdata/parent-loadblockreq")
+	parentLoad, err := os.ReadFile("testdata/parent-loadblockreq")
 	if err != nil {
 		t.Fatal(err)
 	}
 	req := parentLoadBlockReq{Block: 1, Key: "snap/1", WantBlock: 1}
-	if enc, err := codec.Marshal(req); err != nil || !bytes.Equal(enc, parent) {
+	if enc, err := codec.Marshal(req); err != nil || !bytes.Equal(enc, parentLoad) {
 		t.Fatalf("testdata is not %+v in the parent format: %x, %v", req, enc, err)
+	}
+	parentSnap, err := os.ReadFile("testdata/parent-snapshotblockreq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc, err := codec.Marshal(parentSnapshotBlockReq{Block: 1}); err != nil || !bytes.Equal(enc, parentSnap) {
+		t.Fatalf("testdata is not a parent SnapshotBlockReq of block 1: %x, %v", enc, err)
 	}
 
 	_, c, _ := newServer(t)
@@ -282,11 +361,14 @@ func TestParentLoadBlockRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	dataOp(c, 1, core.OpPut, []byte("k"), []byte("current"))
-	if _, err := c.Call(proto.LoadBlock.ID, parent); err == nil || !strings.Contains(err.Error(), "truncated") {
+	if _, err := c.Call(proto.LoadBlock.ID, parentLoad); err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Errorf("parent LoadBlockReq = %v, want refused as truncated", err)
 	}
 	if res, err := dataOp(c, 1, core.OpGet, []byte("k")); err != nil || string(res[0]) != "current" {
 		t.Errorf("after the refused load the block reads %q, %v; want current", res, err)
+	}
+	if snap, err := c.Call(proto.SnapshotBlock.ID, parentSnap); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("parent SnapshotBlockReq = %d bytes, %v; want refused as truncated", len(snap), err)
 	}
 
 	cur, err := codec.Marshal(proto.LoadBlockReq{Block: 1, Key: "snap/1", WantBlock: 1})
@@ -296,9 +378,18 @@ func TestParentLoadBlockRefused(t *testing.T) {
 	if err := codec.Unmarshal(cur, &parentLoadBlockReq{}); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
 		t.Errorf("a parent decoding a current LoadBlockReq = %v, want trailing bytes", err)
 	}
+	curSnap, err := codec.Marshal(proto.SnapshotBlockReq{Block: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := codec.Unmarshal(curSnap, &parentSnapshotBlockReq{}); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Errorf("a parent decoding a current SnapshotBlockReq = %v, want trailing bytes", err)
+	}
 
-	if _, err := c.Call(0x010f, cur); !errors.Is(err, core.ErrNotFound) {
-		t.Errorf("retired id 0x010f = %v, want ErrNotFound", err)
+	for _, id := range []uint16{0x0106, 0x010f, 0x0113} {
+		if _, err := c.Call(id, cur); !errors.Is(err, core.ErrNotFound) {
+			t.Errorf("retired id %#x = %v, want ErrNotFound", id, err)
+		}
 	}
 }
 

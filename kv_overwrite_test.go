@@ -13,10 +13,10 @@ import (
 // TestKVOverwriteNoTornReads: a KV value is overwritten in place, so
 // every read must copy it out under the bucket lock guarding it. Two
 // writers overwrite 16 keys with same-length values, each one letter
-// repeated, while readers take them through Get, MultiGet and partition
-// snapshots, and an ExportSlots finally moves them all out: every value
-// read must be one whole written value. Under -race a copy taken outside
-// the lock is also a reported race.
+// repeated, while readers take them through Get, MultiGet, partition
+// snapshots and slot snapshots (what a split's new member pulls): every
+// value read must be one whole written value. Under -race a copy taken
+// outside the lock is also a reported race.
 func TestKVOverwriteNoTornReads(t *testing.T) {
 	cluster, c := testCluster(t, 1, 8)
 	ctx := context.Background()
@@ -40,9 +40,10 @@ func TestKVOverwriteNoTornReads(t *testing.T) {
 		}
 	}
 	var part *ds.KV
+	var numSlots int
 	for _, b := range cluster.Servers[0].Store().List() {
 		if b.Path == "torn/kv" {
-			part = b.Partition.(*ds.KV)
+			part, numSlots = b.Partition.(*ds.KV), b.NumSlots
 		}
 	}
 	checkWhole := func(how string, v []byte) {
@@ -58,8 +59,6 @@ func TestKVOverwriteNoTornReads(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for i := 1; wctx.Err() == nil; i++ {
-				// After the export every put is refused as stale: only the
-				// reads are checked.
 				kv.Put(wctx, keys[(i*7+w)%len(keys)], val(i))
 			}
 		}()
@@ -92,14 +91,18 @@ func TestKVOverwriteNoTornReads(t *testing.T) {
 			checkWhole("MultiGet", v)
 		}
 	})
-	read(40, func() {
-		snap, err := part.Snapshot()
+	// restore reads every key back out of a whole or a slot snapshot.
+	restore := func(how string, snap []byte, err error, load func(*ds.KV, []byte) error) {
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		restored := ds.NewKV(core.MB, 0, nil)
-		if err := restored.Restore(snap); err != nil {
+		restored := ds.NewKV(core.MB, numSlots, nil)
+		if err := load(restored, snap); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := restored.Apply(core.OpOwnSlots, ds.SlotArgs(core.OpOwnSlots, part.Owned(), false)); err != nil {
 			t.Error(err)
 			return
 		}
@@ -109,17 +112,18 @@ func TestKVOverwriteNoTornReads(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			checkWhole("Snapshot", v)
+			checkWhole(how, v)
 		}
+	}
+	read(40, func() {
+		snap, err := part.Snapshot()
+		restore("Snapshot", snap, err, (*ds.KV).Restore)
+	})
+	read(40, func() {
+		snap, err := part.SnapshotSlots(part.Owned())
+		restore("SnapshotSlots", snap, err, func(k *ds.KV, snap []byte) error { return k.LoadSlots(part.Owned(), snap) })
 	})
 	readers.Wait()
-	moved := part.ExportSlots(part.Owned())
 	stop()
 	writers.Wait()
-	if len(moved) != len(keys) {
-		t.Fatalf("ExportSlots moved %d pairs, want %d", len(moved), len(keys))
-	}
-	for _, e := range moved {
-		checkWhole("ExportSlots", e.Value)
-	}
 }

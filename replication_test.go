@@ -109,8 +109,9 @@ func partitionLen(p interface{ Bytes() int }) int {
 }
 
 // TestReplicatedKVSplitResync fills a replicated KV store past one
-// block so the controller must split — slot moves bypass op-level
-// replication, so this exercises the snapshot resync path.
+// block so the controller must split: each split's ownership changes
+// ride the chains as sequenced ops, and every new member pulls its
+// pairs from the donor's tail, so every key reads back from the tails.
 func TestReplicatedKVSplitResync(t *testing.T) {
 	_, c := replicatedCluster(t)
 	c.RegisterJob(context.Background(), "rj")
@@ -276,8 +277,9 @@ func TestOnlyHeadSignals(t *testing.T) {
 }
 
 // TestChainRefusalLeavesNoGap: on a chain of 3, the middle replica
-// alone disowns half its slots (ExportSlots), as a split that reached
-// it before the head does. A put in that half is applied by the head
+// alone disowns half its slots (a SlotOwnership call sent to it rather
+// than to the head), as members deciding ownership each on their own
+// clock would. A put in that half is applied by the head
 // and refused by the middle, which has consumed its seq: it forwards a
 // skip in its place, so the tail's stream has no gap. The put fails
 // typed, a put in the other half is acknowledged within a second, and
@@ -327,7 +329,7 @@ func TestChainRefusalLeavesNoGap(t *testing.T) {
 	defer middle.Close()
 	half := m.NumSlots / 2
 	disowned := []ds.SlotRange{{Lo: 0, Hi: half - 1}}
-	if _, err := rpc.Invoke(ctx, middle, proto.ExportSlots, proto.ExportSlotsReq{Block: chain[1].ID, Ranges: disowned}); err != nil {
+	if _, err := rpc.Invoke(ctx, middle, proto.SlotOwnership, proto.SlotOwnershipReq{Block: chain[1].ID, Ranges: disowned}); err != nil {
 		t.Fatal(err)
 	}
 	keyIn := func(lo, hi int) string {
@@ -356,6 +358,86 @@ func TestChainRefusalLeavesNoGap(t *testing.T) {
 	}
 	if refusals == 0 {
 		t.Error("jiffy_server_hop_refusals_total = 0 after the middle refused a put")
+	}
+
+	done := make(chan struct{})
+	go func() {
+		cluster.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+		closed = true
+	case <-time.After(5 * time.Second):
+		t.Fatal("Cluster.Close did not return within 5 s")
+	}
+}
+
+// TestChain3KVSplitProbe: one client puts 8 000 keys of 128 B serially
+// into a KV prefix on chains of 3 with 256 KiB blocks, so the prefix
+// splits several times under the load. Every put is acknowledged and
+// reads back, no chain member refused a hop (a split's disown is one
+// sequenced op, so members never disagree on ownership), and the
+// cluster closes. The whole probe is capped at 60 s. Before the disown
+// was sequenced, members disowned each on their own and refused puts
+// the head had applied; before refusals were skipped, that wedged the
+// chain and Close hung.
+func TestChain3KVSplitProbe(t *testing.T) {
+	cfg := core.TestConfig()
+	cfg.LeaseDuration = time.Hour
+	cfg.ChainLength = 3
+	cfg.BlockSize = 256 * core.KB
+	cluster, err := StartCluster(ClusterOptions{Config: cfg, Servers: 3, BlocksPerServer: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := false
+	defer func() {
+		if !closed {
+			go cluster.Close() // it may hang: that is the failure reported
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	c, err := cluster.Connect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.RegisterJob(ctx, "probe")
+	if _, _, err := c.CreatePrefix(ctx, "probe/kv", nil, DSKV, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	kv, err := c.OpenKV(ctx, "probe/kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8000
+	val := func(i int) []byte {
+		v := bytes.Repeat([]byte{'v'}, 128)
+		copy(v, fmt.Sprint(i))
+		return v
+	}
+	for i := 0; i < n; i++ {
+		putCtx, cancel := context.WithTimeout(ctx, 8*time.Second)
+		err := kv.Put(putCtx, fmt.Sprintf("probe-%05d", i), val(i))
+		cancel()
+		if err != nil {
+			t.Fatalf("put %d of %d: %v", i, n, err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if v, err := kv.Get(ctx, fmt.Sprintf("probe-%05d", i)); err != nil || !bytes.Equal(v, val(i)) {
+			t.Fatalf("get %d: %q, %v", i, v, err)
+		}
+	}
+	if splits := scrapeObs(cluster.Controller.Obs())["jiffy_ctrl_scale_ups_total"]; splits < 2 {
+		t.Errorf("the load split the prefix %g times, want several", splits)
+	}
+	for _, srv := range cluster.Servers {
+		if got := scrapeObs(srv.Obs())["jiffy_server_hop_refusals_total"]; got != 0 {
+			t.Errorf("%s: jiffy_server_hop_refusals_total = %g, want 0", srv.Addr(), got)
+		}
 	}
 
 	done := make(chan struct{})
