@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
@@ -70,6 +71,13 @@ type Block struct {
 	// halted is set by Store.Halt as the server shuts down: a hop
 	// parked in ApplyInOrder, or arriving later, fails at once.
 	halted bool
+	// waitSince/waitSeq stamp the oldest hop parked in ApplyInOrder:
+	// when it began to wait and the seq it awaits (zero time when none
+	// is parked). Only the wait path stamps; every wake clears the stamp
+	// and a hop that must wait on stamps it afresh, so after a gap
+	// closes the stamp follows the seq the remaining hops now await.
+	waitSince time.Time
+	waitSeq   uint64
 
 	// sealed permanently fences the block against mutations (reads keep
 	// serving): a drain seals the source before taking its migration
@@ -182,9 +190,7 @@ func (b *Block) SetChain(chain core.ReplicaChain, gen uint64) {
 	b.replSeq = 0
 	b.applySeq = 0
 	b.replGen = gen
-	if b.applyCond != nil {
-		b.applyCond.Broadcast()
-	}
+	b.wakeAppliersLocked()
 	b.replMu.Unlock()
 }
 
@@ -195,9 +201,7 @@ func (b *Block) SetChain(chain core.ReplicaChain, gen uint64) {
 func (b *Block) Seal() {
 	b.replMu.Lock()
 	b.sealed.Store(true)
-	if b.applyCond != nil {
-		b.applyCond.Broadcast()
-	}
+	b.wakeAppliersLocked()
 	b.replMu.Unlock()
 }
 
@@ -250,6 +254,9 @@ func (b *Block) ApplyInOrder(seq, gen uint64, fn func() error) (chain core.Repli
 		b.applyCond = sync.NewCond(&b.replMu)
 	}
 	for b.applySeq != seq && b.replGen == gen && !b.sealed.Load() && !b.halted {
+		if b.waitSince.IsZero() {
+			b.waitSince, b.waitSeq = time.Now(), b.applySeq
+		}
 		b.applyCond.Wait()
 	}
 	if b.halted {
@@ -261,8 +268,28 @@ func (b *Block) ApplyInOrder(seq, gen uint64, fn func() error) (chain core.Repli
 	}
 	err = fn()
 	b.applySeq++
-	b.applyCond.Broadcast()
+	b.wakeAppliersLocked()
 	return b.Chain(), err
+}
+
+// wakeAppliersLocked clears the wait stamp and wakes every hop parked
+// in ApplyInOrder to re-check its turn. Caller holds replMu.
+func (b *Block) wakeAppliersLocked() {
+	b.waitSince = time.Time{}
+	if b.applyCond != nil {
+		b.applyCond.Broadcast()
+	}
+}
+
+// ApplyWait reports how long the oldest hop parked in ApplyInOrder has
+// waited and the seq it awaits; age is 0 when no hop is parked.
+func (b *Block) ApplyWait() (age time.Duration, seq uint64) {
+	b.replMu.Lock()
+	defer b.replMu.Unlock()
+	if b.waitSince.IsZero() {
+		return 0, 0
+	}
+	return time.Since(b.waitSince), b.waitSeq
 }
 
 // halt wakes every hop parked in ApplyInOrder and fails the later
@@ -270,9 +297,7 @@ func (b *Block) ApplyInOrder(seq, gen uint64, fn func() error) (chain core.Repli
 func (b *Block) halt() {
 	b.replMu.Lock()
 	b.halted = true
-	if b.applyCond != nil {
-		b.applyCond.Broadcast()
-	}
+	b.wakeAppliersLocked()
 	b.replMu.Unlock()
 }
 
@@ -370,6 +395,18 @@ func (s *Store) ResidentBytes() int64 {
 		}
 	}
 	return total
+}
+
+// ApplyWaitMax returns the longest wait of a hop parked in
+// ApplyInOrder on any block, 0 when none is parked.
+func (s *Store) ApplyWaitMax() time.Duration {
+	var worst time.Duration
+	for _, b := range s.snapshotMap() {
+		if age, _ := b.ApplyWait(); age > worst {
+			worst = age
+		}
+	}
+	return worst
 }
 
 // TieredBlocks counts blocks currently demoted to the persist tier.

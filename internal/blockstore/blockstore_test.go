@@ -311,3 +311,26 @@ func TestDeleteWaitsOutLeasedView(t *testing.T) {
 		t.Fatalf("read after delete: %v, want ErrStaleEpoch", err)
 	}
 }
+
+// TestApplyInOrderAllocs: an in-order apply takes no wait stamp and
+// allocates nothing; only a hop that parks stamps the block.
+func TestApplyInOrderAllocs(t *testing.T) {
+	s := NewStore(0.95, 0.05, nil)
+	b := newKVBlock(1, 1024)
+	s.Create(b)
+	b.SetChain(core.ReplicaChain{{ID: 1, Server: "a"}, {ID: 1, Server: "b"}}, 1)
+	var seq uint64
+	apply := func() {
+		if _, err := b.ApplyInOrder(seq, 1, func() error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		seq++
+	}
+	apply() // the first apply builds the block's condition variable
+	if allocs := testing.AllocsPerRun(1000, apply); allocs != 0 {
+		t.Errorf("an in-order apply allocates %.1f objects, want 0", allocs)
+	}
+	if age, _ := b.ApplyWait(); age != 0 || s.ApplyWaitMax() != 0 {
+		t.Errorf("in-order applies left a wait stamp: %v", age)
+	}
+}

@@ -335,7 +335,9 @@ func (c *Controller) RegisterJob(job core.JobID) error {
 }
 
 // DeregisterJob removes a job, deleting its blocks from the data plane
-// and returning them to the free list.
+// and returning them to the free list. Servers hear of the job's end
+// only when its root carried a quota: a job without one left nothing
+// in their admission gates.
 func (c *Controller) DeregisterJob(job core.JobID) error {
 	s := c.shardFor(job)
 	s.mu.Lock()
@@ -348,7 +350,9 @@ func (c *Controller) DeregisterJob(job core.JobID) error {
 		c.releaseEntries(n.Map.Blocks)
 		return true
 	})
-	c.pushTenantQuota(string(job), core.Quota{})
+	if !h.Root().Quota.IsZero() {
+		c.pushTenantQuota(string(job), core.Quota{})
+	}
 	return nil
 }
 

@@ -156,11 +156,17 @@ func NewGate(opts Options) *Gate {
 }
 
 // SetQuota installs (or replaces) a tenant's quota. A zero quota
-// removes rate enforcement for the tenant but keeps its stats; the
+// removes rate enforcement for a tenant the gate holds state for but
+// keeps its stats, and creates nothing for one it holds no state for,
+// so a job that never had a quota leaves no trace when it goes. The
 // gate deactivates again when no quota remains and no concurrency
 // bound is configured, restoring the single-atomic-load fast path.
 func (g *Gate) SetQuota(tenant string, q core.Quota) {
 	g.mu.Lock()
+	if _, ok := g.tenants[tenant]; !ok && q.IsZero() {
+		g.mu.Unlock()
+		return
+	}
 	ts := g.tenantLocked(tenant)
 	ts.quota = q
 	ts.hasQ = !q.IsZero()

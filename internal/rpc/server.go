@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"jiffy/internal/core"
@@ -74,12 +75,17 @@ func BytesHandler(fn func(ctx context.Context, conn *ServerConn, method uint16, 
 var ErrDispatchAsync = errors.New("rpc: dispatch async")
 
 // Server accepts framed connections and dispatches requests to a
-// Handler. Each connection gets a read pump; each request runs in its
-// own goroutine so slow handlers don't head-of-line-block a session —
-// matching the paper's asynchronous framed IO design. Small requests of
-// methods cleared by an inline predicate can instead run directly on
-// the read pump (see SetInlineHandler), which removes the per-request
-// goroutine and frame copy from the single-op hot path.
+// Handler. Each connection gets a read pump; each request runs on the
+// connection's parked worker or a new goroutine, so slow handlers don't
+// head-of-line-block a session — matching the paper's asynchronous
+// framed IO design. A goroutine that finishes a request parks as its
+// connection's worker when that place is free (at most one per
+// connection, exiting with it), so a serial stream of requests reuses
+// one goroutine and its grown stack instead of regrowing a fresh one
+// per call. Small requests of methods cleared by an inline predicate
+// can instead run directly on the read pump (see SetInlineHandler),
+// which removes the per-request goroutine and frame copy from the
+// single-op hot path.
 type Server struct {
 	handler Handler
 	lis     net.Listener
@@ -165,7 +171,7 @@ func (s *Server) acceptLoop(lis net.Listener) {
 		if err != nil {
 			return
 		}
-		sc := &ServerConn{conn: wire.NewConn(nc), srv: s}
+		sc := &ServerConn{conn: wire.NewConn(nc), srv: s, work: make(chan request)}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -194,7 +200,7 @@ func (s *Server) dropConn(sc *ServerConn) {
 }
 
 // Close stops accepting, closes all live connections and waits for
-// handler goroutines to drain.
+// handler goroutines, parked workers included, to drain.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -225,7 +231,20 @@ type ServerConn struct {
 	conn *wire.Conn
 	srv  *Server
 
+	// work hands a goroutine-path request to the parked worker. It is
+	// unbuffered, so a send succeeds only while a worker waits on it;
+	// parked admits at most one waiter. The read loop is the only
+	// sender and closes it on exit, which releases the worker.
+	work   chan request
+	parked atomic.Bool
+
 	reqWG sync.WaitGroup
+}
+
+// request is one goroutine-path request in flight to a worker.
+type request struct {
+	f     *wire.Frame
+	trace obs.SpanContext
 }
 
 // Push sends an unsolicited notification frame tagged with subID.
@@ -282,6 +301,7 @@ func (sc *ServerConn) readLoop() {
 		// once the response is written.
 		f, reused, err := sc.conn.ReadFramePooled()
 		if err != nil {
+			close(sc.work)
 			sc.reqWG.Wait()
 			return
 		}
@@ -306,11 +326,31 @@ func (sc *ServerConn) readLoop() {
 			// copy of the connection-owned frame.
 			f = cloneOwned(f)
 		}
-		sc.reqWG.Add(1)
-		go func(f *wire.Frame, trace obs.SpanContext) {
-			defer sc.reqWG.Done()
-			sc.dispatch(f, trace, false)
-		}(f, trace)
+		select {
+		case sc.work <- request{f, trace}:
+		default:
+			// No worker is parked: never wait for one.
+			sc.reqWG.Add(1)
+			go sc.worker(request{f, trace})
+		}
+	}
+}
+
+// worker runs req, then parks as the connection's worker if that place
+// is free and runs what the read loop hands it, until the loop ends.
+// It exits at once when another worker is already parked.
+func (sc *ServerConn) worker(req request) {
+	defer sc.reqWG.Done()
+	for {
+		sc.dispatch(req.f, req.trace, false)
+		if !sc.parked.CompareAndSwap(false, true) {
+			return
+		}
+		var ok bool
+		if req, ok = <-sc.work; !ok {
+			return
+		}
+		sc.parked.Store(false)
 	}
 }
 
@@ -368,7 +408,7 @@ func (sc *ServerConn) begin(f *wire.Frame, trace obs.SpanContext) dispatchState 
 }
 
 // dispatch runs one request — through the inline handler on the read
-// pump, or the regular handler on the request's own goroutine — and
+// pump, or the regular handler on a worker goroutine — and
 // writes its response. It reports false, leaving the frame untouched,
 // when the inline handler punts with ErrDispatchAsync.
 func (sc *ServerConn) dispatch(f *wire.Frame, trace obs.SpanContext, inline bool) bool {

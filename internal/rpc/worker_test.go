@@ -1,0 +1,171 @@
+package rpc
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// Methods of the worker tests' server, beyond the shared ones.
+const methodBlock uint16 = 100
+
+// startWorkerServer serves echo, panic and a method that blocks until
+// release is closed, with no inline handler, so every request takes the
+// goroutine path. The caller closes the server.
+func startWorkerServer(t *testing.T, release <-chan struct{}) (*Server, *Client) {
+	t.Helper()
+	srv := NewServer(BytesHandler(func(_ context.Context, _ *ServerConn, method uint16, payload []byte) ([]byte, error) {
+		switch method {
+		case methodEcho:
+			return append([]byte(nil), payload...), nil
+		case methodPanic:
+			panic("boom")
+		case methodBlock:
+			<-release
+			return []byte("released"), nil
+		}
+		return nil, fmt.Errorf("unknown method %d", method)
+	}), nil)
+	addr, err := srv.Listen(fmt.Sprintf("mem://rpc-worker-%p", srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(addr)
+	if err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	return srv, c
+}
+
+// awaitParked waits until the server's one connection has a parked
+// worker.
+func awaitParked(t *testing.T, srv *Server) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		parked := false
+		for sc := range srv.conns {
+			parked = parked || sc.parked.Load()
+		}
+		srv.mu.Unlock()
+		if parked {
+			return
+		}
+	}
+	t.Fatal("no worker parked on the connection")
+}
+
+// TestParkedWorkerAllocs: a serial stream of goroutine-path calls on
+// one session runs on the connection's parked worker, so a call spawns
+// no goroutine and allocates no closure for one. Such a call measures
+// 7 objects (client and server together) with a new goroutine per
+// request and 5 with the worker; the ceiling of 6 leaves room for the
+// odd request that arrives before the worker is back in its place.
+func TestParkedWorkerAllocs(t *testing.T) {
+	if poolsInstrumented {
+		t.Skip("the race detector or the jiffydebug build instruments the pools")
+	}
+	release := make(chan struct{})
+	srv, c := startWorkerServer(t, release)
+	defer srv.Close()
+	defer c.Close()
+	payload := []byte("ping")
+	call := func() {
+		if _, err := c.Call(methodEcho, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	awaitParked(t, srv)
+	allocs := testing.AllocsPerRun(2000, call)
+	if allocs > 6 {
+		t.Fatalf("a goroutine-path call allocates %.2f objects, want <= 6", allocs)
+	}
+}
+
+// TestParkedWorkerNoHeadOfLineBlocking: while the parked worker runs a
+// blocked request, the next request on the same connection gets a new
+// goroutine and is answered.
+func TestParkedWorkerNoHeadOfLineBlocking(t *testing.T) {
+	release := make(chan struct{})
+	srv, c := startWorkerServer(t, release)
+	defer srv.Close()
+	defer c.Close()
+	if _, err := c.Call(methodEcho, []byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	awaitParked(t, srv)
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := c.Call(methodBlock, nil)
+		blocked <- err
+	}()
+	resp, err := c.Call(methodEcho, []byte("second"))
+	if err != nil || string(resp) != "second" {
+		t.Fatalf("second call = %q, %v", resp, err)
+	}
+	select {
+	case err := <-blocked:
+		t.Fatalf("the blocked call returned early: %v", err)
+	default:
+	}
+	close(release)
+	if err := <-blocked; err != nil {
+		t.Fatalf("blocked call: %v", err)
+	}
+}
+
+// TestParkedWorkerPanicIsolated: a handler panic on the parked worker
+// fails only its own call; the worker parks again and the connection
+// keeps serving.
+func TestParkedWorkerPanicIsolated(t *testing.T) {
+	srv, c := startWorkerServer(t, nil)
+	defer srv.Close()
+	defer c.Close()
+	if _, err := c.Call(methodEcho, []byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	awaitParked(t, srv)
+	if _, err := c.Call(methodPanic, nil); err == nil {
+		t.Fatal("a panicking handler answered without an error")
+	}
+	awaitParked(t, srv)
+	resp, err := c.Call(methodEcho, []byte("still alive"))
+	if err != nil || string(resp) != "still alive" {
+		t.Fatalf("call after the panic = %q, %v", resp, err)
+	}
+}
+
+// TestParkedWorkerExitsOnClose: once Server.Close returns, no worker
+// of any connection is left running.
+func TestParkedWorkerExitsOnClose(t *testing.T) {
+	base := runtime.NumGoroutine()
+	release := make(chan struct{})
+	close(release)
+	srv, c := startWorkerServer(t, release)
+	errs := make(chan error, 8)
+	for i := 0; i < cap(errs); i++ {
+		go func() {
+			_, err := c.Call(methodBlock, nil)
+			errs <- err
+		}()
+	}
+	for i := 0; i < cap(errs); i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	awaitParked(t, srv)
+	c.Close()
+	srv.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, %d before:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}

@@ -191,6 +191,11 @@ func New(opts Options) (*Server, error) {
 	s.hopRefusals = s.reg.Counter("jiffy_server_hop_refusals_total",
 		"sequenced mutations refused as a chain replica, each forwarded on as a skip")
 	s.reg.RegisterCollector(func(w io.Writer) {
+		const name = "jiffy_block_apply_wait_max_seconds"
+		obs.WriteHeader(w, name, "longest wait of a chain hop parked behind a missing seq, 0 when none is parked", "gauge")
+		fmt.Fprintf(w, "%s %g\n", name, s.store.ApplyWaitMax().Seconds())
+	})
+	s.reg.RegisterCollector(func(w io.Writer) {
 		stats := s.gate.Stats()
 		if len(stats) == 0 {
 			return

@@ -13,6 +13,7 @@ import (
 	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
+	"jiffy/internal/obs"
 	"jiffy/internal/persist"
 	"jiffy/internal/proto"
 	"jiffy/internal/rpc"
@@ -508,6 +509,54 @@ func TestUnknownMethod(t *testing.T) {
 	_, c, _ := newServer(t)
 	if _, err := c.Call(0x7777, nil); err == nil {
 		t.Error("unknown method accepted")
+	}
+}
+
+// TestApplyWaitGauge: a hop for seq 1 parked behind a missing seq 0
+// shows in jiffy_block_apply_wait_max_seconds, and the gauge reads 0
+// again once seq 0 arrives and both hops apply.
+func TestApplyWaitGauge(t *testing.T) {
+	s, c, _ := newServer(t)
+	chain := core.ReplicaChain{{ID: 1, Server: "mem://gap-head"}, {ID: 2, Server: s.Addr()}}
+	createBlock(t, c, 2, core.DSKV, []ds.SlotRange{{Lo: 0, Hi: 63}}, 0, chain)
+	waitGauge := func() float64 {
+		var buf bytes.Buffer
+		s.Obs().WritePrometheus(&buf)
+		return obs.ParsePrometheus(buf.Bytes())["jiffy_block_apply_wait_max_seconds"]
+	}
+	if g := waitGauge(); g != 0 {
+		t.Fatalf("gauge = %g with no hop parked, want 0", g)
+	}
+	hop := func(seq uint64, key string) chan error {
+		done := make(chan error, 1)
+		vec, _ := ds.AppendReplicateVec(nil, seq, 0, core.OpPut, 2, [][]byte{[]byte(key), []byte("v")})
+		go func() {
+			_, err := c.Call(proto.MethodReplicate, bytes.Join(vec, nil))
+			done <- err
+		}()
+		return done
+	}
+	second := hop(1, "k1")
+	for deadline := time.Now().Add(5 * time.Second); waitGauge() <= 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("gauge still 0 with the hop for seq 1 parked behind seq 0")
+		}
+	}
+	b, err := s.Store().Get(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if age, seq := b.ApplyWait(); age <= 0 || seq != 0 {
+		t.Errorf("ApplyWait = %v, seq %d; want a positive age awaiting seq 0", age, seq)
+	}
+	if err := <-hop(0, "k0"); err != nil {
+		t.Fatalf("hop for seq 0: %v", err)
+	}
+	if err := <-second; err != nil {
+		t.Fatalf("hop for seq 1: %v", err)
+	}
+	if g := waitGauge(); g != 0 {
+		t.Errorf("gauge = %g once the gap closed, want 0", g)
 	}
 }
 

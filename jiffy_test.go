@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -450,6 +451,46 @@ func TestDeregisterJobFreesEverything(t *testing.T) {
 	// Operations on the dead job fail.
 	if _, err := c.OpenKV(context.Background(), "job1/t1"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("open on dead job = %v", err)
+	}
+}
+
+// TestChurnedJobsLeaveNoTenantState churns short jobs without quotas
+// through two servers: each job's end must leave nothing behind in a
+// server's admission gate or metrics, and the controller has nothing to
+// tell the servers about it.
+func TestChurnedJobsLeaveNoTenantState(t *testing.T) {
+	const jobs = 200
+	cluster, c := testCluster(t, 2, 32)
+	ctx := context.Background()
+	for i := 0; i < jobs; i++ {
+		job := core.JobID(fmt.Sprintf("churn%d", i))
+		if err := c.RegisterJob(ctx, job); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.CreatePrefix(ctx, core.Path(job+"/t"), nil, DSKV, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.DeregisterJob(ctx, job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, srv := range cluster.Servers {
+		if st := srv.Gate().Stats(); len(st) != 0 {
+			t.Errorf("%s: gate holds %d tenants after %d churned jobs", srv.Addr(), len(st), jobs)
+		}
+		m := scrapeObs(srv.Obs())
+		series := 0
+		for name := range m {
+			if strings.HasPrefix(name, "jiffy_tenant_") {
+				series++
+			}
+		}
+		if series != 0 {
+			t.Errorf("%s: exports %d jiffy_tenant_ series", srv.Addr(), series)
+		}
+		if n := m[`jiffy_rpc_requests_total{role="server",method="SetTenantQuota"}`]; n != 0 {
+			t.Errorf("%s: served %g SetTenantQuota calls", srv.Addr(), n)
+		}
 	}
 }
 
