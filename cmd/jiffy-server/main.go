@@ -96,10 +96,7 @@ func main() {
 	}
 
 	if *admin != "" {
-		adminSrv, err := obs.ServeAdmin(*admin, obs.AdminOptions{
-			Registry: srv.Obs(),
-			Spans:    srv.Spans(),
-		})
+		adminSrv, err := obs.ServeAdmin(*admin, srv.AdminOptions())
 		if err != nil {
 			fatal("admin endpoint: %v", err)
 		}

@@ -320,8 +320,8 @@ func TestBatchAllocs(t *testing.T) {
 	}
 
 	t.Run("AppendBatch", func(t *testing.T) {
-		if allocs := appendAllocs(t, 64, 100); allocs > 7 {
-			t.Fatalf("AppendBatch of 64 records allocates %.1f objects, want <= 7", allocs)
+		if allocs := appendAllocs(t, 64, 100); allocs > 5 {
+			t.Fatalf("AppendBatch of 64 records allocates %.1f objects, want <= 5", allocs)
 		}
 	})
 

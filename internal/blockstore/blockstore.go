@@ -208,28 +208,28 @@ func (b *Block) Seal() {
 // Sealed reports whether the block has been fenced by Seal.
 func (b *Block) Sealed() bool { return b.sealed.Load() }
 
-// NextReplSeq atomically applies a head-side mutation via fn, which
-// keeps its own answer, and assigns it the next replication sequence
-// number, stamped with the chain generation it belongs to. The chain
-// snapshot is read under the same lock SetChain writes it, so the
+// NextReplSeq atomically applies head-side mutations via fn, which
+// keeps its own answers and returns how many mutations it applied, and
+// assigns them as many consecutive replication sequence numbers, the
+// first of which it returns, stamped with the chain generation they
+// belong to: a run of appends takes one hold for all its records. The
+// chain snapshot is read under the same lock SetChain writes it, so the
 // returned chain always matches the returned generation — a concurrent
 // repair splice can never pair a new generation with the old layout.
-func (b *Block) NextReplSeq(fn func() error) (chain core.ReplicaChain, seq, gen uint64, err error) {
+func (b *Block) NextReplSeq(fn func() int) (chain core.ReplicaChain, seq, gen uint64, err error) {
 	b.replMu.Lock()
 	defer b.replMu.Unlock()
 	if b.sealed.Load() {
 		return nil, 0, 0, fmt.Errorf("blockstore: block %v sealed for migration: %w",
 			b.ID, core.ErrStaleEpoch)
 	}
-	if err = fn(); err != nil {
-		return nil, 0, 0, err
-	}
+	n := fn()
 	if p := b.chain.Load(); p != nil {
 		chain = *p
 	}
 	seq = b.replSeq
 	gen = b.replGen
-	b.replSeq++
+	b.replSeq += uint64(n)
 	return chain, seq, gen, nil
 }
 
@@ -552,7 +552,22 @@ func (s *Store) AppendOn(b *Block, dst []byte, op core.OpType, args [][]byte, ch
 	return out, handled, err
 }
 
-// applied is what both apply forms do after an op: re-evaluate the
+// AppendRun is AppendOn's run form for a file chunk's appends
+// (ds.File.AppendRun): recs land in order under one hold of the chunk
+// lock, their offsets appended to offs, until one is refused, whose
+// refusal err is; the thresholds are checked once for the run.
+// handled=false means b holds no file chunk and nothing ran.
+func (s *Store) AppendRun(b *Block, recs [][]byte, offs []int, checkNow bool) (out []int, handled bool, err error) {
+	f, ok := b.Partition.(*ds.File)
+	if !ok {
+		return offs, false, nil
+	}
+	out, err = f.AppendRun(recs, offs)
+	s.applied(b, core.OpFileAppend, checkNow)
+	return out, true, err
+}
+
+// applied is what every apply form does after an op: re-evaluate the
 // thresholds after a mutation, when checkNow.
 func (s *Store) applied(b *Block, op core.OpType, checkNow bool) {
 	if checkNow && op.IsMutation() {

@@ -121,7 +121,7 @@ func (f *File) appendAnswer(dst []byte, op core.OpType, args [][]byte) ([]byte, 
 	if err != nil {
 		return dst, true, err
 	}
-	return appendU64(dst, uint64(n)), true, nil
+	return AppendU64(dst, uint64(n)), true, nil
 }
 
 // errReleased answers every op on a chunk whose block was deleted: the
@@ -149,32 +149,50 @@ func (f *File) SetNext(next core.BlockInfo) {
 }
 
 // Append atomically writes data at the chunk's current high-water mark
-// and returns the chunk-relative offset it landed at. An append that
-// does not fit entirely is refused — redirected to the next chunk once
-// SetNext linked it, else ErrBlockFull — and the record moves whole to
-// the next chunk, which is what lets many concurrent map tasks
-// interleave records in one shuffle file safely (§5.1).
+// and returns the chunk-relative offset it landed at: a run of one
+// (AppendRun).
 func (f *File) Append(data []byte) (int, error) {
+	var off [1]int
+	offs, err := f.AppendRun([][]byte{data}, off[:0])
+	if err != nil {
+		return 0, err
+	}
+	return offs[0], nil
+}
+
+// AppendRun appends a run of records in order, each at the chunk's
+// high-water mark, under one hold of the chunk lock, and appends the
+// offset each landed at to offs. It stops at the first record that is
+// refused and returns that record's refusal with the offsets of the
+// records before it. A record that does not fit entirely is refused —
+// redirected to the next chunk once SetNext linked it, else
+// ErrBlockFull — and moves whole to the next chunk, which is what lets
+// many concurrent map tasks interleave records in one shuffle file
+// safely (§5.1).
+func (f *File) AppendRun(recs [][]byte, offs []int) ([]int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.released {
-		return 0, errReleased
+		return offs, errReleased
 	}
-	if len(data) > f.cap {
-		return 0, fmt.Errorf("ds: record of %d bytes exceeds chunk capacity %d: %w",
-			len(data), f.cap, core.ErrTooLarge)
-	}
-	off := f.size
-	if off+len(data) > f.cap {
-		if f.next != nil {
-			return 0, f.next
+	for _, data := range recs {
+		if len(data) > f.cap {
+			return offs, fmt.Errorf("ds: record of %d bytes exceeds chunk capacity %d: %w",
+				len(data), f.cap, core.ErrTooLarge)
 		}
-		return 0, errChunkFull
+		off := f.size
+		if off+len(data) > f.cap {
+			if f.next != nil {
+				return offs, f.next
+			}
+			return offs, errChunkFull
+		}
+		f.grow(off + len(data))
+		copy(f.data[off:], data)
+		f.size = off + len(data)
+		offs = append(offs, off)
 	}
-	f.grow(off + len(data))
-	copy(f.data[off:], data)
-	f.size = off + len(data)
-	return off, nil
+	return offs, nil
 }
 
 // WriteAt stores data at the chunk-relative offset. A write that would

@@ -153,7 +153,7 @@ func (k *KV) appendAnswer(dst []byte, op core.OpType, args [][]byte) ([]byte, bo
 		out, err := k.appendGet(dst, args)
 		return out, true, err
 	case core.OpUsage:
-		return appendU64(dst, uint64(k.Bytes())), true, nil
+		return AppendU64(dst, uint64(k.Bytes())), true, nil
 	}
 	return dst, false, nil
 }

@@ -157,7 +157,7 @@ func (q *Queue) appendAnswer(dst []byte, op core.OpType, _ [][]byte) ([]byte, bo
 	if op != core.OpUsage {
 		return dst, false, nil
 	}
-	return appendU64(dst, uint64(q.Bytes())), true, nil
+	return AppendU64(dst, uint64(q.Bytes())), true, nil
 }
 
 // redirectError wraps ErrRedirect with the successor's location so the

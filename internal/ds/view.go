@@ -86,9 +86,9 @@ func applyAnswer(p answerer, op core.OpType, args [][]byte) ([][]byte, error) {
 	return DecodeValsInto(r.vec[:0], out)
 }
 
-// appendU64 encodes a one-value integer result vector onto dst: its
+// AppendU64 encodes a one-value integer result vector onto dst: its
 // count, its length and its 8 bytes.
-func appendU64(dst []byte, v uint64) []byte {
+func AppendU64(dst []byte, v uint64) []byte {
 	dst = append(dst, 0, 1, 0, 0, 0, 8)
 	return binary.BigEndian.AppendUint64(dst, v)
 }

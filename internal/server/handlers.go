@@ -121,8 +121,12 @@ func (s *Server) sequenced(ctx context.Context, o *opCtx) error {
 		return err
 	}
 	defer b.EndOp()
-	o.b = b
-	return s.sequence(ctx, o)
+	o.b, o.n = b, 1
+	refused, err := s.sequence(ctx, o)
+	if err == nil {
+		err = refused
+	}
+	return err
 }
 
 // kvShard is b's partition, which must be a KV shard.

@@ -29,6 +29,17 @@ type opCtx struct {
 	args  [][]byte // alias the request frame: valid until the entry returns
 	b     *blockstore.Block
 
+	// n is how many records the op applies as one run: a batch frame's
+	// consecutive appends to one file chunk, args holding their records
+	// one each, land under one hold of the chunk lock. Any other op — a
+	// lone append too — is a run of one, args its vector. The apply stage
+	// ends a run at its first refused record (cut). On success every
+	// record of the run is acknowledged; on an error the first len(offs)
+	// are, and the rest answer the error. offs holds the offset each
+	// acknowledged append landed at.
+	n    int
+	offs []int
+
 	// hop marks a chain hop, position seq of generation gen in the
 	// block's replication stream; a hop whose op is OpNop is a skip (see
 	// sequence). inline marks an op run on the read pump.
@@ -38,6 +49,9 @@ type opCtx struct {
 	// mutation. A batch checks once per mutated block at its end, and a
 	// hop never: the controller knows the head's block, not a replica's.
 	checkNow bool
+	// framed marks an op of a batch frame: each answer the apply stage
+	// encodes onto out is its own batch result (begin, end).
+	framed bool
 
 	// out is the response the result is encoded onto: the pooled
 	// payload of a single op, the batch response of a batched one, the
@@ -54,17 +68,19 @@ type opCtx struct {
 // scratch is the vectors one entry decodes into — an op's or a hop's
 // args, a batch frame's ops and their one arg vector — the vector a
 // view extends with its one value (a batch takes one for all its
-// views), and the buffer a hop's discarded answer is encoded onto.
+// views), the offsets a run of appends landed at, and the buffer a
+// hop's discarded answer is encoded onto.
 // They cross the Partition and ViewReader interfaces, so on the stack
 // they would escape; pooled, a steady-state entry allocates none.
 type scratch struct {
 	args, res [][]byte
 	ops       []ds.BatchOp
+	offs      []int
 	out       []byte
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{args: make([][]byte, 0, 4), res: make([][]byte, 0, 1), out: make([]byte, 0, 16)}
+	return &scratch{args: make([][]byte, 0, 4), res: make([][]byte, 0, 1), offs: make([]int, 0, 1), out: make([]byte, 0, 16)}
 }}
 
 // scratchMax bounds the vectors a scratch keeps: release clears every
@@ -74,13 +90,13 @@ const scratchMax = 1 << 10
 // release drops what the vectors point at — the request frame, block
 // memory — and pools them, unless a batch grew them past scratchMax.
 func (sc *scratch) release() {
-	if cap(sc.args) > scratchMax || cap(sc.ops) > scratchMax {
+	if cap(sc.args) > scratchMax || cap(sc.ops) > scratchMax || cap(sc.offs) > scratchMax {
 		return
 	}
 	clear(sc.args[:cap(sc.args)])
 	clear(sc.res[:cap(sc.res)])
 	clear(sc.ops[:cap(sc.ops)])
-	sc.args, sc.res, sc.ops, sc.out = sc.args[:0], sc.res[:0], sc.ops[:0], sc.out[:0]
+	sc.args, sc.res, sc.ops, sc.offs, sc.out = sc.args[:0], sc.res[:0], sc.ops[:0], sc.offs[:0], sc.out[:0]
 	scratchPool.Put(sc)
 }
 
@@ -94,7 +110,7 @@ func (sc *scratch) release() {
 func (s *Server) runOp(ctx context.Context, payload []byte, inline bool) (rpc.Response, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
-	o := opCtx{checkNow: true, inline: inline, out: wire.GetBuf(), res: sc.res[:0]}
+	o := opCtx{n: 1, checkNow: true, inline: inline, out: wire.GetBuf(), res: sc.res[:0], offs: sc.offs[:0]}
 	var err error
 	if o.op, o.block, o.args, err = ds.DecodeRequestInto(sc.args[:0], payload); err != nil {
 		return o.encode(err)
@@ -236,38 +252,68 @@ func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, er
 			}
 		}
 	}
-	// The batch response: u16 count, then one result per op. An op
-	// answered by appending encodes its value onto the response behind
-	// an OK result header whose length it backfills; any other outcome
-	// goes through ds.AppendResult.
+	// The batch response: u16 count, then one result per op. The apply
+	// stage encodes an answer it builds by appending as a whole result
+	// (framed); any other outcome goes through ds.AppendResult.
 	resp := binary.BigEndian.AppendUint16(wire.GetBuf(), uint16(len(ops)))
 	mutated := make(map[core.BlockID]*blockstore.Block)
-	for _, bo := range ops {
-		mark := len(resp)
-		o := opCtx{op: bo.Op, block: bo.Block, args: bo.Args, b: blocks[bo.Block],
-			out: ds.BeginResult(resp), res: sc.res[:0]}
+	// k is where ops[i]'s window starts in args, the frame's one arg
+	// vector: a run's records are consecutive there.
+	for i, k := 0, 0; i < len(ops); {
+		bo := ops[i]
+		o := opCtx{op: bo.Op, block: bo.Block, args: bo.Args, n: 1, b: blocks[bo.Block],
+			framed: true, out: resp, res: sc.res[:0], offs: sc.offs[:0]}
 		err := refused[bo.Block]
 		if bo.Op.IsControl() {
 			err = errControlOp
 		}
 		if err == nil {
-			if err = s.apply(ctx, &o); err == nil && o.op.IsMutation() {
+			if o.n = runLen(ops[i:], o.b); o.n > 1 {
+				o.args = args[k : k+o.n]
+			}
+			err = s.apply(ctx, &o)
+			if o.op.IsMutation() && (err == nil || len(o.offs) > 0) {
 				mutated[o.block] = o.b
 			}
 		}
-		if err == nil && o.encoded {
-			resp = ds.EndResult(o.out, mark)
-		} else {
-			resp = ds.AppendResult(o.out[:mark], ds.ErrResult(err), o.res)
+		resp = o.out
+		switch {
+		case err != nil:
+			r := ds.ErrResult(err)
+			for range o.n - len(o.offs) {
+				resp = ds.AppendResult(resp, r, nil)
+			}
+		case !o.encoded:
+			resp = ds.AppendResult(resp, ds.ErrResult(nil), o.res)
 		}
 		if o.lease != nil {
 			o.lease()
 		}
+		sc.offs = o.offs
+		for _, c := range ops[i : i+o.n] {
+			k += len(c.Args)
+		}
+		i += o.n
 	}
 	for _, b := range mutated {
 		s.store.CheckThresholds(b)
 	}
 	return rpc.BytesResponse(resp), nil
+}
+
+// runLen is how many ops from ops[0] on apply as one run: consecutive
+// appends of one record each to b's file chunk. Any other op is a run of
+// one.
+func runLen(ops []ds.BatchOp, b *blockstore.Block) int {
+	first := ops[0]
+	if first.Op != core.OpFileAppend || len(first.Args) != 1 || b.Partition.Type() != core.DSFile {
+		return 1
+	}
+	n := 1
+	for n < len(ops) && ops[n].Op == core.OpFileAppend && ops[n].Block == first.Block && len(ops[n].Args) == 1 {
+		n++
+	}
+	return n
 }
 
 // runHop runs a chain hop (MethodReplicate): a mutation forwarded by
@@ -283,7 +329,7 @@ func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, er
 func (s *Server) runHop(ctx context.Context, payload []byte) error {
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
-	o := opCtx{hop: true, out: sc.out[:0]}
+	o := opCtx{n: 1, hop: true, out: sc.out[:0], offs: sc.offs[:0]}
 	var err error
 	if o.seq, o.gen, o.op, o.block, o.args, err = ds.DecodeReplicateInto(sc.args[:0], payload); err != nil {
 		return err
@@ -296,7 +342,8 @@ func (s *Server) runHop(ctx context.Context, payload []byte) error {
 	if o.op == core.OpNop {
 		// A skip fills its seq and is passed on: nothing is applied,
 		// counted or notified.
-		return s.sequence(ctx, &o)
+		_, err = s.sequence(ctx, &o)
+		return err
 	}
 	err = s.apply(ctx, &o)
 	sc.out = o.out
@@ -342,37 +389,77 @@ func argBytes(args [][]byte) int64 {
 	return n
 }
 
-// apply runs the op against its pinned block and counts it: the one
-// place ServerStats.Ops moves. A mutation is sequenced and forwarded
-// (sequence). A read takes the partition's zero-copy view when it has
-// one, leaving o.lease set if the view holds a read lease, and is
-// answered like a mutation otherwise (applyOn). A successful op then
-// notifies its block's subscribers, unless it is a hop. A file append
-// refused as full may first wait for its chunk's growth and run once
-// more (awaitGrowth).
+// apply runs the op's run against its pinned block and counts its
+// records: the one place ServerStats.Ops moves, by n once per run. A
+// mutation is sequenced and forwarded (sequence). A read takes the
+// partition's zero-copy view when it has one, leaving o.lease set if
+// the view holds a read lease, and is answered like a mutation
+// otherwise (applyOn). Each acknowledged record then notifies its
+// block's subscribers, unless it is a hop. An append refused as full
+// may first wait for its chunk's growth and run once more (awaitGrowth).
 func (s *Server) apply(ctx context.Context, o *opCtx) (err error) {
-	s.ops.Add(1)
 	if o.op.IsMutation() {
-		err = s.sequence(ctx, o)
-		if err != nil && o.op == core.OpFileAppend && !o.hop && errors.Is(err, core.ErrBlockFull) {
-			if err = s.awaitGrowth(ctx, o, err); err == nil {
-				err = s.sequence(ctx, o)
+		var refused error
+		refused, err = s.sequence(ctx, o)
+		if err == nil && o.op == core.OpFileAppend && !o.hop && errors.Is(refused, core.ErrBlockFull) {
+			if err = s.awaitGrowth(ctx, o, refused); err == nil {
+				refused, err = s.sequence(ctx, o)
 			}
+		}
+		if err == nil {
+			err = refused
 		}
 	} else if v, handled, verr := ds.ApplyView(o.b.Partition, o.op, o.args, o.res[:0]); handled {
 		o.res, o.lease, err = v.Vals, v.Release, verr
 	} else {
-		err = s.applyOn(o)
+		_, err = s.applyOn(o)
 	}
-	if err == nil && !o.hop {
-		var data []byte
-		if len(o.args) > 0 {
-			data = o.args[0]
+	if err == rpc.ErrDispatchAsync {
+		return err // nothing landed: the op reruns from decode, counted then
+	}
+	s.ops.Add(int64(o.n))
+	if !o.hop {
+		acked := o.n
+		if err != nil {
+			acked = len(o.offs)
 		}
-		// notify marshals synchronously, copying data out of the frame.
-		s.notify(o.block, o.op, data)
+		s.notify(o, acked)
 	}
 	return err
+}
+
+// record is the args of the run's i-th record: the op's own vector in
+// a run of one.
+func (o *opCtx) record(i int) [][]byte {
+	if o.n == 1 {
+		return o.args
+	}
+	return o.args[i : i+1]
+}
+
+// cut ends the run after its first n records.
+func (o *opCtx) cut(n int) {
+	if n < o.n {
+		o.n, o.args = n, o.args[:n]
+	}
+}
+
+// begin opens an answer on o.out — its own batch result when framed —
+// and returns the mark end closes it at.
+func (o *opCtx) begin() int {
+	mark := len(o.out)
+	if o.framed {
+		o.out = ds.BeginResult(o.out)
+	}
+	return mark
+}
+
+// end closes the answer begin opened at mark.
+func (o *opCtx) end(mark int) {
+	if o.framed {
+		o.out = ds.EndResult(o.out, mark)
+	}
+	o.encoded = true
 }
 
 // awaitGrowth is the apply stage's growth wait. An append refused as
@@ -384,8 +471,8 @@ func (s *Server) apply(ctx context.Context, o *opCtx) (err error) {
 // has not signalled yet (it checks at its end), so the check runs
 // first. With no signal in flight the append is applied once more at
 // once: the answer may have linked the chunk since the refusal.
-// Inline, the op punts rather than wait, uncounted, since it reruns
-// from decode. The wait ends on the answer, on ctx and on Close.
+// Inline, the op punts rather than wait, since it reruns from decode.
+// The wait ends on the answer, on ctx and on Close.
 func (s *Server) awaitGrowth(ctx context.Context, o *opCtx, refused error) error {
 	s.store.CheckThresholds(o.b)
 	growth := o.b.Growth()
@@ -393,7 +480,6 @@ func (s *Server) awaitGrowth(ctx context.Context, o *opCtx, refused error) error
 	case growth == nil:
 		return nil
 	case o.inline:
-		s.ops.Add(-1)
 		return rpc.ErrDispatchAsync
 	}
 	select {
@@ -406,74 +492,123 @@ func (s *Server) awaitGrowth(ctx context.Context, o *opCtx, refused error) error
 	}
 }
 
-// applyOn runs the op against its block. A built-in op whose answer is
-// an integer or a copied value — a KV get, its value copied under the
-// bucket lock; a file write or append; any usage — is encoded onto o.out
-// (ds.AppendAnswer) and sets o.encoded; any other op is the partition's
-// Apply, its result o.res.
-func (s *Server) applyOn(o *opCtx) error {
-	out, handled, err := s.store.AppendOn(o.b, o.out, o.op, o.args, o.checkNow)
-	if handled {
-		o.out, o.encoded = out, err == nil
-		return err
+// applyOn runs the op against its block and reports how many records
+// of its run landed. A run of appends to a file chunk lands from its
+// first unanswered record on, under one hold of the chunk lock
+// (Store.AppendRun), until one is refused; their offsets go to o.offs,
+// and sequence answers them once they are forwarded. A built-in op
+// whose answer is an integer or a copied value — a KV get, its value
+// copied under the bucket lock; a file write; any usage — is encoded
+// onto o.out (ds.AppendAnswer) and sets o.encoded; any other op is the
+// partition's Apply, its result o.res.
+func (s *Server) applyOn(o *opCtx) (int, error) {
+	// An append whose vector is not one record falls through to the
+	// partition's own argument check.
+	if o.op == core.OpFileAppend && len(o.args) == o.n {
+		from := len(o.offs)
+		offs, handled, err := s.store.AppendRun(o.b, o.args[from:], o.offs, o.checkNow)
+		if handled {
+			o.offs = offs
+			return len(offs) - from, err
+		}
 	}
-	o.res, err = s.store.ApplyOn(o.b, o.op, o.args, o.checkNow)
-	return err
+	mark := o.begin()
+	out, handled, err := s.store.AppendOn(o.b, o.out, o.op, o.args, o.checkNow)
+	if handled && err == nil {
+		o.out = out
+		o.end(mark)
+		return 1, nil
+	}
+	o.out = o.out[:mark]
+	if !handled {
+		o.res, err = s.store.ApplyOn(o.b, o.op, o.args, o.checkNow)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return 1, nil
 }
 
-// sequence applies a mutation (applyOn) in chain order and forwards it
-// to the block's successor. A hop applies in its predecessor's sequence
-// order (ApplyInOrder). Its seq is consumed even when the apply
-// refuses, so a refusing replica forwards a skip (an OpNop hop) in its
-// place, counted in jiffy_server_hop_refusals_total, and a skip it
-// receives fills the seq without applying: a member's refusal never
-// leaves a gap that parks every later hop at its successors. The head
-// of a replicated chain takes the next sequence number under the lock
-// it applies under (NextReplSeq); any other block applies directly, and
-// refuses once sealed for migration.
-// The chain forwarded along is read under the same lock as the sequence
-// number, so a repair splice landing meanwhile can never pair a new
-// generation with the old layout — which would let mid-chain survivors
-// apply a mutation the spliced-in replacement misses, wedging the
-// stream on the hole.
-func (s *Server) sequence(ctx context.Context, o *opCtx) (err error) {
-	b := o.b
-	applyOn := func() error { return s.applyOn(o) }
+// sequence applies a mutation's run (applyOn) in chain order and
+// forwards it to the block's successor. It returns the refusal that
+// ended the run, if one did, and apart from it err: a seal or a failed
+// forward, which leaves records that landed unacknowledged. A hop
+// applies in its predecessor's sequence order (ApplyInOrder). Its seq
+// is consumed even when the apply refuses, so a refusing replica
+// forwards a skip (an OpNop hop) in its place, counted in
+// jiffy_server_hop_refusals_total, and a skip it receives fills the seq
+// without applying: a member's refusal never leaves a gap that parks
+// every later hop at its successors. The head of a replicated chain
+// applies the run under the lock it takes consecutive sequence numbers
+// under, one per landed record (NextReplSeq), and forwards each record
+// as its own hop. Any other block applies directly, and refuses once
+// sealed for migration. The chain forwarded along is read under the
+// same lock as the sequence numbers, so a repair splice landing
+// meanwhile can never pair a new generation with the old layout — which
+// would let mid-chain survivors apply a mutation the spliced-in
+// replacement misses, wedging the stream on the hole.
+func (s *Server) sequence(ctx context.Context, o *opCtx) (refused, err error) {
+	b, from, mark := o.b, len(o.offs), len(o.out)
+	landed := 0
+	applyOn := func() int {
+		landed, refused = s.applyOn(o)
+		return landed
+	}
 	var chain core.ReplicaChain
-	seq, gen := o.seq, o.gen
+	var seq, gen uint64
 	switch c := b.Chain(); {
 	case o.hop:
-		var refused error
-		chain, err = b.ApplyInOrder(seq, gen, func() error {
+		chain, err = b.ApplyInOrder(o.seq, o.gen, func() error {
 			if o.op != core.OpNop {
-				refused = applyOn()
+				applyOn()
 			}
 			return nil
 		})
-		if err == nil && refused != nil {
-			s.hopRefusals.Inc()
-			if err = s.propagate(ctx, b, chain, seq, gen, core.OpNop, nil); err == nil {
-				err = refused
-			}
-		}
 		if err != nil {
-			return fmt.Errorf("server: replica apply: %w", err)
+			return nil, fmt.Errorf("server: replica apply: %w", err)
 		}
+		if refused != nil {
+			s.hopRefusals.Inc()
+			return refused, s.propagate(ctx, b, chain, o.seq, o.gen, core.OpNop, nil)
+		}
+		return nil, s.propagate(ctx, b, chain, o.seq, o.gen, o.op, o.args)
 	case len(c) > 1 && c.Head().ID == b.ID:
-		chain, seq, gen, err = b.NextReplSeq(applyOn)
+		if chain, seq, gen, err = b.NextReplSeq(applyOn); err != nil {
+			return nil, err
+		}
 	default:
 		if !b.Sealed() {
-			err = applyOn()
+			applyOn()
 		}
-		if err == nil && b.Sealed() {
-			// Sealed, possibly while the mutation applied: the migration
-			// snapshot may miss it, so it is not acknowledged and the
-			// client retries against the migrated block.
-			err = fmt.Errorf("server: block %v sealed for migration: %w", b.ID, core.ErrStaleEpoch)
+		if b.Sealed() {
+			// Sealed, possibly while the run applied: the migration
+			// snapshot may miss it, so no record of it is acknowledged and
+			// the client retries against the migrated block.
+			o.out, o.offs = o.out[:mark], o.offs[:from]
+			return nil, fmt.Errorf("server: block %v sealed for migration: %w", b.ID, core.ErrStaleEpoch)
+		}
+	}
+	// A failed forward unacknowledges its record and every later one of
+	// the run, which are still forwarded: each fills its seq at the
+	// successor, as a refusing replica's skip does.
+	acked := landed
+	if len(chain) > 1 { // else there is no successor
+		for i := range landed {
+			if ferr := s.propagate(ctx, b, chain, seq+uint64(i), gen, o.op, o.record(from+i)); ferr != nil && err == nil {
+				err, acked = ferr, i
+			}
 		}
 	}
 	if err != nil {
-		return err
+		o.out, o.offs = o.out[:mark], o.offs[:from+acked]
+		o.cut(from + landed)
+	} else if refused != nil {
+		o.cut(from + landed + 1)
 	}
-	return s.propagate(ctx, b, chain, seq, gen, o.op, o.args)
+	for _, off := range o.offs[from:] {
+		m := o.begin()
+		o.out = ds.AppendU64(o.out, uint64(off))
+		o.end(m)
+	}
+	return refused, err
 }

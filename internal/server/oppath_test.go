@@ -327,6 +327,126 @@ func TestOpPathTable(t *testing.T) {
 			}
 		}
 	}
+	runCells(t)
+}
+
+// runCells are the op-path table's cells for a run: a batch frame's
+// consecutive appends to one file chunk, applied under one hold of the
+// chunk lock. Each run is five 3-byte records, and each cell checks
+// every record's answer and that ServerStats.Ops moved by five.
+func runCells(t *testing.T) {
+	recs := [][]byte{[]byte("r00"), []byte("r01"), []byte("r02"), []byte("r03"), []byte("r04")}
+	// start serves file block 1 of capacity bytes.
+	start := func(t *testing.T, capacity int) (*Server, *blockstore.Block) {
+		s := startOpServer(t, clock.NewVirtual(time.Unix(0, 0)))
+		if _, err := s.createBlock(proto.CreateBlockReq{Block: 1, Path: "j/f", Type: core.DSFile, Capacity: capacity}); err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.store.Get(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, b
+	}
+	// run sends the records as one batch and checks the ops count.
+	run := func(t *testing.T, s *Server) []ds.BatchResult {
+		ops := make([]ds.BatchOp, len(recs))
+		for i, r := range recs {
+			ops[i] = ds.BatchOp{Op: core.OpFileAppend, Block: 1, Args: [][]byte{r}}
+		}
+		before := s.Ops()
+		resp, err := s.handle(context.Background(), nil, proto.MethodDataOpBatch, ds.EncodeBatchRequest(ops))
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := ds.DecodeBatchResults(resp.Payload)
+		if err != nil || len(results) != len(recs) {
+			t.Fatalf("batch response: %d results, %v", len(results), err)
+		}
+		if n := s.Ops() - before; n != int64(len(recs)) {
+			t.Errorf("ServerStats.Ops moved by %d, want %d: one per record", n, len(recs))
+		}
+		return results
+	}
+	// offsets decodes the acknowledged offsets, which must lead the
+	// results, each 3 bytes past the last.
+	offsets := func(t *testing.T, results []ds.BatchResult) int {
+		n := 0
+		for ; n < len(results) && results[n].Code == core.CodeOK; n++ {
+			vals, err := ds.DecodeVals(results[n].Blob)
+			if err != nil || len(vals) != 1 {
+				t.Fatalf("record %d: %q, %v", n, vals, err)
+			}
+			if off, _ := ds.ParseU64(vals[0]); off != uint64(3*n) {
+				t.Errorf("record %d landed at %d, want %d", n, off, 3*n)
+			}
+		}
+		return n
+	}
+	t.Run("file.append-run/whole", func(t *testing.T) {
+		s, _ := start(t, 64*core.KB)
+		if n := offsets(t, run(t, s)); n != len(recs) {
+			t.Errorf("%d of %d records acknowledged", n, len(recs))
+		}
+	})
+	for _, linked := range []bool{false, true} {
+		name, want := "file.append-run/fills-chunk/unlinked", core.CodeBlockFull
+		if linked {
+			name, want = "file.append-run/fills-chunk/linked", core.CodeRedirect
+		}
+		t.Run(name, func(t *testing.T) {
+			s, b := start(t, 10) // room for three records
+			if linked {
+				b.Partition.(*ds.File).SetNext(core.BlockInfo{ID: 7, Server: "next"})
+			}
+			results := run(t, s)
+			if n := offsets(t, results); n != 3 {
+				t.Errorf("%d records acknowledged, want the 3 that fit", n)
+			}
+			for i := 3; i < len(results); i++ {
+				if results[i].Code != want {
+					t.Errorf("record %d answered %v, want %v", i, results[i].Code, want)
+				}
+			}
+		})
+	}
+	t.Run("file.append-run/sealed-mid-run", func(t *testing.T) {
+		// A leased read view holds the chunk's read lock, so the run passes
+		// the seal check and waits for the chunk lock; the block is sealed
+		// while it waits. A run that was not waiting yet is refused before
+		// it applies, which acknowledges nothing either, but does not
+		// exercise the check after the run: try again.
+		for attempt := 0; ; attempt++ {
+			s, b := start(t, 64*core.KB)
+			f := b.Partition.(*ds.File)
+			if _, err := f.WriteAt(0, []byte("x")); err != nil { // a view of an empty chunk leases nothing
+				t.Fatal(err)
+			}
+			view, _, err := ds.ApplyView(f, core.OpFileRead, [][]byte{ds.U64(0), ds.U64(1)}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan []ds.BatchResult, 1)
+			go func() { done <- run(t, s) }()
+			for b.Inflight() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(10 * time.Millisecond)
+			b.Seal()
+			view.Release()
+			for i, r := range <-done {
+				if r.Code != core.CodeStaleEpoch {
+					t.Fatalf("record %d answered %v on a block sealed mid-run, want StaleEpoch", i, r.Code)
+				}
+			}
+			if f.Bytes() == 1+3*len(recs) {
+				return // the run landed and none of it was acknowledged
+			}
+			if attempt == 20 {
+				t.Fatal("the run never reached the chunk lock before the seal")
+			}
+		}
+	})
 }
 
 // TestBatchReleasesViewLease: a batched file read answers from a leased
@@ -473,7 +593,7 @@ func TestOpAfterDeleteIsStale(t *testing.T) {
 		if _, err := s.store.Apply(id, core.OpFileWrite, [][]byte{ds.U64(0), []byte("v0")}); err != nil {
 			t.Fatal(err)
 		}
-		o := opCtx{op: c.op, block: id, args: c.args, checkNow: true, out: wire.GetBuf()}
+		o := opCtx{op: c.op, block: id, args: c.args, n: 1, checkNow: true, out: wire.GetBuf()}
 		var err error
 		if o.b, err = s.store.Get(id); err != nil {
 			t.Fatal(err)

@@ -488,3 +488,40 @@ func (s *Server) Obs() *obs.Registry { return s.reg }
 
 // Spans exposes the bounded ring of recent server-side RPC spans.
 func (s *Server) Spans() *obs.RingExporter { return s.spans }
+
+// ParkedHop is the oldest chain hop parked in ApplyInOrder on one
+// block: the seq the block awaits and how long the hop has waited.
+type ParkedHop struct {
+	Block      core.BlockID `json:"block"`
+	AwaitedSeq uint64       `json:"awaited_seq"`
+	AgeSeconds float64      `json:"age_seconds"`
+}
+
+// ParkedHops lists the blocks with a hop parked behind a missing seq
+// (Block.ApplyWait), the longest wait first; empty when none is.
+func (s *Server) ParkedHops() []ParkedHop {
+	hops := []ParkedHop{}
+	for _, b := range s.store.List() {
+		if age, seq := b.ApplyWait(); age > 0 {
+			hops = append(hops, ParkedHop{Block: b.ID, AwaitedSeq: seq, AgeSeconds: age.Seconds()})
+		}
+	}
+	sort.Slice(hops, func(i, j int) bool { return hops[i].AgeSeconds > hops[j].AgeSeconds })
+	return hops
+}
+
+// AdminOptions is what the server's admin endpoint serves: its
+// metrics, its recent spans and, on /healthz?detail=1, its parked hops
+// (ParkedHops) — a write stalled on a sequence gap, which no counter
+// shows.
+func (s *Server) AdminOptions() obs.AdminOptions {
+	return obs.AdminOptions{
+		Registry: s.reg,
+		Spans:    s.spans,
+		HealthDetail: func() any {
+			return struct {
+				ParkedHops []ParkedHop `json:"parked_hops"`
+			}{s.ParkedHops()}
+		},
+	}
+}

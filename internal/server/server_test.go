@@ -3,8 +3,11 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
@@ -431,7 +434,7 @@ func TestChainReplication(t *testing.T) {
 }
 
 func TestSubscriptionDelivery(t *testing.T) {
-	_, c, _ := newServer(t)
+	s, c, _ := newServer(t)
 	createBlock(t, c, 1, core.DSQueue, nil, 0, nil)
 	notifs := make(chan proto.Notification, 16)
 	c.OnPush(func(subID uint64, payload []byte) {
@@ -471,6 +474,37 @@ func TestSubscriptionDelivery(t *testing.T) {
 	case n := <-notifs:
 		t.Errorf("notification after unsubscribe: %+v", n)
 	case <-time.After(50 * time.Millisecond):
+	}
+	// Subscribing again after the count fell to 0 delivers again, and the
+	// count returns to 0 once that subscription goes too.
+	subscriptions := func() float64 {
+		var buf bytes.Buffer
+		s.Obs().WritePrometheus(&buf)
+		return obs.ParsePrometheus(buf.Bytes())["jiffy_server_subscriptions"]
+	}
+	if n := subscriptions(); n != 0 {
+		t.Fatalf("%g subscriptions after unsubscribe, want 0", n)
+	}
+	sresp, err = rpc.Invoke(context.Background(), c, proto.Subscribe, proto.SubscribeReq{
+		Blocks: []core.BlockID{1}, Ops: []core.OpType{core.OpEnqueue},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataOp(c, 1, core.OpEnqueue, []byte("resubscribed"))
+	select {
+	case n := <-notifs:
+		if string(n.Data) != "resubscribed" {
+			t.Errorf("notification = %+v", n)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("no notification after subscribing again")
+	}
+	if _, err := rpc.Invoke(context.Background(), c, proto.Unsubscribe, proto.UnsubscribeReq{SubID: sresp.SubID}); err != nil {
+		t.Fatal(err)
+	}
+	if n := subscriptions(); n != 0 {
+		t.Errorf("%g subscriptions after the second unsubscribe, want 0", n)
 	}
 }
 
@@ -591,5 +625,60 @@ func TestCloseWakesParkedHop(t *testing.T) {
 	}
 	if err := <-hop; !errors.Is(err, core.ErrClosed) {
 		t.Errorf("parked hop answered %v, want ErrClosed", err)
+	}
+}
+
+// TestHealthzListsParkedHop: a hop parked behind a missing seq is listed
+// on the admin endpoint's /healthz?detail=1 with the seq its block
+// awaits, and the listing is empty once Close has woken it.
+func TestHealthzListsParkedHop(t *testing.T) {
+	s, c, _ := newServer(t)
+	chain := core.ReplicaChain{{ID: 1, Server: "mem://lost-head"}, {ID: 2, Server: s.Addr()}}
+	createBlock(t, c, 2, core.DSKV, []ds.SlotRange{{Lo: 0, Hi: 63}}, 0, chain)
+	admin := httptest.NewServer(obs.NewAdminMux(s.AdminOptions()))
+	defer admin.Close()
+	parked := func() []server.ParkedHop {
+		resp, err := http.Get(admin.URL + "/healthz?detail=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var health struct {
+			Status string
+			Detail struct {
+				ParkedHops []server.ParkedHop `json:"parked_hops"`
+			}
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+			t.Fatalf("/healthz?detail=1: %v", err)
+		}
+		return health.Detail.ParkedHops
+	}
+	if hops := parked(); len(hops) != 0 {
+		t.Fatalf("parked hops %+v before any hop, want none", hops)
+	}
+	// The hop for seq 3 waits for seqs 0–2, which never come.
+	vec, _ := ds.AppendReplicateVec(nil, 3, 0, core.OpPut, 2, [][]byte{[]byte("k"), []byte("v")})
+	hop := make(chan error, 1)
+	go func() {
+		_, err := c.Call(proto.MethodReplicate, bytes.Join(vec, nil))
+		hop <- err
+	}()
+	var hops []server.ParkedHop
+	for deadline := time.Now().Add(5 * time.Second); len(hops) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the hop for seq 3 is not listed")
+		}
+		hops = parked()
+	}
+	if len(hops) != 1 || hops[0].Block != 2 || hops[0].AwaitedSeq != 0 || hops[0].AgeSeconds <= 0 {
+		t.Errorf("parked hops %+v, want block 2 awaiting seq 0 with a positive age", hops)
+	}
+	s.Close()
+	if err := <-hop; !errors.Is(err, core.ErrClosed) {
+		t.Errorf("parked hop answered %v, want ErrClosed", err)
+	}
+	if hops := parked(); len(hops) != 0 {
+		t.Errorf("parked hops %+v after Close woke the hop, want none", hops)
 	}
 }

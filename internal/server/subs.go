@@ -2,6 +2,7 @@ package server
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"jiffy/internal/codec"
 	"jiffy/internal/core"
@@ -12,6 +13,10 @@ import (
 // subRegistry implements the data plane's subscription map (§4.2.2):
 // data-structure operations → client handles that want notifications.
 type subRegistry struct {
+	// live counts the subscriptions in subs, written under mu: while it
+	// is 0, targets answers without taking mu, so the data path takes no
+	// global lock on a server nobody subscribes to.
+	live   atomic.Int64
 	mu     sync.Mutex
 	nextID uint64
 	subs   map[uint64]*subscription
@@ -54,15 +59,12 @@ func (r *subRegistry) add(conn *rpc.ServerConn, blocks []core.BlockID, ops []cor
 		m[sub.id] = sub
 	}
 	r.subs[sub.id] = sub
+	r.live.Store(int64(len(r.subs)))
 	return sub.id
 }
 
 // count reports the number of live subscriptions (telemetry).
-func (r *subRegistry) count() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return int64(len(r.subs))
-}
+func (r *subRegistry) count() int64 { return r.live.Load() }
 
 // remove drops one subscription.
 func (r *subRegistry) remove(id uint64) {
@@ -73,6 +75,7 @@ func (r *subRegistry) remove(id uint64) {
 		return
 	}
 	delete(r.subs, id)
+	r.live.Store(int64(len(r.subs)))
 	for _, b := range sub.blocks {
 		delete(r.byBlock[b], id)
 		if len(r.byBlock[b]) == 0 {
@@ -98,6 +101,9 @@ func (r *subRegistry) dropConn(conn *rpc.ServerConn) {
 
 // targets returns the (subID, conn) pairs subscribed to op on block.
 func (r *subRegistry) targets(block core.BlockID, op core.OpType) []*subscription {
+	if r.live.Load() == 0 {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m := r.byBlock[block]
@@ -113,20 +119,29 @@ func (r *subRegistry) targets(block core.BlockID, op core.OpType) []*subscriptio
 	return out
 }
 
-// notify pushes a notification to every matching subscriber. Called on
-// the data path after a successful operation; pushes are best-effort.
-func (s *Server) notify(block core.BlockID, op core.OpType, data []byte) {
-	targets := s.subs.targets(block, op)
+// notify pushes a notification of each of the first acked records of
+// o's run to every subscriber to its op on its block, looked up once for
+// the run. Called on the data path after the run applied; it marshals
+// synchronously, copying each record out of the frame, and pushes are
+// best-effort.
+func (s *Server) notify(o *opCtx, acked int) {
+	targets := s.subs.targets(o.block, o.op)
 	if len(targets) == 0 {
 		return
 	}
-	payload, err := codec.Marshal(proto.Notification{Block: block, Op: op, Data: data})
-	if err != nil {
-		return
-	}
-	for _, sub := range targets {
-		if err := sub.conn.Push(sub.id, payload); err != nil {
-			s.log.Debug("server: notification push failed", "sub", sub.id, "err", err)
+	for i := range acked {
+		var data []byte
+		if rec := o.record(i); len(rec) > 0 {
+			data = rec[0]
+		}
+		payload, err := codec.Marshal(proto.Notification{Block: o.block, Op: o.op, Data: data})
+		if err != nil {
+			return
+		}
+		for _, sub := range targets {
+			if err := sub.conn.Push(sub.id, payload); err != nil {
+				s.log.Debug("server: notification push failed", "sub", sub.id, "err", err)
+			}
 		}
 	}
 }

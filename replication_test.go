@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"jiffy/internal/blockstore"
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/proto"
@@ -451,4 +452,147 @@ func TestChain3KVSplitProbe(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Cluster.Close did not return within 5 s")
 	}
+}
+
+// TestChain3AppendBatchRuns: two writers append 64-record batches into
+// one file on chains of 3, across chunk boundaries. A batch's appends to
+// a chunk land at its head as one run and travel as one hop per record,
+// so every member must hold the same bytes, every acknowledged offset
+// is its own and reads back its record, and no member refused a hop.
+func TestChain3AppendBatchRuns(t *testing.T) {
+	cfg := core.TestConfig()
+	cfg.LeaseDuration = time.Hour
+	cfg.ChainLength = 3
+	cfg.BlockSize = 32 * core.KB
+	cluster, err := StartCluster(ClusterOptions{Config: cfg, Servers: 3, BlocksPerServer: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := false
+	defer func() {
+		if !closed {
+			go cluster.Close() // a wedged chain may hang it: the failure is already reported
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	c, err := cluster.Connect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.RegisterJob(ctx, "runs")
+	if _, _, err := c.CreatePrefix(ctx, "runs/f", nil, DSFile, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	const writers, batches, perBatch, recLen = 2, 8, 64, 100 // 100 KiB over 32 KiB chunks
+	record := func(w, b, r int) []byte {
+		rec := bytes.Repeat([]byte{'.'}, recLen)
+		copy(rec, fmt.Sprintf("w%d-b%d-r%02d", w, b, r))
+		return rec
+	}
+	offs := make([][]int, writers)
+	errs := make(chan error, writers)
+	for w := range writers {
+		go func() {
+			f, err := c.OpenFile(ctx, "runs/f")
+			if err != nil {
+				errs <- err
+				return
+			}
+			for b := range batches {
+				recs := make([][]byte, perBatch)
+				for r := range recs {
+					recs[r] = record(w, b, r)
+				}
+				got, err := f.AppendBatch(ctx, recs)
+				if err != nil {
+					errs <- fmt.Errorf("writer %d batch %d: %w", w, b, err)
+					return
+				}
+				offs[w] = append(offs[w], got...)
+			}
+			errs <- nil
+		}()
+	}
+	for range writers {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	f, err := c.OpenFile(ctx, "runs/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[int]bool)
+	for w, wo := range offs {
+		for i, off := range wo {
+			if seen[off] {
+				t.Fatalf("offset %d acknowledged twice", off)
+			}
+			seen[off] = true
+			want := record(w, i/perBatch, i%perBatch)
+			if got, err := f.ReadAt(ctx, off, recLen); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("record at %d = %q, %v; want %q", off, got, err, want)
+			}
+		}
+	}
+
+	// Every chain member holds its head's bytes.
+	blocks := make(map[core.BlockID]*blockstore.Block)
+	for _, srv := range cluster.Servers {
+		for _, b := range srv.Store().List() {
+			if b.Path == "runs/f" {
+				blocks[b.ID] = b
+			}
+		}
+	}
+	chunks := 0
+	for _, b := range blocks {
+		chain := b.Chain()
+		if len(chain) != 3 || chain.Head().ID != b.ID {
+			continue
+		}
+		chunks++
+		head := chunkBytes(t, b)
+		for _, m := range chain[1:] {
+			if got := chunkBytes(t, blocks[m.ID]); !bytes.Equal(got, head) {
+				t.Errorf("chunk %d: member %v holds %d bytes unlike its head's %d", b.Chunk, m.ID, len(got), len(head))
+			}
+		}
+	}
+	if chunks < 2 {
+		t.Errorf("the appends filled %d chunk, want them to cross a chunk boundary", chunks)
+	}
+	for _, srv := range cluster.Servers {
+		if got := scrapeObs(srv.Obs())["jiffy_server_hop_refusals_total"]; got != 0 {
+			t.Errorf("%s: jiffy_server_hop_refusals_total = %g, want 0", srv.Addr(), got)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		cluster.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+		closed = true
+	case <-time.After(5 * time.Second):
+		t.Fatal("Cluster.Close did not return within 5 s")
+	}
+}
+
+// chunkBytes is the written bytes of a file chunk's block.
+func chunkBytes(t *testing.T, b *blockstore.Block) []byte {
+	t.Helper()
+	if b == nil {
+		t.Fatal("a chain member's block is not hosted")
+	}
+	f := b.Partition.(*ds.File)
+	data, err := f.ReadAt(0, f.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
