@@ -46,19 +46,31 @@ var (
 // unixToInternal is time.Time's offset from its year-1 epoch to Unix's.
 const unixToInternal = (1969*365 + 1969/4 - 1969/100 + 1969/400) * 24 * 3600
 
-// Marshal encodes a message, or the message v points to. A request or
-// response body is encoded by rpc.Invoke and rpc.Handle, never by the
-// method's caller or implementation (internal/lint's TestOneCodec);
-// other callers encode what they persist or embed.
+// Marshal encodes a message, or the message v points to, into a new
+// buffer: Append onto an empty one.
 func Marshal(v interface{}) ([]byte, error) {
+	// 64 bytes hold most control bodies without regrowing.
+	b, err := Append(make([]byte, 0, 64), v)
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Append appends the encoding of a message, or of the message v points
+// to, to dst and returns the extended buffer; on error it returns dst
+// as it was. A request or response body is encoded by rpc.Invoke and
+// rpc.Handle, never by the method's caller or implementation
+// (internal/lint's TestOneCodec), and they append it to a pooled
+// buffer; other callers encode what they persist or embed.
+func Append(dst []byte, v interface{}) ([]byte, error) {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() == reflect.Pointer && !rv.IsNil() {
 		rv = rv.Elem()
 	}
-	// 64 bytes hold most control bodies without regrowing.
-	b, err := appendValue(append(make([]byte, 0, 64), codecVersion), rv)
+	b, err := appendValue(append(dst, codecVersion), rv)
 	if err != nil {
-		return nil, fmt.Errorf("codec: marshal %T: %w", v, err)
+		return dst, fmt.Errorf("codec: marshal %T: %w", v, err)
 	}
 	return b, nil
 }
@@ -275,11 +287,14 @@ func (d *decoder) value(v reflect.Value) error {
 			v.SetZero()
 			return err
 		}
-		s := reflect.MakeSlice(v.Type(), n, n)
+		// Grow the field in place: MakeSlice would box a slice header
+		// per decode. count has bounded n by the bytes left.
+		v.SetZero()
+		v.Grow(n)
+		v.SetLen(n)
 		for i := 0; i < n && err == nil; i++ {
-			err = d.value(s.Index(i))
+			err = d.value(v.Index(i))
 		}
-		v.Set(s)
 		return err
 	case reflect.Map:
 		t := v.Type()

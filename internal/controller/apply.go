@@ -2,7 +2,7 @@ package controller
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
 	"jiffy/internal/core"
@@ -29,7 +29,8 @@ import (
 func (c *Controller) apply(op replOp) error {
 	switch op.Kind {
 	case opRenewLease:
-		defer c.lockPaths(op.Paths)()
+		var buf [8]int
+		defer c.unlockShards(c.lockPaths(buf[:0], op.Paths))
 		c.applyRenewLocked(op)
 	case opServerRegister:
 		c.applyServerRegister(op)
@@ -205,22 +206,27 @@ func (c *Controller) applyRenewLocked(op replOp) int {
 }
 
 // lockPaths locks the shards owning paths' jobs, each once and in shard
-// order, and returns the unlock: a renewal batch may span jobs, and its
-// decide, apply and emit are one critical section.
-func (c *Controller) lockPaths(paths []core.Path) (unlock func()) {
-	held := make(map[*shard]bool)
+// order, and returns their indices for unlockShards: a renewal batch may
+// span jobs, and its decide, apply and emit are one critical section.
+// The indices are appended to held (a caller's stack array holds a
+// typical batch without allocating).
+func (c *Controller) lockPaths(held []int, paths []core.Path) []int {
 	for _, p := range paths {
-		held[c.shardFor(p.Job())] = true
+		held = append(held, c.shardIndex(p.Job()))
 	}
-	each := func(f func(*sync.Mutex)) {
-		for _, sh := range c.shards {
-			if held[sh] {
-				f(&sh.mu)
-			}
-		}
+	slices.Sort(held)
+	held = slices.Compact(held)
+	for _, i := range held {
+		c.shards[i].mu.Lock()
 	}
-	each((*sync.Mutex).Lock)
-	return func() { each((*sync.Mutex).Unlock) }
+	return held
+}
+
+// unlockShards releases the shards lockPaths locked.
+func (c *Controller) unlockShards(held []int) {
+	for _, i := range held {
+		c.shards[i].mu.Unlock()
+	}
 }
 
 // applyServerRegister records a server's contribution and registration

@@ -33,6 +33,12 @@ func TestReplOpGolden(t *testing.T) {
 	if hex.EncodeToString(got) != golden {
 		t.Errorf("node-upsert replOp encodes to\n%x, want\n%s", got, golden)
 	}
+	// Appended onto a buffer that already holds bytes, the entry keeps
+	// them and adds exactly Marshal's.
+	dst := []byte("held")
+	if out, err := codec.Append(dst, op); err != nil || string(out) != "held"+string(got) {
+		t.Errorf("append onto %q = %x, %v; want the prefix then %x", dst, out, err, got)
+	}
 	raw, _ := hex.DecodeString(golden)
 	var back replOp
 	if err := codec.Unmarshal(raw, &back); err != nil {

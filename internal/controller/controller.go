@@ -303,9 +303,14 @@ func (c *Controller) Close() error {
 
 // shardFor hashes a job onto its shard.
 func (c *Controller) shardFor(job core.JobID) *shard {
+	return c.shards[c.shardIndex(job)]
+}
+
+// shardIndex is the index in c.shards of the shard owning job.
+func (c *Controller) shardIndex(job core.JobID) int {
 	h := fnv.New32a()
 	h.Write([]byte(job))
-	return c.shards[int(h.Sum32())%len(c.shards)]
+	return int(h.Sum32()) % len(c.shards)
 }
 
 // withJob runs fn with the job's hierarchy under its shard lock.

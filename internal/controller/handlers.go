@@ -5,6 +5,7 @@ import (
 
 	"jiffy/internal/proto"
 	"jiffy/internal/rpc"
+	"jiffy/internal/wire"
 )
 
 // handle serves one control RPC from the method table. The request
@@ -28,6 +29,7 @@ func (c *Controller) handle(ctx context.Context, conn *rpc.ServerConn, method ui
 	if err == nil && leaderOnly {
 		// A no-op when nothing was emitted or no group is set.
 		if ferr := c.repl.flush(); ferr != nil {
+			wire.PutBuf(resp) // Handle's pooled body, never sent
 			return []byte(ferr.Error()), ferr
 		}
 	}

@@ -2,6 +2,8 @@ package controller
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
@@ -159,7 +161,8 @@ func (c *Controller) RemovePrefix(path core.Path) error {
 // first path that does not resolve; the paths before it are renewed.
 func (c *Controller) RenewLease(paths []core.Path) (int, error) {
 	c.renews.Add(1)
-	defer c.lockPaths(paths)()
+	var buf [8]int
+	defer c.unlockShards(c.lockPaths(buf[:0], paths))
 	op := replOp{Kind: opRenewLease, Now: c.clk.Now()}
 	var err error
 	for i, p := range paths {
@@ -222,7 +225,8 @@ func (c *Controller) Open(path core.Path) (proto.OpenResp, error) {
 	return resp, err
 }
 
-// ListPrefixes reports a job's hierarchy (CLI/diagnostics).
+// ListPrefixes reports a job's hierarchy (CLI/diagnostics), sorted by
+// canonical path.
 func (c *Controller) ListPrefixes(job core.JobID) (proto.ListPrefixesResp, error) {
 	var resp proto.ListPrefixesResp
 	err := c.withJob(job, func(h *hierarchy.Hierarchy) error {
@@ -235,6 +239,7 @@ func (c *Controller) ListPrefixes(job core.JobID) (proto.ListPrefixesResp, error
 			})
 			return true
 		})
+		slices.SortFunc(resp.Prefixes, func(a, b proto.PrefixInfo) int { return strings.Compare(string(a.Path), string(b.Path)) })
 		return nil
 	})
 	return resp, err

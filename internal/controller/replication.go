@@ -143,6 +143,23 @@ type replicator struct {
 	ring      [][]byte // encoded ops, ring[i] has seq ringStart+i
 	peers     []*standbyPeer
 	sending   bool
+
+	// items is the in-flight flush's scratch, reused across flushes and
+	// owned by whoever set sending.
+	items []sendItem
+}
+
+// sendItem is one standby's share of a flush and its outcome. ops, the
+// entries from first on, is a sub-slice of the ring: ring entries are
+// never rewritten in place (emit only appends and trims the front, lead
+// and stop drop the ring for a new one), so it stays valid after mu is
+// released.
+type sendItem struct {
+	p     *standbyPeer
+	first uint64
+	ops   [][]byte
+	acked uint64
+	lost  bool
 }
 
 type standbyPeer struct {
@@ -239,12 +256,7 @@ func (r *replicator) flush() error {
 		}
 		r.sending = true
 		gen := r.gen
-		type sendItem struct {
-			p     *standbyPeer
-			first uint64
-			ops   [][]byte
-		}
-		var items []sendItem
+		items := r.items[:0]
 		for _, p := range r.peers {
 			if p.lost || p.acked >= r.seq {
 				continue
@@ -254,19 +266,15 @@ func (r *replicator) flush() error {
 				p.lost = true
 				continue
 			}
-			ops := make([][]byte, 0, r.seq-p.acked)
-			for s := p.acked + 1; s <= r.seq; s++ {
-				ops = append(ops, r.ring[s-r.ringStart])
-			}
-			items = append(items, sendItem{p: p, first: p.acked + 1, ops: ops})
+			lo, hi := p.acked+1-r.ringStart, r.seq+1-r.ringStart
+			items = append(items, sendItem{p: p, first: p.acked + 1, ops: r.ring[lo:hi:hi]})
 		}
 		self := r.c.selfAddr()
 		r.mu.Unlock()
 
 		var deposed *core.NotLeaderError
-		acks := make([]uint64, len(items))
-		lost := make([]bool, len(items))
-		for i, it := range items {
+		for i := range items {
+			it := &items[i]
 			resp, err := rpc.InvokeAt(context.Background(), r.c.ctrlPeers, it.p.addr, proto.CtrlReplicate,
 				proto.CtrlReplicateReq{Gen: gen, Leader: self, FirstSeq: it.first, Ops: it.ops})
 			if err != nil {
@@ -274,22 +282,25 @@ func (r *replicator) flush() error {
 				if errors.As(err, &nl) && nl.Gen > gen {
 					deposed = nl
 				}
-				lost[i] = true
+				it.lost = true
 				r.c.log.Warn("controller: replication stream to standby failed",
 					"standby", it.p.addr, "err", err)
 				continue
 			}
-			acks[i] = resp.AckedSeq
+			it.acked = resp.AckedSeq
 		}
 
 		r.mu.Lock()
-		for i, it := range items {
-			if lost[i] {
+		for _, it := range items {
+			if it.lost {
 				it.p.lost = true
-			} else if acks[i] > it.p.acked {
-				it.p.acked = acks[i]
+			} else if it.acked > it.p.acked {
+				it.p.acked = it.acked
 			}
 		}
+		// Keep the scratch for the next flush, without the ring.
+		clear(items)
+		r.items = items
 		r.sending = false
 		r.cond.Broadcast()
 		if deposed != nil {

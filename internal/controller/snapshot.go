@@ -2,6 +2,8 @@ package controller
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"jiffy/internal/codec"
@@ -72,45 +74,42 @@ func (c *Controller) SaveState(key string) error {
 
 // dumpJob serializes one hierarchy strictly parents-before-children
 // (topological order — plain DFS is not enough, since a multi-parent
-// node can be reached before all of its parents have been visited).
+// node can be reached before all of its parents have been visited). It
+// walks depth-first from the root over children in name order and emits
+// a node when its last parent has been emitted, so each node's image is
+// built once and the order is deterministic.
 func dumpJob(job core.JobID, h *hierarchy.Hierarchy) jobImage {
-	// Root first: restore re-creates it via hierarchy.New.
-	root := h.Root()
-	img := jobImage{Job: job, Nodes: []nodeImage{imageOfNode(root)}}
 	var all []*hierarchy.Node
 	h.Walk(func(n *hierarchy.Node) bool {
-		if n != root {
-			all = append(all, n)
-		}
+		all = append(all, n)
 		return true
 	})
-	emitted := map[string]bool{root.Name: true}
-	for len(all) > 0 {
-		progressed := false
-		rest := all[:0]
-		for _, n := range all {
-			ni := imageOfNode(n)
-			ready := true
-			for _, p := range ni.Parents {
-				if !emitted[p] {
-					ready = false
-				}
-			}
-			if !ready {
-				rest = append(rest, n)
-				continue
-			}
-			img.Nodes = append(img.Nodes, ni)
-			emitted[n.Name] = true
-			progressed = true
-		}
-		all = rest
-		if !progressed {
-			// A cycle would be a hierarchy invariant violation; emit
-			// nothing further rather than looping forever.
-			break
+	// Walk has no order; collecting the children of sorted nodes lists
+	// every node's children in name order.
+	slices.SortFunc(all, func(a, b *hierarchy.Node) int { return strings.Compare(a.Name, b.Name) })
+	waiting := make(map[*hierarchy.Node]int, len(all)) // parents not yet emitted
+	children := make(map[*hierarchy.Node][]*hierarchy.Node, len(all))
+	for _, n := range all {
+		ps := n.Parents()
+		waiting[n] = len(ps)
+		for _, p := range ps {
+			children[p] = append(children[p], n)
 		}
 	}
+	img := jobImage{Job: job, Nodes: make([]nodeImage, 0, len(all))}
+	var emit func(n *hierarchy.Node)
+	emit = func(n *hierarchy.Node) {
+		img.Nodes = append(img.Nodes, imageOfNode(n))
+		for _, c := range children[n] {
+			// A node on a cycle (a hierarchy invariant violation) never
+			// reaches zero and is left out rather than looped over.
+			if waiting[c]--; waiting[c] == 0 {
+				emit(c)
+			}
+		}
+	}
+	// Root first: restore re-creates it via hierarchy.New.
+	emit(h.Root())
 	return img
 }
 

@@ -10,7 +10,7 @@ import (
 
 func TestPathComponents(t *testing.T) {
 	p := MustPath("job1", "T4", "T6")
-	got := p.Components()
+	got := strings.Split(string(p), PathSep)
 	want := []string{"job1", "T4", "T6"}
 	if len(got) != len(want) {
 		t.Fatalf("components = %v, want %v", got, want)
@@ -40,8 +40,8 @@ func TestPathJobBaseParent(t *testing.T) {
 
 func TestPathEmpty(t *testing.T) {
 	var p Path
-	if p.Components() != nil {
-		t.Errorf("empty path components = %v, want nil", p.Components())
+	if p.Depth() != 0 {
+		t.Errorf("empty path depth = %d, want 0", p.Depth())
 	}
 	if p.Job() != "" || p.Base() != "" {
 		t.Errorf("empty path job/base should be empty")
@@ -104,6 +104,51 @@ func TestPathDepthValid(t *testing.T) {
 	}
 }
 
+// splitPathRef is what Job, Base, Valid and Depth computed when they
+// split the path into its components: the reference the in-place
+// helpers must match on every input.
+func splitPathRef(p Path) (job JobID, base string, valid bool, depth int) {
+	if p == "" {
+		return "", "", false, 0
+	}
+	comps := strings.Split(string(p), PathSep)
+	valid = true
+	for _, c := range comps {
+		if ValidateComponent(c) != nil {
+			valid = false
+		}
+	}
+	return JobID(comps[0]), comps[len(comps)-1], valid, len(comps)
+}
+
+// checkPathHelpers compares the helpers with splitPathRef on p.
+func checkPathHelpers(t *testing.T, p Path) {
+	t.Helper()
+	job, base, valid, depth := splitPathRef(p)
+	if p.Job() != job || p.Base() != base || p.Valid() != valid || p.Depth() != depth {
+		t.Errorf("%q: Job, Base, Valid, Depth = %q, %q, %v, %d; split gives %q, %q, %v, %d",
+			p, p.Job(), p.Base(), p.Valid(), p.Depth(), job, base, valid, depth)
+	}
+}
+
+// pathHelperSeeds are the edge cases of a component scan: empty, one
+// component, several, an empty component inside, at the start and at
+// the end.
+var pathHelperSeeds = []Path{"", "a", "a/b/c", "a//b", "/a", "a/", "/", "//", "job1/T4/T6"}
+
+func TestPathHelpersMatchSplit(t *testing.T) {
+	for _, p := range pathHelperSeeds {
+		checkPathHelpers(t, p)
+	}
+}
+
+func FuzzPathHelpersMatchSplit(f *testing.F) {
+	for _, p := range pathHelperSeeds {
+		f.Add(string(p))
+	}
+	f.Fuzz(func(t *testing.T, s string) { checkPathHelpers(t, Path(s)) })
+}
+
 func TestPathRoundTrip(t *testing.T) {
 	// Property: joining components and splitting them is the identity
 	// for separator-free non-empty components.
@@ -123,7 +168,7 @@ func TestPathRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := p.Components()
+		got := strings.Split(string(p), PathSep)
 		if len(got) != len(comps) {
 			return false
 		}

@@ -48,31 +48,15 @@ func ValidateComponent(c string) error {
 	return nil
 }
 
-// Components splits the path into its components. The empty path yields
-// a nil slice.
-func (p Path) Components() []string {
-	if p == "" {
-		return nil
-	}
-	return strings.Split(string(p), PathSep)
-}
-
 // Job returns the job component (first element) of the path.
 func (p Path) Job() JobID {
-	c := p.Components()
-	if len(c) == 0 {
-		return ""
-	}
-	return JobID(c[0])
+	job, _, _ := strings.Cut(string(p), PathSep)
+	return JobID(job)
 }
 
 // Base returns the final component of the path.
 func (p Path) Base() string {
-	c := p.Components()
-	if len(c) == 0 {
-		return ""
-	}
-	return c[len(c)-1]
+	return string(p[strings.LastIndex(string(p), PathSep)+1:])
 }
 
 // Parent returns the path with the final component removed; the parent
@@ -118,19 +102,18 @@ func (p Path) HasPrefix(prefix Path) bool {
 }
 
 // Depth returns the number of components.
-func (p Path) Depth() int { return len(p.Components()) }
+func (p Path) Depth() int {
+	if p == "" {
+		return 0
+	}
+	return strings.Count(string(p), PathSep) + 1
+}
 
 // Valid reports whether every component of the path is valid and the
-// path is non-empty.
+// path is non-empty: no component is empty, so the path neither starts
+// nor ends with the separator nor holds two in a row.
 func (p Path) Valid() bool {
-	comps := p.Components()
-	if len(comps) == 0 {
-		return false
-	}
-	for _, c := range comps {
-		if ValidateComponent(c) != nil {
-			return false
-		}
-	}
-	return true
+	s := string(p)
+	return s != "" && !strings.HasPrefix(s, PathSep) && !strings.HasSuffix(s, PathSep) &&
+		!strings.Contains(s, PathSep+PathSep)
 }

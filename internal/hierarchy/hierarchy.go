@@ -18,7 +18,7 @@ package hierarchy
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 	"time"
 
 	"jiffy/internal/core"
@@ -66,23 +66,30 @@ type Node struct {
 // Parents returns the node's parent set (copy).
 func (n *Node) Parents() []*Node { return append([]*Node(nil), n.parents...) }
 
-// Children returns the node's children sorted by name.
-func (n *Node) Children() []*Node {
-	out := make([]*Node, 0, len(n.children))
-	for _, c := range n.children {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // CanonicalPath returns one valid path for the node: job root through
-// first parents.
+// first parents. It measures the path first and builds it in one
+// allocation.
 func (n *Node) CanonicalPath() core.Path {
 	if len(n.parents) == 0 {
 		return core.Path(n.Name)
 	}
-	return n.parents[0].CanonicalPath().MustChild(n.Name)
+	size := len(n.Name)
+	for p := n; len(p.parents) > 0; p = p.parents[0] {
+		size += len(core.PathSep) + len(p.parents[0].Name)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	n.writeCanonical(&b)
+	return core.Path(b.String())
+}
+
+// writeCanonical writes CanonicalPath's components to b, root first.
+func (n *Node) writeCanonical(b *strings.Builder) {
+	if len(n.parents) > 0 {
+		n.parents[0].writeCanonical(b)
+		b.WriteString(core.PathSep)
+	}
+	b.WriteString(n.Name)
 }
 
 // Expired reports whether the node's lease has lapsed at time now.
@@ -120,16 +127,20 @@ func (h *Hierarchy) Len() int { return len(h.byName) }
 // returns the final node. Any of a node's multiple addresses resolves
 // to the same node.
 func (h *Hierarchy) Resolve(path core.Path) (*Node, error) {
-	comps := path.Components()
-	if len(comps) == 0 {
+	if path == "" {
 		return nil, fmt.Errorf("hierarchy: empty path: %w", core.ErrNotFound)
 	}
-	if comps[0] != h.root.Name {
+	// Walk the string component by component; splitting it would
+	// allocate a slice per call.
+	first, rest, more := strings.Cut(string(path), core.PathSep)
+	if first != h.root.Name {
 		return nil, fmt.Errorf("hierarchy: path %q is not rooted at job %q: %w",
 			path, h.root.Name, core.ErrNotFound)
 	}
 	cur := h.root
-	for _, c := range comps[1:] {
+	for more {
+		var c string
+		c, rest, more = strings.Cut(rest, core.PathSep)
 		next, ok := cur.children[c]
 		if !ok {
 			return nil, fmt.Errorf("hierarchy: %q has no child %q: %w",
@@ -305,27 +316,16 @@ func (h *Hierarchy) Remove(name string) error {
 	return nil
 }
 
-// Walk visits every node exactly once in depth-first order from the
-// root, stopping early if fn returns false.
+// Walk visits every node exactly once, in no particular order, stopping
+// early if fn returns false. It ranges over the name index, which holds
+// each node once however many parents it has, so it allocates nothing;
+// a caller that needs an order sorts what it collects.
 func (h *Hierarchy) Walk(fn func(n *Node) bool) {
-	seen := make(map[*Node]struct{})
-	var visit func(n *Node) bool
-	visit = func(n *Node) bool {
-		if _, dup := seen[n]; dup {
-			return true
-		}
-		seen[n] = struct{}{}
+	for _, n := range h.byName {
 		if !fn(n) {
-			return false
+			return
 		}
-		for _, c := range n.Children() {
-			if !visit(c) {
-				return false
-			}
-		}
-		return true
 	}
-	visit(h.root)
 }
 
 // EffectiveQuota resolves the quota governing n: its own if set,

@@ -39,6 +39,35 @@ func buildPaperDAG(t *testing.T) *Hierarchy {
 	return h
 }
 
+// TestResolveErrorClasses pins what Resolve answers for each kind of
+// bad path: ErrNotFound, with a text naming the path or the missing
+// child, an empty component included.
+func TestResolveErrorClasses(t *testing.T) {
+	h := buildPaperDAG(t)
+	for _, tc := range []struct {
+		path core.Path
+		want string
+	}{
+		{"", `hierarchy: empty path: jiffy: not found`},
+		{"other/T1", `hierarchy: path "other/T1" is not rooted at job "job": jiffy: not found`},
+		{"/job/T1", `hierarchy: path "/job/T1" is not rooted at job "job": jiffy: not found`},
+		{"job/T1/T9", `hierarchy: "T1" has no child "T9": jiffy: not found`},
+		{"job/T1/", `hierarchy: "T1" has no child "": jiffy: not found`},
+		{"job//T1", `hierarchy: "job" has no child "": jiffy: not found`},
+	} {
+		_, err := h.Resolve(tc.path)
+		if !errors.Is(err, core.ErrNotFound) || err.Error() != tc.want {
+			t.Errorf("Resolve(%q) = %v, want %q (ErrNotFound)", tc.path, err, tc.want)
+		}
+	}
+	for _, p := range []core.Path{"job", "job/T1", "job/T1/T5/T7/T9"} {
+		n, err := h.Resolve(p)
+		if err != nil || n.Name != p.Base() {
+			t.Errorf("Resolve(%q) = %v, %v, want node %q", p, n, err, p.Base())
+		}
+	}
+}
+
 func TestResolveMultiPath(t *testing.T) {
 	h := buildPaperDAG(t)
 	// T7 has four valid address prefixes (footnote 3 in the paper).
@@ -286,7 +315,7 @@ func TestLeaseInvariantProperty(t *testing.T) {
 			ok := true
 			var checkDown func(m *Node)
 			checkDown = func(m *Node) {
-				for _, c := range m.Children() {
+				for _, c := range m.children {
 					if c.LastRenewed.Before(n.LastRenewed) {
 						ok = false
 					}

@@ -8,6 +8,7 @@ import (
 
 	"jiffy/internal/core"
 	"jiffy/internal/obs"
+	"jiffy/internal/wire"
 )
 
 // Group calls a replicated controller group (§4.2.1): one leader serves
@@ -56,38 +57,48 @@ func (g *Group) Lead(addr string) {
 	}
 }
 
-// CallContext sends one call to the leader, re-homing until a member
-// answers it. A redirect drops the standby's session and moves to the
-// hinted leader at once (to the next member when the hint is missing,
-// unknown, or names the standby itself); a dead or timed-out session is
+// CallBorrowedContext sends one call to the leader, re-homing until a
+// member answers it. A redirect drops the standby's session and moves
+// to the hinted leader at once (to the next member when the hint is
+// missing, unknown, or names the standby itself); a dead or timed-out session is
 // dropped and the next member tried. Timeouts burn a full deadline
 // each, so they get exactly one pass over the group before the error
 // surfaces. Any other error is the leader's answer to the operation and
 // is returned as is, as is the caller's own cancellation.
-func (g *Group) CallContext(ctx context.Context, method uint16, payload []byte) ([]byte, error) {
+//
+// The answer comes back in borrowed memory, as Client.CallBorrowedContext:
+// when pooled is true the caller returns it with wire.PutBuf. A failed
+// attempt's borrowed body goes back to the pool before the next try, and
+// an error comes back without a body (a redirect's hint was copied into
+// the error).
+func (g *Group) CallBorrowedContext(ctx context.Context, method uint16, payload []byte) ([]byte, bool, error) {
 	n := len(g.addrs)
 	if n == 0 {
-		return nil, errors.New("rpc: no controller address configured")
+		return nil, false, errors.New("rpc: no controller address configured")
 	}
 	idx := int(g.leader.Load()) % n
 	var lastErr error
 	timeouts := 0
 	for attempt := 0; attempt < g.attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("rpc: control call: %w", err)
+			return nil, false, fmt.Errorf("rpc: control call: %w", err)
 		}
 		addr := g.addrs[idx]
 		var out []byte
+		var pooled bool
 		conn, err := g.pool.Get(addr)
 		if err == nil {
-			out, err = conn.CallContext(ctx, method, payload)
+			out, pooled, err = conn.CallBorrowedContext(ctx, method, payload)
 		}
 		if err == nil {
 			g.leader.Store(int32(idx))
-			return out, nil
+			return out, pooled, nil
+		}
+		if pooled {
+			wire.PutBuf(out)
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
+			return nil, false, err
 		}
 		lastErr = err
 		next, hinted := (idx+1)%n, false
@@ -103,19 +114,19 @@ func (g *Group) CallContext(ctx context.Context, method uint16, payload []byte) 
 		case errors.Is(err, core.ErrTimeout):
 			if timeouts++; timeouts >= n {
 				g.pool.Drop(addr)
-				return nil, err
+				return nil, false, err
 			}
 		default:
-			return nil, err
+			return nil, false, err
 		}
 		g.Rehomes.Inc()
 		g.pool.Drop(addr)
 		idx = next
 		if !hinted && g.wait != nil {
 			if err := g.wait(ctx, attempt); err != nil {
-				return nil, fmt.Errorf("rpc: control call: %w", err)
+				return nil, false, fmt.Errorf("rpc: control call: %w", err)
 			}
 		}
 	}
-	return nil, fmt.Errorf("rpc: control call: retries exhausted: %w", lastErr)
+	return nil, false, fmt.Errorf("rpc: control call: retries exhausted: %w", lastErr)
 }

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,8 @@ import (
 	"time"
 
 	"jiffy/internal/core"
+	"jiffy/internal/proto"
+	"jiffy/internal/wire"
 )
 
 // groupMember is one scripted controller: answer decides what its n-th
@@ -102,13 +105,13 @@ func TestGroupCaller(t *testing.T) {
 				g, m := newGroup(t, waits,
 					func(n int32) ([]byte, error) { return redirectTo(hinted)(n) }, groupOK, groupOK)
 				hinted = m[2].addr
-				if out, err := g.CallContext(ctx, 1, nil); err != nil || string(out) != "ok" {
+				if out, err := groupCall(ctx, g); err != nil || string(out) != "ok" {
 					t.Fatalf("call = %q, %v", out, err)
 				}
 				wantCalls(t, m, 1, 0, 1)
 				wantWaits(t, 0)
 				// The hinted member is remembered as the leader.
-				if _, err := g.CallContext(ctx, 1, nil); err != nil {
+				if _, err := groupCall(ctx, g); err != nil {
 					t.Fatal(err)
 				}
 				wantCalls(t, m, 1, 0, 2)
@@ -123,7 +126,7 @@ func TestGroupCaller(t *testing.T) {
 					func(n int32) ([]byte, error) { return redirectTo(self)(n) },
 					redirectTo("mem://nobody"), redirectTo(""), groupOK)
 				self = m[0].addr
-				if _, err := g.CallContext(ctx, 1, nil); err != nil {
+				if _, err := groupCall(ctx, g); err != nil {
 					t.Fatal(err)
 				}
 				wantCalls(t, m, 1, 1, 1, 1)
@@ -132,7 +135,7 @@ func TestGroupCaller(t *testing.T) {
 
 			t.Run("conn error drops the session and moves on", func(t *testing.T) {
 				g, m := newGroup(t, waits, nil, groupOK)
-				if _, err := g.CallContext(ctx, 1, nil); err != nil {
+				if _, err := groupCall(ctx, g); err != nil {
 					t.Fatal(err)
 				}
 				wantCalls(t, m, 0, 1)
@@ -146,7 +149,7 @@ func TestGroupCaller(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := g.CallContext(ctx, 1, nil); err != nil {
+				if _, err := groupCall(ctx, g); err != nil {
 					t.Fatal(err)
 				}
 				if !silent.IsClosed() {
@@ -161,7 +164,7 @@ func TestGroupCaller(t *testing.T) {
 				hang := func(int32) ([]byte, error) { <-release; return nil, nil }
 				g, m := newGroup(t, waits, hang, hang, hang)
 				start := time.Now()
-				_, err := g.CallContext(ctx, 1, nil)
+				_, err := groupCall(ctx, g)
 				if !errors.Is(err, core.ErrTimeout) {
 					t.Fatalf("err = %v, want ErrTimeout", err)
 				}
@@ -175,7 +178,7 @@ func TestGroupCaller(t *testing.T) {
 			t.Run("operation-level error surfaced", func(t *testing.T) {
 				g, m := newGroup(t, waits,
 					func(int32) ([]byte, error) { return nil, fmt.Errorf("no such job: %w", core.ErrNotFound) }, groupOK)
-				if _, err := g.CallContext(ctx, 1, nil); !errors.Is(err, core.ErrNotFound) {
+				if _, err := groupCall(ctx, g); !errors.Is(err, core.ErrNotFound) {
 					t.Fatalf("err = %v, want ErrNotFound", err)
 				}
 				wantCalls(t, m, 1, 0)
@@ -184,7 +187,7 @@ func TestGroupCaller(t *testing.T) {
 
 			t.Run("budget exhausted", func(t *testing.T) {
 				g, m := newGroup(t, waits, redirectTo(""), redirectTo(""))
-				_, err := g.CallContext(ctx, 1, nil)
+				_, err := groupCall(ctx, g)
 				if !errors.Is(err, core.ErrNotLeader) {
 					t.Fatalf("err = %v, want the last redirect", err)
 				}
@@ -199,7 +202,7 @@ func TestGroupCaller(t *testing.T) {
 					cancel()
 					return redirectTo("")(n)
 				})
-				if _, err := g.CallContext(cctx, 1, nil); !errors.Is(err, context.Canceled) {
+				if _, err := groupCall(cctx, g); !errors.Is(err, context.Canceled) {
 					t.Fatalf("err = %v, want context.Canceled", err)
 				}
 				if n := m[0].calls.Load() + m[1].calls.Load(); n > 3 {
@@ -210,5 +213,47 @@ func TestGroupCaller(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// groupCall is one call through g with the answer copied out and its
+// pooled body returned.
+func groupCall(ctx context.Context, g *Group) ([]byte, error) {
+	out, pooled, err := g.CallBorrowedContext(ctx, 1, nil)
+	owned := append([]byte(nil), out...)
+	if pooled {
+		wire.PutBuf(out)
+	}
+	return owned, err
+}
+
+// TestGroupBorrowedRedirectKeepsHint: a NotLeader redirect reaches a
+// caller on the borrowed path (Invoke through a Group) with its hint
+// and generation intact after the group has returned the answer's
+// pooled body, even once the pool has handed that memory out and
+// overwritten it (under -tags jiffydebug, also poisoned).
+func TestGroupBorrowedRedirectKeepsHint(t *testing.T) {
+	redirect := &core.NotLeaderError{Leader: "mem://grp-elsewhere", Gen: 9}
+	g, members := newGroup(t, nil, func(int32) ([]byte, error) { return []byte(redirect.Error()), redirect })
+	_, err := Invoke(context.Background(), g, proto.RenewLease, proto.RenewLeaseReq{Paths: []core.Path{"j/t"}})
+	if !errors.Is(err, core.ErrNotLeader) {
+		t.Fatalf("err = %v, want a NotLeader redirect", err)
+	}
+	if n := members[0].calls.Load(); n != 8 {
+		t.Fatalf("the member answered %d calls, want the group's 8 attempts", n)
+	}
+	// Take out more buffers than the call returned, overwrite each to
+	// its capacity and give them back.
+	var bufs [16][]byte
+	for i := range bufs {
+		b := wire.GetBuf()
+		bufs[i] = b[:copy(b[:cap(b)], bytes.Repeat([]byte{'x'}, cap(b)))]
+	}
+	for _, b := range bufs {
+		wire.PutBuf(b)
+	}
+	if hint, gen := core.LeaderHintOf(err); hint != redirect.Leader || gen != redirect.Gen {
+		t.Errorf("redirect hint = %q gen %d after the body went back, want %q gen %d (%v)",
+			hint, gen, redirect.Leader, redirect.Gen, err)
 	}
 }

@@ -8,30 +8,40 @@ import (
 	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/proto"
+	"jiffy/internal/wire"
 )
 
 // Stubs go through Invoke and servers through Handle, the only two
 // places a control body is encoded (internal/lint's TestOneCodec).
 
 // Caller is what Invoke sends a call through: one session (*Client) or
-// a replicated controller group (*Group).
+// a replicated controller group (*Group). The answer may come back in
+// borrowed memory (see Client.CallBorrowedContext).
 type Caller interface {
-	CallContext(ctx context.Context, method uint16, payload []byte) ([]byte, error)
+	CallBorrowedContext(ctx context.Context, method uint16, payload []byte) (out []byte, pooled bool, err error)
 }
 
 // Invoke performs the control call m: encode req, send it through c,
 // decode the answer. The descriptor fixes both message types, so a
-// mispaired call is a compile error.
+// mispaired call is a compile error. The request is encoded into a
+// pooled buffer and the answer read from a borrowed one; both go back
+// to the pool before Invoke returns (the decoder never aliases its
+// input, and an error answer's text was copied into the error).
 func Invoke[Req, Resp any](ctx context.Context, c Caller, m proto.Method[Req, Resp], req Req) (resp Resp, err error) {
-	payload, err := codec.Marshal(&req)
+	payload, err := codec.Append(wire.GetBuf(), &req)
 	if err != nil {
+		wire.PutBuf(payload)
 		return resp, err
 	}
-	out, err := c.CallContext(ctx, m.ID, payload)
-	if err != nil {
-		return resp, err
+	out, pooled, err := c.CallBorrowedContext(ctx, m.ID, payload)
+	wire.PutBuf(payload)
+	if err == nil {
+		err = codec.Unmarshal(out, &resp)
 	}
-	return resp, codec.Unmarshal(out, &resp)
+	if pooled {
+		wire.PutBuf(out)
+	}
+	return resp, err
 }
 
 // InvokeAt is Invoke on p's pooled session for addr. A session found
@@ -76,7 +86,9 @@ func Handle[Req, Resp any](t *Table, m proto.Method[Req, Resp], fn func(context.
 		if err != nil {
 			return []byte(err.Error()), err
 		}
-		return codec.Marshal(&resp)
+		// finish returns the buffer to the pool once the answer is
+		// written (see Response).
+		return codec.Append(wire.GetBuf(), &resp)
 	}
 }
 

@@ -53,6 +53,7 @@ func TestWireGolden(t *testing.T) {
 		if hex.EncodeToString(got) != c.golden {
 			t.Errorf("%T encodes to\n%x, want\n%s", c.msg, got, c.golden)
 		}
+		checkAppend(t, c.msg, got)
 		raw, _ := hex.DecodeString(c.golden)
 		back := reflect.New(reflect.TypeOf(c.msg))
 		if err := codec.Unmarshal(raw, back.Interface()); err != nil {
@@ -60,6 +61,23 @@ func TestWireGolden(t *testing.T) {
 		}
 		if !reflect.DeepEqual(back.Elem().Interface(), c.msg) {
 			t.Errorf("golden %T decodes to %+v, want %+v", c.msg, back.Elem().Interface(), c.msg)
+		}
+	}
+}
+
+// checkAppend: codec.Append onto a non-empty buffer, with room to spare
+// and without, keeps the buffer's bytes and adds exactly Marshal's.
+func checkAppend(t *testing.T, msg any, marshaled []byte) {
+	t.Helper()
+	prefix := []byte("held")
+	for _, room := range []int{0, len(marshaled) + 8} {
+		dst := append(make([]byte, 0, len(prefix)+room), prefix...)
+		out, err := codec.Append(dst, msg)
+		if err != nil {
+			t.Fatalf("append %T: %v", msg, err)
+		}
+		if want := append(append([]byte(nil), prefix...), marshaled...); !bytes.Equal(out, want) {
+			t.Fatalf("append %T onto %q (room %d) = %x, want %x", msg, prefix, room, out, want)
 		}
 	}
 }
@@ -254,6 +272,7 @@ func FuzzControlDecode(f *testing.F) {
 			if !bytes.Equal(re, data) {
 				t.Fatalf("accepted %T re-encodes differently:\n  in %x\n out %x", msgs[i], data, re)
 			}
+			checkAppend(t, v.Interface(), re)
 		}
 	})
 }

@@ -241,10 +241,13 @@ type ServerConn struct {
 	reqWG sync.WaitGroup
 }
 
-// request is one goroutine-path request in flight to a worker.
+// request is one goroutine-path request in flight to a worker. owned
+// marks a frame cloneOwned took from its pools, which the worker hands
+// back once the request is over.
 type request struct {
 	f     *wire.Frame
 	trace obs.SpanContext
+	owned bool
 }
 
 // Push sends an unsolicited notification frame tagged with subID.
@@ -321,17 +324,18 @@ func (sc *ServerConn) readLoop() {
 		if inlineFast != nil && inlineFast(f.Method, len(f.Payload)) && sc.dispatch(f, trace, true) {
 			continue // answered on the read pump; a punt falls through
 		}
+		req := request{f: f, trace: trace}
 		if reused {
 			// The goroutine outlives this iteration; give it an owned
 			// copy of the connection-owned frame.
-			f = cloneOwned(f)
+			req.f, req.owned = cloneOwned(f), true
 		}
 		select {
-		case sc.work <- request{f, trace}:
+		case sc.work <- req:
 		default:
 			// No worker is parked: never wait for one.
 			sc.reqWG.Add(1)
-			go sc.worker(request{f, trace})
+			go sc.worker(req)
 		}
 	}
 }
@@ -343,6 +347,9 @@ func (sc *ServerConn) worker(req request) {
 	defer sc.reqWG.Done()
 	for {
 		sc.dispatch(req.f, req.trace, false)
+		if req.owned {
+			releaseOwned(req.f)
+		}
 		if !sc.parked.CompareAndSwap(false, true) {
 			return
 		}
@@ -354,13 +361,27 @@ func (sc *ServerConn) worker(req request) {
 	}
 }
 
-// cloneOwned heap-copies a frame decoded in connection-owned storage.
+// ownedFrames recycles the frames cloneOwned hands to workers.
+var ownedFrames = sync.Pool{New: func() any { return new(wire.Frame) }}
+
+// cloneOwned copies a frame decoded in connection-owned storage into a
+// pooled frame and a pooled payload buffer (a small frame fits
+// wire.GetBuf's), both handed back by releaseOwned once the request is
+// over: the handler does not keep its payload (see Handler).
 func cloneOwned(f *wire.Frame) *wire.Frame {
-	g := &wire.Frame{Kind: f.Kind, Seq: f.Seq, Method: f.Method, Code: f.Code}
+	g := ownedFrames.Get().(*wire.Frame)
+	*g = wire.Frame{Kind: f.Kind, Seq: f.Seq, Method: f.Method, Code: f.Code}
 	if len(f.Payload) > 0 {
-		g.Payload = append([]byte(nil), f.Payload...)
+		g.Payload = append(wire.GetBuf(), f.Payload...)
 	}
 	return g
+}
+
+// releaseOwned returns a frame from cloneOwned and its payload.
+func releaseOwned(f *wire.Frame) {
+	wire.PutBuf(f.Payload)
+	*f = wire.Frame{}
+	ownedFrames.Put(f)
 }
 
 // dispatchState carries the pre-handler telemetry snapshot from begin

@@ -1,9 +1,11 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -167,5 +169,61 @@ func TestParkedWorkerExitsOnClose(t *testing.T) {
 			t.Fatalf("%d goroutines after Close, %d before:\n%s",
 				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 		}
+	}
+}
+
+// TestHeldRequestKeepsItsPayload: a goroutine-path request runs on a
+// pooled copy of the connection's read storage, which goes back to the
+// pool only when that request is over. A handler held while the read
+// loop takes, answers and recycles many more small requests still reads
+// its own payload byte for byte; under -tags jiffydebug a copy returned
+// early would also read as the pool's poison.
+func TestHeldRequestKeepsItsPayload(t *testing.T) {
+	held := bytes.Repeat([]byte{0xA5}, 3000)
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv := NewServer(BytesHandler(func(_ context.Context, _ *ServerConn, method uint16, payload []byte) ([]byte, error) {
+		if method != methodBlock {
+			return append([]byte(nil), payload...), nil
+		}
+		close(entered)
+		<-release
+		if !bytes.Equal(payload, held) {
+			return nil, fmt.Errorf("held payload changed under its handler: %x", payload[:16])
+		}
+		return []byte("intact"), nil
+	}), nil)
+	addr, err := srv.Listen(fmt.Sprintf("mem://rpc-held-%p", srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Runs first on every exit: Close waits for the held handler.
+	releaseHeld := sync.OnceFunc(func() { close(release) })
+	defer releaseHeld()
+
+	heldDone := make(chan error, 1)
+	go func() {
+		out, err := c.Call(methodBlock, held)
+		if err == nil && string(out) != "intact" {
+			err = fmt.Errorf("held call answered %q", out)
+		}
+		heldDone <- err
+	}()
+	<-entered
+	for i := 0; i < 256; i++ {
+		p := bytes.Repeat([]byte{byte(i)}, 1+i*37%4000)
+		out, err := c.Call(methodEcho, p)
+		if err != nil || !bytes.Equal(out, p) {
+			t.Fatalf("echo %d: %d bytes back, want %d; %v", i, len(out), len(p), err)
+		}
+	}
+	releaseHeld()
+	if err := <-heldDone; err != nil {
+		t.Fatal(err)
 	}
 }
