@@ -154,16 +154,21 @@ func TestQueueEnqueueSingleAllocs(t *testing.T) {
 	}
 }
 
-// TestControlCallAllocs pins the control call: one LeaseInfo (answered
-// by the leader) and one RenewLease (applied, streamed to the standby as
-// an op-log entry and acked before the answer) on a 2-controller
-// mem:// cluster. It covers both ends of every body and the standby's
-// entry decode, so a codec that rebuilds per-message state fails here,
-// and so does a control call that leaves garbage: bodies encoded into
-// new buffers, a per-call copy of an answer or of a goroutine-path
-// request, a path split into components, a slice header boxed per
-// decode, op-log flush scratch built per flush. The pair measures 25
-// objects; 72 when every body had a buffer of its own and paths were
+// TestControlCallAllocs pins the control call on a 2-controller mem://
+// cluster: one LeaseInfo and one RenewLease, both answered by the leader
+// alone (a renewal is not an op-log entry), and one SetQuota on the job
+// root, alternating between two values, which is applied, streamed to
+// the standby as an op-log entry and acked before the answer, and
+// pushed to the memory server. It covers both ends of every body and the
+// standby's entry decode, so a codec that rebuilds per-message state
+// fails here, and so does a control call that leaves garbage: bodies
+// encoded into new buffers, a per-call copy of an answer or of a
+// goroutine-path request, a path split into components, a slice header
+// boxed per decode, op-log flush scratch built per flush, a request or
+// answer moved to the heap per call. The three measure 24 objects, 32
+// with a heap request and answer per served call. The LeaseInfo +
+// RenewLease pair alone measures 12 objects; 25 when each renewal was an
+// op-log entry, 72 when every body had a buffer of its own and paths were
 // split, 78 when every control request got a new goroutine rather than
 // its connection's parked worker, and 1 634 with a gob encoder per
 // message. The ceiling carries a margin over the steady state.
@@ -190,6 +195,8 @@ func TestControlCallAllocs(t *testing.T) {
 	if _, _, err := c.CreatePrefix(ctx, "ctl/t", nil, jiffy.DSKV, 1, 0); err != nil {
 		t.Fatal(err)
 	}
+	quotas := [2]jiffy.Quota{{OpsPerSec: 1000}, {OpsPerSec: 2000}}
+	i := 0
 	allocs := testing.AllocsPerRun(300, func() {
 		if _, err := c.LeaseDuration(ctx, "ctl/t"); err != nil {
 			t.Fatal(err)
@@ -197,9 +204,13 @@ func TestControlCallAllocs(t *testing.T) {
 		if _, err := c.RenewLease(ctx, "ctl/t"); err != nil {
 			t.Fatal(err)
 		}
+		if err := c.SetQuota(ctx, "ctl", quotas[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		i++
 	})
-	if allocs > 36 {
-		t.Fatalf("LeaseInfo + RenewLease allocate %.1f objects, want <= 36", allocs)
+	if allocs > 30 {
+		t.Fatalf("LeaseInfo + RenewLease + SetQuota allocate %.1f objects, want <= 30", allocs)
 	}
 }
 

@@ -28,10 +28,6 @@ import (
 // error is a node image that could not be installed.
 func (c *Controller) apply(op replOp) error {
 	switch op.Kind {
-	case opRenewLease:
-		var buf [8]int
-		defer c.unlockShards(c.lockPaths(buf[:0], op.Paths))
-		c.applyRenewLocked(op)
 	case opServerRegister:
 		c.applyServerRegister(op)
 	case opServerDead:
@@ -40,7 +36,7 @@ func (c *Controller) apply(op replOp) error {
 		c.applyProbation(op)
 	case opTier:
 		c.applyTier(op)
-	default: // the job-keyed kinds run under their job's shard lock
+	default: // the job-keyed kinds run under their job's shard lock; a retired kind matches none
 		sh := c.shardFor(op.Job)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
@@ -188,26 +184,9 @@ func (c *Controller) applyRemoveNode(sh *shard, op replOp) error {
 	return nil
 }
 
-// applyRenewLocked renews every path of op with its propagation set,
-// skipping a path that no longer resolves, and returns the number of
-// nodes touched. Caller holds the paths' shard locks (lockPaths).
-func (c *Controller) applyRenewLocked(op replOp) int {
-	total := 0
-	for _, p := range op.Paths {
-		if h, ok := c.shardFor(p.Job()).jobs[p.Job()]; ok {
-			n, _ := h.Renew(p, op.Now)
-			total += n
-		}
-	}
-	if total > 0 {
-		c.repl.emit(op)
-	}
-	return total
-}
-
 // lockPaths locks the shards owning paths' jobs, each once and in shard
 // order, and returns their indices for unlockShards: a renewal batch may
-// span jobs, and its decide, apply and emit are one critical section.
+// span jobs, and it renews under all of their locks at once.
 // The indices are appended to held (a caller's stack array holds a
 // typical batch without allocating).
 func (c *Controller) lockPaths(held []int, paths []core.Path) []int {

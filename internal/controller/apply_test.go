@@ -5,15 +5,45 @@ import (
 	"testing"
 	"time"
 
+	"jiffy/internal/clock"
 	"jiffy/internal/core"
+	"jiffy/internal/persist"
 	"jiffy/internal/proto"
 )
+
+// TestRetiredRenewEntryIgnored: an op-log entry of the retired RenewLease
+// kind, as a leader from before renewals left the log still streams it,
+// changes nothing on the member that applies it.
+func TestRetiredRenewEntryIgnored(t *testing.T) {
+	vclock := clock.NewVirtual(time.Unix(0, 0))
+	c, err := New(Options{Config: core.TestConfig(), Persist: persist.NewMemStore(), Clock: vclock, DisableExpiry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.RegisterJob("j"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreatePrefix(proto.CreatePrefixReq{Path: "j/a"}); err != nil {
+		t.Fatal(err)
+	}
+	created := vclock.Now()
+	vclock.Advance(time.Minute)
+	if err := c.apply(replOp{Kind: opRemoveNode + 1, Paths: []core.Path{"j/a"}, Now: vclock.Now()}); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := c.LeaseInfo("j/a"); err != nil || !info.LastRenewed.Equal(created) {
+		t.Fatalf("after a retired renewal entry: renewed at %v (%v), want %v", info.LastRenewed, err, created)
+	}
+}
 
 // TestGroupApplyEquality drives one scripted sequence through every
 // replicated op kind and, after every call, holds four members to the
 // same state image: the leader, a standby streamed from the start, a
 // standby re-bootstrapped mid-sequence and then streamed, and a
-// controller restored from the leader's SaveState.
+// controller restored from the leader's SaveState. The lease timestamps
+// are left out (metadataOf): a renewal is leader-local, and a restore
+// grants every lease a fresh term.
 func TestGroupApplyEquality(t *testing.T) {
 	cfg := core.TestConfig()
 	cfg.LeaseDuration = time.Hour

@@ -245,13 +245,14 @@ func TestGroupFailoverDetection(t *testing.T) {
 }
 
 // TestGroupRenewPartialBatch: a renewal batch stops at its first missing
-// path on the leader, and the standby renews exactly what the leader
-// renewed — not the paths after the failure.
+// path on the leader: the paths before it are renewed, the paths after
+// it are not. (A renewal is leader-local; the standby's side is
+// TestGroupLeaseSurvivesFailover's.)
 func TestGroupRenewPartialBatch(t *testing.T) {
 	cfg := core.TestConfig()
 	cfg.LeaseDuration = time.Hour
 	r := newGroupRig(t, cfg, 2, 0, 0)
-	leader, standby := r.ctrls[0], r.ctrls[1]
+	leader := r.ctrls[0]
 	if err := leader.RegisterJob("j"); err != nil {
 		t.Fatal(err)
 	}
@@ -260,25 +261,83 @@ func TestGroupRenewPartialBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	created := r.vclock.Now()
 	r.vclock.Advance(time.Minute)
 	if _, err := leader.RenewLease([]core.Path{"j/a", "j/missing", "j/c"}); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("renew over a missing path: %v, want ErrNotFound", err)
 	}
-	leader.PulseNow()
-	for _, p := range []core.Path{"j/a", "j/c"} {
+	for p, want := range map[core.Path]time.Time{"j/a": r.vclock.Now(), "j/c": created} {
 		l, err := leader.LeaseInfo(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := standby.LeaseInfo(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !l.LastRenewed.Equal(s.LastRenewed) {
-			t.Errorf("%s renewed at %v on the leader, %v on the standby", p, l.LastRenewed, s.LastRenewed)
+		if !l.LastRenewed.Equal(want) {
+			t.Errorf("%s renewed at %v, want %v", p, l.LastRenewed, want)
 		}
 	}
-	if l, _ := leader.LeaseInfo("j/a"); !l.LastRenewed.Equal(r.vclock.Now()) {
-		t.Errorf("j/a renewed at %v, want %v (before the missing path)", l.LastRenewed, r.vclock.Now())
+}
+
+// TestGroupLeaseSurvivesFailover: renewals are leader-local, so the
+// leader's successor — a promoted standby, or a controller restored from
+// a checkpoint — holds lease timestamps older than the last renewal the
+// leader acked, and grants every lease a fresh term. With the leader
+// killed 0.9 × lease after the last renewal, the successor keeps the
+// renewed prefix for one more full lease, and a prefix nobody renews —
+// its lease already lapsed, but no scan had reclaimed it yet — still
+// expires within lease + scan period of the takeover.
+func TestGroupLeaseSurvivesFailover(t *testing.T) {
+	for _, via := range []string{"promotion", "restore"} {
+		t.Run(via, func(t *testing.T) {
+			cfg := core.TestConfig()
+			lease, scan := cfg.LeaseDuration, cfg.LeaseScanPeriod
+			r := newGroupRig(t, cfg, 2, 1, 8)
+			leader := r.ctrls[0]
+			if err := leader.RegisterJob("j"); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []core.Path{"j/renewed", "j/idle"} {
+				if _, err := leader.CreatePrefix(proto.CreatePrefixReq{Path: p, Type: core.DSKV, InitialBlocks: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r.vclock.Advance(lease / 2)
+			// The checkpoint predates the renewal, as the standby's mirror does.
+			if err := leader.SaveState("ckpt/lease"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := leader.RenewLease([]core.Path{"j/renewed"}); err != nil {
+				t.Fatal(err)
+			}
+			leader.PulseNow() // what the handler's flush does before each ack
+			r.vclock.Advance(lease * 9 / 10)
+			leader.Close()
+
+			next := r.ctrls[1]
+			if via == "promotion" {
+				next.PromoteNow()
+			} else {
+				var err error
+				if next, err = controller.New(controller.Options{
+					Config: cfg, Persist: r.store, Clock: r.vclock, DisableExpiry: true,
+				}); err != nil {
+					t.Fatal(err)
+				}
+				defer next.Close()
+				if err := next.RestoreState("ckpt/lease"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			takeover := r.vclock.Now()
+			for ; r.vclock.Now().Sub(takeover) <= lease; r.vclock.Advance(scan) {
+				if n := next.ExpireNow(); n != 0 {
+					t.Fatalf("%v after the takeover: %d prefixes expired, want none inside one full lease",
+						r.vclock.Now().Sub(takeover), n)
+				}
+			}
+			if n := next.ExpireNow(); n != 2 {
+				t.Fatalf("%v after the takeover: %d prefixes expired, want both (lease %v, scan %v)",
+					r.vclock.Now().Sub(takeover), n, lease, scan)
+			}
+		})
 	}
 }

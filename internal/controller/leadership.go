@@ -243,9 +243,10 @@ func (c *Controller) CheckLeaderNow() bool {
 // counter from the replicated metadata, advances the membership epoch
 // (so post-failover chain repairs commit under a generation no
 // pre-failover write can race), grants the servers a heartbeat grace
-// period, points the replicator at the remaining peers, and finally
-// opens for client traffic — then sweeps any dead servers whose chains
-// the old leader may have died mid-repair on. Idempotent: promoting a
+// period and every lease a fresh term, points the replicator at the
+// remaining peers, and finally opens for client traffic — then sweeps
+// any dead servers whose chains the old leader may have died mid-repair
+// on. Idempotent: promoting a
 // leader returns its current generation.
 func (c *Controller) PromoteNow() uint64 {
 	// Exclude an in-flight op batch: once the generation advances no
@@ -298,8 +299,12 @@ func (c *Controller) PromoteNow() uint64 {
 // gray-failed servers stay excluded from allocation. This is the trick
 // that lets the op-log and the state image skip allocator internals
 // entirely — no cross-shard ordering between allocate and free ops can
-// ever matter. Live servers get a heartbeat grace period. Returns the
-// dead servers, sorted.
+// ever matter. Live servers get a heartbeat grace period, and every
+// lease a fresh term: renewals never reach the op-log, so a mirrored or
+// restored LastRenewed may be older than the last renewal the leader
+// acked, and only now is sure to be no earlier (a lease outlives a
+// failover by at most one LeaseDuration). Returns the dead servers,
+// sorted.
 func (c *Controller) rebuildAllocator() []string {
 	c.group.mu.Lock()
 	contrib := make(map[string]contribRange, len(c.group.contrib))
@@ -334,6 +339,9 @@ func (c *Controller) rebuildAllocator() []string {
 		sh.mu.Lock()
 		for _, h := range sh.jobs {
 			h.Walk(func(n *hierarchy.Node) bool {
+				if now.After(n.LastRenewed) {
+					n.LastRenewed = now
+				}
 				for _, e := range n.Map.Blocks {
 					if e.Lost {
 						continue

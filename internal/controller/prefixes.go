@@ -159,23 +159,27 @@ func (c *Controller) RemovePrefix(path core.Path) error {
 // RenewLease implements the renewal service: refresh the given
 // prefixes plus their propagation sets (§3.2). The batch stops at the
 // first path that does not resolve; the paths before it are renewed.
+// A renewal is leader-local and emits no op-log entry: a promoted or
+// restored controller grants every lease a full term instead
+// (rebuildAllocator), so no lease expires earlier than the leader's.
 func (c *Controller) RenewLease(paths []core.Path) (int, error) {
 	c.renews.Add(1)
 	var buf [8]int
 	defer c.unlockShards(c.lockPaths(buf[:0], paths))
-	op := replOp{Kind: opRenewLease, Now: c.clk.Now()}
-	var err error
-	for i, p := range paths {
-		var h *hierarchy.Hierarchy
-		if h, err = c.shardFor(p.Job()).job(p.Job()); err == nil {
-			_, err = h.Resolve(p)
-		}
+	now := c.clk.Now()
+	total := 0
+	for _, p := range paths {
+		h, err := c.shardFor(p.Job()).job(p.Job())
 		if err != nil {
-			break
+			return total, err
 		}
-		op.Paths = paths[:i+1]
+		n, err := h.Renew(p, now)
+		if err != nil {
+			return total, err
+		}
+		total += n
 	}
-	return c.applyRenewLocked(op), err
+	return total, nil
 }
 
 // LeaseInfo reports a prefix's lease configuration and state.

@@ -517,10 +517,17 @@ func (r *rebuildRig) assertStandbyMatches() {
 }
 
 // metadataOf encodes every field of c's state image but the stream
-// position (Gen, Seq), one entry per field, maps and sets sorted: what
-// every member that applied the same ops must hold alike.
+// position (Gen, Seq) and the nodes' LastRenewed, one entry per field,
+// maps and sets sorted: what every member that applied the same ops
+// must hold alike. A lease timestamp is soft state: renewals are
+// leader-local and a promotion or restore grants a fresh term.
 func metadataOf(t *testing.T, c *Controller) map[string][]byte {
 	img := c.buildImage()
+	for _, j := range img.Jobs {
+		for i := range j.Nodes {
+			j.Nodes[i].LastRenewed = time.Time{}
+		}
+	}
 	sort.Slice(img.Tiers, func(i, j int) bool {
 		a, b := img.Tiers[i].Info, img.Tiers[j].Info
 		return a.ID < b.ID || a.ID == b.ID && a.Server < b.Server

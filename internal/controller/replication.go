@@ -16,8 +16,8 @@ import (
 )
 
 // Primary-backup replication of controller metadata (§4.2.1). Every
-// durable metadata mutation — lease grants and renewals, chain commits,
-// tier records, quota changes, membership events, repair commits — is a
+// durable metadata mutation — lease grants, chain commits, tier
+// records, quota changes, membership events, repair commits — is a
 // replOp that the active controller runs through its kind's apply
 // (apply.go) and appends to a deterministic op-log streamed to the
 // standbys, which run the same applies. An op is enqueued inside the
@@ -26,6 +26,13 @@ import (
 // out of every lock domain; the handler still waits for standby acks
 // before answering the client, so an acknowledged control operation
 // survives leader failure.
+//
+// A lease renewal is not in the log. A lease only promises that a
+// prefix is not reclaimed before a time, and expiry flushes rather
+// than drops, so a late expiry costs memory and only an early one is
+// unsafe: the leader renews locally, a promoted or restored controller
+// grants every lease a full term (rebuildAllocator), and expiry itself
+// is a replicated node commit (reclaimLocked).
 //
 // Standbys mirror the hierarchies, tier table, tenant quotas, and
 // membership, but not the allocator's free counts: they track only
@@ -52,7 +59,7 @@ const (
 	opDeregisterJob
 	opNodeUpsert
 	opRemoveNode
-	opRenewLease
+	_ // retired: RenewLease (renewals are leader-local, see rebuildAllocator)
 	opServerRegister
 	opServerDead
 	opTier
@@ -72,7 +79,8 @@ type replOp struct {
 	Node nodeImage
 	// RemoveNode
 	Name string
-	// RenewLease
+	// Paths is retired with the RenewLease kind. It stays so the
+	// entry's encoding, and with it codecVersion, does not change.
 	Paths []core.Path
 	// ServerRegister / ServerDead / ServerProbation; FirstID is the
 	// registration mark (see contribRange).

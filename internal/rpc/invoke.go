@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"jiffy/internal/codec"
 	"jiffy/internal/core"
@@ -70,6 +71,12 @@ type Table struct {
 // travels as its wire code with its text as the body, from which
 // core.ErrOf rebuilds the typed errors (NotLeaderError's hint,
 // ThrottleError's retry-after).
+//
+// The request is decoded into, and the answer encoded from, a box the
+// method's pool recycles: the codec takes its message as an interface,
+// so a local would move to the heap on every call. A box is zeroed
+// before it goes back, so no decoded slice or answer a handler kept is
+// reachable from the next call's box.
 func Handle[Req, Resp any](t *Table, m proto.Method[Req, Resp], fn func(context.Context, *ServerConn, Req) (Resp, error)) {
 	if t.m == nil {
 		t.m = make(map[uint16]func(context.Context, *ServerConn, []byte) ([]byte, error))
@@ -77,18 +84,26 @@ func Handle[Req, Resp any](t *Table, m proto.Method[Req, Resp], fn func(context.
 	if _, dup := t.m[m.ID]; dup {
 		panic("rpc: method " + m.Name + " registered twice")
 	}
-	t.m[m.ID] = func(ctx context.Context, conn *ServerConn, payload []byte) ([]byte, error) {
-		var req Req
-		if err := codec.Unmarshal(payload, &req); err != nil {
+	type box struct {
+		req  Req
+		resp Resp
+	}
+	boxes := sync.Pool{New: func() any { return new(box) }}
+	t.m[m.ID] = func(ctx context.Context, conn *ServerConn, payload []byte) (out []byte, err error) {
+		b := boxes.Get().(*box)
+		defer func() {
+			*b = box{}
+			boxes.Put(b)
+		}()
+		if err = codec.Unmarshal(payload, &b.req); err != nil {
 			return nil, err
 		}
-		resp, err := fn(ctx, conn, req)
-		if err != nil {
+		if b.resp, err = fn(ctx, conn, b.req); err != nil {
 			return []byte(err.Error()), err
 		}
 		// finish returns the buffer to the pool once the answer is
 		// written (see Response).
-		return codec.Append(wire.GetBuf(), &resp)
+		return codec.Append(wire.GetBuf(), &b.resp)
 	}
 }
 

@@ -11,6 +11,12 @@ import (
 // frame cannot pin megabytes of idle memory for the session's lifetime.
 const maxPooledBuf = core.MB
 
+// minPooledBuf is the capacity the pool makes buffers with, and the
+// least it keeps: a smaller one (a handler's few-byte answer, an error
+// text) would make the next GetBuf caller grow it again, and costs a
+// box to hold besides.
+const minPooledBuf = 4096
+
 // payloadPool recycles frame/payload staging buffers on the data-plane
 // hot path: request encoding on the client, response encoding on the
 // server. Both sides encode into a pooled buffer, hand it to the frame
@@ -19,7 +25,7 @@ const maxPooledBuf = core.MB
 // allocation on each end.
 var payloadPool = sync.Pool{
 	New: func() interface{} {
-		b := make([]byte, 0, 4096)
+		b := make([]byte, 0, minPooledBuf)
 		return &b
 	},
 }
@@ -57,12 +63,12 @@ func GetBuf() []byte {
 }
 
 // PutBuf returns a buffer to the pool. The caller must not touch b
-// afterwards. Buffers that grew beyond maxPooledBuf are dropped so the
-// pool holds only hot-path-sized memory; nil and zero-capacity slices
-// are ignored, so PutBuf is safe to call on any response/request slice
-// whose ownership has ended.
+// afterwards. Buffers that grew beyond maxPooledBuf, or are smaller than
+// the pool makes them (minPooledBuf), are dropped so the pool holds only
+// hot-path-sized memory; nil slices are ignored, so PutBuf is safe to
+// call on any response/request slice whose ownership has ended.
 func PutBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBuf {
+	if cap(b) < minPooledBuf || cap(b) > maxPooledBuf {
 		return
 	}
 	debugTrackPut(b)
