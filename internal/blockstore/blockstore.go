@@ -343,23 +343,35 @@ func (b *Block) ChainGen() (core.ReplicaChain, uint64) {
 	return b.Chain(), b.replGen
 }
 
-// blockMap is the value type behind the store's copy-on-write pointer.
+// blockShards is the number of copy-on-write shards of a store's
+// block table (a power of two). The controller mints block IDs from one
+// counter, so a server's blocks spread evenly over the shards, and a
+// create or delete copies about one shard's worth of entries: a few at
+// the block counts a server hosts, however many that is.
+const blockShards = 512
+
+// blockMap is the value type behind each shard's copy-on-write pointer.
 type blockMap = map[core.BlockID]*Block
+
+// noBlocks is the empty map every shard starts at. It is never written:
+// a create publishes a copy.
+var noBlocks blockMap
 
 // Store is the set of blocks hosted by one memory server.
 type Store struct {
 	high, low float64
 	onSignal  Signal
 
-	// blocks is a copy-on-write map: block resolution — the per-op
-	// lookup on the data plane — is a single atomic load with no lock,
-	// while Create/Delete (control-plane rare) clone the map under
-	// writeMu and publish the copy. Readers may briefly see a block
-	// that was just deleted; that is indistinguishable from the op
-	// racing ahead of the delete, which the epoch protocol already
-	// handles. Once the delete is published the op finds nothing:
-	// the controller never mints a block ID twice.
-	blocks  atomic.Pointer[blockMap]
+	// shards is the block table, split by block ID into copy-on-write
+	// maps: block resolution — the per-op lookup on the data plane — is
+	// one atomic load and one map lookup with no lock, while Create and
+	// Delete, which run as tasks write and free memory, clone only their
+	// own shard under writeMu and publish the copy. Readers may briefly
+	// see a block that was just deleted; that is indistinguishable from
+	// the op racing ahead of the delete, which the epoch protocol
+	// already handles. Once the delete is published the op finds
+	// nothing: the controller never mints a block ID twice.
+	shards  [blockShards]atomic.Pointer[blockMap]
 	writeMu sync.Mutex
 	// halted is set by Halt; a block created after it starts halted.
 	halted atomic.Bool
@@ -389,11 +401,11 @@ func (s *Store) HeatNow() int64 { return s.heatNow.Load() }
 // persist tier).
 func (s *Store) ResidentBytes() int64 {
 	var total int64
-	for _, b := range s.snapshotMap() {
+	s.each(func(b *Block) {
 		if b.TierState() != TierTiered {
 			total += int64(b.Partition.Bytes())
 		}
-	}
+	})
 	return total
 }
 
@@ -401,22 +413,22 @@ func (s *Store) ResidentBytes() int64 {
 // ApplyInOrder on any block, 0 when none is parked.
 func (s *Store) ApplyWaitMax() time.Duration {
 	var worst time.Duration
-	for _, b := range s.snapshotMap() {
+	s.each(func(b *Block) {
 		if age, _ := b.ApplyWait(); age > worst {
 			worst = age
 		}
-	}
+	})
 	return worst
 }
 
 // TieredBlocks counts blocks currently demoted to the persist tier.
 func (s *Store) TieredBlocks() int {
 	n := 0
-	for _, b := range s.snapshotMap() {
+	s.each(func(b *Block) {
 		if b.TierState() == TierTiered {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -428,20 +440,34 @@ func NewStore(high, low float64, onSignal Signal) *Store {
 		low:      low,
 		onSignal: onSignal,
 	}
-	m := make(blockMap)
-	s.blocks.Store(&m)
+	for i := range s.shards {
+		s.shards[i].Store(&noBlocks)
+	}
 	return s
 }
 
-// snapshotMap returns the current published block map. Callers must
-// treat it as immutable.
-func (s *Store) snapshotMap() blockMap { return *s.blocks.Load() }
+// shard returns the copy-on-write pointer of the shard holding id.
+func (s *Store) shard(id core.BlockID) *atomic.Pointer[blockMap] {
+	return &s.shards[id%blockShards]
+}
+
+// each calls fn on every hosted block, one shard's published map at a
+// time; a block created or deleted during the walk may or may not be
+// seen.
+func (s *Store) each(fn func(*Block)) {
+	for i := range s.shards {
+		for _, b := range *s.shards[i].Load() {
+			fn(b)
+		}
+	}
+}
 
 // Create installs a partition in a new block.
 func (s *Store) Create(b *Block) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	old := s.snapshotMap()
+	sh := s.shard(b.ID)
+	old := *sh.Load()
 	if _, exists := old[b.ID]; exists {
 		return fmt.Errorf("blockstore: block %v: %w", b.ID, core.ErrExists)
 	}
@@ -450,7 +476,7 @@ func (s *Store) Create(b *Block) error {
 		next[id] = blk
 	}
 	next[b.ID] = b
-	s.blocks.Store(&next)
+	sh.Store(&next)
 	if s.halted.Load() {
 		b.halt()
 	}
@@ -479,11 +505,12 @@ func (s *Store) Delete(id core.BlockID) error {
 	return nil
 }
 
-// detach republishes the block map without id and returns its block.
+// detach republishes id's shard without id and returns its block.
 func (s *Store) detach(id core.BlockID) (*Block, error) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	old := s.snapshotMap()
+	sh := s.shard(id)
+	old := *sh.Load()
 	b, exists := old[id]
 	if !exists {
 		return nil, fmt.Errorf("blockstore: block %v: %w", id, core.ErrNotFound)
@@ -494,7 +521,7 @@ func (s *Store) detach(id core.BlockID) (*Block, error) {
 			next[bid] = blk
 		}
 	}
-	s.blocks.Store(&next)
+	sh.Store(&next)
 	if s.deleted != nil && obs.On() {
 		s.deleted.Inc()
 	}
@@ -506,16 +533,14 @@ func (s *Store) detach(id core.BlockID) (*Block, error) {
 // and a hop waiting for a seq that never arrives must not hold it up.
 func (s *Store) Halt() {
 	s.halted.Store(true)
-	for _, b := range s.snapshotMap() {
-		b.halt()
-	}
+	s.each((*Block).halt)
 }
 
 // Get returns the block, or ErrStaleEpoch when unknown — an unknown
 // block ID means the client is operating on reclaimed or moved state
 // and must refresh its partition map. Lock-free.
 func (s *Store) Get(id core.BlockID) (*Block, error) {
-	if b, ok := s.snapshotMap()[id]; ok {
+	if b, ok := (*s.shard(id).Load())[id]; ok {
 		return b, nil
 	}
 	return nil, fmt.Errorf("blockstore: block %v unknown: %w", id, core.ErrStaleEpoch)
@@ -644,7 +669,9 @@ func (s *Store) Instrument(r *obs.Registry) {
 	s.deleted = r.Counter("jiffy_store_blocks_deleted_total",
 		"blocks removed from this store over its lifetime")
 	r.GaugeFunc("jiffy_store_blocks", "blocks currently hosted", func() int64 {
-		return int64(len(s.snapshotMap()))
+		var n int64
+		s.each(func(*Block) { n++ })
+		return n
 	})
 	r.GaugeFunc("jiffy_store_used_bytes", "bytes stored across hosted blocks", func() int64 {
 		_, used := s.Stats()
@@ -652,29 +679,24 @@ func (s *Store) Instrument(r *obs.Registry) {
 	})
 	r.GaugeFunc("jiffy_store_capacity_bytes", "capacity across hosted blocks", func() int64 {
 		var capacity int64
-		for _, b := range s.snapshotMap() {
-			capacity += int64(b.Partition.Capacity())
-		}
+		s.each(func(b *Block) { capacity += int64(b.Partition.Capacity()) })
 		return capacity
 	})
 }
 
 // List returns a snapshot of the hosted blocks.
 func (s *Store) List() []*Block {
-	m := s.snapshotMap()
-	out := make([]*Block, 0, len(m))
-	for _, b := range m {
-		out = append(out, b)
-	}
+	var out []*Block
+	s.each(func(b *Block) { out = append(out, b) })
 	return out
 }
 
 // Stats summarizes the store. (The op count is the server's:
 // ServerStats.Ops.)
 func (s *Store) Stats() (blocks int, usedBytes int) {
-	m := s.snapshotMap()
-	for _, b := range m {
+	s.each(func(b *Block) {
+		blocks++
 		usedBytes += b.Partition.Bytes()
-	}
-	return len(m), usedBytes
+	})
+	return blocks, usedBytes
 }

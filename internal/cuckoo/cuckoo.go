@@ -37,9 +37,10 @@ const (
 	maxBFSDepth = 5
 	// minBuckets is the smallest table (power of two).
 	minBuckets = 4
-	// numStripes is the bucket-lock stripe count (power of two). Bucket
-	// i is guarded by stripe i % numStripes; tables smaller than
-	// numStripes buckets get one stripe per bucket.
+	// numStripes is the most bucket-lock stripes a table has (a power
+	// of two). Bucket i is guarded by stripe i % numStripes; a table
+	// smaller than numStripes buckets has one stripe per bucket, and
+	// gains stripes as it grows.
 	numStripes = 64
 	stripeMask = numStripes - 1
 )
@@ -71,10 +72,12 @@ type Table struct {
 	// stripe locks are needed: every other path is blocked at the
 	// shared acquisition.
 	resizeMu sync.RWMutex
-	stripes  [numStripes]stripe
 
-	// buckets and mask are written only under resizeMu held
+	// stripes, buckets and mask are written only under resizeMu held
 	// exclusively; bucket-local paths read them under the shared lock.
+	// len(stripes) is min(len(buckets), numStripes), so the stripe of
+	// bucket i, i & stripeMask, is always in range.
+	stripes []stripe
 	buckets []bucket
 	mask    uint64
 
@@ -88,9 +91,20 @@ func New(hint int) *Table {
 	for n*slotsPerBucket < hint {
 		n <<= 1
 	}
-	t := &Table{buckets: make([]bucket, n)}
-	t.mask = uint64(n - 1)
+	t := &Table{}
+	t.resize(n)
 	return t
+}
+
+// resize installs an empty array of n buckets, and the stripes that
+// guard it. Caller holds resizeMu exclusively, or owns t alone: no
+// stripe is held either way.
+func (t *Table) resize(n int) {
+	t.buckets = make([]bucket, n)
+	t.mask = uint64(n - 1)
+	if s := min(n, numStripes); s != len(t.stripes) {
+		t.stripes = make([]stripe, s)
+	}
 }
 
 // hashKey is the hash both bucket choices derive from: FNV-64a,
@@ -467,8 +481,7 @@ func (t *Table) place(i uint64, s int, e entry) {
 // resizeMu exclusively.
 func (t *Table) grow() {
 	old := t.buckets
-	t.buckets = make([]bucket, len(old)*2)
-	t.mask = uint64(len(t.buckets) - 1)
+	t.resize(len(old) * 2)
 	for bi := range old {
 		for s := 0; s < slotsPerBucket; s++ {
 			if !old[bi].occupied[s] {

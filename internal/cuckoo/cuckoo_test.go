@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -399,5 +400,76 @@ func TestRemoveIf(t *testing.T) {
 		if v != "v"+k[1:] || tb.Has(k) {
 			t.Errorf("%s: removed %q, still present %v", k, v, tb.Has(k))
 		}
+	}
+}
+
+// TestTableGrowsStripes: a table starts with one stripe per bucket and
+// gains stripes as it grows, up to numStripes, while concurrent Gets,
+// Sets and Deletes run through the growth.
+func TestTableGrowsStripes(t *testing.T) {
+	tb := New(0)
+	if len(tb.buckets) != minBuckets || len(tb.stripes) != minBuckets {
+		t.Fatalf("New(0): %d buckets, %d stripes, want %d of each", len(tb.buckets), len(tb.stripes), minBuckets)
+	}
+	const writers, keys = 4, 300
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < keys; i++ {
+				k := fmt.Sprintf("w%d-k%d", w, i)
+				tb.Set(k, []byte(k), -1)
+				if i%3 == 0 {
+					if _, ok := tb.Delete(k); !ok {
+						t.Errorf("Delete(%q) found nothing", k)
+					}
+				}
+			}
+		}(w)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < keys; i++ {
+				k := fmt.Sprintf("w%d-k%d", w, i)
+				if v, ok := tb.Get(k); ok && string(v) != k {
+					t.Errorf("Get(%q) = %q", k, v)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 0; w < writers; w++ {
+		for i := 0; i < keys; i++ {
+			k := fmt.Sprintf("w%d-k%d", w, i)
+			v, ok := tb.Get(k)
+			if want := i%3 != 0; ok != want || (ok && string(v) != k) {
+				t.Fatalf("Get(%q) = %q, %v; want present=%v", k, v, ok, want)
+			}
+		}
+	}
+	if len(tb.buckets) <= numStripes {
+		t.Fatalf("table grew only to %d buckets, want past %d", len(tb.buckets), numStripes)
+	}
+	if want := min(len(tb.buckets), numStripes); len(tb.stripes) != want {
+		t.Errorf("%d buckets, %d stripes, want %d", len(tb.buckets), len(tb.stripes), want)
+	}
+}
+
+// TestNewTableAllocBytes: an empty table is its minimum bucket array
+// and one stripe per bucket, 1.2 KB. With all 64 stripes from the
+// start it took 5.8 KB.
+func TestNewTableAllocBytes(t *testing.T) {
+	const n = 64
+	tables := make([]*Table, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range tables {
+		tables[i] = New(0)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("New(0): %d B", per)
+	if per > 1536 {
+		t.Errorf("New(0) allocates %d B, want <= 1536", per)
 	}
 }

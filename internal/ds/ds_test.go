@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -927,5 +928,28 @@ func TestFileLinkRedirectsAppends(t *testing.T) {
 	}
 	if _, err := g.Append(rec); !errors.Is(err, core.ErrBlockFull) {
 		t.Errorf("restored chunk: append = %v, want ErrBlockFull (no link travels)", err)
+	}
+}
+
+// TestNewKVFootprint: a new KV partition's table starts at its minimum,
+// so one NewKV allocates about 1.3 KB. Pre-sized for 256 entries with
+// all 64 of its stripes, it took 18.5 KB, in every KV block a server
+// created.
+func TestNewKVFootprint(t *testing.T) {
+	if poolsInstrumented {
+		t.Skip("allocation gates skip in an instrumented build")
+	}
+	const n = 64
+	kvs := make([]*KV, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range kvs {
+		kvs[i] = NewKV(core.MB, 64, []SlotRange{{Lo: 0, Hi: 63}})
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("NewKV: %d B", per)
+	if per > 2*core.KB {
+		t.Errorf("NewKV allocates %d B, want <= %d", per, 2*core.KB)
 	}
 }

@@ -37,7 +37,7 @@ type KV struct {
 // count and initially owned slot ranges.
 func NewKV(capacity, numSlots int, owned []SlotRange) *KV {
 	return &KV{
-		table:    cuckoo.New(256),
+		table:    cuckoo.New(0),
 		numSlots: numSlots,
 		cap:      capacity,
 		owned:    append([]SlotRange(nil), owned...),

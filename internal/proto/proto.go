@@ -11,6 +11,7 @@
 package proto
 
 import (
+	"sync"
 	"time"
 
 	"jiffy/internal/core"
@@ -28,7 +29,38 @@ type Info struct {
 // method with its request and response messages, so a stub or a
 // handler that mixes two methods' messages does not compile (see
 // rpc.Invoke and rpc.Handle).
-type Method[Req, Resp any] struct{ Info }
+type Method[Req, Resp any] struct {
+	Info
+	// calls recycles the method's Call boxes; nil in a descriptor not
+	// made by declare, whose boxes are not recycled.
+	calls *sync.Pool
+}
+
+// Call is one call's request and answer in a box on the heap. The
+// control codec takes a message as an interface, so a request or answer
+// on the stack would move to the heap on every call; a stub or handler
+// encodes from and decodes into a box of the method's pool instead.
+type Call[Req, Resp any] struct {
+	Req  Req
+	Resp Resp
+}
+
+// GetCall returns a zeroed box for one call of m.
+func (m Method[Req, Resp]) GetCall() *Call[Req, Resp] {
+	if m.calls == nil {
+		return new(Call[Req, Resp])
+	}
+	return m.calls.Get().(*Call[Req, Resp])
+}
+
+// PutCall zeroes c, so no request or answer a caller kept is reachable
+// from the next call's box, and recycles it.
+func (m Method[Req, Resp]) PutCall(c *Call[Req, Resp]) {
+	*c = Call[Req, Resp]{}
+	if m.calls != nil {
+		m.calls.Put(c)
+	}
+}
 
 // methods lists every declared method, the data plane's three first.
 var methods = []Info{
@@ -39,7 +71,7 @@ var methods = []Info{
 
 func declare[Req, Resp any](id uint16, name string) Method[Req, Resp] {
 	methods = append(methods, Info{id, name})
-	return Method[Req, Resp]{Info{id, name}}
+	return Method[Req, Resp]{Info{id, name}, &sync.Pool{New: func() any { return new(Call[Req, Resp]) }}}
 }
 
 // Methods returns every declared method.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"jiffy/internal/codec"
 	"jiffy/internal/core"
@@ -27,9 +26,14 @@ type Caller interface {
 // mispaired call is a compile error. The request is encoded into a
 // pooled buffer and the answer read from a borrowed one; both go back
 // to the pool before Invoke returns (the decoder never aliases its
-// input, and an error answer's text was copied into the error).
+// input, and an error answer's text was copied into the error). The
+// request is encoded from, and the answer decoded into, a box of the
+// method's pool (proto.Call), so neither moves to the heap.
 func Invoke[Req, Resp any](ctx context.Context, c Caller, m proto.Method[Req, Resp], req Req) (resp Resp, err error) {
-	payload, err := codec.Append(wire.GetBuf(), &req)
+	call := m.GetCall()
+	defer m.PutCall(call)
+	call.Req = req
+	payload, err := codec.Append(wire.GetBuf(), &call.Req)
 	if err != nil {
 		wire.PutBuf(payload)
 		return resp, err
@@ -37,12 +41,12 @@ func Invoke[Req, Resp any](ctx context.Context, c Caller, m proto.Method[Req, Re
 	out, pooled, err := c.CallBorrowedContext(ctx, m.ID, payload)
 	wire.PutBuf(payload)
 	if err == nil {
-		err = codec.Unmarshal(out, &resp)
+		err = codec.Unmarshal(out, &call.Resp)
 	}
 	if pooled {
 		wire.PutBuf(out)
 	}
-	return resp, err
+	return call.Resp, err
 }
 
 // InvokeAt is Invoke on p's pooled session for addr. A session found
@@ -72,11 +76,8 @@ type Table struct {
 // core.ErrOf rebuilds the typed errors (NotLeaderError's hint,
 // ThrottleError's retry-after).
 //
-// The request is decoded into, and the answer encoded from, a box the
-// method's pool recycles: the codec takes its message as an interface,
-// so a local would move to the heap on every call. A box is zeroed
-// before it goes back, so no decoded slice or answer a handler kept is
-// reachable from the next call's box.
+// The request is decoded into, and the answer encoded from, a box of
+// the method's pool (proto.Call), zeroed before it goes back.
 func Handle[Req, Resp any](t *Table, m proto.Method[Req, Resp], fn func(context.Context, *ServerConn, Req) (Resp, error)) {
 	if t.m == nil {
 		t.m = make(map[uint16]func(context.Context, *ServerConn, []byte) ([]byte, error))
@@ -84,26 +85,18 @@ func Handle[Req, Resp any](t *Table, m proto.Method[Req, Resp], fn func(context.
 	if _, dup := t.m[m.ID]; dup {
 		panic("rpc: method " + m.Name + " registered twice")
 	}
-	type box struct {
-		req  Req
-		resp Resp
-	}
-	boxes := sync.Pool{New: func() any { return new(box) }}
 	t.m[m.ID] = func(ctx context.Context, conn *ServerConn, payload []byte) (out []byte, err error) {
-		b := boxes.Get().(*box)
-		defer func() {
-			*b = box{}
-			boxes.Put(b)
-		}()
-		if err = codec.Unmarshal(payload, &b.req); err != nil {
+		b := m.GetCall()
+		defer m.PutCall(b)
+		if err = codec.Unmarshal(payload, &b.Req); err != nil {
 			return nil, err
 		}
-		if b.resp, err = fn(ctx, conn, b.req); err != nil {
+		if b.Resp, err = fn(ctx, conn, b.Req); err != nil {
 			return []byte(err.Error()), err
 		}
 		// finish returns the buffer to the pool once the answer is
 		// written (see Response).
-		return codec.Append(wire.GetBuf(), &b.resp)
+		return codec.Append(wire.GetBuf(), &b.Resp)
 	}
 }
 
