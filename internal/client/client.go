@@ -171,10 +171,9 @@ type Client struct {
 
 	// Gray-failure defenses: always-on per-server health tracking, the
 	// opt-in circuit breaker gate, and opt-in read hedging.
-	health     *healthTracker
-	hedgeOn    bool
-	breakerOn  bool
-	rpcTimeout time.Duration
+	health    *healthTracker
+	hedgeOn   bool
+	breakerOn bool
 
 	// Telemetry: per-method RPC metrics (role "client"), client-loop
 	// counters, and the optional tracer, all served via Obs().
@@ -245,7 +244,6 @@ func Dial(ctx context.Context, opts ...Option) (*Client, error) {
 	c.health = newHealthTracker(cfg.breaker, cfg.breakerOn)
 	c.hedgeOn = cfg.hedgeOn
 	c.breakerOn = cfg.breakerOn
-	c.rpcTimeout = cfg.timeout
 	c.reg.RegisterCollector(c.writeBreakerStates)
 
 	// Control and data planes keep separate session pools over one dial

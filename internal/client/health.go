@@ -3,6 +3,7 @@ package client
 import (
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,7 +75,7 @@ const (
 	// noise cannot fire hedges on every call.
 	hedgeMinDelay = 500 * time.Microsecond
 	// hedgeMinSamples is how many latency samples a server needs before
-	// its quantile is trusted for hedging or an adaptive timeout.
+	// its quantile is trusted to set a hedge delay.
 	hedgeMinSamples = 8
 )
 
@@ -291,50 +292,19 @@ func (t *healthTracker) ewmaOf(addr string) float64 {
 }
 
 // hedgeDelay returns when a backup read against another chain member
-// should fire for a primary at addr, false while the primary lacks the
-// samples to trust its quantile.
+// should fire for a primary at addr: hedgeMultiplier× its windowed
+// p95, floored at hedgeMinDelay. False while the primary lacks the
+// samples for its quantile to mean anything.
 func (t *healthTracker) hedgeDelay(addr string) (time.Duration, bool) {
-	p95, ok := t.trustedP95(addr)
-	if !ok {
-		return 0, false
-	}
-	d := hedgeMultiplier * p95
-	if d < hedgeMinDelay {
-		d = hedgeMinDelay
-	}
-	return d, true
-}
-
-// trustedP95 returns addr's windowed p95, false while the server lacks
-// the samples for it to mean anything.
-func (t *healthTracker) trustedP95(addr string) (time.Duration, bool) {
 	sh := t.peek(addr)
 	if sh == nil || sh.count.Load() < hedgeMinSamples {
 		return 0, false
 	}
 	p95 := time.Duration(sh.p95.Load())
-	return p95, p95 > 0
-}
-
-// adaptiveTimeout derives a per-server attempt bound from observed
-// latency: generous enough (16× p95, floored at 2ms) that organic
-// variance never trips it, tight enough that a gray-failed server
-// fails the attempt long before the session-wide RPC timeout. Returns
-// false when the server lacks samples; cap bounds the result when
-// positive.
-func (t *healthTracker) adaptiveTimeout(addr string, cap time.Duration) (time.Duration, bool) {
-	p95, ok := t.trustedP95(addr)
-	if !ok {
+	if p95 <= 0 {
 		return 0, false
 	}
-	d := 16 * p95
-	if d < 2*time.Millisecond {
-		d = 2 * time.Millisecond
-	}
-	if cap > 0 && d > cap {
-		d = cap
-	}
-	return d, true
+	return max(hedgeMultiplier*p95, hedgeMinDelay), true
 }
 
 // ServerHealthInfo is one server's health snapshot, exposed for
@@ -379,18 +349,7 @@ func (t *healthTracker) snapshot() []ServerHealthInfo {
 	}
 	t.mu.RUnlock()
 	slices.SortFunc(out, func(a, b ServerHealthInfo) int {
-		return cmpStr(a.Server, b.Server)
+		return strings.Compare(a.Server, b.Server)
 	})
 	return out
-}
-
-func cmpStr(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }

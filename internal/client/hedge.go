@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"time"
 
@@ -64,40 +63,24 @@ type hedgeResult struct {
 	backup bool
 }
 
-// hedgeErr strips attempt-context expiry out of a hedge arm's error:
-// the adaptive per-attempt deadline is not the caller's deadline, so
-// its expiry must classify as a retryable timeout (the pipeline stops
-// outright on caller-context errors).
-func hedgeErr(ctx context.Context, err error) error {
-	if err == nil || ctx.Err() != nil || ctxErr(err) == nil {
-		return err
-	}
-	return fmt.Errorf("client: hedged read attempt: %w", core.ErrTimeout)
-}
-
 // doHedged races the primary against a delayed backup. Both arms run
-// h.do under cancellable child contexts — the per-server adaptive
-// timeout bounds each arm when the tracker has evidence — and the
-// results channel is buffered for both, so a canceled loser never
-// blocks: its goroutine finishes its (already-canceled) call, deposits
-// the result, and exits. Values returned by do() are heap copies (the
-// pooled response buffers are recycled inside do), so abandoning the
-// loser's result leaks nothing.
+// h.do under cancellable children of ctx, so each is bounded only by
+// what bounds every call — the caller's context and the session's
+// RPCTimeout — and an arm's clock starts when it is launched, never
+// when the read began. The results channel is buffered for both, so a
+// canceled loser never blocks: its goroutine finishes its
+// (already-canceled) call, deposits the result, and exits. Values
+// returned by do() are heap copies (the pooled response buffers are
+// recycled inside do), so abandoning the loser's result leaks nothing.
 func (h *handle) doHedged(ctx context.Context, primary, alt core.BlockInfo, delay time.Duration,
 	op core.OpType, callerArgs [][]byte) ([][]byte, error) {
 	// The arms outlive this frame's view of the arguments: give them a
 	// vector of their own, so the caller's stays off the heap on every
 	// unhedged path through the pipeline.
 	args := slices.Clone(callerArgs)
-	attemptCtx := func(server string) (context.Context, context.CancelFunc) {
-		if d, ok := h.c.health.adaptiveTimeout(server, h.c.rpcTimeout); ok {
-			return context.WithTimeout(ctx, d)
-		}
-		return context.WithCancel(ctx)
-	}
-	pctx, pcancel := attemptCtx(primary.Server)
+	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
-	bctx, bcancel := attemptCtx(alt.Server)
+	bctx, bcancel := context.WithCancel(ctx)
 	defer bcancel()
 
 	results := make(chan hedgeResult, 2)
@@ -154,10 +137,10 @@ func (h *handle) doHedged(ctx context.Context, primary, alt core.BlockInfo, dela
 				// The primary failed before the hedge deadline: no backup
 				// was launched, so surface the failure to the pipeline
 				// (which will fall back along the chain itself).
-				return nil, hedgeErr(ctx, r.err)
+				return nil, r.err
 			}
 			if outstanding == 0 {
-				return nil, hedgeErr(ctx, firstErr)
+				return nil, firstErr
 			}
 		}
 	}

@@ -54,6 +54,8 @@ type fake struct {
 	onScale func(m *ds.PartitionMap)
 	script  []step
 	hits    []hit
+	slow    string // the server that holds each answer for hold
+	hold    time.Duration
 }
 
 const fakeChunk = 1024
@@ -150,7 +152,12 @@ func (f *fake) serveData(addr string, method uint16, payload []byte) (rpc.Respon
 	if len(f.script) > 0 {
 		st, f.script = f.script[0], f.script[1:]
 	}
+	var hold time.Duration
+	if addr == f.slow {
+		hold = f.hold
+	}
 	f.mu.Unlock()
+	time.Sleep(hold)
 	if st.cancel {
 		f.cancel()
 	}
@@ -515,6 +522,47 @@ func TestPipelineDeadTailReadsFallBack(t *testing.T) {
 			err := k.run(context.Background(), c, 0)
 			f.check(c, err, outcome{refreshes: 1, attempts: 1, last: "s1", lastOps: 1})
 		})
+	}
+}
+
+// TestPipelineHedgeBackupNotBornExpired: a gray tail's hedge fires at
+// 3 ms, past the 2 ms that a per-arm deadline of max(16 × p95, 2 ms)
+// would give the fast alternate. The backup's clock starts at its
+// launch, so it is sent live and wins; a deadline that ran from the
+// primary's launch would send it already expired and leave the read to
+// time out and fall back along the chain.
+func TestPipelineHedgeBackupNotBornExpired(t *testing.T) {
+	f := newFake(t, core.DSKV, "s0", "s1", "s2")
+	f.slow, f.hold = f.srv[2], 300*time.Millisecond
+	c := f.dial(WithHedgedReads())
+	for i := 0; i < p95Every; i++ {
+		c.health.record(f.srv[2], time.Millisecond, false) // hedge fires at 3 ms
+		c.health.record(f.srv[0], 20*time.Microsecond, false)
+		c.health.record(f.srv[1], 20*time.Microsecond, false)
+	}
+	kv, err := c.OpenKV(context.Background(), "j/s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := kv.Get(context.Background(), "k"); err != nil {
+		t.Fatalf("hedged get: %v", err)
+	}
+	if n := c.hedgesWon.Value(); n != 1 {
+		t.Errorf("hedges won = %d (fired %d), want 1", n, c.hedgesFired.Value())
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := f.opens - 1; n != 0 {
+		t.Errorf("map refreshes = %d, want 0", n)
+	}
+	var others []string
+	for _, h := range f.hits {
+		if h.server != f.srv[2] {
+			others = append(others, h.server[len(h.server)-2:])
+		}
+	}
+	if len(others) != 1 || others[0] != "s0" {
+		t.Errorf("requests past the held tail = %v, want one, at s0", others)
 	}
 }
 

@@ -253,7 +253,7 @@ func (i *Injector) BreakConns(match string) int {
 	i.mu.Lock()
 	var victims []*Conn
 	for c := range i.conns {
-		if match == "" || contains(c.endpoint, match) {
+		if match == "" || strings.Contains(c.endpoint, match) {
 			victims = append(victims, c)
 			delete(i.conns, c)
 		}
@@ -276,12 +276,12 @@ func (i *Injector) blocked(label, owner string) bool {
 		return false
 	}
 	for _, p := range i.partitions {
-		if contains(label, p) {
+		if strings.Contains(label, p) {
 			return true
 		}
 	}
 	for _, p := range i.oneWays {
-		if contains(label, p.to) && (p.from == "" || contains(owner, p.from)) {
+		if strings.Contains(label, p.to) && (p.from == "" || strings.Contains(owner, p.from)) {
 			return true
 		}
 	}
@@ -302,7 +302,7 @@ func (i *Injector) decide(label string, n int) Decision {
 	var now time.Time
 	haveNow := false
 	for _, r := range i.rules {
-		if !contains(label, r.Match) {
+		if !strings.Contains(label, r.Match) {
 			continue
 		}
 		k := r.n
@@ -387,9 +387,6 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
-
-// contains matches an operation label against a rule/partition pattern.
-func contains(s, sub string) bool { return strings.Contains(s, sub) }
 
 // sleep applies an injected delay on the injector's clock.
 func (i *Injector) sleep(d time.Duration) {
