@@ -6,13 +6,15 @@ import (
 	"jiffy/internal/bench/tailbench"
 )
 
-// TestChaosGrayFailureHedgedTailLatency is the gray-failure read bound,
-// counted rather than timed: with the chain tail fail-slow, the backup
-// request to a healthy chain member wins at least 95 % of the hedged
-// client's gray-phase reads, while the unhedged client feels the full
-// injected delay. tailbench.Measure is the body jiffy-regress -tail
-// gates on wall-clock p99; it also checks the bytes of every read and
-// that every write acked through the slow chain reads back.
+// TestChaosGrayFailureHedgedTailLatency is the gray-failure read bound:
+// with the chain tail fail-slow, the backup request to a healthy chain
+// member wins at least 95 % of the hedged client's gray-phase reads,
+// while the unhedged client feels the full injected delay, and hedging
+// never makes the tail worse: the hedged p99 stays below the unhedged
+// one. tailbench.Measure is the body jiffy-regress -tail gates on the
+// hedged p99 against the healthy baseline; it also checks the bytes of
+// every read and that every write acked through the slow chain reads
+// back.
 func TestChaosGrayFailureHedgedTailLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long chaos scenario")
@@ -27,5 +29,9 @@ func TestChaosGrayFailureHedgedTailLatency(t *testing.T) {
 	if share := res.HedgesWon / float64(res.HedgedReads); share < 0.95 {
 		t.Errorf("the backup won %.0f of %d gray-phase hedged reads (%.1f %%), want >= 95 %%",
 			res.HedgesWon, res.HedgedReads, 100*share)
+	}
+	if res.HedgedP99 >= res.UnhedgedP99 {
+		t.Errorf("hedged p99 %v is not below the unhedged p99 %v: hedging made the tail worse",
+			res.HedgedP99, res.UnhedgedP99)
 	}
 }

@@ -84,8 +84,8 @@ func TestChaosControllerKillMidRepairStandbyPromotes(t *testing.T) {
 	if gen := standby.PromoteNow(); gen != 2 {
 		t.Fatalf("promotion gen = %d, want 2", gen)
 	}
-	if standby.Failovers() != 1 {
-		t.Fatalf("failovers = %d, want 1", standby.Failovers())
+	if n := scrapeRegistry(standby.Obs())["jiffy_ctrl_failovers_total"]; n != 1 {
+		t.Fatalf("failovers = %g, want 1", n)
 	}
 	// If the old leader died before replicating the death, tell the new
 	// leader; its probe fails and the repair re-runs. Idempotent when

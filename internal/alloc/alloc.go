@@ -96,18 +96,6 @@ func (a *Allocator) Resume(addr string) {
 	a.mu.Unlock()
 }
 
-// Suspended returns the probated server addresses, sorted.
-func (a *Allocator) Suspended() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.suspended))
-	for addr := range a.suspended {
-		out = append(out, addr)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Allocate takes n blocks from the pool, each under a freshly minted
 // ID, preferring the servers with the most free capacity (global load
 // balancing). Servers on probation (Suspend) are excluded while the

@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,8 +12,17 @@ import (
 	"jiffy"
 	"jiffy/internal/client"
 	"jiffy/internal/core"
+	"jiffy/internal/obs"
 	"jiffy/internal/rpc"
 )
+
+// leaseExpiries reads jiffy_ctrl_lease_expiries_total from the cluster's
+// first controller.
+func leaseExpiries(cluster *jiffy.Cluster) float64 {
+	var buf bytes.Buffer
+	cluster.Controller.Obs().WritePrometheus(&buf)
+	return obs.ParsePrometheus(buf.Bytes())["jiffy_ctrl_lease_expiries_total"]
+}
 
 func testCluster(t *testing.T) (*jiffy.Cluster, *client.Client) {
 	t.Helper()
@@ -136,17 +146,17 @@ func TestRenewerAddRemove(t *testing.T) {
 	r := c.StartRenewer(50*time.Millisecond, "j/keep")
 	r.Add("j/drop")
 	time.Sleep(400 * time.Millisecond)
-	if n := cluster.Controller.ExpiryCount(); n != 0 {
-		t.Fatalf("%d prefixes expired while renewed", n)
+	if n := leaseExpiries(cluster); n != 0 {
+		t.Fatalf("%g prefixes expired while renewed", n)
 	}
 	// Stop renewing one prefix; it expires, the other survives.
 	r.Remove("j/drop")
 	deadline := time.Now().Add(5 * time.Second)
-	for cluster.Controller.ExpiryCount() == 0 && time.Now().Before(deadline) {
+	for leaseExpiries(cluster) == 0 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
-	if n := cluster.Controller.ExpiryCount(); n != 1 {
-		t.Errorf("expiries = %d, want 1", n)
+	if n := leaseExpiries(cluster); n != 1 {
+		t.Errorf("expiries = %g, want 1", n)
 	}
 	r.Stop()
 	r.Stop() // idempotent

@@ -143,7 +143,7 @@ func (f *fake) serveData(addr string, method uint16, payload []byte) (rpc.Respon
 			return rpc.Response{}, err
 		}
 		nops = len(ops)
-	} else if _, _, _, err := ds.DecodeRequest(payload); err != nil {
+	} else if _, _, _, err := ds.DecodeRequestInto(nil, payload); err != nil {
 		return rpc.Response{}, err
 	}
 	f.mu.Lock()
@@ -178,7 +178,7 @@ func (f *fake) serveData(addr string, method uint16, payload []byte) (rpc.Respon
 			results[i] = ds.OKResult(okVals)
 		}
 	}
-	return rpc.BytesResponse(ds.EncodeBatchResults(results)), nil
+	return rpc.BytesResponse(ds.AppendBatchResults(nil, results)), nil
 }
 
 // dial connects a client to the fake cluster.

@@ -119,17 +119,6 @@ func (v *Virtual) PendingTimers() int {
 	return len(v.timers)
 }
 
-// NextDeadline returns the earliest pending timer deadline and whether
-// one exists.
-func (v *Virtual) NextDeadline() (time.Time, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if len(v.timers) == 0 {
-		return time.Time{}, false
-	}
-	return v.timers[0].at, true
-}
-
 type timer struct {
 	at time.Time
 	ch chan time.Time

@@ -111,20 +111,6 @@ func TestVirtualSleepBlocksUntilAdvance(t *testing.T) {
 	wg.Wait()
 }
 
-func TestVirtualNextDeadline(t *testing.T) {
-	v := NewVirtual(time.Unix(0, 0))
-	if _, ok := v.NextDeadline(); ok {
-		t.Error("empty clock reported a deadline")
-	}
-	ch := v.After(7 * time.Second)
-	dl, ok := v.NextDeadline()
-	if !ok || !dl.Equal(time.Unix(7, 0)) {
-		t.Errorf("NextDeadline = %v, %v", dl, ok)
-	}
-	v.Advance(8 * time.Second)
-	<-ch
-}
-
 func TestVirtualConcurrentTimers(t *testing.T) {
 	v := NewVirtual(time.Unix(0, 0))
 	const n = 100

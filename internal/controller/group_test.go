@@ -1,6 +1,7 @@
 package controller_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"jiffy/internal/clock"
 	"jiffy/internal/controller"
 	"jiffy/internal/core"
+	"jiffy/internal/obs"
 	"jiffy/internal/persist"
 	"jiffy/internal/proto"
 	"jiffy/internal/server"
@@ -235,8 +237,10 @@ func TestGroupFailoverDetection(t *testing.T) {
 	if !r.ctrls[1].CheckLeaderNow() {
 		t.Fatal("first standby did not promote after the suspicion window")
 	}
-	if r.ctrls[1].Failovers() != 1 {
-		t.Fatalf("failovers = %d", r.ctrls[1].Failovers())
+	var buf bytes.Buffer
+	r.ctrls[1].Obs().WritePrometheus(&buf)
+	if n := obs.ParsePrometheus(buf.Bytes())["jiffy_ctrl_failovers_total"]; n != 1 {
+		t.Fatalf("failovers = %g", n)
 	}
 	role := r.ctrls[1].Role()
 	if !role.IsLeader || role.Gen != 2 {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"jiffy/internal/core"
 	"jiffy/internal/proto"
@@ -142,14 +141,6 @@ func (c *Controller) ServerDead(addr string) bool {
 // MembershipEpoch returns the cluster membership epoch: it advances on
 // every server registration, death and drain.
 func (c *Controller) MembershipEpoch() uint64 { return c.memberEpoch.Load() }
-
-// LastBeat returns the recorded heartbeat time for addr (test hook).
-func (c *Controller) LastBeat(addr string) (time.Time, bool) {
-	c.hbMu.Lock()
-	defer c.hbMu.Unlock()
-	t, ok := c.lastBeat[addr]
-	return t, ok
-}
 
 // ReportFailure handles write-path failure evidence from a chain head.
 // The controller does not take the reporter's word for it: it probes

@@ -127,9 +127,6 @@ func (c *Controller) groupWorker() {
 	}
 }
 
-// isLeader reports whether this controller currently serves clients.
-func (c *Controller) isLeader() bool { return c.leading.Load() }
-
 // notLeaderErr builds the redirect for a request that reached a
 // standby.
 func (c *Controller) notLeaderErr() *core.NotLeaderError {
@@ -383,20 +380,3 @@ func (c *Controller) Role() proto.CtrlRoleResp {
 	}
 	return resp
 }
-
-// PulseNow runs one leader-side stream pulse synchronously (heartbeat
-// to standbys, re-bootstrap of lost ones); a no-op on standbys.
-// Deterministic tests call this instead of advancing the group clock.
-func (c *Controller) PulseNow() {
-	if c.leading.Load() {
-		c.repl.pulseNow()
-	}
-}
-
-// Failovers reports how many times this controller has promoted
-// itself (test/metrics hook).
-func (c *Controller) Failovers() int64 { return c.failovers.Load() }
-
-// ReplicationLag reports the op-log distance to the slowest live
-// standby (test/metrics hook; zero when not leading).
-func (c *Controller) ReplicationLag() int64 { return c.repl.lag() }

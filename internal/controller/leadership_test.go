@@ -122,7 +122,7 @@ func TestPromoteNow(t *testing.T) {
 	if !c.leading.Load() {
 		t.Fatal("promoted controller not leading")
 	}
-	if got := c.Failovers(); got != 1 {
+	if got := c.failovers.Load(); got != 1 {
 		t.Fatalf("failovers = %d, want 1", got)
 	}
 	role := c.Role()
@@ -134,7 +134,7 @@ func TestPromoteNow(t *testing.T) {
 	if again := c.PromoteNow(); again != 4 {
 		t.Fatalf("re-promotion gen = %d, want 4", again)
 	}
-	if got := c.Failovers(); got != 1 {
+	if got := c.failovers.Load(); got != 1 {
 		t.Fatalf("failovers after re-promotion = %d, want 1", got)
 	}
 }

@@ -79,7 +79,3 @@ func (c *Controller) reclaimLocked(n *hierarchy.Node) bool {
 	c.expiries.Add(1)
 	return true
 }
-
-// ExpiryCount reports how many prefixes have been reclaimed by the
-// expiry worker (test/bench instrumentation).
-func (c *Controller) ExpiryCount() int64 { return c.expiries.Load() }

@@ -1,6 +1,7 @@
 package controller_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -46,8 +47,8 @@ func TestMethodTable(t *testing.T) {
 		if dataPlane[m.ID] {
 			continue
 		}
-		_, lerr := leader.Call(m.ID, nil)
-		_, serr := srv.Call(m.ID, nil)
+		_, lerr := leader.CallContext(context.Background(), m.ID, nil)
+		_, serr := srv.CallContext(context.Background(), m.ID, nil)
 		if lerr == nil || serr == nil {
 			t.Errorf("%s accepted an empty body: controller %v, server %v", m.Name, lerr, serr)
 		}
@@ -58,7 +59,7 @@ func TestMethodTable(t *testing.T) {
 		if !onCtrl {
 			continue
 		}
-		_, err := standby.Call(m.ID, nil)
+		_, err := standby.CallContext(context.Background(), m.ID, nil)
 		hint, gen := core.LeaderHintOf(err)
 		switch {
 		case anyMember[m.ID]:

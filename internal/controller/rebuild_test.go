@@ -390,11 +390,11 @@ func (r *rebuildRig) dataOp(member core.BlockInfo, op core.OpType, args ...[]byt
 	if err != nil {
 		return nil, err
 	}
-	payload, err := c.Call(proto.MethodDataOp, ds.EncodeRequest(op, member.ID, args))
+	payload, err := c.CallContext(context.Background(), proto.MethodDataOp, ds.AppendRequest(nil, op, member.ID, args))
 	if err != nil {
 		return nil, err
 	}
-	return ds.DecodeVals(payload)
+	return ds.DecodeValsInto(nil, payload)
 }
 
 const rebuildKeys = 8
@@ -791,8 +791,8 @@ func TestSplitDisownIsSequenced(t *testing.T) {
 		c, err := r.pool.Get(head.Server)
 		if err == nil {
 			var payload []byte
-			if payload, err = c.CallContext(ctx, proto.MethodDataOp, ds.EncodeRequest(core.OpPut, head.ID, [][]byte{[]byte(key), []byte(v)})); err == nil {
-				_, err = ds.DecodeVals(payload)
+			if payload, err = c.CallContext(ctx, proto.MethodDataOp, ds.AppendRequest(nil, core.OpPut, head.ID, [][]byte{[]byte(key), []byte(v)})); err == nil {
+				_, err = ds.DecodeValsInto(nil, payload)
 			}
 		}
 		return err

@@ -196,18 +196,6 @@ func TestParseDSType(t *testing.T) {
 	}
 }
 
-func TestParseOpType(t *testing.T) {
-	for _, op := range []OpType{OpPut, OpGet, OpEnqueue, OpDequeue, OpFileWrite} {
-		got, err := ParseOpType(op.String())
-		if err != nil || got != op {
-			t.Errorf("ParseOpType(%q) = %v, %v", op.String(), got, err)
-		}
-	}
-	if _, err := ParseOpType("scan"); err == nil {
-		t.Error("unknown op should fail")
-	}
-}
-
 func TestOpIsMutation(t *testing.T) {
 	muts := []OpType{OpFileWrite, OpEnqueue, OpDequeue, OpPut, OpDelete, OpUpdate, OpDisownSlots, OpOwnSlots, OpQueueSetNext}
 	for _, m := range muts {

@@ -161,19 +161,6 @@ func (o OpType) String() string {
 	}
 }
 
-// ParseOpType resolves an operation name used in subscriptions.
-func ParseOpType(s string) (OpType, error) {
-	for _, o := range []OpType{
-		OpFileWrite, OpFileRead, OpFileAppend, OpEnqueue, OpDequeue,
-		OpQueuePeek, OpPut, OpGet, OpDelete, OpExists, OpUpdate,
-	} {
-		if o.String() == strings.ToLower(s) {
-			return o, nil
-		}
-	}
-	return OpNop, fmt.Errorf("core: unknown operation %q", s)
-}
-
 // IsMutation reports whether the op modifies partition state. Mutations
 // trigger usage re-evaluation (and thus possibly repartitioning) and are
 // the ops forwarded through replication chains.

@@ -587,10 +587,3 @@ func (t *Table) Clear() {
 	t.count.Store(0)
 	t.bytes.Store(0)
 }
-
-// LoadFactor reports occupied slots over total slots.
-func (t *Table) LoadFactor() float64 {
-	t.resizeMu.RLock()
-	defer t.resizeMu.RUnlock()
-	return float64(t.count.Load()) / float64(len(t.buckets)*slotsPerBucket)
-}

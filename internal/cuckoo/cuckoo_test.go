@@ -73,7 +73,7 @@ func TestGrowth(t *testing.T) {
 			t.Fatalf("key-%d: %q, %v", i, v, ok)
 		}
 	}
-	if lf := tb.LoadFactor(); lf <= 0 || lf > 1 {
+	if lf := float64(tb.count.Load()) / float64(len(tb.buckets)*slotsPerBucket); lf <= 0 || lf > 1 {
 		t.Errorf("load factor = %v", lf)
 	}
 }

@@ -85,11 +85,6 @@ func AppendBatchRequest(dst []byte, ops []BatchOp) []byte {
 	return dst
 }
 
-// EncodeBatchRequest serializes a batch request into a fresh buffer.
-func EncodeBatchRequest(ops []BatchOp) []byte {
-	return AppendBatchRequest(nil, ops)
-}
-
 // DecodeBatchRequest parses a batch request into fresh vectors.
 func DecodeBatchRequest(data []byte) ([]BatchOp, error) {
 	ops, _, err := DecodeBatchRequestInto(nil, nil, data)
@@ -180,11 +175,6 @@ func AppendBatchResults(dst []byte, results []BatchResult) []byte {
 		dst = AppendResult(dst, r, nil)
 	}
 	return dst
-}
-
-// EncodeBatchResults serializes a batch response into a fresh buffer.
-func EncodeBatchResults(results []BatchResult) []byte {
-	return AppendBatchResults(nil, results)
 }
 
 // DecodeBatchResults parses a batch response into a fresh vector.

@@ -16,7 +16,7 @@ func TestBatchRequestRoundTrip(t *testing.T) {
 		{Op: core.OpEnqueue, Block: 1 << 40, Args: [][]byte{bytes.Repeat([]byte{0xee}, 300)}},
 		{Op: core.OpExists, Block: 0, Args: nil},
 	}
-	out, err := DecodeBatchRequest(EncodeBatchRequest(in))
+	out, err := DecodeBatchRequest(AppendBatchRequest(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +39,14 @@ func TestBatchRequestRoundTrip(t *testing.T) {
 }
 
 func TestBatchRequestEmpty(t *testing.T) {
-	out, err := DecodeBatchRequest(EncodeBatchRequest(nil))
+	out, err := DecodeBatchRequest(AppendBatchRequest(nil, nil))
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch = %v, %v", out, err)
 	}
 }
 
 func TestBatchRequestMalformed(t *testing.T) {
-	good := EncodeBatchRequest([]BatchOp{
+	good := AppendBatchRequest(nil, []BatchOp{
 		{Op: core.OpPut, Block: 1, Args: [][]byte{[]byte("k"), []byte("v")}},
 	})
 	cases := []struct {
@@ -75,7 +75,7 @@ func TestBatchResultsRoundTrip(t *testing.T) {
 		{Code: core.CodeNotFound},
 		{Code: core.CodeOther, Blob: []byte("custom failure")},
 	}
-	out, err := DecodeBatchResults(EncodeBatchResults(in))
+	out, err := DecodeBatchResults(AppendBatchResults(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestBatchResultsRoundTrip(t *testing.T) {
 	if err := out[0].Err(); err != nil {
 		t.Fatalf("result 0 Err = %v", err)
 	}
-	vals, err := DecodeVals(out[0].Blob)
+	vals, err := DecodeValsInto(nil, out[0].Blob)
 	if err != nil || len(vals) != 1 || string(vals[0]) != "value" {
 		t.Fatalf("DecodeVals = %q, %v", vals, err)
 	}
@@ -103,7 +103,7 @@ func TestBatchResultsRoundTrip(t *testing.T) {
 }
 
 func TestBatchResultsMalformed(t *testing.T) {
-	good := EncodeBatchResults([]BatchResult{OKResult([][]byte{[]byte("v")})})
+	good := AppendBatchResults(nil, []BatchResult{OKResult([][]byte{[]byte("v")})})
 	cases := []struct {
 		name string
 		data []byte
@@ -155,7 +155,7 @@ func TestErrResultRoundTrip(t *testing.T) {
 			ErrResult(core.ErrStaleEpoch),
 			ErrResult(&redirectError{payload: RedirectPayload(core.BlockInfo{ID: 7, Server: "s"})}),
 		}
-		out, err := DecodeBatchResults(EncodeBatchResults(in))
+		out, err := DecodeBatchResults(AppendBatchResults(nil, in))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,11 +175,11 @@ func TestErrResultRoundTrip(t *testing.T) {
 // acceptance and on every op, so a window left from a recycled frame
 // fails.
 func FuzzBatchRequestDecode(f *testing.F) {
-	f.Add(EncodeBatchRequest([]BatchOp{
+	f.Add(AppendBatchRequest(nil, []BatchOp{
 		{Op: core.OpFileAppend, Block: 7, Args: [][]byte{bytes.Repeat([]byte{0xab}, 100)}},
 		{Op: core.OpFileAppend, Block: 7, Args: [][]byte{[]byte("r")}},
 	}))
-	f.Add(EncodeBatchRequest([]BatchOp{
+	f.Add(AppendBatchRequest(nil, []BatchOp{
 		{Op: core.OpGet, Block: 1, Args: [][]byte{[]byte("k")}},
 		{Op: core.OpPut, Block: 2, Args: [][]byte{[]byte("k"), []byte("v")}},
 		{Op: core.OpDequeue, Block: 3},

@@ -32,16 +32,11 @@ type Constructor func(capacity, numSlots int) Partition
 
 var customReg = struct {
 	sync.RWMutex
-	byType map[core.DSType]registration
-	byName map[string]core.DSType
+	byType map[core.DSType]Constructor
+	byName map[string]bool
 }{
-	byType: make(map[core.DSType]registration),
-	byName: make(map[string]core.DSType),
-}
-
-type registration struct {
-	name string
-	ctor Constructor
+	byType: make(map[core.DSType]Constructor),
+	byName: make(map[string]bool),
 }
 
 // Register installs a custom data structure under the given type code
@@ -61,11 +56,11 @@ func Register(t core.DSType, name string, ctor Constructor) error {
 	if _, dup := customReg.byType[t]; dup {
 		return fmt.Errorf("ds: custom type %d: %w", t, core.ErrExists)
 	}
-	if _, dup := customReg.byName[name]; dup {
+	if customReg.byName[name] {
 		return fmt.Errorf("ds: custom type %q: %w", name, core.ErrExists)
 	}
-	customReg.byType[t] = registration{name: name, ctor: ctor}
-	customReg.byName[name] = t
+	customReg.byType[t] = ctor
+	customReg.byName[name] = true
 	return nil
 }
 
@@ -80,26 +75,10 @@ func IsCustom(t core.DSType) bool {
 // NewCustom instantiates a registered custom partition.
 func NewCustom(t core.DSType, capacity, numSlots int) (Partition, error) {
 	customReg.RLock()
-	reg, ok := customReg.byType[t]
+	ctor, ok := customReg.byType[t]
 	customReg.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("ds: custom type %d not registered: %w", t, core.ErrWrongType)
 	}
-	return reg.ctor(capacity, numSlots), nil
-}
-
-// CustomTypeByName resolves a registered custom type code by name.
-func CustomTypeByName(name string) (core.DSType, bool) {
-	customReg.RLock()
-	defer customReg.RUnlock()
-	t, ok := customReg.byName[name]
-	return t, ok
-}
-
-// CustomName returns a registered custom type's name.
-func CustomName(t core.DSType) (string, bool) {
-	customReg.RLock()
-	defer customReg.RUnlock()
-	reg, ok := customReg.byType[t]
-	return reg.name, ok
+	return ctor(capacity, numSlots), nil
 }

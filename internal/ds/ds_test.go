@@ -18,8 +18,8 @@ import (
 
 func TestRequestCodecRoundTrip(t *testing.T) {
 	f := func(op uint8, block uint64, args [][]byte) bool {
-		data := EncodeRequest(core.OpType(op), core.BlockID(block), args)
-		gotOp, gotBlock, gotArgs, err := DecodeRequest(data)
+		data := AppendRequest(nil, core.OpType(op), core.BlockID(block), args)
+		gotOp, gotBlock, gotArgs, err := DecodeRequestInto(nil, data)
 		if err != nil {
 			return false
 		}
@@ -43,7 +43,7 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 
 func TestValsCodecRoundTrip(t *testing.T) {
 	f := func(vals [][]byte) bool {
-		got, err := DecodeVals(EncodeVals(vals))
+		got, err := DecodeValsInto(nil, EncodeVals(vals))
 		if err != nil || len(got) != len(vals) {
 			return false
 		}
@@ -62,17 +62,17 @@ func TestValsCodecRoundTrip(t *testing.T) {
 // TestDecodeRequestTruncated: a request or result vector cut short, or
 // followed by stray bytes, is refused.
 func TestDecodeRequestTruncated(t *testing.T) {
-	full := EncodeRequest(core.OpPut, 7, [][]byte{[]byte("key"), []byte("value")})
+	full := AppendRequest(nil, core.OpPut, 7, [][]byte{[]byte("key"), []byte("value")})
 	for cut := 0; cut < len(full); cut++ {
-		if _, _, _, err := DecodeRequest(full[:cut]); err == nil {
+		if _, _, _, err := DecodeRequestInto(nil, full[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
-	if _, _, args, err := DecodeRequest(append(full, 0xde, 0xad)); err == nil {
+	if _, _, args, err := DecodeRequestInto(nil, append(full, 0xde, 0xad)); err == nil {
 		t.Errorf("request with 2 trailing bytes accepted with args %q", args)
 	}
 	vals := EncodeVals([][]byte{[]byte("v"), nil})
-	if got, err := DecodeVals(append(vals, 1, 2, 3)); err == nil {
+	if got, err := DecodeValsInto(nil, append(vals, 1, 2, 3)); err == nil {
 		t.Errorf("result vector with 3 trailing bytes accepted as %q", got)
 	}
 }

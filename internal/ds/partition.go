@@ -219,8 +219,8 @@ func (m *PartitionMap) extremum(min bool) (PartitionEntry, bool) {
 //	per arg: u32 length + bytes
 
 // AppendRequest appends a data-plane operation's encoding to dst. The
-// hot path encodes into pooled buffers (wire.GetBuf) via this form;
-// EncodeRequest wraps it for callers that want a fresh buffer.
+// hot path encodes into pooled buffers (wire.GetBuf); a nil dst gets a
+// fresh buffer.
 func AppendRequest(dst []byte, op core.OpType, block core.BlockID, args [][]byte) []byte {
 	dst = append(dst, byte(op))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(block))
@@ -232,18 +232,9 @@ func AppendRequest(dst []byte, op core.OpType, block core.BlockID, args [][]byte
 	return dst
 }
 
-// EncodeRequest serializes a data-plane operation.
-func EncodeRequest(op core.OpType, block core.BlockID, args [][]byte) []byte {
-	n := 1 + 8 + 2
-	for _, a := range args {
-		n += 4 + len(a)
-	}
-	return AppendRequest(make([]byte, 0, n), op, block, args)
-}
-
 // decodeRequestPrefix parses one operation from the front of data,
-// appends its args to dst and returns the remainder; DecodeRequest,
-// DecodeBatchRequest and DecodeReplicate all run it. args is dst
+// appends its args to dst and returns the remainder; DecodeRequestInto,
+// DecodeBatchRequestInto and DecodeReplicateInto all run it. args is dst
 // extended by the op's args, which alias data; a nil dst costs one
 // vector of exactly the op's arg count.
 func decodeRequestPrefix(dst [][]byte, data []byte) (op core.OpType, block core.BlockID, args [][]byte, rest []byte, err error) {
@@ -288,11 +279,6 @@ func scanVec(dst [][]byte, data []byte) (vec [][]byte, rest []byte, err error) {
 	return vec, data[off:], nil
 }
 
-// DecodeRequest parses a data-plane operation into a fresh arg vector.
-func DecodeRequest(data []byte) (op core.OpType, block core.BlockID, args [][]byte, err error) {
-	return DecodeRequestInto(nil, data)
-}
-
 // DecodeRequestInto parses a data-plane operation, appending its args
 // to dst; they alias data, and bytes after the operation are an error.
 // The server decodes every single op into a pooled vector (dst[:0]).
@@ -323,11 +309,6 @@ func EncodeVals(vals [][]byte) []byte {
 		n += 4 + len(v)
 	}
 	return AppendVals(make([]byte, 0, n), vals)
-}
-
-// DecodeVals parses a result vector into a fresh one.
-func DecodeVals(data []byte) ([][]byte, error) {
-	return DecodeValsInto(nil, data)
 }
 
 // DecodeValsInto parses a result vector, appending the values to dst;

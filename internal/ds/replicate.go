@@ -35,11 +35,6 @@ func AppendReplicateVec(head []byte, seq, gen uint64, op core.OpType, block core
 	return vec, buf
 }
 
-// DecodeReplicate parses one hop into a fresh arg vector.
-func DecodeReplicate(data []byte) (seq, gen uint64, op core.OpType, block core.BlockID, args [][]byte, err error) {
-	return DecodeReplicateInto(nil, data)
-}
-
 // DecodeReplicateInto parses one hop, appending its args to dst; they
 // alias data, and bytes after the hop are an error. The server decodes
 // every hop into a pooled vector (dst[:0]).

@@ -39,7 +39,7 @@ func TestReplicateVecAliasesArgs(t *testing.T) {
 		t.Fatal("head segment is not backed by the returned buffer")
 	}
 	flat := flattenVec(vec)
-	seq, gen, op, block, got, err := DecodeReplicate(flat)
+	seq, gen, op, block, got, err := DecodeReplicateInto(nil, flat)
 	if err != nil || seq != 7 || gen != 3 || op != core.OpFileWrite || block != 42 || len(got) != 2 {
 		t.Fatalf("decode: seq=%d gen=%d op=%v block=%v args=%d err=%v", seq, gen, op, block, len(got), err)
 	}
@@ -71,7 +71,7 @@ func FuzzReplicateDecode(f *testing.F) {
 		if want := contiguousReplicate(seq, gen, op, block, args); !bytes.Equal(flat, want) {
 			t.Fatalf("vectored encoding (%d bytes) != contiguous (%d bytes)", len(flat), len(want))
 		}
-		gotSeq, gotGen, gotOp, gotBlock, gotArgs, err := DecodeReplicate(flat)
+		gotSeq, gotGen, gotOp, gotBlock, gotArgs, err := DecodeReplicateInto(nil, flat)
 		if err != nil {
 			t.Fatalf("decode of a valid hop: %v", err)
 		}
@@ -93,7 +93,7 @@ func FuzzReplicateDecode(f *testing.F) {
 			if n < 0 || n >= len(flat) {
 				continue
 			}
-			if _, _, _, _, _, err := DecodeReplicate(flat[:n]); err == nil {
+			if _, _, _, _, _, err := DecodeReplicateInto(nil, flat[:n]); err == nil {
 				t.Fatalf("hop truncated to %d of %d bytes decoded", n, len(flat))
 			}
 		}
@@ -102,14 +102,14 @@ func FuzzReplicateDecode(f *testing.F) {
 		for _, claim := range []uint32{uint32(len(argB)) + 1, ^uint32(0)} {
 			forged := append([]byte(nil), flat...)
 			binary.BigEndian.PutUint32(forged[31+len(argA):], claim)
-			if _, _, _, _, _, err := DecodeReplicate(forged); err == nil {
+			if _, _, _, _, _, err := DecodeReplicateInto(nil, forged); err == nil {
 				t.Fatalf("arg length %d in a %d-byte hop decoded", claim, len(forged))
 			}
 		}
 
 		// Arbitrary bytes: fail cleanly, or decode canonically with every
 		// arg inside the frame.
-		rSeq, rGen, rOp, rBlock, rArgs, err := DecodeReplicate(raw)
+		rSeq, rGen, rOp, rBlock, rArgs, err := DecodeReplicateInto(nil, raw)
 		if err != nil {
 			return
 		}

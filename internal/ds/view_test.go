@@ -134,7 +134,7 @@ func TestAppendValsVecLayout(t *testing.T) {
 		if !bytes.Equal(flat, want) {
 			t.Fatalf("vals %d: vectored %x != contiguous %x", len(vals), flat, want)
 		}
-		got, err := DecodeVals(flat)
+		got, err := DecodeValsInto(nil, flat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestAppendRequestVecLayout(t *testing.T) {
 			t.Fatalf("args %d: vectored %d bytes != contiguous %d bytes",
 				len(args), len(flat), len(want))
 		}
-		op, block, gotArgs, err := DecodeRequest(flat)
+		op, block, gotArgs, err := DecodeRequestInto(nil, flat)
 		if err != nil {
 			t.Fatal(err)
 		}

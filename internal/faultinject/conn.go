@@ -25,18 +25,13 @@ type Conn struct {
 	recvLabel string
 }
 
-// WrapConn wraps nc with fault injection; endpoint names the remote
+// WrapConnAs wraps nc with fault injection; endpoint names the remote
 // (typically the dialed address) and appears in the point labels
-// "send:<endpoint>" / "recv:<endpoint>" rules match against. The conn
-// carries no owner tag, so it never matches a PartitionOneWay with a
-// non-empty from.
-func (i *Injector) WrapConn(endpoint string, nc net.Conn) net.Conn {
-	return i.WrapConnAs("", endpoint, nc)
-}
-
-// WrapConnAs is WrapConn with an owner tag identifying the dialing
-// party (a server or client address), making the conn subject to
-// directed partitions installed with PartitionOneWay(owner, ...).
+// "send:<endpoint>" / "recv:<endpoint>" rules match against. owner tags
+// the dialing party (a server or client address), making the conn
+// subject to directed partitions installed with PartitionOneWay(owner,
+// ...); a conn with an empty owner never matches a PartitionOneWay with
+// a non-empty from.
 func (i *Injector) WrapConnAs(owner, endpoint string, nc net.Conn) net.Conn {
 	c := &Conn{
 		Conn:      nc,
@@ -134,24 +129,4 @@ func (i *Injector) DialAs(owner string) func(string) (*rpc.Client, error) {
 		}
 		return rpc.NewClient(wire.NewConn(nc)), nil
 	}
-}
-
-// WrapListener injects faults on the accept side: every inbound conn
-// is wrapped under the listener's own endpoint label.
-func (i *Injector) WrapListener(lis net.Listener) net.Listener {
-	return &listener{Listener: lis, inj: i}
-}
-
-type listener struct {
-	net.Listener
-	inj *Injector
-}
-
-// Accept implements net.Listener.
-func (l *listener) Accept() (net.Conn, error) {
-	nc, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.inj.WrapConn(l.Listener.Addr().String(), nc), nil
 }

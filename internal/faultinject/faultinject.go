@@ -131,7 +131,6 @@ type Injector struct {
 	partitions []string
 	oneWays    []oneWay
 	conns      map[*Conn]struct{}
-	disabled   bool
 }
 
 // New creates an injector; clk drives injected latency (nil = wall
@@ -211,33 +210,11 @@ func (i *Injector) HealOneWay(from, to string) {
 	i.oneWays = kept
 }
 
-// Heal removes a partition previously installed with Partition.
-func (i *Injector) Heal(match string) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	kept := i.partitions[:0]
-	for _, p := range i.partitions {
-		if p != match {
-			kept = append(kept, p)
-		}
-	}
-	i.partitions = kept
-}
-
 // HealAll removes every partition, symmetric and directed.
 func (i *Injector) HealAll() {
 	i.mu.Lock()
 	i.partitions = nil
 	i.oneWays = nil
-	i.mu.Unlock()
-}
-
-// SetEnabled pauses (false) or resumes (true) all injection — rules,
-// partitions and counters stay intact, so a pause does not perturb the
-// schedule of faults that do fire.
-func (i *Injector) SetEnabled(v bool) {
-	i.mu.Lock()
-	i.disabled = !v
 	i.mu.Unlock()
 }
 
@@ -272,9 +249,6 @@ func (i *Injector) BreakConns(match string) int {
 func (i *Injector) blocked(label, owner string) bool {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	if i.disabled {
-		return false
-	}
 	for _, p := range i.partitions {
 		if strings.Contains(label, p) {
 			return true
@@ -294,10 +268,6 @@ func (i *Injector) blocked(label, owner string) bool {
 // and bandwidth delays are scaled by each rule's brownout ramp factor.
 func (i *Injector) decide(label string, n int) Decision {
 	i.mu.Lock()
-	if i.disabled {
-		i.mu.Unlock()
-		return Decision{}
-	}
 	var d Decision
 	var now time.Time
 	haveNow := false

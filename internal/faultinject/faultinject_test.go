@@ -71,7 +71,7 @@ func TestDecideMatchesSchedule(t *testing.T) {
 func TestConnDropAndPartition(t *testing.T) {
 	inj := New(1, nil)
 	client, server := net.Pipe()
-	wrapped := inj.WrapConn("peer", client)
+	wrapped := inj.WrapConnAs("", "peer", client)
 	defer server.Close()
 
 	read := func() chan []byte {
@@ -113,7 +113,7 @@ func TestConnDropAndPartition(t *testing.T) {
 	}
 
 	// Healed: flow resumes (the pending read above is still waiting).
-	inj.Heal("send:peer")
+	inj.HealAll()
 	if _, err := wrapped.Write([]byte("back")); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestConnReset(t *testing.T) {
 	inj.AddRule(Rule{Name: "kill", Match: "send:victim", ResetProb: 1})
 	client, server := net.Pipe()
 	defer server.Close()
-	wrapped := inj.WrapConn("victim", client)
+	wrapped := inj.WrapConnAs("", "victim", client)
 	if _, err := wrapped.Write([]byte("x")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("reset write err = %v", err)
 	}
@@ -145,8 +145,8 @@ func TestBreakConns(t *testing.T) {
 	c2, s2 := net.Pipe()
 	defer s1.Close()
 	defer s2.Close()
-	w1 := inj.WrapConn("mem://srv-1", c1)
-	w2 := inj.WrapConn("mem://srv-2", c2)
+	w1 := inj.WrapConnAs("", "mem://srv-1", c1)
+	w2 := inj.WrapConnAs("", "mem://srv-2", c2)
 	if n := inj.BreakConns("srv-1"); n != 1 {
 		t.Fatalf("broke %d conns, want 1", n)
 	}
@@ -160,7 +160,7 @@ func TestBreakConns(t *testing.T) {
 }
 
 // TestStoreInjection: persist faults fire deterministically and wrap
-// ErrInjected; disabling the injector restores the inner store.
+// ErrInjected; removing the rule restores the inner store.
 func TestStoreInjection(t *testing.T) {
 	inj := New(99, nil)
 	inj.AddRule(Rule{Name: "s3down", Match: "persist:put", ErrProb: 1})
@@ -168,7 +168,7 @@ func TestStoreInjection(t *testing.T) {
 	if err := st.Put("k", []byte("v")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("put err = %v", err)
 	}
-	inj.SetEnabled(false)
+	inj.RemoveRule("s3down")
 	if err := st.Put("k", []byte("v")); err != nil {
 		t.Fatalf("put with injection disabled: %v", err)
 	}
@@ -302,7 +302,7 @@ func TestBreakConnsRuleVisibility(t *testing.T) {
 	inj := New(42, nil)
 	c1, s1 := net.Pipe()
 	defer s1.Close()
-	w1 := inj.WrapConn("mem://victim", c1)
+	w1 := inj.WrapConnAs("", "mem://victim", c1)
 
 	// Install the new fault plan FIRST, then break: per the ordering
 	// contract, no post-redial op may miss the rule.
@@ -320,7 +320,7 @@ func TestBreakConnsRuleVisibility(t *testing.T) {
 	// Simulate the pool's redial and verify the rule applies to op #1.
 	c2, s2 := net.Pipe()
 	defer s2.Close()
-	w2 := inj.WrapConn("mem://victim", c2)
+	w2 := inj.WrapConnAs("", "mem://victim", c2)
 	got := make(chan struct{}, 1)
 	go func() {
 		buf := make([]byte, 4)

@@ -55,11 +55,11 @@ type Node struct {
 	FlushKey string
 
 	// Quota is the resource envelope registered on this prefix (zero =
-	// none). Rate dimensions set on a job root are pushed to the memory
-	// servers for hot-path admission; the memory dimension bounds the
-	// physical blocks of this node's subtree and is enforced by the
-	// controller at allocation time. Descendants without a quota of
-	// their own inherit the nearest ancestor's (see EffectiveQuota).
+	// none). Only a job root's rate dimensions are pushed to the memory
+	// servers for hot-path admission; a quota below the root sets no
+	// rate. The memory dimension bounds the physical blocks of this
+	// node's subtree, enforced by the controller at allocation time, so
+	// an allocation must fit every ancestor's budget (see QuotaOwners).
 	Quota core.Quota
 }
 
@@ -201,42 +201,6 @@ func (h *Hierarchy) Create(path core.Path, extraParents []core.Path,
 	return n, nil
 }
 
-// AddEdge adds an extra parent edge to an existing node (dynamic query
-// plans discover dependencies on the fly, §3.1). Rejects edges that
-// would create a cycle.
-func (h *Hierarchy) AddEdge(parentName, childName string) error {
-	parent, ok := h.byName[parentName]
-	if !ok {
-		return fmt.Errorf("hierarchy: parent %q: %w", parentName, core.ErrNotFound)
-	}
-	child, ok := h.byName[childName]
-	if !ok {
-		return fmt.Errorf("hierarchy: child %q: %w", childName, core.ErrNotFound)
-	}
-	if parent == child || h.reachable(child, parent) {
-		return fmt.Errorf("hierarchy: edge %s→%s would create a cycle", parentName, childName)
-	}
-	if _, dup := parent.children[childName]; dup {
-		return nil // edge already present
-	}
-	parent.children[childName] = child
-	child.parents = append(child.parents, parent)
-	return nil
-}
-
-// reachable reports whether `to` is reachable from `from` downwards.
-func (h *Hierarchy) reachable(from, to *Node) bool {
-	if from == to {
-		return true
-	}
-	for _, c := range from.children {
-		if h.reachable(c, to) {
-			return true
-		}
-	}
-	return false
-}
-
 // Renew implements the §3.2 propagation rule, exactly as the paper's
 // Fig. 5 example specifies: refresh the lease timestamp of the
 // addressed node, its direct parents (the tasks whose intermediate
@@ -326,32 +290,6 @@ func (h *Hierarchy) Walk(fn func(n *Node) bool) {
 			return
 		}
 	}
-}
-
-// EffectiveQuota resolves the quota governing n: its own if set,
-// otherwise the nearest ancestor's (breadth-first up the parent edges,
-// so in a DAG the closest quota-bearing ancestor wins; ties resolve to
-// the first parent edge, which is the creation-order parent). Returns
-// the zero quota when no ancestor carries one.
-func (n *Node) EffectiveQuota() core.Quota {
-	level := []*Node{n}
-	seen := map[*Node]struct{}{n: {}}
-	for len(level) > 0 {
-		var next []*Node
-		for _, cur := range level {
-			if !cur.Quota.IsZero() {
-				return cur.Quota
-			}
-			for _, p := range cur.parents {
-				if _, dup := seen[p]; !dup {
-					seen[p] = struct{}{}
-					next = append(next, p)
-				}
-			}
-		}
-		level = next
-	}
-	return core.Quota{}
 }
 
 // QuotaOwners returns every node whose memory quota constrains n: n

@@ -219,31 +219,6 @@ func TestRemoveGuards(t *testing.T) {
 	}
 }
 
-func TestAddEdge(t *testing.T) {
-	h := buildPaperDAG(t)
-	// A valid late-discovered dependency: T9 also depends on T6.
-	if err := h.AddEdge("T6", "T9"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Resolve("job/T4/T6/T9"); err != nil {
-		t.Errorf("new edge not resolvable: %v", err)
-	}
-	// Duplicate edge is a no-op.
-	if err := h.AddEdge("T6", "T9"); err != nil {
-		t.Errorf("duplicate edge = %v", err)
-	}
-	// Cycle rejected: T7 → T5 when T5 → T7 exists.
-	if err := h.AddEdge("T7", "T5"); err == nil {
-		t.Error("cycle accepted")
-	}
-	if err := h.AddEdge("T1", "T1"); err == nil {
-		t.Error("self-loop accepted")
-	}
-	if err := h.AddEdge("nope", "T1"); !errors.Is(err, core.ErrNotFound) {
-		t.Errorf("edge from missing parent = %v", err)
-	}
-}
-
 func TestWalkVisitsEachNodeOnce(t *testing.T) {
 	h := buildPaperDAG(t)
 	count := map[string]int{}

@@ -8,83 +8,6 @@ import (
 	"jiffy/internal/ds"
 )
 
-// TestEffectiveQuotaInheritance: table-driven check that quota
-// resolution walks the DAG to the nearest quota-bearing ancestor, with
-// the paper DAG's multi-parent joins exercised explicitly.
-func TestEffectiveQuotaInheritance(t *testing.T) {
-	rootQ := core.Quota{OpsPerSec: 1000, MemoryBytes: 1 << 30}
-	t5Q := core.Quota{OpsPerSec: 50}
-	t3Q := core.Quota{BytesPerSec: 1 << 20}
-
-	cases := []struct {
-		name   string
-		quotas map[string]core.Quota // task name → quota to install
-		node   string
-		want   core.Quota
-	}{
-		{
-			name:   "no quota anywhere resolves to zero",
-			quotas: nil,
-			node:   "T8",
-			want:   core.Quota{},
-		},
-		{
-			name:   "own quota wins over ancestors",
-			quotas: map[string]core.Quota{"job": rootQ, "T5": t5Q},
-			node:   "T5",
-			want:   t5Q,
-		},
-		{
-			name:   "leaf inherits from job root through the chain",
-			quotas: map[string]core.Quota{"job": rootQ},
-			node:   "T8",
-			want:   rootQ,
-		},
-		{
-			name:   "nearest ancestor shadows the root",
-			quotas: map[string]core.Quota{"job": rootQ, "T5": t5Q},
-			node:   "T8", // T8 ← T7 ← T5 (first parent edge)
-			want:   t5Q,
-		},
-		{
-			// T7's parents are T5, T3, T6 (in creation order). With a
-			// quota only on T3, the BFS one level up finds it even though
-			// T3 is not the first parent edge.
-			name:   "multi-parent join sees any one-hop ancestor quota",
-			quotas: map[string]core.Quota{"T3": t3Q},
-			node:   "T7",
-			want:   t3Q,
-		},
-		{
-			// Quotas at equal distance on two parents: the first parent
-			// edge (creation order) breaks the tie deterministically.
-			name:   "equal-distance tie resolves to first parent edge",
-			quotas: map[string]core.Quota{"T5": t5Q, "T3": t3Q},
-			node:   "T7",
-			want:   t5Q,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			h := buildPaperDAG(t)
-			for name, q := range tc.quotas {
-				n, ok := h.Lookup(name)
-				if !ok {
-					t.Fatalf("node %q missing", name)
-				}
-				n.Quota = q
-			}
-			n, ok := h.Lookup(tc.node)
-			if !ok {
-				t.Fatalf("node %q missing", tc.node)
-			}
-			if got := n.EffectiveQuota(); got != tc.want {
-				t.Errorf("EffectiveQuota(%s) = %+v, want %+v", tc.node, got, tc.want)
-			}
-		})
-	}
-}
-
 func TestQuotaOwners(t *testing.T) {
 	h := buildPaperDAG(t)
 	set := func(name string, q core.Quota) {

@@ -1,10 +1,11 @@
 // Package lint holds small source-analysis checks enforced in CI.
 //
-// The context-first check guards the client API redesign: every
-// exported method on an exported receiver type in the scanned packages
-// must take a context.Context as its first parameter, unless it is a
-// known local/lifecycle method (allowlisted) or marked Deprecated. New
-// public surface that forgets the context fails CI rather than review.
+// The context-first check (TestRepoIsCtxFirst) guards the client API
+// redesign: every exported method on an exported receiver type in the
+// scanned packages must take a context.Context as its first parameter,
+// unless it is a known local/lifecycle method (allowlisted) or marked
+// Deprecated. New public surface that forgets the context fails CI
+// rather than review.
 //
 // The knob-table check (TestKnobTable) holds every configuration value
 // to a row in DESIGN.md's knob table, and every row to a value that
@@ -18,6 +19,14 @@
 //
 // The one-apply-path check (TestOneApplyPath) confines writes to the
 // controller's replicated maps to internal/controller/apply.go.
+//
+// The product-caller check (TestProductCallers) holds every exported
+// function and method under internal/ to a caller in non-test code of
+// the tree, benchmark/, cmd/ and examples/ included. Interface methods
+// and methods of the types jiffy.go re-exports are exempt, and so is a
+// short testHooks list of functions a test in another directory calls;
+// an entry that gains a product caller, or whose test moves into its own
+// directory, fails the check, so the list only shrinks.
 //
 // The design-map check (TestDesignMap) holds DESIGN.md to the tree: its
 // module map, the paths, tests and jiffy-bench subcommands it cites, and
@@ -35,11 +44,11 @@ import (
 	"strings"
 )
 
-// DefaultAllow lists the existing context-free public surface, keyed
+// defaultAllow lists the existing context-free public surface, keyed
 // "Type.Method" (or a bare function name). These are local or
 // lifecycle operations that perform no RPC — everything else must be
 // context-first.
-func DefaultAllow() map[string]bool {
+func defaultAllow() map[string]bool {
 	return map[string]bool{
 		// Lifecycle and purely local accessors.
 		"Client.Close":        true,
@@ -99,10 +108,10 @@ func parseDir(dir string) (*token.FileSet, []*ast.File, error) {
 	return fset, files, nil
 }
 
-// CtxFirst scans the non-test Go files of one directory and reports
+// ctxFirst scans the non-test Go files of one directory and reports
 // exported methods on exported receiver types — plus package-level
 // Dial* constructors — whose first parameter is not a context.Context.
-func CtxFirst(dir string, allow map[string]bool) ([]Violation, error) {
+func ctxFirst(dir string, allow map[string]bool) ([]Violation, error) {
 	fset, files, err := parseDir(dir)
 	if err != nil {
 		return nil, err
@@ -157,6 +166,8 @@ func receiverType(expr ast.Expr) string {
 	case *ast.Ident:
 		return t.Name
 	case *ast.IndexExpr: // generic receiver
+		return receiverType(t.X)
+	case *ast.IndexListExpr: // generic receiver, several type parameters
 		return receiverType(t.X)
 	}
 	return ""

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -18,7 +19,7 @@ import (
 // and the repo root: the public surface must stay context-first.
 func TestRepoIsCtxFirst(t *testing.T) {
 	for _, dir := range []string{"../client", "../.."} {
-		violations, err := CtxFirst(dir, DefaultAllow())
+		violations, err := ctxFirst(dir, defaultAllow())
 		if err != nil {
 			t.Fatalf("%s: %v", dir, err)
 		}
@@ -59,7 +60,7 @@ func Helper(x int) int { return x }
 	if err := os.WriteFile(filepath.Join(dir, "fake.go"), []byte(src), 0644); err != nil {
 		t.Fatal(err)
 	}
-	violations, err := CtxFirst(dir, map[string]bool{"Client.Close": true})
+	violations, err := ctxFirst(dir, map[string]bool{"Client.Close": true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,4 +527,310 @@ func sortedKeys(m map[string]bool) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// stdInterfaceMethods are method names that standard-library interfaces
+// declare: a method of one of these names may exist only to satisfy
+// error, fmt.Stringer, sort.Interface, heap.Interface, io's readers and
+// writers, net.Conn, net.Addr, net.Listener or http.Handler.
+var stdInterfaceMethods = map[string]bool{
+	"Error": true, "Unwrap": true, "String": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"Read": true, "Write": true, "Close": true,
+	"LocalAddr": true, "RemoteAddr": true, "SetDeadline": true,
+	"SetReadDeadline": true, "SetWriteDeadline": true,
+	"Network": true, "Accept": true, "Addr": true, "ServeHTTP": true,
+}
+
+// testHooks are the exported functions only tests call, each allowed
+// because a test outside its own directory calls it, so it cannot move
+// to an export_test.go. Keyed "pkg.Func" or "pkg.Type.Method"; the value
+// is that test file, relative to the repo root.
+var testHooks = map[string]string{
+	"blockstore.Block.ChainGen":            "recovery_chaos_test.go",
+	"client.WithBreaker":                   "gray_failure_chaos_test.go",
+	"clock.Virtual.PendingTimers":          "internal/faultinject/faultinject_test.go",
+	"faultinject.Injector.DialAs":          "witness_test.go",
+	"faultinject.Injector.PartitionOneWay": "witness_test.go",
+	"faultinject.Injector.HealOneWay":      "witness_test.go",
+	"faultinject.Injector.HealAll":         "chaos_test.go",
+	"faultinject.Injector.Schedule":        "chaos_test.go",
+	"proto.Methods":                        "internal/controller/methodtable_test.go",
+}
+
+// ref is one use of a name in a file: dir is the directory of the
+// package it qualifies (the file's own for a bare identifier), or ""
+// when the name is selected from a value, as a method or field is.
+type ref struct{ dir, name string }
+
+// exported is one exported function or method declared under internal/.
+type exported struct {
+	pos                  token.Position
+	dir, recv, name, key string
+}
+
+// callerScan is what productCallers reads from a tree.
+type callerScan struct {
+	decls      []exported
+	product    map[ref]bool            // uses in non-test files
+	tests      map[string]map[ref]bool // uses per test file, by path
+	ifaceNames map[string]bool         // methods declared by interfaces
+	aliased    map[ref]bool            // types the root package re-exports
+}
+
+// scanCallers parses every .go file under root that belongs to a
+// package (dot directories and testdata are skipped).
+func scanCallers(root string) (callerScan, error) {
+	s := callerScan{
+		product: map[ref]bool{}, tests: map[string]map[ref]bool{},
+		ifaceNames: map[string]bool{}, aliased: map[ref]bool{},
+	}
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return s, err
+	}
+	line, _, _ := strings.Cut(string(mod), "\n")
+	module := strings.TrimSpace(strings.TrimPrefix(line, "module"))
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		rel = filepath.ToSlash(rel)
+		dir := path.Dir(rel)
+		imports := make(map[string]string) // local name -> directory
+		for _, imp := range f.Imports {
+			ipath, _ := strconv.Unquote(imp.Path.Value)
+			name := path.Base(ipath)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = strings.TrimPrefix(ipath, module+"/")
+		}
+		isTest := strings.HasSuffix(p, "_test.go")
+		uses := s.product
+		if isTest {
+			uses = map[ref]bool{}
+			s.tests[rel] = uses
+		}
+		visit := func(c ast.Node) bool { return visitUse(c, dir, imports, uses) }
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if !isTest && strings.HasPrefix(dir, "internal/") && n.Name.IsExported() {
+					e := exported{pos: fset.Position(n.Pos()), dir: dir, name: n.Name.Name}
+					e.key = f.Name.Name + "." + e.name
+					if n.Recv != nil {
+						e.recv = receiverType(n.Recv.List[0].Type)
+						e.key = f.Name.Name + "." + e.recv + "." + e.name
+					}
+					s.decls = append(s.decls, e)
+				}
+				// The declared name is not a use of it.
+				if n.Recv != nil {
+					ast.Inspect(n.Recv, visit)
+				}
+				ast.Inspect(n.Type, visit)
+				if n.Body != nil {
+					ast.Inspect(n.Body, visit)
+				}
+				return false
+			case *ast.InterfaceType:
+				if !isTest {
+					for _, m := range n.Methods.List {
+						for _, name := range m.Names {
+							s.ifaceNames[name.Name] = true
+						}
+					}
+				}
+			case *ast.TypeSpec:
+				if rel == "jiffy.go" && n.Assign.IsValid() {
+					if sel, ok := n.Type.(*ast.SelectorExpr); ok {
+						if x, ok := sel.X.(*ast.Ident); ok {
+							s.aliased[ref{imports[x.Name], sel.Sel.Name}] = true
+						}
+					}
+				}
+			}
+			return visit(n)
+		})
+		return nil
+	})
+	return s, err
+}
+
+// visitUse records the name n uses, if it is a selector or identifier.
+func visitUse(n ast.Node, dir string, imports map[string]string, uses map[ref]bool) bool {
+	switch n := n.(type) {
+	case *ast.SelectorExpr:
+		if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+			uses[ref{imports[x.Name], n.Sel.Name}] = true
+			return false
+		}
+		uses[ref{"", n.Sel.Name}] = true
+	case *ast.Ident:
+		uses[ref{dir, n.Name}] = true
+	}
+	return true
+}
+
+// use is how a declaration is named where it is used: a function by its
+// package, a method by its name alone, since which type a selector's
+// operand has is not known without type-checking.
+func (e exported) use() ref {
+	if e.recv != "" {
+		return ref{"", e.name}
+	}
+	return ref{e.dir, e.name}
+}
+
+// productCallers reports every exported function or method under
+// internal/ that no non-test file of the tree uses, apart from interface
+// methods, methods of the types the root package re-exports, and hooks;
+// and every hook entry that has a product caller, no declaration, or no
+// caller in the named test outside its own directory.
+func productCallers(root string, hooks map[string]string) ([]string, error) {
+	s, err := scanCallers(root)
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	declared := make(map[string]exported)
+	for _, e := range s.decls {
+		declared[e.key] = e
+		switch {
+		case s.product[e.use()]:
+		case e.recv != "" && (s.ifaceNames[e.name] || stdInterfaceMethods[e.name] || s.aliased[ref{e.dir, e.recv}]):
+		case hooks[e.key] != "":
+		default:
+			problems = append(problems, fmt.Sprintf("%s: %s has no caller outside tests: delete it, unexport it, or move it to an export_test.go", e.pos, e.key))
+		}
+	}
+	for key, test := range hooks {
+		e, ok := declared[key]
+		switch {
+		case !ok:
+			problems = append(problems, fmt.Sprintf("testHooks: %s is declared nowhere under internal/: delete the entry", key))
+		case s.product[e.use()]:
+			problems = append(problems, fmt.Sprintf("testHooks: %s has a product caller: delete the entry", key))
+		case path.Dir(test) == e.dir || !s.tests[test][e.use()]:
+			problems = append(problems, fmt.Sprintf("testHooks: %s is not called by %s outside %s: move it to an export_test.go", key, test, e.dir))
+		}
+	}
+	sort.Strings(problems)
+	return problems, nil
+}
+
+// TestProductCallers holds every exported function and method under
+// internal/ to a caller in non-test code: benchmark/, cmd/ and examples/
+// count. A function only tests call is surface nobody ships; delete it,
+// unexport it, or move it to an export_test.go. The exemptions are
+// interface methods, methods of the types jiffy.go re-exports, and the
+// testHooks list, whose entries must each be called by a test outside
+// their own directory and by no product code, so the list only shrinks.
+func TestProductCallers(t *testing.T) {
+	problems, err := productCallers("../..", testHooks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// TestProductCallersCatchesViolations runs the check over a synthetic
+// tree: an uncalled function and one only its own tests call are
+// flagged; an interface method, a standard-library interface method and
+// a method of a re-exported type pass; a hook called from another
+// directory's test passes, while a hook with a product caller, one
+// whose only test is in its own directory and one that names nothing
+// are flagged.
+func TestProductCallersCatchesViolations(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":   "module fake\n",
+		"jiffy.go": "package fake\n\nimport \"fake/internal/a\"\n\ntype Thing = a.Thing\n",
+		"cmd/x.go": "package main\n\nimport \"fake/internal/a\"\n\nfunc main() { a.Called(); a.Hooked() }\n",
+		"cmd/x_test.go": `package main
+
+import (
+	"testing"
+
+	"fake/internal/a"
+)
+
+func TestX(t *testing.T) { a.Hook(); a.Hooked() }
+`,
+		"internal/a/a.go": `package a
+
+type Runner interface{ Run() }
+
+type Thing struct{}
+
+func (Thing) Alias() {}
+
+type impl struct{}
+
+func (impl) Run()          {}
+func (impl) Error() string { return "" }
+
+func Called()    {}
+func Uncalled()  {}
+func TestOnly()  {}
+func Hooked()    {}
+func Hook()      {}
+func LocalHook() {}
+`,
+		"internal/a/a_test.go": "package a\n\nimport \"testing\"\n\nfunc TestA(t *testing.T) { TestOnly(); LocalHook() }\n",
+	}
+	for name, src := range files {
+		p := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	problems, err := productCallers(root, map[string]string{
+		"a.Hook":      "cmd/x_test.go",
+		"a.Hooked":    "cmd/x_test.go",
+		"a.LocalHook": "internal/a/a_test.go",
+		"a.Gone":      "cmd/x_test.go",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"a.Uncalled has no caller", "a.TestOnly has no caller",
+		"testHooks: a.Hooked has a product caller",
+		"testHooks: a.LocalHook is not called by internal/a/a_test.go outside",
+		"testHooks: a.Gone is declared nowhere",
+	}
+	for _, w := range want {
+		found := false
+		for _, p := range problems {
+			found = found || strings.Contains(p, w)
+		}
+		if !found {
+			t.Errorf("no problem reads %q", w)
+		}
+	}
+	if len(problems) != len(want) {
+		t.Errorf("%d problems, want %d: %q", len(problems), len(want), problems)
+	}
 }

@@ -145,16 +145,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// Gauge creates, registers and returns a named gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.RegisterCollector(func(w io.Writer) {
-		WriteHeader(w, name, help, "gauge")
-		WriteSample(w, name, "", g.Value())
-	})
-	return g
-}
-
 // GaugeFunc registers a gauge whose value is computed at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
 	r.RegisterCollector(func(w io.Writer) {

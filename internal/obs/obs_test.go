@@ -86,7 +86,8 @@ func TestHistogramBoundsInvariant(t *testing.T) {
 func TestRegistryPrometheusRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("jiffy_test_total", "A test counter.")
-	g := r.Gauge("jiffy_test_gauge", "A test gauge.")
+	var g Gauge
+	r.GaugeFunc("jiffy_test_gauge", "A test gauge.", g.Value)
 	r.GaugeFunc("jiffy_test_func", "A computed gauge.", func() int64 { return 7 })
 	h := r.Histogram("jiffy_test_hist", "A test histogram.")
 	c.Add(41)

@@ -152,9 +152,6 @@ type Span struct {
 	start  time.Time
 }
 
-// Context returns the span's propagation context.
-func (s Span) Context() SpanContext { return s.sc }
-
 // Begin starts a span named name. If ctx already carries a span the
 // new one becomes its child within the same trace; otherwise a new
 // root trace starts. The returned context carries the new span for

@@ -102,7 +102,7 @@ const (
 	MethodReplicate uint16 = 0x010d
 	// MethodDataOpBatch executes many data-plane ops from one request
 	// frame, replying with per-op results in one response frame (binary
-	// codec in internal/ds, see EncodeBatchRequest).
+	// codec in internal/ds, see AppendBatchRequest).
 	MethodDataOpBatch uint16 = 0x0110
 )
 

@@ -102,7 +102,7 @@ func TestPoolSessionLifecycle(t *testing.T) {
 			if same := c1 == c2; same != tc.wantSame {
 				t.Errorf("same session = %v, want %v", same, tc.wantSame)
 			}
-			if resp, err := c2.Call(methodEcho, []byte("alive")); err != nil || string(resp) != "alive" {
+			if resp, err := c2.CallContext(context.Background(), methodEcho, []byte("alive")); err != nil || string(resp) != "alive" {
 				t.Errorf("call on returned session = %q, %v", resp, err)
 			}
 		})
@@ -143,7 +143,7 @@ func TestPoolPipelinedCallsShareOneSession(t *testing.T) {
 					return
 				}
 				want := fmt.Sprintf("caller-%d-call-%d", g, i)
-				resp, err := c.Call(methodEcho, []byte(want))
+				resp, err := c.CallContext(context.Background(), methodEcho, []byte(want))
 				if err != nil {
 					errs <- err
 					return

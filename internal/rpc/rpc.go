@@ -130,7 +130,7 @@ type Client struct {
 	// pending requests were failed by failAll. Guarded by mu.
 	sessionErr error
 
-	// timeout bounds every Call without an explicit context deadline;
+	// timeout bounds every call without an explicit context deadline;
 	// zero disables the bound. Guarded by mu.
 	timeout time.Duration
 
@@ -346,15 +346,10 @@ func (c *Client) closureErr() error {
 	return core.ErrClosed
 }
 
-// Call performs a synchronous RPC: sends payload for method and waits
-// for the matching response. The returned payload is the server's
-// response body; a non-OK wire code becomes the corresponding sentinel
-// error from internal/core.
-func (c *Client) Call(method uint16, payload []byte) ([]byte, error) {
-	return c.CallContext(context.Background(), method, payload)
-}
-
-// CallContext is Call with cancellation. A canceled context abandons
+// CallContext performs a synchronous RPC: it sends payload for method
+// and waits for the matching response. The returned payload is the
+// server's response body; a non-OK wire code becomes the corresponding
+// sentinel error from internal/core. A canceled context abandons
 // the response (the pending entry is removed; a late response frame is
 // dropped by the read pump) and the call fails with the context's
 // error: context.Canceled, or ErrTimeout wrapping

@@ -68,7 +68,7 @@ func TestCallEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp, err := c.Call(methodEcho, []byte("ping"))
+	resp, err := c.CallContext(context.Background(), methodEcho, []byte("ping"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCallSentinelError(t *testing.T) {
 	addr, _ := newTestServer(t)
 	c, _ := Dial(addr)
 	defer c.Close()
-	_, err := c.Call(methodNotFound, []byte("k"))
+	_, err := c.CallContext(context.Background(), methodNotFound, []byte("k"))
 	if !errors.Is(err, core.ErrNotFound) {
 		t.Errorf("err = %v, want ErrNotFound", err)
 	}
@@ -112,7 +112,7 @@ func TestCallOtherErrorMessage(t *testing.T) {
 	addr, _ := newTestServer(t)
 	c, _ := Dial(addr)
 	defer c.Close()
-	_, err := c.Call(methodFail, nil)
+	_, err := c.CallContext(context.Background(), methodFail, nil)
 	if err == nil || err.Error() != "custom failure" {
 		t.Errorf("err = %v", err)
 	}
@@ -122,7 +122,7 @@ func TestCallUnknownMethod(t *testing.T) {
 	addr, _ := newTestServer(t)
 	c, _ := Dial(addr)
 	defer c.Close()
-	if _, err := c.Call(999, nil); err == nil {
+	if _, err := c.CallContext(context.Background(), 999, nil); err == nil {
 		t.Error("unknown method should fail")
 	}
 }
@@ -138,7 +138,7 @@ func TestConcurrentCalls(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			want := fmt.Sprintf("msg-%d", i)
-			resp, err := c.Call(methodEcho, []byte(want))
+			resp, err := c.CallContext(context.Background(), methodEcho, []byte(want))
 			if err != nil {
 				errs <- err
 				return
@@ -161,12 +161,12 @@ func TestSlowCallDoesNotBlockFastCall(t *testing.T) {
 	defer c.Close()
 	slowDone := make(chan struct{})
 	go func() {
-		c.Call(methodSlow, nil)
+		c.CallContext(context.Background(), methodSlow, nil)
 		close(slowDone)
 	}()
 	time.Sleep(5 * time.Millisecond) // let the slow call start
 	start := time.Now()
-	if _, err := c.Call(methodEcho, []byte("fast")); err != nil {
+	if _, err := c.CallContext(context.Background(), methodEcho, []byte("fast")); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d > 40*time.Millisecond {
@@ -200,7 +200,7 @@ func TestPush(t *testing.T) {
 			got <- string(payload)
 		}
 	})
-	if _, err := c.Call(methodSubscribe, nil); err != nil {
+	if _, err := c.CallContext(context.Background(), methodSubscribe, nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -217,11 +217,11 @@ func TestHandlerPanicIsolated(t *testing.T) {
 	addr, _ := newTestServer(t)
 	c, _ := Dial(addr)
 	defer c.Close()
-	if _, err := c.Call(methodPanic, nil); err == nil {
+	if _, err := c.CallContext(context.Background(), methodPanic, nil); err == nil {
 		t.Error("panicking handler should return an error")
 	}
 	// The connection is still usable after a handler panic.
-	resp, err := c.Call(methodEcho, []byte("still alive"))
+	resp, err := c.CallContext(context.Background(), methodEcho, []byte("still alive"))
 	if err != nil || string(resp) != "still alive" {
 		t.Errorf("post-panic call = %q, %v", resp, err)
 	}
@@ -232,7 +232,7 @@ func TestClientCloseFailsPending(t *testing.T) {
 	c, _ := Dial(addr)
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Call(methodSlow, nil)
+		_, err := c.CallContext(context.Background(), methodSlow, nil)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -240,7 +240,7 @@ func TestClientCloseFailsPending(t *testing.T) {
 	if err := <-done; err == nil {
 		t.Error("pending call should fail on close")
 	}
-	if _, err := c.Call(methodEcho, nil); !errors.Is(err, core.ErrClosed) {
+	if _, err := c.CallContext(context.Background(), methodEcho, nil); !errors.Is(err, core.ErrClosed) {
 		t.Errorf("call after close = %v, want ErrClosed", err)
 	}
 }
@@ -249,11 +249,11 @@ func TestServerCloseDisconnectsClients(t *testing.T) {
 	addr, srv := newTestServer(t)
 	c, _ := Dial(addr)
 	defer c.Close()
-	if _, err := c.Call(methodEcho, []byte("x")); err != nil {
+	if _, err := c.CallContext(context.Background(), methodEcho, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if _, err := c.Call(methodEcho, []byte("x")); err == nil {
+	if _, err := c.CallContext(context.Background(), methodEcho, []byte("x")); err == nil {
 		t.Error("call after server close should fail")
 	}
 }
@@ -275,7 +275,7 @@ func TestWriteFailureIsSessionError(t *testing.T) {
 	c := NewClient(wire.NewConn(writeClosedConn{nc}))
 	defer c.Close()
 	for _, payload := range [][]byte{[]byte("small"), make([]byte, 64*core.KB)} {
-		_, err := c.Call(methodEcho, payload)
+		_, err := c.CallContext(context.Background(), methodEcho, payload)
 		var serr *SessionError
 		if !errors.Is(err, core.ErrClosed) || !errors.As(err, &serr) || !errors.Is(serr.Cause, io.ErrClosedPipe) {
 			t.Errorf("%d-byte call on a write-closed session = %v, want a SessionError caused by the closed pipe", len(payload), err)
@@ -288,7 +288,7 @@ func TestOnDisconnectFires(t *testing.T) {
 	var fired atomic.Int32
 	srv.OnDisconnect = func(*ServerConn) { fired.Add(1) }
 	c, _ := Dial(addr)
-	if _, err := c.Call(methodEcho, nil); err != nil {
+	if _, err := c.CallContext(context.Background(), methodEcho, nil); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -355,7 +355,7 @@ func TestPoolDropForcesRedial(t *testing.T) {
 	c1, _ := pool.Get(addr)
 	pool.Drop(addr)
 	// The dropped client is closed.
-	if _, err := c1.Call(methodEcho, nil); err == nil {
+	if _, err := c1.CallContext(context.Background(), methodEcho, nil); err == nil {
 		t.Error("dropped connection still usable")
 	}
 	c2, err := pool.Get(addr)
@@ -365,7 +365,7 @@ func TestPoolDropForcesRedial(t *testing.T) {
 	if dials != 2 {
 		t.Errorf("dials = %d, want 2", dials)
 	}
-	if _, err := c2.Call(methodEcho, []byte("x")); err != nil {
+	if _, err := c2.CallContext(context.Background(), methodEcho, []byte("x")); err != nil {
 		t.Errorf("redialed conn broken: %v", err)
 	}
 }
@@ -411,14 +411,14 @@ func TestOversizedResponseAnswersTooLarge(t *testing.T) {
 	c.SetTimeout(3 * time.Second)
 
 	start := time.Now()
-	_, err = c.Call(methodHuge, nil)
+	_, err = c.CallContext(context.Background(), methodHuge, nil)
 	if took := time.Since(start); !errors.Is(err, core.ErrTooLarge) || took > time.Second {
 		t.Errorf("oversized response = %v after %v, want ErrTooLarge in under 1s", err, took)
 	}
 	if n := released.Load(); n != 1 {
 		t.Errorf("response released %d times, want once", n)
 	}
-	if resp, err := c.Call(methodEcho, []byte("ping")); err != nil || string(resp) != "ping" {
+	if resp, err := c.CallContext(context.Background(), methodEcho, []byte("ping")); err != nil || string(resp) != "ping" {
 		t.Errorf("next call on the session = %q, %v", resp, err)
 	}
 }

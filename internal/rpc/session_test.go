@@ -172,7 +172,7 @@ func TestInlineDispatch(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if out, err := c.Call(methodEcho, payload); err != nil || string(out) != want {
+			if out, err := c.CallContext(context.Background(), methodEcho, payload); err != nil || string(out) != want {
 				errs <- fmt.Errorf("call %q = %q, %v; want %q", payload, out, err, want)
 			}
 		}()
@@ -182,13 +182,13 @@ func TestInlineDispatch(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if _, err := c.Call(methodEcho, req("x-panic")); !errors.Is(err, core.ErrClosed) {
+	if _, err := c.CallContext(context.Background(), methodEcho, req("x-panic")); !errors.Is(err, core.ErrClosed) {
 		t.Fatalf("panicking inline call = %v, want ErrClosed", err)
 	}
-	if out, err := c.Call(methodEcho, req("a-after")); err != nil || string(out) != "inline:a-after" {
+	if out, err := c.CallContext(context.Background(), methodEcho, req("a-after")); err != nil || string(out) != "inline:a-after" {
 		t.Fatalf("call after the panic = %q, %v", out, err)
 	}
-	if out, err := c.Call(methodEcho, req("p-after")); err != nil || string(out) != "async:p-after" {
+	if out, err := c.CallContext(context.Background(), methodEcho, req("p-after")); err != nil || string(out) != "async:p-after" {
 		t.Fatalf("punt after the panic = %q, %v", out, err)
 	}
 

@@ -75,7 +75,7 @@ func TestWatchdogHedgeCancellationChurn(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := c.Call(churnStall, nil)
+			_, err := c.CallContext(context.Background(), churnStall, nil)
 			if errors.Is(err, core.ErrTimeout) {
 				watchdogTimeouts.Add(1)
 			} else {
@@ -136,7 +136,7 @@ func TestWatchdogHedgeCancellationChurn(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			want := fmt.Sprintf("after-%d", i)
-			out, err := c.Call(churnEcho, []byte(want))
+			out, err := c.CallContext(context.Background(), churnEcho, []byte(want))
 			if err != nil {
 				errs <- err
 			} else if string(out) != want {

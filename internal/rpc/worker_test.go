@@ -79,7 +79,7 @@ func TestParkedWorkerAllocs(t *testing.T) {
 	defer c.Close()
 	payload := []byte("ping")
 	call := func() {
-		if _, err := c.Call(methodEcho, payload); err != nil {
+		if _, err := c.CallContext(context.Background(), methodEcho, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,16 +99,16 @@ func TestParkedWorkerNoHeadOfLineBlocking(t *testing.T) {
 	srv, c := startWorkerServer(t, release)
 	defer srv.Close()
 	defer c.Close()
-	if _, err := c.Call(methodEcho, []byte("warm")); err != nil {
+	if _, err := c.CallContext(context.Background(), methodEcho, []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
 	awaitParked(t, srv)
 	blocked := make(chan error, 1)
 	go func() {
-		_, err := c.Call(methodBlock, nil)
+		_, err := c.CallContext(context.Background(), methodBlock, nil)
 		blocked <- err
 	}()
-	resp, err := c.Call(methodEcho, []byte("second"))
+	resp, err := c.CallContext(context.Background(), methodEcho, []byte("second"))
 	if err != nil || string(resp) != "second" {
 		t.Fatalf("second call = %q, %v", resp, err)
 	}
@@ -130,15 +130,15 @@ func TestParkedWorkerPanicIsolated(t *testing.T) {
 	srv, c := startWorkerServer(t, nil)
 	defer srv.Close()
 	defer c.Close()
-	if _, err := c.Call(methodEcho, []byte("warm")); err != nil {
+	if _, err := c.CallContext(context.Background(), methodEcho, []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
 	awaitParked(t, srv)
-	if _, err := c.Call(methodPanic, nil); err == nil {
+	if _, err := c.CallContext(context.Background(), methodPanic, nil); err == nil {
 		t.Fatal("a panicking handler answered without an error")
 	}
 	awaitParked(t, srv)
-	resp, err := c.Call(methodEcho, []byte("still alive"))
+	resp, err := c.CallContext(context.Background(), methodEcho, []byte("still alive"))
 	if err != nil || string(resp) != "still alive" {
 		t.Fatalf("call after the panic = %q, %v", resp, err)
 	}
@@ -154,7 +154,7 @@ func TestParkedWorkerExitsOnClose(t *testing.T) {
 	errs := make(chan error, 8)
 	for i := 0; i < cap(errs); i++ {
 		go func() {
-			_, err := c.Call(methodBlock, nil)
+			_, err := c.CallContext(context.Background(), methodBlock, nil)
 			errs <- err
 		}()
 	}
@@ -211,7 +211,7 @@ func TestHeldRequestKeepsItsPayload(t *testing.T) {
 
 	heldDone := make(chan error, 1)
 	go func() {
-		out, err := c.Call(methodBlock, held)
+		out, err := c.CallContext(context.Background(), methodBlock, held)
 		if err == nil && string(out) != "intact" {
 			err = fmt.Errorf("held call answered %q", out)
 		}
@@ -220,7 +220,7 @@ func TestHeldRequestKeepsItsPayload(t *testing.T) {
 	<-entered
 	for i := 0; i < 256; i++ {
 		p := bytes.Repeat([]byte{byte(i)}, 1+i*37%4000)
-		out, err := c.Call(methodEcho, p)
+		out, err := c.CallContext(context.Background(), methodEcho, p)
 		if err != nil || !bytes.Equal(out, p) {
 			t.Fatalf("echo %d: %d bytes back, want %d; %v", i, len(out), len(p), err)
 		}

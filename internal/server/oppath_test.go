@@ -233,7 +233,7 @@ func (f *opFixture) run(t *testing.T, k opKind, entry string) opOutcome {
 	ctx := context.Background()
 	before := f.counters(t)
 	var got opOutcome
-	payload := ds.EncodeRequest(k.op, f.block, k.args)
+	payload := ds.AppendRequest(nil, k.op, f.block, k.args)
 	var resp rpc.Response
 	var err error
 	switch entry {
@@ -250,7 +250,7 @@ func (f *opFixture) run(t *testing.T, k opKind, entry string) opOutcome {
 	case "goroutine":
 		resp, err = f.s.handle(ctx, nil, proto.MethodDataOp, payload)
 	case "batch":
-		batch := ds.EncodeBatchRequest([]ds.BatchOp{{Op: k.op, Block: f.block, Args: k.args}})
+		batch := ds.AppendBatchRequest(nil, []ds.BatchOp{{Op: k.op, Block: f.block, Args: k.args}})
 		resp, err = f.s.handle(ctx, nil, proto.MethodDataOpBatch, batch)
 	case "hop":
 		vec, _ := ds.AppendReplicateVec(nil, 0, 0, k.op, f.block, k.args)
@@ -278,7 +278,7 @@ func (f *opFixture) run(t *testing.T, k opKind, entry string) opOutcome {
 		if entry == "hop" {
 			break // the acknowledgement is the empty response
 		}
-		vals, derr := ds.DecodeVals(body)
+		vals, derr := ds.DecodeValsInto(nil, body)
 		if derr != nil {
 			t.Fatalf("result: %v", derr)
 		}
@@ -355,7 +355,7 @@ func runCells(t *testing.T) {
 			ops[i] = ds.BatchOp{Op: core.OpFileAppend, Block: 1, Args: [][]byte{r}}
 		}
 		before := s.Ops()
-		resp, err := s.handle(context.Background(), nil, proto.MethodDataOpBatch, ds.EncodeBatchRequest(ops))
+		resp, err := s.handle(context.Background(), nil, proto.MethodDataOpBatch, ds.AppendBatchRequest(nil, ops))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,7 +373,7 @@ func runCells(t *testing.T) {
 	offsets := func(t *testing.T, results []ds.BatchResult) int {
 		n := 0
 		for ; n < len(results) && results[n].Code == core.CodeOK; n++ {
-			vals, err := ds.DecodeVals(results[n].Blob)
+			vals, err := ds.DecodeValsInto(nil, results[n].Blob)
 			if err != nil || len(vals) != 1 {
 				t.Fatalf("record %d: %q, %v", n, vals, err)
 			}
@@ -455,7 +455,7 @@ func runCells(t *testing.T) {
 func TestBatchReleasesViewLease(t *testing.T) {
 	k := opKinds[2] // file.read
 	f := newOpFixture(t, k, "resident", "off")
-	batch := ds.EncodeBatchRequest([]ds.BatchOp{
+	batch := ds.AppendBatchRequest(nil, []ds.BatchOp{
 		{Op: core.OpFileRead, Block: 1, Args: k.args},
 		{Op: core.OpFileWrite, Block: 1, Args: [][]byte{ds.U64(0), []byte("v1")}},
 		{Op: core.OpFileRead, Block: 1, Args: k.args},
@@ -482,7 +482,7 @@ func TestBatchReleasesViewLease(t *testing.T) {
 		err := results[i].Err()
 		var vals [][]byte
 		if err == nil {
-			vals, err = ds.DecodeVals(results[i].Blob)
+			vals, err = ds.DecodeValsInto(nil, results[i].Blob)
 		}
 		if err != nil || (want != "" && (len(vals) != 1 || string(vals[0]) != want)) {
 			t.Errorf("op %d = %q, %v; want %q", i, vals, err, want)
@@ -511,8 +511,8 @@ func TestRunOpKVAllocs(t *testing.T) {
 		req  []byte
 		want []byte
 	}{
-		{"put", ds.EncodeRequest(core.OpPut, 1, [][]byte{[]byte("key"), val}), ds.EncodeVals(nil)},
-		{"get", ds.EncodeRequest(core.OpGet, 1, [][]byte{[]byte("key")}), ds.EncodeVals([][]byte{val})},
+		{"put", ds.AppendRequest(nil, core.OpPut, 1, [][]byte{[]byte("key"), val}), ds.EncodeVals(nil)},
+		{"get", ds.AppendRequest(nil, core.OpGet, 1, [][]byte{[]byte("key")}), ds.EncodeVals([][]byte{val})},
 	} {
 		run := func() {
 			resp, err := s.runOp(ctx, c.req, true)
@@ -548,8 +548,8 @@ func TestRunOpFileAllocs(t *testing.T) {
 		name string
 		req  []byte
 	}{
-		{"write", ds.EncodeRequest(core.OpFileWrite, 1, [][]byte{ds.U64(0), rec})},
-		{"append", ds.EncodeRequest(core.OpFileAppend, 1, [][]byte{rec})},
+		{"write", ds.AppendRequest(nil, core.OpFileWrite, 1, [][]byte{ds.U64(0), rec})},
+		{"append", ds.AppendRequest(nil, core.OpFileAppend, 1, [][]byte{rec})},
 	} {
 		run := func() {
 			resp, err := s.runOp(ctx, c.req, true)

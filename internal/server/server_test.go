@@ -62,11 +62,11 @@ func createBlock(t *testing.T, c *rpc.Client, id core.BlockID, typ core.DSType,
 }
 
 func dataOp(c *rpc.Client, id core.BlockID, op core.OpType, args ...[]byte) ([][]byte, error) {
-	payload, err := c.Call(proto.MethodDataOp, ds.EncodeRequest(op, id, args))
+	payload, err := c.CallContext(context.Background(), proto.MethodDataOp, ds.AppendRequest(nil, op, id, args))
 	if err != nil {
 		return nil, err
 	}
-	return ds.DecodeVals(payload)
+	return ds.DecodeValsInto(nil, payload)
 }
 
 func TestDataOpLifecycle(t *testing.T) {
@@ -99,7 +99,7 @@ func TestQueueRedirectOverRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The sealed segment redirects enqueues, carrying the successor.
-	payload, err := c.Call(proto.MethodDataOp, ds.EncodeRequest(core.OpEnqueue, 1, [][]byte{[]byte("x")}))
+	payload, err := c.CallContext(context.Background(), proto.MethodDataOp, ds.AppendRequest(nil, core.OpEnqueue, 1, [][]byte{[]byte("x")}))
 	if !errors.Is(err, core.ErrRedirect) {
 		t.Fatalf("err = %v", err)
 	}
@@ -194,7 +194,7 @@ func TestClientControlOpRefused(t *testing.T) {
 		if !errors.Is(err, core.ErrWrongType) {
 			t.Errorf("%v as a data op = %v, want ErrWrongType", k.op, err)
 		}
-		payload, err := c.Call(proto.MethodDataOpBatch, ds.EncodeBatchRequest([]ds.BatchOp{{Op: k.op, Block: k.block, Args: k.args}}))
+		payload, err := c.CallContext(context.Background(), proto.MethodDataOpBatch, ds.AppendBatchRequest(nil, []ds.BatchOp{{Op: k.op, Block: k.block, Args: k.args}}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,13 +365,13 @@ func TestParentLoadBlockRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	dataOp(c, 1, core.OpPut, []byte("k"), []byte("current"))
-	if _, err := c.Call(proto.LoadBlock.ID, parentLoad); err == nil || !strings.Contains(err.Error(), "truncated") {
+	if _, err := c.CallContext(context.Background(), proto.LoadBlock.ID, parentLoad); err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Errorf("parent LoadBlockReq = %v, want refused as truncated", err)
 	}
 	if res, err := dataOp(c, 1, core.OpGet, []byte("k")); err != nil || string(res[0]) != "current" {
 		t.Errorf("after the refused load the block reads %q, %v; want current", res, err)
 	}
-	if snap, err := c.Call(proto.SnapshotBlock.ID, parentSnap); err == nil || !strings.Contains(err.Error(), "truncated") {
+	if snap, err := c.CallContext(context.Background(), proto.SnapshotBlock.ID, parentSnap); err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Errorf("parent SnapshotBlockReq = %d bytes, %v; want refused as truncated", len(snap), err)
 	}
 
@@ -391,7 +391,7 @@ func TestParentLoadBlockRefused(t *testing.T) {
 	}
 
 	for _, id := range []uint16{0x0106, 0x010f, 0x0113} {
-		if _, err := c.Call(id, cur); !errors.Is(err, core.ErrNotFound) {
+		if _, err := c.CallContext(context.Background(), id, cur); !errors.Is(err, core.ErrNotFound) {
 			t.Errorf("retired id %#x = %v, want ErrNotFound", id, err)
 		}
 	}
@@ -541,7 +541,7 @@ func TestCreateBlockValidation(t *testing.T) {
 
 func TestUnknownMethod(t *testing.T) {
 	_, c, _ := newServer(t)
-	if _, err := c.Call(0x7777, nil); err == nil {
+	if _, err := c.CallContext(context.Background(), 0x7777, nil); err == nil {
 		t.Error("unknown method accepted")
 	}
 }
@@ -565,7 +565,7 @@ func TestApplyWaitGauge(t *testing.T) {
 		done := make(chan error, 1)
 		vec, _ := ds.AppendReplicateVec(nil, seq, 0, core.OpPut, 2, [][]byte{[]byte(key), []byte("v")})
 		go func() {
-			_, err := c.Call(proto.MethodReplicate, bytes.Join(vec, nil))
+			_, err := c.CallContext(context.Background(), proto.MethodReplicate, bytes.Join(vec, nil))
 			done <- err
 		}()
 		return done
@@ -605,7 +605,7 @@ func TestCloseWakesParkedHop(t *testing.T) {
 	vec, _ := ds.AppendReplicateVec(nil, 5, 0, core.OpPut, 2, [][]byte{[]byte("k"), []byte("v")})
 	hop := make(chan error, 1)
 	go func() {
-		_, err := c.Call(proto.MethodReplicate, bytes.Join(vec, nil))
+		_, err := c.CallContext(context.Background(), proto.MethodReplicate, bytes.Join(vec, nil))
 		hop <- err
 	}()
 	select {
@@ -661,7 +661,7 @@ func TestHealthzListsParkedHop(t *testing.T) {
 	vec, _ := ds.AppendReplicateVec(nil, 3, 0, core.OpPut, 2, [][]byte{[]byte("k"), []byte("v")})
 	hop := make(chan error, 1)
 	go func() {
-		_, err := c.Call(proto.MethodReplicate, bytes.Join(vec, nil))
+		_, err := c.CallContext(context.Background(), proto.MethodReplicate, bytes.Join(vec, nil))
 		hop <- err
 	}()
 	var hops []server.ParkedHop

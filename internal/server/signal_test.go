@@ -185,7 +185,7 @@ func TestRefusedAppendAwaitsGrowth(t *testing.T) {
 			var answer []byte
 			go func() {
 				var err error
-				answer, err = c.Call(proto.MethodDataOp, ds.EncodeRequest(core.OpFileAppend, 1, [][]byte{[]byte("record")}))
+				answer, err = c.CallContext(context.Background(), proto.MethodDataOp, ds.AppendRequest(nil, core.OpFileAppend, 1, [][]byte{[]byte("record")}))
 				appended <- err
 			}()
 			select {

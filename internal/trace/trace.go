@@ -42,15 +42,6 @@ type Job struct {
 	Stages  []Stage
 }
 
-// TotalBytes sums intermediate data across stages.
-func (j *Job) TotalBytes() int64 {
-	var n int64
-	for _, s := range j.Stages {
-		n += s.Bytes
-	}
-	return n
-}
-
 // Duration sums stage durations.
 func (j *Job) Duration() time.Duration {
 	var d time.Duration
@@ -255,17 +246,6 @@ func (tr *Trace) PeakToAverage(tenant int, step time.Duration) float64 {
 		return 0
 	}
 	return s.Max() / mean
-}
-
-// TenantJobs returns the jobs of one tenant in arrival order.
-func (tr *Trace) TenantJobs(tenant int) []Job {
-	var out []Job
-	for _, j := range tr.Jobs {
-		if j.Tenant == tenant {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // ZipfKeys returns a deterministic Zipf-distributed key sampler over

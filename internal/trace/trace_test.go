@@ -12,6 +12,26 @@ func smallConfig() Config {
 	return cfg
 }
 
+// totalBytes sums a job's intermediate data across its stages.
+func totalBytes(j Job) int64 {
+	var n int64
+	for _, s := range j.Stages {
+		n += s.Bytes
+	}
+	return n
+}
+
+// tenantJobs returns the jobs of one tenant, in trace order.
+func tenantJobs(tr *Trace, tenant int) []Job {
+	var out []Job
+	for _, j := range tr.Jobs {
+		if j.Tenant == tenant {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(smallConfig(), 42)
 	b := Generate(smallConfig(), 42)
@@ -19,13 +39,13 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatalf("job counts differ: %d vs %d", len(a.Jobs), len(b.Jobs))
 	}
 	for i := range a.Jobs {
-		if a.Jobs[i].ID != b.Jobs[i].ID || a.Jobs[i].TotalBytes() != b.Jobs[i].TotalBytes() {
+		if a.Jobs[i].ID != b.Jobs[i].ID || totalBytes(a.Jobs[i]) != totalBytes(b.Jobs[i]) {
 			t.Fatalf("job %d differs", i)
 		}
 	}
 	c := Generate(smallConfig(), 43)
 	if len(c.Jobs) == len(a.Jobs) && len(a.Jobs) > 0 &&
-		c.Jobs[0].TotalBytes() == a.Jobs[0].TotalBytes() {
+		totalBytes(c.Jobs[0]) == totalBytes(a.Jobs[0]) {
 		t.Error("different seeds produced identical traces")
 	}
 }
@@ -43,21 +63,21 @@ func TestGenerateTenantStreamsIndependent(t *testing.T) {
 	a := Generate(small, 42)
 	b := Generate(big, 42)
 	for tenant := 0; tenant < small.Tenants; tenant++ {
-		ja, jb := a.TenantJobs(tenant), b.TenantJobs(tenant)
+		ja, jb := tenantJobs(a, tenant), tenantJobs(b, tenant)
 		if len(ja) != len(jb) {
 			t.Fatalf("tenant %d: %d jobs with 2 tenants, %d with 6", tenant, len(ja), len(jb))
 		}
 		for i := range ja {
 			if ja[i].ID != jb[i].ID || ja[i].Arrival != jb[i].Arrival ||
-				ja[i].TotalBytes() != jb[i].TotalBytes() {
+				totalBytes(ja[i]) != totalBytes(jb[i]) {
 				t.Fatalf("tenant %d job %d differs across tenant counts", tenant, i)
 			}
 		}
 	}
 	// And distinct tenants must not mirror each other's stream.
-	j0, j1 := b.TenantJobs(0), b.TenantJobs(1)
+	j0, j1 := tenantJobs(b, 0), tenantJobs(b, 1)
 	if len(j0) == len(j1) && len(j0) > 0 && j0[0].Arrival == j1[0].Arrival &&
-		j0[0].TotalBytes() == j1[0].TotalBytes() {
+		totalBytes(j0[0]) == totalBytes(j1[0]) {
 		t.Error("tenants 0 and 1 generated identical streams")
 	}
 }
@@ -178,7 +198,7 @@ func TestTenantJobs(t *testing.T) {
 	tr := Generate(smallConfig(), 5)
 	count := 0
 	for tenant := 0; tenant < tr.Tenants; tenant++ {
-		jobs := tr.TenantJobs(tenant)
+		jobs := tenantJobs(tr, tenant)
 		count += len(jobs)
 		for i := 1; i < len(jobs); i++ {
 			if jobs[i].Arrival < jobs[i-1].Arrival {

@@ -47,11 +47,11 @@ func TestTaskLevelIsolation(t *testing.T) {
 
 	// taskB's lease lapses; its memory is reclaimed.
 	deadline := time.Now().Add(5 * time.Second)
-	for cluster.Controller.ExpiryCount() == 0 && time.Now().Before(deadline) {
+	for leaseExpiries(cluster) == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if cluster.Controller.ExpiryCount() != 1 {
-		t.Fatalf("expiries = %d, want exactly taskB", cluster.Controller.ExpiryCount())
+	if leaseExpiries(cluster) != 1 {
+		t.Fatalf("expiries = %g, want exactly taskB", leaseExpiries(cluster))
 	}
 	// taskA's handle keeps working without a single hiccup — no
 	// refresh, no reload.
@@ -106,17 +106,17 @@ func TestStageLevelIsolation(t *testing.T) {
 	}
 	// One renewal message covers all eight tasks' data.
 	time.Sleep(500 * time.Millisecond) // several lease periods
-	if n := cluster.Controller.ExpiryCount(); n != 0 {
-		t.Fatalf("stage expired despite renewal: %d", n)
+	if n := leaseExpiries(cluster); n != 0 {
+		t.Fatalf("stage expired despite renewal: %g", n)
 	}
 	// Stop renewing: the whole stage is reclaimed as one unit.
 	renewer.Stop()
 	deadline := time.Now().Add(5 * time.Second)
-	for cluster.Controller.ExpiryCount() == 0 && time.Now().Before(deadline) {
+	for leaseExpiries(cluster) == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if cluster.Controller.ExpiryCount() != 1 {
-		t.Errorf("stage reclaim count = %d, want 1", cluster.Controller.ExpiryCount())
+	if leaseExpiries(cluster) != 1 {
+		t.Errorf("stage reclaim count = %g, want 1", leaseExpiries(cluster))
 	}
 }
 
@@ -216,8 +216,8 @@ func TestExpiryFlushStallsNoRenewal(t *testing.T) {
 		}
 		worst = max(worst, time.Since(t0))
 	}
-	if n := cluster.Controller.ExpiryCount(); n < prefixes {
-		t.Fatalf("%d prefixes expired during the probe, want job A's %d", n, prefixes)
+	if n := leaseExpiries(cluster); n < prefixes {
+		t.Fatalf("%g prefixes expired during the probe, want job A's %d", n, prefixes)
 	}
 	if worst > maxRenewal {
 		t.Skipf("ROADMAP item 25: job B's slowest renewal took %v while job A's %d prefixes flushed, want <= %v",

@@ -349,10 +349,10 @@ func TestLeaseExpiryFlushesAndReloads(t *testing.T) {
 
 	// Wait for the lease to lapse and the expiry worker to reclaim.
 	deadline := time.Now().Add(5 * time.Second)
-	for cluster.Controller.ExpiryCount() == 0 && time.Now().Before(deadline) {
+	for leaseExpiries(cluster) == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if cluster.Controller.ExpiryCount() == 0 {
+	if leaseExpiries(cluster) == 0 {
 		t.Fatal("lease never expired")
 	}
 	stats, _ := c.ControllerStats(context.Background())
@@ -396,8 +396,8 @@ func TestRenewalPreventsExpiry(t *testing.T) {
 	kv.Put(context.Background(), "k", []byte("v"))
 
 	time.Sleep(600 * time.Millisecond) // 3 lease durations
-	if got := cluster.Controller.ExpiryCount(); got != 0 {
-		t.Errorf("prefix expired %d times despite renewal", got)
+	if got := leaseExpiries(cluster); got != 0 {
+		t.Errorf("prefix expired %g times despite renewal", got)
 	}
 	if v, err := kv.Get(context.Background(), "k"); err != nil || string(v) != "v" {
 		t.Errorf("data lost: %q, %v", v, err)

@@ -36,6 +36,12 @@ func scrapeRegistry(r *obs.Registry) map[string]float64 {
 	return obs.ParsePrometheus(buf.Bytes())
 }
 
+// leaseExpiries reads jiffy_ctrl_lease_expiries_total from the
+// cluster's first controller.
+func leaseExpiries(cluster *Cluster) float64 {
+	return scrapeRegistry(cluster.Controller.Obs())["jiffy_ctrl_lease_expiries_total"]
+}
+
 // scrapeAdmin fetches and parses an admin endpoint's /metrics.
 func scrapeAdmin(t *testing.T, addr string) map[string]float64 {
 	t.Helper()
@@ -341,15 +347,15 @@ func TestAdminMetricsDuringChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	pollUntil(t, 10*time.Second, func() error {
-		if cluster.Controller.ExpiryCount() == 0 {
+		if leaseExpiries(cluster) == 0 {
 			return fmt.Errorf("adminjob/expire not expired yet")
 		}
 		return nil
 	})
 
 	// Controller counters, over HTTP: control ops moved, the splits
-	// registered as scale-ups, the renewal and the expiry are counted,
-	// and the expiry total agrees with the controller's own view.
+	// registered as scale-ups, the renewal is counted, and the expiry the
+	// registry showed above is counted over HTTP too.
 	pollUntil(t, 5*time.Second, func() error {
 		after := scrapeAdmin(t, ctrlAdmin.Addr)
 		if after["jiffy_ctrl_control_ops_total"] <= before["jiffy_ctrl_control_ops_total"] {
@@ -362,8 +368,8 @@ func TestAdminMetricsDuringChaos(t *testing.T) {
 		if after["jiffy_ctrl_lease_renewals_total"] < 1 {
 			return fmt.Errorf("lease renewals = %g, want >= 1", after["jiffy_ctrl_lease_renewals_total"])
 		}
-		if want := float64(cluster.Controller.ExpiryCount()); after["jiffy_ctrl_lease_expiries_total"] != want {
-			return fmt.Errorf("lease expiries = %g, want %g", after["jiffy_ctrl_lease_expiries_total"], want)
+		if after["jiffy_ctrl_lease_expiries_total"] < 1 {
+			return fmt.Errorf("lease expiries = %g, want >= 1", after["jiffy_ctrl_lease_expiries_total"])
 		}
 		if after[`jiffy_ctrl_job_blocks{job="adminjob"}`] < 1 {
 			return fmt.Errorf("job blocks gauge = %g, want >= 1", after[`jiffy_ctrl_job_blocks{job="adminjob"}`])
