@@ -21,8 +21,10 @@ import (
 // did, emits its op inside the critical section that changed the state,
 // so each key's log order is its apply order (emit is a no-op except on
 // a leader with standbys). Node upserts keep their shape: the leader
-// edits its node and commitNodeLocked ships the node's image. Only this
-// file writes the replicated maps (internal/lint TestOneApplyPath).
+// edits its node and commitNodeLocked ships it, encoded in place from
+// the node under the shard lock, with no image copy (the bytes of
+// imageOfNode's entry). Only this file writes the replicated maps
+// (internal/lint TestOneApplyPath).
 
 // apply runs one streamed or replayed op through its kind's apply. Its
 // error is a node image that could not be installed.
@@ -96,16 +98,17 @@ func (c *Controller) applyNodeUpsert(sh *shard, op replOp) error {
 		if len(ni.Parents) == 0 {
 			return fmt.Errorf("controller: root image %q does not match job %q", ni.Name, op.Job)
 		}
-		var paths []core.Path
+		var buf [4]*hierarchy.Node
+		parents := buf[:0]
 		for _, p := range ni.Parents {
 			pn, ok := h.Lookup(p)
 			if !ok {
 				return fmt.Errorf("controller: image parent %q missing: %w", p, core.ErrNotFound)
 			}
-			paths = append(paths, pn.CanonicalPath())
+			parents = append(parents, pn)
 		}
 		var err error
-		if n, err = h.Create(paths[0].MustChild(ni.Name), paths[1:], ni.Type, ni.LeaseDuration, op.Now); err != nil {
+		if n, err = h.Add(ni.Name, parents, ni.Type, ni.LeaseDuration, op.Now); err != nil {
 			return err
 		}
 	}
@@ -126,11 +129,7 @@ func (c *Controller) applyNodeUpsert(sh *shard, op replOp) error {
 // shard lock.
 func (c *Controller) commitNodeLocked(job core.JobID, n *hierarchy.Node) {
 	c.indexNodeLocked(job, n)
-	// The image clones the partition map: build it only for a stream
-	// somebody receives (emit re-checks; the gate may close in between).
-	if c.repl.on.Load() {
-		c.repl.emit(replOp{Kind: opNodeUpsert, Job: job, Node: imageOfNode(n), Now: c.clk.Now()})
-	}
+	c.repl.emitNode(job, n, c.clk.Now())
 }
 
 // indexNodeLocked refreshes what a node's image implies outside the

@@ -112,12 +112,14 @@ type Controller struct {
 	// replicated-group state (see leadership.go / replication.go):
 	// group membership and role, the leader-side op-log replicator, a
 	// connection pool to peer controllers, and the standby-side apply
-	// serializer. leading gates every client/server-facing method; it
-	// defaults to true (a solo controller is its own leader).
+	// serializer with the box it decodes each streamed entry into.
+	// leading gates every client/server-facing method; it defaults to
+	// true (a solo controller is its own leader).
 	group      groupState
 	repl       *replicator
 	ctrlPeers  *rpc.Pool
 	applyMu    sync.Mutex
+	applyBox   replOp
 	leading    atomic.Bool
 	failovers  atomic.Int64
 	boundAddr  string

@@ -98,28 +98,28 @@ func (c *Controller) CreateHierarchy(req proto.CreateHierarchyReq) error {
 	if lease <= 0 {
 		lease = c.cfg.LeaseDuration
 	}
+	// Every name is checked before any node is made: a bad name later
+	// in the DAG must not leave the nodes before it behind.
+	for _, node := range req.Nodes {
+		if err := core.ValidateComponent(node.Name); err != nil {
+			return fmt.Errorf("controller: dag node %q: %w", node.Name, err)
+		}
+	}
 	return c.withJob(req.Job, func(h *hierarchy.Hierarchy) error {
+		var buf [4]*hierarchy.Node
 		for _, node := range req.Nodes {
-			var path core.Path
-			var extra []core.Path
+			parents := buf[:0]
 			if len(node.Parents) == 0 {
-				path = h.Root().CanonicalPath().MustChild(node.Name)
-			} else {
-				first, ok := h.Lookup(node.Parents[0])
-				if !ok {
-					return fmt.Errorf("controller: dag parent %q: %w",
-						node.Parents[0], core.ErrNotFound)
-				}
-				path = first.CanonicalPath().MustChild(node.Name)
-				for _, p := range node.Parents[1:] {
-					pn, ok := h.Lookup(p)
-					if !ok {
-						return fmt.Errorf("controller: dag parent %q: %w", p, core.ErrNotFound)
-					}
-					extra = append(extra, pn.CanonicalPath())
-				}
+				parents = append(parents, h.Root())
 			}
-			n, err := h.Create(path, extra, node.Type, lease, c.clk.Now())
+			for _, p := range node.Parents {
+				pn, ok := h.Lookup(p)
+				if !ok {
+					return fmt.Errorf("controller: dag parent %q: %w", p, core.ErrNotFound)
+				}
+				parents = append(parents, pn)
+			}
+			n, err := h.Add(node.Name, parents, node.Type, lease, c.clk.Now())
 			if err != nil {
 				return err
 			}

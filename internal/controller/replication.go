@@ -11,6 +11,7 @@ import (
 
 	"jiffy/internal/codec"
 	"jiffy/internal/core"
+	"jiffy/internal/hierarchy"
 	"jiffy/internal/proto"
 	"jiffy/internal/rpc"
 )
@@ -155,7 +156,19 @@ type replicator struct {
 	// items is the in-flight flush's scratch, reused across flushes and
 	// owned by whoever set sending.
 	items []sendItem
+
+	// box, buf and names are emit's scratch, owned under mu: an entry is
+	// encoded from box into buf once, and the ring keeps an exact-size
+	// copy; names holds a node upsert's parent names.
+	box   replOp
+	buf   []byte
+	names []string
 }
+
+// replScratchMax caps the encode buffer emit keeps between entries: a
+// rare large entry (a node with a long partition map) is encoded into
+// a buffer of its own and dropped.
+const replScratchMax = 64 << 10
 
 // sendItem is one standby's share of a flush and its outcome. ops, the
 // entries from first on, is a sub-slice of the ring: ring entries are
@@ -209,29 +222,59 @@ func (r *replicator) stop() {
 }
 
 // emit appends one op to the log. Called with shard (or other state)
-// locks held — it only assigns a sequence number and buffers; the
+// locks held — it only assigns a sequence number and encodes; the
 // network send happens in flush, after the caller's locks are gone.
 func (r *replicator) emit(op replOp) {
 	if !r.on.Load() {
 		return
 	}
-	data, err := codec.Marshal(op)
-	if err != nil {
-		r.c.log.Error("controller: replication op encode failed", "kind", op.Kind, "err", err)
+	r.mu.Lock()
+	r.box = op
+	r.appendBoxLocked()
+	r.mu.Unlock()
+}
+
+// emitNode appends a node upsert of n to the log, encoded from n itself
+// under the shard lock the caller holds: the same bytes as an entry
+// carrying imageOfNode(n), without the image's copies.
+func (r *replicator) emitNode(job core.JobID, n *hierarchy.Node, now time.Time) {
+	if !r.on.Load() {
 		return
 	}
 	r.mu.Lock()
+	r.box = replOp{Kind: opNodeUpsert, Job: job, Now: now, Node: viewOfNode(n, r.names[:0])}
+	r.names = r.box.Node.Parents
+	r.appendBoxLocked()
+	r.mu.Unlock()
+}
+
+// appendBoxLocked encodes r.box into the scratch buffer, appends a copy
+// to the ring and clears the box, so the scratch holds no reference
+// into the hierarchy. Caller holds r.mu.
+func (r *replicator) appendBoxLocked() {
+	buf, err := codec.Append(r.buf[:0], &r.box)
+	kind := r.box.Kind
+	r.box = replOp{}
+	clear(r.names)
+	if cap(buf) <= replScratchMax {
+		r.buf = buf
+	} else {
+		r.buf = nil
+	}
+	if err != nil {
+		r.c.log.Error("controller: replication op encode failed", "kind", kind, "err", err)
+		return
+	}
 	r.seq++
 	if len(r.ring) == 0 {
 		r.ringStart = r.seq
 	}
-	r.ring = append(r.ring, data)
+	r.ring = append(r.ring, append(make([]byte, 0, len(buf)), buf...))
 	if len(r.ring) > replRingMax {
 		drop := len(r.ring) - replRingMax
 		r.ring = r.ring[drop:]
 		r.ringStart += uint64(drop)
 	}
-	r.mu.Unlock()
 }
 
 // flush streams every pending op to the standbys and returns once all
@@ -492,15 +535,20 @@ func (c *Controller) handleReplicate(req proto.CtrlReplicateReq) (proto.CtrlRepl
 			if seq <= applied {
 				continue
 			}
-			var op replOp
-			if err := codec.Unmarshal(raw, &op); err != nil {
+			// The decoder sets every field and never aliases raw, so
+			// nothing of one entry is left in the box for the next, and
+			// what an apply keeps (a node's map) is the entry's own.
+			if err := codec.Unmarshal(raw, &c.applyBox); err != nil {
+				c.applyBox = replOp{}
 				return proto.CtrlReplicateResp{}, err
 			}
-			if err := c.apply(op); err != nil {
-				c.log.Warn("controller: replicated op not applied", "kind", op.Kind, "job", op.Job, "err", err)
+			if err := c.apply(c.applyBox); err != nil {
+				c.log.Warn("controller: replicated op not applied",
+					"kind", c.applyBox.Kind, "job", c.applyBox.Job, "err", err)
 			}
 			applied = seq
 		}
+		c.applyBox = replOp{} // the box keeps nothing of the batch
 		c.group.mu.Lock()
 		if applied > c.group.appliedSeq {
 			c.group.appliedSeq = applied

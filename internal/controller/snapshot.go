@@ -43,19 +43,29 @@ type nodeImage struct {
 }
 
 // imageOfNode serializes one node, parents by name (the hierarchy's
-// names are unique per job).
+// names are unique per job). The image owns its partition map: it
+// outlives the shard lock it was taken under.
 func imageOfNode(n *hierarchy.Node) nodeImage {
-	var parents []string
+	img := viewOfNode(n, nil)
+	img.Map = img.Map.Clone()
+	return img
+}
+
+// viewOfNode is imageOfNode without the copy: the parent names are
+// appended to names and the partition map is n's own, so the view is
+// good only while the caller holds n's shard lock and does not change
+// n. The op-log encodes a node upsert from it (replicator.emitNode).
+func viewOfNode(n *hierarchy.Node, names []string) nodeImage {
 	for _, p := range n.Parents() {
-		parents = append(parents, p.Name)
+		names = append(names, p.Name)
 	}
 	return nodeImage{
 		Name:          n.Name,
-		Parents:       parents,
+		Parents:       names,
 		LeaseDuration: n.LeaseDuration,
 		LastRenewed:   n.LastRenewed,
 		Type:          n.Type,
-		Map:           n.Map.Clone(),
+		Map:           n.Map,
 		Flushed:       n.Flushed,
 		FlushKey:      n.FlushKey,
 		Quota:         n.Quota,

@@ -18,6 +18,7 @@ package hierarchy
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -63,8 +64,9 @@ type Node struct {
 	Quota core.Quota
 }
 
-// Parents returns the node's parent set (copy).
-func (n *Node) Parents() []*Node { return append([]*Node(nil), n.parents...) }
+// Parents returns the node's parent set, the canonical parent first.
+// The slice is the node's own: read it, do not modify it.
+func (n *Node) Parents() []*Node { return n.parents }
 
 // CanonicalPath returns one valid path for the node: job root through
 // first parents. It measures the path first and builds it in one
@@ -110,7 +112,6 @@ func New(job core.JobID, leaseDuration time.Duration, now time.Time) *Hierarchy 
 	root := &Node{
 		Name:          string(job),
 		Job:           job,
-		children:      make(map[string]*Node),
 		LastRenewed:   now,
 		LeaseDuration: leaseDuration,
 	}
@@ -157,44 +158,73 @@ func (h *Hierarchy) Lookup(name string) (*Node, bool) {
 	return n, ok
 }
 
-// Create adds a node under the parent named by path's last-but-one
-// component, plus any extraParents (the additional DAG edges). The new
-// node inherits the renewal time now.
+// Create adds a node at path: it resolves the path's parent and each
+// of extraParents (the additional DAG edges) once and Adds the node
+// under them.
 func (h *Hierarchy) Create(path core.Path, extraParents []core.Path,
 	dsType core.DSType, leaseDuration time.Duration, now time.Time) (*Node, error) {
 
 	if !path.Valid() {
 		return nil, fmt.Errorf("hierarchy: invalid path %q", path)
 	}
-	name := path.Base()
-	if _, exists := h.byName[name]; exists {
-		return nil, fmt.Errorf("hierarchy: node %q: %w", name, core.ErrExists)
-	}
 	parent, err := h.Resolve(path.Parent())
 	if err != nil {
 		return nil, err
 	}
-	parents := []*Node{parent}
+	var buf [4]*Node
+	parents := append(buf[:0], parent)
 	for _, pp := range extraParents {
 		p, err := h.Resolve(pp)
 		if err != nil {
 			return nil, err
 		}
-		if p != parent {
-			parents = append(parents, p)
+		parents = append(parents, p)
+	}
+	return h.Add(path.Base(), parents, dsType, leaseDuration, now)
+}
+
+// Add creates the node name under parents, which must be nodes of this
+// hierarchy: parents[0] is its canonical parent, the rest are DAG
+// edges, and a parent listed twice is linked once. The node inherits
+// the renewal time now. The name must be a valid path component that
+// no node of the job holds yet. Add keeps no reference to parents.
+func (h *Hierarchy) Add(name string, parents []*Node,
+	dsType core.DSType, leaseDuration time.Duration, now time.Time) (*Node, error) {
+
+	if err := core.ValidateComponent(name); err != nil {
+		return nil, fmt.Errorf("hierarchy: node name: %w", err)
+	}
+	if _, exists := h.byName[name]; exists {
+		return nil, fmt.Errorf("hierarchy: node %q: %w", name, core.ErrExists)
+	}
+	if len(parents) == 0 {
+		return nil, fmt.Errorf("hierarchy: node %q has no parent", name)
+	}
+	own := make([]*Node, 0, len(parents))
+	for _, p := range parents {
+		if h.byName[p.Name] != p {
+			return nil, fmt.Errorf("hierarchy: parent %q of %q is not in job %q: %w",
+				p.Name, name, h.root.Name, core.ErrNotFound)
+		}
+		if !slices.Contains(own, p) {
+			own = append(own, p)
 		}
 	}
 	n := &Node{
 		Name:          name,
 		Job:           h.root.Job,
-		parents:       parents,
-		children:      make(map[string]*Node),
+		parents:       own,
 		LastRenewed:   now,
 		LeaseDuration: leaseDuration,
 		Type:          dsType,
 		Map:           ds.PartitionMap{Type: dsType},
 	}
-	for _, p := range parents {
+	for _, p := range own {
+		if p.children == nil {
+			// A node's child index is made when its first child
+			// arrives: most nodes are leaves.
+			p.children = make(map[string]*Node, 1)
+		}
 		p.children[name] = n
 	}
 	h.byName[name] = n

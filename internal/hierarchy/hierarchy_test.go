@@ -350,3 +350,121 @@ func TestLargeHierarchyScale(t *testing.T) {
 		t.Errorf("renew took %v", d)
 	}
 }
+
+// TestAddRefuses: Add makes no node from an invalid or taken name, an
+// empty parent list or a parent of another job, and links a parent
+// listed twice once.
+func TestAddRefuses(t *testing.T) {
+	h := buildPaperDAG(t)
+	root := h.Root()
+	t1, _ := h.Lookup("T1")
+	other := New("other", time.Second, t0)
+	for _, tc := range []struct {
+		name    string
+		parents []*Node
+		want    error
+	}{
+		{"", []*Node{root}, nil},
+		{"a/b", []*Node{root}, nil},
+		{"T1", []*Node{root}, core.ErrExists},
+		{"job", []*Node{t1}, core.ErrExists},
+		{"TX", nil, nil},
+		{"TX", []*Node{other.Root()}, core.ErrNotFound},
+		{"TX", []*Node{t1, other.Root()}, core.ErrNotFound},
+	} {
+		n, err := h.Add(tc.name, tc.parents, core.DSNone, time.Second, t0)
+		if err == nil || tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("Add(%q, %d parents) = %v, want a refusal (%v)", tc.name, len(tc.parents), err, tc.want)
+		}
+		if n != nil {
+			t.Errorf("Add(%q) returned a node with its refusal", tc.name)
+		}
+	}
+	if h.Len() != 10 {
+		t.Fatalf("refused Adds left %d nodes, want 10", h.Len())
+	}
+	if _, ok := other.Root().children["TX"]; ok || len(t1.children) != 1 {
+		t.Errorf("a refused Add linked its parents: other %v, T1 %v", other.Root().children, t1.children)
+	}
+	t2, _ := h.Lookup("T2")
+	n, err := h.Add("TX", []*Node{t1, t2, t1, t2}, core.DSNone, time.Second, t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps := n.Parents(); len(ps) != 2 || ps[0] != t1 || ps[1] != t2 {
+		t.Errorf("parents of TX = %v, want [T1 T2]", ps)
+	}
+	for _, p := range []core.Path{"job/T1/TX", "job/T2/TX"} {
+		if got, err := h.Resolve(p); err != nil || got != n {
+			t.Errorf("Resolve(%q) = %v, %v, want TX", p, got, err)
+		}
+	}
+}
+
+// TestLeafHasNoChildIndex: a node makes its child index when its first
+// child arrives, and every walk treats a leaf without one as childless.
+func TestLeafHasNoChildIndex(t *testing.T) {
+	h := New("job", time.Second, t0)
+	root := h.Root()
+	if root.children != nil {
+		t.Fatal("a new job root holds a child index")
+	}
+	// A job of a root alone.
+	if _, err := h.Resolve("job/x"); !errors.Is(err, core.ErrNotFound) {
+		t.Errorf("Resolve under a childless root = %v, want ErrNotFound", err)
+	}
+	if n, err := h.Renew("job", t0.Add(time.Second)); err != nil || n != 1 {
+		t.Errorf("Renew of a childless root = %d, %v, want 1 node", n, err)
+	}
+	if got := h.Expired(t0.Add(time.Hour)); len(got) != 0 {
+		t.Errorf("Expired of a root alone = %v", got)
+	}
+	if got := root.SubtreePhysicalBlocks(); got != 0 {
+		t.Errorf("SubtreePhysicalBlocks of a root alone = %d", got)
+	}
+
+	a, err := h.Add("a", []*Node{root}, core.DSKV, time.Second, t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := h.Add("leaf", []*Node{a, root}, core.DSKV, time.Second, t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaf.children != nil {
+		t.Fatal("a leaf holds a child index")
+	}
+	leaf.Map.Blocks = []ds.PartitionEntry{{Chain: core.ReplicaChain{{ID: 1, Server: "s1"}, {ID: 2, Server: "s2"}}}}
+	if _, err := h.Resolve("job/a/leaf/x"); !errors.Is(err, core.ErrNotFound) {
+		t.Errorf("Resolve below a leaf = %v, want ErrNotFound", err)
+	}
+	if got, err := h.Resolve("job/leaf"); err != nil || got != leaf {
+		t.Errorf("Resolve(job/leaf) = %v, %v", got, err)
+	}
+	if n, err := h.Renew("job/a/leaf", t0.Add(2*time.Second)); err != nil || n != 3 {
+		t.Errorf("Renew of the leaf = %d, %v, want 3 nodes (it and its parents)", n, err)
+	}
+	if got := leaf.SubtreePhysicalBlocks(); got != 2 {
+		t.Errorf("SubtreePhysicalBlocks(leaf) = %d, want 2", got)
+	}
+	if got := root.SubtreePhysicalBlocks(); got != 2 {
+		t.Errorf("SubtreePhysicalBlocks(root) = %d, want 2 (the leaf counted once)", got)
+	}
+	visited := 0
+	h.Walk(func(*Node) bool { visited++; return true })
+	if visited != 3 {
+		t.Errorf("Walk visited %d nodes, want 3", visited)
+	}
+	if got := h.Expired(t0.Add(time.Hour)); len(got) != 2 || got[0] != leaf {
+		t.Errorf("Expired = %v, want the leaf, then a", got)
+	}
+	if err := h.Remove("leaf"); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Remove("a"); err != nil {
+		t.Errorf("removing a, whose child index is now empty: %v", err)
+	}
+	if _, err := h.Resolve("job/a"); !errors.Is(err, core.ErrNotFound) || h.Len() != 1 {
+		t.Errorf("after removing both: Resolve(job/a) = %v, %d nodes", err, h.Len())
+	}
+}

@@ -1,13 +1,19 @@
 package jiffy
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"log/slog"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"jiffy/internal/client"
 	"jiffy/internal/clock"
+	"jiffy/internal/core"
 	"jiffy/internal/faultinject"
 )
 
@@ -161,4 +167,76 @@ func TestNonTailReadObservesUncommittedWrite(t *testing.T) {
 			"after %s, k reads %q", first, repair, second)
 	}
 	t.Logf("reads: %q then %q", first, second)
+}
+
+// lockedBuffer is a bytes.Buffer that many goroutines may log into.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestCreateHierarchyRefusesBadName is the witness for a DAG node name
+// that is not a path component (empty, or holding the separator): the
+// controller answers the call once with the validation error, names
+// the node, creates none of the DAG's nodes (not even those listed
+// before the bad one) and keeps serving. A controller that makes a path
+// from the name panics in its handler instead, and the client, seeing a
+// dead session, re-sends the call until its retries run out.
+func TestCreateHierarchyRefusesBadName(t *testing.T) {
+	var logs lockedBuffer
+	cfg := core.TestConfig()
+	cfg.LeaseDuration = time.Hour
+	cluster, err := StartCluster(ClusterOptions{
+		Config: cfg, Controllers: 2, Servers: 1, BlocksPerServer: 8,
+		Logger: slog.New(slog.NewTextHandler(&logs, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cluster.Close() })
+	ctx := context.Background()
+	c, err := cluster.Connect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if err := c.RegisterJob(ctx, "dag"); err != nil {
+		t.Fatal(err)
+	}
+	for _, dag := range [][]DagNode{
+		{{Name: "a/b"}},
+		{{Name: "ok"}, {Name: "", Parents: []string{"ok"}}},
+		{{Name: "ok"}, {Name: "x/y", Parents: []string{"ok"}}},
+	} {
+		bad := dag[len(dag)-1].Name
+		err := c.CreateHierarchy(ctx, "dag", dag, 0)
+		if err == nil || errors.Is(err, core.ErrClosed) || !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			t.Errorf("CreateHierarchy with node %q = %v, want the validation error naming it", bad, err)
+		}
+	}
+	if n := strings.Count(logs.String(), "handler panic"); n > 0 {
+		t.Errorf("the controller logged %d handler panics", n)
+	}
+	prefixes, err := c.ListPrefixes(ctx, "dag")
+	if err != nil || len(prefixes) != 1 {
+		t.Fatalf("after the refused DAGs the job lists %v (%v), want its root alone", prefixes, err)
+	}
+	if err := c.CreateHierarchy(ctx, "dag", []DagNode{{Name: "ok"}, {Name: "next", Parents: []string{"ok"}, Type: DSKV}}, 0); err != nil {
+		t.Fatalf("a valid DAG after the refused ones: %v", err)
+	}
+	if _, err := c.LeaseDuration(ctx, "dag/ok/next"); err != nil {
+		t.Fatal(err)
+	}
 }
