@@ -430,3 +430,135 @@ func TestAppendBatchFollowsLinks(t *testing.T) {
 		})
 	}
 }
+
+// TestAppendBatchIsOneOp: a batch of appends bound for one chunk
+// travels as one append op — one MethodDataOp call carrying the run of
+// its records — not as a batch frame of one-record ops.
+func TestAppendBatchIsOneOp(t *testing.T) {
+	_, c := testCluster(t, 1, 16)
+	ctx := context.Background()
+	c.RegisterJob(ctx, "oneop")
+	if _, _, err := c.CreatePrefix(ctx, "oneop/f", nil, DSFile, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.OpenFile(ctx, "oneop/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := make([][]byte, 64)
+	for i := range records {
+		records[i] = bytes.Repeat([]byte{byte(i)}, 100)
+	}
+	calls := func() (ops, batches float64) {
+		m := scrapeObs(c.Obs())
+		return m[`jiffy_rpc_requests_total{role="client",method="DataOp"}`],
+			m[`jiffy_rpc_requests_total{role="client",method="DataOpBatch"}`]
+	}
+	ops, batches := calls()
+	offs, err := f.AppendBatch(ctx, records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opsAfter, batchesAfter := calls()
+	if n, b := opsAfter-ops, batchesAfter-batches; n != 1 || b != 0 {
+		t.Errorf("AppendBatch of 64 records made %g MethodDataOp and %g MethodDataOpBatch calls, want 1 and 0", n, b)
+	}
+	for i, off := range offs {
+		if off != 100*i {
+			t.Errorf("record %d landed at %d, want %d: back to back from the file's start", i, off, 100*i)
+		}
+	}
+}
+
+// TestAppendBatchRunLandsOnce: a run that fills its chunk while the
+// chunk's over-signal is in flight lands each of its records once. A
+// 20-record run, small enough for the server to apply on its read
+// pump, meets a chunk with room for 7: the 7 that fit are answered,
+// and the 13 after them, sent again, wait for the growth the signal
+// brings and follow its link. A run that punted off the read pump to
+// wait after landing its prefix would land that prefix again when it
+// reran.
+func TestAppendBatchRunLandsOnce(t *testing.T) {
+	inj := faultinject.New(56, nil)
+	cfg := core.TestConfig()
+	cfg.LeaseDuration = time.Hour
+	cluster, err := StartCluster(ClusterOptions{Config: cfg, Servers: 1, BlocksPerServer: 16, Dial: inj.Dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	ctx := context.Background()
+	// The client dials past the injector: only the servers' sends to
+	// the controller are held.
+	c, err := cluster.Connect(ctx, client.WithDial(rpc.Dial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.RegisterJob(ctx, "once")
+	if _, _, err := c.CreatePrefix(ctx, "once/f", nil, DSFile, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.OpenFile(ctx, "once/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.AddRule(faultinject.Rule{Name: "slow-signals", Match: "send:" + cluster.ControllerAddr, Latency: 300 * time.Millisecond})
+
+	// The fill crosses the high threshold, so the chunk signals; the
+	// signal is held in flight while the batch runs.
+	const size, room = 100, 7
+	fill := cfg.BlockSize - room*size
+	if err := f.WriteAt(ctx, 0, make([]byte, fill)); err != nil {
+		t.Fatal(err)
+	}
+	records := make([][]byte, 20)
+	for i := range records {
+		records[i] = bytes.Repeat([]byte{'r'}, size)
+		binary.BigEndian.PutUint32(records[i][1:], uint32(i))
+	}
+	offs, err := f.AppendBatch(ctx, records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scales := scrapeObs(c.Obs())[`jiffy_rpc_requests_total{role="client",method="ScaleUp"}`]; scales != 0 {
+		t.Errorf("client ScaleUp calls = %g, want 0: the rest follows the signal's link", scales)
+	}
+
+	chunks, err := f.Chunks(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := make(map[string]int) // record → where the scan found it
+	for ci := 0; ci < chunks; ci++ {
+		data, err := f.ReadChunk(ctx, ci)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := 0
+		if ci == 0 {
+			start = fill
+		}
+		if len(data) < start || (len(data)-start)%size != 0 {
+			t.Fatalf("chunk %d holds %d bytes: a record straddles or was torn", ci, len(data))
+		}
+		for o := start; o < len(data); o += size {
+			key := string(data[o : o+size])
+			if _, twice := at[key]; twice {
+				t.Fatalf("record %d found twice", binary.BigEndian.Uint32(data[o+1:]))
+			}
+			at[key] = ci*cfg.BlockSize + o
+		}
+	}
+	if len(at) != len(records) {
+		t.Fatalf("scan found %d records, want %d", len(at), len(records))
+	}
+	for i, off := range offs {
+		if got := at[string(records[i])]; got != off {
+			t.Errorf("record %d: returned offset %d, found at %d", i, off, got)
+		}
+		if inFirst := off < cfg.BlockSize; inFirst != (i < room) {
+			t.Errorf("record %d landed at %d: want the first %d in the first chunk and the rest past it", i, off, room)
+		}
+	}
+}

@@ -2,19 +2,21 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 )
 
-// Batched multi-op API. Each call hands its ops to the pipeline's
+// Batched multi-op API. A KV or queue batch hands its ops to the pipeline's
 // batch driver (handle.runBatch), which groups them by destination
 // server, ships each group as one MethodDataOpBatch frame and recovers
 // exactly as the single-op driver does — a batch spanning a
 // repartition-in-flight block is split and retried against the new
 // map. Failures are attributed per op via MultiError — a batch never
-// reports silent partial success.
+// reports silent partial success. AppendBatch sends its records as
+// runs of appends through handle.run instead.
 
 // MultiError carries the per-op outcomes of a batched call: Errs[i] is
 // nil when op i succeeded. It unwraps to the underlying sentinel
@@ -76,7 +78,7 @@ func (k *KV) MultiPut(ctx context.Context, pairs []KVPair) error {
 	for i, p := range pairs {
 		keys[i], vals[i] = p.Key, p.Value
 	}
-	return k.h.runBatch(ctx, core.OpPut, keys, 0, vals, nil)
+	return k.h.runBatch(ctx, core.OpPut, keys, vals, nil)
 }
 
 // MultiGet fetches many keys in one round trip per destination server.
@@ -85,7 +87,7 @@ func (k *KV) MultiPut(ctx context.Context, pairs []KVPair) error {
 // *MultiError.
 func (k *KV) MultiGet(ctx context.Context, keys []string) ([][]byte, error) {
 	vals := make([][]byte, len(keys))
-	err := k.h.runBatch(ctx, core.OpGet, keys, 0, nil, func(i, _ int, res [][]byte) error {
+	err := k.h.runBatch(ctx, core.OpGet, keys, nil, func(i int, res [][]byte) error {
 		if len(res) > 0 {
 			vals[i] = res[0]
 		}
@@ -94,12 +96,16 @@ func (k *KV) MultiGet(ctx context.Context, keys []string) ([][]byte, error) {
 	return vals, err
 }
 
-// AppendBatch appends many records to the file's tail chunk in one
-// round trip, returning the absolute offset each record landed at
-// (aligned with records). Like AppendRecord, records never straddle
-// chunks. When the tail fills mid-batch the unplaced suffix follows the
-// full chunk's link to the next one — or, when the server has none,
-// requests a scale-up — and retries there; on partial failure the
+// AppendBatch appends many records to the file's tail chunk, returning
+// the absolute offset each record landed at (aligned with records).
+// Like AppendRecord, records never straddle chunks. The records go as
+// runs, each one append op through the single-op pipeline carrying as
+// many records as a chunk can hold (fitRun). The server lands a prefix
+// of a run back to back and answers where it starts and how long it
+// is; the rest goes as the next run — to the full chunk's link, or,
+// when the server has none, to the chunk a scale-up adds. A record
+// refused on its own account (ErrTooLarge) fails alone; any other
+// failure fails every record not yet placed. On partial failure the
 // error is a *MultiError indexed like records.
 func (f *File) AppendBatch(ctx context.Context, records [][]byte) ([]int, error) {
 	cs := f.chunkSize()
@@ -107,12 +113,43 @@ func (f *File) AppendBatch(ctx context.Context, records [][]byte) ([]int, error)
 		return nil, fmt.Errorf("client: file has no chunk size")
 	}
 	offs := make([]int, len(records))
-	err := f.h.runBatch(ctx, core.OpFileAppend, nil, tailChunk, records, func(i, chunk int, res [][]byte) error {
-		off, err := ds.ParseU64(res[0])
-		offs[i] = chunk*cs + int(off)
-		return err
-	})
-	return offs, err
+	var errs []error
+	for lo := 0; lo < len(records); {
+		run := records[lo : lo+fitRun(records[lo:], cs)]
+		off, n, err := f.appendRun(ctx, cs, run)
+		if err != nil {
+			if errs == nil {
+				errs = make([]error, len(records))
+			}
+			n = len(records) - lo
+			if errors.Is(err, core.ErrTooLarge) {
+				n = 1
+			}
+			for i := range n {
+				errs[lo+i] = err
+			}
+			lo += n
+			continue
+		}
+		for _, r := range run[:n] {
+			offs[lo] = off
+			off += len(r)
+			lo++
+		}
+	}
+	return offs, multiErr(errs)
+}
+
+// fitRun is how many of records, from the first, go as one run: what a
+// chunk of cs bytes can hold, at most ds.MaxBatchOps, and at least the
+// first record, which the server refuses if no chunk can hold it.
+func fitRun(records [][]byte, cs int) int {
+	n, size := 1, len(records[0])
+	for n < len(records) && n < ds.MaxBatchOps && size+len(records[n]) <= cs {
+		size += len(records[n])
+		n++
+	}
+	return n
 }
 
 // EnqueueBatch appends many items to the queue tail in one round trip.
@@ -120,5 +157,5 @@ func (f *File) AppendBatch(ctx context.Context, records [][]byte) ([]int, error)
 // unplaced suffix, mirroring Enqueue; on partial failure the error is
 // a *MultiError indexed like items.
 func (q *Queue) EnqueueBatch(ctx context.Context, items [][]byte) error {
-	return q.h.runBatch(ctx, core.OpEnqueue, nil, 0, items, nil)
+	return q.h.runBatch(ctx, core.OpEnqueue, nil, items, nil)
 }

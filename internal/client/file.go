@@ -125,7 +125,7 @@ func (f *File) WriteAt(ctx context.Context, off int, data []byte) error {
 		if n > len(data) {
 			n = len(data)
 		}
-		if _, _, err := f.h.run(ctx, core.OpFileWrite, "", ci, [][]byte{ds.U64(uint64(in)), data[:n]}, nil); err != nil {
+		if _, _, err := f.h.run(ctx, core.OpFileWrite, "", ci, [][]byte{ds.U64(uint64(in)), data[:n]}, nil, nil); err != nil {
 			return err
 		}
 		off += n
@@ -200,7 +200,7 @@ func (f *File) ReadAt(ctx context.Context, off, n int) ([]byte, error) {
 // readChunk reads within one chunk.
 func (f *File) readChunk(ctx context.Context, ci, in, n int) ([]byte, error) {
 	var res [1][]byte
-	return one(f.h.run(ctx, core.OpFileRead, "", ci, [][]byte{ds.U64(uint64(in)), ds.U64(uint64(n))}, res[:0]))
+	return one(f.h.run(ctx, core.OpFileRead, "", ci, [][]byte{ds.U64(uint64(in)), ds.U64(uint64(n))}, res[:0], nil))
 }
 
 // Seek positions the sequential-read cursor (seek in §5.1).
@@ -233,16 +233,37 @@ func (f *File) AppendRecord(ctx context.Context, data []byte) (int, error) {
 	if cs <= 0 {
 		return 0, fmt.Errorf("client: file has no chunk size")
 	}
-	var vals [1][]byte
-	res, chunk, err := f.h.run(ctx, core.OpFileAppend, "", tailChunk, [][]byte{data}, vals[:0])
-	if err != nil {
-		return 0, err
-	}
-	off, err := ds.ParseU64(res[0])
-	if err != nil {
-		return 0, err
-	}
-	return chunk*cs + int(off), nil
+	off, _, err := f.appendRun(ctx, cs, [][]byte{data})
+	return off, err
+}
+
+// appendRun appends run, one append op, to the file's tail chunk. The
+// server lands a prefix of it back to back; appendRun returns the
+// absolute offset of the first landed record and how many landed,
+// read in place from the answer: one value, the one record's offset,
+// or two, the first offset and the count.
+func (f *File) appendRun(ctx context.Context, cs int, run [][]byte) (off, n int, err error) {
+	_, chunk, err := f.h.run(ctx, core.OpFileAppend, "", tailChunk, run, nil, func(payload []byte) error {
+		var v [2][]byte
+		vals, err := ds.DecodeValsInto(v[:0], payload)
+		if err != nil {
+			return err
+		}
+		if len(vals) == 0 || len(vals) > len(v) {
+			return fmt.Errorf("client: append answered %d values", len(vals))
+		}
+		first, err := ds.ParseU64(vals[0])
+		count := uint64(1)
+		if err == nil && len(vals) == 2 {
+			count, err = ds.ParseU64(vals[1])
+		}
+		if err == nil && (count < 1 || count > uint64(len(run))) {
+			err = fmt.Errorf("client: %d landed of a run of %d", count, len(run))
+		}
+		off, n = int(first), int(count)
+		return err
+	})
+	return chunk*cs + off, n, err
 }
 
 // Chunks returns the current number of chunks (after a refresh), so

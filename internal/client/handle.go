@@ -88,8 +88,10 @@ func (h *handle) requestScale(ctx context.Context, block core.BlockID) error {
 // the next attempt re-dials. Every call feeds the per-server health
 // tracker (latency EWMA + windowed quantile — allocation-free, so the
 // small-op hot path keeps its ceilings). The values are decoded into
-// res, the caller's vector.
-func (h *handle) do(ctx context.Context, info core.BlockInfo, op core.OpType, args, res [][]byte) ([][]byte, error) {
+// res, the caller's vector, and copied out of a borrowed response —
+// unless read is set: it then reads the encoded values in place, before
+// the buffer is recycled, and do returns none.
+func (h *handle) do(ctx context.Context, info core.BlockInfo, op core.OpType, args, res [][]byte, read func([]byte) error) ([][]byte, error) {
 	conn, err := h.c.dataConn(info.Server)
 	if err != nil {
 		// An unreachable server is a connection failure like any other:
@@ -100,14 +102,16 @@ func (h *handle) do(ctx context.Context, info core.BlockInfo, op core.OpType, ar
 	}
 	// Encode into a pooled buffer: Call stages the frame into the
 	// session's write buffer before returning, so the request bytes can
-	// be recycled immediately after. Requests carrying large bodies
+	// be recycled immediately after. Requests carrying a large body
 	// (writes, puts) skip the encode copy entirely: the header and
 	// length prefixes go into the pooled buffer and the caller's arg
-	// slices ride to the socket as scatter-gather segments.
+	// slices ride to the socket as scatter-gather segments. Many small
+	// args — a run of appends — are one contiguous copy, not a segment
+	// each.
 	var payload []byte
 	var pooled bool
 	start := time.Now()
-	if argsBytes(args) >= vecRequestThreshold {
+	if largestArg(args) >= vecRequestThreshold {
 		vec, buf := ds.AppendRequestVec(wire.GetBuf(), op, info.ID, args)
 		payload, err = conn.CallVecContext(ctx, proto.MethodDataOp, vec)
 		wire.PutBuf(buf)
@@ -139,6 +143,13 @@ func (h *handle) do(ctx context.Context, info core.BlockInfo, op core.OpType, ar
 		}
 		return nil, err
 	}
+	if read != nil {
+		err = read(payload)
+		if pooled {
+			wire.PutBuf(payload)
+		}
+		return nil, err
+	}
 	vals, derr := ds.DecodeValsInto(res, payload)
 	if pooled {
 		// Vals alias the borrowed buffer: copy them out (exact-size
@@ -151,17 +162,17 @@ func (h *handle) do(ctx context.Context, info core.BlockInfo, op core.OpType, ar
 	return vals, derr
 }
 
-// vecRequestThreshold is the total argument size above which do()
-// switches to the scatter-gather request encoding. Below it, one
-// contiguous copy into a pooled buffer is cheaper than the extra
-// segment bookkeeping.
+// vecRequestThreshold is the argument size from which do() sends an
+// argument as its own scatter-gather segment. Below it, one contiguous
+// copy into a pooled buffer is cheaper than the extra segment
+// bookkeeping.
 const vecRequestThreshold = 4 * core.KB
 
-// argsBytes sums the argument payload sizes of one op.
-func argsBytes(args [][]byte) int {
+// largestArg is the size of an op's largest argument.
+func largestArg(args [][]byte) int {
 	n := 0
 	for _, a := range args {
-		n += len(a)
+		n = max(n, len(a))
 	}
 	return n
 }

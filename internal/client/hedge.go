@@ -27,15 +27,15 @@ import (
 // do(), which decodes into res.
 func (h *handle) doRead(ctx context.Context, info core.BlockInfo, chain core.ReplicaChain, op core.OpType, args, res [][]byte) ([][]byte, error) {
 	if !h.c.hedgeOn {
-		return h.do(ctx, info, op, args, res)
+		return h.do(ctx, info, op, args, res, nil)
 	}
 	delay, ok := h.c.health.hedgeDelay(info.Server)
 	if !ok {
-		return h.do(ctx, info, op, args, res)
+		return h.do(ctx, info, op, args, res, nil)
 	}
 	alt, ok := h.altFor(info, chain)
 	if !ok {
-		return h.do(ctx, info, op, args, res)
+		return h.do(ctx, info, op, args, res, nil)
 	}
 	return h.doHedged(ctx, info, alt, delay, op, args)
 }
@@ -85,7 +85,7 @@ func (h *handle) doHedged(ctx context.Context, primary, alt core.BlockInfo, dela
 
 	results := make(chan hedgeResult, 2)
 	go func() {
-		vals, err := h.do(pctx, primary, op, args, nil)
+		vals, err := h.do(pctx, primary, op, args, nil, nil)
 		results <- hedgeResult{vals, err, false}
 	}()
 
@@ -105,7 +105,7 @@ func (h *handle) doHedged(ctx context.Context, primary, alt core.BlockInfo, dela
 				h.c.hedgesFired.Inc()
 			}
 			go func() {
-				vals, err := h.do(bctx, alt, op, args, nil)
+				vals, err := h.do(bctx, alt, op, args, nil, nil)
 				results <- hedgeResult{vals, err, true}
 			}()
 		case r := <-results:

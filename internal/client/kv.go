@@ -34,19 +34,19 @@ func (k *KV) route(_ core.OpType, key string, _ int) (ds.PartitionEntry, error) 
 
 // Put stores a key-value pair.
 func (k *KV) Put(ctx context.Context, key string, value []byte) error {
-	_, _, err := k.h.run(ctx, core.OpPut, key, 0, [][]byte{[]byte(key), value}, nil)
+	_, _, err := k.h.run(ctx, core.OpPut, key, 0, [][]byte{[]byte(key), value}, nil, nil)
 	return err
 }
 
 // Get fetches the value for key.
 func (k *KV) Get(ctx context.Context, key string) ([]byte, error) {
 	var res [1][]byte
-	return one(k.h.run(ctx, core.OpGet, key, 0, [][]byte{[]byte(key)}, res[:0]))
+	return one(k.h.run(ctx, core.OpGet, key, 0, [][]byte{[]byte(key)}, res[:0], nil))
 }
 
 // Exists reports whether key is present.
 func (k *KV) Exists(ctx context.Context, key string) (bool, error) {
-	_, _, err := k.h.run(ctx, core.OpExists, key, 0, [][]byte{[]byte(key)}, nil)
+	_, _, err := k.h.run(ctx, core.OpExists, key, 0, [][]byte{[]byte(key)}, nil, nil)
 	if errors.Is(err, core.ErrNotFound) {
 		return false, nil
 	}
@@ -56,14 +56,14 @@ func (k *KV) Exists(ctx context.Context, key string) (bool, error) {
 // Delete removes key and returns the previous value.
 func (k *KV) Delete(ctx context.Context, key string) ([]byte, error) {
 	var res [1][]byte
-	return one(k.h.run(ctx, core.OpDelete, key, 0, [][]byte{[]byte(key)}, res[:0]))
+	return one(k.h.run(ctx, core.OpDelete, key, 0, [][]byte{[]byte(key)}, res[:0], nil))
 }
 
 // Update overwrites an existing key and returns the previous value;
 // fails with ErrNotFound if the key is absent.
 func (k *KV) Update(ctx context.Context, key string, value []byte) ([]byte, error) {
 	var res [1][]byte
-	return one(k.h.run(ctx, core.OpUpdate, key, 0, [][]byte{[]byte(key), value}, res[:0]))
+	return one(k.h.run(ctx, core.OpUpdate, key, 0, [][]byte{[]byte(key), value}, res[:0], nil))
 }
 
 // Subscribe registers for notifications on the given op types across

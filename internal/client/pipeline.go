@@ -298,8 +298,11 @@ func (h *handle) exhausted(op core.OpType, key string, last error) error {
 // file or custom chunk; a structure ignores the one it does not route
 // by. It returns the op's values, decoded into res (the caller's vector,
 // so a one-value answer costs the caller only its value), and the chunk
-// of the entry that served it.
-func (h *handle) run(ctx context.Context, op core.OpType, key string, chunk int, args, res [][]byte) ([][]byte, int, error) {
+// of the entry that served it. read, when set, reads a mutation's
+// encoded values in place instead (do), and run returns none; its error
+// is the op's answer.
+func (h *handle) run(ctx context.Context, op core.OpType, key string, chunk int, args, res [][]byte,
+	read func([]byte) error) ([][]byte, int, error) {
 	rec := recovery{h: h}
 	var last error
 	for attempt := 0; attempt < h.c.policy.Limit; attempt++ {
@@ -309,7 +312,7 @@ func (h *handle) run(ctx context.Context, op core.OpType, key string, chunk int,
 			if retry, err = rec.admit(op, at.Server); err == nil {
 				var vals [][]byte
 				if op.IsMutation() {
-					vals, err = h.do(ctx, at, op, args, res)
+					vals, err = h.do(ctx, at, op, args, res, read)
 				} else {
 					// What is not a mutation is an idempotent read: it may
 					// hedge against another member of the chain.
@@ -352,17 +355,17 @@ type batchGroup struct {
 // runBatch drives a batch of same-op operations to completion, one
 // MethodDataOpBatch frame per destination server and attempt, cut at
 // ds.MaxBatchOps ops. Op i addresses keys[i] and carries vals[i]; with
-// keys nil every op addresses chunk, with vals nil the key is the only
-// argument. landed, when set, receives each successful op's values and
-// the chunk that served it; the values alias the response, but the
-// vector holding them is reused for the next op, so landed keeps
+// keys nil every op addresses the structure's one route (a queue end),
+// with vals nil the key is the only argument. landed, when set,
+// receives each successful op's values; they alias the response, but
+// the vector holding them is reused for the next op, so landed keeps
 // elements, never res itself. The result is nil or a *MultiError
 // indexed like the batch: ops fail and are retried independently, and
 // every pending op shares each attempt's one settle. The groups' vectors
 // are windows of a pooled scratch's vectors, reused by every attempt,
 // and the per-op errors are only allocated once an op fails.
-func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, chunk int, vals [][]byte,
-	landed func(i, chunk int, res [][]byte) error) error {
+func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, vals [][]byte,
+	landed func(i int, res [][]byte) error) error {
 	n := max(len(keys), len(vals))
 	if n == 0 {
 		return nil
@@ -410,7 +413,7 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 		var rerr error
 		for j, i := range pending {
 			if keys != nil || j == 0 {
-				e, retry, rerr = rec.locate(op, keyOf(i), chunk)
+				e, retry, rerr = rec.locate(op, keyOf(i), 0)
 			}
 			if rerr != nil {
 				setErr(i, rerr)
@@ -470,8 +473,8 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 			}
 			sc.results = rs
 			// A failed result equal to the one before it — the redirected
-			// or refused suffix of a filled chunk — shares its parsed
-			// error and its note: one parse per run, not per op.
+			// or refused suffix of a sealed queue segment — shares its
+			// parsed error and its note: one parse per run, not per op.
 			var last ds.BatchResult
 			var lastBlock core.BlockID
 			var lastErr error
@@ -485,7 +488,7 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, ch
 					res, oerr = ds.DecodeValsInto(res[:0], r.Blob)
 					sc.vals = res
 					if oerr == nil && landed != nil {
-						oerr = landed(i, g.chunk, res)
+						oerr = landed(i, res)
 					}
 					if oerr != nil {
 						retry = rec.note(op, at, g.chunk, oerr)

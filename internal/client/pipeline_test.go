@@ -35,7 +35,7 @@ type step struct {
 // hit is one request a data server received.
 type hit struct {
 	server string
-	ops    int
+	ops    int // a batch frame's ops, a run's records, else 1
 }
 
 var fakeSeq atomic.Int64
@@ -143,14 +143,26 @@ func (f *fake) serveData(addr string, method uint16, payload []byte) (rpc.Respon
 			return rpc.Response{}, err
 		}
 		nops = len(ops)
-	} else if _, _, _, err := ds.DecodeRequestInto(nil, payload); err != nil {
-		return rpc.Response{}, err
+	} else {
+		op, _, args, err := ds.DecodeRequestInto(nil, payload)
+		if err != nil {
+			return rpc.Response{}, err
+		}
+		if op == core.OpFileAppend {
+			nops = len(args) // one record per arg
+		}
 	}
+	run := method == proto.MethodDataOp && nops > 1
 	f.mu.Lock()
 	f.hits = append(f.hits, hit{server: addr, ops: nops})
 	var st step
 	if len(f.script) > 0 {
 		st, f.script = f.script[0], f.script[1:]
+	}
+	if run && st.err != nil && !st.perCall {
+		// A run's first half lands, and the answer says so; st.err then
+		// refuses the request that carries the rest.
+		f.script = append([]step{{err: st.err, perCall: true}}, f.script...)
 	}
 	var hold time.Duration
 	if addr == f.slow {
@@ -160,6 +172,13 @@ func (f *fake) serveData(addr string, method uint16, payload []byte) (rpc.Respon
 	time.Sleep(hold)
 	if st.cancel {
 		f.cancel()
+	}
+	if run && !st.perCall {
+		landed := nops
+		if st.err != nil {
+			landed = nops / 2
+		}
+		return rpc.BytesResponse(ds.AppendU64(nil, 7, uint64(landed))), nil
 	}
 	if method == proto.MethodDataOp || st.perCall {
 		if st.err != nil {
@@ -248,6 +267,9 @@ type opKind struct {
 	follows bool // follows links: a redirect sends it to the successor
 	custom  bool // does not grow on full
 	batch   int  // ops per call, 0 for a single op
+	// runOp: the batch is one op, a run of records, that lands a
+	// prefix of them; the rest goes again as a run of its own.
+	runOp bool
 	// run drives the op; a file append must land in chunk landed.
 	run func(ctx context.Context, c *Client, landed int) error
 }
@@ -262,10 +284,12 @@ func batchItems(n int) [][]byte {
 	return items
 }
 
-// shrunk is the size of a batch's last request when every attempt
-// fails the second half of the ops it carried.
-func shrunk(ops, attempts int) int {
-	for ; attempts > 1; attempts-- {
+// lastOps is the size of k's last request when every attempt fails:
+// a batch's shrinks by the half each answer placed, and a run, which
+// lands none of its records, is sent whole each time.
+func lastOps(k opKind, attempts int) int {
+	ops := max(k.batch, 1)
+	for ; attempts > 1 && !k.runOp; attempts-- {
 		ops -= ops / 2
 	}
 	return ops
@@ -356,16 +380,19 @@ var opKinds = []opKind{
 		}
 		return kv.MultiPut(ctx, []KVPair{{"a", nil}, {"b", nil}, {"c", nil}, {"d", nil}})
 	}},
-	{name: "File.AppendBatch", dsType: core.DSFile, follows: true, batch: 4, run: func(ctx context.Context, c *Client, landed int) error {
+	{name: "File.AppendBatch", dsType: core.DSFile, follows: true, batch: 4, runOp: true, run: func(ctx context.Context, c *Client, landed int) error {
 		f, err := c.OpenFile(ctx, "j/s")
 		if err != nil {
 			return err
 		}
 		offs, err := f.AppendBatch(ctx, batchItems(4))
 		for i, off := range offs {
-			want := 7 // the placed prefix lands in the first chunk
-			if i >= 2 {
-				want += landed * fakeChunk
+			// Every answer lands its records back to back from 7: one
+			// answer all four in the first chunk, or two answers a half
+			// each, the second half in chunk landed.
+			want := 7 + i
+			if i >= 2 && off != want {
+				want = landed*fakeChunk + 5 + i
 			}
 			if err == nil && off != want {
 				err = fmt.Errorf("record %d landed at %d, want %d", i, off, want)
@@ -405,7 +432,7 @@ var errClasses = []errClass{
 }
 
 // wantCell is the table itself: the action each error class takes,
-// the same for every op kind but for the three noted differences.
+// the same for every op kind but for the four noted differences.
 func wantCell(k opKind, class string) outcome {
 	first := "s0" // mutations enter at the chain head
 	if k.read {
@@ -443,10 +470,20 @@ func wantCell(k opKind, class string) outcome {
 		}
 	case "op-level": // the answer
 		final.err = core.ErrTooLarge
+		if k.runOp {
+			// The run's answer placed its first half; the refused record
+			// fails alone, and the one after it goes as a run of its own.
+			final.attempts, final.lastOps = 3, 1
+		}
 		return final
 	case "ctx-cancel": // the caller is gone: stop at once
 		final.err = context.Canceled
 		return final
+	}
+	if k.runOp && retried.lastOps == suffix {
+		// The run's answer placed its first half; the first request for
+		// the rest met the answer.
+		retried.attempts++
 	}
 	return retried
 }
@@ -475,7 +512,11 @@ func TestPipelineTable(t *testing.T) {
 						t.Fatalf("batch error = %v, want a *MultiError of %d", err, k.batch)
 					}
 					for i, e := range me.Errs {
-						if failed := i >= k.batch/2; failed != (e != nil) {
+						failed := i >= k.batch/2
+						if k.runOp {
+							failed = i == k.batch/2
+						}
+						if failed != (e != nil) {
 							t.Errorf("op %d: error = %v, want failure = %v", i, e, failed)
 						}
 					}
@@ -496,12 +537,13 @@ func TestPipelineThrottleSurfacesAfterLimit(t *testing.T) {
 		t.Run(k.name, func(t *testing.T) {
 			f := newFake(t, k.dsType, "s0", "s1", "s2")
 			for i := 0; i < 2*limit; i++ {
-				f.script = append(f.script, step{err: errThrottled})
+				// A run meeting a refusal that persists lands none of it.
+				f.script = append(f.script, step{err: errThrottled, perCall: k.runOp})
 			}
 			c := f.dial()
 			err := k.run(context.Background(), c, 0)
 			f.check(c, err, outcome{waits: limit, attempts: limit + 1, last: "s0",
-				lastOps: shrunk(max(k.batch, 1), limit+1), err: core.ErrQuotaExceeded})
+				lastOps: lastOps(k, limit+1), err: core.ErrQuotaExceeded})
 			if hint := core.RetryAfterOf(err); hint != throttleHint {
 				t.Errorf("surfaced refusal carries retry-after %v, want %v", hint, throttleHint)
 			}
@@ -614,8 +656,13 @@ func TestPipelineBoundedStructureFull(t *testing.T) {
 			f.script = []step{{err: core.ErrBlockFull}}
 			c := f.dial()
 			err := k.run(context.Background(), c, 0)
-			f.check(c, err, outcome{scales: 1, attempts: 1, last: "s0", lastOps: max(k.batch, 1),
-				err: core.ErrBlockFull})
+			want := outcome{scales: 1, attempts: 1, last: "s0", lastOps: max(k.batch, 1), err: core.ErrBlockFull}
+			if k.runOp {
+				// The run's answer placed its first half; the request for
+				// the rest met the full block.
+				want.attempts, want.lastOps = 2, k.batch/2
+			}
+			f.check(c, err, want)
 		})
 	}
 }
@@ -649,7 +696,7 @@ func TestPipelineBudget(t *testing.T) {
 		t.Run(k.name, func(t *testing.T) {
 			f := newFake(t, k.dsType, "s0", "s1", "s2")
 			for i := 0; i < 2*limit; i++ {
-				f.script = append(f.script, step{err: core.ErrStaleEpoch})
+				f.script = append(f.script, step{err: core.ErrStaleEpoch, perCall: k.runOp})
 			}
 			c := f.dial(WithRetryPolicy(RetryPolicy{Limit: limit}))
 			err := k.run(context.Background(), c, 0)
@@ -658,7 +705,7 @@ func TestPipelineBudget(t *testing.T) {
 				last = "s2"
 			}
 			f.check(c, err, outcome{refreshes: limit, attempts: limit, last: last,
-				lastOps: shrunk(max(k.batch, 1), limit), err: core.ErrStaleEpoch})
+				lastOps: lastOps(k, limit), err: core.ErrStaleEpoch})
 			if err == nil || !strings.Contains(err.Error(), "retries exhausted") {
 				t.Errorf("error = %v, want retries exhausted", err)
 			}

@@ -75,7 +75,7 @@ func (q *Queue) redirected(op core.OpType, _ int, next core.BlockInfo) {
 // Enqueue appends an item to the queue tail. On a bounded queue at its
 // block limit it reports ErrBlockFull as backpressure to the producer.
 func (q *Queue) Enqueue(ctx context.Context, item []byte) error {
-	_, _, err := q.h.run(ctx, core.OpEnqueue, "", 0, [][]byte{item}, nil)
+	_, _, err := q.h.run(ctx, core.OpEnqueue, "", 0, [][]byte{item}, nil, nil)
 	return err
 }
 
@@ -83,7 +83,7 @@ func (q *Queue) Enqueue(ctx context.Context, item []byte) error {
 // the queue has no pending items.
 func (q *Queue) Dequeue(ctx context.Context) ([]byte, error) {
 	var res [1][]byte
-	return one(q.h.run(ctx, core.OpDequeue, "", 0, nil, res[:0]))
+	return one(q.h.run(ctx, core.OpDequeue, "", 0, nil, res[:0], nil))
 }
 
 // Peek returns the oldest pending item without consuming it; returns
@@ -93,7 +93,7 @@ func (q *Queue) Dequeue(ctx context.Context) ([]byte, error) {
 // each other.
 func (q *Queue) Peek(ctx context.Context) ([]byte, error) {
 	var res [1][]byte
-	return one(q.h.run(ctx, core.OpQueuePeek, "", 0, nil, res[:0]))
+	return one(q.h.run(ctx, core.OpQueuePeek, "", 0, nil, res[:0], nil))
 }
 
 // Subscribe registers for notifications on the queue's blocks —

@@ -235,6 +235,23 @@ func TestErrorCodeWrapped(t *testing.T) {
 	}
 }
 
+// TestErrorCodePrecedence: an error that wraps two sentinels maps to
+// the lower code, the same on every call, and every code below
+// CodeOther maps back from its sentinel.
+func TestErrorCodePrecedence(t *testing.T) {
+	err := fmt.Errorf("%w: %w", ErrStaleEpoch, ErrBlockFull)
+	for i := 0; i < 1000; i++ {
+		if code := CodeOf(err); code != CodeBlockFull {
+			t.Fatalf("call %d: CodeOf = %v, want CodeBlockFull, the lower code", i, code)
+		}
+	}
+	for code := CodeOK + 1; code < CodeOther; code++ {
+		if got := CodeOf(ErrOf(code, "")); got != code {
+			t.Errorf("CodeOf(ErrOf(%d)) = %d", code, got)
+		}
+	}
+}
+
 func TestErrorCodeOther(t *testing.T) {
 	if CodeOf(errors.New("boom")) != CodeOther {
 		t.Error("arbitrary error should map to CodeOther")

@@ -91,7 +91,11 @@ const (
 	CodeOther
 )
 
-var codeToErr = map[ErrorCode]error{
+// codeToErr is each wire code's sentinel, indexed by code. CodeOf tests
+// them in code order, so an error that wraps two sentinels takes the
+// lower code — ErrBlockFull over ErrStaleEpoch, say — and takes it on
+// every call.
+var codeToErr = [...]error{
 	CodeNotFound:       ErrNotFound,
 	CodeExists:         ErrExists,
 	CodeNoCapacity:     ErrNoCapacity,
@@ -112,14 +116,15 @@ var codeToErr = map[ErrorCode]error{
 }
 
 // CodeOf maps an error to its wire code. Wrapped sentinels are
-// recognized via errors.Is; anything else maps to CodeOther.
+// recognized via errors.Is, the lowest code first (codeToErr);
+// anything else maps to CodeOther.
 func CodeOf(err error) ErrorCode {
 	if err == nil {
 		return CodeOK
 	}
 	for code, sentinel := range codeToErr {
-		if errors.Is(err, sentinel) {
-			return code
+		if sentinel != nil && errors.Is(err, sentinel) {
+			return ErrorCode(code)
 		}
 	}
 	return CodeOther
@@ -152,8 +157,8 @@ func ErrOf(code ErrorCode, msg string) error {
 		}
 		return ErrServerDegraded
 	}
-	if err, ok := codeToErr[code]; ok {
-		return err
+	if int(code) < len(codeToErr) && codeToErr[code] != nil {
+		return codeToErr[code]
 	}
 	if msg == "" {
 		msg = "jiffy: remote error"

@@ -86,11 +86,14 @@ func applyAnswer(p answerer, op core.OpType, args [][]byte) ([][]byte, error) {
 	return DecodeValsInto(r.vec[:0], out)
 }
 
-// AppendU64 encodes a one-value integer result vector onto dst: its
-// count, its length and its 8 bytes.
-func AppendU64(dst []byte, v uint64) []byte {
-	dst = append(dst, 0, 1, 0, 0, 0, 8)
-	return binary.BigEndian.AppendUint64(dst, v)
+// AppendU64 encodes a result vector of integers onto dst: its count,
+// then each value's length and its 8 bytes.
+func AppendU64(dst []byte, vs ...uint64) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(vs)))
+	for _, v := range vs {
+		dst = binary.BigEndian.AppendUint64(append(dst, 0, 0, 0, 8), v)
+	}
+	return dst
 }
 
 // AppendValsVec encodes a result vector (same wire layout as

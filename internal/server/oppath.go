@@ -29,13 +29,14 @@ type opCtx struct {
 	args  [][]byte // alias the request frame: valid until the entry returns
 	b     *blockstore.Block
 
-	// n is how many records the op applies as one run: a batch frame's
-	// consecutive appends to one file chunk, args holding their records
-	// one each, land under one hold of the chunk lock. Any other op — a
-	// lone append too — is a run of one, args its vector. The apply stage
-	// ends a run at its first refused record (cut). On success every
-	// record of the run is acknowledged; on an error the first len(offs)
-	// are, and the rest answer the error. offs holds the offset each
+	// n is how many records the op applies as one run: a single op's
+	// append of several records (runOp), args holding them one each,
+	// lands them under one hold of the chunk lock. Any other op — an
+	// append of one record, every op of a batch frame, a hop — is a run
+	// of one, args its vector. The apply stage ends a run at its first
+	// refused or unforwarded record (cut) and answers the records
+	// acknowledged before it; only a run none of whose records was
+	// acknowledged answers an error. offs holds the offset each
 	// acknowledged append landed at.
 	n    int
 	offs []int
@@ -68,8 +69,9 @@ type opCtx struct {
 // scratch is the vectors one entry decodes into — an op's or a hop's
 // args, a batch frame's ops and their one arg vector — the vector a
 // view extends with its one value (a batch takes one for all its
-// views), the offsets a run of appends landed at, and the buffer a
-// hop's discarded answer is encoded onto.
+// views), the offsets a run of appends landed at, kept at the size the
+// longest run grew it to, and the buffer a hop's discarded answer is
+// encoded onto.
 // They cross the Partition and ViewReader interfaces, so on the stack
 // they would escape; pooled, a steady-state entry allocates none.
 type scratch struct {
@@ -100,9 +102,11 @@ func (sc *scratch) release() {
 	scratchPool.Put(sc)
 }
 
-// runOp runs one op (MethodDataOp). Inline, it returns
-// rpc.ErrDispatchAsync at the first stage that would block, holding
-// nothing, and the rpc layer runs it again from decode on a goroutine.
+// runOp runs one op (MethodDataOp); an append of several records is
+// one run of them (opCtx.n). Inline, it returns rpc.ErrDispatchAsync at
+// the first stage that would block, holding nothing and before any
+// record lands, and the rpc layer runs it again from decode on a
+// goroutine.
 // The response never aliases the request payload: partitions copy what
 // they keep, and a result is either owned outright (a dequeued item, a
 // removed value), copied into the response (a KV value, a small view)
@@ -119,6 +123,9 @@ func (s *Server) runOp(ctx context.Context, payload []byte, inline bool) (rpc.Re
 	if o.op.IsControl() {
 		return o.encode(errControlOp)
 	}
+	if o.op == core.OpFileAppend && len(o.args) > 1 {
+		o.n = len(o.args) // a run: each arg is a record
+	}
 	if o.b, err = s.store.Get(o.block); err != nil {
 		return o.encode(err)
 	}
@@ -134,14 +141,16 @@ func (s *Server) runOp(ctx context.Context, payload []byte, inline bool) (rpc.Re
 			o.b.EndOp()
 		}
 	}()
-	release, err := s.admit(ctx, o.b.Tenant, 1, argBytes(o.args), inline)
+	release, err := s.admit(ctx, o.b.Tenant, int64(o.n), argBytes(o.args), inline)
 	if err != nil {
 		return o.encode(err)
 	}
 	if release != nil {
 		defer release()
 	}
-	return o.encode(s.apply(ctx, &o))
+	resp, err := o.encode(s.apply(ctx, &o))
+	sc.offs = o.offs
+	return resp, err
 }
 
 // errControlOp refuses a control-only op kind (core.OpType.IsControl)
@@ -254,13 +263,11 @@ func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, er
 	}
 	// The batch response: u16 count, then one result per op. The apply
 	// stage encodes an answer it builds by appending as a whole result
-	// (framed); any other outcome goes through ds.AppendResult.
+	// (framed); any other outcome goes through ds.AppendResult. Each op
+	// is a run of one.
 	resp := binary.BigEndian.AppendUint16(wire.GetBuf(), uint16(len(ops)))
 	mutated := make(map[core.BlockID]*blockstore.Block)
-	// k is where ops[i]'s window starts in args, the frame's one arg
-	// vector: a run's records are consecutive there.
-	for i, k := 0, 0; i < len(ops); {
-		bo := ops[i]
+	for _, bo := range ops {
 		o := opCtx{op: bo.Op, block: bo.Block, args: bo.Args, n: 1, b: blocks[bo.Block],
 			framed: true, out: resp, res: sc.res[:0], offs: sc.offs[:0]}
 		err := refused[bo.Block]
@@ -268,52 +275,26 @@ func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, er
 			err = errControlOp
 		}
 		if err == nil {
-			if o.n = runLen(ops[i:], o.b); o.n > 1 {
-				o.args = args[k : k+o.n]
-			}
 			err = s.apply(ctx, &o)
-			if o.op.IsMutation() && (err == nil || len(o.offs) > 0) {
+			if o.op.IsMutation() && err == nil {
 				mutated[o.block] = o.b
 			}
 		}
 		resp = o.out
 		switch {
 		case err != nil:
-			r := ds.ErrResult(err)
-			for range o.n - len(o.offs) {
-				resp = ds.AppendResult(resp, r, nil)
-			}
+			resp = ds.AppendResult(resp, ds.ErrResult(err), nil)
 		case !o.encoded:
 			resp = ds.AppendResult(resp, ds.ErrResult(nil), o.res)
 		}
 		if o.lease != nil {
 			o.lease()
 		}
-		sc.offs = o.offs
-		for _, c := range ops[i : i+o.n] {
-			k += len(c.Args)
-		}
-		i += o.n
 	}
 	for _, b := range mutated {
 		s.store.CheckThresholds(b)
 	}
 	return rpc.BytesResponse(resp), nil
-}
-
-// runLen is how many ops from ops[0] on apply as one run: consecutive
-// appends of one record each to b's file chunk. Any other op is a run of
-// one.
-func runLen(ops []ds.BatchOp, b *blockstore.Block) int {
-	first := ops[0]
-	if first.Op != core.OpFileAppend || len(first.Args) != 1 || b.Partition.Type() != core.DSFile {
-		return 1
-	}
-	n := 1
-	for n < len(ops) && ops[n].Op == core.OpFileAppend && ops[n].Block == first.Block && len(ops[n].Args) == 1 {
-		n++
-	}
-	return n
 }
 
 // runHop runs a chain hop (MethodReplicate): a mutation forwarded by
@@ -396,7 +377,10 @@ func argBytes(args [][]byte) int64 {
 // the view holds a read lease, and is answered like a mutation
 // otherwise (applyOn). Each acknowledged record then notifies its
 // block's subscribers, unless it is a hop. An append refused as full
-// may first wait for its chunk's growth and run once more (awaitGrowth).
+// may first wait for its chunk's growth and run once more (awaitGrowth):
+// sequence reports a refusal only when no record of the run was
+// acknowledged, so the wait — and an inline punt, which reruns the op
+// from decode — never follows a landed record.
 func (s *Server) apply(ctx context.Context, o *opCtx) (err error) {
 	if o.op.IsMutation() {
 		var refused error
@@ -418,12 +402,8 @@ func (s *Server) apply(ctx context.Context, o *opCtx) (err error) {
 		return err // nothing landed: the op reruns from decode, counted then
 	}
 	s.ops.Add(int64(o.n))
-	if !o.hop {
-		acked := o.n
-		if err != nil {
-			acked = len(o.offs)
-		}
-		s.notify(o, acked)
+	if err == nil && !o.hop {
+		s.notify(o, o.n)
 	}
 	return err
 }
@@ -493,10 +473,10 @@ func (s *Server) awaitGrowth(ctx context.Context, o *opCtx, refused error) error
 }
 
 // applyOn runs the op against its block and reports how many records
-// of its run landed. A run of appends to a file chunk lands from its
-// first unanswered record on, under one hold of the chunk lock
-// (Store.AppendRun), until one is refused; their offsets go to o.offs,
-// and sequence answers them once they are forwarded. A built-in op
+// of its run landed. A run of appends to a file chunk lands under one
+// hold of the chunk lock (Store.AppendRun), back to back, until a
+// record is refused; their offsets go to o.offs, and sequence answers
+// them once they are forwarded. A built-in op
 // whose answer is an integer or a copied value — a KV get, its value
 // copied under the bucket lock; a file write; any usage — is encoded
 // onto o.out (ds.AppendAnswer) and sets o.encoded; any other op is the
@@ -505,11 +485,10 @@ func (s *Server) applyOn(o *opCtx) (int, error) {
 	// An append whose vector is not one record falls through to the
 	// partition's own argument check.
 	if o.op == core.OpFileAppend && len(o.args) == o.n {
-		from := len(o.offs)
-		offs, handled, err := s.store.AppendRun(o.b, o.args[from:], o.offs, o.checkNow)
+		offs, handled, err := s.store.AppendRun(o.b, o.args, o.offs[:0], o.checkNow)
 		if handled {
 			o.offs = offs
-			return len(offs) - from, err
+			return len(offs), err
 		}
 	}
 	mark := o.begin()
@@ -529,10 +508,15 @@ func (s *Server) applyOn(o *opCtx) (int, error) {
 	return 1, nil
 }
 
-// sequence applies a mutation's run (applyOn) in chain order and
-// forwards it to the block's successor. It returns the refusal that
-// ended the run, if one did, and apart from it err: a seal or a failed
-// forward, which leaves records that landed unacknowledged. A hop
+// sequence applies a mutation's run (applyOn) in chain order, forwards
+// it to the block's successor and answers it. A run that had records
+// acknowledged is cut to them and answers them, whatever stopped it: a
+// refused record, or a failed forward, which leaves records that landed
+// unacknowledged; the client sends the rest again. An append answers
+// where its records landed: one record its offset, several the first
+// one's offset and how many landed, back to back. A run none of whose
+// records was acknowledged returns the refusal that stopped it, or
+// apart from it err: a seal or a failed forward. A hop
 // applies in its predecessor's sequence order (ApplyInOrder). Its seq
 // is consumed even when the apply refuses, so a refusing replica
 // forwards a skip (an OpNop hop) in its place, counted in
@@ -548,7 +532,7 @@ func (s *Server) applyOn(o *opCtx) (int, error) {
 // would let mid-chain survivors apply a mutation the spliced-in
 // replacement misses, wedging the stream on the hole.
 func (s *Server) sequence(ctx context.Context, o *opCtx) (refused, err error) {
-	b, from, mark := o.b, len(o.offs), len(o.out)
+	b, mark := o.b, len(o.out)
 	landed := 0
 	applyOn := func() int {
 		landed, refused = s.applyOn(o)
@@ -584,7 +568,7 @@ func (s *Server) sequence(ctx context.Context, o *opCtx) (refused, err error) {
 			// Sealed, possibly while the run applied: the migration
 			// snapshot may miss it, so no record of it is acknowledged and
 			// the client retries against the migrated block.
-			o.out, o.offs = o.out[:mark], o.offs[:from]
+			o.out, o.offs = o.out[:mark], o.offs[:0]
 			return nil, fmt.Errorf("server: block %v sealed for migration: %w", b.ID, core.ErrStaleEpoch)
 		}
 	}
@@ -594,20 +578,31 @@ func (s *Server) sequence(ctx context.Context, o *opCtx) (refused, err error) {
 	acked := landed
 	if len(chain) > 1 { // else there is no successor
 		for i := range landed {
-			if ferr := s.propagate(ctx, b, chain, seq+uint64(i), gen, o.op, o.record(from+i)); ferr != nil && err == nil {
+			if ferr := s.propagate(ctx, b, chain, seq+uint64(i), gen, o.op, o.record(i)); ferr != nil && err == nil {
 				err, acked = ferr, i
 			}
 		}
 	}
-	if err != nil {
-		o.out, o.offs = o.out[:mark], o.offs[:from+acked]
-		o.cut(from + landed)
-	} else if refused != nil {
-		o.cut(from + landed + 1)
+	switch {
+	case acked > 0:
+		o.cut(acked)
+		refused, err = nil, nil
+	case err != nil:
+		o.out = o.out[:mark]
+		o.cut(landed)
+	case refused != nil:
+		o.cut(1)
 	}
-	for _, off := range o.offs[from:] {
+	if len(o.offs) > acked {
+		o.offs = o.offs[:acked]
+	}
+	if n := len(o.offs); n > 0 {
 		m := o.begin()
-		o.out = ds.AppendU64(o.out, uint64(off))
+		if n == 1 {
+			o.out = ds.AppendU64(o.out, uint64(o.offs[0]))
+		} else {
+			o.out = ds.AppendU64(o.out, uint64(o.offs[0]), uint64(n))
+		}
 		o.end(m)
 	}
 	return refused, err

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -330,10 +331,12 @@ func TestOpPathTable(t *testing.T) {
 	runCells(t)
 }
 
-// runCells are the op-path table's cells for a run: a batch frame's
-// consecutive appends to one file chunk, applied under one hold of the
-// chunk lock. Each run is five 3-byte records, and each cell checks
-// every record's answer and that ServerStats.Ops moved by five.
+// runCells are the op-path table's cells for a run: one op's append of
+// several records to a file chunk, applied under one hold of the chunk
+// lock. Each run is five 3-byte records, and each cell checks the
+// answer — where the acknowledged records landed, back to back, or the
+// refusal when none was — and that ServerStats.Ops moved by the records
+// the run applied.
 func runCells(t *testing.T) {
 	recs := [][]byte{[]byte("r00"), []byte("r01"), []byte("r02"), []byte("r03"), []byte("r04")}
 	// start serves file block 1 of capacity bytes.
@@ -348,45 +351,35 @@ func runCells(t *testing.T) {
 		}
 		return s, b
 	}
-	// run sends the records as one batch and checks the ops count.
-	run := func(t *testing.T, s *Server) []ds.BatchResult {
-		ops := make([]ds.BatchOp, len(recs))
-		for i, r := range recs {
-			ops[i] = ds.BatchOp{Op: core.OpFileAppend, Block: 1, Args: [][]byte{r}}
-		}
+	// run sends recs as one append op and decodes its answer: the
+	// values of a success, else the refusal's code.
+	run := func(t *testing.T, s *Server, recs [][]byte, applied int) (core.ErrorCode, []uint64) {
 		before := s.Ops()
-		resp, err := s.handle(context.Background(), nil, proto.MethodDataOpBatch, ds.AppendBatchRequest(nil, ops))
+		resp, err := s.handle(context.Background(), nil, proto.MethodDataOp, ds.AppendRequest(nil, core.OpFileAppend, 1, recs))
+		if n := s.Ops() - before; n != int64(applied) {
+			t.Errorf("ServerStats.Ops moved by %d, want %d: one per record applied", n, applied)
+		}
 		if err != nil {
-			t.Fatal(err)
+			return core.CodeOf(err), nil
 		}
-		results, err := ds.DecodeBatchResults(resp.Payload)
-		if err != nil || len(results) != len(recs) {
-			t.Fatalf("batch response: %d results, %v", len(results), err)
+		vals, err := ds.DecodeValsInto(nil, resp.Payload)
+		if err != nil {
+			t.Errorf("answer: %v", err)
 		}
-		if n := s.Ops() - before; n != int64(len(recs)) {
-			t.Errorf("ServerStats.Ops moved by %d, want %d: one per record", n, len(recs))
-		}
-		return results
-	}
-	// offsets decodes the acknowledged offsets, which must lead the
-	// results, each 3 bytes past the last.
-	offsets := func(t *testing.T, results []ds.BatchResult) int {
-		n := 0
-		for ; n < len(results) && results[n].Code == core.CodeOK; n++ {
-			vals, err := ds.DecodeValsInto(nil, results[n].Blob)
-			if err != nil || len(vals) != 1 {
-				t.Fatalf("record %d: %q, %v", n, vals, err)
+		var got []uint64
+		for _, v := range vals {
+			u, err := ds.ParseU64(v)
+			if err != nil {
+				t.Errorf("answer value: %v", err)
 			}
-			if off, _ := ds.ParseU64(vals[0]); off != uint64(3*n) {
-				t.Errorf("record %d landed at %d, want %d", n, off, 3*n)
-			}
+			got = append(got, u)
 		}
-		return n
+		return core.CodeOK, got
 	}
 	t.Run("file.append-run/whole", func(t *testing.T) {
 		s, _ := start(t, 64*core.KB)
-		if n := offsets(t, run(t, s)); n != len(recs) {
-			t.Errorf("%d of %d records acknowledged", n, len(recs))
+		if code, got := run(t, s, recs, len(recs)); code != core.CodeOK || !slices.Equal(got, []uint64{0, 5}) {
+			t.Errorf("run answered %v %v, want [0 5]: all five from offset 0", code, got)
 		}
 	})
 	for _, linked := range []bool{false, true} {
@@ -399,14 +392,11 @@ func runCells(t *testing.T) {
 			if linked {
 				b.Partition.(*ds.File).SetNext(core.BlockInfo{ID: 7, Server: "next"})
 			}
-			results := run(t, s)
-			if n := offsets(t, results); n != 3 {
-				t.Errorf("%d records acknowledged, want the 3 that fit", n)
+			if code, got := run(t, s, recs, 3); code != core.CodeOK || !slices.Equal(got, []uint64{0, 3}) {
+				t.Errorf("run answered %v %v, want [0 3]: the three that fit", code, got)
 			}
-			for i := 3; i < len(results); i++ {
-				if results[i].Code != want {
-					t.Errorf("record %d answered %v, want %v", i, results[i].Code, want)
-				}
+			if code, _ := run(t, s, recs[3:], 1); code != want {
+				t.Errorf("the rest answered %v, want %v", code, want)
 			}
 		})
 	}
@@ -426,18 +416,19 @@ func runCells(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			done := make(chan []ds.BatchResult, 1)
-			go func() { done <- run(t, s) }()
+			done := make(chan core.ErrorCode, 1)
+			go func() {
+				code, _ := run(t, s, recs, len(recs))
+				done <- code
+			}()
 			for b.Inflight() == 0 {
 				time.Sleep(time.Millisecond)
 			}
 			time.Sleep(10 * time.Millisecond)
 			b.Seal()
 			view.Release()
-			for i, r := range <-done {
-				if r.Code != core.CodeStaleEpoch {
-					t.Fatalf("record %d answered %v on a block sealed mid-run, want StaleEpoch", i, r.Code)
-				}
+			if code := <-done; code != core.CodeStaleEpoch {
+				t.Fatalf("a run on a block sealed mid-run answered %v, want StaleEpoch", code)
 			}
 			if f.Bytes() == 1+3*len(recs) {
 				return // the run landed and none of it was acknowledged
