@@ -472,12 +472,11 @@ func TestAppendBatchIsOneOp(t *testing.T) {
 
 // TestAppendBatchRunLandsOnce: a run that fills its chunk while the
 // chunk's over-signal is in flight lands each of its records once. A
-// 20-record run, small enough for the server to apply on its read
-// pump, meets a chunk with room for 7: the 7 that fit are answered,
-// and the 13 after them, sent again, wait for the growth the signal
-// brings and follow its link. A run that punted off the read pump to
-// wait after landing its prefix would land that prefix again when it
-// reran.
+// 20-record run meets a chunk with room for 7: the 7 that fit are
+// answered, and the 13 after them, sent again, wait for the growth the
+// signal brings and follow its link. A run that waited after landing
+// its prefix, and was then applied whole once more, would land that
+// prefix twice.
 func TestAppendBatchRunLandsOnce(t *testing.T) {
 	inj := faultinject.New(56, nil)
 	cfg := core.TestConfig()

@@ -106,7 +106,7 @@ func TestLeaderHintRoundTrip(t *testing.T) {
 	if !errors.Is(nl, core.ErrNotLeader) {
 		t.Fatal("NotLeaderError does not unwrap to ErrNotLeader")
 	}
-	rebuilt := core.ErrOf(core.CodeNotLeader, nl.Error())
+	rebuilt := core.ErrOf(core.CodeNotLeader, []byte(nl.Error()))
 	if !errors.Is(rebuilt, core.ErrNotLeader) {
 		t.Fatal("reconstructed error lost the ErrNotLeader sentinel")
 	}

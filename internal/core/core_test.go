@@ -221,7 +221,7 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 		if code == CodeOK || code == CodeOther {
 			t.Errorf("CodeOf(%v) = %v", s, code)
 		}
-		back := ErrOf(code, "")
+		back := ErrOf(code, nil)
 		if !errors.Is(back, s) {
 			t.Errorf("ErrOf(CodeOf(%v)) = %v", s, back)
 		}
@@ -246,8 +246,30 @@ func TestErrorCodePrecedence(t *testing.T) {
 		}
 	}
 	for code := CodeOK + 1; code < CodeOther; code++ {
-		if got := CodeOf(ErrOf(code, "")); got != code {
+		if got := CodeOf(ErrOf(code, nil)); got != code {
 			t.Errorf("CodeOf(ErrOf(%d)) = %d", code, got)
+		}
+	}
+}
+
+// TestErrOfSentinelAllocs: an answer with a plain sentinel code maps
+// back to its sentinel without reading its payload, so it allocates
+// nothing, however long the payload (a redirect's target, a refusal's
+// text). Only the codes whose payload is parsed or kept — quota, not
+// leader, degraded and CodeOther — convert it.
+func TestErrOfSentinelAllocs(t *testing.T) {
+	payload := []byte("jiffy: block full: a message the sentinel does not keep")
+	for code := CodeOK + 1; code < CodeOther; code++ {
+		switch code {
+		case CodeQuotaExceeded, CodeNotLeader, CodeServerDegraded:
+			continue
+		}
+		var err error
+		if allocs := testing.AllocsPerRun(100, func() { err = ErrOf(code, payload) }); allocs != 0 {
+			t.Errorf("ErrOf(%d) allocates %.1f objects, want 0", code, allocs)
+		}
+		if err != codeToErr[code] {
+			t.Errorf("ErrOf(%d) = %v, want %v", code, err, codeToErr[code])
 		}
 	}
 }
@@ -256,11 +278,11 @@ func TestErrorCodeOther(t *testing.T) {
 	if CodeOf(errors.New("boom")) != CodeOther {
 		t.Error("arbitrary error should map to CodeOther")
 	}
-	err := ErrOf(CodeOther, "boom")
+	err := ErrOf(CodeOther, []byte("boom"))
 	if err == nil || err.Error() != "boom" {
 		t.Errorf("ErrOf(CodeOther) = %v", err)
 	}
-	if ErrOf(CodeOK, "") != nil {
+	if ErrOf(CodeOK, nil) != nil {
 		t.Error("CodeOK should map to nil")
 	}
 	if CodeOf(nil) != CodeOK {

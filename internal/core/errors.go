@@ -130,38 +130,37 @@ func CodeOf(err error) ErrorCode {
 	return CodeOther
 }
 
-// ErrOf maps a wire code back to its sentinel error. CodeOther yields a
-// generic error carrying msg; CodeOK yields nil. CodeQuotaExceeded
-// reconstructs the typed *ThrottleError from the diagnostic payload so
-// the retry-after hint survives the wire; CodeNotLeader likewise
-// reconstructs *NotLeaderError so the redirect hint survives.
-func ErrOf(code ErrorCode, msg string) error {
-	if code == CodeOK {
+// ErrOf maps a wire code and its payload back to the error. CodeOther
+// yields a generic error carrying msg; CodeOK yields nil.
+// CodeQuotaExceeded reconstructs the typed *ThrottleError from the
+// diagnostic payload so the retry-after hint survives the wire;
+// CodeNotLeader likewise reconstructs *NotLeaderError so the redirect
+// hint survives, and CodeServerDegraded *DegradedError. Only those
+// branches read msg as text, so a plain sentinel's answer allocates
+// nothing; an error that keeps msg copies it, and msg may be reused
+// once ErrOf returns.
+func ErrOf(code ErrorCode, msg []byte) error {
+	switch code {
+	case CodeOK:
 		return nil
-	}
-	if code == CodeQuotaExceeded {
-		if te := parseThrottle(msg); te != nil {
+	case CodeQuotaExceeded:
+		if te := parseThrottle(string(msg)); te != nil {
 			return te
 		}
-		return ErrQuotaExceeded
-	}
-	if code == CodeNotLeader {
-		if nl := parseNotLeader(msg); nl != nil {
+	case CodeNotLeader:
+		if nl := parseNotLeader(string(msg)); nl != nil {
 			return nl
 		}
-		return ErrNotLeader
-	}
-	if code == CodeServerDegraded {
-		if de := parseDegraded(msg); de != nil {
+	case CodeServerDegraded:
+		if de := parseDegraded(string(msg)); de != nil {
 			return de
 		}
-		return ErrServerDegraded
 	}
 	if int(code) < len(codeToErr) && codeToErr[code] != nil {
 		return codeToErr[code]
 	}
-	if msg == "" {
-		msg = "jiffy: remote error"
+	if len(msg) == 0 {
+		return errors.New("jiffy: remote error")
 	}
-	return errors.New(msg)
+	return errors.New(string(msg))
 }

@@ -64,7 +64,7 @@ func (r BatchResult) Err() error {
 	if r.Code == core.CodeOK {
 		return nil
 	}
-	return core.ErrOf(r.Code, string(r.Blob))
+	return core.ErrOf(r.Code, r.Blob)
 }
 
 // MaxBatchOps is the most ops one batch frame carries: its count is a

@@ -558,7 +558,7 @@ func (c *Client) call(ctx context.Context, method uint16, payload []byte, vec []
 	if r.code != core.CodeOK {
 		// Error payloads still transfer to the caller: redirects carry
 		// their target in the body.
-		return r.payload, r.pooled, core.ErrOf(r.code, string(r.payload))
+		return r.payload, r.pooled, core.ErrOf(r.code, r.payload)
 	}
 	return r.payload, r.pooled, nil
 }

@@ -66,14 +66,6 @@ func BytesHandler(fn func(ctx context.Context, conn *ServerConn, method uint16, 
 	}
 }
 
-// ErrDispatchAsync is returned by an inline handler to refuse inline
-// execution: the request is re-dispatched on its own goroutine through
-// the regular handler, with the frame copied out of connection-owned
-// storage first. Inline handlers return it whenever the operation might
-// block (onward replication RPCs, tier rehydration IO, admission-gate
-// waits) so the read pump never stalls behind one slow request.
-var ErrDispatchAsync = errors.New("rpc: dispatch async")
-
 // Server accepts framed connections and dispatches requests to a
 // Handler. Each connection gets a read pump; each request runs on the
 // connection's parked worker or a new goroutine, so slow handlers don't
@@ -82,10 +74,10 @@ var ErrDispatchAsync = errors.New("rpc: dispatch async")
 // connection's worker when that place is free (at most one per
 // connection, exiting with it), so a serial stream of requests reuses
 // one goroutine and its grown stack instead of regrowing a fresh one
-// per call. Small requests of methods cleared by an inline predicate
-// can instead run directly on the read pump (see SetInlineHandler),
-// which removes the per-request goroutine and frame copy from the
-// single-op hot path.
+// per call. A request the inline predicate clears runs on the read
+// pump instead (see SetInlineHandler); only the benchmark's null-call
+// echo probe installs one, so every memory-server and controller
+// request runs on a worker.
 type Server struct {
 	handler Handler
 	lis     net.Listener
@@ -120,16 +112,14 @@ func (s *Server) SetObserver(m *obs.RPCMetrics, tr *obs.Tracer) {
 	s.tracer = tr
 }
 
-// SetInlineHandler installs the inline fast path: requests whose
-// method and payload size pass fast run through h directly on the
+// SetInlineHandler installs the inline path: requests whose method
+// and payload size pass fast run through h directly on the
 // connection's read pump, with the request frame decoded in
-// connection-owned storage (zero copies, zero goroutines). h must
-// either complete without blocking on anything slower than local locks
-// or return ErrDispatchAsync, in which case the request falls back to
-// the regular goroutine dispatch path. The payload h sees is only
-// valid until it returns. Telemetry, trace pairing, and the response
-// ownership contract behave exactly as on the regular path. Must be
-// called before Listen.
+// connection-owned storage (zero copies, zero goroutines). h must not
+// block: the connection reads nothing more until it returns. The
+// payload h sees is only valid until it returns. Telemetry, trace
+// pairing, and the response ownership contract behave exactly as on
+// the regular path. Must be called before Listen.
 func (s *Server) SetInlineHandler(h Handler, fast func(method uint16, payloadLen int) bool) {
 	s.inlineHandler = h
 	s.inlineFast = fast
@@ -321,8 +311,9 @@ func (sc *ServerConn) readLoop() {
 			continue // ignore stray frames
 		}
 		trace := pending.take(f.Seq)
-		if inlineFast != nil && inlineFast(f.Method, len(f.Payload)) && sc.dispatch(f, trace, true) {
-			continue // answered on the read pump; a punt falls through
+		if inlineFast != nil && inlineFast(f.Method, len(f.Payload)) {
+			sc.dispatch(f, trace, sc.srv.inlineHandler)
+			continue
 		}
 		req := request{f: f, trace: trace}
 		if reused {
@@ -346,7 +337,7 @@ func (sc *ServerConn) readLoop() {
 func (sc *ServerConn) worker(req request) {
 	defer sc.reqWG.Done()
 	for {
-		sc.dispatch(req.f, req.trace, false)
+		sc.dispatch(req.f, req.trace, sc.srv.handler)
 		if req.owned {
 			releaseOwned(req.f)
 		}
@@ -428,29 +419,13 @@ func (sc *ServerConn) begin(f *wire.Frame, trace obs.SpanContext) dispatchState 
 	return st
 }
 
-// dispatch runs one request — through the inline handler on the read
-// pump, or the regular handler on a worker goroutine — and
-// writes its response. It reports false, leaving the frame untouched,
-// when the inline handler punts with ErrDispatchAsync.
-func (sc *ServerConn) dispatch(f *wire.Frame, trace obs.SpanContext, inline bool) bool {
-	h := sc.srv.handler
-	if inline {
-		h = sc.srv.inlineHandler
-	}
+// dispatch runs one request through h — the inline handler on the read
+// pump, or the regular handler on a worker goroutine — and writes its
+// response.
+func (sc *ServerConn) dispatch(f *wire.Frame, trace obs.SpanContext, h Handler) {
 	st := sc.begin(f, trace)
 	resp, err := sc.callHandler(st.ctx, h, f)
-	if inline && err == ErrDispatchAsync {
-		// Undo begin's counts; the goroutine path will begin anew, so a
-		// punted request is counted once.
-		if st.stats != nil {
-			st.stats.Requests.Add(-1)
-			st.stats.BytesIn.Add(-int64(len(f.Payload)))
-			st.stats.InFlight.Dec()
-		}
-		return false
-	}
 	sc.finish(f, trace, st, resp, err)
-	return true
 }
 
 // finish writes the response frame and closes out the telemetry opened

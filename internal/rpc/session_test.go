@@ -122,21 +122,17 @@ func waitServerChild(t *testing.T, name string, srvRing *obs.RingExporter, cs ob
 }
 
 // TestInlineDispatch runs requests through an inline handler that
-// answers some itself, punts some to the regular handler with
-// ErrDispatchAsync and panics on one. Every call gets its own answer,
-// the panic fails only its call and leaves the session usable, and the
-// server's per-method stats count every call exactly once, punts
-// included, with nothing left in flight.
+// answers them on the read pump and panics on one; the regular handler
+// is never reached. Every call gets its own answer, the panic fails only
+// its call and leaves the session usable, and the server's per-method
+// stats count every call exactly once, with nothing left in flight.
 func TestInlineDispatch(t *testing.T) {
 	metrics := obs.NewRPCMetrics("server")
 	srv := NewServer(BytesHandler(func(_ context.Context, _ *ServerConn, _ uint16, payload []byte) ([]byte, error) {
 		return append([]byte("async:"), payload...), nil
 	}), nil)
 	srv.SetInlineHandler(func(_ context.Context, _ *ServerConn, _ uint16, payload []byte) (Response, error) {
-		switch payload[0] {
-		case 'p':
-			return Response{}, ErrDispatchAsync
-		case 'x':
+		if payload[0] == 'x' {
 			panic("inline boom")
 		}
 		return Response{Payload: append(append(wire.GetBuf(), "inline:"...), payload...)}, nil
@@ -163,12 +159,8 @@ func TestInlineDispatch(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 40)
 	for i := 0; i < 40; i++ {
-		kind, answer := "a", "inline:"
-		if i%2 == 1 {
-			kind, answer = "p", "async:"
-		}
-		payload := req(fmt.Sprintf("%s-%d", kind, i))
-		want := answer + string(payload)
+		payload := req(fmt.Sprintf("a-%d", i))
+		want := "inline:" + string(payload)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -187,9 +179,6 @@ func TestInlineDispatch(t *testing.T) {
 	}
 	if out, err := c.CallContext(context.Background(), methodEcho, req("a-after")); err != nil || string(out) != "inline:a-after" {
 		t.Fatalf("call after the panic = %q, %v", out, err)
-	}
-	if out, err := c.CallContext(context.Background(), methodEcho, req("p-after")); err != nil || string(out) != "async:p-after" {
-		t.Fatalf("punt after the panic = %q, %v", out, err)
 	}
 
 	// Stats close after the response is written; wait for the last one.

@@ -17,7 +17,7 @@ import (
 func (s *Server) handle(ctx context.Context, conn *rpc.ServerConn, method uint16, payload []byte) (rpc.Response, error) {
 	switch method {
 	case proto.MethodDataOp:
-		return s.runOp(ctx, payload, false)
+		return s.runOp(ctx, payload)
 	case proto.MethodDataOpBatch:
 		return s.runBatch(ctx, payload)
 	case proto.MethodReplicate:

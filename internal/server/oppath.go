@@ -16,10 +16,12 @@ import (
 
 // The data-op path (§4.2.2): every data op runs through the stages
 // decode → lookup → pin → admit → apply → forward → notify → encode,
-// entered from runOp (one op, on the read pump or its own goroutine),
-// runBatch (a batch frame) or runHop (a chain hop). DESIGN.md's "Server
-// op path" table says what each stage owns, when the inline entry
-// punts and which entries skip it; TestOpPathTable pins it.
+// on the connection's worker, entered from one of three entries, one
+// per frame kind: runOp (one op), runBatch (a batch frame) or runHop (a
+// chain hop). No stage runs on the read pump, so a stage may block on
+// what bounds itself, holding only its own worker. DESIGN.md's "Server
+// op path" table says what each stage owns and which entries skip it;
+// TestOpPathTable pins it.
 
 // opCtx is one data op on its way through the stages, held on the
 // stack of the entry that runs it.
@@ -43,9 +45,9 @@ type opCtx struct {
 
 	// hop marks a chain hop, position seq of generation gen in the
 	// block's replication stream; a hop whose op is OpNop is a skip (see
-	// sequence). inline marks an op run on the read pump.
-	hop, inline bool
-	seq, gen    uint64
+	// sequence).
+	hop      bool
+	seq, gen uint64
 	// checkNow evaluates the repartition thresholds right after a
 	// mutation. A batch checks once per mutated block at its end, and a
 	// hop never: the controller knows the head's block, not a replica's.
@@ -103,18 +105,15 @@ func (sc *scratch) release() {
 }
 
 // runOp runs one op (MethodDataOp); an append of several records is
-// one run of them (opCtx.n). Inline, it returns rpc.ErrDispatchAsync at
-// the first stage that would block, holding nothing and before any
-// record lands, and the rpc layer runs it again from decode on a
-// goroutine.
+// one run of them (opCtx.n).
 // The response never aliases the request payload: partitions copy what
 // they keep, and a result is either owned outright (a dequeued item, a
 // removed value), copied into the response (a KV value, a small view)
 // or a view into block memory (see encode).
-func (s *Server) runOp(ctx context.Context, payload []byte, inline bool) (rpc.Response, error) {
+func (s *Server) runOp(ctx context.Context, payload []byte) (rpc.Response, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
-	o := opCtx{n: 1, checkNow: true, inline: inline, out: wire.GetBuf(), res: sc.res[:0], offs: sc.offs[:0]}
+	o := opCtx{n: 1, checkNow: true, out: wire.GetBuf(), res: sc.res[:0], offs: sc.offs[:0]}
 	var err error
 	if o.op, o.block, o.args, err = ds.DecodeRequestInto(sc.args[:0], payload); err != nil {
 		return o.encode(err)
@@ -126,14 +125,7 @@ func (s *Server) runOp(ctx context.Context, payload []byte, inline bool) (rpc.Re
 	if o.op == core.OpFileAppend && len(o.args) > 1 {
 		o.n = len(o.args) // a run: each arg is a record
 	}
-	if o.b, err = s.store.Get(o.block); err != nil {
-		return o.encode(err)
-	}
-	if inline && o.op.IsMutation() && len(o.b.Chain()) > 1 {
-		// The head forwards synchronously; a replica waits on sequence order.
-		return o.encode(rpc.ErrDispatchAsync)
-	}
-	if err = s.pin(o.b, inline); err != nil {
+	if o.b, err = s.resolve(o.block); err != nil {
 		return o.encode(err)
 	}
 	defer func() {
@@ -141,7 +133,9 @@ func (s *Server) runOp(ctx context.Context, payload []byte, inline bool) (rpc.Re
 			o.b.EndOp()
 		}
 	}()
-	release, err := s.admit(ctx, o.b.Tenant, int64(o.n), argBytes(o.args), inline)
+	// The admit stage: the QoS gate charges the tenant the run's records
+	// and ingress bytes; release runs once the work is done.
+	release, err := s.gate.Admit(ctx, o.b.Tenant, int64(o.n), argBytes(o.args))
 	if err != nil {
 		return o.encode(err)
 	}
@@ -169,9 +163,6 @@ var errControlOp = fmt.Errorf("server: a control op in a data op: %w", core.ErrW
 // pin are held until the rpc layer has written the frame.
 func (o *opCtx) encode(err error) (rpc.Response, error) {
 	switch {
-	case err == rpc.ErrDispatchAsync:
-		wire.PutBuf(o.out)
-		return rpc.Response{}, err
 	case err != nil:
 		wire.PutBuf(o.out)
 		return rpc.BytesResponse(ds.ErrResult(err).Blob), err
@@ -222,10 +213,7 @@ func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, er
 		if bo.Op.IsControl() || blocks[bo.Block] != nil || refused[bo.Block] != nil {
 			continue
 		}
-		b, err := s.store.Get(bo.Block)
-		if err == nil {
-			err = s.pin(b, false)
-		}
+		b, err := s.resolve(bo.Block)
 		if err != nil {
 			refused[bo.Block] = err
 			continue
@@ -249,7 +237,7 @@ func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, er
 			}
 		}
 		for tenant, d := range demand {
-			release, err := s.admit(ctx, tenant, d[0], d[1], false)
+			release, err := s.gate.Admit(ctx, tenant, d[0], d[1])
 			if err != nil {
 				for id, b := range blocks {
 					if b.Tenant == tenant {
@@ -331,32 +319,21 @@ func (s *Server) runHop(ctx context.Context, payload []byte) error {
 	return err
 }
 
-// pin holds b resident for one operation, rehydrating it first if it
-// has been demoted; on success the caller owes b.EndOp(). Inline, a
-// demoted block punts instead: rehydration is persist-tier IO.
-func (s *Server) pin(b *blockstore.Block, inline bool) error {
+// resolve is the lookup and pin stages: it looks up a block and holds
+// it resident for one operation, rehydrating it first if it has been
+// demoted; on success the caller owes b.EndOp().
+func (s *Server) resolve(id core.BlockID) (*blockstore.Block, error) {
+	b, err := s.store.Get(id)
+	if err != nil {
+		return nil, err
+	}
 	for !b.BeginOp() {
-		if inline {
-			return rpc.ErrDispatchAsync
-		}
 		if err := s.rehydrateBlock(b); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	b.Touch(s.store.HeatNow())
-	return nil
-}
-
-// admit charges the QoS gate for ops operations and bytes ingress
-// bytes on tenant's behalf (the path's job component); the caller runs
-// the returned release, if any, once the work is done. Inline, an
-// active gate punts: token debits, DRR waits and throttle accounting
-// do not belong on the read pump.
-func (s *Server) admit(ctx context.Context, tenant string, ops, bytes int64, inline bool) (func(), error) {
-	if inline && s.gate.Active() {
-		return nil, rpc.ErrDispatchAsync
-	}
-	return s.gate.Admit(ctx, tenant, ops, bytes)
+	return b, nil
 }
 
 // argBytes sums the bytes of one op's vector: its request args — the
@@ -379,8 +356,7 @@ func argBytes(args [][]byte) int64 {
 // block's subscribers, unless it is a hop. An append refused as full
 // may first wait for its chunk's growth and run once more (awaitGrowth):
 // sequence reports a refusal only when no record of the run was
-// acknowledged, so the wait — and an inline punt, which reruns the op
-// from decode — never follows a landed record.
+// acknowledged, so the wait never follows a landed record.
 func (s *Server) apply(ctx context.Context, o *opCtx) (err error) {
 	if o.op.IsMutation() {
 		var refused error
@@ -397,9 +373,6 @@ func (s *Server) apply(ctx context.Context, o *opCtx) (err error) {
 		o.res, o.lease, err = v.Vals, v.Release, verr
 	} else {
 		_, err = s.applyOn(o)
-	}
-	if err == rpc.ErrDispatchAsync {
-		return err // nothing landed: the op reruns from decode, counted then
 	}
 	s.ops.Add(int64(o.n))
 	if err == nil && !o.hop {
@@ -451,16 +424,13 @@ func (o *opCtx) end(mark int) {
 // has not signalled yet (it checks at its end), so the check runs
 // first. With no signal in flight the append is applied once more at
 // once: the answer may have linked the chunk since the refusal.
-// Inline, the op punts rather than wait, since it reruns from decode.
-// The wait ends on the answer, on ctx and on Close.
+// The wait ends on the answer, on ctx and on Close, and holds only the
+// op's own worker: the connection's other requests go on meanwhile.
 func (s *Server) awaitGrowth(ctx context.Context, o *opCtx, refused error) error {
 	s.store.CheckThresholds(o.b)
 	growth := o.b.Growth()
-	switch {
-	case growth == nil:
+	if growth == nil {
 		return nil
-	case o.inline:
-		return rpc.ErrDispatchAsync
 	}
 	select {
 	case <-growth:

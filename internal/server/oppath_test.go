@@ -19,10 +19,12 @@ import (
 	"jiffy/internal/wire"
 )
 
-// The op-path table: every entry to the data-op path (oppath.go) — the
-// inline entry as the rpc layer runs it (punting to the goroutine
-// entry), the goroutine entry, a one-op batch, and the chain hop for
-// mutations — against every op kind, block state and gate state. Each
+// The op-path table: every entry to the data-op path (oppath.go) — an
+// inline frame (one within wire.InlineFrameThreshold) sent on a live
+// session, which the rpc layer hands to the connection's worker like
+// any request; the goroutine entry, called directly; a one-op batch;
+// and the chain hop for mutations — against every op kind, block state
+// and gate state. Each
 // cell asserts the answer and which stages ran, and that no residency
 // pin outlives the response.
 
@@ -59,23 +61,20 @@ type opOutcome struct {
 	value string // a read's value, a redirect's target server, "throttled"
 	ops   int64  // ServerStats.Ops delta
 
-	rehydrated, admitted, forwarded, notified, inline bool
-	leaked                                            bool // a block still pinned after Release
+	rehydrated, admitted, forwarded, notified bool
+	leaked                                    bool // a block still pinned after Release
 }
 
 // wantOp is the table: one outcome per (op, state, gate), the same on
-// every entry but for what an entry is — only the inline entry runs
-// inline, and a hop is never admitted, notifies nobody and answers with
-// the bare code.
+// every entry but for what an entry is — a hop is never admitted,
+// notifies nobody and answers with the bare code.
 func wantOp(k opKind, state, gate, entry string) opOutcome {
 	mut := k.op.IsMutation()
-	w := opOutcome{inline: entry == "inline"}
+	var w opOutcome
 	if state == "unknown" { // lookup fails before anything is taken
 		w.code = core.CodeStaleEpoch
 		return w
 	}
-	// The inline entry punts at lookup, pin or admit.
-	w.inline = w.inline && !(mut && state == "replicated") && state != "demoted" && gate == "off"
 	w.rehydrated = state == "demoted"
 	if entry != "hop" && gate != "off" {
 		if gate == "throttling" {
@@ -240,14 +239,9 @@ func (f *opFixture) run(t *testing.T, k opKind, entry string) opOutcome {
 	switch entry {
 	case "inline":
 		if len(payload) > wire.InlineFrameThreshold {
-			t.Fatalf("%d-byte request would not be run inline", len(payload))
+			t.Fatalf("%d-byte request is not an inline frame", len(payload))
 		}
-		// As the rpc layer does: a punt re-runs the op on the goroutine entry.
-		if resp, err = f.s.runOp(ctx, payload, true); err == rpc.ErrDispatchAsync {
-			resp, err = f.s.handle(ctx, nil, proto.MethodDataOp, payload)
-		} else {
-			got.inline = true
-		}
+		resp.Payload, err = f.c.CallContext(ctx, proto.MethodDataOp, payload)
 	case "goroutine":
 		resp, err = f.s.handle(ctx, nil, proto.MethodDataOp, payload)
 	case "batch":
@@ -262,6 +256,11 @@ func (f *opFixture) run(t *testing.T, k opKind, entry string) opOutcome {
 		resp.Release()
 	}
 	for _, b := range f.blocks {
+		// A session's response drops its pin once written, which may be
+		// just after the caller has it.
+		for end := time.Now().Add(time.Second); entry == "inline" && b.Inflight() != 0 && time.Now().Before(end); {
+			time.Sleep(time.Millisecond)
+		}
 		got.leaked = got.leaked || b.Inflight() != 0
 	}
 
@@ -292,7 +291,7 @@ func (f *opFixture) run(t *testing.T, k opKind, entry string) opOutcome {
 		}
 	case core.CodeQuotaExceeded:
 		var te *core.ThrottleError
-		if errors.As(core.ErrOf(got.code, string(body)), &te) && te.Tenant == "j" {
+		if errors.As(core.ErrOf(got.code, body), &te) && te.Tenant == "j" {
 			got.value = "throttled"
 		}
 	}
@@ -506,7 +505,7 @@ func TestRunOpKVAllocs(t *testing.T) {
 		{"get", ds.AppendRequest(nil, core.OpGet, 1, [][]byte{[]byte("key")}), ds.EncodeVals([][]byte{val})},
 	} {
 		run := func() {
-			resp, err := s.runOp(ctx, c.req, true)
+			resp, err := s.runOp(ctx, c.req)
 			if err != nil || !bytes.Equal(resp.Payload, c.want) || resp.Vec != nil {
 				t.Fatalf("%s: %q + %d segments, %v", c.name, resp.Payload, len(resp.Vec), err)
 			}
@@ -543,7 +542,7 @@ func TestRunOpFileAllocs(t *testing.T) {
 		{"append", ds.AppendRequest(nil, core.OpFileAppend, 1, [][]byte{rec})},
 	} {
 		run := func() {
-			resp, err := s.runOp(ctx, c.req, true)
+			resp, err := s.runOp(ctx, c.req)
 			// One 8-byte value: a write's count, an append's offset.
 			if err != nil || len(resp.Payload) != len(wrote) || !bytes.Equal(resp.Payload[:6], wrote[:6]) || resp.Vec != nil {
 				t.Fatalf("%s: %q + %d segments, %v", c.name, resp.Payload, len(resp.Vec), err)
@@ -586,10 +585,7 @@ func TestOpAfterDeleteIsStale(t *testing.T) {
 		}
 		o := opCtx{op: c.op, block: id, args: c.args, n: 1, checkNow: true, out: wire.GetBuf()}
 		var err error
-		if o.b, err = s.store.Get(id); err != nil {
-			t.Fatal(err)
-		}
-		if err = s.pin(o.b, false); err != nil {
+		if o.b, err = s.resolve(id); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.deleteBlock(proto.DeleteBlockReq{Block: id}); err != nil {

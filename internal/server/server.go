@@ -28,7 +28,6 @@ import (
 	"jiffy/internal/proto"
 	"jiffy/internal/qos"
 	"jiffy/internal/rpc"
-	"jiffy/internal/wire"
 )
 
 // Options configures a memory server.
@@ -220,13 +219,6 @@ func New(opts Options) (*Server, error) {
 		}
 	})
 	s.rpcSrv = rpc.NewServer(s.handle, opts.Logger)
-	// Small single data ops run directly on the connection read pump;
-	// runOp punts anything that would block back to the goroutine path.
-	s.rpcSrv.SetInlineHandler(func(ctx context.Context, _ *rpc.ServerConn, _ uint16, payload []byte) (rpc.Response, error) {
-		return s.runOp(ctx, payload, true)
-	}, func(method uint16, payloadLen int) bool {
-		return method == proto.MethodDataOp && payloadLen <= wire.InlineFrameThreshold
-	})
 	s.rpcSrv.SetObserver(s.rpcm, s.tracer)
 	s.rpcSrv.OnDisconnect = func(conn *rpc.ServerConn) { s.subs.dropConn(conn) }
 	s.wg.Add(1)

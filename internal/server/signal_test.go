@@ -134,7 +134,9 @@ func TestDroppedSignalRearms(t *testing.T) {
 // TestRefusedAppendAwaitsGrowth: an append refused by a full chunk
 // whose over-signal is still in flight waits for the controller's
 // answer, which links the chunk to the next one, and is then
-// redirected there instead of refused. Close ends such a wait.
+// redirected there instead of refused. The wait holds only its own
+// worker: a small op to another block on the same connection answers
+// meanwhile. Close ends such a wait.
 func TestRefusedAppendAwaitsGrowth(t *testing.T) {
 	next := core.BlockInfo{ID: 2, Server: "mem://next-chunk"}
 	for _, closing := range []bool{false, true} {
@@ -177,10 +179,10 @@ func TestRefusedAppendAwaitsGrowth(t *testing.T) {
 
 			// A full chunk: its one write crosses the threshold and signals.
 			createBlock(t, c, 1, core.DSFile, nil, 0, nil)
+			createBlock(t, c, 3, core.DSKV, []ds.SlotRange{{Lo: 0, Hi: 63}}, 0, nil)
 			if _, err := dataOp(c, 1, core.OpFileWrite, ds.U64(0), make([]byte, 64*core.KB)); err != nil {
 				t.Fatal(err)
 			}
-			// Small enough to run inline on the read pump, whence it punts.
 			appended := make(chan error, 1)
 			var answer []byte
 			go func() {
@@ -192,6 +194,19 @@ func TestRefusedAppendAwaitsGrowth(t *testing.T) {
 			case err := <-appended:
 				t.Fatalf("append answered %v while the signal was in flight, want it waiting", err)
 			case <-time.After(50 * time.Millisecond):
+			}
+			put := make(chan error, 1)
+			go func() {
+				_, err := dataOp(c, 3, core.OpPut, []byte("k"), []byte("v"))
+				put <- err
+			}()
+			select {
+			case err := <-put:
+				if err != nil {
+					t.Fatalf("put beside the waiting append: %v", err)
+				}
+			case <-time.After(50 * time.Millisecond):
+				t.Fatal("a put to another block waited behind the append's growth wait")
 			}
 			if closing {
 				go s.Close()

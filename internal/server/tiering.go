@@ -281,16 +281,3 @@ func (s *Server) reportTier(id core.BlockID, path core.Path, key string, gen uin
 	})
 	return err
 }
-
-// resolve looks up a block and pins it resident, rehydrating it if it
-// was demoted (see pin); on success the caller owes b.EndOp().
-func (s *Server) resolve(id core.BlockID) (*blockstore.Block, error) {
-	b, err := s.store.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.pin(b, false); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
