@@ -278,8 +278,8 @@ func TestDeleteWaitsOutLeasedView(t *testing.T) {
 	}
 	b, _ := s.Get(1)
 	v, _, err := ds.ApplyView(b.Partition, core.OpFileRead, [][]byte{ds.U64(0), ds.U64(size)}, nil)
-	if err != nil || v.Release == nil {
-		t.Fatalf("view: %v, leased %v", err, v.Release != nil)
+	if err != nil || v.Lease == nil {
+		t.Fatalf("view: %v, leased %v", err, v.Lease != nil)
 	}
 
 	deleted := make(chan struct{})
@@ -305,7 +305,7 @@ func TestDeleteWaitsOutLeasedView(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	v.Release()
+	v.Lease.Release()
 	<-deleted
 	if _, err := b.Partition.Apply(core.OpFileRead, [][]byte{ds.U64(0), ds.U64(1)}); !errors.Is(err, core.ErrStaleEpoch) {
 		t.Fatalf("read after delete: %v, want ErrStaleEpoch", err)

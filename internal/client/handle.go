@@ -112,7 +112,7 @@ func (h *handle) do(ctx context.Context, info core.BlockInfo, op core.OpType, ar
 	var pooled bool
 	start := time.Now()
 	if largestArg(args) >= vecRequestThreshold {
-		vec, buf := ds.AppendRequestVec(wire.GetBuf(), op, info.ID, args)
+		vec, buf := ds.AppendRequestVec(nil, wire.GetBuf(), op, info.ID, args)
 		payload, err = conn.CallVecContext(ctx, proto.MethodDataOp, vec)
 		wire.PutBuf(buf)
 	} else {

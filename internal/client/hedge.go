@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"slices"
 	"time"
 
 	"jiffy/internal/core"
@@ -56,6 +55,20 @@ func (h *handle) altFor(info core.BlockInfo, chain core.ReplicaChain) (best core
 	return best, found
 }
 
+// cloneArgs copies args, vector and bytes, in two allocations.
+func cloneArgs(args [][]byte) [][]byte {
+	n := 0
+	for _, a := range args {
+		n += len(a)
+	}
+	out, buf := make([][]byte, len(args)), make([]byte, 0, n)
+	for i, a := range args {
+		buf = append(buf, a...)
+		out[i] = buf[len(buf)-len(a) : len(buf) : len(buf)]
+	}
+	return out
+}
+
 // hedgeResult carries one arm's outcome.
 type hedgeResult struct {
 	vals   [][]byte
@@ -74,10 +87,12 @@ type hedgeResult struct {
 // recycled inside do), so abandoning the loser's result leaks nothing.
 func (h *handle) doHedged(ctx context.Context, primary, alt core.BlockInfo, delay time.Duration,
 	op core.OpType, callerArgs [][]byte) ([][]byte, error) {
-	// The arms outlive this frame's view of the arguments: give them a
-	// vector of their own, so the caller's stays off the heap on every
-	// unhedged path through the pipeline.
-	args := slices.Clone(callerArgs)
+	// The arms outlive this frame's view of the arguments, and the
+	// caller reuses their bytes once the read returns (a file read's
+	// pooled integers): give them a vector and bytes of their own, so
+	// the caller's stay off the heap on every unhedged path through the
+	// pipeline.
+	args := cloneArgs(callerArgs)
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
 	bctx, bcancel := context.WithCancel(ctx)

@@ -289,9 +289,9 @@ func (f *File) ReadAt(off, length int) ([]byte, error) {
 }
 
 // ApplyView implements ViewReader for OpFileRead. Unlike queue items,
-// file bytes ARE mutated in place (WriteAt over written
-// regions), so the view is leased: it returns with the chunk's read
-// lock held and Release drops it, which blocks writers — but not other
+// file bytes ARE mutated in place (WriteAt over written regions), so
+// the view is leased: it returns with the chunk's read lock held and
+// its Lease's Release drops it, which blocks writers — but not other
 // readers or Snapshot — for exactly as long as the response is being
 // handed to the transport.
 func (f *File) ApplyView(op core.OpType, args, dst [][]byte) (View, bool, error) {
@@ -327,10 +327,17 @@ func (f *File) ApplyView(op core.OpType, args, dst [][]byte) (View, bool, error)
 		end = f.size
 	}
 	return View{
-		Vals:    append(dst, f.data[o:end]),
-		Release: f.mu.RUnlock,
+		Vals:  append(dst, f.data[o:end]),
+		Lease: (*fileLease)(f),
 	}, true, nil
 }
+
+// fileLease is a file chunk as the lease of its views: the chunk's read
+// lock, held from ApplyView until Release.
+type fileLease File
+
+// Release drops the read lock a view of the chunk holds.
+func (l *fileLease) Release() { l.mu.RUnlock() }
 
 // fileSnapshot is the serialized form of a file chunk: its written
 // bytes, whose length is the high-water mark, and its capacity.

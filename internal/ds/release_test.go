@@ -97,8 +97,8 @@ func TestReleasedChunkIsStale(t *testing.T) {
 		{"ReadAt", func() error { _, err := f.ReadAt(0, 2); return err }},
 		{"ApplyView", func() error {
 			v, handled, err := f.ApplyView(core.OpFileRead, [][]byte{U64(0), U64(2)}, nil)
-			if !handled || v.Release != nil {
-				t.Errorf("ApplyView: handled %v, lease %v", handled, v.Release != nil)
+			if !handled || v.Lease != nil {
+				t.Errorf("ApplyView: handled %v, lease %v", handled, v.Lease != nil)
 			}
 			return err
 		}},

@@ -24,12 +24,13 @@ const replicatePrefixLen = 16
 
 // AppendReplicateVec encodes one hop without copying the argument
 // bodies: prefix, fixed fields and arg lengths go into head, and the
-// returned segments interleave subslices of head with the args — which
-// at a mid-chain member still alias the inbound request frame. buf is
+// segments appended to dst interleave subslices of head with the args —
+// which at a mid-chain member still alias the inbound request frame.
+// The server forwards every hop from a pooled vector (dst[:0]). buf is
 // head's final backing buffer; release it (wire.PutBuf) once the
 // segments have been written.
-func AppendReplicateVec(head []byte, seq, gen uint64, op core.OpType, block core.BlockID, args [][]byte) (vec [][]byte, buf []byte) {
-	vec, buf = appendRequestVec(head, replicatePrefixLen, op, block, args)
+func AppendReplicateVec(dst [][]byte, head []byte, seq, gen uint64, op core.OpType, block core.BlockID, args [][]byte) (vec [][]byte, buf []byte) {
+	vec, buf = appendRequestVec(dst, head, replicatePrefixLen, op, block, args)
 	binary.BigEndian.PutUint64(buf[0:8], seq)
 	binary.BigEndian.PutUint64(buf[8:16], gen)
 	return vec, buf

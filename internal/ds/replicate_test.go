@@ -31,7 +31,7 @@ func contiguousReplicate(seq, gen uint64, op core.OpType, block core.BlockID, ar
 func TestReplicateVecAliasesArgs(t *testing.T) {
 	big := bytes.Repeat([]byte("r"), 9000)
 	args := [][]byte{U64(4096), big}
-	vec, buf := AppendReplicateVec(make([]byte, 0, 64), 7, 3, core.OpFileWrite, 42, args)
+	vec, buf := AppendReplicateVec(nil, make([]byte, 0, 64), 7, 3, core.OpFileWrite, 42, args)
 	if len(vec) != 4 || &vec[1][0] != &args[0][0] || &vec[3][0] != &big[0] {
 		t.Fatalf("hop vector copied its args: %d segments", len(vec))
 	}
@@ -66,7 +66,7 @@ func FuzzReplicateDecode(f *testing.F) {
 		op, block := core.OpType(opByte), core.BlockID(blockID)
 		args := [][]byte{argA, argB}
 
-		vec, _ := AppendReplicateVec(nil, seq, gen, op, block, args)
+		vec, _ := AppendReplicateVec(nil, nil, seq, gen, op, block, args)
 		flat := flattenVec(vec)
 		if want := contiguousReplicate(seq, gen, op, block, args); !bytes.Equal(flat, want) {
 			t.Fatalf("vectored encoding (%d bytes) != contiguous (%d bytes)", len(flat), len(want))

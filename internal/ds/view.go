@@ -2,8 +2,10 @@ package ds
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"jiffy/internal/core"
+	"jiffy/internal/wire"
 )
 
 // Zero-copy read views.
@@ -18,9 +20,10 @@ import (
 //     response still holds.
 //   - Leased views: the partition DOES mutate memory in place (a file
 //     chunk's WriteAt), so ApplyView returns with a read lease held —
-//     Release drops it. The rpc layer fires Release exactly once when
-//     the response frame's bytes have been handed to the transport,
-//     which bounds the lease to the in-flight response.
+//     Lease.Release drops it. The server releases it once the response
+//     frame's bytes have been handed to the transport (the rpc layer's
+//     Response.Release), which bounds the lease to the in-flight
+//     response.
 //
 // KV values are overwritten in place too, and small: instead of a
 // leased view, a KV read copies its value into the response under the
@@ -28,9 +31,11 @@ import (
 type View struct {
 	// Vals is the result vector; slices may alias partition memory.
 	Vals [][]byte
-	// Release, if non-nil, ends the view's lease. Must be called
-	// exactly once, after which Vals must not be touched.
-	Release func()
+	// Lease, if non-nil, is the view's hold on that memory; its Release
+	// ends it. Must be called exactly once, after which Vals must not
+	// be touched. A file chunk's lease is the chunk itself, so holding
+	// one costs no object.
+	Lease wire.Releaser
 }
 
 // ViewReader is implemented by partitions that can serve non-mutating
@@ -98,13 +103,14 @@ func AppendU64(dst []byte, vs ...uint64) []byte {
 
 // AppendValsVec encodes a result vector (same wire layout as
 // EncodeVals) without copying the values: the count and every length
-// prefix are written into buf up front, and the returned segments
-// interleave subslices of buf with the value slices themselves.
+// prefix are written into buf up front, and the segments appended to
+// dst interleave subslices of buf with the value slices themselves.
 // payload is the first segment (count + first prefix) — callers hand
 // it to the rpc layer as the contiguous Response.Payload so the
-// buffer is recycled after the write; vec carries the remainder.
+// buffer is recycled after the write; vec, dst extended, carries the
+// remainder, so a caller answering many reads reuses one vector.
 // buf's contents are consumed; pass wire.GetBuf().
-func AppendValsVec(buf []byte, vals [][]byte) (payload []byte, vec [][]byte) {
+func AppendValsVec(dst [][]byte, buf []byte, vals [][]byte) (payload []byte, vec [][]byte) {
 	need := 2 + 4*len(vals)
 	if cap(buf) < need {
 		buf = make([]byte, 0, need)
@@ -115,10 +121,9 @@ func AppendValsVec(buf []byte, vals [][]byte) (payload []byte, vec [][]byte) {
 		binary.BigEndian.PutUint32(buf[2+4*i:6+4*i], uint32(len(v)))
 	}
 	if len(vals) == 0 {
-		return buf[:2], nil
+		return buf[:2], dst
 	}
-	vec = make([][]byte, 0, 2*len(vals)-1)
-	vec = append(vec, vals[0])
+	vec = append(slices.Grow(dst, 2*len(vals)-1), vals[0])
 	for i := 1; i < len(vals); i++ {
 		vec = append(vec, buf[2+4*i:6+4*i], vals[i])
 	}
@@ -127,18 +132,19 @@ func AppendValsVec(buf []byte, vals [][]byte) (payload []byte, vec [][]byte) {
 
 // AppendRequestVec encodes a data-plane request (same wire layout as
 // AppendRequest) without copying the argument bodies: fixed fields and
-// length prefixes go into head, and the returned segments interleave
-// subslices of head with the args themselves — the client-side
-// zero-copy form for large writes. buf is head's final backing buffer;
-// release it (wire.PutBuf) once the segments have been written.
-func AppendRequestVec(head []byte, op core.OpType, block core.BlockID, args [][]byte) (vec [][]byte, buf []byte) {
-	return appendRequestVec(head, 0, op, block, args)
+// length prefixes go into head, and the segments appended to dst
+// interleave subslices of head with the args themselves — the
+// client-side zero-copy form for large writes. buf is head's final
+// backing buffer; release it (wire.PutBuf) once the segments have been
+// written.
+func AppendRequestVec(dst [][]byte, head []byte, op core.OpType, block core.BlockID, args [][]byte) (vec [][]byte, buf []byte) {
+	return appendRequestVec(dst, head, 0, op, block, args)
 }
 
 // appendRequestVec is AppendRequestVec with the first skip bytes of
 // head left for the caller to fill; they travel at the front of the
 // first segment (the replication hop's seq|gen prefix).
-func appendRequestVec(head []byte, skip int, op core.OpType, block core.BlockID, args [][]byte) (vec [][]byte, buf []byte) {
+func appendRequestVec(dst [][]byte, head []byte, skip int, op core.OpType, block core.BlockID, args [][]byte) (vec [][]byte, buf []byte) {
 	need := skip + 11 + 4*len(args)
 	if cap(head) < need {
 		head = make([]byte, 0, need)
@@ -152,10 +158,9 @@ func appendRequestVec(head []byte, skip int, op core.OpType, block core.BlockID,
 		binary.BigEndian.PutUint32(req[11+4*i:15+4*i], uint32(len(a)))
 	}
 	if len(args) == 0 {
-		return [][]byte{head}, head
+		return append(dst, head), head
 	}
-	vec = make([][]byte, 0, 2*len(args))
-	vec = append(vec, head[:skip+15], args[0])
+	vec = append(slices.Grow(dst, 2*len(args)), head[:skip+15], args[0])
 	for i := 1; i < len(args); i++ {
 		vec = append(vec, req[11+4*i:15+4*i], args[i])
 	}

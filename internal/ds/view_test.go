@@ -41,7 +41,7 @@ func TestFileViewAliasesChunk(t *testing.T) {
 		t.Fatal("WriteAt proceeded while a read lease was held")
 	case <-time.After(20 * time.Millisecond):
 	}
-	v.Release()
+	v.Lease.Release()
 	select {
 	case <-wrote:
 	case <-time.After(2 * time.Second):
@@ -62,9 +62,9 @@ func TestFileViewBounds(t *testing.T) {
 	if err != nil || !handled {
 		t.Fatalf("past-end read: handled=%v err=%v", handled, err)
 	}
-	if len(v.Vals) != 1 || len(v.Vals[0]) != 0 || v.Release != nil {
-		t.Fatalf("past-end read: want empty value with no lease, got %d vals release=%v",
-			len(v.Vals), v.Release != nil)
+	if len(v.Vals) != 1 || len(v.Vals[0]) != 0 || v.Lease != nil {
+		t.Fatalf("past-end read: want empty value with no lease, got %d vals lease=%v",
+			len(v.Vals), v.Lease != nil)
 	}
 
 	v, _, err = f.ApplyView(core.OpFileRead, [][]byte{U64(6), U64(1 << 40)}, nil)
@@ -74,16 +74,17 @@ func TestFileViewBounds(t *testing.T) {
 	if string(v.Vals[0]) != "6789" {
 		t.Fatalf("truncated read = %q, want %q", v.Vals[0], "6789")
 	}
-	v.Release()
+	v.Lease.Release()
 }
 
 // TestFileReadViewAllocs is the allocation gate for the server-side
 // read path: serving a pooled-size File read as a view (ApplyView +
-// AppendValsVec into a reused head buffer) must not allocate a copy of
-// the data. The bound covers only fixed-size bookkeeping — the Release
-// method value and the scatter-gather vector; the View's value slice
-// extends a reused vector — so a payload-sized copy (64KiB here) would
-// trip it regardless of payload length.
+// AppendValsVec into a reused head buffer) allocates nothing. The
+// View's value slice and the scatter-gather segments extend reused
+// vectors, and the lease is the chunk itself, so neither a copy of the
+// data (64KiB here) nor any bookkeeping object may appear. Measured: 0
+// objects; 2 with a bound RUnlock method value as the lease and a
+// fresh segment vector per read.
 func TestFileReadViewAllocs(t *testing.T) {
 	f := NewFile(core.MB)
 	payload := make([]byte, 64*core.KB)
@@ -93,22 +94,21 @@ func TestFileReadViewAllocs(t *testing.T) {
 	args := [][]byte{U64(0), U64(uint64(len(payload)))}
 	head := make([]byte, 0, 64)
 	vals := make([][]byte, 0, 1)
+	segs := make([][]byte, 0, 1)
 
 	allocs := testing.AllocsPerRun(200, func() {
 		v, handled, err := f.ApplyView(core.OpFileRead, args, vals[:0])
 		if !handled || err != nil {
 			t.Fatalf("ApplyView: handled=%v err=%v", handled, err)
 		}
-		_, vec := AppendValsVec(head, v.Vals)
+		_, vec := AppendValsVec(segs[:0], head, v.Vals)
 		if len(vec) != 1 || len(vec[0]) != len(payload) {
 			t.Fatalf("unexpected vector shape")
 		}
-		v.Release()
+		v.Lease.Release()
 	})
-	// One alloc for the Release method value, one for the vector; a
-	// data copy would add at least one more.
-	if allocs > 2 {
-		t.Fatalf("view read path allocates %.1f objects/op, want <= 2", allocs)
+	if allocs > 0 {
+		t.Fatalf("view read path allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -124,7 +124,7 @@ func TestAppendValsVecLayout(t *testing.T) {
 		{U64(1), U64(2), U64(3)},
 	}
 	for _, vals := range cases {
-		payload, vec := AppendValsVec(nil, vals)
+		payload, vec := AppendValsVec(nil, nil, vals)
 		var flat []byte
 		flat = append(flat, payload...)
 		for _, seg := range vec {
@@ -154,7 +154,7 @@ func TestAppendRequestVecLayout(t *testing.T) {
 		{U64(77), big},
 	}
 	for _, args := range cases {
-		vec, buf := AppendRequestVec(nil, core.OpFileWrite, 42, args)
+		vec, buf := AppendRequestVec(nil, nil, core.OpFileWrite, 42, args)
 		var flat []byte
 		for _, seg := range vec {
 			flat = append(flat, seg...)

@@ -265,9 +265,11 @@ func (c *Client) shard(seq uint64) *pendingShard {
 
 func (c *Client) readLoop() {
 	for {
-		// Small frames decode into connection-owned storage; whatever
-		// must outlive this iteration is copied below. Large frames come
-		// back freshly allocated and transfer ownership as before.
+		// Every frame decodes into the connection's frame, and a small
+		// one's payload into its storage too; whatever must outlive this
+		// iteration is copied below. A large frame's payload is freshly
+		// allocated, and only it is handed over: it becomes the caller's
+		// result.
 		f, reused, err := c.conn.ReadFrameReused()
 		if err != nil {
 			c.failAll(err)

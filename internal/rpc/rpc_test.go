@@ -396,7 +396,7 @@ func TestOversizedResponseAnswersTooLarge(t *testing.T) {
 		for i := range vec {
 			vec[i] = seg
 		}
-		return Response{Vec: vec, Release: func() { released.Add(1) }}, nil
+		return Response{Vec: vec, Release: releaseFunc(func() { released.Add(1) })}, nil
 	}, nil)
 	addr, err := srv.Listen(fmt.Sprintf("mem://rpc-test-%p", srv))
 	if err != nil {
@@ -422,3 +422,8 @@ func TestOversizedResponseAnswersTooLarge(t *testing.T) {
 		t.Errorf("next call on the session = %q, %v", resp, err)
 	}
 }
+
+// releaseFunc adapts a function to wire.Releaser.
+type releaseFunc func()
+
+func (r releaseFunc) Release() { r() }

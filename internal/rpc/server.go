@@ -34,8 +34,10 @@ type Response struct {
 	// done with the frame's bytes — staged into the session write
 	// buffer or handed to the socket, on success and error alike. It is
 	// the point where memory aliased by Vec may be unpinned (e.g. a
-	// file chunk's read lease dropped).
-	Release func()
+	// file chunk's read lease dropped). It rides on the response frame
+	// as it is, so a handler that passes a pointer it already holds (the
+	// memory server passes its op's pooled scratch) pays no closure.
+	Release wire.Releaser
 }
 
 // BytesResponse wraps a contiguous body in a Response.
@@ -231,11 +233,15 @@ type ServerConn struct {
 	reqWG sync.WaitGroup
 }
 
-// request is one goroutine-path request in flight to a worker. owned
-// marks a frame cloneOwned took from its pools, which the worker hands
-// back once the request is over.
+// request is one goroutine-path request in flight to a worker. It
+// carries its frame by value — the read loop's frame is the
+// connection's, overwritten by the next read — so handing a request
+// over costs no frame object. owned marks a payload copied out of the
+// connection's storage into a wire.GetBuf buffer, which the worker
+// hands back once the request is over; a large payload is a pooled
+// receive buffer, which finish recycles.
 type request struct {
-	f     *wire.Frame
+	f     wire.Frame
 	trace obs.SpanContext
 	owned bool
 }
@@ -315,11 +321,12 @@ func (sc *ServerConn) readLoop() {
 			sc.dispatch(f, trace, sc.srv.inlineHandler)
 			continue
 		}
-		req := request{f: f, trace: trace}
-		if reused {
-			// The goroutine outlives this iteration; give it an owned
-			// copy of the connection-owned frame.
-			req.f, req.owned = cloneOwned(f), true
+		req := request{f: *f, trace: trace}
+		if reused && len(f.Payload) > 0 {
+			// The worker outlives this iteration; give it its own copy of
+			// the connection-owned payload (a small one fits wire.GetBuf's
+			// buffers). The handler does not keep it (see Handler).
+			req.f.Payload, req.owned = append(wire.GetBuf(), f.Payload...), true
 		}
 		select {
 		case sc.work <- req:
@@ -337,9 +344,9 @@ func (sc *ServerConn) readLoop() {
 func (sc *ServerConn) worker(req request) {
 	defer sc.reqWG.Done()
 	for {
-		sc.dispatch(req.f, req.trace, sc.srv.handler)
+		sc.dispatch(&req.f, req.trace, sc.srv.handler)
 		if req.owned {
-			releaseOwned(req.f)
+			wire.PutBuf(req.f.Payload)
 		}
 		if !sc.parked.CompareAndSwap(false, true) {
 			return
@@ -350,29 +357,6 @@ func (sc *ServerConn) worker(req request) {
 		}
 		sc.parked.Store(false)
 	}
-}
-
-// ownedFrames recycles the frames cloneOwned hands to workers.
-var ownedFrames = sync.Pool{New: func() any { return new(wire.Frame) }}
-
-// cloneOwned copies a frame decoded in connection-owned storage into a
-// pooled frame and a pooled payload buffer (a small frame fits
-// wire.GetBuf's), both handed back by releaseOwned once the request is
-// over: the handler does not keep its payload (see Handler).
-func cloneOwned(f *wire.Frame) *wire.Frame {
-	g := ownedFrames.Get().(*wire.Frame)
-	*g = wire.Frame{Kind: f.Kind, Seq: f.Seq, Method: f.Method, Code: f.Code}
-	if len(f.Payload) > 0 {
-		g.Payload = append(wire.GetBuf(), f.Payload...)
-	}
-	return g
-}
-
-// releaseOwned returns a frame from cloneOwned and its payload.
-func releaseOwned(f *wire.Frame) {
-	wire.PutBuf(f.Payload)
-	*f = wire.Frame{}
-	ownedFrames.Put(f)
 }
 
 // dispatchState carries the pre-handler telemetry snapshot from begin

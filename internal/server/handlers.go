@@ -121,7 +121,9 @@ func (s *Server) sequenced(ctx context.Context, o *opCtx) error {
 		return err
 	}
 	defer b.EndOp()
-	o.b, o.n = b, 1
+	sc := scratchPool.Get().(*scratch)
+	defer sc.Release()
+	o.b, o.n, o.sc = b, 1, sc
 	refused, err := s.sequence(ctx, o)
 	if err == nil {
 		err = refused

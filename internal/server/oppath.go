@@ -65,42 +65,70 @@ type opCtx struct {
 	out     []byte
 	encoded bool
 	res     [][]byte
-	lease   func() // a view's read lease, held until res is encoded
+	lease   wire.Releaser // a view's read lease, held until res is encoded
+
+	// sc is the entry's pooled scratch: the vectors an answer's segments
+	// and a forwarded hop's are built in, and the holder of what an
+	// answer that aliases block memory keeps until it is written.
+	sc *scratch
 }
 
 // scratch is the vectors one entry decodes into — an op's or a hop's
 // args, a batch frame's ops and their one arg vector — the vector a
 // view extends with its one value (a batch takes one for all its
-// views), the offsets a run of appends landed at, kept at the size the
-// longest run grew it to, and the buffer a hop's discarded answer is
-// encoded onto.
-// They cross the Partition and ViewReader interfaces, so on the stack
-// they would escape; pooled, a steady-state entry allocates none.
+// views), the segments of a large answer (vec) and of each hop it
+// forwards (fwd), the offsets a run of appends landed at, kept at the
+// size the longest run grew it to, and the buffer a hop's discarded
+// answer is encoded onto.
+// They cross the Partition and ViewReader interfaces and reach the
+// transport, so on the stack they would escape; pooled, a steady-state
+// entry allocates none.
+//
+// A scratch is also the Release of an answer sent as segments (encode):
+// those may alias block memory under a view's lease, so the scratch
+// keeps the segments, the lease and the block's pin (b) until the rpc
+// layer has written the frame, and then ends them and pools itself.
 type scratch struct {
 	args, res [][]byte
+	vec, fwd  [][]byte
 	ops       []ds.BatchOp
 	offs      []int
 	out       []byte
+
+	b     *blockstore.Block
+	lease wire.Releaser
 }
 
 var scratchPool = sync.Pool{New: func() any {
 	return &scratch{args: make([][]byte, 0, 4), res: make([][]byte, 0, 1), offs: make([]int, 0, 1), out: make([]byte, 0, 16)}
 }}
 
-// scratchMax bounds the vectors a scratch keeps: release clears every
+// scratchMax bounds the vectors a scratch keeps: Release clears every
 // pooled element, so one huge batch must not tax the ops after it.
 const scratchMax = 1 << 10
 
-// release drops what the vectors point at — the request frame, block
-// memory — and pools them, unless a batch grew them past scratchMax.
-func (sc *scratch) release() {
+// Release ends what the scratch holds for an answer — the view's
+// lease, then the block's pin — drops what the vectors point at — the
+// request frame, block memory — and pools them, unless a batch grew
+// them past scratchMax.
+func (sc *scratch) Release() {
+	if sc.lease != nil {
+		sc.lease.Release()
+	}
+	if sc.b != nil {
+		sc.b.EndOp()
+	}
+	sc.lease, sc.b = nil, nil
 	if cap(sc.args) > scratchMax || cap(sc.ops) > scratchMax || cap(sc.offs) > scratchMax {
 		return
 	}
 	clear(sc.args[:cap(sc.args)])
 	clear(sc.res[:cap(sc.res)])
+	clear(sc.vec[:cap(sc.vec)])
+	clear(sc.fwd[:cap(sc.fwd)])
 	clear(sc.ops[:cap(sc.ops)])
-	sc.args, sc.res, sc.ops, sc.offs, sc.out = sc.args[:0], sc.res[:0], sc.ops[:0], sc.offs[:0], sc.out[:0]
+	sc.args, sc.res, sc.vec, sc.fwd = sc.args[:0], sc.res[:0], sc.vec[:0], sc.fwd[:0]
+	sc.ops, sc.offs, sc.out = sc.ops[:0], sc.offs[:0], sc.out[:0]
 	scratchPool.Put(sc)
 }
 
@@ -110,11 +138,14 @@ func (sc *scratch) release() {
 // they keep, and a result is either owned outright (a dequeued item, a
 // removed value), copied into the response (a KV value, a small view)
 // or a view into block memory (see encode).
-func (s *Server) runOp(ctx context.Context, payload []byte) (rpc.Response, error) {
+func (s *Server) runOp(ctx context.Context, payload []byte) (resp rpc.Response, err error) {
 	sc := scratchPool.Get().(*scratch)
-	defer sc.release()
-	o := opCtx{n: 1, checkNow: true, out: wire.GetBuf(), res: sc.res[:0], offs: sc.offs[:0]}
-	var err error
+	defer func() {
+		if resp.Release == nil { // else the rpc layer releases it
+			sc.Release()
+		}
+	}()
+	o := opCtx{n: 1, checkNow: true, out: wire.GetBuf(), res: sc.res[:0], offs: sc.offs[:0], sc: sc}
 	if o.op, o.block, o.args, err = ds.DecodeRequestInto(sc.args[:0], payload); err != nil {
 		return o.encode(err)
 	}
@@ -128,11 +159,7 @@ func (s *Server) runOp(ctx context.Context, payload []byte) (rpc.Response, error
 	if o.b, err = s.resolve(o.block); err != nil {
 		return o.encode(err)
 	}
-	defer func() {
-		if o.lease == nil { // else the response's Release unpins
-			o.b.EndOp()
-		}
-	}()
+	sc.b = o.b // the pin ends with the scratch
 	// The admit stage: the QoS gate charges the tenant the run's records
 	// and ingress bytes; release runs once the work is done.
 	release, err := s.gate.Admit(ctx, o.b.Tenant, int64(o.n), argBytes(o.args))
@@ -142,7 +169,7 @@ func (s *Server) runOp(ctx context.Context, payload []byte) (rpc.Response, error
 	if release != nil {
 		defer release()
 	}
-	resp, err := o.encode(s.apply(ctx, &o))
+	resp, err = o.encode(s.apply(ctx, &o))
 	sc.offs = o.offs
 	return resp, err
 }
@@ -158,9 +185,10 @@ var errControlOp = fmt.Errorf("server: a control op in a data op: %w", core.ErrW
 // message as payload. A result the apply stage encoded already is the
 // payload as it stands. Any other result under the inline frame
 // threshold is copied into the payload, and a view's lease released
-// here; a larger one goes out as scatter-gather segments, and when they
-// alias block memory under a view's lease, the lease and the residency
-// pin are held until the rpc layer has written the frame.
+// here; a larger one goes out as scatter-gather segments in the
+// scratch's vector, and its Release is the scratch: the segments, the
+// view's lease and the residency pin are held until the rpc layer has
+// written the frame.
 func (o *opCtx) encode(err error) (rpc.Response, error) {
 	switch {
 	case err != nil:
@@ -171,21 +199,14 @@ func (o *opCtx) encode(err error) (rpc.Response, error) {
 	case argBytes(o.res) <= wire.InlineFrameThreshold:
 		o.out = ds.AppendVals(o.out, o.res)
 		if o.lease != nil {
-			o.lease()
+			o.lease.Release()
 			o.lease = nil
 		}
 		return rpc.BytesResponse(o.out), nil
 	}
-	head, vec := ds.AppendValsVec(o.out, o.res)
-	resp := rpc.Response{Payload: head, Vec: vec}
-	if o.lease != nil {
-		lease, b := o.lease, o.b
-		resp.Release = func() {
-			lease()
-			b.EndOp()
-		}
-	}
-	return resp, nil
+	head, vec := ds.AppendValsVec(o.sc.vec[:0], o.out, o.res)
+	o.sc.vec, o.sc.lease, o.lease = vec, o.lease, nil
+	return rpc.Response{Payload: head, Vec: vec, Release: o.sc}, nil
 }
 
 // runBatch runs a batch (MethodDataOpBatch). Ops fail independently,
@@ -197,7 +218,7 @@ func (o *opCtx) encode(err error) (rpc.Response, error) {
 // itself.
 func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, error) {
 	sc := scratchPool.Get().(*scratch)
-	defer sc.release()
+	defer sc.Release()
 	ops, args, err := ds.DecodeBatchRequestInto(sc.ops, sc.args, payload)
 	sc.args = args
 	if err != nil {
@@ -257,7 +278,7 @@ func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, er
 	mutated := make(map[core.BlockID]*blockstore.Block)
 	for _, bo := range ops {
 		o := opCtx{op: bo.Op, block: bo.Block, args: bo.Args, n: 1, b: blocks[bo.Block],
-			framed: true, out: resp, res: sc.res[:0], offs: sc.offs[:0]}
+			framed: true, out: resp, res: sc.res[:0], offs: sc.offs[:0], sc: sc}
 		err := refused[bo.Block]
 		if bo.Op.IsControl() {
 			err = errControlOp
@@ -276,7 +297,7 @@ func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, er
 			resp = ds.AppendResult(resp, ds.ErrResult(nil), o.res)
 		}
 		if o.lease != nil {
-			o.lease()
+			o.lease.Release()
 		}
 	}
 	for _, b := range mutated {
@@ -297,8 +318,8 @@ func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, er
 // A skip (OpNop) only fills its seq (see sequence).
 func (s *Server) runHop(ctx context.Context, payload []byte) error {
 	sc := scratchPool.Get().(*scratch)
-	defer sc.release()
-	o := opCtx{n: 1, hop: true, out: sc.out[:0], offs: sc.offs[:0]}
+	defer sc.Release()
+	o := opCtx{n: 1, hop: true, out: sc.out[:0], offs: sc.offs[:0], sc: sc}
 	var err error
 	if o.seq, o.gen, o.op, o.block, o.args, err = ds.DecodeReplicateInto(sc.args[:0], payload); err != nil {
 		return err
@@ -370,7 +391,7 @@ func (s *Server) apply(ctx context.Context, o *opCtx) (err error) {
 			err = refused
 		}
 	} else if v, handled, verr := ds.ApplyView(o.b.Partition, o.op, o.args, o.res[:0]); handled {
-		o.res, o.lease, err = v.Vals, v.Release, verr
+		o.res, o.lease, err = v.Vals, v.Lease, verr
 	} else {
 		_, err = s.applyOn(o)
 	}
@@ -523,9 +544,9 @@ func (s *Server) sequence(ctx context.Context, o *opCtx) (refused, err error) {
 		}
 		if refused != nil {
 			s.hopRefusals.Inc()
-			return refused, s.propagate(ctx, b, chain, o.seq, o.gen, core.OpNop, nil)
+			return refused, s.propagate(ctx, o, chain, o.seq, o.gen, core.OpNop, nil)
 		}
-		return nil, s.propagate(ctx, b, chain, o.seq, o.gen, o.op, o.args)
+		return nil, s.propagate(ctx, o, chain, o.seq, o.gen, o.op, o.args)
 	case len(c) > 1 && c.Head().ID == b.ID:
 		if chain, seq, gen, err = b.NextReplSeq(applyOn); err != nil {
 			return nil, err
@@ -548,7 +569,7 @@ func (s *Server) sequence(ctx context.Context, o *opCtx) (refused, err error) {
 	acked := landed
 	if len(chain) > 1 { // else there is no successor
 		for i := range landed {
-			if ferr := s.propagate(ctx, b, chain, seq+uint64(i), gen, o.op, o.record(i)); ferr != nil && err == nil {
+			if ferr := s.propagate(ctx, o, chain, seq+uint64(i), gen, o.op, o.record(i)); ferr != nil && err == nil {
 				err, acked = ferr, i
 			}
 		}

@@ -248,12 +248,12 @@ func (f *opFixture) run(t *testing.T, k opKind, entry string) opOutcome {
 		batch := ds.AppendBatchRequest(nil, []ds.BatchOp{{Op: k.op, Block: f.block, Args: k.args}})
 		resp, err = f.s.handle(ctx, nil, proto.MethodDataOpBatch, batch)
 	case "hop":
-		vec, _ := ds.AppendReplicateVec(nil, 0, 0, k.op, f.block, k.args)
+		vec, _ := ds.AppendReplicateVec(nil, nil, 0, 0, k.op, f.block, k.args)
 		resp, err = f.s.handle(ctx, nil, proto.MethodReplicate, bytes.Join(vec, nil))
 	}
 	body := append(append([]byte(nil), resp.Payload...), bytes.Join(resp.Vec, nil)...)
 	if resp.Release != nil {
-		resp.Release()
+		resp.Release.Release()
 	}
 	for _, b := range f.blocks {
 		// A session's response drops its pin once written, which may be
@@ -425,7 +425,7 @@ func runCells(t *testing.T) {
 			}
 			time.Sleep(10 * time.Millisecond)
 			b.Seal()
-			view.Release()
+			view.Lease.Release()
 			if code := <-done; code != core.CodeStaleEpoch {
 				t.Fatalf("a run on a block sealed mid-run answered %v, want StaleEpoch", code)
 			}
@@ -593,7 +593,7 @@ func TestOpAfterDeleteIsStale(t *testing.T) {
 		}
 		err = s.apply(ctx, &o)
 		if o.lease != nil {
-			o.lease()
+			o.lease.Release()
 		}
 		o.b.EndOp()
 		if !errors.Is(err, core.ErrStaleEpoch) {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 
-	"jiffy/internal/blockstore"
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/proto"
@@ -65,21 +64,25 @@ func (e *ReplicaApplyError) Unwrap() error { return e.Err }
 
 // The hop's wire form is the data plane's own codec behind a 16-byte
 // seq|gen prefix (see ds.AppendReplicateVec): one pooled header plus a
-// vectored write of the argument slices. At the head those slices alias
-// the client's request frame and at a mid-chain member the predecessor's
-// hop frame, so a payload is copied once per member — out of the frame,
-// into block memory — and never re-encoded. The chain itself does not
-// travel: every member of a generation was installed with the same
-// chain, and finds its own successor in it.
+// vectored write of the argument slices, whose segments extend the op
+// scratch's forward vector, so a hop allocates nothing. At the head
+// those slices alias the client's request frame and at a mid-chain
+// member the predecessor's hop frame, so a payload is copied once per
+// member — out of the frame, into block memory — and never re-encoded.
+// The chain itself does not travel: every member of a generation was
+// installed with the same chain, and finds its own successor in it.
 
-// propagate forwards a sequenced mutation from b, which has applied
-// it, to b's successor in chain — b's chain snapshot taken under the
-// sequence lock (see sequence), so a concurrent repair splice cannot mix
-// configurations within one mutation. Failures are classified:
-// transport-level ones become ChainHopError (and are reported to the
-// controller as death evidence), everything else ReplicaApplyError.
-func (s *Server) propagate(ctx context.Context, b *blockstore.Block, chain core.ReplicaChain,
+// propagate forwards a sequenced mutation from o's block, which has
+// applied it, to the block's successor in chain — the block's chain
+// snapshot taken under the sequence lock (see sequence), so a
+// concurrent repair splice cannot mix configurations within one
+// mutation. The hop's segments are built in o's pooled scratch.
+// Failures are classified: transport-level ones become ChainHopError
+// (and are reported to the controller as death evidence), everything
+// else ReplicaApplyError.
+func (s *Server) propagate(ctx context.Context, o *opCtx, chain core.ReplicaChain,
 	seq, gen uint64, op core.OpType, args [][]byte) error {
+	b := o.b
 	pos := slices.IndexFunc(chain, func(m core.BlockInfo) bool { return m.ID == b.ID })
 	if pos < 0 || pos+1 >= len(chain) {
 		return nil // sole replica or tail: nothing to forward
@@ -93,9 +96,10 @@ func (s *Server) propagate(ctx context.Context, b *blockstore.Block, chain core.
 	start := s.clk.Now()
 	// The call returns once the successor has answered, so the segments
 	// (and the frame they alias) are long consumed by then.
-	vec, head := ds.AppendReplicateVec(wire.GetBuf(), seq, gen, op, next.ID, args)
+	vec, head := ds.AppendReplicateVec(o.sc.fwd[:0], wire.GetBuf(), seq, gen, op, next.ID, args)
 	_, err = peer.CallVecContext(ctx, proto.MethodReplicate, vec)
 	wire.PutBuf(head)
+	o.sc.fwd = vec
 	if err == nil {
 		// The successor applies in sequence order before replying, so the
 		// forward round trip is a direct proxy for its ApplyInOrder stall:

@@ -563,7 +563,7 @@ func TestApplyWaitGauge(t *testing.T) {
 	}
 	hop := func(seq uint64, key string) chan error {
 		done := make(chan error, 1)
-		vec, _ := ds.AppendReplicateVec(nil, seq, 0, core.OpPut, 2, [][]byte{[]byte(key), []byte("v")})
+		vec, _ := ds.AppendReplicateVec(nil, nil, seq, 0, core.OpPut, 2, [][]byte{[]byte(key), []byte("v")})
 		go func() {
 			_, err := c.CallContext(context.Background(), proto.MethodReplicate, bytes.Join(vec, nil))
 			done <- err
@@ -602,7 +602,7 @@ func TestCloseWakesParkedHop(t *testing.T) {
 	s, c, _ := newServer(t)
 	chain := core.ReplicaChain{{ID: 1, Server: "mem://lost-head"}, {ID: 2, Server: s.Addr()}}
 	createBlock(t, c, 2, core.DSKV, []ds.SlotRange{{Lo: 0, Hi: 63}}, 0, chain)
-	vec, _ := ds.AppendReplicateVec(nil, 5, 0, core.OpPut, 2, [][]byte{[]byte("k"), []byte("v")})
+	vec, _ := ds.AppendReplicateVec(nil, nil, 5, 0, core.OpPut, 2, [][]byte{[]byte("k"), []byte("v")})
 	hop := make(chan error, 1)
 	go func() {
 		_, err := c.CallContext(context.Background(), proto.MethodReplicate, bytes.Join(vec, nil))
@@ -658,7 +658,7 @@ func TestHealthzListsParkedHop(t *testing.T) {
 		t.Fatalf("parked hops %+v before any hop, want none", hops)
 	}
 	// The hop for seq 3 waits for seqs 0–2, which never come.
-	vec, _ := ds.AppendReplicateVec(nil, 3, 0, core.OpPut, 2, [][]byte{[]byte("k"), []byte("v")})
+	vec, _ := ds.AppendReplicateVec(nil, nil, 3, 0, core.OpPut, 2, [][]byte{[]byte("k"), []byte("v")})
 	hop := make(chan error, 1)
 	go func() {
 		_, err := c.CallContext(context.Background(), proto.MethodReplicate, bytes.Join(vec, nil))

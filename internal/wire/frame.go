@@ -103,12 +103,18 @@ type Frame struct {
 	// bytes have been staged into the write buffer or handed to the
 	// socket, on success and error paths alike. Handlers use it to
 	// unpin block memory aliased by Payload/PayloadVec.
-	Release func()
+	Release Releaser
 
 	// buf is the large-class receive buffer Payload aliases, set only on
 	// frames from ReadFramePooled; RecycleFrame hands it back.
 	buf []byte
 }
+
+// Releaser is the hook a frame's Release runs. Its implementations are
+// pointers that already exist — a server's pooled op scratch, a file
+// chunk's lock — so carrying one costs nothing, where a closure would
+// cost an object per frame.
+type Releaser interface{ Release() }
 
 // PayloadLen is the total payload size across Payload and PayloadVec.
 func (f *Frame) PayloadLen() int {
@@ -124,7 +130,7 @@ func (f *Frame) release() {
 	if f.Release != nil {
 		r := f.Release
 		f.Release = nil
-		r()
+		r.Release()
 	}
 }
 
@@ -136,8 +142,8 @@ type Conn struct {
 	r  *bufio.Reader
 
 	// Read-side scratch, owned by the single reader goroutine: the
-	// length prefix, plus the Frame and payload storage that
-	// ReadFrameReused recycles across small frames.
+	// length prefix, the Frame every ReadFrameReused and ReadFramePooled
+	// decodes into, and the payload storage of small frames.
 	rlen   [4]byte
 	rframe Frame
 	rbuf   []byte
@@ -312,19 +318,19 @@ func (c *Conn) WriteBytes(b []byte) error {
 }
 
 // parseFrameInto decodes the post-length-prefix portion of a frame into
-// f without allocating. buf must be at least headerLen bytes (the
-// caller validated the length prefix); f's payload aliases buf.
+// f without allocating, overwriting every field. buf must be at least
+// headerLen bytes (the caller validated the length prefix); f's payload
+// aliases buf.
 func parseFrameInto(f *Frame, buf []byte) error {
 	if len(buf) < headerLen {
 		return fmt.Errorf("wire: frame shorter than header (%d bytes)", len(buf))
 	}
-	f.Kind = Kind(buf[0])
-	f.Seq = binary.BigEndian.Uint64(buf[1:9])
-	f.Method = binary.BigEndian.Uint16(buf[9:11])
-	f.Code = core.ErrorCode(buf[11])
-	f.Payload = nil
-	f.PayloadVec = nil
-	f.Release = nil
+	*f = Frame{
+		Kind:   Kind(buf[0]),
+		Seq:    binary.BigEndian.Uint64(buf[1:9]),
+		Method: binary.BigEndian.Uint16(buf[9:11]),
+		Code:   core.ErrorCode(buf[11]),
+	}
 	if len(buf) > headerLen {
 		f.Payload = buf[headerLen:]
 	}
@@ -334,17 +340,6 @@ func parseFrameInto(f *Frame, buf []byte) error {
 		return fmt.Errorf("wire: invalid frame kind %d", f.Kind)
 	}
 	return nil
-}
-
-// parseFrame decodes the post-length-prefix portion of a frame. buf
-// must be at least headerLen bytes (the caller validated the length
-// prefix); the returned frame's payload aliases buf.
-func parseFrame(buf []byte) (*Frame, error) {
-	f := new(Frame)
-	if err := parseFrameInto(f, buf); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // Trace-extension payload layout: u8 version, u64 trace ID, u64 span
@@ -399,35 +394,45 @@ func (c *Conn) ReadFrame() (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parseFrame(buf)
+	f := new(Frame)
+	if err := parseFrameInto(f, buf); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
-// ReadFrameReused reads the next frame like ReadFrame, but decodes
-// small frames (payload at most InlineFrameThreshold) into
-// connection-owned storage: when reused is true, the returned Frame and
-// its Payload are invalidated by the next Read*Frame call, so the
-// caller must finish with them — or copy what it keeps — before reading
-// again. Larger frames come back freshly allocated (reused false),
-// exactly as from ReadFrame. This is the receive-side half of the
-// inline small-frame fast path: the steady-state cost of a small frame
-// is one buffered read, zero allocations.
+// ReadFrameReused reads the next frame like ReadFrame, but into
+// connection-owned storage: the returned Frame is the connection's, and
+// the next Read*Frame call overwrites it, so a caller that keeps a frame
+// past that copies it, by value. reused reports whether the Payload is
+// the connection's too. A small frame's (payload at most
+// InlineFrameThreshold) is (reused true): the caller finishes with it,
+// or copies what it keeps, before reading again. A larger frame's
+// Payload is freshly allocated (reused false) and becomes the caller's.
+// This is the receive-side half of the inline small-frame fast path:
+// the steady-state cost of a small frame is one buffered read, zero
+// allocations, and of a large one the payload the reader keeps.
 func (c *Conn) ReadFrameReused() (f *Frame, reused bool, err error) {
 	return c.readFrame(false)
 }
 
 // ReadFramePooled is ReadFrameReused for readers that can say when they
-// are done with a large frame: frames above the inline threshold come
-// back (reused false) in a buffer from the large class, which the
-// caller returns with RecycleFrame once nothing references the payload
-// any more. A frame that is never recycled is simply collected. Servers
-// read requests this way — a handler may not retain its payload past
-// the response — while clients keep ReadFrameReused, because a large
-// response's payload becomes the caller's result.
+// are done with a large frame: its Payload (reused false) is a buffer
+// from the large class, which the caller returns with RecycleFrame —
+// on the returned frame or its copy, once — when nothing references
+// the payload any more. A frame that is never recycled is simply
+// collected. Servers read requests this way — a handler may not retain
+// its payload past the response — while clients keep ReadFrameReused,
+// because a large response's payload becomes the caller's result.
 func (c *Conn) ReadFramePooled() (f *Frame, reused bool, err error) {
 	return c.readFrame(true)
 }
 
 func (c *Conn) readFrame(pooled bool) (f *Frame, reused bool, err error) {
+	// The frame before this one is its reader's by now: drop the
+	// connection's reference to its payload before waiting for the next,
+	// or an idle connection would keep a large payload alive.
+	c.rframe = Frame{}
 	n, err := c.readLen()
 	if err != nil {
 		return nil, false, err
@@ -450,26 +455,30 @@ func (c *Conn) readFrame(pooled bool) (f *Frame, reused bool, err error) {
 		if err != nil {
 			return nil, false, err
 		}
-		f, err = parseFrame(buf)
-		return f, false, err
+		if err := parseFrameInto(&c.rframe, buf); err != nil {
+			return nil, false, err
+		}
+		return &c.rframe, false, nil
 	}
 	buf := GetLarge(n)
 	if _, err := io.ReadFull(c.r, buf); err != nil {
 		PutLarge(buf)
 		return nil, false, err
 	}
-	if f, err = parseFrame(buf); err != nil {
+	if err := parseFrameInto(&c.rframe, buf); err != nil {
 		PutLarge(buf)
 		return nil, false, err
 	}
-	f.buf = buf
-	return f, false, nil
+	c.rframe.buf = buf
+	return &c.rframe, false, nil
 }
 
 // RecycleFrame returns the receive buffer of a frame from
-// ReadFramePooled to the large class; on any other frame it does
-// nothing. The frame's Payload — and everything decoded as an alias of
-// it — must not be touched afterwards.
+// ReadFramePooled to the large class and clears the frame's reference
+// to it, so a second call on the same frame does nothing; so does a
+// call on any other frame. A reader that copied the frame recycles the
+// copy, and only the copy. The frame's Payload — and everything decoded
+// as an alias of it — must not be touched afterwards.
 func RecycleFrame(f *Frame) {
 	if f.buf == nil {
 		return

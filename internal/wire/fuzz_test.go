@@ -231,7 +231,7 @@ func FuzzFrameVecRoundTrip(f *testing.F) {
 		var stream bytes.Buffer
 		wc := &Conn{w: bufio.NewWriterSize(&stream, 64*core.KB)}
 		live := *in
-		live.Release = func() { released++ }
+		live.Release = releaseFunc(func() { released++ })
 		if err := wc.WriteFrame(&live); err != nil {
 			t.Fatalf("WriteFrame: %v", err)
 		}

@@ -99,3 +99,83 @@ func TestReadFramePooledRecycles(t *testing.T) {
 		t.Fatal("RecycleFrame touched a connection-owned frame")
 	}
 }
+
+// TestReadFramePooledAllocs is the wire allocation gate: a pooled
+// 64 KiB request frame, read and recycled, costs no object once its
+// size class holds a buffer — the frame is decoded into the
+// connection's storage and the payload into the recycled buffer.
+func TestReadFramePooledAllocs(t *testing.T) {
+	if poolsInstrumented {
+		t.Skip("pools are instrumented (-race or -tags jiffydebug)")
+	}
+	const runs = 100
+	body := bytes.Repeat([]byte{0x5a}, 64*core.KB)
+	var stream []byte
+	for i := 0; i <= runs; i++ {
+		stream = AppendFrame(stream, &Frame{Kind: KindRequest, Seq: uint64(i), Payload: body})
+	}
+	c := fuzzConn(stream)
+	allocs := testing.AllocsPerRun(runs, func() {
+		f, reused, err := c.ReadFramePooled()
+		if err != nil || reused || len(f.Payload) != len(body) {
+			t.Fatalf("pooled read: reused=%v err=%v", reused, err)
+		}
+		RecycleFrame(f)
+	})
+	if allocs > 0 {
+		t.Fatalf("a pooled 64 KiB frame read and recycled allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestReadFrameLeavesNothingStale: every read overwrites the whole
+// connection-owned frame, so a frame read after a large pooled one, or
+// after a caller wrote into the frame it was handed, carries no Payload,
+// PayloadVec, Release or receive buffer of the frame before it; and a
+// copy the reader took of the pooled frame keeps its buffer, which only
+// the copy recycles.
+func TestReadFrameLeavesNothingStale(t *testing.T) {
+	large := bytes.Repeat([]byte{0x6b}, 64*core.KB)
+	var stream []byte
+	for i, p := range [][]byte{large, []byte("small"), large, nil} {
+		stream = AppendFrame(stream, &Frame{Kind: KindRequest, Seq: uint64(i), Payload: p})
+	}
+	c := fuzzConn(stream)
+	stale := func(f *Frame) {
+		t.Helper()
+		if f.PayloadVec != nil || f.Release != nil || f.buf != nil {
+			t.Fatalf("frame %d: PayloadVec %v, Release %v, buffer %v left from the frame before",
+				f.Seq, f.PayloadVec != nil, f.Release != nil, f.buf != nil)
+		}
+	}
+
+	f, _, err := c.ReadFramePooled()
+	if err != nil || f.buf == nil {
+		t.Fatalf("large pooled frame: buffer %v, %v", f.buf != nil, err)
+	}
+	kept := *f // the reader keeps the frame past the next read
+	f.PayloadVec, f.Release = [][]byte{large}, releaseFunc(func() {})
+
+	f, reused, err := c.ReadFramePooled()
+	if err != nil || !reused || string(f.Payload) != "small" {
+		t.Fatalf("small frame: %q reused=%v err=%v", f.Payload, reused, err)
+	}
+	stale(f)
+	RecycleFrame(f) // connection-owned payload: nothing to recycle
+	if kept.buf == nil || !bytes.Equal(kept.Payload, large) {
+		t.Fatal("the next read disturbed the reader's copy of a pooled frame")
+	}
+	RecycleFrame(&kept)
+	if kept.buf != nil || kept.Payload != nil {
+		t.Fatal("RecycleFrame left the copy's buffer reachable")
+	}
+
+	// A large frame read unpooled: a fresh payload and no buffer.
+	if f, reused, err = c.ReadFrameReused(); err != nil || reused || !bytes.Equal(f.Payload, large) {
+		t.Fatalf("large unpooled frame: reused=%v err=%v", reused, err)
+	}
+	stale(f)
+	if f, _, err = c.ReadFramePooled(); err != nil || f.Payload != nil {
+		t.Fatalf("empty frame: payload %d bytes, %v", len(f.Payload), err)
+	}
+	stale(f)
+}

@@ -339,3 +339,8 @@ func TestTraceExtRoundTrip(t *testing.T) {
 		t.Fatalf("trace-ext frame: %+v, %v", out, err)
 	}
 }
+
+// releaseFunc adapts a function to Releaser.
+type releaseFunc func()
+
+func (r releaseFunc) Release() { r() }
