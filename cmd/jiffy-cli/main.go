@@ -253,7 +253,7 @@ func stats(c *jiffy.Client, args []string) error {
 
 // health prints the cluster's gray-failure view: the controller's
 // probation list, and this client's own per-server observations
-// (breaker state, latency EWMA/p95) for every server it has talked to.
+// (latency EWMA/p95) for every server it has talked to.
 // --admin additionally fetches an admin endpoint's /healthz?detail=1.
 func health(c *jiffy.Client, args []string) error {
 	fs := flag.NewFlagSet("health", flag.ContinueOnError)
@@ -274,8 +274,8 @@ func health(c *jiffy.Client, args []string) error {
 	if hs := c.ServerHealth(); len(hs) > 0 {
 		fmt.Println("client-observed server health:")
 		for _, h := range hs {
-			fmt.Printf("  %-36s breaker=%-9s strikes=%d samples=%d ewma=%v p95=%v probation=%v\n",
-				h.Server, h.State, h.Strikes, h.Samples, h.EWMA, h.P95, h.Probation)
+			fmt.Printf("  %-36s samples=%d ewma=%v p95=%v probation=%v\n",
+				h.Server, h.Samples, h.EWMA, h.P95, h.Probation)
 		}
 	}
 	if *admin != "" {

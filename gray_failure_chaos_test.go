@@ -4,10 +4,10 @@ package jiffy
 // slow (fail-slow) must not be treated as healthy (unbounded tail
 // latency) nor as dead (spurious chain splices). These scenarios drive
 // the full gray-failure machinery end to end under the deterministic
-// injector: the per-server circuit breaker steers traffic off the slow
-// replica, and the server→controller fail-slow reports place it on
-// probation without a membership change. Hedged reads, which bound the
-// client's read tail, are gray_tail_test.go over tailbench.Measure.
+// injector: the server→controller fail-slow reports place the slow
+// replica on probation without a membership change. Hedged reads,
+// which bound the client's read tail, are gray_tail_test.go over
+// tailbench.Measure.
 // Seeds are fixed; failures reproduce exactly.
 
 import (
@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"jiffy/internal/client"
 	"jiffy/internal/core"
 	"jiffy/internal/faultinject"
 )
@@ -75,108 +74,6 @@ func grayCluster(t *testing.T, inj *faultinject.Injector, cfg core.Config) (*Clu
 		t.Fatalf("chain = %v, want length %d", chain, cfg.ChainLength)
 	}
 	return cluster, chain[len(chain)-1].Server
-}
-
-// TestChaosGrayFailureBreaker drives the per-server circuit breaker
-// through its full deterministic cycle: closed while healthy; slow
-// successes (latency-ceiling strikes) open it after exactly the
-// configured streak; while open, reads fail over along the chain and
-// still succeed; after the cooldown a half-open probe against the
-// healed server closes it again.
-func TestChaosGrayFailureBreaker(t *testing.T) {
-	inj := faultinject.New(1302, nil)
-	cfg := core.TestConfig()
-	cfg.LeaseDuration = time.Minute
-	cfg.ChainLength = 3
-	cfg.RPCTimeout = 2 * time.Second
-	cluster, tail := grayCluster(t, inj, cfg)
-	ctx := context.Background()
-
-	const cooldown = 100 * time.Millisecond
-	c, err := cluster.Connect(ctx, client.WithBreaker(client.BreakerPolicy{
-		Failures: 3, LatencyCeiling: 5 * time.Millisecond, Cooldown: cooldown,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	kv, err := c.OpenKV(ctx, "gray/kv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := kv.Put(ctx, "bk", []byte("bv")); err != nil {
-		t.Fatal(err)
-	}
-
-	stateOf := func(server string) (string, int) {
-		for _, s := range c.ServerHealth() {
-			if s.Server == server {
-				return s.State, s.Strikes
-			}
-		}
-		return "", 0
-	}
-
-	// Healthy reads leave the breaker closed.
-	for i := 0; i < 4; i++ {
-		if _, err := kv.Get(ctx, "bk"); err != nil {
-			t.Fatalf("healthy get: %v", err)
-		}
-	}
-	if state, _ := stateOf(tail); state != "closed" {
-		t.Fatalf("healthy breaker state = %q, want closed", state)
-	}
-
-	inj.AddRule(faultinject.Rule{Name: "slow-tail", Match: "send:" + tail, Latency: grayTailLatency})
-
-	// Strikes accumulate one per slow success; the breaker must open on
-	// the third and not before.
-	for i := 1; i <= 3; i++ {
-		if _, err := kv.Get(ctx, "bk"); err != nil {
-			t.Fatalf("gray get %d: %v", i, err)
-		}
-		state, strikes := stateOf(tail)
-		if i < 3 && state != "closed" {
-			t.Fatalf("breaker state after %d strikes = %q, want closed", i, state)
-		}
-		if i == 3 && state != "open" {
-			t.Fatalf("breaker state after %d strikes = %q (strikes=%d), want open", i, state, strikes)
-		}
-	}
-
-	// Open breaker: reads fail over to an upstream chain member — fast
-	// and successful, without waiting out the slow tail.
-	start := time.Now()
-	if v, err := kv.Get(ctx, "bk"); err != nil || string(v) != "bv" {
-		t.Fatalf("failover get = %q, %v", v, err)
-	}
-	if elapsed := time.Since(start); elapsed >= grayTailLatency {
-		t.Errorf("failover get took %v: it waited on the open-breaker tail", elapsed)
-	}
-	if state, _ := stateOf(tail); state != "open" {
-		t.Fatalf("breaker state during failover = %q, want open", state)
-	}
-
-	// The breaker-state gauge mirrors the snapshot (closed=0 open=1
-	// half-open=2).
-	var buf bytes.Buffer
-	c.Obs().WritePrometheus(&buf)
-	gauge := fmt.Sprintf(`jiffy_client_breaker_state{server=%q}`, tail)
-	if v := metricValue(buf.String(), gauge); v != 1 {
-		t.Errorf("%s = %v, want 1 (open)", gauge, v)
-	}
-
-	// Heal the tail and wait out the cooldown: the next read admits a
-	// single half-open probe, which succeeds fast and closes the
-	// breaker — traffic returns to the tail.
-	inj.RemoveRule("slow-tail")
-	time.Sleep(cooldown + 20*time.Millisecond)
-	if _, err := kv.Get(ctx, "bk"); err != nil {
-		t.Fatalf("post-heal get: %v", err)
-	}
-	if state, strikes := stateOf(tail); state != "closed" || strikes != 0 {
-		t.Fatalf("post-heal breaker = %q/%d strikes, want closed/0", state, strikes)
-	}
 }
 
 // TestChaosGrayFailureProbation exercises the server→controller leg: a

@@ -546,16 +546,6 @@ func (s *Store) Get(id core.BlockID) (*Block, error) {
 	return nil, fmt.Errorf("blockstore: block %v unknown: %w", id, core.ErrStaleEpoch)
 }
 
-// Apply executes a data-plane op against a block, re-evaluating
-// thresholds after mutations.
-func (s *Store) Apply(id core.BlockID, op core.OpType, args [][]byte) ([][]byte, error) {
-	b, err := s.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	return s.ApplyOn(b, op, args, true)
-}
-
 // ApplyOn executes an op against an already-resolved block. checkNow
 // controls whether repartition thresholds are re-evaluated inline after
 // a mutation; batch execution passes false and calls CheckThresholds

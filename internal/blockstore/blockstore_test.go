@@ -78,25 +78,24 @@ func TestCreateGetDelete(t *testing.T) {
 
 func TestApplyRoutesToPartition(t *testing.T) {
 	s := NewStore(0.95, 0.05, nil)
-	s.Create(newKVBlock(1, 1024))
-	if _, err := s.Apply(1, core.OpPut, [][]byte{[]byte("k"), []byte("v")}); err != nil {
+	b := newKVBlock(1, 1024)
+	s.Create(b)
+	if _, err := s.ApplyOn(b, core.OpPut, [][]byte{[]byte("k"), []byte("v")}, true); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Apply(1, core.OpGet, [][]byte{[]byte("k")})
+	res, err := s.ApplyOn(b, core.OpGet, [][]byte{[]byte("k")}, true)
 	if err != nil || string(res[0]) != "v" {
 		t.Errorf("get = %v, %v", res, err)
-	}
-	if _, err := s.Apply(99, core.OpGet, [][]byte{[]byte("k")}); !errors.Is(err, core.ErrStaleEpoch) {
-		t.Errorf("unknown block = %v", err)
 	}
 }
 
 func TestOverloadSignalOnce(t *testing.T) {
 	rec := &signalRecorder{}
 	s := NewStore(0.5, 0.05, rec.fn)
-	s.Create(newKVBlock(1, 100))
+	b := newKVBlock(1, 100)
+	s.Create(b)
 	// Push usage past 50%: key "a"(1) + 60-byte value = 61 bytes.
-	if _, err := s.Apply(1, core.OpPut, [][]byte{[]byte("a"), make([]byte, 60)}); err != nil {
+	if _, err := s.ApplyOn(b, core.OpPut, [][]byte{[]byte("a"), make([]byte, 60)}, true); err != nil {
 		t.Fatal(err)
 	}
 	if rec.count() != 1 {
@@ -106,7 +105,7 @@ func TestOverloadSignalOnce(t *testing.T) {
 		t.Errorf("signal = block %v over=%v", id, over)
 	}
 	// Further mutations above threshold do not re-signal.
-	s.Apply(1, core.OpPut, [][]byte{[]byte("a"), make([]byte, 61)})
+	s.ApplyOn(b, core.OpPut, [][]byte{[]byte("a"), make([]byte, 61)}, true)
 	if rec.count() != 1 {
 		t.Errorf("re-signaled: %d", rec.count())
 	}
@@ -115,15 +114,16 @@ func TestOverloadSignalOnce(t *testing.T) {
 func TestUnderloadSignalRequiresArming(t *testing.T) {
 	rec := &signalRecorder{}
 	s := NewStore(0.9, 0.2, rec.fn)
-	s.Create(newKVBlock(1, 100))
+	b := newKVBlock(1, 100)
+	s.Create(b)
 	// A small write below the low threshold on a fresh block: no signal.
-	s.Apply(1, core.OpPut, [][]byte{[]byte("a"), make([]byte, 5)})
+	s.ApplyOn(b, core.OpPut, [][]byte{[]byte("a"), make([]byte, 5)}, true)
 	if rec.count() != 0 {
 		t.Fatalf("fresh block signaled underload: %d", rec.count())
 	}
 	// Go above low (arming), then drop back below: underload fires once.
-	s.Apply(1, core.OpPut, [][]byte{[]byte("b"), make([]byte, 40)})
-	s.Apply(1, core.OpDelete, [][]byte{[]byte("b")})
+	s.ApplyOn(b, core.OpPut, [][]byte{[]byte("b"), make([]byte, 40)}, true)
+	s.ApplyOn(b, core.OpDelete, [][]byte{[]byte("b")}, true)
 	if rec.count() != 1 {
 		t.Fatalf("signals = %d, want 1", rec.count())
 	}
@@ -136,14 +136,15 @@ func TestQueueUnderloadOnlyWhenDrained(t *testing.T) {
 	rec := &signalRecorder{}
 	s := NewStore(0.9, 0.3, rec.fn)
 	q := ds.NewQueue(100)
-	s.Create(&Block{ID: 2, Path: core.MustPath("j", "T"), Partition: q})
-	s.Apply(2, core.OpEnqueue, [][]byte{make([]byte, 40)}) // arm
-	s.Apply(2, core.OpDequeue, nil)                        // below low, but not sealed
+	b := &Block{ID: 2, Path: core.MustPath("j", "T"), Partition: q}
+	s.Create(b)
+	s.ApplyOn(b, core.OpEnqueue, [][]byte{make([]byte, 40)}, true) // arm
+	s.ApplyOn(b, core.OpDequeue, nil, true)                        // below low, but not sealed
 	if rec.count() != 0 {
 		t.Fatalf("unsealed queue signaled underload")
 	}
 	q.SetNext(core.BlockInfo{ID: 3, Server: "s"})
-	s.Apply(2, core.OpEnqueue, [][]byte{[]byte("x")}) // redirect error, still evaluates
+	s.ApplyOn(b, core.OpEnqueue, [][]byte{[]byte("x")}, true) // redirect error, still evaluates
 	if rec.count() != 1 {
 		t.Errorf("drained queue signals = %d, want 1", rec.count())
 	}
@@ -152,13 +153,14 @@ func TestQueueUnderloadOnlyWhenDrained(t *testing.T) {
 func TestResetSignalRearms(t *testing.T) {
 	rec := &signalRecorder{}
 	s := NewStore(0.5, 0.05, rec.fn)
-	s.Create(newKVBlock(1, 100))
-	s.Apply(1, core.OpPut, [][]byte{[]byte("a"), make([]byte, 60)})
+	b := newKVBlock(1, 100)
+	s.Create(b)
+	s.ApplyOn(b, core.OpPut, [][]byte{[]byte("a"), make([]byte, 60)}, true)
 	if rec.count() != 1 {
 		t.Fatal("no initial signal")
 	}
 	s.ResetSignal(1)
-	s.Apply(1, core.OpPut, [][]byte{[]byte("a"), make([]byte, 70)})
+	s.ApplyOn(b, core.OpPut, [][]byte{[]byte("a"), make([]byte, 70)}, true)
 	if rec.count() != 2 {
 		t.Errorf("signals after reset = %d, want 2", rec.count())
 	}
@@ -193,7 +195,7 @@ func TestGrowthOpenWhileSignalInFlight(t *testing.T) {
 		{"deleted", func() { s.Delete(1) }},
 	} {
 		s.ResetSignal(1)
-		s.Apply(1, core.OpPut, [][]byte{[]byte("a"), make([]byte, 60)})
+		s.ApplyOn(b, core.OpPut, [][]byte{[]byte("a"), make([]byte, 60)}, true)
 		growth := b.Growth()
 		if growth == nil || closed(growth) {
 			t.Fatalf("%s: no growth in flight after the over-signal", end.name)
@@ -211,9 +213,9 @@ func TestReadsDoNotSignal(t *testing.T) {
 	b := newKVBlock(1, 100)
 	s.Create(b)
 	// Preload above threshold directly through the partition (bypassing
-	// Apply, as a restore would).
+	// the store, as a restore would).
 	b.Partition.(*ds.KV).Put("a", make([]byte, 60))
-	s.Apply(1, core.OpGet, [][]byte{[]byte("a")})
+	s.ApplyOn(b, core.OpGet, [][]byte{[]byte("a")}, true)
 	if rec.count() != 0 {
 		t.Errorf("read triggered %d signals", rec.count())
 	}
@@ -221,9 +223,10 @@ func TestReadsDoNotSignal(t *testing.T) {
 
 func TestListAndStats(t *testing.T) {
 	s := NewStore(0.95, 0.05, nil)
-	s.Create(newKVBlock(1, 1024))
+	b := newKVBlock(1, 1024)
+	s.Create(b)
 	s.Create(newKVBlock(2, 1024))
-	s.Apply(1, core.OpPut, [][]byte{[]byte("k"), []byte("0123456789")})
+	s.ApplyOn(b, core.OpPut, [][]byte{[]byte("k"), []byte("0123456789")}, true)
 	if got := len(s.List()); got != 2 {
 		t.Errorf("List = %d blocks", got)
 	}
@@ -235,7 +238,8 @@ func TestListAndStats(t *testing.T) {
 
 func TestConcurrentApply(t *testing.T) {
 	s := NewStore(0.95, 0.05, nil)
-	s.Create(newKVBlock(1, core.MB))
+	b := newKVBlock(1, core.MB)
+	s.Create(b)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -243,7 +247,7 @@ func TestConcurrentApply(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := []byte{byte('a' + g), byte(i), byte(i >> 8)}
-				if _, err := s.Apply(1, core.OpPut, [][]byte{key, []byte("v")}); err != nil {
+				if _, err := s.ApplyOn(b, core.OpPut, [][]byte{key, []byte("v")}, true); err != nil {
 					t.Errorf("put: %v", err)
 					return
 				}
@@ -251,7 +255,6 @@ func TestConcurrentApply(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	b, _ := s.Get(1)
 	if n := b.Partition.(*ds.KV).Len(); n != 4000 {
 		t.Errorf("%d pairs stored, want 4000", n)
 	}
@@ -270,13 +273,13 @@ func TestDeleteWaitsOutLeasedView(t *testing.T) {
 	for i := range want {
 		want[i] = byte(i)
 	}
-	if err := s.Create(&Block{ID: 1, Path: "j/f", Partition: ds.NewFile(size)}); err != nil {
+	b := &Block{ID: 1, Path: "j/f", Partition: ds.NewFile(size)}
+	if err := s.Create(b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Apply(1, core.OpFileWrite, [][]byte{ds.U64(0), want}); err != nil {
+	if _, err := s.ApplyOn(b, core.OpFileWrite, [][]byte{ds.U64(0), want}, true); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := s.Get(1)
 	v, _, err := ds.ApplyView(b.Partition, core.OpFileRead, [][]byte{ds.U64(0), ds.U64(size)}, nil)
 	if err != nil || v.Lease == nil {
 		t.Fatalf("view: %v, leased %v", err, v.Lease != nil)

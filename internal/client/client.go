@@ -76,8 +76,6 @@ type config struct {
 	policy      RetryPolicy
 	timeout     time.Duration
 	exporter    obs.SpanExporter
-	breaker     BreakerPolicy
-	breakerOn   bool
 	hedgeOn     bool
 }
 
@@ -136,17 +134,6 @@ func WithTracing(exp obs.SpanExporter) Option {
 	return func(c *config) { c.exporter = exp }
 }
 
-// WithBreaker installs a per-server circuit breaker (see BreakerPolicy;
-// zero fields take defaults). Servers that repeatedly fail or — with a
-// latency ceiling set — answer too slowly are failed fast with a typed
-// *core.DegradedError instead of queueing more traffic behind them;
-// after the cooldown a single probe decides recovery. Health tracking
-// itself (EWMA, windowed p95) is always on; the breaker only adds the
-// fail-fast gate.
-func WithBreaker(p BreakerPolicy) Option {
-	return func(c *config) { c.breaker, c.breakerOn = p, true }
-}
-
 // WithHedgedReads enables hedged reads: idempotent chain reads (KV
 // gets, file reads, queue peeks) that linger past three times the
 // primary server's observed p95 (the hedge constants in health.go) race
@@ -169,11 +156,10 @@ type Client struct {
 	pool     *rpc.Pool
 	policy   RetryPolicy
 
-	// Gray-failure defenses: always-on per-server health tracking, the
-	// opt-in circuit breaker gate, and opt-in read hedging.
-	health    *healthTracker
-	hedgeOn   bool
-	breakerOn bool
+	// Gray-failure defenses: always-on per-server health tracking and
+	// opt-in read hedging.
+	health  *healthTracker
+	hedgeOn bool
 
 	// Telemetry: per-method RPC metrics (role "client"), client-loop
 	// counters, and the optional tracer, all served via Obs().
@@ -241,10 +227,8 @@ func Dial(ctx context.Context, opts ...Option) (*Client, error) {
 		"Hedged reads won by the backup request")
 	c.hedgesCanceled = c.reg.Counter("jiffy_client_hedges_canceled_total",
 		"Hedged-read losers canceled after the other arm won")
-	c.health = newHealthTracker(cfg.breaker, cfg.breakerOn)
+	c.health = newHealthTracker()
 	c.hedgeOn = cfg.hedgeOn
-	c.breakerOn = cfg.breakerOn
-	c.reg.RegisterCollector(c.writeBreakerStates)
 
 	// Control and data planes keep separate session pools over one dial
 	// chain.
@@ -281,31 +265,9 @@ func Dial(ctx context.Context, opts ...Option) (*Client, error) {
 // admin endpoint.
 func (c *Client) Obs() *obs.Registry { return c.reg }
 
-// writeBreakerStates emits the per-server breaker state gauge
-// (0 closed, 1 open, 2 half-open) at scrape time.
-func (c *Client) writeBreakerStates(w io.Writer) {
-	snap := c.health.snapshot()
-	if len(snap) == 0 {
-		return
-	}
-	obs.WriteHeader(w, "jiffy_client_breaker_state",
-		"Per-server circuit breaker state (0 closed, 1 open, 2 half-open)", "gauge")
-	for _, s := range snap {
-		var v int64
-		switch s.State {
-		case "open":
-			v = 1
-		case "half-open":
-			v = 2
-		}
-		obs.WriteSample(w, "jiffy_client_breaker_state",
-			fmt.Sprintf(`{server=%q}`, s.Server), v)
-	}
-}
-
 // ServerHealth reports the per-server health state this client has
-// observed: breaker state, strike count, latency EWMA and windowed p95,
-// and controller-reported probation. Sorted by server address.
+// observed: latency samples, EWMA and windowed p95, and
+// controller-reported probation. Sorted by server address.
 func (c *Client) ServerHealth() []ServerHealthInfo { return c.health.snapshot() }
 
 // sleepCtx sleeps d or until ctx ends.

@@ -96,8 +96,7 @@ func (h *handle) do(ctx context.Context, info core.BlockInfo, op core.OpType, ar
 	if err != nil {
 		// An unreachable server is a connection failure like any other:
 		// classify it so retries avoid the server and reads fall back
-		// along the replica chain. It also strikes the server's breaker.
-		h.c.health.record(info.Server, 0, true)
+		// along the replica chain.
 		return nil, fmt.Errorf("client: dial %s: %v: %w", info.Server, err, core.ErrClosed)
 	}
 	// Encode into a pooled buffer: Call stages the frame into the
@@ -123,12 +122,12 @@ func (h *handle) do(ctx context.Context, info core.BlockInfo, op core.OpType, ar
 		payload, pooled, err = conn.CallBorrowedContext(ctx, proto.MethodDataOp, req)
 		wire.PutBuf(req)
 	}
-	// Session failures strike the server's health; anything the server
-	// actually answered (including op-level errors) is a latency sample.
-	// Caller-context expiry is neither: it says nothing about the server.
+	// Anything the server actually answered (including op-level errors)
+	// is a latency sample; a dead session or caller-context expiry is
+	// not.
 	dead := err != nil && isConnErr(err)
-	if ctxErr(err) == nil {
-		h.c.health.record(info.Server, time.Since(start), dead)
+	if !dead && ctxErr(err) == nil {
+		h.c.health.record(info.Server, time.Since(start))
 	}
 	if dead {
 		h.c.dropData(info.Server)
@@ -188,7 +187,6 @@ func (h *handle) doBatch(ctx context.Context, server string, ops []ds.BatchOp, d
 	}
 	conn, err := h.c.dataConn(server)
 	if err != nil {
-		h.c.health.record(server, 0, true)
 		return nil, fmt.Errorf("client: dial %s: %v: %w", server, err, core.ErrClosed)
 	}
 	req := ds.AppendBatchRequest(wire.GetBuf(), ops)
@@ -196,8 +194,8 @@ func (h *handle) doBatch(ctx context.Context, server string, ops []ds.BatchOp, d
 	payload, err := conn.CallContext(ctx, proto.MethodDataOpBatch, req)
 	wire.PutBuf(req)
 	dead := err != nil && isConnErr(err)
-	if ctxErr(err) == nil {
-		h.c.health.record(server, time.Since(start), dead)
+	if !dead && ctxErr(err) == nil {
+		h.c.health.record(server, time.Since(start))
 	}
 	if dead {
 		h.c.dropData(server)

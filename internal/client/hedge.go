@@ -40,8 +40,8 @@ func (h *handle) doRead(ctx context.Context, info core.BlockInfo, chain core.Rep
 }
 
 // altFor finds another member of the chain info belongs to, to hedge
-// against: not on the primary's server, not probated, not behind an
-// open breaker; ties go to the lowest observed EWMA latency.
+// against: not on the primary's server and not probated; among those,
+// the lowest observed EWMA latency wins.
 func (h *handle) altFor(info core.BlockInfo, chain core.ReplicaChain) (best core.BlockInfo, found bool) {
 	bestEwma := 0.0
 	for _, member := range chain {

@@ -20,8 +20,8 @@ import (
 // sent again. Every data-plane op, single or batched, on any
 // structure, goes through the same stages in the same order:
 //
-//	route → pick chain member → breaker gate → (hedge) → dispatch →
-//	classify → note → settle (grow, relearn, throttle wait | backoff)
+//	route → pick chain member → (hedge) → dispatch → classify → note →
+//	settle (grow, relearn, throttle wait | backoff)
 //
 // classify maps an error to one action, note records what that action
 // needs, settle does it once per attempt. run drives one op through
@@ -39,7 +39,7 @@ const (
 	actRedirect               // the server named the block to go to instead: follow the link
 	actGrow                   // the block is full: ask the controller to scale
 	actThrottle               // admission control refused: wait the hint out
-	actAvoid                  // the server is dead or degraded: route around it
+	actAvoid                  // the server is dead: route around it
 )
 
 // classify is the only place an error's class is tested. The caller's
@@ -59,7 +59,7 @@ func classify(err error) action {
 		return actGrow
 	case errors.Is(err, core.ErrQuotaExceeded):
 		return actThrottle
-	case errors.Is(err, core.ErrServerDegraded), isConnErr(err):
+	case isConnErr(err):
 		return actAvoid
 	default:
 		// ErrBlockLost, ErrNotFound, ErrEmpty, ErrTooLarge, ...: an answer.
@@ -98,8 +98,8 @@ var errBoundedFull = fmt.Errorf("client: bounded structure full: %w", core.ErrBl
 type recovery struct {
 	h *handle
 
-	// avoid holds the servers that failed at the connection level or
-	// were refused by their breaker during this call.
+	// avoid holds the servers that failed at the connection level
+	// during this call.
 	avoid map[string]bool
 	// atMax holds blocks found full while the structure was at its
 	// bound; an op that routes to one again has met backpressure.
@@ -158,26 +158,6 @@ func (r *recovery) target(e *ds.PartitionEntry, op core.OpType) core.BlockInfo {
 		}
 	}
 	return rt
-}
-
-// admit is the breaker gate. A server whose breaker refuses the call
-// is avoided and routed around like a dead one; when re-routing had
-// nowhere else to go and it refuses again, the typed error with its
-// retry-after is the answer — the retry budget is not spent against an
-// open breaker. retry is as in locate.
-func (r *recovery) admit(op core.OpType, server string) (retry bool, err error) {
-	if !r.h.c.breakerOn {
-		return false, nil
-	}
-	wait, ok := r.h.c.health.allow(server)
-	if ok {
-		return false, nil
-	}
-	err = &core.DegradedError{Server: server, RetryAfter: wait}
-	if r.avoid[server] {
-		return false, err
-	}
-	return r.note(op, core.BlockInfo{Server: server}, 0, err), err
 }
 
 // note classifies the failure of an op sent (or routed) to at, the
@@ -309,20 +289,18 @@ func (h *handle) run(ctx context.Context, op core.OpType, key string, chunk int,
 		e, retry, err := rec.locate(op, key, chunk)
 		if err == nil {
 			at := rec.target(&e, op)
-			if retry, err = rec.admit(op, at.Server); err == nil {
-				var vals [][]byte
-				if op.IsMutation() {
-					vals, err = h.do(ctx, at, op, args, res, read)
-				} else {
-					// What is not a mutation is an idempotent read: it may
-					// hedge against another member of the chain.
-					vals, err = h.doRead(ctx, at, e.Chain, op, args, res)
-				}
-				if err == nil {
-					return vals, e.Chunk, nil
-				}
-				retry = rec.note(op, at, e.Chunk, err)
+			var vals [][]byte
+			if op.IsMutation() {
+				vals, err = h.do(ctx, at, op, args, res, read)
+			} else {
+				// What is not a mutation is an idempotent read: it may
+				// hedge against another member of the chain.
+				vals, err = h.doRead(ctx, at, e.Chain, op, args, res)
 			}
+			if err == nil {
+				return vals, e.Chunk, nil
+			}
+			retry = rec.note(op, at, e.Chunk, err)
 		}
 		if !retry {
 			return nil, 0, err
@@ -448,25 +426,19 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, va
 			}
 		}
 
-		// Gate and dispatch each group; classify per call, then per op.
+		// Dispatch each group; classify per call, then per op.
 		for gi := range groups {
 			g := &groups[gi]
-			var rs []ds.BatchResult
-			retry, cerr := rec.admit(op, g.server)
-			if cerr == nil {
-				if rs, cerr = h.doBatch(ctx, g.server, g.ops, sc.results[:0]); cerr == nil && len(rs) != len(g.idxs) {
-					cerr = fmt.Errorf("client: batch: %d results for %d ops", len(rs), len(g.idxs))
-				}
-				if cerr != nil {
-					retry = rec.note(op, core.BlockInfo{Server: g.server}, g.chunk, cerr)
-				}
+			rs, cerr := h.doBatch(ctx, g.server, g.ops, sc.results[:0])
+			if cerr == nil && len(rs) != len(g.idxs) {
+				cerr = fmt.Errorf("client: batch: %d results for %d ops", len(rs), len(g.idxs))
 			}
 			if cerr != nil {
 				// The whole call failed: no op in it got an answer.
 				for _, i := range g.idxs {
 					setErr(i, cerr)
 				}
-				if retry {
+				if rec.note(op, core.BlockInfo{Server: g.server}, g.chunk, cerr) {
 					next = append(next, g.idxs...)
 				}
 				continue

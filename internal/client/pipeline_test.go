@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -129,7 +130,7 @@ func (f *fake) wireResult(err error) ds.BatchResult {
 	switch r.Code {
 	case core.CodeRedirect:
 		r.Blob = ds.RedirectPayload(core.BlockInfo{ID: 99, Server: f.srv[1]})
-	case core.CodeQuotaExceeded, core.CodeServerDegraded, core.CodeOther:
+	case core.CodeQuotaExceeded, core.CodeOther:
 		r.Blob = []byte(err.Error())
 	}
 	return r
@@ -424,7 +425,6 @@ var errClasses = []errClass{
 	{"block-full", step{err: core.ErrBlockFull}},
 	{"redirect", step{err: core.ErrRedirect}},
 	{"throttled", step{err: errThrottled}},
-	{"degraded", step{err: &core.DegradedError{Server: "s", RetryAfter: time.Second}}},
 	{"conn-drop", step{err: core.ErrClosed, perCall: true}},
 	{"timeout", step{err: core.ErrTimeout, perCall: true}},
 	{"op-level", step{err: core.ErrTooLarge}},
@@ -460,13 +460,11 @@ func wantCell(k opKind, class string) outcome {
 		}
 	case "throttled": // wait the hint out, go again
 		retried.waits = 1
-	case "degraded", "conn-drop", "timeout": // avoid the server, relearn, go again
+	case "conn-drop", "timeout": // avoid the server, relearn, go again
 		retried.refreshes = 1
+		retried.lastOps = ops // the call failed: every op goes again
 		if k.read {
 			retried.last = "s1" // the closest chain member not avoided
-		}
-		if class != "degraded" {
-			retried.lastOps = ops // the call failed: every op goes again
 		}
 	case "op-level": // the answer
 		final.err = core.ErrTooLarge
@@ -578,9 +576,9 @@ func TestPipelineHedgeBackupNotBornExpired(t *testing.T) {
 	f.slow, f.hold = f.srv[2], 300*time.Millisecond
 	c := f.dial(WithHedgedReads())
 	for i := 0; i < p95Every; i++ {
-		c.health.record(f.srv[2], time.Millisecond, false) // hedge fires at 3 ms
-		c.health.record(f.srv[0], 20*time.Microsecond, false)
-		c.health.record(f.srv[1], 20*time.Microsecond, false)
+		c.health.record(f.srv[2], time.Millisecond) // hedge fires at 3 ms
+		c.health.record(f.srv[0], 20*time.Microsecond)
+		c.health.record(f.srv[1], 20*time.Microsecond)
 	}
 	kv, err := c.OpenKV(context.Background(), "j/s")
 	if err != nil {
@@ -608,35 +606,36 @@ func TestPipelineHedgeBackupNotBornExpired(t *testing.T) {
 	}
 }
 
-// TestPipelineOpenBreaker: a breaker refusal routes a read around the
-// server; a mutation, whose head has no substitute, gets the typed
-// error with its retry-after instead of spending the retry budget.
-func TestPipelineOpenBreaker(t *testing.T) {
-	breaker := WithBreaker(BreakerPolicy{Failures: 1, Cooldown: time.Minute})
-	for _, k := range opKinds {
-		t.Run(k.name, func(t *testing.T) {
-			ctx := context.Background()
-			if k.read {
-				// The dead tail's first dial failure opens its breaker; the
-				// second read is refused at the gate and still served by s1.
-				f := newFake(t, k.dsType, "s0", "s1")
-				c := f.dial(breaker)
-				if err := k.run(ctx, c, 0); err != nil {
-					t.Fatalf("first read: %v", err)
-				}
-				err := k.run(ctx, c, 0)
-				f.mu.Lock()
-				f.opens-- // the second run opened a second handle
-				f.mu.Unlock()
-				f.check(c, err, outcome{refreshes: 2, attempts: 2, last: "s1", lastOps: 1})
-				return
+// TestAltFor pins the hedge target: another chain member, never one on
+// the primary's server nor a probated one, the lowest EWMA first, and a
+// member with no samples last.
+func TestAltFor(t *testing.T) {
+	chain := core.ReplicaChain{{ID: 1, Server: "s0"}, {ID: 2, Server: "s1"}, {ID: 3, Server: "s2"}, {ID: 4, Server: "s3"}}
+	cases := []struct {
+		name      string
+		primary   string
+		ewma      map[string]time.Duration // servers without an entry have no samples
+		probation []string
+		want      string // "" when no member qualifies
+	}{
+		{"lowest-ewma", "s3", map[string]time.Duration{"s0": 50 * time.Microsecond, "s1": 20 * time.Microsecond, "s2": 90 * time.Microsecond}, nil, "s1"},
+		{"skips-primary-server", "s1", map[string]time.Duration{"s0": 50 * time.Microsecond, "s1": time.Microsecond, "s2": 90 * time.Microsecond, "s3": 70 * time.Microsecond}, nil, "s0"},
+		{"skips-probated", "s3", map[string]time.Duration{"s0": 50 * time.Microsecond, "s1": 20 * time.Microsecond, "s2": 90 * time.Microsecond}, []string{"s1"}, "s0"},
+		{"unsampled-ranks-last", "s3", map[string]time.Duration{"s2": time.Millisecond}, nil, "s2"},
+		{"none-sampled", "s3", nil, nil, "s0"},
+		{"all-probated", "s3", nil, []string{"s0", "s1", "s2"}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := &handle{c: &Client{health: newHealthTracker()}}
+			for server, d := range tc.ewma {
+				h.c.health.record(server, d)
 			}
-			f := newFake(t, k.dsType, "s1", "s2")
-			c := f.dial(breaker)
-			err := k.run(ctx, c, 0)
-			f.check(c, err, outcome{refreshes: 1, err: core.ErrServerDegraded})
-			if core.RetryAfterOf(err) <= 0 {
-				t.Errorf("degraded error %v carries no retry-after", err)
+			h.c.health.setProbation(tc.probation)
+			primary := chain[slices.IndexFunc(chain, func(b core.BlockInfo) bool { return b.Server == tc.primary })]
+			alt, ok := h.altFor(primary, chain)
+			if got := alt.Server; got != tc.want || ok != (tc.want != "") {
+				t.Errorf("altFor(%s) = %q, %v; want %q", tc.primary, got, ok, tc.want)
 			}
 		})
 	}
@@ -765,7 +764,6 @@ func TestClassify(t *testing.T) {
 		{&redirect{}, actRedirect},
 		{fmt.Errorf("file grow: %w", core.ErrBlockFull), actGrow},
 		{errThrottled, actThrottle},
-		{&core.DegradedError{}, actAvoid},
 		{&rpc.SessionError{Cause: errors.New("eof")}, actAvoid},
 		{core.ErrTimeout, actAvoid},
 		{core.ErrBlockLost, actFatal},

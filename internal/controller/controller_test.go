@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"jiffy/internal/blockstore"
 	"jiffy/internal/clock"
 	"jiffy/internal/controller"
 	"jiffy/internal/core"
@@ -27,6 +28,16 @@ type rig struct {
 }
 
 var rigSeq int
+
+// applyOp runs op on block id of st the way a server's op path does:
+// resolve the block, then apply to it.
+func applyOp(st *blockstore.Store, id core.BlockID, op core.OpType, args [][]byte) ([][]byte, error) {
+	b, err := st.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	return st.ApplyOn(b, op, args, true)
+}
 
 func newRig(t *testing.T, numServers, blocksPerServer int, virtualTime bool) *rig {
 	t.Helper()
@@ -103,7 +114,7 @@ func TestScaleDownKVMergesSiblings(t *testing.T) {
 		if !ok {
 			t.Fatalf("no block for slot %d", slot)
 		}
-		if _, err := st.Apply(e.Info.ID, core.OpPut, [][]byte{[]byte(key), []byte("v")}); err == nil {
+		if _, err := applyOp(st, e.Info.ID, core.OpPut, [][]byte{[]byte(key), []byte("v")}); err == nil {
 			placed = append(placed, key)
 		}
 	}
@@ -128,7 +139,7 @@ func TestScaleDownKVMergesSiblings(t *testing.T) {
 		t.Errorf("survivor owns %d slots, want %d", total, resp.Map.NumSlots)
 	}
 	for _, key := range placed {
-		if _, err := st.Apply(surv.Info.ID, core.OpGet, [][]byte{[]byte(key)}); err != nil {
+		if _, err := applyOp(st, surv.Info.ID, core.OpGet, [][]byte{[]byte(key)}); err != nil {
 			t.Errorf("key %q lost in merge: %v", key, err)
 		}
 	}
@@ -184,7 +195,7 @@ func TestExpiryWithVirtualClock(t *testing.T) {
 	// Put data so the flush writes something.
 	resp, _ := r.ctrl.Open("j/t")
 	st := r.servers[0].Store()
-	if _, err := st.Apply(resp.Map.Blocks[0].Info.ID, core.OpPut,
+	if _, err := applyOp(st, resp.Map.Blocks[0].Info.ID, core.OpPut,
 		[][]byte{[]byte("k"), []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +235,7 @@ func TestExpiryWithVirtualClock(t *testing.T) {
 	if len(reopened.Map.Blocks) != 1 {
 		t.Fatalf("reloaded blocks = %d", len(reopened.Map.Blocks))
 	}
-	if _, err := st.Apply(reopened.Map.Blocks[0].Info.ID, core.OpGet,
+	if _, err := applyOp(st, reopened.Map.Blocks[0].Info.ID, core.OpGet,
 		[][]byte{[]byte("k")}); err != nil {
 		t.Errorf("data lost across expiry: %v", err)
 	}
@@ -397,7 +408,7 @@ func TestSaveRestoreState(t *testing.T) {
 	key := "survivor"
 	var blockHost core.BlockID
 	for _, e := range open.Map.Blocks {
-		if _, err := st.Apply(e.Info.ID, core.OpPut, [][]byte{[]byte(key), []byte("v")}); err == nil {
+		if _, err := applyOp(st, e.Info.ID, core.OpPut, [][]byte{[]byte(key), []byte("v")}); err == nil {
 			blockHost = e.Info.ID
 			break
 		}
@@ -437,7 +448,7 @@ func TestSaveRestoreState(t *testing.T) {
 		t.Fatalf("restored map has %d blocks", len(open2.Map.Blocks))
 	}
 	if blockHost != 0 {
-		if _, err := st.Apply(blockHost, core.OpGet, [][]byte{[]byte(key)}); err != nil {
+		if _, err := applyOp(st, blockHost, core.OpGet, [][]byte{[]byte(key)}); err != nil {
 			t.Errorf("data unreachable after restore: %v", err)
 		}
 	}

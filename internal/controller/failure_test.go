@@ -68,7 +68,7 @@ func TestExpiryKeepsDataWhenFlushFails(t *testing.T) {
 	})
 	open, _ := ctrl.Open("j/t")
 	blockID := open.Map.Blocks[0].Info.ID
-	if _, err := srv.Store().Apply(blockID, core.OpPut,
+	if _, err := applyOp(srv.Store(), blockID, core.OpPut,
 		[][]byte{[]byte("precious"), []byte("data")}); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestExpiryKeepsDataWhenFlushFails(t *testing.T) {
 	if n := ctrl.ExpireNow(); n != 0 {
 		t.Fatalf("reclaimed %d prefixes despite flush failure", n)
 	}
-	if _, err := srv.Store().Apply(blockID, core.OpGet, [][]byte{[]byte("precious")}); err != nil {
+	if _, err := applyOp(srv.Store(), blockID, core.OpGet, [][]byte{[]byte("precious")}); err != nil {
 		t.Fatalf("data lost during failed flush: %v", err)
 	}
 	// The tier recovers; the next scan flushes and reclaims.
@@ -92,7 +92,7 @@ func TestExpiryKeepsDataWhenFlushFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Store().Apply(reopened.Map.Blocks[0].Info.ID, core.OpGet,
+	if _, err := applyOp(srv.Store(), reopened.Map.Blocks[0].Info.ID, core.OpGet,
 		[][]byte{[]byte("precious")}); err != nil {
 		t.Errorf("data lost across recovered expiry: %v", err)
 	}

@@ -97,7 +97,7 @@ func TestExpiryFlushesBeforeReclaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	blockID := open.Map.Blocks[0].Info.ID
-	if _, err := srv.Store().Apply(blockID, core.OpPut,
+	if _, err := applyOp(srv.Store(), blockID, core.OpPut,
 		[][]byte{[]byte("k"), []byte("acked-write")}); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestExpiryFlushesBeforeReclaim(t *testing.T) {
 	liveAtFlush := make(chan error, 1)
 	rs.setOnPut(func(key string) {
 		if key == "jiffy-flush/j/t/manifest" {
-			_, err := srv.Store().Apply(blockID, core.OpGet, [][]byte{[]byte("k")})
+			_, err := applyOp(srv.Store(), blockID, core.OpGet, [][]byte{[]byte("k")})
 			select {
 			case liveAtFlush <- err:
 			default:
@@ -165,7 +165,7 @@ func TestExpiryFlushesBeforeReclaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := srv.Store().Apply(reopened.Map.Blocks[0].Info.ID, core.OpGet,
+	vals, err := applyOp(srv.Store(), reopened.Map.Blocks[0].Info.ID, core.OpGet,
 		[][]byte{[]byte("k")})
 	if err != nil {
 		t.Fatalf("acked write lost across lease expiry: %v", err)

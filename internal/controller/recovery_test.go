@@ -138,7 +138,7 @@ func TestDrainServerMigratesData(t *testing.T) {
 	if got := resp.Map.Blocks[0].Info.Server; got != src.Addr() {
 		t.Fatalf("precondition: block on %s, want %s", got, src.Addr())
 	}
-	if _, err := src.Store().Apply(oldID, core.OpPut,
+	if _, err := applyOp(src.Store(), oldID, core.OpPut,
 		[][]byte{[]byte("k"), []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +158,11 @@ func TestDrainServerMigratesData(t *testing.T) {
 	if e.Lost || e.Info.Server != dst.Addr() {
 		t.Fatalf("entry after drain: %+v, want healthy on %s", e, dst.Addr())
 	}
-	if v, err := dst.Store().Apply(e.Info.ID, core.OpGet, [][]byte{[]byte("k")}); err != nil || string(v[0]) != "v" {
+	if v, err := applyOp(dst.Store(), e.Info.ID, core.OpGet, [][]byte{[]byte("k")}); err != nil || string(v[0]) != "v" {
 		t.Fatalf("migrated data unreadable on destination: %v %v", v, err)
 	}
 	// The source copy is gone, and so is the server's membership.
-	if _, err := src.Store().Apply(oldID, core.OpGet, [][]byte{[]byte("k")}); err == nil {
+	if _, err := applyOp(src.Store(), oldID, core.OpGet, [][]byte{[]byte("k")}); err == nil {
 		t.Error("source block still readable after drain")
 	}
 	if s := ctrl.Stats(); s.Servers != 1 {
@@ -190,7 +190,7 @@ func TestDeadServerBlockRecoveredFromPersistTier(t *testing.T) {
 	if got := resp.Map.Blocks[0].Info.Server; got != doomed.Addr() {
 		t.Fatalf("precondition: block on %s, want %s", got, doomed.Addr())
 	}
-	if _, err := doomed.Store().Apply(resp.Map.Blocks[0].Info.ID, core.OpPut,
+	if _, err := applyOp(doomed.Store(), resp.Map.Blocks[0].Info.ID, core.OpPut,
 		[][]byte{[]byte("k"), []byte("precious")}); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestDeadServerBlockRecoveredFromPersistTier(t *testing.T) {
 	if e.Info.Server != survivor.Addr() {
 		t.Fatalf("recovered block on %s, want %s", e.Info.Server, survivor.Addr())
 	}
-	v, err := survivor.Store().Apply(e.Info.ID, core.OpGet, [][]byte{[]byte("k")})
+	v, err := applyOp(survivor.Store(), e.Info.ID, core.OpGet, [][]byte{[]byte("k")})
 	if err != nil || string(v[0]) != "precious" {
 		t.Fatalf("recovered data unreadable: %v %v", v, err)
 	}

@@ -44,7 +44,7 @@ func TestRestoreStateRepairsAndDrains(t *testing.T) {
 		if _, seen := keys[e.Info.ID]; seen {
 			continue
 		}
-		if _, err := stores[e.Info.Server].Store().Apply(e.Info.ID, core.OpPut,
+		if _, err := applyOp(stores[e.Info.Server].Store(), e.Info.ID, core.OpPut,
 			[][]byte{[]byte(key), []byte("v-" + key)}); err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestRestoreStateRepairsAndDrains(t *testing.T) {
 		if !ok || e.Lost || e.Info.Server == drained.Addr() {
 			t.Fatalf("key %q after drain: entry %+v", key, e)
 		}
-		v, err := stores[e.Info.Server].Store().Apply(e.Info.ID, core.OpGet, [][]byte{[]byte(key)})
+		v, err := applyOp(stores[e.Info.Server].Store(), e.Info.ID, core.OpGet, [][]byte{[]byte(key)})
 		if err != nil || string(v[0]) != "v-"+key {
 			t.Errorf("read %q after drain = %q, %v", key, v, err)
 		}

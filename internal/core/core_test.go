@@ -235,9 +235,40 @@ func TestErrorCodeWrapped(t *testing.T) {
 	}
 }
 
+// TestErrorCodeNumbers pins each wire code's number: a peer of another
+// version reads the number, so a code that moves changes the meaning of
+// every answer from it. 17 is retired: no sentinel maps to or from it,
+// and CodeOther stays 18.
+func TestErrorCodeNumbers(t *testing.T) {
+	codes := []struct {
+		code ErrorCode
+		want uint8
+	}{
+		{CodeOK, 0}, {CodeNotFound, 1}, {CodeExists, 2}, {CodeNoCapacity, 3},
+		{CodeBlockFull, 4}, {CodeEmpty, 5}, {CodeStaleEpoch, 6}, {CodeLeaseExpired, 7},
+		{CodePermission, 8}, {CodeWrongType, 9}, {CodeClosed, 10}, {CodeTimeout, 11},
+		{CodeTooLarge, 12}, {CodeRedirect, 13}, {CodeBlockLost, 14}, {CodeQuotaExceeded, 15},
+		{CodeNotLeader, 16}, {CodeOther, 18},
+	}
+	for _, c := range codes {
+		if uint8(c.code) != c.want {
+			t.Errorf("the code pinned at %d is %d", c.want, c.code)
+		}
+	}
+	err := ErrOf(17, []byte("text"))
+	for _, sentinel := range codeToErr {
+		if sentinel != nil && errors.Is(err, sentinel) {
+			t.Errorf("ErrOf(17) = %v, a sentinel; want none", err)
+		}
+	}
+	if CodeOf(err) != CodeOther {
+		t.Errorf("CodeOf(ErrOf(17)) = %d, want CodeOther", CodeOf(err))
+	}
+}
+
 // TestErrorCodePrecedence: an error that wraps two sentinels maps to
-// the lower code, the same on every call, and every code below
-// CodeOther maps back from its sentinel.
+// the lower code, the same on every call, and every code with a
+// sentinel maps back from it.
 func TestErrorCodePrecedence(t *testing.T) {
 	err := fmt.Errorf("%w: %w", ErrStaleEpoch, ErrBlockFull)
 	for i := 0; i < 1000; i++ {
@@ -245,7 +276,7 @@ func TestErrorCodePrecedence(t *testing.T) {
 			t.Fatalf("call %d: CodeOf = %v, want CodeBlockFull, the lower code", i, code)
 		}
 	}
-	for code := CodeOK + 1; code < CodeOther; code++ {
+	for code := CodeOK + 1; int(code) < len(codeToErr); code++ {
 		if got := CodeOf(ErrOf(code, nil)); got != code {
 			t.Errorf("CodeOf(ErrOf(%d)) = %d", code, got)
 		}
@@ -256,12 +287,12 @@ func TestErrorCodePrecedence(t *testing.T) {
 // back to its sentinel without reading its payload, so it allocates
 // nothing, however long the payload (a redirect's target, a refusal's
 // text). Only the codes whose payload is parsed or kept — quota, not
-// leader, degraded and CodeOther — convert it.
+// leader and CodeOther — convert it.
 func TestErrOfSentinelAllocs(t *testing.T) {
 	payload := []byte("jiffy: block full: a message the sentinel does not keep")
-	for code := CodeOK + 1; code < CodeOther; code++ {
+	for code := CodeOK + 1; int(code) < len(codeToErr); code++ {
 		switch code {
-		case CodeQuotaExceeded, CodeNotLeader, CodeServerDegraded:
+		case CodeQuotaExceeded, CodeNotLeader:
 			continue
 		}
 		var err error

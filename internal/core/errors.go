@@ -56,13 +56,6 @@ var (
 	// *NotLeaderError carrying the current leader's address so clients
 	// and servers re-home instead of retrying against the standby.
 	ErrNotLeader = errors.New("jiffy: not leader")
-	// ErrServerDegraded reports that an operation could not be served
-	// because every eligible replica sits behind an open per-server
-	// circuit breaker: the servers are reachable but persistently slow
-	// or failing (gray failure). The typed form is a *DegradedError
-	// carrying a retry-after hint aligned with the breaker's half-open
-	// probe deadline.
-	ErrServerDegraded = errors.New("jiffy: server degraded")
 )
 
 // ErrorCode is the wire representation of the sentinel errors.
@@ -87,7 +80,7 @@ const (
 	CodeBlockLost
 	CodeQuotaExceeded
 	CodeNotLeader
-	CodeServerDegraded
+	_ // 17: retired, never sent; kept so that CodeOther stays 18
 	CodeOther
 )
 
@@ -96,23 +89,22 @@ const (
 // lower code — ErrBlockFull over ErrStaleEpoch, say — and takes it on
 // every call.
 var codeToErr = [...]error{
-	CodeNotFound:       ErrNotFound,
-	CodeExists:         ErrExists,
-	CodeNoCapacity:     ErrNoCapacity,
-	CodeBlockFull:      ErrBlockFull,
-	CodeEmpty:          ErrEmpty,
-	CodeStaleEpoch:     ErrStaleEpoch,
-	CodeLeaseExpired:   ErrLeaseExpired,
-	CodePermission:     ErrPermission,
-	CodeWrongType:      ErrWrongType,
-	CodeClosed:         ErrClosed,
-	CodeTimeout:        ErrTimeout,
-	CodeTooLarge:       ErrTooLarge,
-	CodeRedirect:       ErrRedirect,
-	CodeBlockLost:      ErrBlockLost,
-	CodeQuotaExceeded:  ErrQuotaExceeded,
-	CodeNotLeader:      ErrNotLeader,
-	CodeServerDegraded: ErrServerDegraded,
+	CodeNotFound:      ErrNotFound,
+	CodeExists:        ErrExists,
+	CodeNoCapacity:    ErrNoCapacity,
+	CodeBlockFull:     ErrBlockFull,
+	CodeEmpty:         ErrEmpty,
+	CodeStaleEpoch:    ErrStaleEpoch,
+	CodeLeaseExpired:  ErrLeaseExpired,
+	CodePermission:    ErrPermission,
+	CodeWrongType:     ErrWrongType,
+	CodeClosed:        ErrClosed,
+	CodeTimeout:       ErrTimeout,
+	CodeTooLarge:      ErrTooLarge,
+	CodeRedirect:      ErrRedirect,
+	CodeBlockLost:     ErrBlockLost,
+	CodeQuotaExceeded: ErrQuotaExceeded,
+	CodeNotLeader:     ErrNotLeader,
 }
 
 // CodeOf maps an error to its wire code. Wrapped sentinels are
@@ -135,10 +127,9 @@ func CodeOf(err error) ErrorCode {
 // CodeQuotaExceeded reconstructs the typed *ThrottleError from the
 // diagnostic payload so the retry-after hint survives the wire;
 // CodeNotLeader likewise reconstructs *NotLeaderError so the redirect
-// hint survives, and CodeServerDegraded *DegradedError. Only those
-// branches read msg as text, so a plain sentinel's answer allocates
-// nothing; an error that keeps msg copies it, and msg may be reused
-// once ErrOf returns.
+// hint survives. Only those branches read msg as text, so a plain
+// sentinel's answer allocates nothing; an error that keeps msg copies
+// it, and msg may be reused once ErrOf returns.
 func ErrOf(code ErrorCode, msg []byte) error {
 	switch code {
 	case CodeOK:
@@ -150,10 +141,6 @@ func ErrOf(code ErrorCode, msg []byte) error {
 	case CodeNotLeader:
 		if nl := parseNotLeader(string(msg)); nl != nil {
 			return nl
-		}
-	case CodeServerDegraded:
-		if de := parseDegraded(string(msg)); de != nil {
-			return de
 		}
 	}
 	if int(code) < len(codeToErr) && codeToErr[code] != nil {

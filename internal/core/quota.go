@@ -73,16 +73,12 @@ func parseThrottle(msg string) *ThrottleError {
 	return &ThrottleError{Tenant: tenant, RetryAfter: d}
 }
 
-// RetryAfterOf extracts the backpressure hint from a throttle or
-// degraded-server error chain; zero when err carries none.
+// RetryAfterOf extracts the backpressure hint from a throttle error
+// chain; zero when err carries none.
 func RetryAfterOf(err error) time.Duration {
 	var te *ThrottleError
 	if errors.As(err, &te) {
 		return te.RetryAfter
-	}
-	var de *DegradedError
-	if errors.As(err, &de) {
-		return de.RetryAfter
 	}
 	return 0
 }

@@ -76,12 +76,12 @@ func Helper(x int) int { return x }
 
 // declaredKnobs lists what a deployment or caller can set: the fields
 // of core.Config ("Config.X"), the client's exported With* options
-// ("WithX") and the fields of the policy structs two of them carry
-// ("RetryPolicy.X", "BreakerPolicy.X").
+// ("WithX") and the fields of the policy struct one of them carries
+// ("RetryPolicy.X").
 func declaredKnobs(t *testing.T) map[string]bool {
 	t.Helper()
 	knobs := make(map[string]bool)
-	structs := map[string]bool{"Config": true, "RetryPolicy": true, "BreakerPolicy": true}
+	structs := map[string]bool{"Config": true, "RetryPolicy": true}
 	for _, dir := range []string{"../core", "../client"} {
 		_, files, err := parseDir(dir)
 		if err != nil {
@@ -548,7 +548,6 @@ var stdInterfaceMethods = map[string]bool{
 // is that test file, relative to the repo root.
 var testHooks = map[string]string{
 	"blockstore.Block.ChainGen":            "recovery_chaos_test.go",
-	"client.WithBreaker":                   "gray_failure_chaos_test.go",
 	"clock.Virtual.PendingTimers":          "internal/faultinject/faultinject_test.go",
 	"faultinject.Injector.DialAs":          "witness_test.go",
 	"faultinject.Injector.PartitionOneWay": "witness_test.go",

@@ -580,12 +580,12 @@ func TestOpAfterDeleteIsStale(t *testing.T) {
 		if _, err := s.createBlock(proto.CreateBlockReq{Block: id, Path: "j/f", Type: core.DSFile, Capacity: core.MB}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.store.Apply(id, core.OpFileWrite, [][]byte{ds.U64(0), []byte("v0")}); err != nil {
-			t.Fatal(err)
-		}
 		o := opCtx{op: c.op, block: id, args: c.args, n: 1, checkNow: true, out: wire.GetBuf()}
 		var err error
 		if o.b, err = s.resolve(id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.store.ApplyOn(o.b, core.OpFileWrite, [][]byte{ds.U64(0), []byte("v0")}, true); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.deleteBlock(proto.DeleteBlockReq{Block: id}); err != nil {

@@ -15,6 +15,7 @@ import (
 	"jiffy/internal/clock"
 	"jiffy/internal/core"
 	"jiffy/internal/faultinject"
+	"jiffy/internal/rpc"
 )
 
 // TestNonTailReadObservesUncommittedWrite is the scripted witness for
@@ -26,9 +27,8 @@ import (
 //  1. Put(k, v1), acknowledged by the whole chain.
 //  2. A one-way partition swallows the head → middle hop, so Put(k, v2)
 //     is applied at the head and never acknowledged.
-//  3. A reader whose breakers are open on the middle and the tail (the
-//     gray-failure setup: slow successes strike them open) reads k from
-//     the head.
+//  3. A reader that cannot dial the middle or the tail reads k: each
+//     read avoids both and falls back along the chain to the head.
 //  4. The head dies; one liveness scan splices it out and resyncs the
 //     replacement from the tail-most survivor.
 //  5. The reader reads k again.
@@ -53,18 +53,15 @@ func TestNonTailReadObservesUncommittedWrite(t *testing.T) {
 	}
 	t.Cleanup(func() { cluster.Close() })
 	ctx := context.Background()
-	connect := func(opts ...client.Option) *Client {
-		c, err := cluster.Connect(ctx, append(opts, client.WithDial(inj.Dial))...)
+	connect := func(dial func(string) (*rpc.Client, error)) *Client {
+		c, err := cluster.Connect(ctx, client.WithDial(dial))
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close() })
 		return c
 	}
-	writer := connect()
-	reader := connect(client.WithBreaker(client.BreakerPolicy{
-		Failures: 3, LatencyCeiling: 5 * time.Millisecond, Cooldown: time.Hour,
-	}))
+	writer := connect(inj.Dial)
 	if err := writer.RegisterJob(ctx, "witness"); err != nil {
 		t.Fatal(err)
 	}
@@ -77,6 +74,13 @@ func TestNonTailReadObservesUncommittedWrite(t *testing.T) {
 		t.Fatalf("chain = %v, want 3 members", chain)
 	}
 	head, middle, tail := chain[0].Server, chain[1].Server, chain[2].Server
+	// 3 (set-up). The reader refuses to dial the middle and the tail.
+	reader := connect(func(addr string) (*rpc.Client, error) {
+		if addr == middle || addr == tail {
+			return nil, fmt.Errorf("witness: reader does not dial %s", addr)
+		}
+		return inj.Dial(addr)
+	})
 	wkv, err := writer.OpenKV(ctx, "witness/kv")
 	if err != nil {
 		t.Fatal(err)
@@ -97,28 +101,6 @@ func TestNonTailReadObservesUncommittedWrite(t *testing.T) {
 	// 1. The committed value.
 	if err := wkv.Put(ctx, "k", []byte("v1")); err != nil {
 		t.Fatal(err)
-	}
-
-	// 3 (set-up). Open the reader's breakers on the tail, then the middle:
-	// a read goes to the tail, or to the closest member upstream of the
-	// servers it avoids, and every slow success is a strike.
-	breaker := func(server string) string {
-		for _, h := range reader.ServerHealth() {
-			if h.Server == server {
-				return h.State
-			}
-		}
-		return ""
-	}
-	for _, server := range []string{tail, middle} {
-		inj.AddRule(faultinject.Rule{Name: "slow", Match: "send:" + server, Latency: 25 * time.Millisecond})
-		for i := 0; breaker(server) != "open"; i++ {
-			if i == 10 {
-				t.Fatalf("breaker on %s still %q", server, breaker(server))
-			}
-			read()
-		}
-		inj.RemoveRule("slow")
 	}
 
 	// 2. The head applies v2, then its forward to the middle vanishes.
