@@ -18,19 +18,20 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"testing"
 	"time"
 
 	"jiffy"
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
+	"jiffy/internal/wire"
 )
 
-// skipUnderRace skips an allocation gate in a build whose pools are
-// instrumented: under -race sync.Pool drops a quarter of all puts on
-// purpose, and under -tags jiffydebug every pooled buffer is tracked in
-// a map, so pooled-buffer ceilings do not hold.
+// skipUnderRace skips an allocation gate that waits on the large
+// class, the one sync.Pool left (a 1 MiB frame's buffer, a file chunk's
+// memory), in a build that instruments it: under -race sync.Pool drops
+// a quarter of all puts on purpose, and under -tags jiffydebug every
+// pooled buffer is tracked in a map.
 func skipUnderRace(t *testing.T) {
 	t.Helper()
 	if poolsInstrumented {
@@ -38,9 +39,20 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
+// skipChecked skips an allocation gate that borrows only from free
+// lists (wire.FreeList, wire.BufList) in the jiffydebug build, which
+// tracks their items in a map. Under -race the lists behave as in
+// production, so such a gate runs there too.
+func skipChecked(t *testing.T) {
+	t.Helper()
+	if wire.Checked {
+		t.Skip("the jiffydebug build tracks every free list's items")
+	}
+}
+
 func allocCluster(t *testing.T) *jiffy.Client {
 	t.Helper()
-	skipUnderRace(t)
+	skipChecked(t)
 	cfg := core.TestConfig()
 	cfg.BlockSize = core.MB
 	cfg.LeaseDuration = time.Hour
@@ -181,7 +193,7 @@ func TestQueueEnqueueSingleAllocs(t *testing.T) {
 // its connection's parked worker, and 1 634 with a gob encoder per
 // message. The ceiling carries a margin over the steady state.
 func TestControlCallAllocs(t *testing.T) {
-	skipUnderRace(t)
+	skipChecked(t)
 	cfg := core.TestConfig()
 	cfg.LeaseDuration = time.Hour
 	cluster, err := jiffy.StartCluster(jiffy.ClusterOptions{
@@ -236,7 +248,7 @@ func TestControlCallAllocs(t *testing.T) {
 // node commit and a heap entry per encode and per decode. The ceiling
 // carries a margin over the steady state.
 func TestCreateHierarchyAllocs(t *testing.T) {
-	skipUnderRace(t)
+	skipChecked(t)
 	cfg := core.TestConfig()
 	cfg.LeaseDuration = time.Hour
 	cluster, err := jiffy.StartCluster(jiffy.ClusterOptions{
@@ -298,7 +310,7 @@ func TestCreateHierarchyAllocs(t *testing.T) {
 // scatter-gather segments, each server reads the request into a
 // recycled large-class frame (wire.ReadFramePooled) decoded into its
 // connection's frame, applies from it straight into block memory, and
-// forwards the same bytes as a vectored hop built in its pooled scratch
+// forwards the same bytes as a vectored hop built in its op scratch
 // — so the steady state is a few hundred bytes of bookkeeping per
 // member. The ceiling is 0.5 MB per write with frame recycling kept, as
 // it is; without it each member's inbound frame would put the figure at
@@ -312,10 +324,12 @@ func TestCreateHierarchyAllocs(t *testing.T) {
 // work (7.3–7.4 with a frame object at the client, a ds.U64 per integer
 // argument, and the server's segment vector, lease method value and
 // release closure); the ceiling is the result plus one. The read leg
-// runs with the collector off: each result is a megabyte, so
-// collections would come every few reads, and each empties every
-// sync.Pool, whose refill costs objects that track the heap's size, not
-// the read path.
+// runs with the collector on: each result is a megabyte, so collections
+// come every few reads, and what a read borrows — its session's waiter
+// and frame buffer, the server connection's scratch, the client's
+// integer pair — comes from lists a collection does not empty (it held
+// only with the collector off while those were sync.Pools, whose
+// refills cost 0.9 objects per read).
 func TestFileWrite1MChain3AllocBytes(t *testing.T) {
 	const maxChainWriteObjects, maxChainReadObjects = 4.5, 2
 	skipUnderRace(t)
@@ -378,7 +392,6 @@ func TestFileWrite1MChain3AllocBytes(t *testing.T) {
 		t.Fatalf("1 MiB chain-3 write allocates %.1f objects, want <= %.1f", objects, maxChainWriteObjects)
 	}
 
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.ReadMemStats(&before)
 	for i := 0; i < writes; i++ {
 		read(i)
@@ -413,6 +426,7 @@ func TestFileWrite1MChain3AllocBytes(t *testing.T) {
 // frame object, 146 with a key string and a one-value view per get,
 // 401 with the vectors too). The ceilings carry a small margin.
 func TestBatchAllocs(t *testing.T) {
+	skipUnderRace(t)
 	c := allocCluster(t)
 	ctx := context.Background()
 	c.RegisterJob(ctx, "allocs")
@@ -715,7 +729,7 @@ func TestChunkLifecycleAllocBytes(t *testing.T) {
 // every demotion restores to release memory) a handful. A per-item or
 // per-field allocation in the snapshot format fails here.
 func TestSnapshotAllocs(t *testing.T) {
-	skipUnderRace(t)
+	skipChecked(t)
 	file := ds.NewFile(core.MB)
 	if _, err := file.WriteAt(0, make([]byte, core.MB)); err != nil {
 		t.Fatal(err)
@@ -741,5 +755,38 @@ func TestSnapshotAllocs(t *testing.T) {
 		if allocs > c.ceiling {
 			t.Errorf("%s: Snapshot+Restore allocates %.1f objects, want <= %.0f", c.name, allocs, c.ceiling)
 		}
+	}
+}
+
+// TestIdleLoopAllocs: a cluster with nothing to do allocates nothing per
+// tick of its periodic loops. A controller and a server run on the real
+// clock with the lease scan (the controller's expiry loop) and the
+// tiering scan (the server's tier loop) at 1 ms, for about 200 ticks of
+// each. Each loop owns one timer, re-armed after its work
+// (clock.Timer), and measures 0 objects a tick; a fresh timer per wait
+// cost 3. The heartbeat loops own their timers the same way, but each
+// beat is a control call, which allocates what TestControlCallAllocs
+// pins, so they stay off here (TestConfig's default).
+func TestIdleLoopAllocs(t *testing.T) {
+	skipChecked(t)
+	const tick, ticks = time.Millisecond, 200
+	cfg := core.TestConfig()
+	cfg.LeaseScanPeriod = tick
+	cfg.TierScanPeriod = tick
+	cfg.TierIdleAfter = time.Hour
+	cluster, err := jiffy.StartCluster(jiffy.ClusterOptions{Config: cfg, Servers: 1, BlocksPerServer: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	time.Sleep(20 * tick) // past start-up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	time.Sleep(ticks * tick)
+	runtime.ReadMemStats(&after)
+	perTick := float64(after.Mallocs-before.Mallocs) / ticks
+	t.Logf("%.3f objects per tick of the expiry and tier loops", perTick)
+	if perTick > 0.05 {
+		t.Fatalf("an idle cluster allocates %.3f objects per 1 ms tick, want <= 0.05", perTick)
 	}
 }

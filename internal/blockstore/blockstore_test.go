@@ -9,6 +9,7 @@ import (
 
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
+	"jiffy/internal/wire"
 )
 
 type signalRecorder struct {
@@ -373,7 +374,7 @@ func churnBytes(t *testing.T, hosted int) float64 {
 // table for the whole store, a pair at 2 048 blocks copied every entry
 // twice, 148 KB against 1.3 KB at 16.
 func TestStoreChurnAllocBytes(t *testing.T) {
-	if poolsInstrumented {
+	if wire.Checked {
 		t.Skip("allocation gates skip in an instrumented build")
 	}
 	small, large := churnBytes(t, 16), churnBytes(t, 2048)

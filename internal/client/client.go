@@ -34,6 +34,7 @@ import (
 	"jiffy/internal/obs"
 	"jiffy/internal/proto"
 	"jiffy/internal/rpc"
+	"jiffy/internal/wire"
 )
 
 // RetryPolicy bounds the data-plane op pipeline's recovery.
@@ -180,7 +181,19 @@ type Client struct {
 
 	renewers []*Renewer
 	closed   bool
+
+	// ints and batches are what a file op and a batched call borrow from
+	// their client: an op's integer argument pair, a batch's vectors.
+	ints    wire.FreeList[*intArgs]
+	batches wire.FreeList[*batchScratch]
 }
+
+// Bounds of a client's lists: one item per op in flight at once, in
+// the common case.
+const (
+	maxIntArgs      = 16
+	maxBatchScratch = 8
+)
 
 // Dial connects to a Jiffy cluster (connect(jiffyAddress) in Table 1).
 // WithControllers names the controller group; at least one member must
@@ -204,6 +217,8 @@ func Dial(ctx context.Context, opts ...Option) (*Client, error) {
 		reg:     obs.NewRegistry(),
 		rpcm:    obs.NewRPCMetrics("client"),
 	}
+	c.ints.Init(maxIntArgs)
+	c.batches.Init(maxBatchScratch)
 	if cfg.exporter != nil {
 		c.tracer = obs.NewTracer(cfg.exporter, nil)
 	}

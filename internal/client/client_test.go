@@ -14,6 +14,7 @@ import (
 	"jiffy/internal/core"
 	"jiffy/internal/obs"
 	"jiffy/internal/rpc"
+	"jiffy/internal/wire"
 )
 
 // leaseExpiries reads jiffy_ctrl_lease_expiries_total from the cluster's
@@ -299,15 +300,15 @@ func TestFileReadAcrossUnwrittenChunk(t *testing.T) {
 // TestFileReadAtAllocs is the client's allocation gate: a 64 KiB
 // ReadAt — a response past the inline frame threshold, served as a view
 // — allocates only its result in the whole mem:// round trip. Its
-// integer arguments are a pooled pair, the response is decoded into
-// the connection's frame and only its payload is handed over, and the
-// server answers from its pooled scratch. Measured: 1 object; 3 with a
-// ds.U64 per argument, 7 with a frame object at the client and a
-// segment vector, lease method value and release closure at the server
-// too.
+// integer arguments are a pair borrowed from the client, the response
+// is decoded into the connection's frame and only its payload is
+// handed over, and the server answers from the scratch its connection
+// lends. Measured: 1 object; 3 with a ds.U64 per argument, 7 with a
+// frame object at the client and a segment vector, lease method value
+// and release closure at the server too.
 func TestFileReadAtAllocs(t *testing.T) {
-	if poolsInstrumented {
-		t.Skip("pools are instrumented (-race or -tags jiffydebug)")
+	if wire.Checked {
+		t.Skip("the jiffydebug build tracks every free list's items")
 	}
 	_, c := testCluster(t)
 	ctx := context.Background()

@@ -119,8 +119,8 @@ func (f *File) WriteAt(ctx context.Context, off int, data []byte) error {
 	if cs <= 0 {
 		return fmt.Errorf("client: file has no chunk size")
 	}
-	ints := intArgsPool.Get().(*intArgs)
-	defer intArgsPool.Put(ints)
+	ints := f.h.c.borrowIntArgs()
+	defer f.h.c.ints.Put(ints)
 	for len(data) > 0 {
 		ci := off / cs
 		in := off % cs
@@ -202,20 +202,28 @@ func (f *File) ReadAt(ctx context.Context, off, n int) ([]byte, error) {
 
 // readChunk reads within one chunk.
 func (f *File) readChunk(ctx context.Context, ci, in, n int) ([]byte, error) {
-	ints := intArgsPool.Get().(*intArgs)
-	defer intArgsPool.Put(ints)
+	ints := f.h.c.borrowIntArgs()
+	defer f.h.c.ints.Put(ints)
 	var res [1][]byte
 	return one(f.h.run(ctx, core.OpFileRead, "", ci, [][]byte{ints.put(0, uint64(in)), ints.put(1, uint64(n))}, res[:0], nil))
 }
 
 // intArgs holds a file op's integer arguments while it runs. Args
 // reach the transport through interfaces, so bytes on the stack would
-// escape, and each ds.U64 costs a heap object; a pooled pair costs
-// none. They are the op's own until run returns: no request is
-// written after that (a hedged read's arms copy their args).
+// escape, and each ds.U64 costs a heap object; a pair borrowed from the
+// client (Client.ints) costs none. They are the op's own until run
+// returns: no request is written after that (a hedged read's arms copy
+// their args).
 type intArgs [2][8]byte
 
-var intArgsPool = sync.Pool{New: func() any { return new(intArgs) }}
+// borrowIntArgs takes a pair from the client's list; the caller hands
+// it back (c.ints.Put) once its op has returned.
+func (c *Client) borrowIntArgs() *intArgs {
+	if a, ok := c.ints.Get(); ok {
+		return a
+	}
+	return new(intArgs)
+}
 
 // put encodes v as integer argument i and returns it.
 func (a *intArgs) put(i int, v uint64) []byte {

@@ -99,11 +99,11 @@ func (h *handle) do(ctx context.Context, info core.BlockInfo, op core.OpType, ar
 		// along the replica chain.
 		return nil, fmt.Errorf("client: dial %s: %v: %w", info.Server, err, core.ErrClosed)
 	}
-	// Encode into a pooled buffer: Call stages the frame into the
-	// session's write buffer before returning, so the request bytes can
-	// be recycled immediately after. Requests carrying a large body
-	// (writes, puts) skip the encode copy entirely: the header and
-	// length prefixes go into the pooled buffer and the caller's arg
+	// Encode into a buffer of the session's own: Call stages the frame
+	// into the session's write buffer before returning, so the request
+	// bytes can be recycled immediately after. Requests carrying a large
+	// body (writes, puts) skip the encode copy entirely: the header and
+	// length prefixes go into that buffer and the caller's arg
 	// slices ride to the socket as scatter-gather segments. Many small
 	// args — a run of appends — are one contiguous copy, not a segment
 	// each.
@@ -111,16 +111,16 @@ func (h *handle) do(ctx context.Context, info core.BlockInfo, op core.OpType, ar
 	var pooled bool
 	start := time.Now()
 	if largestArg(args) >= vecRequestThreshold {
-		vec, buf := ds.AppendRequestVec(nil, wire.GetBuf(), op, info.ID, args)
+		vec, buf := ds.AppendRequestVec(nil, conn.GetBuf(), op, info.ID, args)
 		payload, err = conn.CallVecContext(ctx, proto.MethodDataOp, vec)
-		wire.PutBuf(buf)
+		conn.PutBuf(buf)
 	} else {
 		// Small ops borrow the response: the session hands back a pooled
 		// buffer instead of a per-call heap copy, and do() returns it to
 		// the pool once the values are decoded (and copied) out.
-		req := ds.AppendRequest(wire.GetBuf(), op, info.ID, args)
+		req := ds.AppendRequest(conn.GetBuf(), op, info.ID, args)
 		payload, pooled, err = conn.CallBorrowedContext(ctx, proto.MethodDataOp, req)
-		wire.PutBuf(req)
+		conn.PutBuf(req)
 	}
 	// Anything the server actually answered (including op-level errors)
 	// is a latency sample; a dead session or caller-context expiry is
@@ -189,10 +189,10 @@ func (h *handle) doBatch(ctx context.Context, server string, ops []ds.BatchOp, d
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %v: %w", server, err, core.ErrClosed)
 	}
-	req := ds.AppendBatchRequest(wire.GetBuf(), ops)
+	req := ds.AppendBatchRequest(conn.GetBuf(), ops)
 	start := time.Now()
 	payload, err := conn.CallContext(ctx, proto.MethodDataOpBatch, req)
-	wire.PutBuf(req)
+	conn.PutBuf(req)
 	dead := err != nil && isConnErr(err)
 	if !dead && ctxErr(err) == nil {
 		h.c.health.record(server, time.Since(start))

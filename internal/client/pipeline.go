@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
@@ -340,7 +339,7 @@ type batchGroup struct {
 // elements, never res itself. The result is nil or a *MultiError
 // indexed like the batch: ops fail and are retried independently, and
 // every pending op shares each attempt's one settle. The groups' vectors
-// are windows of a pooled scratch's vectors, reused by every attempt,
+// are windows of a borrowed scratch's vectors, reused by every attempt,
 // and the per-op errors are only allocated once an op fails.
 func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, vals [][]byte,
 	landed func(i int, res [][]byte) error) error {
@@ -358,8 +357,11 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, va
 			errs[i] = err
 		}
 	}
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer sc.release()
+	sc, ok := h.c.batches.Get()
+	if !ok {
+		sc = new(batchScratch)
+	}
+	defer h.c.releaseBatch(sc)
 	sc.ints = slices.Grow(sc.ints[:0], 3*n)[:3*n]
 	// Positions: the pending ops, the routed ops' tags, and the ops to
 	// retry, which become the next attempt's pending ops (at most n).
@@ -507,8 +509,8 @@ func (h *handle) runBatch(ctx context.Context, op core.OpType, keys []string, va
 
 // batchScratch is the vectors one runBatch call works in: positions
 // (pending, tagged and retried ops), routed ops, one group's results
-// and one result's values. Pooled, a steady-state call allocates none
-// of them.
+// and one result's values. Borrowed from the client (Client.batches),
+// a steady-state call allocates none of them.
 type batchScratch struct {
 	ints    []int
 	ops     []ds.BatchOp
@@ -516,25 +518,23 @@ type batchScratch struct {
 	vals    [][]byte
 }
 
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-// batchScratchMax bounds the batches whose scratch is kept: release
-// clears every pooled element, so one huge batch must not tax the calls
-// after it. No vector outgrows the batch, so bounding the op vector
-// bounds them all.
+// batchScratchMax bounds the batches whose scratch is kept:
+// releaseBatch clears every kept element, so one huge batch must not
+// tax the calls after it. No vector outgrows the batch, so bounding the
+// op vector bounds them all.
 const batchScratchMax = 1 << 12
 
-// release drops what the vectors point at — the caller's values, the
-// response — and pools them, unless a batch grew them past
-// batchScratchMax.
-func (sc *batchScratch) release() {
+// releaseBatch drops what sc's vectors point at — the caller's values,
+// the response — and hands them back to the client, unless a batch grew
+// them past batchScratchMax.
+func (c *Client) releaseBatch(sc *batchScratch) {
 	if cap(sc.ops) > batchScratchMax {
 		return
 	}
 	clear(sc.ops[:cap(sc.ops)])
 	clear(sc.results[:cap(sc.results)])
 	clear(sc.vals[:cap(sc.vals)])
-	batchScratchPool.Put(sc)
+	c.batches.Put(sc)
 }
 
 // byTag sorts a batch's routed ops by their group tags (gi*n + i).

@@ -18,9 +18,23 @@ type Clock interface {
 	// Sleep blocks the caller for d. On the virtual clock this blocks
 	// until the simulation advances past the deadline.
 	Sleep(d time.Duration)
-	// After returns a channel that delivers the (then-current) time
-	// once d has elapsed.
-	After(d time.Duration) <-chan time.Time
+	// NewTimer returns a timer that delivers the (then-current) time on
+	// its channel once d has elapsed.
+	NewTimer(d time.Duration) Timer
+}
+
+// Timer is one pending wake-up of a periodic loop, re-armed in place: a
+// loop that owns one allocates nothing per tick, where a fresh timer
+// per wait costs a timer and a channel.
+type Timer interface {
+	// C is the channel the timer fires on, once per arming.
+	C() <-chan time.Time
+	// Reset re-arms the timer to fire d after the clock's Now. Call it
+	// only once the timer has fired and its value was received, or it
+	// was stopped.
+	Reset(d time.Duration)
+	// Stop disarms the timer; it reports whether the timer was armed.
+	Stop() bool
 }
 
 // Real is the wall-clock implementation.
@@ -32,11 +46,17 @@ func (Real) Now() time.Time { return time.Now() }
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
-// After implements Clock.
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
+// NewTimer implements Clock with one *time.Timer.
+func (Real) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
+
+type realTimer struct{ t *time.Timer }
+
+func (r realTimer) C() <-chan time.Time   { return r.t.C }
+func (r realTimer) Reset(d time.Duration) { r.t.Reset(d) }
+func (r realTimer) Stop() bool            { return r.t.Stop() }
 
 // Virtual is a manually advanced clock. Time only moves when Advance or
-// AdvanceTo is called; timers created via After/Sleep fire during the
+// AdvanceTo is called; timers (NewTimer, Sleep) fire during the
 // advance, in deadline order. Virtual is safe for concurrent use.
 type Virtual struct {
 	mu     sync.Mutex
@@ -56,18 +76,13 @@ func (v *Virtual) Now() time.Time {
 	return v.now
 }
 
-// After implements Clock. The returned channel has capacity 1 so firing
-// never blocks the advancing goroutine.
-func (v *Virtual) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if d <= 0 {
-		ch <- v.now
-		return ch
-	}
-	heap.Push(&v.timers, &timer{at: v.now.Add(d), ch: ch})
-	return ch
+// NewTimer implements Clock. The timer is one heap entry, which Reset
+// re-arms in place; its channel has capacity 1 so firing never blocks
+// the advancing goroutine.
+func (v *Virtual) NewTimer(d time.Duration) Timer {
+	t := &timer{v: v, ch: make(chan time.Time, 1), index: -1}
+	t.Reset(d)
+	return t
 }
 
 // Sleep implements Clock. It blocks until another goroutine advances
@@ -76,7 +91,7 @@ func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	<-v.After(d)
+	<-v.NewTimer(d).C()
 }
 
 // Advance moves the clock forward by d, firing timers in deadline order.
@@ -107,7 +122,12 @@ func (v *Virtual) AdvanceTo(t time.Time) {
 		}
 		now := v.now
 		v.mu.Unlock()
-		tm.ch <- now
+		// As a real timer does, a timer whose last value was never taken
+		// drops this one rather than block the advance.
+		select {
+		case tm.ch <- now:
+		default:
+		}
 	}
 }
 
@@ -119,22 +139,75 @@ func (v *Virtual) PendingTimers() int {
 	return len(v.timers)
 }
 
+// timer is a virtual timer: its heap entry while armed (index >= 0).
 type timer struct {
-	at time.Time
-	ch chan time.Time
+	v     *Virtual
+	at    time.Time
+	ch    chan time.Time
+	index int
+}
+
+func (t *timer) C() <-chan time.Time { return t.ch }
+
+// Reset re-arms t at d after Now, moving its entry if it is still
+// armed; d <= 0 fires it at once.
+func (t *timer) Reset(d time.Duration) {
+	v := t.v
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if d <= 0 {
+		if t.index >= 0 {
+			heap.Remove(&v.timers, t.index)
+		}
+		select {
+		case t.ch <- v.now:
+		default:
+		}
+		return
+	}
+	t.at = v.now.Add(d)
+	if t.index >= 0 {
+		heap.Fix(&v.timers, t.index)
+	} else {
+		heap.Push(&v.timers, t)
+	}
+}
+
+// Stop removes t's entry and drains a value it fired but nobody took.
+func (t *timer) Stop() bool {
+	v := t.v
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	armed := t.index >= 0
+	if armed {
+		heap.Remove(&v.timers, t.index)
+	}
+	select {
+	case <-t.ch:
+	default:
+	}
+	return armed
 }
 
 type timerHeap []*timer
 
-func (h timerHeap) Len() int            { return len(h) }
-func (h timerHeap) Less(i, j int) bool  { return h[i].at.Before(h[j].at) }
-func (h timerHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x interface{}) { *h = append(*h, x.(*timer)) }
+func (h timerHeap) Len() int           { return len(h) }
+func (h timerHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
+func (h timerHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+func (h *timerHeap) Push(x interface{}) {
+	t := x.(*timer)
+	t.index = len(*h)
+	*h = append(*h, t)
+}
 func (h *timerHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	t := old[n-1]
 	old[n-1] = nil
+	t.index = -1
 	*h = old[:n-1]
 	return t
 }

@@ -37,12 +37,12 @@ func TestVirtualAdvanceToBackwardsNoop(t *testing.T) {
 	}
 }
 
-func TestVirtualAfterFiresInOrder(t *testing.T) {
+func TestVirtualTimersFireInOrder(t *testing.T) {
 	start := time.Unix(0, 0)
 	v := NewVirtual(start)
-	c3 := v.After(3 * time.Second)
-	c1 := v.After(1 * time.Second)
-	c2 := v.After(2 * time.Second)
+	c3 := v.NewTimer(3 * time.Second).C()
+	c1 := v.NewTimer(1 * time.Second).C()
+	c2 := v.NewTimer(2 * time.Second).C()
 	if v.PendingTimers() != 3 {
 		t.Fatalf("pending = %d, want 3", v.PendingTimers())
 	}
@@ -62,18 +62,18 @@ func TestVirtualAfterFiresInOrder(t *testing.T) {
 	}
 }
 
-func TestVirtualAfterZeroFiresImmediately(t *testing.T) {
+func TestVirtualTimerZeroFiresImmediately(t *testing.T) {
 	v := NewVirtual(time.Unix(50, 0))
 	select {
-	case <-v.After(0):
+	case <-v.NewTimer(0).C():
 	default:
-		t.Error("After(0) should fire immediately")
+		t.Error("NewTimer(0) should fire immediately")
 	}
 }
 
 func TestVirtualPartialAdvance(t *testing.T) {
 	v := NewVirtual(time.Unix(0, 0))
-	far := v.After(10 * time.Second)
+	far := v.NewTimer(10 * time.Second).C()
 	v.Advance(5 * time.Second)
 	select {
 	case <-far:
@@ -120,7 +120,7 @@ func TestVirtualConcurrentTimers(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fired <- <-v.After(time.Duration(i+1) * time.Millisecond)
+			fired <- <-v.NewTimer(time.Duration(i+1) * time.Millisecond).C()
 		}(i)
 	}
 	for v.PendingTimers() < n {
@@ -135,5 +135,113 @@ func TestVirtualConcurrentTimers(t *testing.T) {
 	}
 	if count != n {
 		t.Errorf("fired %d timers, want %d", count, n)
+	}
+}
+
+// TestVirtualTimerFiresOncePerArming: a timer fires once for each
+// arming, and Reset re-arms it relative to the clock's Now, not to its
+// last deadline — so a loop that re-arms after its work wakes at the
+// same virtual instants as one that made a new timer there.
+func TestVirtualTimerFiresOncePerArming(t *testing.T) {
+	start := time.Unix(0, 0)
+	v := NewVirtual(start)
+	tm := v.NewTimer(time.Second)
+	v.Advance(5 * time.Second)
+	if got := <-tm.C(); !got.Equal(start.Add(time.Second)) {
+		t.Fatalf("first arming fired at %v", got)
+	}
+	select {
+	case got := <-tm.C():
+		t.Fatalf("fired twice for one arming, again at %v", got)
+	default:
+	}
+	if n := v.PendingTimers(); n != 0 {
+		t.Fatalf("pending = %d after the timer fired", n)
+	}
+	tm.Reset(2 * time.Second) // Now is start+5s
+	if n := v.PendingTimers(); n != 1 {
+		t.Fatalf("pending = %d after Reset, want 1", n)
+	}
+	v.Advance(time.Second)
+	select {
+	case got := <-tm.C():
+		t.Fatalf("re-armed timer fired early at %v", got)
+	default:
+	}
+	v.Advance(time.Second)
+	if got := <-tm.C(); !got.Equal(start.Add(7 * time.Second)) {
+		t.Fatalf("re-armed timer fired at %v, want Now+2s = %v", got, start.Add(7*time.Second))
+	}
+	// Reset while armed moves the one entry instead of adding another.
+	tm.Reset(time.Second)
+	tm.Reset(3 * time.Second)
+	if n := v.PendingTimers(); n != 1 {
+		t.Fatalf("pending = %d after two Resets, want 1", n)
+	}
+	v.Advance(2 * time.Second)
+	select {
+	case got := <-tm.C():
+		t.Fatalf("the earlier arming fired at %v after a later Reset", got)
+	default:
+	}
+	v.Advance(time.Second)
+	<-tm.C()
+}
+
+// TestVirtualTimerStop: Stop removes the timer's entry, so a loop that
+// exits leaves no pending timer behind, and drains a value it fired but
+// nobody took.
+func TestVirtualTimerStop(t *testing.T) {
+	v := NewVirtual(time.Unix(0, 0))
+	tm := v.NewTimer(time.Second)
+	if !tm.Stop() {
+		t.Fatal("Stop of an armed timer reported it disarmed")
+	}
+	if n := v.PendingTimers(); n != 0 {
+		t.Fatalf("pending = %d after Stop, want 0", n)
+	}
+	v.Advance(2 * time.Second)
+	select {
+	case <-tm.C():
+		t.Fatal("a stopped timer fired")
+	default:
+	}
+	tm.Reset(time.Second)
+	v.Advance(time.Second)
+	if tm.Stop() {
+		t.Fatal("Stop of a fired timer reported it armed")
+	}
+	select {
+	case <-tm.C():
+		t.Fatal("Stop left the fired value in the channel")
+	default:
+	}
+	if n := v.PendingTimers(); n != 0 {
+		t.Fatalf("pending = %d after Stop, want 0", n)
+	}
+}
+
+// TestTimerResetAllocs: re-arming a timer allocates nothing on either
+// clock, which is what lets a periodic loop own one.
+func TestTimerResetAllocs(t *testing.T) {
+	v := NewVirtual(time.Unix(0, 0))
+	for _, c := range []struct {
+		name string
+		clk  Clock
+		tick func(Timer)
+	}{
+		{"virtual", v, func(tm Timer) { v.Advance(time.Millisecond); <-tm.C() }},
+		{"real", Real{}, func(tm Timer) { <-tm.C() }},
+	} {
+		tm := c.clk.NewTimer(time.Microsecond)
+		c.tick(tm)
+		allocs := testing.AllocsPerRun(100, func() {
+			tm.Reset(time.Microsecond)
+			c.tick(tm)
+		})
+		tm.Stop()
+		if allocs != 0 {
+			t.Errorf("%s: a Reset and its tick allocate %.1f objects, want 0", c.name, allocs)
+		}
 	}
 }

@@ -276,6 +276,55 @@ func TestCreateHierarchyValidation(t *testing.T) {
 	}
 }
 
+// TestCreateHierarchyChecksTheWholeDAG: a DAG is checked whole before
+// its first node is made. A later node naming a missing parent, a name
+// the DAG repeats or one the job already holds, and a parent named only
+// after its child are each refused with nothing left behind — neither
+// the nodes before the bad one nor their blocks — and the corrected DAG
+// then succeeds.
+func TestCreateHierarchyChecksTheWholeDAG(t *testing.T) {
+	r := newRig(t, 1, 8, false)
+	r.ctrl.RegisterJob("dag")
+	if _, err := r.ctrl.CreatePrefix(proto.CreatePrefixReq{Path: "dag/held", Type: core.DSKV}); err != nil {
+		t.Fatal(err)
+	}
+	allocated := r.ctrl.Stats().AllocatedBlocks
+	for _, c := range []struct {
+		name  string
+		nodes []proto.DagNode
+		want  error
+	}{
+		{"missing parent", []proto.DagNode{{Name: "a", Type: core.DSKV}, {Name: "b", Parents: []string{"missing"}}}, core.ErrNotFound},
+		{"parent after child", []proto.DagNode{{Name: "b", Parents: []string{"a"}}, {Name: "a", Type: core.DSKV}}, core.ErrNotFound},
+		{"repeated name", []proto.DagNode{{Name: "a", Type: core.DSKV}, {Name: "a"}}, core.ErrExists},
+		{"held name", []proto.DagNode{{Name: "a", Type: core.DSKV}, {Name: "held", Parents: []string{"a"}}}, core.ErrExists},
+	} {
+		err := r.ctrl.CreateHierarchy(proto.CreateHierarchyReq{Job: "dag", Nodes: c.nodes})
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+		lp, err := r.ctrl.ListPrefixes("dag")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range lp.Prefixes {
+			if p.Path != "dag" && p.Path != "dag/held" {
+				t.Errorf("%s: the refused DAG left %s behind", c.name, p.Path)
+			}
+		}
+		if n := r.ctrl.Stats().AllocatedBlocks; n != allocated {
+			t.Errorf("%s: %d blocks allocated after the refused DAG, want %d", c.name, n, allocated)
+		}
+	}
+	if err := r.ctrl.CreateHierarchy(proto.CreateHierarchyReq{Job: "dag", Nodes: []proto.DagNode{
+		{Name: "a", Type: core.DSKV}, {Name: "b", Parents: []string{"a"}}}}); err != nil {
+		t.Fatalf("the corrected DAG: %v", err)
+	}
+	if _, err := r.ctrl.LeaseInfo("dag/a/b"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLoadMissingCheckpoint(t *testing.T) {
 	r := newRig(t, 1, 8, false)
 	r.ctrl.RegisterJob("j")

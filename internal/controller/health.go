@@ -42,12 +42,15 @@ func (c *Controller) Heartbeat(addr string) (uint64, error) {
 // tests, which step it via CheckLivenessNow instead).
 func (c *Controller) detectorWorker() {
 	defer c.wg.Done()
+	t := c.clk.NewTimer(c.cfg.HeartbeatInterval)
+	defer t.Stop()
 	for {
 		select {
 		case <-c.stop:
 			return
-		case <-c.clk.After(c.cfg.HeartbeatInterval):
+		case <-t.C():
 			c.CheckLivenessNow()
+			t.Reset(c.cfg.HeartbeatInterval)
 		}
 	}
 }

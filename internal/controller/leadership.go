@@ -113,16 +113,19 @@ func otherPeers(peers []string, self int) []string {
 // standby checks whether the leader has gone silent.
 func (c *Controller) groupWorker() {
 	defer c.wg.Done()
+	t := c.clk.NewTimer(c.cfg.HeartbeatInterval)
+	defer t.Stop()
 	for {
 		select {
 		case <-c.stop:
 			return
-		case <-c.clk.After(c.cfg.HeartbeatInterval):
+		case <-t.C():
 			if c.leading.Load() {
 				c.repl.pulseNow()
 			} else {
 				c.CheckLeaderNow()
 			}
+			t.Reset(c.cfg.HeartbeatInterval)
 		}
 	}
 }

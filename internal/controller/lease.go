@@ -12,12 +12,15 @@ import (
 // network delays never loses data — the prefix can be loaded back.
 func (c *Controller) expiryWorker() {
 	defer c.wg.Done()
+	t := c.clk.NewTimer(c.cfg.LeaseScanPeriod)
+	defer t.Stop()
 	for {
 		select {
 		case <-c.stop:
 			return
-		case <-c.clk.After(c.cfg.LeaseScanPeriod):
+		case <-t.C():
 			c.ExpireNow()
+			t.Reset(c.cfg.LeaseScanPeriod)
 		}
 	}
 }

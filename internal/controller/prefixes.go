@@ -92,7 +92,9 @@ func (c *Controller) provisionLocked(n *hierarchy.Node, t core.DSType, initialBl
 
 // CreateHierarchy implements createHierarchy (§4.1): builds the whole
 // address hierarchy from an execution DAG in one call. Nodes must be
-// listed parents-before-children.
+// listed parents-before-children. The whole DAG is checked before its
+// first node is made (checkDAG), so a DAG refused for a bad name, a
+// missing parent or a name taken leaves nothing behind.
 func (c *Controller) CreateHierarchy(req proto.CreateHierarchyReq) error {
 	lease := req.LeaseDuration
 	if lease <= 0 {
@@ -106,6 +108,9 @@ func (c *Controller) CreateHierarchy(req proto.CreateHierarchyReq) error {
 		}
 	}
 	return c.withJob(req.Job, func(h *hierarchy.Hierarchy) error {
+		if err := checkDAG(h, req.Nodes); err != nil {
+			return err
+		}
 		var buf [4]*hierarchy.Node
 		for _, node := range req.Nodes {
 			parents := buf[:0]
@@ -134,6 +139,33 @@ func (c *Controller) CreateHierarchy(req proto.CreateHierarchyReq) error {
 		}
 		return nil
 	})
+}
+
+// checkDAG checks a DAG against the job's hierarchy h before any of it
+// is made: every parent is a node of the job or named earlier in the
+// DAG, and no name is one the job holds or one the DAG repeats. A DAG
+// is a few nodes, so the earlier names are scanned, not indexed: the
+// check allocates nothing.
+func checkDAG(h *hierarchy.Hierarchy, nodes []proto.DagNode) error {
+	earlier := func(i int, name string) bool {
+		for _, n := range nodes[:i] {
+			if n.Name == name {
+				return true
+			}
+		}
+		return false
+	}
+	for i, node := range nodes {
+		if _, held := h.Lookup(node.Name); held || earlier(i, node.Name) {
+			return fmt.Errorf("controller: dag node %q: %w", node.Name, core.ErrExists)
+		}
+		for _, p := range node.Parents {
+			if _, held := h.Lookup(p); !held && !earlier(i, p) {
+				return fmt.Errorf("controller: dag parent %q: %w", p, core.ErrNotFound)
+			}
+		}
+	}
+	return nil
 }
 
 // RemovePrefix explicitly reclaims a prefix and its blocks (the

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"jiffy/internal/core"
+	"jiffy/internal/wire"
 )
 
 // --- codec ----------------------------------------------------------------
@@ -936,7 +937,7 @@ func TestFileLinkRedirectsAppends(t *testing.T) {
 // all 64 of its stripes, it took 18.5 KB, in every KV block a server
 // created.
 func TestNewKVFootprint(t *testing.T) {
-	if poolsInstrumented {
+	if wire.Checked {
 		t.Skip("allocation gates skip in an instrumented build")
 	}
 	const n = 64

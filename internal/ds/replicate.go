@@ -26,9 +26,9 @@ const replicatePrefixLen = 16
 // bodies: prefix, fixed fields and arg lengths go into head, and the
 // segments appended to dst interleave subslices of head with the args —
 // which at a mid-chain member still alias the inbound request frame.
-// The server forwards every hop from a pooled vector (dst[:0]). buf is
-// head's final backing buffer; release it (wire.PutBuf) once the
-// segments have been written.
+// The server forwards every hop from its op scratch's vectors (dst[:0],
+// head[:0]). buf is head's final backing buffer, which the caller may
+// reuse once the segments have been written.
 func AppendReplicateVec(dst [][]byte, head []byte, seq, gen uint64, op core.OpType, block core.BlockID, args [][]byte) (vec [][]byte, buf []byte) {
 	vec, buf = appendRequestVec(dst, head, replicatePrefixLen, op, block, args)
 	binary.BigEndian.PutUint64(buf[0:8], seq)

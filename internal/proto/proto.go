@@ -11,11 +11,11 @@
 package proto
 
 import (
-	"sync"
 	"time"
 
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
+	"jiffy/internal/wire"
 )
 
 // Info is the untyped half of a method declaration: the wire identifier
@@ -33,13 +33,17 @@ type Method[Req, Resp any] struct {
 	Info
 	// calls recycles the method's Call boxes; nil in a descriptor not
 	// made by declare, whose boxes are not recycled.
-	calls *sync.Pool
+	calls *wire.FreeList[*Call[Req, Resp]]
 }
+
+// maxCalls bounds the boxes a method keeps: its calls in flight at
+// once, client and server side together, in the common case.
+const maxCalls = 16
 
 // Call is one call's request and answer in a box on the heap. The
 // control codec takes a message as an interface, so a request or answer
 // on the stack would move to the heap on every call; a stub or handler
-// encodes from and decodes into a box of the method's pool instead.
+// encodes from and decodes into a box of the method's free list instead.
 type Call[Req, Resp any] struct {
 	Req  Req
 	Resp Resp
@@ -47,10 +51,12 @@ type Call[Req, Resp any] struct {
 
 // GetCall returns a zeroed box for one call of m.
 func (m Method[Req, Resp]) GetCall() *Call[Req, Resp] {
-	if m.calls == nil {
-		return new(Call[Req, Resp])
+	if m.calls != nil {
+		if c, ok := m.calls.Get(); ok {
+			return c
+		}
 	}
-	return m.calls.Get().(*Call[Req, Resp])
+	return new(Call[Req, Resp])
 }
 
 // PutCall zeroes c, so no request or answer a caller kept is reachable
@@ -71,7 +77,9 @@ var methods = []Info{
 
 func declare[Req, Resp any](id uint16, name string) Method[Req, Resp] {
 	methods = append(methods, Info{id, name})
-	return Method[Req, Resp]{Info{id, name}, &sync.Pool{New: func() any { return new(Call[Req, Resp]) }}}
+	calls := new(wire.FreeList[*Call[Req, Resp]])
+	calls.Init(maxCalls)
+	return Method[Req, Resp]{Info{id, name}, calls}
 }
 
 // Methods returns every declared method.

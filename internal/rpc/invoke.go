@@ -28,7 +28,7 @@ type Caller interface {
 // to the pool before Invoke returns (the decoder never aliases its
 // input, and an error answer's text was copied into the error). The
 // request is encoded from, and the answer decoded into, a box of the
-// method's pool (proto.Call), so neither moves to the heap.
+// method's free list (proto.Call), so neither moves to the heap.
 func Invoke[Req, Resp any](ctx context.Context, c Caller, m proto.Method[Req, Resp], req Req) (resp Resp, err error) {
 	call := m.GetCall()
 	defer m.PutCall(call)
@@ -77,7 +77,7 @@ type Table struct {
 // ThrottleError's retry-after).
 //
 // The request is decoded into, and the answer encoded from, a box of
-// the method's pool (proto.Call), zeroed before it goes back.
+// the method's free list (proto.Call), zeroed before it goes back.
 func Handle[Req, Resp any](t *Table, m proto.Method[Req, Resp], fn func(context.Context, *ServerConn, Req) (Resp, error)) {
 	if t.m == nil {
 		t.m = make(map[uint16]func(context.Context, *ServerConn, []byte) ([]byte, error))

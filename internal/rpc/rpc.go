@@ -71,10 +71,11 @@ type callResult struct {
 	err error
 }
 
-// waiter is the pooled per-call state: a reusable 1-buffered response
-// channel plus a reusable timeout timer. Waiters recycle through
-// waiterPool, so the steady-state cost of a call is zero allocations
-// for channel, timer, and pending-table plumbing.
+// waiter is the per-call state: a reusable 1-buffered response channel
+// plus a reusable timeout timer. Waiters recycle through their
+// session's free list (Client.waiters), so the steady-state cost of a
+// call is zero allocations for channel, timer, and pending-table
+// plumbing, across collections too.
 type waiter struct {
 	ch chan callResult
 	// borrow asks the read pump for a pooled payload copy instead of a
@@ -93,9 +94,21 @@ type waiter struct {
 	traceExt [32]byte
 }
 
-var waiterPool = sync.Pool{
-	New: func() interface{} { return &waiter{ch: make(chan callResult, 1)} },
-}
+// maxWaiters bounds the waiters a session keeps: its calls in flight
+// at once, beyond which a call's waiter goes to the collector.
+const maxWaiters = 32
+
+// Bounds of a connection's own staging buffers: a session's frames of
+// small requests and their bodies (Client.bufs), a server connection's
+// copies of small request payloads (ServerConn.bufs) — one or two per
+// request in flight on it, 4 KiB each in the common case. Whatever a
+// burst of requests leaves in a list stays there, so the bounds are
+// small: the memory an idle connection pins counts in its process's
+// heap.
+const (
+	maxConnBufs     = 8
+	maxConnBufBytes = 32 * core.KB
+)
 
 // Client is one session with an RPC server: one framed connection, one
 // read pump matching responses to callers by sequence number, and
@@ -109,6 +122,11 @@ var waiterPool = sync.Pool{
 // pending call fails fast and Done closes.
 type Client struct {
 	conn *wire.Conn
+
+	// waiters and bufs are what a call borrows from its session: its
+	// waiter, and the buffer its small request is framed in.
+	waiters wire.FreeList[*waiter]
+	bufs    wire.BufList
 
 	nextSeq atomic.Uint64
 	pending [pendingShards]pendingShard
@@ -165,6 +183,8 @@ func Dial(addr string) (*Client, error) {
 // starts its read pump.
 func NewClient(conn *wire.Conn) *Client {
 	c := &Client{conn: conn, readerDone: make(chan struct{})}
+	c.waiters.Init(maxWaiters)
+	c.bufs.Init(maxConnBufs, maxConnBufBytes)
 	for i := range c.pending {
 		c.pending[i].m = make(map[uint64]*waiter)
 	}
@@ -257,6 +277,15 @@ func (c *Client) OnPush(fn func(subID uint64, payload []byte)) {
 	c.onPush = fn
 	c.mu.Unlock()
 }
+
+// GetBuf returns an empty buffer from the session's own list, for a
+// request body sent on this session; PutBuf hands it back once the call
+// has returned. A buffer that crosses to another owner comes from
+// wire.GetBuf instead.
+func (c *Client) GetBuf() []byte { return c.bufs.Get() }
+
+// PutBuf hands a buffer from GetBuf back to the session's list.
+func (c *Client) PutBuf(b []byte) { c.bufs.Put(b) }
 
 // shard returns the pending-table stripe owning seq.
 func (c *Client) shard(seq uint64) *pendingShard {
@@ -443,7 +472,10 @@ func (c *Client) call(ctx context.Context, method uint16, payload []byte, vec []
 	timeout := c.timeout
 	c.mu.Unlock()
 
-	w := waiterPool.Get().(*waiter)
+	w, ok := c.waiters.Get()
+	if !ok {
+		w = &waiter{ch: make(chan callResult, 1)}
+	}
 	w.borrow = borrow
 	w.method = method
 	// Coarse-deadline fast path: a deadline-less context doesn't arm a
@@ -472,7 +504,7 @@ func (c *Client) call(ctx context.Context, method uint16, payload []byte, vec []
 	// ctx: the extension travels under the same seq and in the same
 	// flush, and old peers skip non-request frames, so this stays
 	// wire-compatible. A small contiguous request is encoded into one
-	// pooled buffer and handed over as a single contiguous write (the
+	// of the session's buffers and handed over as a single contiguous write (the
 	// frames stay on the stack); anything else is one framed write.
 	// Either way the group-commit flush treats the write like any other
 	// convoy member.
@@ -488,12 +520,12 @@ func (c *Client) call(ctx context.Context, method uint16, payload []byte, vec []
 	}
 	var err error
 	if vec == nil && len(payload) <= wire.InlineFrameThreshold {
-		buf := wire.GetBuf()
+		buf := c.bufs.Get()
 		for _, f := range fs {
 			buf = wire.AppendFrame(buf, f)
 		}
 		err = c.conn.WriteBytes(buf)
-		wire.PutBuf(buf)
+		c.bufs.Put(buf)
 	} else {
 		err = c.conn.WriteFrames(fs...)
 	}
@@ -553,7 +585,7 @@ func (c *Client) call(ctx context.Context, method uint16, payload []byte, vec []
 		}
 	}
 	stopTimer(tm)
-	releaseWaiter(w)
+	c.releaseWaiter(w)
 	if r.err != nil {
 		return nil, false, r.err
 	}
@@ -588,7 +620,7 @@ func (c *Client) abandon(seq uint64, w *waiter, tm *time.Timer, err error) error
 		}
 	}
 	stopTimer(tm)
-	releaseWaiter(w)
+	c.releaseWaiter(w)
 	return err
 }
 
@@ -605,10 +637,10 @@ func stopTimer(tm *time.Timer) {
 
 // releaseWaiter recycles per-call state. The caller guarantees the
 // channel is empty and any timer is stopped and drained.
-func releaseWaiter(w *waiter) {
+func (c *Client) releaseWaiter(w *waiter) {
 	w.borrow = false
 	w.expiry = 0
-	waiterPool.Put(w)
+	c.waiters.Put(w)
 }
 
 // watchdogInterval is the sweep period of the coarse timeout watchdog;

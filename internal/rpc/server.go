@@ -36,7 +36,7 @@ type Response struct {
 	// the point where memory aliased by Vec may be unpinned (e.g. a
 	// file chunk's read lease dropped). It rides on the response frame
 	// as it is, so a handler that passes a pointer it already holds (the
-	// memory server passes its op's pooled scratch) pays no closure.
+	// memory server passes its op's scratch) pays no closure.
 	Release wire.Releaser
 }
 
@@ -69,17 +69,19 @@ func BytesHandler(fn func(ctx context.Context, conn *ServerConn, method uint16, 
 }
 
 // Server accepts framed connections and dispatches requests to a
-// Handler. Each connection gets a read pump; each request runs on the
-// connection's parked worker or a new goroutine, so slow handlers don't
-// head-of-line-block a session — matching the paper's asynchronous
-// framed IO design. A goroutine that finishes a request parks as its
-// connection's worker when that place is free (at most one per
-// connection, exiting with it), so a serial stream of requests reuses
-// one goroutine and its grown stack instead of regrowing a fresh one
-// per call. A request the inline predicate clears runs on the read
-// pump instead (see SetInlineHandler); only the benchmark's null-call
-// echo probe installs one, so every memory-server and controller
-// request runs on a worker.
+// Handler. Each connection gets a read pump; each request runs on one
+// of the connection's parked workers or a new goroutine, so slow
+// handlers don't head-of-line-block a session — matching the paper's
+// asynchronous framed IO design. A goroutine that finishes a request
+// parks as one of its connection's workers when a place is free (at
+// most maxParked per connection, exiting with it), so a stream of
+// requests reuses a few goroutines and their grown stacks instead of
+// regrowing a fresh one per call: the second place takes the request
+// that lands while the first worker is still finishing its last one.
+// A request the inline predicate clears runs on the read pump instead
+// (see SetInlineHandler); only the benchmark's null-call echo probe
+// installs one, so every memory-server and controller request runs on
+// a worker.
 type Server struct {
 	handler Handler
 	lis     net.Listener
@@ -164,6 +166,8 @@ func (s *Server) acceptLoop(lis net.Listener) {
 			return
 		}
 		sc := &ServerConn{conn: wire.NewConn(nc), srv: s, work: make(chan request)}
+		sc.bufs.Init(maxConnBufs, maxConnBufBytes)
+		sc.scratch.Init(maxConnScratch)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -223,21 +227,60 @@ type ServerConn struct {
 	conn *wire.Conn
 	srv  *Server
 
-	// work hands a goroutine-path request to the parked worker. It is
+	// work hands a goroutine-path request to a parked worker. It is
 	// unbuffered, so a send succeeds only while a worker waits on it;
-	// parked admits at most one waiter. The read loop is the only
-	// sender and closes it on exit, which releases the worker.
+	// parked counts the workers that hold a place, at most maxParked.
+	// The read loop is the only sender and closes it on exit, which
+	// releases the workers.
 	work   chan request
-	parked atomic.Bool
+	parked atomic.Int32
+
+	// bufs holds the copies of small request payloads handed to a
+	// worker; scratch what handlers keep per connection (see Scratch).
+	bufs    wire.BufList
+	scratch wire.FreeList[any]
 
 	reqWG sync.WaitGroup
+}
+
+// maxParked is how many workers a connection keeps parked. One serves a
+// serial stream; the second takes the request that arrives while the
+// first is still finishing its last one — writing its answer lets the
+// caller send the next before the worker is back in its place — which
+// would otherwise cost a goroutine.
+const maxParked = 2
+
+// maxConnScratch bounds the handler scratch a connection keeps: one per
+// request it runs at once, in the common case.
+const maxConnScratch = 4
+
+// Scratch takes a handler scratch this connection kept (PutScratch), or
+// returns nil when it keeps none: the handler makes one. What a request
+// borrows it borrows from its connection, which outlives any
+// collection. A connection's handlers all keep the same type. A nil
+// connection (a handler driven without one) keeps nothing.
+func (sc *ServerConn) Scratch() any {
+	if sc == nil {
+		return nil
+	}
+	v, _ := sc.scratch.Get()
+	return v
+}
+
+// PutScratch keeps v, a pointer, for the connection's next request, or
+// leaves it to the collector when the connection keeps enough. The
+// caller must not touch v again.
+func (sc *ServerConn) PutScratch(v any) {
+	if sc != nil {
+		sc.scratch.Put(v)
+	}
 }
 
 // request is one goroutine-path request in flight to a worker. It
 // carries its frame by value — the read loop's frame is the
 // connection's, overwritten by the next read — so handing a request
 // over costs no frame object. owned marks a payload copied out of the
-// connection's storage into a wire.GetBuf buffer, which the worker
+// connection's storage into one of its buffers (bufs), which the worker
 // hands back once the request is over; a large payload is a pooled
 // receive buffer, which finish recycles.
 type request struct {
@@ -324,9 +367,10 @@ func (sc *ServerConn) readLoop() {
 		req := request{f: *f, trace: trace}
 		if reused && len(f.Payload) > 0 {
 			// The worker outlives this iteration; give it its own copy of
-			// the connection-owned payload (a small one fits wire.GetBuf's
-			// buffers). The handler does not keep it (see Handler).
-			req.f.Payload, req.owned = append(wire.GetBuf(), f.Payload...), true
+			// the connection-owned payload (a small one fits the
+			// connection's buffers). The handler does not keep it (see
+			// Handler).
+			req.f.Payload, req.owned = append(sc.bufs.Get(), f.Payload...), true
 		}
 		select {
 		case sc.work <- req:
@@ -338,24 +382,26 @@ func (sc *ServerConn) readLoop() {
 	}
 }
 
-// worker runs req, then parks as the connection's worker if that place
-// is free and runs what the read loop hands it, until the loop ends.
-// It exits at once when another worker is already parked.
+// worker runs req, then parks as one of the connection's workers if a
+// place is free and runs what the read loop hands it, until the loop
+// ends. It exits at once when maxParked workers are already parked.
 func (sc *ServerConn) worker(req request) {
 	defer sc.reqWG.Done()
 	for {
 		sc.dispatch(&req.f, req.trace, sc.srv.handler)
 		if req.owned {
-			wire.PutBuf(req.f.Payload)
+			sc.bufs.Put(req.f.Payload)
 		}
-		if !sc.parked.CompareAndSwap(false, true) {
+		if sc.parked.Add(1) > maxParked {
+			sc.parked.Add(-1)
 			return
 		}
 		var ok bool
-		if req, ok = <-sc.work; !ok {
+		req, ok = <-sc.work
+		sc.parked.Add(-1)
+		if !ok {
 			return
 		}
-		sc.parked.Store(false)
 	}
 }
 

@@ -17,12 +17,12 @@ import (
 func (s *Server) handle(ctx context.Context, conn *rpc.ServerConn, method uint16, payload []byte) (rpc.Response, error) {
 	switch method {
 	case proto.MethodDataOp:
-		return s.runOp(ctx, payload)
+		return s.runOp(ctx, conn, payload)
 	case proto.MethodDataOpBatch:
-		return s.runBatch(ctx, payload)
+		return s.runBatch(ctx, conn, payload)
 	case proto.MethodReplicate:
 		// Chain-internal: the acknowledgement is the empty response.
-		return rpc.Response{}, s.runHop(ctx, payload)
+		return rpc.Response{}, s.runHop(ctx, conn, payload)
 	default:
 		b, err := s.table.Dispatch(ctx, conn, method, payload)
 		return rpc.BytesResponse(b), err
@@ -41,13 +41,13 @@ func serve[Req, Resp any](s *Server, m proto.Method[Req, Resp], fn func(Req) (Re
 func (s *Server) buildTable() {
 	serve(s, proto.CreateBlock, s.createBlock)
 	serve(s, proto.DeleteBlock, s.deleteBlock)
-	rpc.Handle(&s.table, proto.SetNext, func(ctx context.Context, _ *rpc.ServerConn, req proto.SetNextReq) (proto.SetNextResp, error) {
+	rpc.Handle(&s.table, proto.SetNext, func(ctx context.Context, conn *rpc.ServerConn, req proto.SetNextReq) (proto.SetNextResp, error) {
 		// Sealing is a sequenced mutation: on replicated queues it
 		// flows down the chain in order with the enqueues it follows.
-		return proto.SetNextResp{}, s.sequenced(ctx, &opCtx{op: core.OpQueueSetNext, block: req.Block,
+		return proto.SetNextResp{}, s.sequenced(ctx, conn, &opCtx{op: core.OpQueueSetNext, block: req.Block,
 			args: [][]byte{ds.RedirectPayload(req.Next)}, checkNow: true})
 	})
-	rpc.Handle(&s.table, proto.SlotOwnership, func(ctx context.Context, _ *rpc.ServerConn, req proto.SlotOwnershipReq) (proto.SlotOwnershipResp, error) {
+	rpc.Handle(&s.table, proto.SlotOwnership, func(ctx context.Context, conn *rpc.ServerConn, req proto.SlotOwnershipReq) (proto.SlotOwnershipResp, error) {
 		// So is a change of ownership: a put the head sequenced before
 		// a disown is owned on every member, and one after it is
 		// refused at the head. It never signals: a move is no growth.
@@ -55,7 +55,7 @@ func (s *Server) buildTable() {
 		if req.Own {
 			op = core.OpOwnSlots
 		}
-		return proto.SlotOwnershipResp{}, s.sequenced(ctx, &opCtx{op: op, block: req.Block,
+		return proto.SlotOwnershipResp{}, s.sequenced(ctx, conn, &opCtx{op: op, block: req.Block,
 			args: ds.SlotArgs(op, req.Ranges, req.Drop)})
 	})
 	serve(s, proto.FlushBlock, s.flushBlock)
@@ -114,14 +114,15 @@ func (s *Server) deleteBlock(req proto.DeleteBlockReq) (proto.DeleteBlockResp, e
 
 // sequenced runs a control method's op on its block as a sequenced
 // mutation: sent to a chain's head, every member applies it at the same
-// seq, in order with the data ops around it.
-func (s *Server) sequenced(ctx context.Context, o *opCtx) error {
+// seq, in order with the data ops around it. Its scratch is borrowed
+// from l, the request's connection.
+func (s *Server) sequenced(ctx context.Context, l lender, o *opCtx) error {
 	b, err := s.resolve(o.block)
 	if err != nil {
 		return err
 	}
 	defer b.EndOp()
-	sc := scratchPool.Get().(*scratch)
+	sc := borrowScratch(l)
 	defer sc.Release()
 	o.b, o.n, o.sc = b, 1, sc
 	refused, err := s.sequence(ctx, o)

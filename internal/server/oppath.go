@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"jiffy/internal/blockstore"
 	"jiffy/internal/core"
@@ -67,9 +66,10 @@ type opCtx struct {
 	res     [][]byte
 	lease   wire.Releaser // a view's read lease, held until res is encoded
 
-	// sc is the entry's pooled scratch: the vectors an answer's segments
-	// and a forwarded hop's are built in, and the holder of what an
-	// answer that aliases block memory keeps until it is written.
+	// sc is the entry's scratch, borrowed from its connection: the
+	// vectors an answer's segments and a forwarded hop's are built in,
+	// and the holder of what an answer that aliases block memory keeps
+	// until it is written.
 	sc *scratch
 }
 
@@ -78,39 +78,58 @@ type opCtx struct {
 // view extends with its one value (a batch takes one for all its
 // views), the segments of a large answer (vec) and of each hop it
 // forwards (fwd), the offsets a run of appends landed at, kept at the
-// size the longest run grew it to, and the buffer a hop's discarded
-// answer is encoded onto.
+// size the longest run grew it to, the buffer a hop's discarded answer
+// is encoded onto (out) and the one each forwarded hop's header is
+// (hop).
 // They cross the Partition and ViewReader interfaces and reach the
-// transport, so on the stack they would escape; pooled, a steady-state
-// entry allocates none.
+// transport, so on the stack they would escape; borrowed from the
+// request's connection (lender), which keeps them across collections,
+// a steady-state entry allocates none.
 //
 // A scratch is also the Release of an answer sent as segments (encode):
 // those may alias block memory under a view's lease, so the scratch
 // keeps the segments, the lease and the block's pin (b) until the rpc
-// layer has written the frame, and then ends them and pools itself.
+// layer has written the frame, and then ends them and goes back to its
+// connection.
 type scratch struct {
 	args, res [][]byte
 	vec, fwd  [][]byte
 	ops       []ds.BatchOp
 	offs      []int
-	out       []byte
+	out, hop  []byte
 
 	b     *blockstore.Block
 	lease wire.Releaser
+	home  lender
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &scratch{args: make([][]byte, 0, 4), res: make([][]byte, 0, 1), offs: make([]int, 0, 1), out: make([]byte, 0, 16)}
-}}
+// lender is where an entry borrows its scratch: the request's
+// connection (rpc.ServerConn), which keeps what it is handed back.
+type lender interface {
+	Scratch() any
+	PutScratch(any)
+}
+
+// borrowScratch takes a scratch from l, or makes one that goes back to
+// l; a nil l gets one the collector takes.
+func borrowScratch(l lender) *scratch {
+	if l != nil {
+		if sc, _ := l.Scratch().(*scratch); sc != nil {
+			return sc
+		}
+	}
+	return &scratch{args: make([][]byte, 0, 4), res: make([][]byte, 0, 1), offs: make([]int, 0, 1),
+		out: make([]byte, 0, 16), hop: make([]byte, 0, 64), home: l}
+}
 
 // scratchMax bounds the vectors a scratch keeps: Release clears every
-// pooled element, so one huge batch must not tax the ops after it.
+// kept element, so one huge batch must not tax the ops after it.
 const scratchMax = 1 << 10
 
 // Release ends what the scratch holds for an answer — the view's
 // lease, then the block's pin — drops what the vectors point at — the
-// request frame, block memory — and pools them, unless a batch grew
-// them past scratchMax.
+// request frame, block memory — and hands them back to the connection,
+// unless a batch grew them past scratchMax.
 func (sc *scratch) Release() {
 	if sc.lease != nil {
 		sc.lease.Release()
@@ -119,7 +138,7 @@ func (sc *scratch) Release() {
 		sc.b.EndOp()
 	}
 	sc.lease, sc.b = nil, nil
-	if cap(sc.args) > scratchMax || cap(sc.ops) > scratchMax || cap(sc.offs) > scratchMax {
+	if sc.home == nil || cap(sc.args) > scratchMax || cap(sc.ops) > scratchMax || cap(sc.offs) > scratchMax {
 		return
 	}
 	clear(sc.args[:cap(sc.args)])
@@ -128,8 +147,8 @@ func (sc *scratch) Release() {
 	clear(sc.fwd[:cap(sc.fwd)])
 	clear(sc.ops[:cap(sc.ops)])
 	sc.args, sc.res, sc.vec, sc.fwd = sc.args[:0], sc.res[:0], sc.vec[:0], sc.fwd[:0]
-	sc.ops, sc.offs, sc.out = sc.ops[:0], sc.offs[:0], sc.out[:0]
-	scratchPool.Put(sc)
+	sc.ops, sc.offs, sc.out, sc.hop = sc.ops[:0], sc.offs[:0], sc.out[:0], sc.hop[:0]
+	sc.home.PutScratch(sc)
 }
 
 // runOp runs one op (MethodDataOp); an append of several records is
@@ -138,8 +157,8 @@ func (sc *scratch) Release() {
 // they keep, and a result is either owned outright (a dequeued item, a
 // removed value), copied into the response (a KV value, a small view)
 // or a view into block memory (see encode).
-func (s *Server) runOp(ctx context.Context, payload []byte) (resp rpc.Response, err error) {
-	sc := scratchPool.Get().(*scratch)
+func (s *Server) runOp(ctx context.Context, l lender, payload []byte) (resp rpc.Response, err error) {
+	sc := borrowScratch(l)
 	defer func() {
 		if resp.Release == nil { // else the rpc layer releases it
 			sc.Release()
@@ -216,8 +235,8 @@ func (o *opCtx) encode(err error) (rpc.Response, error) {
 // lease released, before the next op runs: a file read's lease held
 // across a later write to the same chunk would deadlock the batch on
 // itself.
-func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, error) {
-	sc := scratchPool.Get().(*scratch)
+func (s *Server) runBatch(ctx context.Context, l lender, payload []byte) (rpc.Response, error) {
+	sc := borrowScratch(l)
 	defer sc.Release()
 	ops, args, err := ds.DecodeBatchRequestInto(sc.ops, sc.args, payload)
 	sc.args = args
@@ -310,14 +329,14 @@ func (s *Server) runBatch(ctx context.Context, payload []byte) (rpc.Response, er
 // the predecessor, applied in its sequence order and forwarded on. Its
 // args alias the inbound frame, which the rpc layer recycles once the
 // empty response is written, through the local apply (partitions copy
-// what they keep) and the onward hop; they decode into a pooled vector,
-// and the answer, which the empty response discards, into the pooled
+// what they keep) and the onward hop; they decode into the scratch's
+// vector, and the answer, which the empty response discards, into its
 // buffer. A hop is not admitted — the head admitted the op, and
 // charging it again would bill a replicated tenant twice — and it
 // leaves notification to the head, whose block the subscribers know.
 // A skip (OpNop) only fills its seq (see sequence).
-func (s *Server) runHop(ctx context.Context, payload []byte) error {
-	sc := scratchPool.Get().(*scratch)
+func (s *Server) runHop(ctx context.Context, l lender, payload []byte) error {
+	sc := borrowScratch(l)
 	defer sc.Release()
 	o := opCtx{n: 1, hop: true, out: sc.out[:0], offs: sc.offs[:0], sc: sc}
 	var err error

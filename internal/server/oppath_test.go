@@ -486,8 +486,8 @@ func TestBatchReleasesViewLease(t *testing.T) {
 // value into the bytes the table already holds, and the get copies the
 // value into the pooled response under its bucket lock.
 func TestRunOpKVAllocs(t *testing.T) {
-	if poolsInstrumented {
-		t.Skip("the race detector or the jiffydebug build instruments the pools")
+	if wire.Checked {
+		t.Skip("the jiffydebug build tracks every free list's items")
 	}
 	s := startOpServer(t, clock.NewVirtual(time.Unix(0, 0)))
 	if _, err := s.createBlock(proto.CreateBlockReq{Block: 1, Path: "j/t", Type: core.DSKV, Capacity: core.MB,
@@ -496,6 +496,7 @@ func TestRunOpKVAllocs(t *testing.T) {
 	}
 	val := bytes.Repeat([]byte("v"), 128)
 	ctx := context.Background()
+	l := newTestLender()
 	for _, c := range []struct {
 		name string
 		req  []byte
@@ -505,7 +506,7 @@ func TestRunOpKVAllocs(t *testing.T) {
 		{"get", ds.AppendRequest(nil, core.OpGet, 1, [][]byte{[]byte("key")}), ds.EncodeVals([][]byte{val})},
 	} {
 		run := func() {
-			resp, err := s.runOp(ctx, c.req)
+			resp, err := s.runOp(ctx, l, c.req)
 			if err != nil || !bytes.Equal(resp.Payload, c.want) || resp.Vec != nil {
 				t.Fatalf("%s: %q + %d segments, %v", c.name, resp.Payload, len(resp.Vec), err)
 			}
@@ -524,8 +525,8 @@ func TestRunOpKVAllocs(t *testing.T) {
 // neither allocates. The chunk's doubling growth under the appends is
 // amortized below one object per run.
 func TestRunOpFileAllocs(t *testing.T) {
-	if poolsInstrumented {
-		t.Skip("the race detector or the jiffydebug build instruments the pools")
+	if wire.Checked {
+		t.Skip("the jiffydebug build tracks every free list's items")
 	}
 	s := startOpServer(t, clock.NewVirtual(time.Unix(0, 0)))
 	if _, err := s.createBlock(proto.CreateBlockReq{Block: 1, Path: "j/f", Type: core.DSFile, Capacity: core.MB}); err != nil {
@@ -534,6 +535,7 @@ func TestRunOpFileAllocs(t *testing.T) {
 	rec := bytes.Repeat([]byte("r"), 100)
 	wrote := ds.EncodeVals([][]byte{ds.U64(uint64(len(rec)))})
 	ctx := context.Background()
+	l := newTestLender()
 	for _, c := range []struct {
 		name string
 		req  []byte
@@ -542,7 +544,7 @@ func TestRunOpFileAllocs(t *testing.T) {
 		{"append", ds.AppendRequest(nil, core.OpFileAppend, 1, [][]byte{rec})},
 	} {
 		run := func() {
-			resp, err := s.runOp(ctx, c.req)
+			resp, err := s.runOp(ctx, l, c.req)
 			// One 8-byte value: a write's count, an append's offset.
 			if err != nil || len(resp.Payload) != len(wrote) || !bytes.Equal(resp.Payload[:6], wrote[:6]) || resp.Vec != nil {
 				t.Fatalf("%s: %q + %d segments, %v", c.name, resp.Payload, len(resp.Vec), err)
@@ -602,3 +604,17 @@ func TestOpAfterDeleteIsStale(t *testing.T) {
 		wire.PutBuf(o.out)
 	}
 }
+
+// testLender is what an rpc.ServerConn lends an entry, without the
+// connection: its bounded scratch list.
+type testLender struct{ l wire.FreeList[any] }
+
+func newTestLender() *testLender {
+	t := new(testLender)
+	t.l.Init(4)
+	return t
+}
+
+func (t *testLender) Scratch() any { v, _ := t.l.Get(); return v }
+
+func (t *testLender) PutScratch(v any) { t.l.Put(v) }

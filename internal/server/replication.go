@@ -9,7 +9,6 @@ import (
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/proto"
-	"jiffy/internal/wire"
 )
 
 // Chain replication (§4.2.2): Jiffy supports chain replication at
@@ -63,9 +62,10 @@ func (e *ReplicaApplyError) Error() string {
 func (e *ReplicaApplyError) Unwrap() error { return e.Err }
 
 // The hop's wire form is the data plane's own codec behind a 16-byte
-// seq|gen prefix (see ds.AppendReplicateVec): one pooled header plus a
-// vectored write of the argument slices, whose segments extend the op
-// scratch's forward vector, so a hop allocates nothing. At the head
+// seq|gen prefix (see ds.AppendReplicateVec): a header in the op
+// scratch's hop buffer plus a vectored write of the argument slices,
+// whose segments extend the scratch's forward vector, so a hop
+// allocates nothing. At the head
 // those slices alias the client's request frame and at a mid-chain
 // member the predecessor's hop frame, so a payload is copied once per
 // member — out of the frame, into block memory — and never re-encoded.
@@ -76,7 +76,7 @@ func (e *ReplicaApplyError) Unwrap() error { return e.Err }
 // applied it, to the block's successor in chain — the block's chain
 // snapshot taken under the sequence lock (see sequence), so a
 // concurrent repair splice cannot mix configurations within one
-// mutation. The hop's segments are built in o's pooled scratch.
+// mutation. The hop's segments are built in o's scratch.
 // Failures are classified: transport-level ones become ChainHopError
 // (and are reported to the controller as death evidence), everything
 // else ReplicaApplyError.
@@ -96,10 +96,9 @@ func (s *Server) propagate(ctx context.Context, o *opCtx, chain core.ReplicaChai
 	start := s.clk.Now()
 	// The call returns once the successor has answered, so the segments
 	// (and the frame they alias) are long consumed by then.
-	vec, head := ds.AppendReplicateVec(o.sc.fwd[:0], wire.GetBuf(), seq, gen, op, next.ID, args)
+	vec, head := ds.AppendReplicateVec(o.sc.fwd[:0], o.sc.hop[:0], seq, gen, op, next.ID, args)
 	_, err = peer.CallVecContext(ctx, proto.MethodReplicate, vec)
-	wire.PutBuf(head)
-	o.sc.fwd = vec
+	o.sc.fwd, o.sc.hop = vec, head[:0]
 	if err == nil {
 		// The successor applies in sequence order before replying, so the
 		// forward round trip is a direct proxy for its ApplyInOrder stall:

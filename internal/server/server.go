@@ -263,14 +263,17 @@ func (s *Server) Register(numBlocks int) error {
 // heartbeatWorker paces periodic liveness beats to the controller.
 func (s *Server) heartbeatWorker() {
 	defer s.wg.Done()
+	t := s.clk.NewTimer(s.cfg.HeartbeatInterval)
+	defer t.Stop()
 	for {
 		select {
 		case <-s.stop:
 			return
-		case <-s.clk.After(s.cfg.HeartbeatInterval):
+		case <-t.C():
 			if err := s.HeartbeatNow(); err != nil {
 				s.log.Debug("server: heartbeat failed", "err", err)
 			}
+			t.Reset(s.cfg.HeartbeatInterval)
 		}
 	}
 }

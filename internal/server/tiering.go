@@ -45,14 +45,17 @@ func (s *Server) tieringConfigured() bool {
 // tierWorker paces periodic demotion scans.
 func (s *Server) tierWorker() {
 	defer s.wg.Done()
+	t := s.clk.NewTimer(s.cfg.TierScanPeriod)
+	defer t.Stop()
 	for {
 		select {
 		case <-s.stop:
 			return
-		case <-s.clk.After(s.cfg.TierScanPeriod):
+		case <-t.C():
 			if _, err := s.TierTickNow(); err != nil {
 				s.log.Debug("server: tier scan failed", "err", err)
 			}
+			t.Reset(s.cfg.TierScanPeriod)
 		}
 	}
 }

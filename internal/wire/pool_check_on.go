@@ -3,30 +3,43 @@
 package wire
 
 import (
+	"bytes"
+	"reflect"
 	"sync"
 	"unsafe"
 )
 
-// Debug-build buffer-ownership assertions (-tags jiffydebug). The
-// release-hook payload contract makes ownership bugs easy to write, so
-// under this tag the pool becomes an oracle for the two classic ones:
+// Debug-build ownership assertions (-tags jiffydebug). The release-hook
+// payload contract makes ownership bugs easy to write, so under this
+// tag every free list becomes an oracle for the two classic ones:
 //
-//   - double put: PutBuf records each pooled buffer by backing-array
-//     address; a second PutBuf before GetBuf hands it out again panics.
-//   - use after put: PutBuf poisons the buffer's full capacity; GetBuf
-//     verifies the poison is intact, so a holder that kept writing
-//     through a released slice panics at the buffer's next reuse.
+//   - double put: a put records the item (a buffer by its backing
+//     array's address) until a get hands it out again; a second put
+//     before that panics.
+//   - use after put: a buffer put back is poisoned over its full
+//     capacity, and a typed item (FreeList) has its bytes recorded; a
+//     get verifies the poison, or the record, so a holder that kept
+//     writing through a released buffer or item panics at its next
+//     reuse.
 //
-// PutBuf is documented as safe on arbitrary slices, so buffers that
-// never came from the pool are tracked from their first Put onward —
-// only genuinely double-released pool-eligible buffers trip the panic.
+// BufList.Put and PutLarge are documented as safe on arbitrary slices,
+// so buffers that never came from a list are tracked from their first
+// put onward — only genuinely double-released buffers trip the panic.
+
+// Checked reports this build: every free list and pool tracks its
+// items, so allocation gates skip.
+const Checked = true
 
 const poisonByte = 0xDB
 
 // pooledBufs maps backing-array pointer → struct{} for buffers
-// currently inside the pool. Entries for buffers the GC collects out of
-// the pool leak; acceptable for a debug build.
+// currently inside a list or pool. Entries for buffers the GC collects
+// out of a sync.Pool leak; acceptable for a debug build.
 var pooledBufs sync.Map
+
+// pooledItems maps a FreeList item's pointer → the bytes it held when
+// it was put.
+var pooledItems sync.Map
 
 func bufKey(b []byte) unsafe.Pointer {
 	return unsafe.Pointer(unsafe.SliceData(b))
@@ -48,6 +61,9 @@ func debugTrackPut(b []byte) {
 	poison(b)
 }
 
+// debugUntrack forgets a buffer a full list left to the collector.
+func debugUntrack(b []byte) { pooledBufs.Delete(bufKey(b)) }
+
 func poison(b []byte) {
 	b = b[:cap(b)]
 	for i := range b {
@@ -62,4 +78,33 @@ func verifyPoison(b []byte) {
 			panic("wire: buffer written after PutBuf (use after put)")
 		}
 	}
+}
+
+// itemBytes is the memory a FreeList item points at, read as bytes.
+func itemBytes(v any) (unsafe.Pointer, []byte) {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		panic("wire: a FreeList holds non-nil pointers")
+	}
+	p := rv.UnsafePointer()
+	return p, unsafe.Slice((*byte)(p), rv.Type().Elem().Size())
+}
+
+func debugItemPut[T any](v T) {
+	p, b := itemBytes(v)
+	if _, loaded := pooledItems.LoadOrStore(p, bytes.Clone(b)); loaded {
+		panic("wire: double Put of the same FreeList item")
+	}
+}
+
+func debugItemGet[T any](v T) {
+	p, b := itemBytes(v)
+	if kept, ok := pooledItems.LoadAndDelete(p); ok && !bytes.Equal(kept.([]byte), b) {
+		panic("wire: FreeList item written after Put (use after put)")
+	}
+}
+
+func debugItemDropped[T any](v T) {
+	p, _ := itemBytes(v)
+	pooledItems.Delete(p)
 }

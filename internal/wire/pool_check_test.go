@@ -75,3 +75,62 @@ func TestLargePoolUseAfterRecyclePanics(t *testing.T) {
 		}
 	})
 }
+
+// Under the tag every FreeList is an oracle too: an item put twice, or
+// written after its put, panics. The lists connections and clients own
+// (rpc, proto, client) each have their own test of the same two.
+
+type listItem struct {
+	n    int
+	next *listItem
+}
+
+const (
+	itemDoublePut = "wire: double Put of the same FreeList item"
+	itemUseAfter  = "wire: FreeList item written after Put (use after put)"
+)
+
+func TestFreeListDoublePutPanics(t *testing.T) {
+	var l FreeList[*listItem]
+	l.Init(4)
+	it := &listItem{n: 1}
+	l.Put(it)
+	mustPanic(t, itemDoublePut, func() { l.Put(it) })
+	if got, ok := l.Get(); !ok || got != it {
+		t.Fatalf("Get = %p, %v; want the item put once", got, ok)
+	}
+}
+
+func TestFreeListUseAfterPutPanics(t *testing.T) {
+	var l FreeList[*listItem]
+	l.Init(4)
+	it := &listItem{}
+	l.Put(it)
+	it.next = it // the bug: a holder that kept writing through a released item
+	mustPanic(t, itemUseAfter, func() { l.Get() })
+}
+
+// TestFreeListFullForgets: an item a full list left to the collector
+// is no longer tracked, so handing it in again later is no double put.
+func TestFreeListFullForgets(t *testing.T) {
+	var l FreeList[*listItem]
+	l.Init(1)
+	a, b := &listItem{}, &listItem{}
+	l.Put(a)
+	l.Put(b) // full: dropped
+	l.Get()
+	l.Put(b)
+	l.Get()
+}
+
+// TestBufListOwnerPoisons: a BufList an owner keeps (a connection's) is
+// armed like the shared one behind GetBuf.
+func TestBufListOwnerPoisons(t *testing.T) {
+	var l BufList
+	l.Init(4, 64*1024)
+	b := append(l.Get(), 1, 2, 3)
+	l.Put(b)
+	mustPanic(t, "wire: double PutBuf of the same buffer", func() { l.Put(b) })
+	b[0] = 42
+	mustPanic(t, "wire: buffer written after PutBuf (use after put)", func() { l.Get() })
+}
