@@ -19,8 +19,9 @@ import (
 // p95 is computed over it.
 const healthWindow = 128
 
-// p95Every is how many samples pass between quantile recomputations;
-// between recomputes the cached value serves hedging decisions.
+// p95Every is how many new samples a recomputation of the quantile
+// waits for; until then the cached value serves hedging decisions and
+// snapshots.
 const p95Every = 16
 
 // Hedged-read constants (WithHedgedReads): the values with which the
@@ -50,9 +51,11 @@ type serverHealth struct {
 	// quantile; count is the total samples ever recorded.
 	samples [healthWindow]atomic.Int64
 	count   atomic.Uint64
-	// p95 caches the windowed 95th percentile (nanoseconds), recomputed
-	// every p95Every samples.
-	p95 atomic.Int64
+	// p95 caches the windowed 95th percentile (nanoseconds), computed
+	// when a hedge delay or a snapshot reads it, at most once per
+	// p95Every samples; p95At is the count it was computed at.
+	p95   atomic.Int64
+	p95At atomic.Uint64
 	// probation mirrors the controller's judgment (via OpenResp): the
 	// server is alive but degraded, so hedge-target ranking skips it.
 	probation atomic.Bool
@@ -114,13 +117,23 @@ func (t *healthTracker) record(addr string, d time.Duration) {
 			break
 		}
 	}
-	if n%p95Every == 0 {
-		sh.recomputeP95(n)
-	}
 }
 
-// recomputeP95 refreshes the cached windowed quantile. Runs once per
-// p95Every samples; the sort works on a stack copy of the ring.
+// windowP95 returns the windowed quantile, recomputed first when
+// p95Every samples have arrived since it last was: only hedged reads
+// and snapshots read it, so the record path never sorts. One reader
+// claims each recomputation; the others serve the cached value. The
+// sort works on a stack copy of the ring.
+func (sh *serverHealth) windowP95() time.Duration {
+	n, at := sh.count.Load(), sh.p95At.Load()
+	if n-at >= p95Every && sh.p95At.CompareAndSwap(at, n) {
+		sh.recomputeP95(n)
+	}
+	return time.Duration(sh.p95.Load())
+}
+
+// recomputeP95 refreshes the cached quantile over the ring as it holds
+// n samples.
 func (sh *serverHealth) recomputeP95(n uint64) {
 	var buf [healthWindow]int64
 	m := int(min(n, healthWindow))
@@ -174,7 +187,7 @@ func (t *healthTracker) hedgeDelay(addr string) (time.Duration, bool) {
 	if sh == nil || sh.count.Load() < hedgeMinSamples {
 		return 0, false
 	}
-	p95 := time.Duration(sh.p95.Load())
+	p95 := sh.windowP95()
 	if p95 <= 0 {
 		return 0, false
 	}
@@ -200,7 +213,7 @@ func (t *healthTracker) snapshot() []ServerHealthInfo {
 			Server:    addr,
 			Samples:   sh.count.Load(),
 			EWMA:      time.Duration(math.Float64frombits(sh.ewma.Load())),
-			P95:       time.Duration(sh.p95.Load()),
+			P95:       sh.windowP95(),
 			Probation: sh.probation.Load(),
 		})
 	}

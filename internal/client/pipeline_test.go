@@ -606,6 +606,40 @@ func TestPipelineHedgeBackupNotBornExpired(t *testing.T) {
 	}
 }
 
+// TestHealthP95OnRead: recording a sample never sorts the window; the
+// p95 a hedge delay or a snapshot reads is computed then, once
+// p95Every samples have arrived since it last was, and served from the
+// cache until p95Every more have.
+func TestHealthP95OnRead(t *testing.T) {
+	h := newHealthTracker()
+	p95 := func() time.Duration {
+		for _, s := range h.snapshot() {
+			return s.P95
+		}
+		return 0
+	}
+	for i := 1; i < p95Every; i++ {
+		h.record("s0", time.Duration(i)*time.Microsecond)
+	}
+	if d, ok := h.hedgeDelay("s0"); ok || p95() != 0 {
+		t.Fatalf("%d samples: hedge delay %v, %v and p95 %v, want none", p95Every-1, d, ok, p95())
+	}
+	h.record("s0", p95Every*time.Microsecond)
+	if got, want := p95(), time.Duration(p95Every*95/100+1)*time.Microsecond; got != want {
+		t.Fatalf("%d samples: p95 %v, want %v", p95Every, got, want)
+	}
+	for i := 1; i < p95Every; i++ {
+		h.record("s0", time.Second)
+	}
+	if d, _ := h.hedgeDelay("s0"); p95() >= time.Second || d >= time.Second {
+		t.Fatalf("p95 %v, hedge delay %v recomputed before %d new samples", p95(), d, p95Every)
+	}
+	h.record("s0", time.Second)
+	if d, ok := h.hedgeDelay("s0"); !ok || d != hedgeMultiplier*time.Second || p95() != time.Second {
+		t.Fatalf("after %d new samples: hedge delay %v, %v and p95 %v, want %v and 1s", p95Every, d, ok, p95(), hedgeMultiplier*time.Second)
+	}
+}
+
 // TestAltFor pins the hedge target: another chain member, never one on
 // the primary's server nor a probated one, the lowest EWMA first, and a
 // member with no samples last.

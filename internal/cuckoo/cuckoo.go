@@ -3,6 +3,11 @@
 // operations; this is a Go implementation of the same design:
 // two-choice bucketized cuckoo hashing with 4-way buckets,
 // breadth-first-search relocation on insert, and automatic growth.
+// Like libcuckoo's preallocated queue, the relocation search runs in a
+// bounded frontier it borrows from a short list all tables share, so
+// an insert allocates only the key and value it keeps; Grow sizes a
+// table once for a bulk load (a snapshot restore, a split's slot
+// import) instead of doubling it through every size on the way.
 //
 // A Table is safe for concurrent use, with libcuckoo-style fine-grained
 // locking: each operation touches at most two candidate buckets, so the
@@ -27,6 +32,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"jiffy/internal/wire"
 )
 
 const (
@@ -35,6 +42,18 @@ const (
 	// maxBFSDepth bounds the relocation search; beyond this the table
 	// grows instead.
 	maxBFSDepth = 5
+	// maxNodes bounds the BFS frontier to paths of ~maxBFSDepth kicks:
+	// 2 roots, branching factor slotsPerBucket.
+	maxNodes = 2 << (2 * maxBFSDepth)
+	// keptFrontiers is how many idle frontiers the shared list keeps:
+	// one per search running at once, each under its own table's
+	// exclusive lock.
+	keptFrontiers = 4
+	// growLoad is the load factor, in sixteenths, that Grow sizes a
+	// table for: below the 0.95–1.0 at which a table fills before its
+	// relocation search fails, so a bulk load into the grown table does
+	// not grow it again.
+	growLoad = 15
 	// minBuckets is the smallest table (power of two).
 	minBuckets = 4
 	// numStripes is the most bucket-lock stripes a table has (a power
@@ -371,9 +390,11 @@ func (t *Table) write(key string, w *write) {
 	if !t.reserve(len(key)+len(w.val), w.limit) {
 		return
 	}
-	for e := w.fresh(h, key); !t.insertFresh(e); {
-		t.grow()
+	f := getFrontier()
+	for e := w.fresh(h, key); !t.insertFresh(e, f); {
+		t.grow(f)
 	}
+	frontiers.Put(f)
 	t.count.Add(1)
 	w.stored = true
 }
@@ -408,54 +429,71 @@ func (t *Table) writeLocal(i1, i2 uint64, h uint64, key string, w *write) bool {
 
 // bfsNode is one step in the relocation search: an entry from slot
 // `slot` of the parent node's bucket could be displaced into `bucket`.
+// A bucket index fits 32 bits: 2^32 buckets would take 800 GiB.
 type bfsNode struct {
-	bucket uint64
-	parent int // index into the BFS queue; -1 for the two root buckets
-	slot   int
+	bucket uint32
+	parent int32 // index into the frontier; -1 for the two root buckets
+	slot   int32
+}
+
+// frontier is the queue of one relocation search, at its full size so
+// a search never grows it.
+type frontier [maxNodes]bfsNode
+
+// frontiers is the short list every table's searches borrow a frontier
+// from (getFrontier) and return it to (frontiers.Put). A search runs
+// under its table's exclusive resizeMu, and one frontier serves a whole
+// write, grow or Grow.
+var frontiers = func() *wire.FreeList[*frontier] {
+	l := new(wire.FreeList[*frontier])
+	l.Init(keptFrontiers)
+	return l
+}()
+
+// getFrontier borrows a frontier from the list, or makes one.
+func getFrontier() *frontier {
+	if f, ok := frontiers.Get(); ok {
+		return f
+	}
+	return new(frontier)
 }
 
 // insertFresh places a new entry, relocating existing entries via a
-// breadth-first search (libcuckoo-style) if both candidate buckets are
-// full. Returns false when no relocation path exists within the search
-// bound — the caller grows the table. Caller holds resizeMu
+// breadth-first search (libcuckoo-style) in f if both candidate buckets
+// are full. Returns false when no relocation path exists within the
+// search bound — the caller grows the table. Caller holds resizeMu
 // exclusively: the search and the displacement walk touch arbitrary
 // buckets.
-func (t *Table) insertFresh(e entry) bool {
+func (t *Table) insertFresh(e entry, f *frontier) bool {
 	i1 := t.i1(e.hash)
 	i2 := t.i2(i1, e.hash)
-	// maxNodes bounds the BFS frontier to paths of ~maxBFSDepth kicks:
-	// 2 roots, branching factor slotsPerBucket.
-	maxNodes := 2
-	for d := 0; d < maxBFSDepth; d++ {
-		maxNodes *= slotsPerBucket
-	}
-	queue := []bfsNode{{bucket: i1, parent: -1}, {bucket: i2, parent: -1}}
+	queue := append(f[:0], bfsNode{bucket: uint32(i1), parent: -1}, bfsNode{bucket: uint32(i2), parent: -1})
 	for qi := 0; qi < len(queue); qi++ {
 		n := queue[qi]
-		if s := t.freeSlot(n.bucket); s >= 0 {
+		if s := t.freeSlot(uint64(n.bucket)); s >= 0 {
 			// Walk the displacement path backwards, moving each entry
 			// one hop toward the free slot.
 			cur, freeSlot := qi, s
 			for queue[cur].parent >= 0 {
 				p := queue[cur].parent
-				ps := queue[cur].slot
+				ps := int(queue[cur].slot)
 				pb := &t.buckets[queue[p].bucket]
-				t.place(queue[cur].bucket, freeSlot, pb.entries[ps])
+				t.place(uint64(queue[cur].bucket), freeSlot, pb.entries[ps])
 				pb.occupied[ps] = false
 				pb.entries[ps] = entry{}
 				freeSlot = ps
-				cur = p
+				cur = int(p)
 			}
-			t.place(queue[cur].bucket, freeSlot, e)
+			t.place(uint64(queue[cur].bucket), freeSlot, e)
 			return true
 		}
-		if len(queue) >= maxNodes {
+		if len(queue)+slotsPerBucket > maxNodes {
 			continue // stop expanding; drain remaining queued nodes
 		}
 		b := &t.buckets[n.bucket]
 		for s := 0; s < slotsPerBucket; s++ {
-			alt := t.i2(n.bucket, b.entries[s].hash)
-			queue = append(queue, bfsNode{bucket: alt, parent: qi, slot: s})
+			alt := t.i2(uint64(n.bucket), b.entries[s].hash)
+			queue = append(queue, bfsNode{bucket: uint32(alt), parent: int32(qi), slot: int32(s)})
 		}
 	}
 	return false
@@ -477,28 +515,50 @@ func (t *Table) place(i uint64, s int, e entry) {
 	b.entries[s] = e
 }
 
-// grow doubles the bucket array and rehashes every entry. Caller holds
+// grow doubles the bucket array. Caller holds resizeMu exclusively.
+func (t *Table) grow(f *frontier) { t.rehash(len(t.buckets)*2, f) }
+
+// rehash moves every entry into a new array of n buckets. Caller holds
 // resizeMu exclusively.
-func (t *Table) grow() {
+func (t *Table) rehash(n int, f *frontier) {
 	old := t.buckets
-	t.resize(len(old) * 2)
+	t.resize(n)
 	for bi := range old {
 		for s := 0; s < slotsPerBucket; s++ {
 			if !old[bi].occupied[s] {
 				continue
 			}
 			e := old[bi].entries[s]
-			if !t.insertFresh(e) {
-				// With the table doubled and re-inserting a subset,
+			if !t.insertFresh(e, f) {
+				// With the table grown and re-inserting a subset,
 				// failure here would indicate a pathological hash;
 				// grow again (terminates: load factor halves each time).
-				t.grow()
-				if !t.insertFresh(e) {
+				t.grow(f)
+				if !t.insertFresh(e, f) {
 					panic(fmt.Sprintf("cuckoo: cannot place key %q after growth", e.key))
 				}
 			}
 		}
 	}
+}
+
+// Grow makes room for n more entries: it resizes the table once, to
+// the smallest size that holds them at a load of growLoad/16, so a bulk
+// load does not double the table through every size and rehash every
+// entry at each step. It never shrinks the table.
+func (t *Table) Grow(n int) {
+	t.resizeMu.Lock()
+	defer t.resizeMu.Unlock()
+	want := len(t.buckets)
+	for want*slotsPerBucket*growLoad < (t.Len()+n)*16 {
+		want <<= 1
+	}
+	if want == len(t.buckets) {
+		return
+	}
+	f := getFrontier()
+	t.rehash(want, f)
+	frontiers.Put(f)
 }
 
 // Delete removes key, returning the removed value and whether it was

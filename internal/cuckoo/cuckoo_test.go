@@ -3,11 +3,15 @@ package cuckoo
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"jiffy/internal/wire"
 )
 
 func TestPutGet(t *testing.T) {
@@ -472,4 +476,118 @@ func TestNewTableAllocBytes(t *testing.T) {
 	if per > 1536 {
 		t.Errorf("New(0) allocates %d B, want <= 1536", per)
 	}
+}
+
+// fillKeys is n distinct keys and 8-byte values for the fill gates.
+func fillKeys(n int) (keys []string, vals [][]byte) {
+	for i := 0; i < n; i++ {
+		keys = append(keys, fmt.Sprintf("k%015d", i))
+		vals = append(vals, []byte(fmt.Sprintf("v%07d", i)))
+	}
+	return keys, vals
+}
+
+// TestFillAllocs: filling a table from New(0) allocates only what it
+// keeps — each key and value Set copies in, and the bucket and stripe
+// arrays of every size the table grows through. The relocation search
+// borrows its frontier, so the inserts that find both buckets full and
+// the entries each growth rehashes allocate nothing; with a frontier
+// per search, 20 000 keys took 63 655 objects and 43 MB.
+func TestFillAllocs(t *testing.T) {
+	if wire.Checked {
+		t.Skip("free list tracking allocates (-tags jiffydebug)")
+	}
+	const n = 20000
+	keys, vals := fillKeys(n)
+	var tb *Table
+	fill := func() {
+		tb = New(0)
+		for i := range keys {
+			tb.Set(keys[i], vals[i], -1)
+		}
+	}
+	objects := testing.AllocsPerRun(5, fill)
+	// New: the Table, its buckets and stripes; then per growth one
+	// bucket array, and a stripe array while there are fewer than
+	// numStripes.
+	growths := bits.Len(uint(len(tb.buckets)/minBuckets)) - 1
+	want := float64(2*n + 3 + 2*growths)
+	t.Logf("%d keys: %.0f objects, %d growths to %d buckets", n, objects, growths, len(tb.buckets))
+	if objects > want {
+		t.Errorf("fill allocates %.0f objects, want <= %.0f", objects, want)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fill()
+	runtime.ReadMemStats(&after)
+	// The bucket arrays double, so all of them sum to under twice the
+	// last; a key and its value take 24 B (32 B under -race), allowed
+	// 48 B.
+	bucketBytes := uint64(len(tb.buckets)) * uint64(unsafe.Sizeof(bucket{}))
+	wantBytes := 2*bucketBytes + 48*n
+	t.Logf("%d keys: %d B allocated, buckets %d B", n, after.TotalAlloc-before.TotalAlloc, bucketBytes)
+	if got := after.TotalAlloc - before.TotalAlloc; got > wantBytes {
+		t.Errorf("fill allocates %d B, want <= %d", got, wantBytes)
+	}
+}
+
+// TestGrowSizesOnce: Grow resizes once for the entries it is told of,
+// and loading them into the grown table does not grow it again.
+func TestGrowSizesOnce(t *testing.T) {
+	for _, n := range []int{1, 15, 100, 1000, 3000, 7000, 20000} {
+		tb := New(0)
+		keys, vals := fillKeys(n)
+		tb.Grow(n)
+		size := len(tb.buckets)
+		for i := range keys {
+			tb.Put(keys[i], vals[i])
+		}
+		if len(tb.buckets) != size {
+			t.Errorf("n=%d: Grow sized %d buckets, the load grew them to %d", n, size, len(tb.buckets))
+		}
+		if size > minBuckets && n*16 <= size/2*slotsPerBucket*growLoad {
+			t.Errorf("n=%d: Grow sized %d buckets where half would do", n, size)
+		}
+		for i := range keys {
+			if v, ok := tb.Get(keys[i]); !ok || !bytes.Equal(v, vals[i]) {
+				t.Fatalf("n=%d: Get(%q) = %q, %v", n, keys[i], v, ok)
+			}
+		}
+		tb.Grow(n / 2) // holds them already
+		if len(tb.buckets) < size {
+			t.Errorf("n=%d: Grow shrank %d buckets to %d", n, size, len(tb.buckets))
+		}
+	}
+}
+
+// TestConcurrentRelocations: tables on several goroutines relocate and
+// grow at once, every search borrowing a frontier from the one shared
+// list; no frontier is handed to two searches (run under -race), and
+// every table keeps every key.
+func TestConcurrentRelocations(t *testing.T) {
+	const tables, n = 8, 3000
+	var wg sync.WaitGroup
+	for g := 0; g < tables; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			tb := New(0)
+			for i := 0; i < n; i++ {
+				k := fmt.Sprintf("t%d-%d", g, i)
+				tb.Set(k, []byte(k), -1)
+				if i == n/2 {
+					tb.Grow(n)
+				}
+			}
+			for i := 0; i < n; i++ {
+				k := fmt.Sprintf("t%d-%d", g, i)
+				if v, ok := tb.Get(k); !ok || string(v) != k {
+					t.Errorf("table %d: Get(%q) = %q, %v", g, k, v, ok)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/wire"
 )
@@ -952,5 +953,60 @@ func TestNewKVFootprint(t *testing.T) {
 	t.Logf("NewKV: %d B", per)
 	if per > 2*core.KB {
 		t.Errorf("NewKV allocates %d B, want <= %d", per, 2*core.KB)
+	}
+}
+
+// TestLoadSlotsAllocs: a split's import (LoadSlots) and a restore grow
+// the empty shard's table once for the pairs they load
+// (cuckoo.Table.Grow), so past decoding the snapshot they allocate
+// that one growth's bucket and stripe arrays; a second growth would
+// add its bucket array.
+func TestLoadSlotsAllocs(t *testing.T) {
+	if wire.Checked {
+		t.Skip("allocation gates skip in an instrumented build")
+	}
+	const n = 3000
+	donor := fullKV(core.MB)
+	for i := 0; donor.Len() < 2*n; i++ {
+		donor.Put(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("val-%d", i)))
+	}
+	upper := UpperHalf(donor.Owned())
+	slotSnap, err := donor.SnapshotSlots(upper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullSnap, err := donor.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(snap []byte) func() {
+		return func() {
+			NewKV(core.MB, 64, nil)
+			var s kvSnapshot
+			if err := codec.Unmarshal(snap, &s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		snap []byte
+		load func(k *KV) error
+	}{
+		{"LoadSlots", slotSnap, func(k *KV) error { return k.LoadSlots(upper, slotSnap) }},
+		{"Restore", fullSnap, func(k *KV) error { return k.Restore(fullSnap) }},
+	} {
+		base := testing.AllocsPerRun(5, decode(c.snap))
+		var k *KV
+		got := testing.AllocsPerRun(5, func() {
+			k = NewKV(core.MB, 64, nil)
+			if err := c.load(k); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s of %d pairs: %.0f objects, %.0f past decoding", c.name, k.Len(), got, got-base)
+		if got-base > 2 {
+			t.Errorf("%s of %d pairs allocates %.0f objects past decoding, want <= 2", c.name, k.Len(), got-base)
+		}
 	}
 }

@@ -327,7 +327,8 @@ func (k *KV) SnapshotSlots(ranges []SlotRange) ([]byte, error) {
 // LoadSlots replaces the pairs in ranges with a SnapshotSlots' pairs,
 // taking no ownership: an OpOwnSlots does, once every member loaded.
 // A shard that owns any of ranges refuses, since its pairs there are
-// live.
+// live. The table is sized once for the pairs (cuckoo.Table.Grow)
+// before they go in.
 func (k *KV) LoadSlots(ranges []SlotRange, snapshot []byte) error {
 	var s kvSnapshot
 	if err := codec.Unmarshal(snapshot, &s); err != nil {
@@ -337,6 +338,7 @@ func (k *KV) LoadSlots(ranges []SlotRange, snapshot []byte) error {
 		return fmt.Errorf("ds: load of owned slots %v: %w", ranges, core.ErrStaleEpoch)
 	}
 	k.table.RemoveIf(func(key string) bool { return k.inSlots(ranges, key) }, func(string, []byte) {})
+	k.table.Grow(len(s.Entries))
 	for _, e := range s.Entries {
 		k.table.Put(e.Key, e.Value)
 	}
@@ -454,6 +456,7 @@ func (k *KV) Restore(snapshot []byte) error {
 	k.owned = s.Owned
 	k.mu.Unlock()
 	k.table.Clear()
+	k.table.Grow(len(s.Entries))
 	for _, e := range s.Entries {
 		k.table.Put(e.Key, e.Value)
 	}

@@ -68,9 +68,9 @@ func (g *Group) Lead(addr string) {
 //
 // The answer comes back in borrowed memory, as Client.CallBorrowedContext:
 // when pooled is true the caller returns it with wire.PutBuf. A failed
-// attempt's borrowed body goes back to the pool before the next try, and
-// an error comes back without a body (a redirect's hint was copied into
-// the error).
+// attempt's borrowed body goes back to the pool before the next try (a
+// redirect's hint was copied into the error); the answer that ends the
+// call comes back with its body, an error answer's text included.
 func (g *Group) CallBorrowedContext(ctx context.Context, method uint16, payload []byte) ([]byte, bool, error) {
 	n := len(g.addrs)
 	if n == 0 {
@@ -94,11 +94,14 @@ func (g *Group) CallBorrowedContext(ctx context.Context, method uint16, payload 
 			g.leader.Store(int32(idx))
 			return out, pooled, nil
 		}
+		retry := errors.Is(err, core.ErrNotLeader) || errors.Is(err, core.ErrClosed) || errors.Is(err, core.ErrTimeout)
+		if !retry || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			// The leader answered the operation, or the caller gave up:
+			// the call ends with the answer, whose text Invoke keeps.
+			return out, pooled, err
+		}
 		if pooled {
 			wire.PutBuf(out)
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, false, err
 		}
 		lastErr = err
 		next, hinted := (idx+1)%n, false
@@ -116,8 +119,6 @@ func (g *Group) CallBorrowedContext(ctx context.Context, method uint16, payload 
 				g.pool.Drop(addr)
 				return nil, false, err
 			}
-		default:
-			return nil, false, err
 		}
 		g.Rehomes.Inc()
 		g.pool.Drop(addr)

@@ -26,9 +26,14 @@ type Caller interface {
 // mispaired call is a compile error. The request is encoded into a
 // pooled buffer and the answer read from a borrowed one; both go back
 // to the pool before Invoke returns (the decoder never aliases its
-// input, and an error answer's text was copied into the error). The
+// input, and an error answer's text is copied into the error). The
 // request is encoded from, and the answer decoded into, a box of the
 // method's free list (proto.Call), so neither moves to the heap.
+//
+// An error answer whose text says more than the error its wire code
+// maps to (core.ErrOf) — "controller: dag parent "missing": jiffy: not
+// found" for ErrNotFound — comes back as an answerError: the callee's
+// text, unwrapping to that error, so errors.Is still holds.
 func Invoke[Req, Resp any](ctx context.Context, c Caller, m proto.Method[Req, Resp], req Req) (resp Resp, err error) {
 	call := m.GetCall()
 	defer m.PutCall(call)
@@ -40,14 +45,27 @@ func Invoke[Req, Resp any](ctx context.Context, c Caller, m proto.Method[Req, Re
 	}
 	out, pooled, err := c.CallBorrowedContext(ctx, m.ID, payload)
 	wire.PutBuf(payload)
-	if err == nil {
+	switch {
+	case err == nil:
 		err = codec.Unmarshal(out, &call.Resp)
+	case len(out) > 0 && string(out) != err.Error():
+		err = &answerError{text: string(out), err: err}
 	}
 	if pooled {
 		wire.PutBuf(out)
 	}
 	return call.Resp, err
 }
+
+// answerError is a control call's error answer: the callee's text over
+// the error its wire code maps to.
+type answerError struct {
+	text string
+	err  error
+}
+
+func (e *answerError) Error() string { return e.text }
+func (e *answerError) Unwrap() error { return e.err }
 
 // InvokeAt is Invoke on p's pooled session for addr. A session found
 // dead (a connection-class error) is dropped so the next call re-dials

@@ -222,3 +222,31 @@ func TestCreateHierarchyRefusesBadName(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestControlErrorSaysWhy is the witness for a control call's error
+// text: the controller refuses a DAG whose node names a missing parent
+// with an error naming that parent, and the client's error keeps the
+// text while errors.Is still finds ErrNotFound. Mapping the answer's
+// wire code back to its bare sentinel left "jiffy: not found" alone.
+func TestControlErrorSaysWhy(t *testing.T) {
+	cfg := core.TestConfig()
+	cfg.LeaseDuration = time.Hour
+	cluster, err := StartCluster(ClusterOptions{Config: cfg, Controllers: 2, Servers: 1, BlocksPerServer: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cluster.Close() })
+	ctx := context.Background()
+	c, err := cluster.Connect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if err := c.RegisterJob(ctx, "dag"); err != nil {
+		t.Fatal(err)
+	}
+	err = c.CreateHierarchy(ctx, "dag", []DagNode{{Name: "a", Type: DSKV}, {Name: "b", Parents: []string{"missing"}}}, 0)
+	if !errors.Is(err, core.ErrNotFound) || !strings.Contains(err.Error(), `"missing"`) {
+		t.Fatalf("CreateHierarchy with a missing parent = %v, want ErrNotFound naming %q", err, "missing")
+	}
+}
