@@ -2,12 +2,12 @@ package jiffy
 
 // Gray-failure chaos suite: a server that is alive but persistently
 // slow (fail-slow) must not be treated as healthy (unbounded tail
-// latency) nor as dead (spurious chain splices). These scenarios drive
-// the full gray-failure machinery end to end under the deterministic
-// injector: the server→controller fail-slow reports place the slow
-// replica on probation without a membership change. Hedged reads,
-// which bound the client's read tail, are gray_tail_test.go over
-// tailbench.Measure.
+// latency) nor as dead (spurious chain splices). The scenario drives
+// controller probation end to end under the deterministic injector: a
+// Degraded failure report, filed over the controller's ReportFailure
+// RPC, places the slow replica on probation without a membership
+// change. Hedged reads, which bound the client's read tail, are
+// gray_tail_test.go over tailbench.Measure.
 // Seeds are fixed; failures reproduce exactly.
 
 import (
@@ -20,6 +20,8 @@ import (
 
 	"jiffy/internal/core"
 	"jiffy/internal/faultinject"
+	"jiffy/internal/proto"
+	"jiffy/internal/rpc"
 )
 
 // grayTailLatency is the injected one-way latency toward the slow
@@ -76,22 +78,18 @@ func grayCluster(t *testing.T, inj *faultinject.Injector, cfg core.Config) (*Clu
 	return cluster, chain[len(chain)-1].Server
 }
 
-// TestChaosGrayFailureProbation exercises the server→controller leg: a
-// chain head whose forward round trips stall past SlowHopThreshold for
-// core.DefaultSlowHopStreak writes files a Degraded report; the controller's probe
-// finds the successor alive and places it on probation — no death, no
-// chain splice, no membership change — steering new allocations to
-// healthy servers until recovery probes lift it.
+// TestChaosGrayFailureProbation exercises the report→controller leg:
+// with every byte toward a chain's tail delayed, a Degraded report
+// against the tail reaches the controller over the wire; the
+// controller's probe finds the tail alive and places it on probation —
+// no death, no chain splice, no membership change — steering new
+// allocations to healthy servers until recovery probes lift it.
 func TestChaosGrayFailureProbation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long chaos scenario")
-	}
 	inj := faultinject.New(1303, nil)
 	cfg := core.TestConfig()
 	cfg.LeaseDuration = time.Minute
 	cfg.ChainLength = 2
 	cfg.RPCTimeout = 2 * time.Second
-	cfg.SlowHopThreshold = 5 * time.Millisecond
 	cluster, tail := grayCluster(t, inj, cfg)
 	ctx := context.Background()
 
@@ -108,19 +106,24 @@ func TestChaosGrayFailureProbation(t *testing.T) {
 	epochBefore := cluster.Controller.MembershipEpoch()
 	inj.AddRule(faultinject.Rule{Name: "slow-tail", Match: "send:" + tail, Latency: grayTailLatency})
 
-	// Each write's chain forward stalls on the slow successor; after
-	// core.DefaultSlowHopStreak of them the head reports Degraded, asynchronously.
+	// Each write's chain forward stalls on the slow tail, and succeeds.
 	for i := 0; i < 6; i++ {
 		if err := kv.Put(ctx, fmt.Sprintf("p%02d", i), []byte("v")); err != nil {
 			t.Fatalf("gray put %d: %v", i, err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !cluster.Controller.ServerProbated(tail) {
-		if time.Now().After(deadline) {
-			t.Fatal("slow chain successor never reached probation")
-		}
-		time.Sleep(10 * time.Millisecond)
+	reporter, err := inj.Dial(cluster.ControllerAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reporter.Close()
+	if _, err := rpc.Invoke(ctx, reporter, proto.ReportFailure, proto.ReportFailureReq{
+		Reporter: "gray-chaos", Server: tail, Degraded: true,
+	}); err != nil {
+		t.Fatalf("degraded report: %v", err)
+	}
+	if !cluster.Controller.ServerProbated(tail) {
+		t.Fatal("degraded report did not place the slow tail on probation")
 	}
 	if cluster.Controller.ServerDead(tail) {
 		t.Fatal("fail-slow server was declared dead")

@@ -145,21 +145,29 @@ func (c *Controller) ServerDead(addr string) bool {
 // every server registration, death and drain.
 func (c *Controller) MembershipEpoch() uint64 { return c.memberEpoch.Load() }
 
-// ReportFailure handles write-path failure evidence from a chain head.
-// The controller does not take the reporter's word for it: it probes
-// the accused server itself. For fail-stop evidence (Degraded unset),
-// only a failed probe (or an already broken pooled session) escalates
-// to death and repair — this keeps one flaky link between two servers
-// from killing a healthy member. For fail-slow evidence (Degraded
-// set), a probe that proves the server alive places it on probation
-// instead: alive-but-slow must never trigger a chain splice, but it
-// should stop attracting new allocations and hedge traffic.
+// ReportFailure handles failure evidence against a chain member: a
+// chain head's fail-stop report, or a Degraded (fail-slow) report from
+// a harness or operator. A report naming a server that is neither
+// registered nor already dead answers ErrNotFound, as a heartbeat from
+// one does. The controller does not take the reporter's word for it:
+// it probes the accused server itself. For fail-stop evidence (Degraded
+// unset), only a failed probe (or an already broken pooled session)
+// escalates to death and repair — this keeps one flaky link between
+// two servers from killing a healthy member. For fail-slow evidence
+// (Degraded set), a probe that proves the server alive places it on
+// probation instead: alive-but-slow must never trigger a chain splice,
+// but it should stop attracting new allocations and hedge traffic.
 func (c *Controller) ReportFailure(req proto.ReportFailureReq) error {
-	if req.Server == "" {
-		return fmt.Errorf("controller: failure report without a server: %w", core.ErrNotFound)
-	}
-	if c.ServerDead(req.Server) {
+	c.hbMu.Lock()
+	_, known := c.lastBeat[req.Server]
+	dead := c.deadServers[req.Server]
+	c.hbMu.Unlock()
+	if dead {
 		return nil // already handled
+	}
+	if !known {
+		return fmt.Errorf("controller: failure report names %q, not a live member: %w",
+			req.Server, core.ErrNotFound)
 	}
 	_, err := callServer(c, req.Server, proto.ServerStats, proto.ServerStatsReq{})
 	var ue *serverUnreachableError
@@ -174,8 +182,8 @@ func (c *Controller) ReportFailure(req proto.ReportFailureReq) error {
 	}
 	if req.Degraded {
 		// The server answered (or at least errored from its own
-		// process): alive, but the reporter measured persistent
-		// replication stalls through it. Probate rather than kill.
+		// process): alive, but the reporter saw it stall. Probate
+		// rather than kill.
 		if c.setProbation(req.Server, true) {
 			c.log.Warn("controller: server placed on gray-failure probation",
 				"server", req.Server, "reporter", req.Reporter, "block", req.Block)
@@ -230,22 +238,18 @@ func (c *Controller) ProbationList() []string {
 }
 
 // ProbeProbationNow runs one recovery scan over the probated servers:
-// each is probed with MethodServerStats and the round trip measured on
-// the controller's clock. core.DefaultProbationRecoveryProbes
-// consecutive probes at or under SlowHopThreshold lift the probation
-// (the server must prove sustained recovery, not one lucky fast reply); a slow probe
-// resets the streak; an unreachable probe escalates to death — a
-// probated server that stops answering has crossed from gray to
-// fail-stop. Transitions are flushed to the standbys before
-// returning. Returns the servers whose probation was lifted.
+// each is probed with MethodServerStats. core.DefaultProbationRecoveryProbes
+// consecutive clean answers lift the probation (the server must prove
+// sustained recovery, not one lucky reply); an error answer resets the
+// streak; an unreachable probe escalates to death — a probated server
+// that stops answering has crossed from gray to fail-stop. Transitions
+// are flushed to the standbys before returning. Returns the servers
+// whose probation was lifted.
 func (c *Controller) ProbeProbationNow() []string {
-	threshold := c.cfg.SlowHopThreshold
 	var recovered []string
 	changed := false
 	for _, addr := range c.ProbationList() {
-		start := c.clk.Now()
 		_, err := callServer(c, addr, proto.ServerStats, proto.ServerStatsReq{})
-		elapsed := c.clk.Now().Sub(start)
 		var ue *serverUnreachableError
 		if err != nil && errors.As(err, &ue) {
 			c.log.Warn("controller: probated server unreachable; escalating to death",
@@ -254,10 +258,7 @@ func (c *Controller) ProbeProbationNow() []string {
 			changed = true
 			continue
 		}
-		// With fail-slow detection disabled (threshold 0) any live
-		// reply counts as clean — probation can then only have been set
-		// administratively and reachability is the recovery bar.
-		if err != nil || (threshold > 0 && elapsed > threshold) {
+		if err != nil {
 			c.hbMu.Lock()
 			delete(c.probationStreak, addr)
 			c.hbMu.Unlock()

@@ -2,6 +2,7 @@ package controller_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -86,6 +87,54 @@ func TestProbationLifecycle(t *testing.T) {
 	}
 }
 
+// TestProbationRefusesUnknownServer: a failure report is evidence
+// about a member, so a report naming an address the controller does not
+// track — never registered, the controller's own, or empty — answers
+// ErrNotFound and changes nothing: no death, no membership epoch move,
+// no probation. A report on a server already declared dead still
+// answers nil.
+func TestProbationRefusesUnknownServer(t *testing.T) {
+	vclock := clock.NewVirtual(time.Unix(0, 0))
+	ctrl, srvs := recoveryCtrl(t, vclock, 2, 8, 8)
+	reporter := srvs[0].Addr()
+	self := "mem://recovery-ctrl-" + t.Name()
+	const stranger = "mem://no-such-server"
+
+	epoch := ctrl.MembershipEpoch()
+	for _, req := range []proto.ReportFailureReq{
+		{Reporter: reporter, Server: stranger},
+		{Reporter: reporter, Server: stranger, Degraded: true},
+		{Reporter: reporter, Server: self},
+		{Reporter: reporter, Server: self, Degraded: true},
+		{Reporter: reporter},
+	} {
+		if err := ctrl.ReportFailure(req); !errors.Is(err, core.ErrNotFound) {
+			t.Errorf("report %+v: %v, want ErrNotFound", req, err)
+		}
+	}
+	if got := ctrl.MembershipEpoch(); got != epoch {
+		t.Errorf("membership epoch %d -> %d after reports on untracked addresses", epoch, got)
+	}
+	if ctrl.ServerDead(stranger) || ctrl.ServerDead(self) {
+		t.Error("a report on an untracked address declared it dead")
+	}
+	if d := ctrl.Stats().DegradedServers; len(d) != 0 {
+		t.Errorf("DegradedServers = %v after reports on untracked addresses, want none", d)
+	}
+
+	victim := srvs[1].Addr()
+	if !ctrl.FailServer(victim) {
+		t.Fatalf("%s was already dead", victim)
+	}
+	for _, degraded := range []bool{false, true} {
+		if err := ctrl.ReportFailure(proto.ReportFailureReq{
+			Reporter: reporter, Server: victim, Degraded: degraded,
+		}); err != nil {
+			t.Errorf("report (degraded %v) on a dead server: %v, want nil", degraded, err)
+		}
+	}
+}
+
 // TestProbationAllocationSteering: while a server is on probation the
 // allocator places new blocks on healthy servers only, falling back to
 // the probated pool when the healthy servers cannot cover a request.
@@ -154,7 +203,6 @@ func TestProbationAllocationSteering(t *testing.T) {
 func TestProbationSurvivesFailover(t *testing.T) {
 	cfg := core.TestConfig()
 	cfg.LeaseDuration = time.Hour
-	cfg.SlowHopThreshold = 50 * time.Millisecond
 	r := newGroupRig(t, cfg, 3, 2, 8)
 	slow := r.servers[1].Addr()
 

@@ -38,13 +38,9 @@ const (
 	// window is configured.
 	DefaultTierScanPeriod = 1 * time.Second
 	DefaultTierCooldown   = 10 * time.Second
-	// Gray-failure constants: a chain successor whose replication
-	// forwards stall past SlowHopThreshold DefaultSlowHopStreak times in
-	// a row is reported as degraded, and a probated server must pass
-	// DefaultProbationRecoveryProbes consecutive healthy controller
-	// probes to rejoin. Fail-slow detection itself stays off until
-	// SlowHopThreshold is set.
-	DefaultSlowHopStreak           = 3
+	// A server on gray-failure probation must answer
+	// DefaultProbationRecoveryProbes consecutive controller probes to
+	// rejoin, so one lucky reply does not lift it.
 	DefaultProbationRecoveryProbes = 2
 )
 
@@ -114,13 +110,6 @@ type Config struct {
 	// demotion policy. Zero disables the background worker; tests then
 	// drive scans deterministically via Server.TierTickNow.
 	TierScanPeriod time.Duration
-	// SlowHopThreshold is the replication-forward latency above which a
-	// chain successor counts as stalled (gray-failure evidence). A head
-	// or mid-chain member whose successor exceeds it DefaultSlowHopStreak
-	// times in a row files a Degraded failure report, and the controller
-	// uses the same bound when probing probated servers for recovery.
-	// Zero disables fail-slow detection.
-	SlowHopThreshold time.Duration
 }
 
 // DefaultConfig returns the paper's defaults.
@@ -207,9 +196,6 @@ func (c Config) Validate() error {
 	}
 	if c.TierScanPeriod < 0 {
 		return fmt.Errorf("core: tier scan period must be >= 0, got %v", c.TierScanPeriod)
-	}
-	if c.SlowHopThreshold < 0 {
-		return fmt.Errorf("core: slow hop threshold must be >= 0, got %v", c.SlowHopThreshold)
 	}
 	return nil
 }

@@ -470,17 +470,18 @@ type HeartbeatResp struct {
 	Epoch uint64
 }
 
-// ReportFailureReq carries write-path evidence that Server is dead:
-// Reporter could not reach it while forwarding on Block's chain.
+// ReportFailureReq carries evidence that Server, a tracked member, is
+// dead: Reporter could not reach it while forwarding on Block's chain.
+// The controller refuses a report on an untracked address with
+// ErrNotFound.
 type ReportFailureReq struct {
 	Reporter string
 	Server   string
 	Block    core.BlockID
 	// Degraded distinguishes fail-slow evidence from fail-stop: the
-	// reported server is reachable but persistently slow (replication
-	// forwards stalling past the configured threshold). The controller
-	// probes it and, if it is alive, places it on probation instead of
-	// declaring it dead.
+	// reporter saw the server reachable but persistently slow. The
+	// controller probes it and, if it is alive, places it on probation
+	// instead of declaring it dead.
 	Degraded bool
 }
 

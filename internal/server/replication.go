@@ -90,27 +90,22 @@ func (s *Server) propagate(ctx context.Context, o *opCtx, chain core.ReplicaChai
 	next := chain[pos+1]
 	peer, err := s.peers.Get(next.Server)
 	if err != nil {
-		s.reportHop(next, false)
+		s.reportHop(next)
 		return &ChainHopError{Hop: next, Err: err}
 	}
-	start := s.clk.Now()
 	// The call returns once the successor has answered, so the segments
 	// (and the frame they alias) are long consumed by then.
 	vec, head := ds.AppendReplicateVec(o.sc.fwd[:0], o.sc.hop[:0], seq, gen, op, next.ID, args)
 	_, err = peer.CallVecContext(ctx, proto.MethodReplicate, vec)
 	o.sc.fwd, o.sc.hop = vec, head[:0]
 	if err == nil {
-		// The successor applies in sequence order before replying, so the
-		// forward round trip is a direct proxy for its ApplyInOrder stall:
-		// a persistently slow hop is gray-failure evidence.
-		s.noteForwardLatency(next, s.clk.Now().Sub(start))
 		return nil
 	}
 	if errors.Is(err, core.ErrClosed) || errors.Is(err, core.ErrTimeout) {
 		// The session died mid-call: evict it so the next attempt
 		// re-dials, and surface the hop as possibly dead.
 		s.peers.Drop(next.Server)
-		s.reportHop(next, false)
+		s.reportHop(next)
 		return &ChainHopError{Hop: next, Err: err}
 	}
 	return &ReplicaApplyError{Block: next.ID, Err: err}

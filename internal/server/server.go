@@ -17,7 +17,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"jiffy/internal/blockstore"
 	"jiffy/internal/clock"
@@ -86,11 +85,6 @@ type Server struct {
 	reports chan proto.ReportFailureReq
 	stop    chan struct{}
 	wg      sync.WaitGroup
-
-	// slowMu guards the per-successor stall streak counters behind
-	// fail-slow detection (SlowHopThreshold); see noteForwardLatency.
-	slowMu      sync.Mutex
-	slowStreaks map[string]int
 
 	subs subRegistry
 
@@ -301,53 +295,16 @@ func (s *Server) HeartbeatNow() error {
 }
 
 // reportHop enqueues write-path evidence that a chain hop's server is
-// unreachable or, degraded, persistently slow; a full queue drops the
-// report (missed heartbeats, or the next slow streak, catch it anyway).
-func (s *Server) reportHop(hop core.BlockInfo, degraded bool) {
+// unreachable; a full queue drops the report (missed heartbeats catch
+// it anyway).
+func (s *Server) reportHop(hop core.BlockInfo) {
 	if len(s.ctrlAddrs) == 0 {
 		return
 	}
 	select {
-	case s.reports <- proto.ReportFailureReq{Reporter: s.addr, Server: hop.Server, Block: hop.ID, Degraded: degraded}:
+	case s.reports <- proto.ReportFailureReq{Reporter: s.addr, Server: hop.Server, Block: hop.ID}:
 	default:
 	}
-}
-
-// noteForwardLatency feeds one successful replication forward's round
-// trip into fail-slow detection: a successor that stalls past
-// SlowHopThreshold on core.DefaultSlowHopStreak consecutive forwards is
-// reported to the controller as Degraded evidence — reachable, applying, but
-// persistently slow (a gray failure heartbeats will never catch,
-// because the server still beats on time). A single fast forward
-// clears the streak, so transient hiccups never escalate.
-func (s *Server) noteForwardLatency(hop core.BlockInfo, d time.Duration) {
-	threshold := s.cfg.SlowHopThreshold
-	if threshold <= 0 || len(s.ctrlAddrs) == 0 {
-		return
-	}
-	s.slowMu.Lock()
-	if d <= threshold {
-		if s.slowStreaks[hop.Server] != 0 {
-			delete(s.slowStreaks, hop.Server)
-		}
-		s.slowMu.Unlock()
-		return
-	}
-	if s.slowStreaks == nil {
-		s.slowStreaks = make(map[string]int)
-	}
-	s.slowStreaks[hop.Server]++
-	fire := s.slowStreaks[hop.Server] >= core.DefaultSlowHopStreak
-	if fire {
-		delete(s.slowStreaks, hop.Server) // re-arm: re-report only after a fresh streak
-	}
-	s.slowMu.Unlock()
-	if !fire {
-		return
-	}
-	s.log.Warn("server: chain successor persistently slow; reporting degraded",
-		"successor", hop.Server, "latency", d, "threshold", threshold)
-	s.reportHop(hop, true)
 }
 
 // reportWorker forwards failed-hop reports to the controller

@@ -106,13 +106,11 @@ type Config struct {
 	// SlowServerAtTick turns one memory server gray at the start of that
 	// tick: the injector delays every byte toward it while the harness
 	// files a Degraded failure report, which the controller verifies by
-	// probe and answers with probation — not death. (The server-side
-	// fail-slow detector is exercised by the real-clock chaos suite;
-	// under the soak's virtual clock a forward round trip measures as
-	// zero.) Gray failure opens NO fault window: every op through the
-	// slow window must still succeed, and the membership epoch must not
-	// move — alive-but-slow never splices chains. At SlowHealAtTick the
-	// rule is removed and recovery probes must lift the probation.
+	// probe and answers with probation — not death. Gray failure opens
+	// NO fault window: every op through the slow window must still
+	// succeed, and the membership epoch must not move — alive-but-slow
+	// never splices chains. At SlowHealAtTick the rule is removed and
+	// recovery probes must lift the probation.
 	// (<= 0 disables; requires SlowHealAtTick > SlowServerAtTick.)
 	SlowServerAtTick int
 	SlowHealAtTick   int
