@@ -145,18 +145,18 @@ func (c *Controller) ServerDead(addr string) bool {
 // every server registration, death and drain.
 func (c *Controller) MembershipEpoch() uint64 { return c.memberEpoch.Load() }
 
-// ReportFailure handles failure evidence against a chain member: a
-// chain head's fail-stop report, or a Degraded (fail-slow) report from
-// a harness or operator. A report naming a server that is neither
-// registered nor already dead answers ErrNotFound, as a heartbeat from
-// one does. The controller does not take the reporter's word for it:
-// it probes the accused server itself. For fail-stop evidence (Degraded
-// unset), only a failed probe (or an already broken pooled session)
-// escalates to death and repair — this keeps one flaky link between
-// two servers from killing a healthy member. For fail-slow evidence
-// (Degraded set), a probe that proves the server alive places it on
-// probation instead: alive-but-slow must never trigger a chain splice,
-// but it should stop attracting new allocations and hedge traffic.
+// ReportFailure handles failure evidence against a member: a chain
+// head's fail-stop report, or a Degraded (fail-slow) one. A report
+// naming a server that is neither registered nor dead answers
+// ErrNotFound, as a heartbeat from one does. The controller does not
+// take the reporter's word for it: it probes the accused server itself.
+// For fail-stop evidence (Degraded unset), only a failed probe (or an
+// already broken pooled session) escalates to death and repair — this
+// keeps one flaky link between two servers from killing a healthy
+// member. For fail-slow evidence (Degraded set), a probe that proves
+// the server alive places it on probation instead: alive-but-slow must
+// never trigger a chain splice, but it should stop attracting new
+// allocations and hedge traffic.
 func (c *Controller) ReportFailure(req proto.ReportFailureReq) error {
 	c.hbMu.Lock()
 	_, known := c.lastBeat[req.Server]
